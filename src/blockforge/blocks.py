@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from .arith import p_part, vp
 from .chartab import (
-    ClassFunction,
     character_table,
     constituents,
     restrict,
@@ -22,12 +21,10 @@ from .cyclotomic import rational
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
 from .permgroup import (
-    centralizer,
     centralizer_of_group,
     is_normal_in,
     normalizer,
     subgroups_of_order,
-    sylow_subgroup,
     trivial_group,
 )
 from .perms import inverse as perm_inverse
@@ -217,11 +214,6 @@ def block_data(G, p, conductor=None):
     return _block_data_cached(G, p, conductor)
 
 
-def block_partition(G, p, rmap):
-    """The list of p-blocks of G under the given reduction map."""
-    return block_data(G, p, rmap.e).blocks
-
-
 def block_idempotent(block):
     """Idempotent coefficients of the block on the class-sum basis, as
     residue field elements; the exact coefficients are p-local."""
@@ -301,23 +293,6 @@ def _defect_group_brauer(block):
             f"expected one defect group class, found {len(hits)}"
         )
     return hits[0]
-
-
-def defect_group_via_defect_classes(block):
-    """Independent defect-group computation: a Sylow p-subgroup of the
-    centralizer of a p-regular defect-class representative."""
-    bs = block.blockset
-    G = bs.group
-    p = bs.prime
-    lam = block.reduced_central
-    for k in p_regular_classes(G, p):
-        if lam[k].is_zero():
-            continue
-        c = G.conjugacy_classes()[k]
-        cent = centralizer(G, c.representative)
-        if vp(cent.order(), p) == block.defect:
-            return sylow_subgroup(cent, p)
-    raise InternalCheckError("no p-regular defect class found")
 
 
 def induced_central(b, G):

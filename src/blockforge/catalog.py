@@ -61,10 +61,6 @@ def entry(name):
     raise DomainError(f"no catalog group named {name!r}")
 
 
-def names():
-    return [e.name for e in entries()]
-
-
 def navarro_fixed(name, p):
     """Fixed (subgroup, p-subgroup) generator pairs for this group and
     prime."""

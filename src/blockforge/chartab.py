@@ -11,8 +11,7 @@ error is raised.
 
 The construction is fully deterministic: instead of random splitting
 vectors, a separating integer combination of the class matrices is
-diagonalised by scanning every eigenvalue candidate in GF(q).  The seed
-argument is accepted for interface stability but never consulted.
+diagonalised by scanning every eigenvalue candidate in GF(q).
 """
 
 from fractions import Fraction
@@ -42,10 +41,6 @@ def structure_constants(G):
                 j = G.class_index(mult(xinv, reps[k]))
                 row[j][k] += 1
     return tuple(tuple(tuple(row) for row in plane) for plane in a)
-
-
-def class_multiplication_coefficient(G, i, j, k):
-    return structure_constants(G)[i][j][k]
 
 
 class ClassFunction:
@@ -257,7 +252,7 @@ class CharacterTable:
 
 
 @lru_cache(maxsize=None)
-def character_table(G, seed=0):
+def character_table(G):
     """Compute the ordinary character table; deterministic, exact."""
     classes = G.conjugacy_classes()
     r = len(classes)

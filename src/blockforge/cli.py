@@ -18,9 +18,7 @@ from .chartab import character_table
 from .errors import DomainError, GroupFileError
 from .groupfile import parse_group_file
 from .perms import format_perm
-from .report import KINDS, build_report, collect_verdicts, to_json, to_text
-
-VERIFY_KINDS = KINDS + ("all",)
+from .report import KINDS, build_report, collect_verdicts, to_text
 
 
 class UsageError(Exception):
@@ -273,7 +271,7 @@ def build_parser():
     b.set_defaults(func=run_blocks)
 
     v = sub.add_parser("verify", help="run verifiers")
-    v.add_argument("kind", choices=VERIFY_KINDS)
+    v.add_argument("kind", nargs="?", default="all", choices=(*KINDS, "all"))
     v.add_argument("group", nargs="?")
     common(v)
     v.add_argument("--seed", type=int, default=None)

@@ -278,6 +278,14 @@ def glauberman_instances(G, p, name):
 # --- Sylow normalizer index divisibility ----------------------------
 
 
+def _normalizer_indices(G, U, P, I):
+    """|U : N_U(I)| and |G : N_G(P)| for I the intersection of P and U."""
+    return (
+        U.order() // normalizer(U, I).order(),
+        G.order() // normalizer(G, P).order(),
+    )
+
+
 def verify_sylow_normalizer_divisibility(G, p, U, P):
     """Index of the intersection's normalizer in U against the index
     of the p-subgroup's normalizer in G."""
@@ -289,8 +297,7 @@ def verify_sylow_normalizer_divisibility(G, p, U, P):
         reasons.append("intersection is not a Sylow p-subgroup of U")
     if P.order() != p_part(G.order(), p):
         reasons.append("P is not a Sylow p-subgroup of G")
-    index_sub = U.order() // normalizer(U, I).order()
-    index_big = G.order() // normalizer(G, P).order()
+    index_sub, index_big = _normalizer_indices(G, U, P, I)
     divides = index_big % index_sub == 0
     met = not reasons
     return {
@@ -331,8 +338,7 @@ def navarro_instances(G, p, name, seed, fixed):
             if I.order() != p_part(U.order(), p):
                 continue
             met += 1
-            index_sub = U.order() // normalizer(U, I).order()
-            index_big = G.order() // normalizer(G, P).order()
+            index_sub, index_big = _normalizer_indices(G, U, P, I)
             if index_big % index_sub:
                 violations += 1
         records.append(

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .arith import solve_rational
 from .errors import DomainError
 
 
@@ -100,35 +101,6 @@ def _power_basis(e):
                 nxt[i] += carry * top[i]
         current = nxt
     return tuple(rows)
-
-
-def _solve_exact(columns, target):
-    """Solve sum_j a_j * columns[j] = target over Q; None if inconsistent."""
-    rows = len(target)
-    cols = len(columns)
-    m = [[columns[j][i] for j in range(cols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, rows):
-        if m[i][cols]:
-            return None
-    solution = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        solution[col] = m[i][cols]
-    return solution
 
 
 class Cyclotomic:
@@ -297,7 +269,7 @@ class Cyclotomic:
             columns.append(col)
         one = [Fraction(0)] * d
         one[0] = Fraction(1)
-        solution = _solve_exact(columns, one)
+        solution = solve_rational(columns, one)
         if solution is None:
             raise ZeroDivisionError("value is not invertible")
         return Cyclotomic(e, tuple(solution))
@@ -380,7 +352,7 @@ def _canonical(e, coords):
             break
         step = e // d
         columns = [basis[(j * step) % e] for j in range(euler_phi(d))]
-        solution = _solve_exact(columns, coords)
+        solution = solve_rational(columns, coords)
         if solution is not None:
             return d, tuple(solution)
     return e, coords
@@ -405,13 +377,6 @@ def zeta(e, k=1):
         coords[k] = Fraction(1)
         return Cyclotomic(e, tuple(coords))
     return Cyclotomic(e, _power_basis(e)[k])
-
-
-def cyc_sum(values):
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
 
 
 def from_root_combination(e, coefficients):

@@ -77,7 +77,7 @@ def divisibility_matching(left, right):
         pairs = tuple((i, match_of_left[i]) for i in range(n))
         _check_matching(left, right, pairs)
         return MatchingOutcome(True, pairs=pairs)
-    side, subset = _hall_violator(left, right, adj)
+    side, subset = _hall_violator(adj, match_of_left, match_of_right)
     degrees = right if side == "right" else left
     witness = tuple(sorted(degrees[i] for i in subset))
     _check_violator(left, right, adj, side, subset)
@@ -103,10 +103,10 @@ def _neighbor_count(adj_for_side, subset):
     return len(seen)
 
 
-def _hall_violator(left, right, adj):
-    n = len(left)
-    radj = [tuple(i for i in range(n) if j in adj[i]) for j in range(n)]
+def _hall_violator(adj, match_of_left, match_of_right):
+    n = len(adj)
     if n <= _EXHAUSTIVE_LIMIT:
+        radj = [tuple(i for i in range(n) if j in adj[i]) for j in range(n)]
         for size in range(1, n + 1):
             for side, nbrs in (("right", radj), ("left", adj)):
                 for subset in combinations(range(n), size):
@@ -116,31 +116,12 @@ def _hall_violator(left, right, adj):
             "matching failed but no Hall violator exists"
         )
     # Too many subsets to scan: fall back to the deficiency witness from
-    # the matching itself, without the minimality promise.
-    return _koenig_violator(left, adj)
-
-
-def _koenig_violator(left, adj):
-    n = len(left)
-    match_of_right = [None] * n
-    match_of_left = [None] * n
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_of_right[j] is None or augment(match_of_right[j], seen):
-                match_of_right[j] = i
-                match_of_left[i] = j
-                return True
-        return False
-
-    for i in range(n):
-        augment(i, set())
-    free = [i for i in range(n) if match_of_left[i] is None]
-    reachable = set(free)
-    frontier = list(free)
+    # the maximum matching just found, without the minimality promise.
+    # The left vertices reachable from unmatched ones along alternating
+    # paths have only matched neighbours, whose partners are all in the
+    # set, so the set outnumbers its neighbourhood (König).
+    frontier = [i for i in range(n) if match_of_left[i] is None]
+    reachable = set(frontier)
     while frontier:
         i = frontier.pop()
         for j in adj[i]:

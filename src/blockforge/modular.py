@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .arith import vp
+from .arith import solve_rational, vp
 from .blocks import block_data, p_regular_classes
 from .chartab import character_table
 from .cyclotomic import Cyclotomic
@@ -162,38 +162,6 @@ def _flatten(values, e):
     return out
 
 
-def _solve_nonneg_integer(columns, target):
-    """Solve the exact linear system with the given columns, requiring
-    a nonnegative integer solution; None if the system is inconsistent."""
-    rows = len(target)
-    ncols = len(columns)
-    aug = [
-        [columns[j][i] for j in range(ncols)] + [target[i]]
-        for i in range(rows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if any(row[-1] for row in aug[r:]):
-        return None
-    solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        solution[c] = aug[i][-1]
-    return solution
-
-
 class ModularData:
     """Ordinary blocks together with the Brauer characters, the
     decomposition matrix and height data on the modular side."""
@@ -229,7 +197,7 @@ class ModularData:
             target = _flatten(
                 restriction_to_p_regular(chi, self.prime).values, e
             )
-            solution = _solve_nonneg_integer(columns, target)
+            solution = solve_rational(columns, target)
             if solution is None:
                 raise InternalCheckError(
                     "ordinary character does not decompose over the"

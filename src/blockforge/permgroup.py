@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .arith import is_prime, p_part, prime_factors, vp
+from .arith import is_prime, p_part, prime_factors
 from .errors import DomainError, InternalCheckError
 from .perms import conj, identity, inverse, is_perm, moved_points, mult, order
 
@@ -116,9 +116,6 @@ class PermutationGroup:
         if self._element_set is None:
             self.elements()
         return self._element_set
-
-    def random_element(self, rng):
-        return rng.choice(self.elements())
 
     def is_subgroup_of(self, other):
         return self.degree == other.degree and all(other.contains(g) for g in self.generators)
@@ -440,14 +437,6 @@ class QuotientAction:
     def image_of(self, g):
         """The permutation of cosets induced by g."""
         return tuple(self.point_of[mult(g, rep[0])] for rep in self.cosets)
-
-    def preimage(self, S):
-        """Pull a subgroup of the quotient back to a subgroup of G."""
-        elems = []
-        for i, coset in enumerate(self.cosets):
-            if S.contains(self.image_of(coset[0])):
-                elems.extend(coset)
-        return group_from_elements(len(self.cosets[0][0]), tuple(elems))
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ and plain-text renderings that carry the same verdicts."""
 
 import json
 import time
+from collections import namedtuple
 
 from .correspond import (
     block_section,
@@ -14,96 +15,6 @@ from .correspond import (
     regular_covering_instances,
 )
 from .permgroup import is_p_solvable
-
-KINDS = ("am", "dim", "glauberman", "navarro", "regular", "fong", "q35")
-
-
-def build_report(
-    G, p, name=None, seed=0, kinds=KINDS, navarro_fixed=(), timings=False
-):
-    """All requested verifier records for one group at one prime.
-
-    Unrequested kinds come back as empty lists so the schema is stable.
-    elapsed_ms stays null unless timings are requested, keeping repeat
-    runs byte-identical.
-    """
-    start = time.monotonic()
-    name = name if name is not None else (G.name or f"degree-{G.degree}")
-    blocks = []
-    if "am" in kinds or "dim" in kinds:
-        blocks, _, _ = block_section(G, p)
-    props = {
-        "glauberman": (
-            glauberman_instances(G, p, name) if "glauberman" in kinds else []
-        ),
-        "navarro": (
-            navarro_instances(G, p, name, seed, navarro_fixed)
-            if "navarro" in kinds
-            else []
-        ),
-        "regular_covering": (
-            regular_covering_instances(G, p, name)
-            if "regular" in kinds
-            else []
-        ),
-        "fong_block": (
-            fong_block_instances(G, p, name) if "fong" in kinds else []
-        ),
-        "fong_reynolds": (
-            fong_reynolds_instances(G, p, name) if "fong" in kinds else []
-        ),
-        "question35": (
-            question35_instances(G, p, name) if "q35" in kinds else []
-        ),
-    }
-    return {
-        "group": name,
-        "order": G.order(),
-        "prime": p,
-        "p_solvable": is_p_solvable(G, p),
-        "blocks": blocks,
-        "propositions": props,
-        "seed": seed,
-        "elapsed_ms": (
-            int((time.monotonic() - start) * 1000) if timings else None
-        ),
-    }
-
-
-def collect_verdicts(report):
-    """Pass/fail per verifier kind, derived from the records.
-
-    Hypothesis-not-met rows never fail a kind, and the exploratory
-    question35 search never produces a verdict at all.
-    """
-    out = {}
-    blocks = report["blocks"]
-    if blocks:
-        matched = all(
-            "irr0_matching" in b and "ibr0_matching" in b for b in blocks
-        )
-        out["am"] = "pass" if matched else "fail"
-        dims = all(
-            b["dim_divides"] and b["dim_p_part_divides"] for b in blocks
-        )
-        out["dim"] = "pass" if dims else "fail"
-    props = report["propositions"]
-    groups = (
-        ("glauberman", ("glauberman",)),
-        ("navarro", ("navarro",)),
-        ("regular", ("regular_covering",)),
-        ("fong", ("fong_block", "fong_reynolds")),
-    )
-    for kind, keys in groups:
-        records = [r for key in keys for r in props[key]]
-        if records:
-            failed = any(r["verdict"] == "fail" for r in records)
-            out[kind] = "fail" if failed else "pass"
-    return out
-
-
-def to_json(report):
-    return json.dumps(report, indent=2) + "\n"
 
 
 def _degs(values):
@@ -208,6 +119,140 @@ def _question35_line(r):
     return f"  block {r['block']}: {r['result']}{detail}"
 
 
+def _block_records(G, p, *_):
+    return (block_section(G, p)[0],)
+
+
+def _all_matched(blocks):
+    return all("irr0_matching" in b and "ibr0_matching" in b for b in blocks)
+
+
+def _all_dims_divide(blocks):
+    return all(b["dim_divides"] and b["dim_p_part_divides"] for b in blocks)
+
+
+def _none_failed(records):
+    return not any(r["verdict"] == "fail" for r in records)
+
+
+# One verifier kind per entry, in report order.  sections lists the
+# record lists the kind fills as (key, text heading, line renderer):
+# "blocks" is the report's top-level list, shared by am and dim and
+# computed once; every other key sits under "propositions".
+# compute(G, p, name, seed, navarro_fixed) returns one record list per
+# section, and passed(records) gives the verdict (None: the kind never
+# gives one).  compute looks the correspond functions up in this
+# module's globals at call time, so wrappers installed on those names
+# (perfbench's tracer) see every call.
+Verifier = namedtuple("Verifier", "kind sections compute passed")
+
+_BLOCKS = ("blocks", None, lambda rec: "\n".join(_block_lines(rec)))
+
+VERIFIERS = (
+    Verifier("am", (_BLOCKS,), _block_records, _all_matched),
+    Verifier("dim", (_BLOCKS,), _block_records, _all_dims_divide),
+    Verifier(
+        "glauberman",
+        (("glauberman", "glauberman", _glauberman_line),),
+        lambda G, p, name, *_: (glauberman_instances(G, p, name),),
+        _none_failed,
+    ),
+    Verifier(
+        "navarro",
+        (("navarro", "navarro", _navarro_line),),
+        lambda G, p, name, seed, fixed: (
+            navarro_instances(G, p, name, seed, fixed),
+        ),
+        _none_failed,
+    ),
+    Verifier(
+        "regular",
+        (("regular_covering", "regular covering", _regular_line),),
+        lambda G, p, name, *_: (regular_covering_instances(G, p, name),),
+        _none_failed,
+    ),
+    Verifier(
+        "fong",
+        (
+            ("fong_block", "fong block", _fong_block_line),
+            ("fong_reynolds", "fong-reynolds", _fong_reynolds_line),
+        ),
+        lambda G, p, name, *_: (
+            fong_block_instances(G, p, name),
+            fong_reynolds_instances(G, p, name),
+        ),
+        _none_failed,
+    ),
+    Verifier(
+        "q35",
+        (("question35", "question 3.5", _question35_line),),
+        lambda G, p, name, *_: (question35_instances(G, p, name),),
+        None,
+    ),
+)
+KINDS = tuple(v.kind for v in VERIFIERS)
+_SECTIONS = tuple(dict.fromkeys(s for v in VERIFIERS for s in v.sections))
+
+
+def build_report(
+    G, p, name=None, seed=0, kinds=KINDS, navarro_fixed=(), timings=False
+):
+    """All requested verifier records for one group at one prime.
+
+    Unrequested kinds come back as empty lists so the schema is stable.
+    elapsed_ms stays null unless timings are requested, keeping repeat
+    runs byte-identical.
+    """
+    start = time.monotonic()
+    name = name if name is not None else (G.name or f"degree-{G.degree}")
+    records = {key: [] for key, _, _ in _SECTIONS}
+    done = set()
+    for v in VERIFIERS:
+        if v.kind in kinds and v.sections not in done:
+            done.add(v.sections)
+            lists = v.compute(G, p, name, seed, navarro_fixed)
+            for (key, _, _), recs in zip(v.sections, lists):
+                records[key] = recs
+    blocks = records.pop("blocks")
+    return {
+        "group": name,
+        "order": G.order(),
+        "prime": p,
+        "p_solvable": is_p_solvable(G, p),
+        "blocks": blocks,
+        "propositions": records,
+        "seed": seed,
+        "elapsed_ms": (
+            int((time.monotonic() - start) * 1000) if timings else None
+        ),
+    }
+
+
+def _records(report, key):
+    if key == "blocks":
+        return report["blocks"]
+    return report["propositions"][key]
+
+
+def collect_verdicts(report):
+    """Pass/fail per verifier kind, derived from the records.
+
+    A kind with no records gets no verdict.  Hypothesis-not-met rows
+    never fail a kind, and the exploratory question35 search never
+    produces a verdict at all.
+    """
+    out = {}
+    for v in VERIFIERS:
+        records = [r for key, _, _ in v.sections for r in _records(report, key)]
+        if v.passed is not None and records:
+            out[v.kind] = "pass" if v.passed(records) else "fail"
+    return out
+
+
+def to_json(report):
+    return json.dumps(report, indent=2) + "\n"
+
+
 def to_text(report):
     solvable = "yes" if report["p_solvable"] else "no"
     lines = [
@@ -217,19 +262,9 @@ def to_text(report):
     ]
     if report["elapsed_ms"] is not None:
         lines.append(f"elapsed {report['elapsed_ms']} ms")
-    for rec in report["blocks"]:
-        lines.extend(_block_lines(rec))
-    sections = (
-        ("glauberman", "glauberman", _glauberman_line),
-        ("navarro", "navarro", _navarro_line),
-        ("regular_covering", "regular covering", _regular_line),
-        ("fong_block", "fong block", _fong_block_line),
-        ("fong_reynolds", "fong-reynolds", _fong_reynolds_line),
-        ("question35", "question 3.5", _question35_line),
-    )
-    props = report["propositions"]
-    for key, title, render in sections:
-        if props[key]:
+    for key, title, render in _SECTIONS:
+        records = _records(report, key)
+        if records and title:
             lines.append(f"{title}:")
-            lines.extend(render(r) for r in props[key])
+        lines.extend(render(r) for r in records)
     return "\n".join(lines) + "\n"

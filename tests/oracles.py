@@ -5,10 +5,20 @@ or block machinery: groups are plain frozensets of image tuples closed
 by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
+
+The one exception is ``defect_group_via_defect_classes``: it takes a
+block the package computed and finds its defect group by a second
+method (defect classes), to compare with the package's own route
+through the Brauer homomorphism.
 """
 
 from itertools import combinations
 from math import gcd, isqrt
+
+from blockforge.arith import vp
+from blockforge.blocks import p_regular_classes
+from blockforge.errors import InternalCheckError
+from blockforge.permgroup import centralizer, sylow_subgroup
 
 
 def omult(p, q):
@@ -261,3 +271,20 @@ def _is_nn_combo(target, basis):
         if _is_nn_combo((newdeg, newvals), rest):
             return True
     return False
+
+
+def defect_group_via_defect_classes(block):
+    """Independent defect-group computation: a Sylow p-subgroup of the
+    centralizer of a p-regular defect-class representative."""
+    bs = block.blockset
+    G = bs.group
+    p = bs.prime
+    lam = block.reduced_central
+    for k in p_regular_classes(G, p):
+        if lam[k].is_zero():
+            continue
+        c = G.conjugacy_classes()[k]
+        cent = centralizer(G, c.representative)
+        if vp(cent.order(), p) == block.defect:
+            return sylow_subgroup(cent, p)
+    raise InternalCheckError("no p-regular defect class found")

@@ -6,14 +6,11 @@ line per criterion; each test also prints its own verdict line so
 """
 
 import time
+from pathlib import Path
 
 from blockforge import catalog
 from blockforge.arith import p_part, vp
-from blockforge.blocks import (
-    block_data,
-    defect_group_via_defect_classes,
-    p_regular_classes,
-)
+from blockforge.blocks import block_data, p_regular_classes
 from blockforge.chartab import character_table, inner_product
 from blockforge.cli import main
 from blockforge.correspond import (
@@ -33,7 +30,11 @@ from blockforge.permgroup import (
     p_prime_core,
 )
 from blockforge.perms import order as perm_order
-from oracles import character_degrees_common_eigenvector, exhaustive_ibr
+from oracles import (
+    character_degrees_common_eigenvector,
+    defect_group_via_defect_classes,
+    exhaustive_ibr,
+)
 
 PUBLISHED_DEGREES = {
     "S4": [1, 1, 2, 3, 3],
@@ -298,4 +299,6 @@ def test_criterion_9_determinism(capsys):
     assert first == 0 and second == 0
     assert out_first == out_second
     assert out_first.endswith("overall: all verdicts as expected\n")
+    golden = Path(__file__).parent / "data" / "verify_all.txt"
+    assert out_first == golden.read_text(encoding="utf-8")
     print("criterion 9 (byte-identical repeat verification): PASS")

@@ -7,7 +7,6 @@ from blockforge.blocks import (
     brauer_image_is_nonzero,
     central_character,
     covered_blocks,
-    defect_group_via_defect_classes,
     induced_block,
     p_regular_classes,
     _class_algebra_product,
@@ -23,6 +22,7 @@ from blockforge.permgroup import (
 )
 
 from conftest import alternating, cyclic, symmetric
+from oracles import defect_group_via_defect_classes
 
 
 def degree_multisets(bs):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blockforge.cli import main
+from blockforge.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -144,6 +144,12 @@ def test_unknown_kind_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "everything"])
     assert info.value.code == 2
+
+
+def test_verify_kind_defaults_to_all():
+    args = build_parser().parse_args(["verify"])
+    assert args.kind == "all"
+    assert args.group is None
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -99,6 +99,48 @@ def test_random_instances_agree_with_brute_force():
             assert _is_deficient(left, right, out.violator_side, out.violator)
 
 
+def test_large_deficient_instance_uses_reachable_set_witness():
+    # Above the exhaustive-scan limit the violator is the set of left
+    # vertices reachable from unmatched ones along alternating paths.
+    # That set is the left vertices some maximum matching leaves
+    # unmatched, so it is checked here by removing one vertex at a time.
+    rng = random.Random(3)
+    cases = [((4,) * 11 + (9,) * 11, (2,) * 10 + (3,) * 11 + (7,))]
+    for _ in range(5):
+        cases.append((
+            tuple(rng.choice((2, 3, 4, 6, 8, 9, 12)) for _ in range(24)),
+            tuple(rng.choice((2, 3, 4, 5, 8, 9)) for _ in range(24)),
+        ))
+    for left, right in cases:
+        out = divisibility_matching(left, right)
+        assert not out.ok
+        assert out.reason == "hall violator"
+        assert out.violator_side == "left"
+        assert _is_deficient(left, right, "left", out.violator)
+        size = _max_matching_size(left, right)
+        missable = [
+            i for i in range(len(left))
+            if _max_matching_size(left, right, without=i) == size
+        ]
+        assert out.violator == tuple(sorted(left[i] for i in missable))
+    assert divisibility_matching(*cases[0]).violator == (4,) * 11
+
+
+def _max_matching_size(left, right, without=None):
+    owner = {}
+
+    def augment(i, seen):
+        for j, d in enumerate(right):
+            if left[i] % d == 0 and j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(left)) if i != without)
+
+
 def _has_perfect(left, right):
     n = len(left)
 

@@ -153,18 +153,6 @@ def test_quotient_s4_mod_v4(s4):
         assert act.image_of(mult(g, h)) == mult(act.image_of(g), act.image_of(h))
 
 
-def test_quotient_subgroup_preimage(s4):
-    v4 = p_core(s4, 2)
-    act = quotient_with_cosets(s4, v4)
-    Q = act.quotient
-    sub3 = sylow_subgroup(Q, 3)
-    back = act.preimage(sub3)
-    assert back.order() == 12
-    assert is_normal_in(back, s4)
-    assert act.preimage(Q).order() == 24
-    assert act.preimage(trivial_group(Q.degree)).order() == 4
-
-
 def test_quotient_rejects_non_normal(s4):
     H = PermutationGroup(4, [(1, 0, 2, 3)])
     with pytest.raises(DomainError):

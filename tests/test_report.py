@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from blockforge.report import (
     KINDS,
     build_report,
@@ -50,6 +52,28 @@ def test_unrequested_kinds_are_empty(s4):
     assert rep["blocks"] == []
     assert rep["propositions"]["glauberman"]
     assert rep["propositions"]["navarro"] == []
+
+
+KIND_RECORDS = {
+    "am": {"blocks"},
+    "dim": {"blocks"},
+    "glauberman": {"glauberman"},
+    "navarro": {"navarro"},
+    "regular": {"regular_covering"},
+    "fong": {"fong_block", "fong_reynolds"},
+    "q35": {"question35"},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_fills_only_its_records(s4, kind):
+    rep = build_report(s4, 2, seed=0, kinds=(kind,))
+    lists = {"blocks": rep["blocks"], **rep["propositions"]}
+    assert {key for key, recs in lists.items() if recs} == KIND_RECORDS[kind]
+    # am and dim both read the block records, so a report holding them
+    # carries both verdicts; the CLI counts only the requested kinds.
+    expected = {"am": {"am", "dim"}, "dim": {"am", "dim"}, "q35": set()}
+    assert set(collect_verdicts(rep)) == expected.get(kind, {kind})
 
 
 def test_json_round_trip(s4):
