@@ -5,7 +5,8 @@ The table is computed exactly: eigenvector data for the class-sum
 matrices is found over a prime field GF(q) with q = 1 (mod exponent)
 and q squared exceeding 4|G|, degrees are recovered from the second
 orthogonality relation, and the actual cyclotomic character values are
-lifted through the discrete Fourier sum over power maps.  The finished
+lifted through the discrete Fourier sum over power maps, taken over each
+class's element order rather than the group exponent.  The finished
 table must pass both orthogonality relations exactly or an internal
 error is raised.
 
@@ -274,9 +275,13 @@ def character_table(G):
     q, vectors = rows_mod_q
 
     z = _primitive_root_of_unity(e, q)
+    orders = [c.element_order for c in classes]
     power_class = [
-        [G.class_index(power(reps[j], k)) for k in range(e)] for j in range(r)
+        [G.class_index(power(reps[j], k)) for k in range(orders[j])]
+        for j in range(r)
     ]
+    # z^(e/o) is a primitive o-th root of unity mod q, for each order o.
+    roots = {o: [pow(z, e // o * i, q) for i in range(o)] for o in set(orders)}
 
     irreducibles = []
     for w in vectors:
@@ -290,19 +295,20 @@ def character_table(G):
         d = _degree_from_norm(n, s, q)
         cbar = [d * w[j] * pow(sizes[j], q - 2, q) % q for j in range(r)]
         values = []
-        e_inv = pow(e, q - 2, q)
-        zpow = [pow(z, i, q) for i in range(e)]
         for j in range(r):
+            o = orders[j]
+            zpow = roots[o]
+            o_inv = pow(o, q - 2, q)
             coeffs = []
-            for t in range(e):
+            for t in range(o):
                 m = 0
-                for k in range(e):
-                    m = (m + cbar[power_class[j][k]] * zpow[(-t * k) % e]) % q
-                m = m * e_inv % q
+                for k in range(o):
+                    m = (m + cbar[power_class[j][k]] * zpow[(-t * k) % o]) % q
+                m = m * o_inv % q
                 if 2 * m >= q:
                     raise InternalCheckError("lifted multiplicity out of range")
                 coeffs.append(m)
-            values.append(from_root_combination(e, coeffs))
+            values.append(from_root_combination(o, coeffs))
         irreducibles.append(ClassFunction(G, values))
 
     irreducibles.sort(key=lambda chi: chi.sort_key())

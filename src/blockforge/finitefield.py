@@ -13,10 +13,8 @@ p-power part of a root of unity collapses to 1, and zeta of the p'-part
 e' goes to a fixed element u of exact multiplicative order e'.
 """
 
-import random
-
 from .arith import is_prime, multiplicative_order, p_part, prime_factors, vp
-from .cyclotomic import Cyclotomic, rational, zeta
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .errors import DomainError, InternalCheckError
 
 
@@ -59,10 +57,13 @@ class FiniteField:
         """The encoding-smallest element of exact multiplicative order n."""
         if (self.size - 1) % n:
             raise DomainError("order does not divide the group order")
+        # x has exact order n iff x^n = 1 and x^(n/q) != 1 for each prime
+        # q | n: cheaper per candidate than computing the order of x.
+        cofactors = [n // q for q in prime_factors(n)]
         for x in self.elements():
-            if x == self.zero:
+            if x.is_zero() or x**n != self.one:
                 continue
-            if x.multiplicative_order() == n:
+            if all(x**c != self.one for c in cofactors):
                 return x
         raise InternalCheckError(f"no element of order {n} found")
 
@@ -292,35 +293,26 @@ class ReductionMap:
         return f"ReductionMap(e={self.e}, p={self.p}, field={self.field!r})"
 
 
-def build_reduction(e, p, seed=0):
-    """Construct the reduction map for conductor e above p, and verify
-    the ring homomorphism property on seeded samples."""
+def build_reduction(e, p):
+    """Construct the reduction map for conductor e above p, and prove it
+    is a ring homomorphism.
+
+    Once u is checked to have exact order e', ``reduce`` is linear in the
+    power-basis coordinates and sends zeta_c to u_bar^(e/c) for every c
+    dividing e, where u_bar = u^alpha is the image of zeta_e.  It is therefore the restriction of the ring
+    homomorphism Z[zeta_e] = Z[x]/(Phi_e) -> GF(p^f), x -> u_bar, which
+    exists exactly when Phi_e(u_bar) = 0.  That one evaluation also
+    implies that the p-power part of zeta_e maps to 1.
+    """
     rmap = ReductionMap(e, p)
-    rng = random.Random(seed)
-    root = zeta(e)
-    if not rmap.reduce(root ** _exact_power(e, p)) == rmap.field.one:
-        raise InternalCheckError("p-power part of the root does not map to 1")
-    for _ in range(32):
-        x = _random_integer_value(rng, e)
-        y = _random_integer_value(rng, e)
-        if rmap.reduce(x + y) != rmap.reduce(x) + rmap.reduce(y):
-            raise InternalCheckError("reduction is not additive")
-        if rmap.reduce(x * y) != rmap.reduce(x) * rmap.reduce(y):
-            raise InternalCheckError("reduction is not multiplicative")
     if rmap.e_prime > 1 and rmap.u.multiplicative_order() != rmap.e_prime:
         raise InternalCheckError("root image has the wrong order")
+    u_bar = rmap._u_powers[rmap.alpha]
+    value = rmap.field.zero
+    for c in reversed(cyclotomic_polynomial(e)):
+        value = value * u_bar + rmap.field.from_integer(c)
+    if not value.is_zero():
+        raise InternalCheckError(
+            f"the image of zeta_{e} is not a root of Phi_{e} mod {p}"
+        )
     return rmap
-
-
-def _exact_power(e, p):
-    out = 1
-    while e % p == 0:
-        e //= p
-    return e
-
-
-def _random_integer_value(rng, e):
-    x = rational(0)
-    for _ in range(3):
-        x = x + rng.randrange(-4, 5) * zeta(e, rng.randrange(e))
-    return x

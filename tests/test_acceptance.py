@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from blockforge import catalog
-from blockforge.arith import p_part, vp
+from blockforge.arith import p_part
 from blockforge.blocks import block_data, p_regular_classes
 from blockforge.chartab import character_table, inner_product
 from blockforge.cli import main

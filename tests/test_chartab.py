@@ -1,5 +1,7 @@
+import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,10 @@ from blockforge.chartab import (
     structure_constants,
     trivial_character,
 )
+from blockforge.cli import main
 from blockforge.cyclotomic import ONE, ZERO, rational
 from blockforge.errors import DomainError
+from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, p_core, sylow_subgroup
 
 import oracles
@@ -27,7 +31,6 @@ from conftest import (
     frobenius20,
     frobenius21,
     quaternion8,
-    sl_2_3,
     symmetric,
 )
 
@@ -234,3 +237,29 @@ def test_table_is_deterministic(s4):
     assert [chi.values for chi in t3.irreducibles] == [
         chi.values for chi in t1.irreducibles
     ]
+
+
+@pytest.mark.parametrize(
+    "group, golden, atlas_degrees",
+    [
+        (alternating(7), "a7_table.json", [1, 6, 10, 10, 14, 14, 15, 21, 35]),
+        (
+            symmetric(7),
+            "s7_table.json",
+            [1, 1, 6, 6, 14, 14, 14, 14, 15, 15, 20, 21, 21, 35, 35],
+        ),
+    ],
+    ids=["A7", "S7"],
+)
+def test_exponent_420_tables_match_goldens(tmp_path, group, golden, atlas_degrees):
+    # Both groups have exponent 420; the goldens are the byte-exact
+    # ``table --format json`` output of the full-exponent Fourier lift.
+    path = tmp_path / f"{group.name}.grp"
+    path.write_text(format_group_text(group), encoding="utf-8")
+    out = tmp_path / "table.json"
+    assert main(["table", str(path), "--format", "json", "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert text == (Path(__file__).parent / "data" / golden).read_bytes()
+    payload = json.loads(text)
+    assert payload["exponent"] == 420
+    assert [int(row[0]) for row in payload["irreducibles"]] == atlas_degrees

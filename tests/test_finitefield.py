@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from blockforge.cyclotomic import rational, zeta
-from blockforge.errors import DomainError
+from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import FiniteField, ReductionMap, build_reduction
 
 
@@ -126,3 +126,25 @@ def test_reduction_field_degrees():
     assert build_reduction(12, 3).f == 2
     assert build_reduction(21, 3).f == 6
     assert build_reduction(20, 5).f == 1
+    assert build_reduction(420, 2).f == 12
+    assert build_reduction(420, 7).f == 4
+
+
+def test_root_image_of_wrong_order_is_rejected(monkeypatch):
+    monkeypatch.setattr(FiniteField, "element_of_order", lambda self, n: self.one)
+    with pytest.raises(InternalCheckError, match="wrong order"):
+        build_reduction(3, 2)
+
+
+def test_zeta_image_off_phi_e_is_rejected(monkeypatch):
+    # u keeps its exact order, but zeta_3 is sent to u^0 = 1, which is
+    # not a root of Phi_3 = x^2 + x + 1 mod 2: only the Phi_e gate sees it.
+    init = ReductionMap.__init__
+
+    def corrupted(self, e, p):
+        init(self, e, p)
+        self.alpha = 0
+
+    monkeypatch.setattr(ReductionMap, "__init__", corrupted)
+    with pytest.raises(InternalCheckError, match="Phi_3"):
+        build_reduction(3, 2)

@@ -1,6 +1,6 @@
 import pytest
 
-from blockforge.blocks import block_data, brauer_correspondent, p_regular_classes
+from blockforge.blocks import brauer_correspondent, p_regular_classes
 from blockforge.chartab import character_table
 from blockforge.errors import DomainError
 from blockforge.modular import (
