@@ -35,10 +35,6 @@ def p_part(n, p):
     return p ** vp(n, p)
 
 
-def p_prime_part(n, p):
-    return abs(n) // p_part(n, p)
-
-
 def prime_factors(n):
     """Sorted distinct prime factors of n > 1 (empty for n == 1)."""
     out = []

@@ -13,8 +13,7 @@ from functools import lru_cache
 from .arith import p_part, vp
 from .chartab import (
     character_table,
-    constituents,
-    restrict,
+    restriction_multiplicities,
     structure_constants,
 )
 from .cyclotomic import rational
@@ -375,12 +374,14 @@ def covered_blocks(block, N):
     if not is_normal_in(N, G):
         raise DomainError("covering is only defined over a normal subgroup")
     local = block_data(N, bs.prime, bs.rmap.e)
+    rows = restriction_multiplicities(G, N)
     covered = []
-    for chi in block.characters():
-        for theta, _ in constituents(restrict(chi, N)):
-            b = local.block_of(local.table.index_of(theta))
-            if b not in covered:
-                covered.append(b)
+    for i in block.char_indices:
+        for k, m in enumerate(rows[i]):
+            if m:
+                b = local.block_of(k)
+                if b not in covered:
+                    covered.append(b)
     orbit = {covered[0]}
     frontier = [covered[0]]
     while frontier:

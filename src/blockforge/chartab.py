@@ -13,9 +13,13 @@ error is raised.
 The construction is fully deterministic: instead of random splitting
 vectors, a separating integer combination of the class matrices is
 diagonalised by scanning every eigenvalue candidate in GF(q).
+
+How Irr(G) restricts to a subgroup H lives in one cached table,
+``restriction_multiplicities(G, H)``: covering, Clifford theory,
+Fong-Reynolds induction and Glauberman correspondents read its rows
+and columns.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -164,26 +168,6 @@ def restrict(chi, H):
     )
 
 
-def induce(psi, G):
-    """Induction of a class function from a subgroup H to G:
-    psi^G(x) = (|C_G(x)| / |H|) * sum of |c| psi(c) over H-classes c
-    inside the G-class of x."""
-    H = psi.group
-    if H == G:
-        return psi
-    if not H.is_subgroup_of(G):
-        raise DomainError("induction source is not a subgroup")
-    n = G.order()
-    accum = [ZERO] * len(G.conjugacy_classes())
-    for c, v in zip(H.conjugacy_classes(), psi.values):
-        j = G.class_index(c.representative)
-        accum[j] = accum[j] + c.size * v
-    out = []
-    for c, s in zip(G.conjugacy_classes(), accum):
-        out.append(s * Fraction(n // c.size, H.order()))
-    return ClassFunction(G, out)
-
-
 def constituents(alpha):
     """Decomposition of a character into irreducibles: list of
     (irreducible, multiplicity) with nonzero integer multiplicities."""
@@ -200,18 +184,39 @@ def constituents(alpha):
         out.append((chi, k))
         remaining = remaining - k * chi
     if any(not v.is_zero() for v in remaining.values):
-        raise InternalCheckError("constituent decomposition does not reconstruct")
+        raise InternalCheckError(
+            f"constituent decomposition does not reconstruct on {alpha.group!r}"
+        )
     return out
+
+
+@lru_cache(maxsize=None)
+def restriction_multiplicities(G, H):
+    """The multiplicity of theta_k in the restriction of chi_i to H, as
+    row i and column k (table order of Irr(G) and Irr(H)); by Frobenius
+    reciprocity column k also decomposes theta_k induced to G."""
+    thetas = character_table(H).irreducibles
+    rows = []
+    for chi in character_table(G).irreducibles:
+        pieces = dict(constituents(restrict(chi, H)))
+        row = tuple(pieces.get(theta, 0) for theta in thetas)
+        if any(m < 0 for m in row):
+            raise InternalCheckError(
+                f"restriction from {G!r} to {H!r} has a negative multiplicity"
+            )
+        rows.append(row)
+    return tuple(rows)
 
 
 def irr_over(G, N, theta):
     """The irreducible characters of G lying over theta in Irr(N)."""
-    table = character_table(G)
-    out = []
-    for chi in table.irreducibles:
-        if not inner_product(restrict(chi, N), theta).is_zero():
-            out.append(chi)
-    return tuple(out)
+    k = character_table(N).index_of(theta)
+    rows = restriction_multiplicities(G, N)
+    return tuple(
+        chi
+        for chi, row in zip(character_table(G).irreducibles, rows)
+        if row[k]
+    )
 
 
 def inertia_group(G, N, theta):

@@ -13,6 +13,8 @@ witness).
 """
 
 import random
+from itertools import islice
+from math import gcd
 
 from .arith import p_part, vp
 from .blocks import (
@@ -22,15 +24,13 @@ from .blocks import (
     p_regular_classes,
 )
 from .chartab import (
+    ClassFunction,
     character_table,
     constituents,
-    induce,
     inertia_group,
-    inner_product,
     irr_over,
-    restrict,
+    restriction_multiplicities,
 )
-from .cyclotomic import rational
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching
 from .modular import modular_data
@@ -144,16 +144,15 @@ def glauberman_correspondent(L, Q, theta, p):
         raise DomainError("the acting group is not a p-group")
     if theta.group != L:
         raise DomainError("character does not live on the acted-on group")
-    from math import gcd
-
     if gcd(L.order(), Q.order()) != 1:
         raise DomainError("the action is not coprime")
-    for q in Q.generators:
-        if theta.conjugate_by(q) != theta:
-            raise DomainError("character is not invariant under the action")
+    if not _is_invariant(Q, theta):
+        raise DomainError("character is not invariant under the action")
     C = centralizer_of_group(L, Q)
-    pieces = constituents(restrict(theta, C))
-    survivors = [xi for xi, m in pieces if m % p != 0]
+    row = restriction_multiplicities(L, C)[character_table(L).index_of(theta)]
+    survivors = [
+        xi for xi, m in zip(character_table(C).irreducibles, row) if m % p
+    ]
     if len(survivors) != 1:
         raise InternalCheckError(
             f"expected one constituent of multiplicity prime to {p},"
@@ -183,30 +182,35 @@ def _is_invariant(G, theta):
     return all(theta.conjugate_by(g) == theta for g in G.generators)
 
 
-def _brauer_indices_over(md, K, theta):
-    """Positions of the Brauer characters whose restriction to the
-    p'-subgroup K contains theta."""
+def _brauer_degrees_over(md, K, theta):
+    """Degrees of the Brauer characters whose restriction to the
+    p'-subgroup K contains theta.  Every class of K is p-regular, so
+    the restriction is an ordinary character of K."""
     G = md.group
     regular = p_regular_classes(G, p=md.prime)
     position = {k: i for i, k in enumerate(regular)}
     out = []
-    for j, phi in enumerate(md.brauer_characters):
-        total = rational(0)
-        for c in K.conjugacy_classes():
-            value = phi.values[position[G.class_index(c.representative)]]
-            total = total + value * theta.values[c.index].conj() * c.size
-        m = total / K.order()
-        if not m.is_rational() or m.rational_value().denominator != 1:
+    for phi in md.brauer_characters:
+        restricted = ClassFunction(
+            K,
+            (
+                phi.values[position[G.class_index(c.representative)]]
+                for c in K.conjugacy_classes()
+            ),
+        )
+        try:
+            pieces = constituents(restricted)
+        except DomainError as exc:
             raise InternalCheckError(
                 "Brauer restriction multiplicity is not an integer"
-            )
-        if m.integer_value() < 0:
+            ) from exc
+        if any(m < 0 for _, m in pieces):
             raise InternalCheckError(
                 "Brauer restriction multiplicity is negative"
             )
-        if not m.is_zero():
-            out.append(j)
-    return tuple(out)
+        if any(xi == theta for xi, _ in pieces):
+            out.append(phi.degree())
+    return out
 
 
 def verify_glauberman_lift(G, L, Q, theta, p):
@@ -248,14 +252,8 @@ def verify_glauberman_lift(G, L, Q, theta, p):
     if is_p_solvable(G, p):
         md_big = modular_data(G, p, G.exponent())
         md_small = modular_data(H, p, G.exponent())
-        bleft = [
-            md_big.brauer_characters[j].degree()
-            for j in _brauer_indices_over(md_big, L, theta)
-        ]
-        bright = [
-            md_small.brauer_characters[j].degree()
-            for j in _brauer_indices_over(md_small, C, f)
-        ]
+        bleft = _brauer_degrees_over(md_big, L, theta)
+        bright = _brauer_degrees_over(md_small, C, f)
         rec["brauer_counts_equal"] = len(bleft) == len(bright)
         ok_brauer, fields = _matching_fields("brauer", bleft, bright)
         rec.update(fields)
@@ -364,28 +362,26 @@ def navarro_instances(G, p, name, seed, fixed):
 # --- regular character covering -------------------------------------
 
 
-def _block_regular_part(block):
-    chars = block.characters()
-    rho = chars[0] * chars[0].degree()
-    for chi in chars[1:]:
-        rho = rho + chi * chi.degree()
-    return rho
-
-
 def verify_regular_covering(G, N, p):
     """Per covered orbit: the restriction of the block's weighted
-    regular part against the orbit sum on the normal subgroup."""
+    regular part (the sum of chi(1) chi) against the orbit sum on the
+    normal subgroup, compared as multiplicities on Irr(N)."""
     bs = block_data(G, p)
+    rows = restriction_multiplicities(G, N)
+    degrees = character_table(N).degrees()
     records = []
     for B in bs.blocks:
         covered = covered_blocks(B, N)
-        orbit_sum = _block_regular_part(covered[0])
-        for b in covered[1:]:
-            orbit_sum = orbit_sum + _block_regular_part(b)
-        restricted = restrict(_block_regular_part(B), N)
-        total = orbit_sum.degree()
-        n, remainder = divmod(B.dim, total)
-        holds = remainder == 0 and restricted == orbit_sum * n
+        orbit_sum = [0] * len(degrees)
+        for b in covered:
+            for k in b.char_indices:
+                orbit_sum[k] = degrees[k]
+        restricted = [
+            sum(d * rows[i][k] for i, d in zip(B.char_indices, B.degrees()))
+            for k in range(len(degrees))
+        ]
+        n, remainder = divmod(B.dim, sum(b.dim for b in covered))
+        holds = remainder == 0 and restricted == [n * d for d in orbit_sum]
         dim_small = covered[0].dim
         rec = {
             "normal_order": N.order(),
@@ -426,17 +422,13 @@ def fong_block_instances(G, p, name):
         return []
     K = p_prime_core(G, p)
     bs = block_data(G, p)
-    table = bs.table
+    rows = restriction_multiplicities(G, K)
     sylow_defect = vp(G.order(), p)
     records = []
-    for theta in character_table(K).irreducibles:
+    for k, theta in enumerate(character_table(K).irreducibles):
         if not _is_invariant(G, theta):
             continue
-        over = {
-            i
-            for i, chi in enumerate(table.irreducibles)
-            if not inner_product(restrict(chi, K), theta).is_zero()
-        }
+        over = {i for i, row in enumerate(rows) if row[k]}
         owner = next(
             (b for b in bs.blocks if set(b.char_indices) == over), None
         )
@@ -462,25 +454,26 @@ def fong_block_instances(G, p, name):
 
 
 def _fong_reynolds_data(B, theta):
+    """The inertia group T of theta and the pairs (j, i) where psi_j in
+    Irr(T) lies over theta and induces to chi_i in the block B; by
+    Frobenius reciprocity that is when column j of the (G, T)
+    restriction table is the unit vector e_i."""
     G = B.blockset.group
-    p = B.blockset.prime
     L = theta.group
     T = inertia_group(G, L, theta)
-    table = B.blockset.table
-    over_theta = irr_over(T, L, theta)
-    inductions = []
-    for psi in over_theta:
-        ind = induce(psi, G)
-        try:
-            idx = table.index_of(ind)
-        except DomainError:
-            idx = None
-        inductions.append((psi, idx))
-    members = [
-        (psi, idx)
-        for psi, idx in inductions
-        if idx is not None and idx in B.char_indices
-    ]
+    k = character_table(L).index_of(theta)
+    over_theta = restriction_multiplicities(T, L)
+    induced = restriction_multiplicities(G, T)
+    members = []
+    for j, row in enumerate(over_theta):
+        if not row[k]:
+            continue
+        column = [induced_row[j] for induced_row in induced]
+        if sum(column) != 1:
+            continue
+        i = column.index(1)
+        if i in B.char_indices:
+            members.append((j, i))
     return T, members
 
 
@@ -493,7 +486,7 @@ def verify_fong_reynolds(B, theta):
     induced_indices = sorted(idx for _, idx in members)
     bijective = induced_indices == sorted(B.char_indices)
     local = block_data(T, p, B.blockset.rmap.e)
-    owners = {local.block_of(local.table.index_of(psi)) for psi, _ in members}
+    owners = {local.block_of(j) for j, _ in members}
     single_block = len(owners) == 1
     heights_ok = False
     defect_ok = False
@@ -504,8 +497,7 @@ def verify_fong_reynolds(B, theta):
         )
         height_in_G = dict(zip(B.char_indices, B.heights))
         heights_ok = all(
-            height_in_T[local.table.index_of(psi)] == height_in_G[idx]
-            for psi, idx in members
+            height_in_T[j] == height_in_G[idx] for j, idx in members
         )
         D_local = B_theta.defect_group()
         D = B.defect_group()
@@ -533,23 +525,9 @@ def find_good_character(B, L):
     p = B.blockset.prime
     if L.order() % p == 0 or not is_normal_in(L, G):
         raise DomainError("need a normal p'-subgroup")
-    local_table = character_table(L)
-    candidate_indices = []
-    for chi in B.characters():
-        for theta, _ in constituents(restrict(chi, L)):
-            idx = local_table.index_of(theta)
-            if idx not in candidate_indices:
-                candidate_indices.append(idx)
-    block_set = set(B.char_indices)
-    table = B.blockset.table
-    for idx in sorted(candidate_indices):
-        theta = local_table.irreducibles[idx]
-        over = {
-            i
-            for i, chi in enumerate(table.irreducibles)
-            if not inner_product(restrict(chi, L), theta).is_zero()
-        }
-        if not block_set <= over:
+    rows = restriction_multiplicities(G, L)
+    for k, theta in enumerate(character_table(L).irreducibles):
+        if not all(rows[i][k] for i in B.char_indices):
             continue
         outcome = verify_fong_reynolds(B, theta)
         if outcome["verdict"] == "pass":
@@ -572,28 +550,44 @@ def fong_reynolds_instances(G, p, name):
 # --- Question 3.5 exploration ----------------------------------------
 
 
-def _perfect_matchings(left, right, cap):
-    """All assignments of distinct right positions to left positions
-    with the divisibility constraint, capped."""
+def _matchings(left, right):
+    """Every assignment of distinct right positions to left positions
+    with the divisibility constraint, in lexicographic order, generated
+    one at a time by a depth-first search with an explicit stack."""
     n = len(left)
-    out = []
+    if n == 0:
+        yield ()
+        return
+    options = [[j for j, b in enumerate(right) if a % b == 0] for a in left]
+    chosen = []
+    used = set()
+    pending = [iter(options[0])]
+    while pending:
+        for j in pending[-1]:
+            if j not in used:
+                break
+        else:
+            pending.pop()
+            if chosen:
+                used.discard(chosen.pop())
+            continue
+        if len(chosen) + 1 == n:
+            yield (*chosen, j)
+        else:
+            chosen.append(j)
+            used.add(j)
+            pending.append(iter(options[len(chosen)]))
 
-    def extend(i, used, acc):
-        if len(out) > cap:
-            return
-        if i == n:
-            out.append(tuple(acc))
-            return
-        for j in range(n):
-            if j not in used and left[i] % right[j] == 0:
-                used.add(j)
-                acc.append(j)
-                extend(i + 1, used, acc)
-                acc.pop()
-                used.discard(j)
 
-    extend(0, set(), [])
-    return out
+def _perfect_matchings(left, right, cap):
+    """The first cap + 1 divisibility matchings, in lexicographic order."""
+    return list(islice(_matchings(left, right), cap + 1))
+
+
+def _count_matchings(left, right, cap):
+    """The number of divisibility matchings, counted up to cap + 1
+    without storing any."""
+    return sum(1 for _ in islice(_matchings(left, right), cap + 1))
 
 
 def question35_instances(G, p, name):
@@ -629,26 +623,25 @@ def question35_instances(G, p, name):
         rdeg = [b.blockset.table.irreducibles[i].degree() for i in right0]
         lbdeg = [md_big.brauer_characters[j].degree() for j in lbr]
         rbdeg = [md_small.brauer_characters[j].degree() for j in rbr]
-        omegas = _perfect_matchings(ldeg, rdeg, MATCHING_PAIR_CAP)
-        psis = _perfect_matchings(lbdeg, rbdeg, MATCHING_PAIR_CAP)
-        pairs = len(omegas) * len(psis)
-        rec["ordinary_matchings"] = len(omegas)
-        rec["brauer_matchings"] = len(psis)
-        if pairs > MATCHING_PAIR_CAP:
+        n_omegas = _count_matchings(ldeg, rdeg, MATCHING_PAIR_CAP)
+        n_psis = _count_matchings(lbdeg, rbdeg, MATCHING_PAIR_CAP)
+        rec["ordinary_matchings"] = n_omegas
+        rec["brauer_matchings"] = n_psis
+        if n_omegas * n_psis > MATCHING_PAIR_CAP:
             rec["result"] = "inconclusive"
             rec["reason"] = "search space exceeds the pair cap"
             records.append(rec)
             continue
-        witness = None
-        for omega in omegas:
-            for psi in psis:
-                if _compatible(
-                    md_big, md_small, left0, right0, lbr, rbr, omega, psi
-                ):
-                    witness = (omega, psi)
-                    break
-            if witness:
-                break
+        psis = _perfect_matchings(lbdeg, rbdeg, MATCHING_PAIR_CAP)
+        pairs = ((o, s) for o in _matchings(ldeg, rdeg) for s in psis)
+        witness = next(
+            (
+                pair
+                for pair in pairs
+                if _compatible(md_big, md_small, left0, right0, lbr, rbr, *pair)
+            ),
+            None,
+        )
         if witness:
             omega, psi = witness
             rec["result"] = "found"

@@ -6,18 +6,23 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-The one exception is ``defect_group_via_defect_classes``: it takes a
+There are two exceptions.  ``defect_group_via_defect_classes`` takes a
 block the package computed and finds its defect group by a second
 method (defect classes), to compare with the package's own route
-through the Brauer homomorphism.
+through the Brauer homomorphism.  ``induce`` builds induced class
+functions on the package's classes by the explicit induction formula,
+so the restriction table can be checked against Frobenius reciprocity.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
 from blockforge.arith import vp
 from blockforge.blocks import p_regular_classes
-from blockforge.errors import InternalCheckError
+from blockforge.chartab import ClassFunction
+from blockforge.cyclotomic import ZERO
+from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import centralizer, sylow_subgroup
 
 
@@ -288,3 +293,23 @@ def defect_group_via_defect_classes(block):
         if vp(cent.order(), p) == block.defect:
             return sylow_subgroup(cent, p)
     raise InternalCheckError("no p-regular defect class found")
+
+
+def induce(psi, G):
+    """Induction of a class function from a subgroup H to G:
+    psi^G(x) = (|C_G(x)| / |H|) * sum of |c| psi(c) over H-classes c
+    inside the G-class of x."""
+    H = psi.group
+    if H == G:
+        return psi
+    if not H.is_subgroup_of(G):
+        raise DomainError("induction source is not a subgroup")
+    n = G.order()
+    accum = [ZERO] * len(G.conjugacy_classes())
+    for c, v in zip(H.conjugacy_classes(), psi.values):
+        j = G.class_index(c.representative)
+        accum[j] = accum[j] + c.size * v
+    out = []
+    for c, s in zip(G.conjugacy_classes(), accum):
+        out.append(s * Fraction(n // c.size, H.order()))
+    return ClassFunction(G, out)

@@ -302,3 +302,19 @@ def test_criterion_9_determinism(capsys):
     golden = Path(__file__).parent / "data" / "verify_all.txt"
     assert out_first == golden.read_text(encoding="utf-8")
     print("criterion 9 (byte-identical repeat verification): PASS")
+
+
+def test_s4xs3_verify_all_matches_golden(tmp_path):
+    # Beyond the catalog: a 15-character group whose report pins every
+    # "characters over theta" answer (covering, Fong's lemma,
+    # Fong-Reynolds, the Glauberman lift) byte for byte.
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "report.json"
+    main(
+        [
+            "verify", "all", str(data / "s4xs3.grp"), "-p", "2",
+            "--format", "json", "--out", str(out),
+        ]
+    )
+    golden = data / "s4xs3_p2_verify_all.json"
+    assert out.read_bytes() == golden.read_bytes()

@@ -8,22 +8,23 @@ import pytest
 from blockforge.chartab import (
     character_table,
     constituents,
-    induce,
     inertia_group,
     inner_product,
     irr_over,
     regular_character,
     restrict,
+    restriction_multiplicities,
     structure_constants,
     trivial_character,
 )
 from blockforge.cli import main
 from blockforge.cyclotomic import ONE, ZERO, rational
-from blockforge.errors import DomainError
+from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, p_core, sylow_subgroup
 
 import oracles
+from oracles import induce
 from conftest import (
     alternating,
     c3_wreath_c2,
@@ -222,6 +223,62 @@ def test_irr_over_partitions_table(s4):
     for theta in table.irreducibles:
         seen.extend(irr_over(s4, v4, theta))
     assert len(seen) >= len(character_table(s4).irreducibles)
+
+
+def test_restriction_table_matches_frobenius_reciprocity(s4, a4, a5, sl23):
+    v4_in_a5 = PermutationGroup(5, [(1, 0, 3, 2, 4), (2, 3, 0, 1, 4)])
+    pairs = [
+        (s4, a4),
+        (s4, sylow_subgroup(s4, 2)),
+        (a5, v4_in_a5),
+        (sl23, p_core(sl23, 2)),
+    ]
+    for G, H in pairs:
+        chis = character_table(G).irreducibles
+        thetas = character_table(H).irreducibles
+        rows = restriction_multiplicities(G, H)
+        assert len(rows) == len(chis)
+        for chi, row in zip(chis, rows):
+            assert len(row) == len(thetas)
+            for theta, m in zip(thetas, row):
+                assert rational(m) == inner_product(induce(theta, G), chi)
+        index = G.order() // H.order()
+        for k, theta in enumerate(thetas):
+            column_degree = sum(
+                row[k] * chi.degree() for chi, row in zip(chis, rows)
+            )
+            assert column_degree == index * theta.degree()
+
+
+def test_restriction_table_is_cached(s4, a4):
+    table = restriction_multiplicities(s4, a4)
+    assert restriction_multiplicities(s4, a4) is table
+
+
+def test_constituents_integrality_gate(s3):
+    with pytest.raises(DomainError, match="not a virtual character"):
+        constituents(trivial_character(s3) * (ONE / 2))
+
+
+def test_restriction_table_reconstruction_gate(monkeypatch, s4, a4):
+    # Irr(A4) with its last row replaced by the trivial character: every
+    # multiplicity is still an integer, but the restriction of the trivial
+    # character of S4 is counted twice and no longer reconstructs.
+    table = character_table(a4)
+    patched = table.irreducibles[:-1] + (trivial_character(a4),)
+    monkeypatch.setattr(table, "irreducibles", patched)
+    message = "does not reconstruct on PermutationGroup 'A4'"
+    with pytest.raises(InternalCheckError, match=message):
+        restriction_multiplicities.__wrapped__(s4, a4)
+
+
+def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
+    table = character_table(a4)
+    patched = (table.irreducibles[0] * -1,) + table.irreducibles[1:]
+    monkeypatch.setattr(table, "irreducibles", patched)
+    message = "from PermutationGroup 'S4'.* to PermutationGroup 'A4'.* negative"
+    with pytest.raises(InternalCheckError, match=message):
+        restriction_multiplicities.__wrapped__(s4, a4)
 
 
 def test_inner_product_requires_same_group(s4, a4):

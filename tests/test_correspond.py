@@ -1,7 +1,18 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+import blockforge
 from blockforge.chartab import character_table
 from blockforge.correspond import (
+    _brauer_degrees_over,
+    _count_matchings,
     _perfect_matchings,
     block_section,
     coprime_setup,
@@ -16,7 +27,8 @@ from blockforge.correspond import (
     verify_sylow_normalizer_divisibility,
 )
 from blockforge.cyclotomic import zeta
-from blockforge.errors import DomainError
+from blockforge.errors import DomainError, InternalCheckError
+from blockforge.modular import BrauerCharacter, modular_data
 from blockforge.permgroup import PermutationGroup, p_prime_core, sylow_subgroup
 
 from conftest import alternating, c3_wreath_c2, frobenius20
@@ -204,6 +216,32 @@ def test_glauberman_lift_rejects_p_divisible_core(s4):
         verify_glauberman_lift(s4, V4, sylow_subgroup(s4, 2), theta, 2)
 
 
+def _with_brauer_values(md, transform):
+    """A stand-in for modular data whose Brauer characters have every
+    value passed through transform."""
+    return SimpleNamespace(
+        group=md.group,
+        prime=md.prime,
+        brauer_characters=[
+            BrauerCharacter(phi.group, phi.prime, map(transform, phi.values))
+            for phi in md.brauer_characters
+        ],
+    )
+
+
+def test_brauer_restriction_gates(s4):
+    md = modular_data(s4, 3)
+    V4 = p_prime_core(s4, 3)
+    trivial = character_table(V4).irreducibles[0]
+    assert _brauer_degrees_over(md, V4, trivial) == [1, 1]
+    negated = _with_brauer_values(md, lambda v: -v)
+    with pytest.raises(InternalCheckError, match="negative"):
+        _brauer_degrees_over(negated, V4, trivial)
+    halved = _with_brauer_values(md, lambda v: v / 2)
+    with pytest.raises(InternalCheckError, match="not an integer"):
+        _brauer_degrees_over(halved, V4, trivial)
+
+
 def test_navarro_fixed_s4(s4):
     U = PermutationGroup(4, [(1, 2, 3, 0), (1, 0, 3, 2)])
     P = PermutationGroup(4, [(1, 0, 3, 2)])
@@ -358,3 +396,42 @@ def test_perfect_matchings_enumeration():
     assert _perfect_matchings([2, 2], [1, 2], 100) == [(0, 1), (1, 0)]
     assert _perfect_matchings([3], [2], 100) == []
     assert len(_perfect_matchings([1, 1, 1], [1, 1, 1], 100)) == 6
+
+
+def test_count_matchings_stops_at_cap_plus_one():
+    assert _count_matchings([2, 2], [1, 2], 100) == 2
+    assert _count_matchings([3], [2], 100) == 0
+    assert _count_matchings([1] * 5, [1] * 5, 1000) == 120
+    assert _count_matchings([1] * 5, [1] * 5, 100) == 101
+    assert len(_perfect_matchings([1] * 5, [1] * 5, 100)) == 101
+
+
+_Q35_C2_4 = """
+import json
+from blockforge.correspond import question35_instances
+from blockforge.permgroup import PermutationGroup
+gens = [(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 3, 2, 4, 5, 6, 7),
+        (0, 1, 2, 3, 5, 4, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)]
+G = PermutationGroup(8, gens, name="C2^4")
+print(json.dumps(question35_instances(G, 2, "C2^4")))
+"""
+
+
+def test_question35_counts_matchings_without_storing_them():
+    # C2^4 at p = 2 has 16! ordinary height-zero matchings, so the count
+    # stops at the cap + 1 and the search is inconclusive.  Run in a child
+    # process (the suite starts no other) so its peak RSS can be read.
+    src = str(Path(blockforge.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _Q35_C2_4],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    (record,) = json.loads(done.stdout)
+    assert record["ordinary_matchings"] == 1000001
+    assert record["brauer_matchings"] == 1
+    assert record["result"] == "inconclusive"
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 60
