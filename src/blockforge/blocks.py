@@ -26,7 +26,6 @@ from .permgroup import (
     subgroups_of_order,
     trivial_group,
 )
-from .perms import inverse as perm_inverse
 
 
 @lru_cache(maxsize=None)
@@ -228,9 +227,7 @@ def block_idempotent(block):
     a = vp(n, p)
     m_part = n // p_part(n, p)
     inv_m = rmap.field.from_integer(m_part).inverse()
-    inverse_class = [
-        G.class_index(perm_inverse(c.representative)) for c in classes
-    ]
+    inverse_class = G.inverse_classes()
     coeffs = []
     for k in range(len(classes)):
         total = rational(0)

@@ -6,9 +6,10 @@ matrices is found over a prime field GF(q) with q = 1 (mod exponent)
 and q squared exceeding 4|G|, degrees are recovered from the second
 orthogonality relation, and the actual cyclotomic character values are
 lifted through the discrete Fourier sum over power maps, taken over each
-class's element order rather than the group exponent.  The finished
-table must pass both orthogonality relations exactly or an internal
-error is raised.
+class's element order rather than the group exponent.  Every finished
+row must take complex-conjugate values on inverse classes and the rows
+must be orthonormal, exactly, or an internal error is raised; for a
+square table row orthonormality implies the column relation.
 
 The construction is fully deterministic: instead of random splitting
 vectors, a separating integer combination of the class matrices is
@@ -92,9 +93,6 @@ class ClassFunction:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return ClassFunction(self.group, tuple(v.conj() for v in self.values))
-
     def galois(self, k):
         return ClassFunction(self.group, tuple(v.galois(k) for v in self.values))
 
@@ -140,15 +138,19 @@ def regular_character(G):
     return ClassFunction(G, values)
 
 
-def inner_product(alpha, beta):
-    """<alpha, beta> = (1/|G|) sum over classes |C| alpha(x) conj(beta(x))."""
-    alpha._same_group(beta)
+def inner_product(alpha, chi):
+    """<alpha, chi> = (1/|G|) sum over classes |C| alpha(x) conj(chi(x)).
+
+    chi must be a character: conj(chi(x)) = chi(x^-1), so chi is read at
+    the inverse class and no value is conjugated."""
+    alpha._same_group(chi)
     G = alpha.group
     total = ZERO
-    for c, a, b in zip(G.conjugacy_classes(), alpha.values, beta.values):
+    for c, a, k in zip(G.conjugacy_classes(), alpha.values, G.inverse_classes()):
+        b = chi.values[k]
         if a.is_zero() or b.is_zero():
             continue
-        total = total + c.size * (a * b.conj())
+        total = total + c.size * (a * b)
     return total / G.order()
 
 
@@ -169,25 +171,24 @@ def restrict(chi, H):
 
 
 def constituents(alpha):
-    """Decomposition of a character into irreducibles: list of
-    (irreducible, multiplicity) with nonzero integer multiplicities."""
+    """Decomposition of a virtual character into irreducibles: the
+    integer multiplicity of each irreducible, in table order."""
     table = character_table(alpha.group)
     out = []
     remaining = alpha
     for chi in table.irreducibles:
         m = inner_product(alpha, chi)
-        if m.is_zero():
-            continue
         if not m.is_rational() or m.rational_value().denominator != 1:
             raise DomainError("class function is not a virtual character")
         k = m.integer_value()
-        out.append((chi, k))
-        remaining = remaining - k * chi
+        out.append(k)
+        if k:
+            remaining = remaining - k * chi
     if any(not v.is_zero() for v in remaining.values):
         raise InternalCheckError(
             f"constituent decomposition does not reconstruct on {alpha.group!r}"
         )
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -195,11 +196,9 @@ def restriction_multiplicities(G, H):
     """The multiplicity of theta_k in the restriction of chi_i to H, as
     row i and column k (table order of Irr(G) and Irr(H)); by Frobenius
     reciprocity column k also decomposes theta_k induced to G."""
-    thetas = character_table(H).irreducibles
     rows = []
     for chi in character_table(G).irreducibles:
-        pieces = dict(constituents(restrict(chi, H)))
-        row = tuple(pieces.get(theta, 0) for theta in thetas)
+        row = constituents(restrict(chi, H))
         if any(m < 0 for m in row):
             raise InternalCheckError(
                 f"restriction from {G!r} to {H!r} has a negative multiplicity"
@@ -267,7 +266,7 @@ def character_table(G):
     a = structure_constants(G)
     sizes = [c.size for c in classes]
     reps = [c.representative for c in classes]
-    inverse_class = [G.class_index(inverse(z)) for z in reps]
+    inverse_class = G.inverse_classes()
 
     rows_mod_q = None
     for q in _dixon_primes(e, n):
@@ -276,7 +275,9 @@ def character_table(G):
             rows_mod_q = (q, found)
             break
     if rows_mod_q is None:
-        raise InternalCheckError("eigenspace splitting failed for all tried primes")
+        raise InternalCheckError(
+            f"eigenspace splitting failed for all tried primes on {G!r}"
+        )
     q, vectors = rows_mod_q
 
     z = _primitive_root_of_unity(e, q)
@@ -291,7 +292,9 @@ def character_table(G):
     irreducibles = []
     for w in vectors:
         if w[0] % q == 0:
-            raise InternalCheckError("central character vanishes on the identity")
+            raise InternalCheckError(
+                f"central character vanishes on the identity of {G!r}"
+            )
         scale = pow(w[0], q - 2, q)
         w = [x * scale % q for x in w]
         s = 0
@@ -311,14 +314,16 @@ def character_table(G):
                     m = (m + cbar[power_class[j][k]] * zpow[(-t * k) % o]) % q
                 m = m * o_inv % q
                 if 2 * m >= q:
-                    raise InternalCheckError("lifted multiplicity out of range")
+                    raise InternalCheckError(
+                        f"lifted multiplicity out of range on {G!r}"
+                    )
                 coeffs.append(m)
             values.append(from_root_combination(o, coeffs))
         irreducibles.append(ClassFunction(G, values))
 
     irreducibles.sort(key=lambda chi: chi.sort_key())
     table = CharacterTable(G, e, _power_maps(G, e, reps), irreducibles)
-    _verify_orthogonality(table, sizes)
+    _verify_orthogonality(table)
     return table
 
 
@@ -428,30 +433,39 @@ def _nullspace(rows, q):
     return basis
 
 
-def _verify_orthogonality(table, sizes):
+def _verify_orthogonality(table):
+    """Check that the rows are the irreducible characters of the group.
+
+    First, every row must take complex-conjugate values on inverse
+    classes, chi(x^-1) = conj(chi(x)).  That makes ``inner_product``,
+    which reads its second argument at inverse classes, the Hermitian
+    form on the rows, so the second check is row orthonormality:
+    X D X* = I for the table X and D = diag(|C_k| / |G|).
+
+    The column relation needs no check of its own.  X is square, so
+    X D X* = I makes D X* the inverse of X; then D X* X = I, that is
+    X* X = D^-1: sum_i conj(chi_i(x_j)) chi_i(x_k) = delta_jk |G| / |C_j|.
+    """
     G = table.group
-    n = G.order()
     rows = table.irreducibles
     r = len(rows)
-    if r != len(sizes):
-        raise InternalCheckError("row count differs from class count")
+    if r != len(table.classes):
+        raise InternalCheckError(f"row count differs from class count on {G!r}")
+    inverse_class = G.inverse_classes()
+    for s, chi in enumerate(rows):
+        if any(chi.values[k] != v.conj() for k, v in zip(inverse_class, chi.values)):
+            raise InternalCheckError(
+                f"row {s} of {G!r} is not conjugate on inverse classes"
+            )
     for s in range(r):
         for u in range(s, r):
             got = inner_product(rows[s], rows[u])
             want = ONE if s == u else ZERO
             if got != want:
                 raise InternalCheckError(
-                    f"row orthogonality fails for rows {s}, {u}"
-                )
-    for j in range(r):
-        for k in range(j, r):
-            total = ZERO
-            for chi in rows:
-                total = total + chi.values[j] * chi.values[k].conj()
-            want = rational(n // sizes[j]) if j == k else ZERO
-            if total != want:
-                raise InternalCheckError(
-                    f"column orthogonality fails for classes {j}, {k}"
+                    f"row orthogonality fails for rows {s}, {u} of {G!r}"
                 )
     if rows[0] != trivial_character(G):
-        raise InternalCheckError("first table row is not the trivial character")
+        raise InternalCheckError(
+            f"first table row of {G!r} is not the trivial character"
+        )

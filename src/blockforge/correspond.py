@@ -17,16 +17,9 @@ from itertools import islice
 from math import gcd
 
 from .arith import p_part, vp
-from .blocks import (
-    block_data,
-    brauer_correspondent,
-    covered_blocks,
-    p_regular_classes,
-)
+from .blocks import block_data, brauer_correspondent, covered_blocks
 from .chartab import (
-    ClassFunction,
     character_table,
-    constituents,
     inertia_group,
     irr_over,
     restriction_multiplicities,
@@ -184,31 +177,27 @@ def _is_invariant(G, theta):
 
 def _brauer_degrees_over(md, K, theta):
     """Degrees of the Brauer characters whose restriction to the
-    p'-subgroup K contains theta.  Every class of K is p-regular, so
-    the restriction is an ordinary character of K."""
+    p'-subgroup K contains theta.
+
+    Each phi is read at its ordinary lift: the chi whose decomposition
+    row is the unit vector of phi, so that chi restricted to the
+    p-regular classes is phi (the exact decomposition solve certifies
+    it).  Every class of K is p-regular, so phi and chi agree on K and
+    the restriction table of (G, K) answers the question."""
     G = md.group
-    regular = p_regular_classes(G, p=md.prime)
-    position = {k: i for i, k in enumerate(regular)}
+    k = character_table(K).index_of(theta)
+    rows = restriction_multiplicities(G, K)
+    count = len(md.brauer_characters)
     out = []
-    for phi in md.brauer_characters:
-        restricted = ClassFunction(
-            K,
-            (
-                phi.values[position[G.class_index(c.representative)]]
-                for c in K.conjugacy_classes()
-            ),
-        )
-        try:
-            pieces = constituents(restricted)
-        except DomainError as exc:
+    for j, phi in enumerate(md.brauer_characters):
+        unit = tuple(int(t == j) for t in range(count))
+        lift = next((i for i, d in enumerate(md.decomposition) if d == unit), None)
+        if lift is None:
             raise InternalCheckError(
-                "Brauer restriction multiplicity is not an integer"
-            ) from exc
-        if any(m < 0 for _, m in pieces):
-            raise InternalCheckError(
-                "Brauer restriction multiplicity is negative"
+                f"Brauer character {j} of {G!r} at p = {md.prime}"
+                " has no ordinary lift"
             )
-        if any(xi == theta for xi, _ in pieces):
+        if rows[lift][k]:
             out.append(phi.degree())
     return out
 

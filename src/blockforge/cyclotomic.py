@@ -236,7 +236,7 @@ class Cyclotomic:
 
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise DomainError("negative powers are not supported")
         out = ONE
         base = self
         while n:
@@ -246,51 +246,17 @@ class Cyclotomic:
             n >>= 1
         return out
 
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.conductor == 1:
-            return Cyclotomic(1, (1 / self.coords[0],), normalized=True)
-        e = self.conductor
-        d = euler_phi(e)
-        basis = _power_basis(e)
-        columns = []
-        for j in range(d):
-            col = [Fraction(0)] * d
-            for i, c in enumerate(self.coords):
-                if not c:
-                    continue
-                if i + j < d:
-                    col[i + j] += c
-                else:
-                    row = basis[(i + j) % e]
-                    for t in range(d):
-                        col[t] += c * row[t]
-            columns.append(col)
-        one = [Fraction(0)] * d
-        one[0] = Fraction(1)
-        solution = solve_rational(columns, one)
-        if solution is None:
-            raise ZeroDivisionError("value is not invertible")
-        return Cyclotomic(e, tuple(solution))
-
     def __truediv__(self, other):
+        """Division by a nonzero rational."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.conductor == 1:
-            q = other.coords[0]
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return Cyclotomic(
-                self.conductor,
-                tuple(c / q for c in self.coords),
-                normalized=True,
-            )
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
+        q = other.rational_value()
+        if q == 0:
+            raise ZeroDivisionError("division by zero")
+        return Cyclotomic(
+            self.conductor, tuple(c / q for c in self.coords), normalized=True
+        )
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -73,6 +73,7 @@ class PermutationGroup:
         self._classes = None
         self._class_index = None
         self._class_elements = None
+        self._inverse_classes = None
         self._hash = None
 
     def order(self):
@@ -149,6 +150,13 @@ class PermutationGroup:
             self._compute_classes()
         return self._class_elements[i]
 
+    def inverse_classes(self):
+        """For each class, the index of the class of the inverses of its
+        elements.  Enumerates the group."""
+        if self._inverse_classes is None:
+            self._compute_classes()
+        return self._inverse_classes
+
     def exponent(self):
         e = 1
         for c in self.conjugacy_classes():
@@ -190,6 +198,9 @@ class PermutationGroup:
         self._classes = tuple(classes)
         self._class_index = index
         self._class_elements = tuple(elem_lists)
+        self._inverse_classes = tuple(
+            index[inverse(c.representative)] for c in classes
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PermutationGroup):

@@ -6,12 +6,15 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are two exceptions.  ``defect_group_via_defect_classes`` takes a
-block the package computed and finds its defect group by a second
+There are three exceptions.  ``defect_group_via_defect_classes`` takes
+a block the package computed and finds its defect group by a second
 method (defect classes), to compare with the package's own route
 through the Brauer homomorphism.  ``induce`` builds induced class
 functions on the package's classes by the explicit induction formula,
 so the restriction table can be checked against Frobenius reciprocity.
+``brauer_degrees_over`` restricts the package's Brauer characters
+themselves to a p'-subgroup and decomposes them there, to compare with
+the package's route through ordinary lifts and the restriction table.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ from math import gcd, isqrt
 
 from blockforge.arith import vp
 from blockforge.blocks import p_regular_classes
-from blockforge.chartab import ClassFunction
+from blockforge.chartab import ClassFunction, character_table, constituents
 from blockforge.cyclotomic import ZERO
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import centralizer, sylow_subgroup
@@ -313,3 +316,36 @@ def induce(psi, G):
     for c, s in zip(G.conjugacy_classes(), accum):
         out.append(s * Fraction(n // c.size, H.order()))
     return ClassFunction(G, out)
+
+
+def brauer_degrees_over(md, K, theta):
+    """Degrees of the Brauer characters in md whose restriction to the
+    p'-subgroup K contains theta, by restricting each Brauer character's
+    own values to K (every class of K is p-regular) and decomposing the
+    resulting ordinary character of K."""
+    G = md.group
+    regular = p_regular_classes(G, p=md.prime)
+    position = {k: i for i, k in enumerate(regular)}
+    thetas = character_table(K).irreducibles
+    out = []
+    for phi in md.brauer_characters:
+        restricted = ClassFunction(
+            K,
+            (
+                phi.values[position[G.class_index(c.representative)]]
+                for c in K.conjugacy_classes()
+            ),
+        )
+        try:
+            pieces = constituents(restricted)
+        except DomainError as exc:
+            raise InternalCheckError(
+                "Brauer restriction multiplicity is not an integer"
+            ) from exc
+        if any(m < 0 for m in pieces):
+            raise InternalCheckError(
+                "Brauer restriction multiplicity is negative"
+            )
+        if any(m and xi == theta for xi, m in zip(thetas, pieces)):
+            out.append(phi.degree())
+    return out

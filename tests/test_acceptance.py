@@ -299,8 +299,13 @@ def test_criterion_9_determinism(capsys):
     assert first == 0 and second == 0
     assert out_first == out_second
     assert out_first.endswith("overall: all verdicts as expected\n")
-    golden = Path(__file__).parent / "data" / "verify_all.txt"
-    assert out_first == golden.read_text(encoding="utf-8")
+    data = Path(__file__).parent / "data"
+    assert out_first == (data / "verify_all.txt").read_text(encoding="utf-8")
+    # The JSON report also carries fields the text omits, such as the
+    # Brauer side of the Glauberman lift.
+    assert main(["verify", "all", "--seed", "0", "--format", "json"]) == 0
+    out_json = capsys.readouterr().out
+    assert out_json == (data / "verify_all.json").read_text(encoding="utf-8")
     print("criterion 9 (byte-identical repeat verification): PASS")
 
 

@@ -1,11 +1,15 @@
 import json
 import random
+import re
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 from blockforge.chartab import (
+    CharacterTable,
+    ClassFunction,
+    _verify_orthogonality,
     character_table,
     constituents,
     inertia_group,
@@ -18,7 +22,7 @@ from blockforge.chartab import (
     trivial_character,
 )
 from blockforge.cli import main
-from blockforge.cyclotomic import ONE, ZERO, rational
+from blockforge.cyclotomic import ONE, ZERO, rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, p_core, sylow_subgroup
@@ -138,9 +142,7 @@ def test_regular_character_constituents(s3):
     table = character_table(s3)
     rho = regular_character(s3)
     got = constituents(rho)
-    assert len(got) == 3
-    for chi, mult in got:
-        assert mult == chi.degree()
+    assert got == table.degrees()
     assert inner_product(rho, trivial_character(s3)) == ONE
 
 
@@ -279,6 +281,31 @@ def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
     message = "from PermutationGroup 'S4'.* to PermutationGroup 'A4'.* negative"
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
+
+
+def _with_rows(table, rows):
+    return CharacterTable(table.group, table.exponent, table.power_maps, rows)
+
+
+def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
+    G = cyclic(3)
+    table = character_table(G)
+    # zeta_3 on both classes of order 3, which are inverse to each other
+    bad = ClassFunction(G, (ONE, zeta(3), zeta(3)))
+    forged = _with_rows(table, (table.irreducibles[0], bad) + table.irreducibles[2:])
+    message = re.escape(f"row 1 of {G!r}") + " is not conjugate on inverse classes"
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_orthogonality(forged)
+
+
+def test_table_gate_rejects_rows_that_are_not_orthonormal(s4):
+    table = character_table(s4)
+    assert table.irreducibles[1].values[2] == -ONE  # the sign character
+    rows = list(table.irreducibles)
+    rows[1] = trivial_character(s4)
+    message = re.escape(f"row orthogonality fails for rows 0, 1 of {s4!r}")
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_orthogonality(_with_rows(table, rows))
 
 
 def test_inner_product_requires_same_group(s4, a4):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import blockforge
+from blockforge import catalog
 from blockforge.chartab import character_table
 from blockforge.correspond import (
     _brauer_degrees_over,
@@ -28,9 +30,15 @@ from blockforge.correspond import (
 )
 from blockforge.cyclotomic import zeta
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.modular import BrauerCharacter, modular_data
-from blockforge.permgroup import PermutationGroup, p_prime_core, sylow_subgroup
+from blockforge.modular import modular_data
+from blockforge.permgroup import (
+    PermutationGroup,
+    is_p_solvable,
+    p_prime_core,
+    sylow_subgroup,
+)
 
+import oracles
 from conftest import alternating, c3_wreath_c2, frobenius20
 
 
@@ -216,30 +224,52 @@ def test_glauberman_lift_rejects_p_divisible_core(s4):
         verify_glauberman_lift(s4, V4, sylow_subgroup(s4, 2), theta, 2)
 
 
-def _with_brauer_values(md, transform):
-    """A stand-in for modular data whose Brauer characters have every
-    value passed through transform."""
-    return SimpleNamespace(
-        group=md.group,
-        prime=md.prime,
-        brauer_characters=[
-            BrauerCharacter(phi.group, phi.prime, map(transform, phi.values))
-            for phi in md.brauer_characters
-        ],
-    )
-
-
 def test_brauer_restriction_gates(s4):
     md = modular_data(s4, 3)
     V4 = p_prime_core(s4, 3)
     trivial = character_table(V4).irreducibles[0]
     assert _brauer_degrees_over(md, V4, trivial) == [1, 1]
-    negated = _with_brauer_values(md, lambda v: -v)
-    with pytest.raises(InternalCheckError, match="negative"):
-        _brauer_degrees_over(negated, V4, trivial)
-    halved = _with_brauer_values(md, lambda v: v / 2)
-    with pytest.raises(InternalCheckError, match="not an integer"):
-        _brauer_degrees_over(halved, V4, trivial)
+
+
+def test_brauer_restriction_lift_gate(s4):
+    # Every decomposition row that is the unit vector of phi_0 is
+    # doubled, so phi_0 has no ordinary lift left.
+    md = modular_data(s4, 3)
+    unit = (1,) + (0,) * (len(md.brauer_characters) - 1)
+    assert unit in md.decomposition
+    forged = SimpleNamespace(
+        group=md.group,
+        prime=md.prime,
+        brauer_characters=md.brauer_characters,
+        decomposition=tuple(
+            tuple(2 * d for d in row) if row == unit else row
+            for row in md.decomposition
+        ),
+    )
+    V4 = p_prime_core(s4, 3)
+    trivial = character_table(V4).irreducibles[0]
+    message = re.escape(f"Brauer character 0 of {s4!r} at p = 3")
+    with pytest.raises(InternalCheckError, match=message):
+        _brauer_degrees_over(forged, V4, trivial)
+
+
+def test_brauer_restrictions_match_oracle_on_catalog():
+    # Every p-solvable catalog (group, prime): the ordinary-lift route
+    # and the direct restriction of the Brauer values agree on every
+    # irreducible of the p'-core.
+    checked = 0
+    for ent in catalog.entries():
+        G = ent.load()
+        for p in ent.primes:
+            if not is_p_solvable(G, p):
+                continue
+            md = modular_data(G, p)
+            K = p_prime_core(G, p)
+            for theta in character_table(K).irreducibles:
+                want = oracles.brauer_degrees_over(md, K, theta)
+                assert _brauer_degrees_over(md, K, theta) == want
+                checked += not K.is_trivial()
+    assert checked
 
 
 def test_navarro_fixed_s4(s4):
