@@ -8,12 +8,16 @@ orthogonality relation, and the actual cyclotomic character values are
 lifted through the discrete Fourier sum over power maps, taken over each
 class's element order rather than the group exponent.  Every finished
 row must take complex-conjugate values on inverse classes and the rows
-must be orthonormal, exactly, or an internal error is raised; for a
-square table row orthonormality implies the column relation.
+must be orthonormal, exactly, or an internal error is raised; the row
+sums run on integer power-basis coordinates, one element order at a
+time, and for a square table row orthonormality implies the column
+relation.
 
 The construction is fully deterministic: instead of random splitting
 vectors, a separating integer combination of the class matrices is
-diagonalised by scanning every eigenvalue candidate in GF(q).
+diagonalised over GF(q).  Its eigenvalues are the roots of its
+characteristic polynomial, read off a Hessenberg form and evaluated at
+every element of GF(q); each root then costs one elimination.
 
 How Irr(G) restricts to a subgroup H lives in one cached table,
 ``restriction_multiplicities(G, H)``: covering, Clifford theory,
@@ -25,7 +29,13 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_prime, multiplicative_order
-from .cyclotomic import ONE, ZERO, from_root_combination, rational
+from .cyclotomic import (
+    ONE,
+    ZERO,
+    cyclotomic_polynomial,
+    from_root_combination,
+    rational,
+)
 from .errors import DomainError, InternalCheckError
 from .perms import conj, inverse, mult, power
 from .permgroup import group_from_elements, is_normal_in
@@ -234,12 +244,14 @@ def inertia_group(G, N, theta):
 class CharacterTable:
     """The full ordinary character table of a finite permutation group."""
 
-    def __init__(self, group, exponent, power_maps, irreducibles):
+    def __init__(self, group, exponent, power_maps, irreducibles, prime):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.exponent = exponent
         self.power_maps = power_maps
         self.irreducibles = tuple(irreducibles)
+        # the prime q whose field GF(q) split the class algebra
+        self.prime = prime
 
     def degrees(self):
         return tuple(chi.degree() for chi in self.irreducibles)
@@ -268,19 +280,18 @@ def character_table(G):
     reps = [c.representative for c in classes]
     inverse_class = G.inverse_classes()
 
-    rows_mod_q = None
-    for q in _dixon_primes(e, n):
-        found = _common_eigenvectors(a, r, q)
-        if found is not None:
-            rows_mod_q = (q, found)
+    primes = _dixon_primes(e, n)
+    for q in primes:
+        vectors = _common_eigenvectors(a, r, q)
+        if vectors is not None:
             break
-    if rows_mod_q is None:
+    else:
         raise InternalCheckError(
-            f"eigenspace splitting failed for all tried primes on {G!r}"
+            f"eigenspace splitting failed on {G!r} "
+            f"for every tried prime q in {primes}"
         )
-    q, vectors = rows_mod_q
 
-    z = _primitive_root_of_unity(e, q)
+    z = _primitive_root_of_unity(G, e, q)
     orders = [c.element_order for c in classes]
     power_class = [
         [G.class_index(power(reps[j], k)) for k in range(orders[j])]
@@ -300,7 +311,7 @@ def character_table(G):
         s = 0
         for k in range(r):
             s = (s + w[k] * w[inverse_class[k]] * pow(sizes[k], q - 2, q)) % q
-        d = _degree_from_norm(n, s, q)
+        d = _degree_from_norm(G, s, q)
         cbar = [d * w[j] * pow(sizes[j], q - 2, q) % q for j in range(r)]
         values = []
         for j in range(r):
@@ -322,7 +333,7 @@ def character_table(G):
         irreducibles.append(ClassFunction(G, values))
 
     irreducibles.sort(key=lambda chi: chi.sort_key())
-    table = CharacterTable(G, e, _power_maps(G, e, reps), irreducibles)
+    table = CharacterTable(G, e, _power_maps(G, e, reps), irreducibles, q)
     _verify_orthogonality(table)
     return table
 
@@ -337,21 +348,26 @@ def _dixon_primes(e, n, limit=5):
     return out
 
 
-def _primitive_root_of_unity(e, q):
+def _primitive_root_of_unity(G, e, q):
     if e == 1:
         return 1
     for z in range(2, q):
         if multiplicative_order(z, q) == e:
             return z
-    raise InternalCheckError("no primitive root of unity in the chosen field")
+    raise InternalCheckError(
+        f"no primitive {e}-th root of unity mod q = {q} for {G!r}"
+    )
 
 
-def _degree_from_norm(n, s, q):
+def _degree_from_norm(G, s, q):
+    n = G.order()
     d_squared = n * pow(s, q - 2, q) % q
     for d in range(1, isqrt(n) + 1):
         if d * d % q == d_squared:
             return d
-    raise InternalCheckError("no admissible degree for an eigenvector")
+    raise InternalCheckError(
+        f"no admissible degree for an eigenvector of {G!r} mod q = {q}"
+    )
 
 
 def _power_maps(G, e, reps):
@@ -388,19 +404,77 @@ def _common_eigenvectors(a, r, q):
 
 
 def _eigenvector_scan(m, r, q):
-    vectors = []
+    """The eigenvectors of m over GF(q) in ascending eigenvalue order, or
+    None unless m has r distinct eigenvalues in GF(q).
+
+    The eigenvalues are the roots of the characteristic polynomial, found
+    by evaluating it at every element of GF(q); each root then costs one
+    elimination.  r distinct roots is the same condition as r eigenspaces
+    of dimension one each."""
+    poly = _characteristic_polynomial(m, q)
+    roots = []
     for lam in range(q):
+        value = 0
+        for c in reversed(poly):
+            value = (value * lam + c) % q
+        if value == 0:
+            roots.append(lam)
+    if len(roots) != r:
+        return None
+    vectors = []
+    for lam in roots:
         shifted = [
             [(m[j][k] - (lam if j == k else 0)) % q for k in range(r)]
             for j in range(r)
         ]
-        null = _nullspace(shifted, q)
-        if len(null) > 1:
-            return None
-        vectors.extend(null)
-        if len(vectors) > r:
-            return None
-    return vectors if len(vectors) == r else None
+        vectors.append(_nullspace(shifted, q)[0])
+    return vectors
+
+
+def _characteristic_polynomial(m, q):
+    """det(xI - m) over GF(q), coefficients low degree first.
+
+    m is brought to upper Hessenberg form h by similarity transforms, and
+    the leading principal minors p_k of xI - h satisfy
+    p_k = (x - h[k-1][k-1]) p_{k-1}
+          - sum_{i=1}^{k-1} h[k-i-1][k-1] h[k-1][k-2] ... h[k-i][k-i-1] p_{k-i-1}
+    (the Hessenberg method; Cohen, A Course in Computational Algebraic
+    Number Theory, ch. 2)."""
+    r = len(m)
+    h = [row[:] for row in m]
+    for col in range(r - 2):
+        pivot = next((i for i in range(col + 1, r) if h[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != col + 1:
+            h[pivot], h[col + 1] = h[col + 1], h[pivot]
+            for row in h:
+                row[pivot], row[col + 1] = row[col + 1], row[pivot]
+        inv = pow(h[col + 1][col], q - 2, q)
+        top = h[col + 1]
+        for i in range(col + 2, r):
+            f = h[i][col] * inv % q
+            if not f:
+                continue
+            h[i] = [(x - f * y) % q for x, y in zip(h[i], top)]
+            for row in h:
+                row[col + 1] = (row[col + 1] + f * row[i]) % q
+    polys = [[1]]
+    for k in range(1, r + 1):
+        d = h[k - 1][k - 1]
+        prev = polys[k - 1]
+        p = [0] + prev
+        for t, c in enumerate(prev):
+            p[t] = (p[t] - d * c) % q
+        product = 1
+        for i in range(1, k):
+            product = product * h[k - i][k - i - 1] % q
+            f = product * h[k - i - 1][k - 1] % q
+            if f:
+                for t, c in enumerate(polys[k - i - 1]):
+                    p[t] = (p[t] - f * c) % q
+        polys.append(p)
+    return polys[r]
 
 
 def _nullspace(rows, q):
@@ -437,10 +511,26 @@ def _verify_orthogonality(table):
     """Check that the rows are the irreducible characters of the group.
 
     First, every row must take complex-conjugate values on inverse
-    classes, chi(x^-1) = conj(chi(x)).  That makes ``inner_product``,
-    which reads its second argument at inverse classes, the Hermitian
-    form on the rows, so the second check is row orthonormality:
-    X D X* = I for the table X and D = diag(|C_k| / |G|).
+    classes, chi(x^-1) = conj(chi(x)).  Then X D X* = I, row
+    orthonormality for the table X and D = diag(|C_k| / |G|), reads
+    sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su.
+
+    That sum is checked in exact integer arithmetic, one element order at
+    a time.  A character value at an element of order o lies in Z[zeta_o],
+    the ring of integers of Q(zeta_o), so it has integer coordinates on
+    the power basis of conductor o; a value outside Q(zeta_o), or with a
+    non-integral coordinate, is not a character value and fails.  The
+    terms over the classes of order o are multiplied and added as integer
+    polynomials in zeta_o and reduced once mod Phi_o, giving the partial
+    sum S_o in Q(zeta_o).  Each S_o must be rational, and the S_o must add
+    up to |G| delta_su.
+
+    This is no weaker than checking the identity directly: the S_o add up
+    to the full sum, so passing both tests proves it.  Nor does it reject
+    a genuine table: for k coprime to the exponent, x -> x^k permutes the
+    classes of order o and keeps their sizes, and the Galois automorphism
+    zeta -> zeta^k maps chi(x) to chi(x^k); so every automorphism of
+    Q(zeta_o) permutes the terms of S_o, and S_o is rational.
 
     The column relation needs no check of its own.  X is square, so
     X D X* = I makes D X* the inverse of X; then D X* X = I, that is
@@ -457,11 +547,33 @@ def _verify_orthogonality(table):
             raise InternalCheckError(
                 f"row {s} of {G!r} is not conjugate on inverse classes"
             )
+    orders = [c.element_order for c in table.classes]
+    coords = [_integer_coordinates(table, s, orders) for s in range(r)]
+    weighted = [
+        [[c.size * x for x in a] for c, a in zip(table.classes, row)]
+        for row in coords
+    ]
     for s in range(r):
         for u in range(s, r):
-            got = inner_product(rows[s], rows[u])
-            want = ONE if s == u else ZERO
-            if got != want:
+            sums = {}
+            for k in range(r):
+                a = weighted[s][k]
+                b = coords[u][inverse_class[k]]
+                acc = sums.setdefault(orders[k], [0] * (2 * len(a) - 1))
+                for i, x in enumerate(a):
+                    if x:
+                        for j, y in enumerate(b):
+                            acc[i + j] += x * y
+            total = 0
+            for o, acc in sums.items():
+                partial = _reduce_mod_cyclotomic(acc, o)
+                if any(partial[1:]):
+                    raise InternalCheckError(
+                        f"row orthogonality fails for rows {s}, {u} of {G!r}: "
+                        f"the sum over the classes of element order {o} is irrational"
+                    )
+                total += partial[0]
+            if total != (G.order() if s == u else 0):
                 raise InternalCheckError(
                     f"row orthogonality fails for rows {s}, {u} of {G!r}"
                 )
@@ -469,3 +581,36 @@ def _verify_orthogonality(table):
         raise InternalCheckError(
             f"first table row of {G!r} is not the trivial character"
         )
+
+
+def _integer_coordinates(table, s, orders):
+    """Row s of the table as integer power-basis coordinates, each value
+    at the element order of its class."""
+    out = []
+    for k, (v, o) in enumerate(zip(table.irreducibles[s].values, orders)):
+        if o % v.conductor:
+            raise InternalCheckError(
+                f"row {s} of {table.group!r} (split mod q = {table.prime}) has "
+                f"a value outside Q(zeta_{o}) at class {k}"
+            )
+        a = v.lift_coords(o)
+        if any(x.denominator != 1 for x in a):
+            raise InternalCheckError(
+                f"row {s} of {table.group!r} (split mod q = {table.prime}) has "
+                f"a non-integral value at class {k}"
+            )
+        out.append([x.numerator for x in a])
+    return out
+
+
+def _reduce_mod_cyclotomic(poly, o):
+    """The integer polynomial poly (low degree first) reduced mod Phi_o."""
+    phi = cyclotomic_polynomial(o)
+    d = len(phi) - 1
+    poly = poly[:]
+    for t in range(len(poly) - 1, d - 1, -1):
+        c = poly[t]
+        if c:
+            for i, f in enumerate(phi):
+                poly[t - d + i] -= c * f
+    return poly[:d]

@@ -13,6 +13,7 @@ witness).
 """
 
 import random
+from collections import Counter
 from itertools import islice
 from math import gcd
 
@@ -574,9 +575,27 @@ def _perfect_matchings(left, right, cap):
 
 
 def _count_matchings(left, right, cap):
-    """The number of divisibility matchings, counted up to cap + 1
-    without storing any."""
-    return sum(1 for _ in islice(_matchings(left, right), cap + 1))
+    """The number of divisibility matchings, or cap + 1 if there are
+    more, counted without enumerating them.
+
+    Right positions of equal degree are interchangeable, so the count is
+    the permanent of a 0/1 matrix made of constant blocks, one per pair of
+    distinct degrees.  A dynamic programme places the left positions one
+    at a time and keeps, for each tuple of how many right positions of
+    each distinct degree are taken, the number of ways to get there."""
+    have = Counter(right)
+    degrees = sorted(have)
+    ways = {(0,) * len(degrees): 1}
+    for a in left:
+        step = {}
+        for used, count in ways.items():
+            for t, b in enumerate(degrees):
+                free = have[b] - used[t]
+                if free and a % b == 0:
+                    key = used[:t] + (used[t] + 1,) + used[t + 1 :]
+                    step[key] = step.get(key, 0) + count * free
+        ways = step
+    return min(sum(ways.values()), cap + 1)
 
 
 def question35_instances(G, p, name):

@@ -182,19 +182,9 @@ def character_degrees_common_eigenvector(elements):
                     m[j][k] = (m[j][k] + w * a[i][j][k]) % q
         return m
 
-    def eigenvectors(m):
-        vecs = []
-        for lam in range(q):
-            rows = [[(m[j][k] - (lam if j == k else 0)) % q for k in range(r)] for j in range(r)]
-            null = _nullspace_mod(rows, q)
-            if len(null) > 1:
-                return None
-            vecs.extend(null)
-        return vecs if len(vecs) == r else None
-
     t = 1
     while True:
-        vecs = eigenvectors(separating_matrix(t))
+        vecs = eigenvectors_by_full_scan(separating_matrix(t), q)
         if vecs is not None:
             break
         t += 1
@@ -216,6 +206,21 @@ def character_degrees_common_eigenvector(elements):
         degrees.append(root)
     assert sum(d * d for d in degrees) == n
     return sorted(degrees)
+
+
+def eigenvectors_by_full_scan(m, q):
+    """Eigenvectors of the square matrix m over GF(q), one null space per
+    element of GF(q) in ascending order, or None unless every eigenspace
+    is one-dimensional and together they span GF(q)^r."""
+    r = len(m)
+    vecs = []
+    for lam in range(q):
+        rows = [[(m[j][k] - (lam if j == k else 0)) % q for k in range(r)] for j in range(r)]
+        null = _nullspace_mod(rows, q)
+        if len(null) > 1:
+            return None
+        vecs.extend(null)
+    return vecs if len(vecs) == r else None
 
 
 def _nullspace_mod(rows, q):

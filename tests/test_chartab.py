@@ -6,9 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from blockforge import chartab
 from blockforge.chartab import (
     CharacterTable,
     ClassFunction,
+    _characteristic_polynomial,
+    _degree_from_norm,
+    _eigenvector_scan,
+    _primitive_root_of_unity,
     _verify_orthogonality,
     character_table,
     constituents,
@@ -284,7 +289,9 @@ def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
 
 
 def _with_rows(table, rows):
-    return CharacterTable(table.group, table.exponent, table.power_maps, rows)
+    return CharacterTable(
+        table.group, table.exponent, table.power_maps, rows, table.prime
+    )
 
 
 def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
@@ -306,6 +313,165 @@ def test_table_gate_rejects_rows_that_are_not_orthonormal(s4):
     message = re.escape(f"row orthogonality fails for rows 0, 1 of {s4!r}")
     with pytest.raises(InternalCheckError, match=message):
         _verify_orthogonality(_with_rows(table, rows))
+
+
+def test_table_gate_rejects_irrational_partial_sum(a5):
+    # Swapping the two degree-3 rows of A5 at one class of order 5 keeps
+    # both rows real, but their sums over the classes of order 5 become
+    # irrational (12 * 2 * (1 + sqrt 5) / 2 against the trivial row).
+    table = character_table(a5)
+    k = next(k for k, c in enumerate(table.classes) if c.element_order == 5)
+    rows = list(table.irreducibles)
+    i, j = [s for s, chi in enumerate(rows) if chi.degree() == 3]
+    a, b = list(rows[i].values), list(rows[j].values)
+    a[k], b[k] = b[k], a[k]
+    rows[i], rows[j] = ClassFunction(a5, a), ClassFunction(a5, b)
+    message = re.escape(
+        f"row orthogonality fails for rows 0, {i} of {a5!r}: "
+        "the sum over the classes of element order 5 is irrational"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_orthogonality(_with_rows(table, rows))
+
+
+def test_table_gate_rejects_non_integral_value(s4):
+    # A real value on a real class passes the conjugacy check; truncating
+    # 1/2 to an integer would give back the genuine row.
+    table = character_table(s4)
+    rows = list(table.irreducibles)
+    assert rows[3].values[2] == ONE and table.classes[2].element_order == 2
+    values = list(rows[3].values)
+    values[2] = ONE / 2
+    rows[3] = ClassFunction(s4, values)
+    message = re.escape(
+        f"row 3 of {s4!r} (split mod q = {table.prime}) has a non-integral "
+        "value at class 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_orthogonality(_with_rows(table, rows))
+
+
+def test_table_gate_rejects_value_beyond_the_element_order(s4):
+    # sqrt 2 = z8 + z8^-1 is a real algebraic integer, but not in Q(i),
+    # where the values at an element of order 4 lie.
+    table = character_table(s4)
+    rows = list(table.irreducibles)
+    assert table.classes[4].element_order == 4
+    values = list(rows[3].values)
+    values[4] = zeta(8) + zeta(8, 7)
+    rows[3] = ClassFunction(s4, values)
+    message = re.escape(
+        f"row 3 of {s4!r} (split mod q = {table.prime}) has a value outside "
+        "Q(zeta_4) at class 4"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_orthogonality(_with_rows(table, rows))
+
+
+def _det_mod(m, q):
+    m = [row[:] for row in m]
+    det = 1
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col] % q), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col] % q
+        inv = pow(m[col][col], q - 2, q)
+        for i in range(col + 1, len(m)):
+            f = m[i][col] * inv % q
+            m[i] = [(x - f * y) % q for x, y in zip(m[i], m[col])]
+    return det % q
+
+
+def _random_matrix(rng, r, q):
+    # Half the entries zero, and sometimes a zero lower-left block, so the
+    # Hessenberg reduction meets columns with no pivot below the diagonal.
+    m = [
+        [rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(r)]
+        for _ in range(r)
+    ]
+    if r > 2 and rng.random() < 0.5:
+        cut = rng.randrange(1, r)
+        for j in range(cut, r):
+            for k in range(cut):
+                m[j][k] = 0
+    return m
+
+
+def test_characteristic_polynomial_is_det_of_shifted_matrix():
+    rng = random.Random(11)
+    for q in (2, 13, 421):
+        for r in range(1, 10):
+            for _ in range(4):
+                m = _random_matrix(rng, r, q)
+                poly = _characteristic_polynomial(m, q)
+                assert len(poly) == r + 1 and poly[-1] == 1
+                for lam in rng.sample(range(q), min(q, 4)):
+                    shifted = [
+                        [((lam if j == k else 0) - m[j][k]) % q for k in range(r)]
+                        for j in range(r)
+                    ]
+                    value = sum(c * pow(lam, t, q) for t, c in enumerate(poly)) % q
+                    assert value == _det_mod(shifted, q)
+
+
+def test_eigenvector_scan_rejects_repeated_or_missing_eigenvalues():
+    q = 13
+    assert _eigenvector_scan([[2, 0, 0], [0, 2, 0], [0, 0, 5]], 3, q) is None
+    assert _eigenvector_scan([[2, 1], [0, 2]], 2, q) is None  # one Jordan block
+    assert _eigenvector_scan([[0, 10], [1, 0]], 2, 11) is None  # x^2 + 1 mod 11
+    assert _eigenvector_scan([[2, 1], [0, 5]], 2, q) == [[1, 0], [9, 1]]
+
+
+def test_eigenvector_scan_agrees_with_full_scan():
+    rng = random.Random(3)
+    split = 0
+    for q in (7, 13, 31):
+        for r in range(1, 8):
+            for _ in range(6):
+                if rng.random() < 0.5:
+                    m = _random_matrix(rng, r, q)
+                else:
+                    m = _diagonalizable_matrix(rng, r, q)
+                want = oracles.eigenvectors_by_full_scan(m, q)
+                assert _eigenvector_scan(m, r, q) == want
+                split += want is not None
+    assert split > 20
+
+
+def _diagonalizable_matrix(rng, r, q):
+    # A random diagonal matrix conjugated by random transvections: adding
+    # f times row j to row i and subtracting f times column i from column
+    # j is one similarity transform.
+    m = [[rng.randrange(q) if j == k else 0 for k in range(r)] for j in range(r)]
+    for _ in range(3 * r if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        f = rng.randrange(1, q)
+        m[i] = [(x + f * y) % q for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] = (row[j] - f * row[i]) % q
+    return m
+
+
+def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
+    message = re.escape(f"no primitive 5-th root of unity mod q = 13 for {s4!r}")
+    with pytest.raises(InternalCheckError, match=message):
+        _primitive_root_of_unity(s4, 5, 13)
+    # 24 / 12 = 2 mod 13, and 2 is not d^2 mod 13 for any d <= sqrt 24
+    message = re.escape(
+        f"no admissible degree for an eigenvector of {s4!r} mod q = 13"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _degree_from_norm(s4, 12, 13)
+    monkeypatch.setattr(chartab, "_common_eigenvectors", lambda a, r, q: None)
+    message = re.escape(
+        f"eigenspace splitting failed on {s4!r} for every tried prime q in [13, "
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        character_table.__wrapped__(s4)
 
 
 def test_inner_product_requires_same_group(s4, a4):

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ from blockforge.chartab import character_table
 from blockforge.correspond import (
     _brauer_degrees_over,
     _count_matchings,
+    _matchings,
     _perfect_matchings,
     block_section,
     coprime_setup,
@@ -434,6 +437,23 @@ def test_count_matchings_stops_at_cap_plus_one():
     assert _count_matchings([1] * 5, [1] * 5, 1000) == 120
     assert _count_matchings([1] * 5, [1] * 5, 100) == 101
     assert len(_perfect_matchings([1] * 5, [1] * 5, 100)) == 101
+    # 16! matchings, counted per distinct degree in sixteen steps rather
+    # than one at a time.
+    start = time.process_time()
+    assert _count_matchings([1] * 16, [1] * 16, 10**6) == 10**6 + 1
+    assert _count_matchings([1] * 16, [1] * 16, 10**14) == 20922789888000
+    assert time.process_time() - start < 0.5
+
+
+def test_count_matchings_agrees_with_enumeration():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        left = [rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(n)]
+        right = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n + rng.randint(0, 1))]
+        want = sum(1 for _ in _matchings(left, right))
+        assert _count_matchings(left, right, 10**6) == want
+        assert _count_matchings(left, right, 3) == min(want, 4)
 
 
 _Q35_C2_4 = """
