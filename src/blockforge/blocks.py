@@ -6,6 +6,14 @@ All block data for one verification session is computed under a single
 reduction map whose conductor is the exponent of the top-level group,
 so the blocks of every subgroup live over the same maximal ideal and
 block induction between them is meaningful.
+
+Defect groups come from defect classes (the Min-Max theorem, Navarro,
+*Characters and Blocks of Finite Groups*, ch. 4): one centralizer and
+one Sylow subgroup per block, certified by the Brauer image of the
+block idempotent at that one subgroup.
+
+Every ``InternalCheckError`` raised here names the group, the prime
+and, where there is one, the block index.
 """
 
 from functools import lru_cache
@@ -19,13 +27,8 @@ from .chartab import (
 from .cyclotomic import rational
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
-from .permgroup import (
-    centralizer_of_group,
-    is_normal_in,
-    normalizer,
-    subgroups_of_order,
-    trivial_group,
-)
+from .permgroup import centralizer, is_normal_in, normalizer, sylow_subgroup
+from .perms import mult
 
 
 @lru_cache(maxsize=None)
@@ -34,20 +37,20 @@ def shared_reduction(e, p):
     return build_reduction(e, p)
 
 
+def _where(G, p, index=None):
+    """Error context: the group, the prime and the block index, if any."""
+    where = f"{G!r} at p = {p}"
+    return where if index is None else f"{where}, block {index}"
+
+
 def central_character(chi):
     """The central character of an irreducible: class sum values
     omega(C) = |C| chi(x) / chi(1), all algebraic integers."""
     G = chi.group
     d = chi.degree()
-    values = []
-    for c, v in zip(G.conjugacy_classes(), chi.values):
-        omega = v * rational(c.size) / d
-        if not omega.is_algebraic_integer():
-            raise InternalCheckError(
-                "central character value is not an algebraic integer"
-            )
-        values.append(omega)
-    return tuple(values)
+    return tuple(
+        v * rational(c.size) / d for c, v in zip(G.conjugacy_classes(), chi.values)
+    )
 
 
 def p_regular_classes(G, p):
@@ -86,12 +89,16 @@ class Block:
         self.dim = sum(d * d for d in degrees)
         self.heights = tuple(vp(d, p) - (a - self.defect) for d in degrees)
         if any(h < 0 for h in self.heights):
-            raise InternalCheckError("negative character height")
+            raise InternalCheckError(
+                f"negative character height on {_where(G, p, index)}"
+            )
         self.height_zero = tuple(
             i for i, h in zip(self.char_indices, self.heights) if h == 0
         )
         if not self.height_zero:
-            raise InternalCheckError("block has no height-zero character")
+            raise InternalCheckError(
+                f"block has no height-zero character on {_where(G, p, index)}"
+            )
         self.idempotent = None
         self._defect_group = None
 
@@ -112,7 +119,7 @@ class Block:
 
     def defect_group(self):
         if self._defect_group is None:
-            self._defect_group = _defect_group_brauer(self)
+            self._defect_group = _defect_group_from_defect_class(self)
         return self._defect_group
 
     def __eq__(self, other):
@@ -146,12 +153,19 @@ class BlockSet:
         self.blocks = self._partition()
         self._verify_idempotents()
         if sum(b.dim for b in self.blocks) != group.order():
-            raise InternalCheckError("block dimensions do not sum to the order")
+            raise InternalCheckError(
+                f"block dimensions do not sum to the order on {_where(group, prime)}"
+            )
 
     def _partition(self):
         buckets = {}
         for i, chi in enumerate(self.table.irreducibles):
             omega = central_character(chi)
+            if not all(v.is_algebraic_integer() for v in omega):
+                raise InternalCheckError(
+                    f"central character of row {i} is not integral"
+                    f" on {_where(self.group, self.prime)}"
+                )
             lam = tuple(self.rmap.reduce(v) for v in omega)
             buckets.setdefault(lam, []).append(i)
         ordered = sorted(buckets.items(), key=lambda kv: min(kv[1]))
@@ -182,12 +196,18 @@ class BlockSet:
                 total[k] = total[k] + coeffs[k]
             square = _class_algebra_product(self.group, coeffs, coeffs, field)
             if square != tuple(coeffs):
-                raise InternalCheckError("block idempotent is not idempotent")
+                raise InternalCheckError(
+                    "block idempotent is not idempotent"
+                    f" on {_where(self.group, self.prime, b.index)}"
+                )
         identity_coeffs = tuple(
             field.one if k == 0 else field.zero for k in range(r)
         )
         if tuple(total) != identity_coeffs:
-            raise InternalCheckError("block idempotents do not sum to one")
+            raise InternalCheckError(
+                "block idempotents do not sum to one"
+                f" on {_where(self.group, self.prime)}"
+            )
 
     def __repr__(self):
         return (
@@ -236,7 +256,9 @@ def block_idempotent(block):
             total = total + chi.degree() * chi.values[inverse_class[k]]
         local = total / p_part(n, p) if a else total
         if not local.is_algebraic_integer():
-            raise InternalCheckError("idempotent coefficient is not p-local")
+            raise InternalCheckError(
+                f"idempotent coefficient is not p-local on {_where(G, p, block.index)}"
+            )
         coeffs.append(rmap.reduce(local) * inv_m)
     block.idempotent = tuple(coeffs)
     return block.idempotent
@@ -264,31 +286,50 @@ def brauer_image_is_nonzero(block, Q):
     """Whether the Brauer homomorphism at Q keeps the block idempotent
     alive: some class with a nonzero coefficient must meet C_G(Q)."""
     G = block.blockset.group
-    coeffs = block_idempotent(block)
-    cset = centralizer_of_group(G, Q).element_set()
-    for k in range(len(G.conjugacy_classes())):
-        if coeffs[k].is_zero():
-            continue
-        if any(x in cset for x in G.class_elements(k)):
-            return True
-    return False
+    return any(
+        all(mult(x, h) == mult(h, x) for h in Q.generators)
+        for k, a in enumerate(block_idempotent(block))
+        if not a.is_zero()
+        for x in G.class_elements(k)
+    )
 
 
-def _defect_group_brauer(block):
-    """Defect group via the Brauer homomorphism: the unique conjugacy
-    class of subgroups of order p^d whose Brauer image is nonzero."""
+def _defect_group_from_defect_class(block):
+    """A Sylow p-subgroup of C_G(x_K) for the first p-regular class K
+    with lambda_B(K^) != 0 and |C_G(x_K)|_p = p^d.
+
+    By the Min-Max theorem (Navarro, *Characters and Blocks of Finite
+    Groups*, ch. 4), lambda_B(K^) != 0 puts a defect group of B inside
+    a Sylow p-subgroup of C_G(x_K) up to conjugacy, so at equal orders
+    the two are conjugate.  Such a class exists: a defect class of B
+    (lambda_B(K^) != 0 and a nonzero idempotent coefficient at K) is
+    p-regular, and its centralizer's Sylow subgroups are the defect
+    groups.  Defect zero needs no special case, since its defect class
+    has p'-centralizer and the Sylow subgroup is trivial.
+
+    Gate: Br_Q(e_B) != 0 exactly when Q lies in a defect group up to
+    conjugacy, so a nonzero Brauer image at the returned subgroup of
+    order p^d certifies it from the idempotent alone.
+    """
     bs = block.blockset
     G = bs.group
     p = bs.prime
-    if block.defect == 0:
-        return trivial_group(G.degree)
-    candidates = subgroups_of_order(G, p**block.defect)
-    hits = [Q for Q in candidates if brauer_image_is_nonzero(block, Q)]
-    if len(hits) != 1:
-        raise InternalCheckError(
-            f"expected one defect group class, found {len(hits)}"
-        )
-    return hits[0]
+    classes = G.conjugacy_classes()
+    for k in p_regular_classes(G, p):
+        if block.reduced_central[k].is_zero():
+            continue
+        C = centralizer(G, classes[k].representative)
+        if vp(C.order(), p) == block.defect:
+            D = sylow_subgroup(C, p)
+            if not brauer_image_is_nonzero(block, D):
+                raise InternalCheckError(
+                    "Brauer image of the idempotent vanishes at the defect"
+                    f" group on {_where(G, p, block.index)}"
+                )
+            return D
+    raise InternalCheckError(
+        f"no p-regular defect class on {_where(G, p, block.index)}"
+    )
 
 
 def induced_central(b, G):
@@ -336,13 +377,18 @@ def induced_block(b, G):
     found = target.block_with_central(values)
     if found is None:
         raise InternalCheckError(
-            "induced central character matches no block of the big group"
+            f"induced central character of block {b.index} of {H!r}"
+            f" matches no block of {_where(G, b.blockset.prime)}"
         )
     return found
 
 
 def brauer_correspondent(block):
-    """The unique block b of N_G(D) with defect group D and b^G = B."""
+    """The unique block b of N_G(D) with defect group D and b^G = B.
+
+    D is normal in N_G(D), so it lies in every defect group of every
+    block of N_G(D); a block of N_G(D) of the same defect as B therefore
+    has defect group exactly D, and only defects are compared."""
     bs = block.blockset
     G = bs.group
     D = block.defect_group()
@@ -350,15 +396,12 @@ def brauer_correspondent(block):
     local = block_data(H, bs.prime, bs.rmap.e)
     hits = []
     for b in local.blocks:
-        if b.defect != block.defect:
-            continue
-        if b.defect and b.defect_group() != D:
-            continue
-        if induced_block(b, G) == block:
+        if b.defect == block.defect and induced_block(b, G) == block:
             hits.append(b)
     if len(hits) != 1:
         raise InternalCheckError(
             f"Brauer correspondent not unique: {len(hits)} candidates"
+            f" on {_where(G, bs.prime, block.index)}"
         )
     return hits[0]
 
@@ -391,5 +434,8 @@ def covered_blocks(block, N):
                 orbit.add(target)
                 frontier.append(target)
     if orbit != set(covered):
-        raise InternalCheckError("covered blocks do not form a single orbit")
+        raise InternalCheckError(
+            "covered blocks do not form a single orbit"
+            f" on {_where(G, bs.prime, block.index)}"
+        )
     return tuple(covered)

@@ -34,7 +34,6 @@ from .cyclotomic import (
     ZERO,
     cyclotomic_polynomial,
     from_root_combination,
-    rational,
 )
 from .errors import DomainError, InternalCheckError
 from .perms import conj, inverse, mult, power
@@ -140,12 +139,6 @@ class ClassFunction:
 
 def trivial_character(G):
     return ClassFunction(G, (ONE,) * len(G.conjugacy_classes()))
-
-
-def regular_character(G):
-    values = [rational(G.order())]
-    values.extend(ZERO for _ in G.conjugacy_classes()[1:])
-    return ClassFunction(G, values)
 
 
 def inner_product(alpha, chi):

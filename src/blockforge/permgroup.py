@@ -8,7 +8,7 @@ outright, and each such function says so in its docstring.
 
 Determinism: no randomness is used anywhere in this module, and every
 derived object (conjugacy classes, Sylow subgroups, cores, quotients,
-subgroup representatives) is ordered by explicit lexicographic rules,
+normal subgroup lists) is ordered by explicit lexicographic rules,
 so repeated runs produce identical results.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
-from .arith import is_prime, p_part, prime_factors
+from .arith import is_prime, p_part
 from .errors import DomainError, InternalCheckError
 from .perms import conj, identity, inverse, is_perm, moved_points, mult, order
 
@@ -499,60 +499,6 @@ def is_p_solvable(G, p):
     if M.order() > 1:
         return is_p_solvable(quotient_action(G, M), p)
     return False
-
-
-@lru_cache(maxsize=None)
-def subgroups_of_order(G, m):
-    """Representatives of G-conjugacy classes of subgroups of order m.
-
-    m must be a prime power; the subgroups are enumerated inside one
-    fixed Sylow subgroup (every p-subgroup is conjugate into it) and
-    then fused under G-conjugation.  Representatives are the subgroups
-    with lexicographically smallest element tuple, sorted likewise.
-    Enumerates the group.
-    """
-    if m == 1:
-        return (trivial_group(G.degree),)
-    if G.order() % m != 0:
-        raise DomainError(f"{m} does not divide the group order {G.order()}")
-    ps = prime_factors(m)
-    if len(ps) != 1:
-        raise DomainError(f"subgroup search requires a prime power, got {m}")
-    p = ps[0]
-    P = sylow_subgroup(G, p)
-    if P.order() % m != 0:
-        raise DomainError(f"{m} exceeds the p-part of the group order")
-    found = set()
-    layer = {frozenset({identity(G.degree)})}
-    seen = set(layer)
-    while layer:
-        nxt = set()
-        for hset in layer:
-            H = group_from_elements(G.degree, tuple(hset))
-            for x in P.elements():
-                if x in hset:
-                    continue
-                K = PermutationGroup(G.degree, H.generators + (x,))
-                if K.order() > m:
-                    continue
-                kset = frozenset(K.element_set())
-                if kset in seen:
-                    continue
-                seen.add(kset)
-                if len(kset) == m:
-                    found.add(kset)
-                else:
-                    nxt.add(kset)
-        layer = nxt
-    reps = []
-    remaining = set(found)
-    for hset in sorted(found, key=lambda s: tuple(sorted(s))):
-        if hset not in remaining:
-            continue
-        orbit = {frozenset(conj(g, x) for x in hset) for g in G.elements()}
-        remaining -= orbit
-        reps.append(group_from_elements(G.degree, tuple(sorted(hset))))
-    return tuple(reps)
 
 
 def conjugate_subgroup(H, g):

@@ -8,6 +8,15 @@ import pytest
 from blockforge.permgroup import PermutationGroup
 
 
+def random_subgroup(rng, degree, n_gens):
+    gens = []
+    for _ in range(n_gens):
+        img = list(range(degree))
+        rng.shuffle(img)
+        gens.append(tuple(img))
+    return PermutationGroup(degree, gens)
+
+
 def cyclic(n):
     return PermutationGroup(n, [tuple(range(1, n)) + (0,)], name=f"C{n}")
 

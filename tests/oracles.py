@@ -6,27 +6,37 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are three exceptions.  ``defect_group_via_defect_classes`` takes
-a block the package computed and finds its defect group by a second
-method (defect classes), to compare with the package's own route
-through the Brauer homomorphism.  ``induce`` builds induced class
-functions on the package's classes by the explicit induction formula,
-so the restriction table can be checked against Frobenius reciprocity.
-``brauer_degrees_over`` restricts the package's Brauer characters
-themselves to a p'-subgroup and decomposes them there, to compare with
-the package's route through ordinary lifts and the restriction table.
+There are three exceptions, and each takes objects the package built.
+``defect_group_by_subgroup_search`` takes a block the package computed
+and finds its defect group the long way: it lists the conjugacy classes
+of subgroups of order p^d (``subgroups_of_order``, a layered closure
+that builds package groups) and keeps the one class at which the Brauer
+image of the block idempotent is nonzero, to compare with the package's
+own route through one defect class.  ``induce`` and
+``regular_character`` build class functions on the package's classes
+by their defining formulas, so the restriction table can be checked
+against Frobenius reciprocity and constituent decomposition against
+the character degrees.  ``brauer_degrees_over`` restricts the
+package's Brauer characters themselves to a p'-subgroup and decomposes
+them there, to compare with the package's route through ordinary lifts
+and the restriction table.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from blockforge.arith import vp
-from blockforge.blocks import p_regular_classes
+from blockforge.arith import prime_factors
+from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
 from blockforge.chartab import ClassFunction, character_table, constituents
-from blockforge.cyclotomic import ZERO
+from blockforge.cyclotomic import ZERO, rational
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.permgroup import centralizer, sylow_subgroup
+from blockforge.permgroup import (
+    PermutationGroup,
+    group_from_elements,
+    sylow_subgroup,
+    trivial_group,
+)
 
 
 def omult(p, q):
@@ -286,21 +296,77 @@ def _is_nn_combo(target, basis):
     return False
 
 
-def defect_group_via_defect_classes(block):
-    """Independent defect-group computation: a Sylow p-subgroup of the
-    centralizer of a p-regular defect-class representative."""
-    bs = block.blockset
-    G = bs.group
-    p = bs.prime
-    lam = block.reduced_central
-    for k in p_regular_classes(G, p):
-        if lam[k].is_zero():
+def subgroups_of_order(G, m):
+    """Representatives of G-conjugacy classes of subgroups of order m.
+
+    m must be a prime power; the subgroups are enumerated inside one
+    fixed Sylow subgroup (every p-subgroup is conjugate into it) and
+    then fused under G-conjugation.  Representatives are the subgroups
+    with lexicographically smallest element tuple, sorted likewise.
+    """
+    if m == 1:
+        return (trivial_group(G.degree),)
+    if G.order() % m != 0:
+        raise DomainError(f"{m} does not divide the group order {G.order()}")
+    ps = prime_factors(m)
+    if len(ps) != 1:
+        raise DomainError(f"subgroup search requires a prime power, got {m}")
+    P = sylow_subgroup(G, ps[0])
+    if P.order() % m != 0:
+        raise DomainError(f"{m} exceeds the p-part of the group order")
+    found = set()
+    layer = {frozenset({tuple(range(G.degree))})}
+    seen = set(layer)
+    while layer:
+        nxt = set()
+        for hset in layer:
+            H = group_from_elements(G.degree, tuple(hset))
+            for x in P.elements():
+                if x in hset:
+                    continue
+                K = PermutationGroup(G.degree, H.generators + (x,))
+                if K.order() > m:
+                    continue
+                kset = frozenset(K.element_set())
+                if kset in seen:
+                    continue
+                seen.add(kset)
+                if len(kset) == m:
+                    found.add(kset)
+                else:
+                    nxt.add(kset)
+        layer = nxt
+    reps = []
+    remaining = set(found)
+    for hset in sorted(found, key=lambda s: tuple(sorted(s))):
+        if hset not in remaining:
             continue
-        c = G.conjugacy_classes()[k]
-        cent = centralizer(G, c.representative)
-        if vp(cent.order(), p) == block.defect:
-            return sylow_subgroup(cent, p)
-    raise InternalCheckError("no p-regular defect class found")
+        orbit = {
+            frozenset(omult(omult(g, x), oinv(g)) for x in hset)
+            for g in G.elements()
+        }
+        remaining -= orbit
+        reps.append(group_from_elements(G.degree, tuple(sorted(hset))))
+    return tuple(reps)
+
+
+def defect_group_by_subgroup_search(block):
+    """Defect group via the Brauer homomorphism: the unique conjugacy
+    class of subgroups of order p^d whose Brauer image is nonzero."""
+    bs = block.blockset
+    candidates = subgroups_of_order(bs.group, bs.prime**block.defect)
+    hits = [Q for Q in candidates if brauer_image_is_nonzero(block, Q)]
+    if len(hits) != 1:
+        raise InternalCheckError(
+            f"expected one defect group class, found {len(hits)}"
+        )
+    return hits[0]
+
+
+def regular_character(G):
+    values = [rational(G.order())]
+    values.extend(ZERO for _ in G.conjugacy_classes()[1:])
+    return ClassFunction(G, values)
 
 
 def induce(psi, G):

@@ -32,7 +32,7 @@ from blockforge.permgroup import (
 from blockforge.perms import order as perm_order
 from oracles import (
     character_degrees_common_eigenvector,
-    defect_group_via_defect_classes,
+    defect_group_by_subgroup_search,
     exhaustive_ibr,
 )
 
@@ -133,11 +133,11 @@ def test_criterion_2_block_data():
         assert {frozenset(c) for c in components.values()} == {
             frozenset(B.char_indices) for B in bs.blocks
         }, (ent.name, p)
-        # defect groups via the Brauer homomorphism and via defect
-        # classes agree up to conjugacy
+        # defect groups via defect classes and via the subgroup search
+        # with the Brauer homomorphism agree up to conjugacy
         for B in bs.blocks:
             one = B.defect_group()
-            two = defect_group_via_defect_classes(B)
+            two = defect_group_by_subgroup_search(B)
             assert one.order() == two.order() == p**B.defect
             assert are_conjugate_subgroups(G, one, two), (ent.name, p)
     print("criterion 2 (block data, cross-method agreement): PASS")

@@ -1,6 +1,11 @@
+import random
+import re
+
 import pytest
 
+from blockforge.arith import prime_factors
 from blockforge.blocks import (
+    BlockSet,
     block_data,
     block_idempotent,
     brauer_correspondent,
@@ -9,10 +14,11 @@ from blockforge.blocks import (
     covered_blocks,
     induced_block,
     p_regular_classes,
+    shared_reduction,
     _class_algebra_product,
 )
 from blockforge.chartab import character_table
-from blockforge.errors import DomainError
+from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -21,8 +27,8 @@ from blockforge.permgroup import (
     sylow_subgroup,
 )
 
-from conftest import alternating, cyclic, symmetric
-from oracles import defect_group_via_defect_classes
+from conftest import alternating, cyclic, random_subgroup, symmetric
+from oracles import defect_group_by_subgroup_search
 
 
 def degree_multisets(bs):
@@ -162,8 +168,54 @@ def test_defect_class_method_agrees(s4, a5, sl23, a4):
     ):
         bs = block_data(G, p)
         for b in bs.blocks:
-            via_classes = defect_group_via_defect_classes(b)
-            assert are_conjugate_subgroups(G, b.defect_group(), via_classes)
+            via_search = defect_group_by_subgroup_search(b)
+            assert are_conjugate_subgroups(G, b.defect_group(), via_search)
+
+
+def test_defect_groups_of_random_subgroups_match_subgroup_search():
+    # 40 seeded subgroups of S5 and S6, orders 2 to 720, every prime
+    for seed in range(40):
+        rng = random.Random(seed)
+        degree = rng.choice((5, 6))
+        G = random_subgroup(rng, degree, rng.choice((1, 2)))
+        for p in prime_factors(G.order()):
+            for b in block_data(G, p).blocks:
+                D = b.defect_group()
+                assert D.order() == p**b.defect, (seed, p, b.index)
+                via_search = defect_group_by_subgroup_search(b)
+                assert are_conjugate_subgroups(G, D, via_search), (seed, p, b.index)
+                assert brauer_correspondent(b).defect == b.defect, (seed, p)
+
+
+def _uncached_blocks(G, p):
+    """A BlockSet outside the block_data cache, safe to corrupt."""
+    return BlockSet(G, p, shared_reduction(G.exponent(), p))
+
+
+def test_defect_group_needs_a_p_regular_defect_class(a5):
+    bs = _uncached_blocks(a5, 2)
+    b = bs.blocks[0]
+    regular = p_regular_classes(a5, 2)
+    b.reduced_central = tuple(
+        bs.rmap.field.zero if k in regular else v
+        for k, v in enumerate(b.reduced_central)
+    )
+    message = re.escape(f"no p-regular defect class on {a5!r} at p = 2, block 0")
+    with pytest.raises(InternalCheckError, match=message):
+        b.defect_group()
+
+
+def test_brauer_image_gate_names_group_prime_and_block(sl23):
+    bs = _uncached_blocks(sl23, 3)
+    b = bs.blocks[1]
+    assert b.defect == 1
+    b.idempotent = (bs.rmap.field.zero,) * len(b.idempotent)
+    message = re.escape(
+        f"Brauer image of the idempotent vanishes at the defect group"
+        f" on {sl23!r} at p = 3, block 1"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        b.defect_group()
 
 
 def test_idempotents_are_orthogonal(a5):

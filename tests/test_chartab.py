@@ -20,7 +20,6 @@ from blockforge.chartab import (
     inertia_group,
     inner_product,
     irr_over,
-    regular_character,
     restrict,
     restriction_multiplicities,
     structure_constants,
@@ -33,7 +32,7 @@ from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, p_core, sylow_subgroup
 
 import oracles
-from oracles import induce
+from oracles import induce, regular_character
 from conftest import (
     alternating,
     c3_wreath_c2,

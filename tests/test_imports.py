@@ -1,14 +1,20 @@
-"""Every module uses every name it imports.
+"""Every module uses every name it imports, and every package function
+has a user outside the tests.
 
 A stdlib-only scan of the syntax trees under src/, tests/ and scripts/.
 Package ``__init__.py`` files are skipped: their imports are re-exports.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
+
+import blockforge
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "scripts")
+PACKAGE = ROOT / "src" / "blockforge"
 
 
 def unused_imports(source):
@@ -42,3 +48,63 @@ def test_no_unused_imports():
             for line, name in unused_imports(path.read_text(encoding="utf-8")):
                 found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
+
+
+def _mentions(node):
+    """How often each name is mentioned under node, as a bare name or as
+    an attribute (``module.name``)."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_functions(package, users, exported):
+    """(module, name) for each module-level function of the package
+    sources that no user source mentions outside the function's own
+    body and that is not exported.
+
+    package and users map a module label to its source; the package
+    sources are users too."""
+    trees = {label: ast.parse(src) for label, src in {**users, **package}.items()}
+    mentioned = sum((_mentions(tree) for tree in trees.values()), Counter())
+    found = []
+    for label in package:
+        for node in trees[label].body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            outside = mentioned[node.name] - _mentions(node)[node.name]
+            if outside <= 0 and node.name not in exported:
+                found.append((label, node.name))
+    return sorted(found)
+
+
+def test_function_scanner_finds_unreferenced_functions():
+    package = {
+        "m": "def used():\n    pass\n\ndef recursive():\n    return recursive()\n"
+        "\ndef main():\n    used()\n",
+        "n": "import m\n\ndef helper():\n    return m.used\n",
+    }
+    assert unreferenced_functions(package, {}, {"main"}) == [
+        ("m", "recursive"),
+        ("n", "helper"),
+    ]
+    users = {"script": "from n import helper\nhelper()\n"}
+    assert unreferenced_functions(package, users, {"main"}) == [("m", "recursive")]
+
+
+def test_every_package_function_has_a_user():
+    package = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    users = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "scripts").rglob("*.py"))
+    }
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    entry_points = set(re.findall(r'"blockforge\.[\w.]+:(\w+)"', pyproject))
+    assert entry_points == {"main"}
+    exported = set(blockforge.__all__) | entry_points
+    assert unreferenced_functions(package, users, exported) == []

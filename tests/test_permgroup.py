@@ -19,22 +19,13 @@ from blockforge.permgroup import (
     p_prime_core,
     quotient_action,
     quotient_with_cosets,
-    subgroups_of_order,
     sylow_subgroup,
     trivial_group,
 )
 
 import oracles
-from conftest import alternating, cyclic, symmetric
-
-
-def random_subgroup(rng, degree, n_gens):
-    gens = []
-    for _ in range(n_gens):
-        img = list(range(degree))
-        rng.shuffle(img)
-        gens.append(tuple(img))
-    return PermutationGroup(degree, gens)
+from conftest import alternating, cyclic, random_subgroup, symmetric
+from oracles import subgroups_of_order
 
 
 def test_order_and_membership_match_closure_oracle():
