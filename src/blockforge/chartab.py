@@ -8,10 +8,8 @@ orthogonality relation, and the actual cyclotomic character values are
 lifted through the discrete Fourier sum over power maps, taken over each
 class's element order rather than the group exponent.  Every finished
 row must take complex-conjugate values on inverse classes and the rows
-must be orthonormal, exactly, or an internal error is raised; the row
-sums run on integer power-basis coordinates, one element order at a
-time, and for a square table row orthonormality implies the column
-relation.
+must be orthonormal, exactly, or an internal error is raised; for a
+square table row orthonormality implies the column relation.
 
 The construction is fully deterministic: instead of random splitting
 vectors, a separating integer combination of the class matrices is
@@ -23,6 +21,10 @@ How Irr(G) restricts to a subgroup H lives in one cached table,
 ``restriction_multiplicities(G, H)``: covering, Clifford theory,
 Fong-Reynolds induction and Glauberman correspondents read its rows
 and columns.
+
+One pairing on integer power-basis coordinates, ``_pairing``, serves
+both the table gate and the restriction table (through
+``constituents``); it builds no cyclotomic value.
 """
 
 from functools import lru_cache
@@ -31,7 +33,6 @@ from math import isqrt
 from .arith import is_prime, multiplicative_order
 from .cyclotomic import (
     ONE,
-    ZERO,
     cyclotomic_polynomial,
     from_root_combination,
 )
@@ -73,23 +74,8 @@ class ClassFunction:
     def degree(self):
         return self.values[0].integer_value()
 
-    def value(self, class_index):
-        return self.values[class_index]
-
     def value_at(self, element):
         return self.values[self.group.class_index(element)]
-
-    def __add__(self, other):
-        self._same_group(other)
-        return ClassFunction(
-            self.group, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def __sub__(self, other):
-        self._same_group(other)
-        return ClassFunction(
-            self.group, tuple(a - b for a, b in zip(self.values, other.values))
-        )
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
@@ -141,22 +127,6 @@ def trivial_character(G):
     return ClassFunction(G, (ONE,) * len(G.conjugacy_classes()))
 
 
-def inner_product(alpha, chi):
-    """<alpha, chi> = (1/|G|) sum over classes |C| alpha(x) conj(chi(x)).
-
-    chi must be a character: conj(chi(x)) = chi(x^-1), so chi is read at
-    the inverse class and no value is conjugated."""
-    alpha._same_group(chi)
-    G = alpha.group
-    total = ZERO
-    for c, a, k in zip(G.conjugacy_classes(), alpha.values, G.inverse_classes()):
-        b = chi.values[k]
-        if a.is_zero() or b.is_zero():
-            continue
-        total = total + c.size * (a * b)
-    return total / G.order()
-
-
 def restrict(chi, H):
     """Restriction of a class function to a subgroup."""
     G = chi.group
@@ -175,21 +145,32 @@ def restrict(chi, H):
 
 def constituents(alpha):
     """Decomposition of a virtual character into irreducibles: the
-    integer multiplicity of each irreducible, in table order."""
-    table = character_table(alpha.group)
+    integer multiplicity of each irreducible, in table order.
+
+    A value outside Z[zeta_o] at a class of order o, an irrational
+    partial sum or a pairing not divisible by |G| rules out a virtual
+    character (see ``_verify_orthogonality``); integer multiplicities
+    prove one, as Irr(G) is a basis.  Power-basis coordinates are
+    unique, so sum_k m_k theta_k = alpha is checked on coordinates."""
+    G = alpha.group
+    table = character_table(G)
+    rows = _row_coordinates(table, table.irreducibles)
+    n = G.order()
+    not_virtual = DomainError("class function is not a virtual character")
+    a = _lift(table, alpha.values, lambda k, what: not_virtual)
     out = []
-    remaining = alpha
-    for chi in table.irreducibles:
-        m = inner_product(alpha, chi)
-        if not m.is_rational() or m.rational_value().denominator != 1:
-            raise DomainError("class function is not a virtual character")
-        k = m.integer_value()
-        out.append(k)
-        if k:
-            remaining = remaining - k * chi
-    if any(not v.is_zero() for v in remaining.values):
+    for b in rows:
+        total, irrational = _pairing(table, a, b)
+        if irrational is not None or total % n:
+            raise not_virtual
+        out.append(total // n)
+    rebuilt = [
+        [sum(m * b[k][i] for m, b in zip(out, rows) if m) for i in range(len(x))]
+        for k, x in enumerate(a)
+    ]
+    if rebuilt != a:
         raise InternalCheckError(
-            f"constituent decomposition does not reconstruct on {alpha.group!r}"
+            f"constituent decomposition does not reconstruct on {G!r}"
         )
     return tuple(out)
 
@@ -508,15 +489,13 @@ def _verify_orthogonality(table):
     orthonormality for the table X and D = diag(|C_k| / |G|), reads
     sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su.
 
-    That sum is checked in exact integer arithmetic, one element order at
-    a time.  A character value at an element of order o lies in Z[zeta_o],
-    the ring of integers of Q(zeta_o), so it has integer coordinates on
-    the power basis of conductor o; a value outside Q(zeta_o), or with a
-    non-integral coordinate, is not a character value and fails.  The
-    terms over the classes of order o are multiplied and added as integer
-    polynomials in zeta_o and reduced once mod Phi_o, giving the partial
-    sum S_o in Q(zeta_o).  Each S_o must be rational, and the S_o must add
-    up to |G| delta_su.
+    That sum is ``_pairing``, in exact integer arithmetic one element
+    order at a time.  A character value at an element of order o lies in
+    Z[zeta_o], the ring of integers of Q(zeta_o), so it has integer
+    coordinates on the power basis of conductor o; a value outside
+    Q(zeta_o), or with a non-integral coordinate, is not a character
+    value and fails.  The partial sum S_o over the classes of order o
+    must be rational, and the S_o must add up to |G| delta_su.
 
     This is no weaker than checking the identity directly: the S_o add up
     to the full sum, so passing both tests proves it.  Nor does it reject
@@ -540,32 +519,16 @@ def _verify_orthogonality(table):
             raise InternalCheckError(
                 f"row {s} of {G!r} is not conjugate on inverse classes"
             )
-    orders = [c.element_order for c in table.classes]
-    coords = [_integer_coordinates(table, s, orders) for s in range(r)]
-    weighted = [
-        [[c.size * x for x in a] for c, a in zip(table.classes, row)]
-        for row in coords
-    ]
+    coords = _row_coordinates(table, rows)
     for s in range(r):
         for u in range(s, r):
-            sums = {}
-            for k in range(r):
-                a = weighted[s][k]
-                b = coords[u][inverse_class[k]]
-                acc = sums.setdefault(orders[k], [0] * (2 * len(a) - 1))
-                for i, x in enumerate(a):
-                    if x:
-                        for j, y in enumerate(b):
-                            acc[i + j] += x * y
-            total = 0
-            for o, acc in sums.items():
-                partial = _reduce_mod_cyclotomic(acc, o)
-                if any(partial[1:]):
-                    raise InternalCheckError(
-                        f"row orthogonality fails for rows {s}, {u} of {G!r}: "
-                        f"the sum over the classes of element order {o} is irrational"
-                    )
-                total += partial[0]
+            total, irrational = _pairing(table, coords[s], coords[u])
+            if irrational is not None:
+                raise InternalCheckError(
+                    f"row orthogonality fails for rows {s}, {u} of {G!r}: "
+                    f"the sum over the classes of element order {irrational} "
+                    "is irrational"
+                )
             if total != (G.order() if s == u else 0):
                 raise InternalCheckError(
                     f"row orthogonality fails for rows {s}, {u} of {G!r}"
@@ -576,24 +539,57 @@ def _verify_orthogonality(table):
         )
 
 
-def _integer_coordinates(table, s, orders):
-    """Row s of the table as integer power-basis coordinates, each value
-    at the element order of its class."""
+def _lift(table, values, error):
+    """Integer power-basis coordinates of each value at the element order
+    o of its class; a value outside Z[zeta_o] at class k raises
+    error(k, what)."""
     out = []
-    for k, (v, o) in enumerate(zip(table.irreducibles[s].values, orders)):
+    for k, (v, c) in enumerate(zip(values, table.classes)):
+        o = c.element_order
         if o % v.conductor:
-            raise InternalCheckError(
-                f"row {s} of {table.group!r} (split mod q = {table.prime}) has "
-                f"a value outside Q(zeta_{o}) at class {k}"
-            )
+            raise error(k, f"a value outside Q(zeta_{o})")
         a = v.lift_coords(o)
         if any(x.denominator != 1 for x in a):
-            raise InternalCheckError(
-                f"row {s} of {table.group!r} (split mod q = {table.prime}) has "
-                f"a non-integral value at class {k}"
-            )
+            raise error(k, "a non-integral value")
         out.append([x.numerator for x in a])
     return out
+
+
+@lru_cache(maxsize=None)
+def _row_coordinates(table, rows):
+    """The rows, table.irreducibles, each lifted by ``_lift``; they are
+    part of the key so that rows replaced on a built table are lifted
+    afresh."""
+    where = f"of {table.group!r} (split mod q = {table.prime})"
+    return [
+        _lift(table, chi.values, lambda k, what: InternalCheckError(
+            f"row {s} {where} has {what} at class {k}"
+        ))
+        for s, chi in enumerate(rows)
+    ]
+
+
+def _pairing(table, a, b):
+    """sum_k |C_k| a_k b_(k^-1) for lifted class functions a and b: the
+    terms over the classes of order o are added as integer polynomials in
+    zeta_o and reduced once mod Phi_o.  Returns (total, None), or
+    (None, o) for the first order o whose partial sum is irrational."""
+    sums = {}
+    for c, x, k in zip(table.classes, a, table.group.inverse_classes()):
+        y = b[k]
+        acc = sums.setdefault(c.element_order, [0] * (2 * len(y) - 1))
+        for i, xi in enumerate(x):
+            if xi:
+                xi *= c.size
+                for j, yj in enumerate(y):
+                    acc[i + j] += xi * yj
+    total = 0
+    for o, acc in sums.items():
+        partial = _reduce_mod_cyclotomic(acc, o)
+        if any(partial[1:]):
+            return None, o
+        total += partial[0]
+    return total, None
 
 
 def _reduce_mod_cyclotomic(poly, o):

@@ -76,12 +76,11 @@ def _matching_fields(prefix, left, right):
 
 def block_section(G, p):
     """Per-block records covering the height-zero matchings on both
-    character levels and the dimension divisibilities."""
+    character levels and the dimension divisibilities; the am and dim
+    verdicts are read off them in ``report.VERIFIERS``."""
     bs = block_data(G, p)
     md_big = _try_modular(G, p, None)
     records = []
-    all_matched = True
-    all_dims_divide = True
     for B in bs.blocks:
         b = brauer_correspondent(B)
         H = b.blockset.group
@@ -98,22 +97,21 @@ def block_section(G, p):
                 "defect": b.defect,
             },
         }
-        ord_ok, ord_fields = _matching_fields(
+        _, fields = _matching_fields(
             "irr0", list(B.height_zero_degrees()), list(b.height_zero_degrees())
         )
-        rec.update(ord_fields)
+        rec.update(fields)
         if md_big is None or md_small is None:
             rec["ibr0_left"] = None
             rec["ibr0_right"] = None
             rec["ibr0_unavailable"] = "no Brauer character data"
-            brauer_ok = False
         else:
-            brauer_ok, brauer_fields = _matching_fields(
+            _, fields = _matching_fields(
                 "ibr0",
                 list(md_big.height_zero_brauer_degrees(B)),
                 list(md_small.height_zero_brauer_degrees(b)),
             )
-            rec.update(brauer_fields)
+            rec.update(fields)
         rec["dim_B"] = B.dim
         rec["dim_b"] = b.dim
         rec["dim_divides"] = B.dim % b.dim == 0
@@ -121,11 +119,7 @@ def block_section(G, p):
             p_part(B.dim, p) % p_part(b.dim, p) == 0
         )
         records.append(rec)
-        all_matched = all_matched and ord_ok and brauer_ok
-        all_dims_divide = all_dims_divide and rec["dim_divides"]
-        if not rec["dim_p_part_divides"]:
-            all_dims_divide = False
-    return records, all_matched, all_dims_divide
+    return records
 
 
 # --- Glauberman correspondence and its lift -------------------------

@@ -4,10 +4,13 @@ modular side of block data.
 For p-solvable groups the irreducible Brauer characters are exactly the
 restrictions of ordinary irreducibles to p-regular classes, so they are
 found by a greedy scan: walk candidate restrictions in ascending degree
-order and keep the ones that are not nonnegative integer combinations
-of characters kept so far.  Groups that are not p-solvable fall outside
-that theorem; for them a stored table is consulted instead, keyed by
-the group's canonical class representatives.
+order and keep the ones outside the span of the characters kept so far.
+Groups that are not p-solvable fall outside that theorem; for them a
+stored table is consulted instead, keyed by the group's canonical class
+representatives.
+
+Every ``InternalCheckError`` raised here names the group, the prime
+and, where there is one, the block index.
 """
 
 import json
@@ -16,7 +19,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .arith import solve_rational, vp
-from .blocks import block_data, p_regular_classes
+from .blocks import _where, block_data, p_regular_classes
 from .chartab import character_table
 from .cyclotomic import Cyclotomic
 from .errors import DomainError, InternalCheckError
@@ -64,29 +67,14 @@ def restriction_to_p_regular(chi, p):
     )
 
 
-def _is_nonneg_combination(target, basis):
-    """Whether target equals a nonnegative integer combination of the
-    basis characters, by depth-first search with degree pruning."""
-
-    def search(rest, i):
-        deg = rest[0].integer_value()
-        if deg == 0:
-            return all(v.is_zero() for v in rest)
-        if i == len(basis):
-            return False
-        b = basis[i].values
-        top = deg // basis[i].degree()
-        for mult in range(top + 1):
-            if mult:
-                rest = tuple(v - b[j] for j, v in enumerate(rest))
-            if search(rest, i + 1):
-                return True
-        return False
-
-    return search(target.values, 0)
-
-
 def _greedy_brauer_characters(G, p):
+    """IBr(G) for p-solvable G: each chi restricted to the p-regular
+    classes, in ascending degree, kept unless it lies in the span of
+    those kept before it.  By Fong-Swan every irreducible Brauer
+    character is such a restriction.  A reducible one is a sum of
+    irreducible ones of strictly smaller degree, which the scan has
+    already kept; IBr is linearly independent, so an irreducible one is
+    kept."""
     table = character_table(G)
     seen = set()
     candidates = []
@@ -96,15 +84,18 @@ def _greedy_brauer_characters(G, p):
             seen.add(c)
             candidates.append(c)
     candidates.sort(key=lambda c: c.sort_key())
-    accepted = []
+    e = G.exponent()
+    accepted, columns = [], []
     for c in candidates:
-        if not _is_nonneg_combination(c, accepted):
+        target = _flatten(c.values, e)
+        if solve_rational(columns, target) is None:
             accepted.append(c)
+            columns.append(target)
     expected = len(p_regular_classes(G, p))
     if len(accepted) != expected:
         raise InternalCheckError(
             f"found {len(accepted)} Brauer characters,"
-            f" expected {expected}"
+            f" expected {expected}, on {_where(G, p)}"
         )
     return tuple(accepted)
 
@@ -183,7 +174,9 @@ class ModularData:
             for phi, b in zip(self.brauer_characters, self.block_of_brauer)
         )
         if any(h < 0 for h in self.brauer_heights):
-            raise InternalCheckError("negative Brauer character height")
+            raise InternalCheckError(
+                f"negative Brauer character height on {_where(G, p)}"
+            )
 
     def _decomposition_matrix(self):
         G = self.group
@@ -201,19 +194,21 @@ class ModularData:
             if solution is None:
                 raise InternalCheckError(
                     "ordinary character does not decompose over the"
-                    " Brauer characters"
+                    f" Brauer characters on {_where(G, self.prime)}"
                 )
             row = []
             for d in solution:
                 if d.denominator != 1 or d < 0:
                     raise InternalCheckError(
                         "decomposition number is not a nonnegative integer"
+                        f" on {_where(G, self.prime)}"
                     )
                 row.append(int(d))
             matrix.append(tuple(row))
         return tuple(matrix)
 
     def _assign_blocks(self):
+        G, p = self.group, self.prime
         assignments = []
         for j in range(len(self.brauer_characters)):
             owners = {
@@ -223,16 +218,20 @@ class ModularData:
             }
             if len(owners) != 1:
                 raise InternalCheckError(
-                    "Brauer character is spread over several blocks"
+                    f"Brauer character {j} is spread over several blocks"
+                    f" on {_where(G, p)}"
                 )
             assignments.append(owners.pop())
         for b in self.blockset.blocks:
             count = assignments.count(b.index)
             if count < 1:
-                raise InternalCheckError("block without a Brauer character")
+                raise InternalCheckError(
+                    f"block without a Brauer character on {_where(G, p, b.index)}"
+                )
             if count > len(b.char_indices):
                 raise InternalCheckError(
                     "block has more Brauer characters than ordinary ones"
+                    f" on {_where(G, p, b.index)}"
                 )
         return tuple(assignments)
 
@@ -259,6 +258,7 @@ class ModularData:
         if {frozenset(c) for c in components.values()} != blocks:
             raise InternalCheckError(
                 "decomposition linkage disagrees with the block partition"
+                f" on {_where(self.group, self.prime)}"
             )
 
     def brauer_indices_of_block(self, block):

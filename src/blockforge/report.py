@@ -120,7 +120,7 @@ def _question35_line(r):
 
 
 def _block_records(G, p, *_):
-    return (block_section(G, p)[0],)
+    return (block_section(G, p),)
 
 
 def _all_matched(blocks):

@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are three exceptions, and each takes objects the package built.
+There are four exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -19,7 +19,9 @@ against Frobenius reciprocity and constituent decomposition against
 the character degrees.  ``brauer_degrees_over`` restricts the
 package's Brauer characters themselves to a p'-subgroup and decomposes
 them there, to compare with the package's route through ordinary lifts
-and the restriction table.
+and the restriction table.  ``inner_product`` pairs class functions in
+the package's cyclotomic arithmetic, value by value, to compare with
+the package's one pairing on integer power-basis coordinates.
 """
 
 from fractions import Fraction
@@ -367,6 +369,22 @@ def regular_character(G):
     values = [rational(G.order())]
     values.extend(ZERO for _ in G.conjugacy_classes()[1:])
     return ClassFunction(G, values)
+
+
+def inner_product(alpha, chi):
+    """<alpha, chi> = (1/|G|) sum over classes |C| alpha(x) conj(chi(x)).
+
+    chi must be a character: conj(chi(x)) = chi(x^-1), so chi is read at
+    the inverse class and no value is conjugated."""
+    alpha._same_group(chi)
+    G = alpha.group
+    total = ZERO
+    for c, a, k in zip(G.conjugacy_classes(), alpha.values, G.inverse_classes()):
+        b = chi.values[k]
+        if a.is_zero() or b.is_zero():
+            continue
+        total = total + c.size * (a * b)
+    return total / G.order()
 
 
 def induce(psi, G):

@@ -11,10 +11,9 @@ from pathlib import Path
 from blockforge import catalog
 from blockforge.arith import p_part
 from blockforge.blocks import block_data, p_regular_classes
-from blockforge.chartab import character_table, inner_product
+from blockforge.chartab import character_table
 from blockforge.cli import main
 from blockforge.correspond import (
-    block_section,
     glauberman_correspondent,
     glauberman_instances,
     navarro_instances,
@@ -30,10 +29,12 @@ from blockforge.permgroup import (
     p_prime_core,
 )
 from blockforge.perms import order as perm_order
+from blockforge.report import build_report, collect_verdicts
 from oracles import (
     character_degrees_common_eigenvector,
     defect_group_by_subgroup_search,
     exhaustive_ibr,
+    inner_product,
 )
 
 PUBLISHED_DEGREES = {
@@ -145,9 +146,10 @@ def test_criterion_2_block_data():
 
 def test_criterion_3_height_zero_matchings():
     for ent, G, p in _catalog_pairs():
-        records, matched, _ = block_section(G, p)
+        report = build_report(G, p, kinds=("am",))
+        records = report["blocks"]
         if is_p_solvable(G, p):
-            assert matched, (ent.name, p)
+            assert collect_verdicts(report)["am"] == "pass", (ent.name, p)
             for rec in records:
                 assert "irr0_matching" in rec, (ent.name, p)
                 assert "ibr0_matching" in rec, (ent.name, p)
@@ -163,9 +165,10 @@ def test_criterion_3_height_zero_matchings():
 
 def test_criterion_4_dimension_divisibility():
     for ent, G, p in _catalog_pairs():
-        records, _, dims_ok = block_section(G, p)
+        report = build_report(G, p, kinds=("dim",))
+        records = report["blocks"]
         if is_p_solvable(G, p):
-            assert dims_ok, (ent.name, p)
+            assert collect_verdicts(report)["dim"] == "pass", (ent.name, p)
         for rec in records:
             assert rec["dim_p_part_divides"], (ent.name, p)
         if (ent.name, p) == ("S4", 2):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import chartab
+from blockforge import catalog, chartab
 from blockforge.chartab import (
     CharacterTable,
     ClassFunction,
@@ -18,7 +18,6 @@ from blockforge.chartab import (
     character_table,
     constituents,
     inertia_group,
-    inner_product,
     irr_over,
     restrict,
     restriction_multiplicities,
@@ -32,7 +31,7 @@ from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, p_core, sylow_subgroup
 
 import oracles
-from oracles import induce, regular_character
+from oracles import induce, inner_product, regular_character
 from conftest import (
     alternating,
     c3_wreath_c2,
@@ -40,6 +39,7 @@ from conftest import (
     frobenius20,
     frobenius21,
     quaternion8,
+    random_subgroup,
     symmetric,
 )
 
@@ -264,6 +264,79 @@ def test_restriction_table_is_cached(s4, a4):
 def test_constituents_integrality_gate(s3):
     with pytest.raises(DomainError, match="not a virtual character"):
         constituents(trivial_character(s3) * (ONE / 2))
+
+
+def _random_subgroups():
+    """Seeded random subgroups of S5 and S6."""
+    groups = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
+    return groups
+
+
+def _combination(table, coefficients):
+    values = [ZERO] * len(table.classes)
+    for c, chi in zip(coefficients, table.irreducibles):
+        if c:
+            values = [v + c * x for v, x in zip(values, chi.values)]
+    return ClassFunction(table.group, values)
+
+
+def test_constituents_agree_with_cyclotomic_inner_product():
+    rng = random.Random(8)
+    for G in [ent.load() for ent in catalog.entries()] + _random_subgroups():
+        table = character_table(G)
+        r = len(table.irreducibles)
+        for _ in range(3):
+            # a virtual character, negative multiplicities included
+            coefficients = [rng.randint(-3, 3) for _ in range(r)]
+            alpha = _combination(table, coefficients)
+            oracle = tuple(
+                inner_product(alpha, chi).integer_value()
+                for chi in table.irreducibles
+            )
+            assert constituents(alpha) == oracle == tuple(coefficients), G
+            # integer values on every class: a virtual character exactly
+            # when every oracle multiplicity is an integer
+            beta = ClassFunction(G, [rational(rng.randint(-4, 4)) for _ in range(r)])
+            products = [inner_product(beta, chi) for chi in table.irreducibles]
+            if all(m.is_rational() and m.rational_value().denominator == 1 for m in products):
+                assert constituents(beta) == tuple(m.integer_value() for m in products)
+            else:
+                with pytest.raises(DomainError, match="not a virtual character"):
+                    constituents(beta)
+
+
+def test_constituents_reject_an_irrational_partial_sum():
+    # both order-3 classes of C3 take zeta_3, so the sum over them against
+    # the trivial character is 2 zeta_3
+    G = cyclic(3)
+    with pytest.raises(DomainError, match="not a virtual character"):
+        constituents(ClassFunction(G, (ONE, zeta(3), zeta(3))))
+
+
+def test_constituents_reject_a_value_beyond_the_element_order():
+    G = cyclic(2)
+    with pytest.raises(DomainError, match="not a virtual character"):
+        constituents(ClassFunction(G, (ONE, zeta(4))))
+
+
+def test_restriction_table_matches_oracle_on_random_subgroup_pairs():
+    rng = random.Random(9)
+    for G in _random_subgroups():
+        elements = G.elements()
+        H = PermutationGroup(
+            G.degree, [rng.choice(elements) for _ in range(rng.choice((1, 2)))]
+        )
+        assert H.is_subgroup_of(G)
+        rows = restriction_multiplicities(G, H)
+        for chi, row in zip(character_table(G).irreducibles, rows):
+            oracle = tuple(
+                inner_product(induce(theta, G), chi).integer_value()
+                for theta in character_table(H).irreducibles
+            )
+            assert row == oracle, (G, H)
 
 
 def test_restriction_table_reconstruction_gate(monkeypatch, s4, a4):

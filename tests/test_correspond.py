@@ -40,14 +40,24 @@ from blockforge.permgroup import (
     p_prime_core,
     sylow_subgroup,
 )
+from blockforge.report import build_report, collect_verdicts
 
 import oracles
 from conftest import alternating, c3_wreath_c2, frobenius20
 
 
+def _block_section_verdicts(G, p):
+    """block_section's records, and the am and dim verdicts the report
+    reads off them."""
+    records = block_section(G, p)
+    report = build_report(G, p, kinds=("am", "dim"))
+    assert report["blocks"] == records
+    return records, collect_verdicts(report)
+
+
 def test_block_section_s4_p2(s4):
-    records, am, dim = block_section(s4, 2)
-    assert am and dim
+    records, verdicts = _block_section_verdicts(s4, 2)
+    assert verdicts == {"am": "pass", "dim": "pass"}
     assert len(records) == 1
     rec = records[0]
     assert rec["degrees"] == [1, 1, 2, 3, 3]
@@ -67,9 +77,8 @@ def test_block_section_s4_p2(s4):
 
 
 def test_block_section_a5_p2(a5):
-    records, am, dim = block_section(a5, 2)
-    assert not am
-    assert not dim
+    records, verdicts = _block_section_verdicts(a5, 2)
+    assert verdicts == {"am": "fail", "dim": "fail"}
     principal, small = records
     # the ordinary height-zero sets still admit a matching; the failure
     # is on the Brauer side, where the counts differ
@@ -93,8 +102,8 @@ def test_block_section_a5_p2(a5):
 
 
 def test_block_section_sl23_p3(sl23):
-    records, am, dim = block_section(sl23, 3)
-    assert am and dim
+    records, verdicts = _block_section_verdicts(sl23, 3)
+    assert verdicts == {"am": "pass", "dim": "pass"}
     assert [rec["degrees"] for rec in records] == [
         [1, 1, 1], [2, 2, 2], [3],
     ]

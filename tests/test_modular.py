@@ -1,15 +1,20 @@
+import random
+import re
+
 import pytest
 
-from blockforge.blocks import brauer_correspondent, p_regular_classes
+from blockforge import modular
+from blockforge.arith import prime_factors
+from blockforge.blocks import block_data, brauer_correspondent, p_regular_classes
 from blockforge.chartab import character_table
-from blockforge.errors import DomainError
+from blockforge.errors import DomainError, InternalCheckError
 from blockforge.modular import (
-    BrauerCharacter,
+    ModularData,
     brauer_characters,
     modular_data,
     restriction_to_p_regular,
-    _is_nonneg_combination,
 )
+from blockforge.permgroup import is_p_solvable
 
 from conftest import (
     alternating,
@@ -19,6 +24,7 @@ from conftest import (
     frobenius20,
     frobenius21,
     quaternion8,
+    random_subgroup,
     sl_2_3,
     symmetric,
 )
@@ -140,6 +146,15 @@ def test_greedy_matches_exhaustive_oracle():
         (cyclic(6), 2),
         (cyclic(6), 3),
     ]
+    # seeded subgroups of S5 and S6 (orders 2 to 72 among the p-solvable
+    # ones), at every prime dividing the order where G is p-solvable
+    for seed in range(40):
+        rng = random.Random(seed)
+        degree = rng.choice((5, 6))
+        G = random_subgroup(rng, degree, rng.choice((1, 2)))
+        cases.extend(
+            (G, p) for p in prime_factors(G.order()) if is_p_solvable(G, p)
+        )
     for G, p in cases:
         e = G.exponent()
         table = character_table(G)
@@ -192,15 +207,17 @@ def test_block_counts_ordinary_vs_brauer():
             assert 1 <= l <= len(b.char_indices)
 
 
-def test_nonneg_combination_checker(s4):
+def test_modular_gate_names_group_and_prime(monkeypatch, s4):
+    # Without the Brauer character of degree 2, the ordinary character of
+    # degree 2 has no decomposition.
     phis = brauer_characters(s4, 2)
-    one, two = phis
-    summed = BrauerCharacter(
-        s4, 2, tuple(a + b for a, b in zip(one.values, two.values))
+    monkeypatch.setattr(modular, "brauer_characters", lambda G, p: phis[:1])
+    message = re.escape(
+        "ordinary character does not decompose over the Brauer characters"
+        f" on {s4!r} at p = 2"
     )
-    assert _is_nonneg_combination(summed, [one, two])
-    assert not _is_nonneg_combination(two, [one])
-    assert _is_nonneg_combination(one, [one])
+    with pytest.raises(InternalCheckError, match=message):
+        ModularData(block_data(s4, 2))
 
 
 def test_brauer_heights_a5(a5):
