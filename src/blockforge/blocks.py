@@ -2,10 +2,13 @@
 groups, idempotents, Brauer homomorphism, block induction, Brauer
 correspondents, dimensions and covering.
 
-All block data for one verification session is computed under a single
-reduction map whose conductor is the exponent of the top-level group,
-so the blocks of every subgroup live over the same maximal ideal and
-block induction between them is meaningful.
+Block data depends only on the group and the prime.  Each group's
+blocks are computed under the reduction map at its own exponent: the
+partition does not depend on the maximal ideal above p, since Osima's
+criterion (Navarro, *Characters and Blocks of Finite Groups*, ch. 3)
+links characters by sums over p-regular classes and names no ideal.
+Block induction from a subgroup reduces the subgroup's central
+character under the target group's map.
 
 Defect groups come from defect classes (the Min-Max theorem, Navarro,
 *Characters and Blocks of Finite Groups*, ch. 4): one centralizer and
@@ -33,7 +36,7 @@ from .perms import mult
 
 @lru_cache(maxsize=None)
 def shared_reduction(e, p):
-    """The session-wide reduction map for conductor e above p."""
+    """The reduction map for conductor e above p."""
     return build_reduction(e, p)
 
 
@@ -217,19 +220,9 @@ class BlockSet:
 
 
 @lru_cache(maxsize=None)
-def _block_data_cached(G, p, conductor):
-    return BlockSet(G, p, shared_reduction(conductor, p))
-
-
-def block_data(G, p, conductor=None):
-    """Blocks of G at p; pass the top-level group's exponent as the
-    conductor so subgroup data shares the session's reduction map."""
-    e = G.exponent()
-    if conductor is None:
-        conductor = e
-    if conductor % e:
-        raise DomainError("conductor must be a multiple of the group exponent")
-    return _block_data_cached(G, p, conductor)
+def block_data(G, p):
+    """Blocks of G at p, under the reduction map at G's exponent."""
+    return BlockSet(G, p, shared_reduction(G.exponent(), p))
 
 
 def block_idempotent(block):
@@ -333,23 +326,22 @@ def _defect_group_from_defect_class(block):
 
 
 def induced_central(b, G):
-    """The induced central function lambda^G on the classes of G, or
-    None when the induced function is not multiplicative."""
+    """The induced central function lambda_b^G on the classes of G, or
+    None when the induced function is not multiplicative.
+
+    Through the class fusion of H = b's group into G,
+    lambda_b^G(K^) = sum of lambda_b(L^) over the classes L of H whose
+    representative lies in K.  lambda_b is the central character of one
+    member of b, reduced under G's own map, so the result can be
+    compared with the central characters of G's blocks."""
     H = b.blockset.group
-    field = b.blockset.rmap.field
-    hclasses = H.conjugacy_classes()
-    hset = H.element_set()
-    values = []
-    for c in G.conjugacy_classes():
-        total = field.zero
-        seen_h_classes = set()
-        for x in G.class_elements(c.index):
-            if x in hset:
-                hidx = H.class_index(x)
-                if hidx not in seen_h_classes:
-                    seen_h_classes.add(hidx)
-                    total = total + b.reduced_central[hidx]
-        values.append(total)
+    rmap = block_data(G, b.blockset.prime).rmap
+    field = rmap.field
+    chi = b.characters()[0]
+    values = [field.zero] * len(G.conjugacy_classes())
+    for c, v in zip(H.conjugacy_classes(), central_character(chi)):
+        k = G.class_index(c.representative)
+        values[k] = values[k] + rmap.reduce(v)
     values = tuple(values)
     a = structure_constants(G)
     r = len(values)
@@ -373,7 +365,7 @@ def induced_block(b, G):
     values = induced_central(b, G)
     if values is None:
         return None
-    target = block_data(G, b.blockset.prime, b.blockset.rmap.e)
+    target = block_data(G, b.blockset.prime)
     found = target.block_with_central(values)
     if found is None:
         raise InternalCheckError(
@@ -393,7 +385,7 @@ def brauer_correspondent(block):
     G = bs.group
     D = block.defect_group()
     H = normalizer(G, D)
-    local = block_data(H, bs.prime, bs.rmap.e)
+    local = block_data(H, bs.prime)
     hits = []
     for b in local.blocks:
         if b.defect == block.defect and induced_block(b, G) == block:
@@ -413,7 +405,7 @@ def covered_blocks(block, N):
     G = bs.group
     if not is_normal_in(N, G):
         raise DomainError("covering is only defined over a normal subgroup")
-    local = block_data(N, bs.prime, bs.rmap.e)
+    local = block_data(N, bs.prime)
     rows = restriction_multiplicities(G, N)
     covered = []
     for i in block.char_indices:

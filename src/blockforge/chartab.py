@@ -40,6 +40,9 @@ from .errors import DomainError, InternalCheckError
 from .perms import conj, inverse, mult, power
 from .permgroup import group_from_elements, is_normal_in
 
+# primes q = 1 mod e tried for splitting the class algebra before giving up
+DIXON_PRIMES_TRIED = 5
+
 
 @lru_cache(maxsize=None)
 def structure_constants(G):
@@ -218,11 +221,10 @@ def inertia_group(G, N, theta):
 class CharacterTable:
     """The full ordinary character table of a finite permutation group."""
 
-    def __init__(self, group, exponent, power_maps, irreducibles, prime):
+    def __init__(self, group, exponent, irreducibles, prime):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.exponent = exponent
-        self.power_maps = power_maps
         self.irreducibles = tuple(irreducibles)
         # the prime q whose field GF(q) split the class algebra
         self.prime = prime
@@ -307,15 +309,15 @@ def character_table(G):
         irreducibles.append(ClassFunction(G, values))
 
     irreducibles.sort(key=lambda chi: chi.sort_key())
-    table = CharacterTable(G, e, _power_maps(G, e, reps), irreducibles, q)
+    table = CharacterTable(G, e, irreducibles, q)
     _verify_orthogonality(table)
     return table
 
 
-def _dixon_primes(e, n, limit=5):
+def _dixon_primes(e, n):
     out = []
     q = e + 1
-    while len(out) < limit:
+    while len(out) < DIXON_PRIMES_TRIED:
         if q * q > 4 * n and is_prime(q):
             out.append(q)
         q += max(e, 1)
@@ -342,16 +344,6 @@ def _degree_from_norm(G, s, q):
     raise InternalCheckError(
         f"no admissible degree for an eigenvector of {G!r} mod q = {q}"
     )
-
-
-def _power_maps(G, e, reps):
-    maps = {}
-    p = 2
-    while p <= e:
-        if is_prime(p):
-            maps[p] = tuple(G.class_index(power(x, p)) for x in reps)
-        p += 1
-    return maps
 
 
 def _common_eigenvectors(a, r, q):

@@ -18,7 +18,7 @@ from itertools import islice
 from math import gcd
 
 from .arith import p_part, vp
-from .blocks import block_data, brauer_correspondent, covered_blocks
+from .blocks import _where, block_data, brauer_correspondent, covered_blocks
 from .chartab import (
     character_table,
     inertia_group,
@@ -28,11 +28,12 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching
 from .modular import modular_data
+from .perms import conj
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
     centralizer_of_group,
-    conjugate_subgroup,
+    group_from_elements,
     intersection,
     is_normal_in,
     is_p_solvable,
@@ -48,9 +49,9 @@ NAVARRO_TARGET = 200
 NAVARRO_MAX_DRAWS = 4000
 
 
-def _try_modular(G, p, conductor):
+def _try_modular(G, p):
     try:
-        return modular_data(G, p, conductor)
+        return modular_data(G, p)
     except DomainError:
         return None
 
@@ -79,12 +80,12 @@ def block_section(G, p):
     character levels and the dimension divisibilities; the am and dim
     verdicts are read off them in ``report.VERIFIERS``."""
     bs = block_data(G, p)
-    md_big = _try_modular(G, p, None)
+    md_big = _try_modular(G, p)
     records = []
     for B in bs.blocks:
         b = brauer_correspondent(B)
         H = b.blockset.group
-        md_small = _try_modular(H, p, bs.rmap.e)
+        md_small = _try_modular(H, p)
         rec = {
             "id": B.index,
             "degrees": list(B.degrees()),
@@ -144,12 +145,13 @@ def glauberman_correspondent(L, Q, theta, p):
     if len(survivors) != 1:
         raise InternalCheckError(
             f"expected one constituent of multiplicity prime to {p},"
-            f" found {len(survivors)}"
+            f" found {len(survivors)}, on {_where(L, p)}"
         )
     f = survivors[0]
     if theta.degree() % f.degree():
         raise InternalCheckError(
             "correspondent degree does not divide the original degree"
+            f" on {_where(L, p)}"
         )
     return f
 
@@ -234,8 +236,8 @@ def verify_glauberman_lift(G, L, Q, theta, p):
     rec.update(fields)
     ok_brauer = True
     if is_p_solvable(G, p):
-        md_big = modular_data(G, p, G.exponent())
-        md_small = modular_data(H, p, G.exponent())
+        md_big = modular_data(G, p)
+        md_small = modular_data(H, p)
         bleft = _brauer_degrees_over(md_big, L, theta)
         bright = _brauer_degrees_over(md_small, C, f)
         rec["brauer_counts_equal"] = len(bleft) == len(bright)
@@ -260,12 +262,9 @@ def glauberman_instances(G, p, name):
 # --- Sylow normalizer index divisibility ----------------------------
 
 
-def _normalizer_indices(G, U, P, I):
-    """|U : N_U(I)| and |G : N_G(P)| for I the intersection of P and U."""
-    return (
-        U.order() // normalizer(U, I).order(),
-        G.order() // normalizer(G, P).order(),
-    )
+def _normalizer_index(G, H):
+    """|G : N_G(H)|."""
+    return G.order() // normalizer(G, H).order()
 
 
 def verify_sylow_normalizer_divisibility(G, p, U, P):
@@ -279,7 +278,8 @@ def verify_sylow_normalizer_divisibility(G, p, U, P):
         reasons.append("intersection is not a Sylow p-subgroup of U")
     if P.order() != p_part(G.order(), p):
         reasons.append("P is not a Sylow p-subgroup of G")
-    index_sub, index_big = _normalizer_indices(G, U, P, I)
+    index_sub = _normalizer_index(U, I)
+    index_big = _normalizer_index(G, P)
     divides = index_big % index_sub == 0
     met = not reasons
     return {
@@ -300,12 +300,18 @@ def verify_sylow_normalizer_divisibility(G, p, U, P):
 
 def navarro_instances(G, p, name, seed, fixed):
     """Sampled subgroup/Sylow pairs plus any fixed instances from the
-    catalog.  Sampling is skipped when the group is not p-solvable."""
+    catalog.  Sampling is skipped when the group is not p-solvable.
+
+    Each draw pairs U with a conjugate P^g of one Sylow subgroup P.
+    |G : N_G(P^g)| = |G : N_G(P)| for every g, so the index in G is
+    computed once, and only the intersection of U with P^g is built."""
     records = []
     if is_p_solvable(G, p):
         rng = random.Random(f"{seed}:{name}:{p}:navarro")
         elements = sorted(G.element_set())
-        base_sylow = sylow_subgroup(G, p)
+        sylow = sylow_subgroup(G, p)
+        sylow_elements = sylow.elements()
+        index_big = _normalizer_index(G, sylow)
         met = 0
         drawn = 0
         violations = 0
@@ -315,13 +321,15 @@ def navarro_instances(G, p, name, seed, fixed):
                 rng.choice(elements) for _ in range(rng.randrange(1, 4))
             )
             U = PermutationGroup(G.degree, gens)
-            P = conjugate_subgroup(base_sylow, rng.choice(elements))
-            I = intersection(P, U)
+            g = rng.choice(elements)
+            conjugates = (conj(g, x) for x in sylow_elements)
+            I = group_from_elements(
+                G.degree, tuple(y for y in conjugates if U.contains(y))
+            )
             if I.order() != p_part(U.order(), p):
                 continue
             met += 1
-            index_sub, index_big = _normalizer_indices(G, U, P, I)
-            if index_big % index_sub:
+            if index_big % _normalizer_index(U, I):
                 violations += 1
         records.append(
             {
@@ -469,7 +477,7 @@ def verify_fong_reynolds(B, theta):
     T, members = _fong_reynolds_data(B, theta)
     induced_indices = sorted(idx for _, idx in members)
     bijective = induced_indices == sorted(B.char_indices)
-    local = block_data(T, p, B.blockset.rmap.e)
+    local = block_data(T, p)
     owners = {local.block_of(j) for j, _ in members}
     single_block = len(owners) == 1
     heights_ok = False
@@ -516,7 +524,9 @@ def find_good_character(B, L):
         outcome = verify_fong_reynolds(B, theta)
         if outcome["verdict"] == "pass":
             return theta
-    raise InternalCheckError("no good character over the p'-core")
+    raise InternalCheckError(
+        f"no good character over the p'-core on {_where(G, p, B.index)}"
+    )
 
 
 def fong_reynolds_instances(G, p, name):
@@ -610,7 +620,7 @@ def question35_instances(G, p, name):
     for B in bs.blocks:
         b = brauer_correspondent(B)
         H = b.blockset.group
-        md_small = modular_data(H, p, bs.rmap.e)
+        md_small = modular_data(H, p)
         rec = {"group": name, "prime": p, "block": B.index}
         left0 = B.height_zero
         right0 = b.height_zero

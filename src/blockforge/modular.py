@@ -283,15 +283,6 @@ class ModularData:
 
 
 @lru_cache(maxsize=None)
-def _modular_data_cached(G, p, conductor):
-    return ModularData(block_data(G, p, conductor))
-
-
-def modular_data(G, p, conductor=None):
-    """Modular character data for G at p under the session conductor."""
-    e = G.exponent()
-    if conductor is None:
-        conductor = e
-    if conductor % e:
-        raise DomainError("conductor must be a multiple of the group exponent")
-    return _modular_data_cached(G, p, conductor)
+def modular_data(G, p):
+    """Modular character data for G at p."""
+    return ModularData(block_data(G, p))

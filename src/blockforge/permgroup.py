@@ -288,7 +288,7 @@ def trivial_group(degree):
 
 
 @lru_cache(maxsize=None)
-def group_from_elements(degree, elements, name=None):
+def group_from_elements(degree, elements):
     """Group generated by the given elements, with a reduced generator list.
 
     Elements are scanned in sorted order and kept only when they enlarge
@@ -300,8 +300,6 @@ def group_from_elements(degree, elements, name=None):
         if not current.contains(x):
             kept.append(x)
             current = PermutationGroup(degree, kept)
-    if name is not None:
-        current = PermutationGroup(degree, kept, name=name)
     return current
 
 
@@ -499,10 +497,6 @@ def is_p_solvable(G, p):
     if M.order() > 1:
         return is_p_solvable(quotient_action(G, M), p)
     return False
-
-
-def conjugate_subgroup(H, g):
-    return PermutationGroup(H.degree, tuple(conj(g, h) for h in H.generators))
 
 
 def are_conjugate_subgroups(G, H, K):

@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are four exceptions, and each takes objects the package built.
+There are five exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -22,6 +22,10 @@ them there, to compare with the package's route through ordinary lifts
 and the restriction table.  ``inner_product`` pairs class functions in
 the package's cyclotomic arithmetic, value by value, to compare with
 the package's one pairing on integer power-basis coordinates.
+``induced_central`` induces a block's reduced central character by
+walking every element of G and summing over the classes of the
+subgroup it meets, to compare with the package's route through the
+class fusion of the subgroup into G.
 """
 
 from fractions import Fraction
@@ -30,7 +34,12 @@ from math import gcd, isqrt
 
 from blockforge.arith import prime_factors
 from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
-from blockforge.chartab import ClassFunction, character_table, constituents
+from blockforge.chartab import (
+    ClassFunction,
+    character_table,
+    constituents,
+    structure_constants,
+)
 from blockforge.cyclotomic import ZERO, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import (
@@ -438,3 +447,36 @@ def brauer_degrees_over(md, K, theta):
         if any(m and xi == theta for xi, m in zip(thetas, pieces)):
             out.append(phi.degree())
     return out
+
+
+def induced_central(b, G):
+    """lambda_b^G on the classes of G, read off b's own reduced central
+    character: for each class K of G, the sum of lambda_b(L^) over the
+    distinct classes L of H met by the elements of K.  None when the
+    induced function is not multiplicative."""
+    H = b.blockset.group
+    field = b.blockset.rmap.field
+    hset = H.element_set()
+    values = []
+    for c in G.conjugacy_classes():
+        total = field.zero
+        seen_h_classes = set()
+        for x in G.class_elements(c.index):
+            if x in hset:
+                hidx = H.class_index(x)
+                if hidx not in seen_h_classes:
+                    seen_h_classes.add(hidx)
+                    total = total + b.reduced_central[hidx]
+        values.append(total)
+    values = tuple(values)
+    a = structure_constants(G)
+    r = len(values)
+    for i in range(r):
+        for j in range(r):
+            rhs = field.zero
+            for k in range(r):
+                if a[i][j][k]:
+                    rhs = rhs + values[k] * a[i][j][k]
+            if values[i] * values[j] != rhs:
+                return None
+    return values

@@ -13,6 +13,7 @@ from blockforge.blocks import (
     central_character,
     covered_blocks,
     induced_block,
+    induced_central,
     p_regular_classes,
     shared_reduction,
     _class_algebra_product,
@@ -28,6 +29,7 @@ from blockforge.permgroup import (
 )
 
 from conftest import alternating, cyclic, random_subgroup, symmetric
+import oracles
 from oracles import defect_group_by_subgroup_search
 
 
@@ -237,7 +239,7 @@ def test_brauer_image_vanishes_above_defect_group(a5):
 def test_induction_from_sylow_normalizer_s4(s4):
     P = sylow_subgroup(s4, 2)
     assert normalizer(s4, P) == P
-    local = block_data(P, 2, conductor=s4.exponent())
+    local = block_data(P, 2)
     assert len(local.blocks) == 1
     induced = induced_block(local.blocks[0], s4)
     assert induced is not None
@@ -248,7 +250,7 @@ def test_induction_a4_to_a5(a5):
     V = block_data(a5, 2).blocks[0].defect_group()
     A4 = normalizer(a5, V)
     assert A4.order() == 12
-    local = block_data(A4, 2, conductor=a5.exponent())
+    local = block_data(A4, 2)
     induced = induced_block(local.blocks[0], a5)
     assert induced == block_data(a5, 2).blocks[0]
 
@@ -308,7 +310,7 @@ def cyclic_subgroup_of_s4():
 
 def test_partition_stable_under_larger_conductor(a4, a5):
     small = block_data(a4, 2)
-    big = block_data(a4, 2, conductor=a5.exponent())
+    big = BlockSet(a4, 2, shared_reduction(a5.exponent(), 2))
     assert [b.char_indices for b in small.blocks] == [
         b.char_indices for b in big.blocks
     ]
@@ -316,10 +318,41 @@ def test_partition_stable_under_larger_conductor(a4, a5):
     assert big.rmap.e == 30
 
 
+def test_blocks_of_random_subgroups_need_no_common_map():
+    # 40 seeded subgroups of S5 and S6 at every prime: the partition is
+    # the same under the group's own map and under the map at conductor
+    # 60, a multiple of every exponent here; and inducing a same-defect
+    # block of N_G(D) through the class fusion agrees with the
+    # element-walking oracle on that normalizer's blocks built under
+    # G's map.
+    for seed in range(40):
+        rng = random.Random(seed)
+        degree = rng.choice((5, 6))
+        G = random_subgroup(rng, degree, rng.choice((1, 2)))
+        for p in prime_factors(G.order()):
+            bs = block_data(G, p)
+            wide = BlockSet(G, p, shared_reduction(60, p))
+            assert [b.char_indices for b in bs.blocks] == [
+                b.char_indices for b in wide.blocks
+            ], (seed, p)
+            under_g = {}
+            for B in bs.blocks:
+                N = normalizer(G, B.defect_group())
+                if N not in under_g:
+                    under_g[N] = BlockSet(N, p, bs.rmap)
+                for b in block_data(N, p).blocks:
+                    if b.defect != B.defect:
+                        continue
+                    twin = under_g[N].block_of(b.char_indices[0])
+                    assert twin.char_indices == b.char_indices, (seed, p)
+                    expected = oracles.induced_central(twin, G)
+                    assert induced_central(b, G) == expected, (seed, p, B.index)
+
+
 def test_covered_blocks_sl23_over_q8(sl23, q8):
     bs = block_data(sl23, 3)
     principal = bs.blocks[0]
     covered = covered_blocks(principal, q8)
     assert len(covered) >= 1
-    local = block_data(q8, 3, conductor=sl23.exponent())
+    local = block_data(q8, 3)
     assert all(b in local.blocks for b in covered)

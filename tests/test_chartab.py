@@ -133,15 +133,6 @@ def test_structure_constants_match_pair_counting_oracle(s3, a4):
                     assert a[i][j][k] == count
 
 
-def test_power_maps(s4):
-    table = character_table(s4)
-    classes = s4.conjugacy_classes()
-    for p, mapping in table.power_maps.items():
-        for c in classes:
-            target = classes[mapping[c.index]]
-            assert target.element_order == c.element_order // gcd(c.element_order, p)
-
-
 def test_regular_character_constituents(s3):
     table = character_table(s3)
     rho = regular_character(s3)
@@ -361,9 +352,7 @@ def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
 
 
 def _with_rows(table, rows):
-    return CharacterTable(
-        table.group, table.exponent, table.power_maps, rows, table.prime
-    )
+    return CharacterTable(table.group, table.exponent, rows, table.prime)
 
 
 def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 import blockforge
-from blockforge import catalog
+from blockforge import catalog, correspond
+from blockforge.blocks import block_data
 from blockforge.chartab import character_table
 from blockforge.correspond import (
     _brauer_degrees_over,
@@ -21,6 +22,7 @@ from blockforge.correspond import (
     _perfect_matchings,
     block_section,
     coprime_setup,
+    find_good_character,
     fong_block_instances,
     fong_reynolds_instances,
     glauberman_correspondent,
@@ -403,6 +405,20 @@ def test_fong_reynolds_s4_p3(s4):
     assert all(r["heights_preserved"] for r in records)
     assert all(r["defect_preserved"] for r in records)
     assert all(r["verdict"] == "pass" for r in records)
+
+
+def test_good_character_gate_names_group_prime_and_block(s4, monkeypatch):
+    # With every Fong-Reynolds check forced to fail, no constituent of
+    # the principal block's restriction to the 3'-core is good.
+    monkeypatch.setattr(
+        correspond, "verify_fong_reynolds", lambda B, theta: {"verdict": "fail"}
+    )
+    B = block_data(s4, 3).blocks[0]
+    message = re.escape(
+        f"no good character over the p'-core on {s4!r} at p = 3, block 0"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        find_good_character(B, p_prime_core(s4, 3))
 
 
 def test_question35_s4_p2(s4):

@@ -106,7 +106,7 @@ def test_a5_p2_counterexample_counts(a5):
     principal = data.blockset.blocks[0]
     left = data.height_zero_brauer_degrees(principal)
     b = brauer_correspondent(principal)
-    local = modular_data(b.blockset.group, 2, conductor=a5.exponent())
+    local = modular_data(b.blockset.group, 2)
     right = local.height_zero_brauer_degrees(b)
     assert len(left) == 1
     assert len(right) == 3
@@ -117,7 +117,7 @@ def test_s4_p2_height_zero_brauer(s4):
     principal = data.blockset.blocks[0]
     assert data.height_zero_brauer_degrees(principal) == (1,)
     b = brauer_correspondent(principal)
-    local = modular_data(b.blockset.group, 2, conductor=s4.exponent())
+    local = modular_data(b.blockset.group, 2)
     assert local.height_zero_brauer_degrees(b) == (1,)
 
 
