@@ -65,7 +65,7 @@ def structure_constants(G):
 class ClassFunction:
     """An exact class function: one cyclotomic value per conjugacy class."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "_hash")
 
     def __init__(self, group, values):
         values = tuple(values)
@@ -73,6 +73,7 @@ class ClassFunction:
             raise DomainError("one value per conjugacy class required")
         self.group = group
         self.values = values
+        self._hash = None
 
     def degree(self):
         return self.values[0].integer_value()
@@ -117,7 +118,9 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        return hash((self.group, self.values))
+        if self._hash is None:
+            self._hash = hash((self.group, self.values))
+        return self._hash
 
     def sort_key(self):
         return (self.degree(), tuple(v.sort_key() for v in self.values))
@@ -214,7 +217,9 @@ def inertia_group(G, N, theta):
     members = [g for g in G.elements() if theta.conjugate_by(g) == theta]
     T = group_from_elements(G.degree, tuple(members))
     if not N.is_subgroup_of(T):
-        raise InternalCheckError("inertia group does not contain the subgroup")
+        raise InternalCheckError(
+            f"inertia group does not contain the subgroup {N!r} in {G!r}"
+        )
     return T
 
 

@@ -28,12 +28,11 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching
 from .modular import modular_data
-from .perms import conj
+from .perms import conj, inverse, mult
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
     centralizer_of_group,
-    group_from_elements,
     intersection,
     is_normal_in,
     is_p_solvable,
@@ -304,33 +303,59 @@ def navarro_instances(G, p, name, seed, fixed):
 
     Each draw pairs U with a conjugate P^g of one Sylow subgroup P.
     |G : N_G(P^g)| = |G : N_G(P)| for every g, so the index in G is
-    computed once, and only the intersection of U with P^g is built."""
+    computed once.  The draws are indices into the sorted elements of G:
+    an index from range(|G|) consumes the same random numbers as an
+    element, so every draw is as it was.  U is closed from the identity
+    (index 0) by right multiplication with the drawn generators, which
+    for a finite group gives exactly the subgroup they generate.  U, P^g
+    and I = U ∩ P^g are bitmasks; each distinct (U, I) is judged once."""
     records = []
     if is_p_solvable(G, p):
         rng = random.Random(f"{seed}:{name}:{p}:navarro")
         elements = sorted(G.element_set())
+        indices = range(len(elements))
+        position = {x: i for i, x in enumerate(elements)}
+        products = {}
+
+        def times(a, b):
+            if (a, b) not in products:
+                products[a, b] = position[mult(elements[a], elements[b])]
+            return products[a, b]
+
         sylow = sylow_subgroup(G, p)
-        sylow_elements = sylow.elements()
         index_big = _normalizer_index(G, sylow)
-        met = 0
-        drawn = 0
-        violations = 0
+        conjugates = {}
+        violated = {}
+        met = drawn = violations = 0
         while met < NAVARRO_TARGET and drawn < NAVARRO_MAX_DRAWS:
             drawn += 1
-            gens = tuple(
-                rng.choice(elements) for _ in range(rng.randrange(1, 4))
-            )
-            U = PermutationGroup(G.degree, gens)
-            g = rng.choice(elements)
-            conjugates = (conj(g, x) for x in sylow_elements)
-            I = group_from_elements(
-                G.degree, tuple(y for y in conjugates if U.contains(y))
-            )
-            if I.order() != p_part(U.order(), p):
+            gens = [rng.choice(indices) for _ in range(rng.randrange(1, 4))]
+            U, members = 1, [0]
+            for a in members:
+                for s in gens:
+                    b = times(a, s)
+                    if not U >> b & 1:
+                        U |= 1 << b
+                        members.append(b)
+            g = rng.choice(indices)
+            if g not in conjugates:
+                conjugates[g] = sum(
+                    1 << position[conj(elements[g], x)] for x in sylow.elements()
+                )
+            I = U & conjugates[g]
+            if I.bit_count() != p_part(len(members), p):
                 continue
             met += 1
-            if index_big % _normalizer_index(U, I):
-                violations += 1
+            if (U, I) not in violated:
+                inside = [x for x in members if I >> x & 1]
+                normalizing = 0
+                for u in members:
+                    v = position[inverse(elements[u])]
+                    normalizing += all(
+                        I >> times(times(u, x), v) & 1 for x in inside
+                    )
+                violated[U, I] = index_big % (len(members) // normalizing) != 0
+            violations += violated[U, I]
         records.append(
             {
                 "group": name,

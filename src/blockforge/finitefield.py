@@ -65,7 +65,7 @@ class FiniteField:
                 continue
             if all(x**c != self.one for c in cofactors):
                 return x
-        raise InternalCheckError(f"no element of order {n} found")
+        raise InternalCheckError(f"no element of order {n} found in {self!r}")
 
     def __eq__(self, other):
         return (
@@ -213,7 +213,9 @@ def _smallest_irreducible(p, f):
             m //= p
         if _is_irreducible(tuple(coeffs), p, f):
             return tuple(coeffs)
-    raise InternalCheckError("no irreducible polynomial found")
+    raise InternalCheckError(
+        f"no irreducible polynomial of degree {f} found over GF({p})"
+    )
 
 
 def _is_irreducible(coeffs, p, f):
@@ -306,7 +308,9 @@ def build_reduction(e, p):
     """
     rmap = ReductionMap(e, p)
     if rmap.e_prime > 1 and rmap.u.multiplicative_order() != rmap.e_prime:
-        raise InternalCheckError("root image has the wrong order")
+        raise InternalCheckError(
+            f"root image has the wrong order for conductor {e} at p = {p}"
+        )
     u_bar = rmap._u_powers[rmap.alpha]
     value = rmap.field.zero
     for c in reversed(cyclotomic_polynomial(e)):

@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are five exceptions, and each takes objects the package built.
+There are seven exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -25,14 +25,19 @@ the package's one pairing on integer power-basis coordinates.
 ``induced_central`` induces a block's reduced central character by
 walking every element of G and summing over the classes of the
 subgroup it meets, to compare with the package's route through the
-class fusion of the subgroup into G.
+class fusion of the subgroup into G.  ``navarro_sampled_by_groups``
+draws the Navarro sampler's pairs from the same seeded stream and
+judges each one with package groups (a Schreier-Sims run per U, the
+intersection built from elements, and normalizers), to compare with the
+package's sampler on element indices and bitmasks.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from blockforge.arith import prime_factors
+from blockforge.arith import p_part, prime_factors
 from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
 from blockforge.chartab import (
     ClassFunction,
@@ -40,11 +45,18 @@ from blockforge.chartab import (
     constituents,
     structure_constants,
 )
+from blockforge.correspond import (
+    NAVARRO_MAX_DRAWS,
+    NAVARRO_TARGET,
+    _normalizer_index,
+)
 from blockforge.cyclotomic import ZERO, rational
 from blockforge.errors import DomainError, InternalCheckError
+from blockforge.perms import conj
 from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
+    is_p_solvable,
     sylow_subgroup,
     trivial_group,
 )
@@ -480,3 +492,46 @@ def induced_central(b, G):
             if values[i] * values[j] != rhs:
                 return None
     return values
+
+
+def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):
+    """The sampled Navarro record, or None when G is not p-solvable: the
+    package's draws, each U built as a group from its generators and
+    U ∩ P^g from the elements of P^g that lie in U.  index_in_group,
+    when given, replaces |G : N_G(P)|, so that violations count the
+    pairs whose |U : N_U(U ∩ P^g)| does not divide it."""
+    if not is_p_solvable(G, p):
+        return None
+    rng = random.Random(f"{seed}:{name}:{p}:navarro")
+    elements = sorted(G.element_set())
+    sylow = sylow_subgroup(G, p)
+    sylow_elements = sylow.elements()
+    index_big = index_in_group or _normalizer_index(G, sylow)
+    met = 0
+    drawn = 0
+    violations = 0
+    while met < NAVARRO_TARGET and drawn < NAVARRO_MAX_DRAWS:
+        drawn += 1
+        gens = tuple(
+            rng.choice(elements) for _ in range(rng.randrange(1, 4))
+        )
+        U = PermutationGroup(G.degree, gens)
+        g = rng.choice(elements)
+        conjugates = (conj(g, x) for x in sylow_elements)
+        I = group_from_elements(
+            G.degree, tuple(y for y in conjugates if U.contains(y))
+        )
+        if I.order() != p_part(U.order(), p):
+            continue
+        met += 1
+        if index_big % _normalizer_index(U, I):
+            violations += 1
+    return {
+        "group": name,
+        "prime": p,
+        "kind": "sampled",
+        "pairs_drawn": drawn,
+        "pairs_hypothesis_met": met,
+        "violations": violations,
+        "verdict": "pass" if violations == 0 else "fail",
+    }

@@ -14,6 +14,7 @@ from blockforge.chartab import (
     _degree_from_norm,
     _eigenvector_scan,
     _primitive_root_of_unity,
+    _row_coordinates,
     _verify_orthogonality,
     character_table,
     constituents,
@@ -28,7 +29,12 @@ from blockforge.cli import main
 from blockforge.cyclotomic import ONE, ZERO, rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
-from blockforge.permgroup import PermutationGroup, p_core, sylow_subgroup
+from blockforge.permgroup import (
+    PermutationGroup,
+    p_core,
+    sylow_subgroup,
+    trivial_group,
+)
 
 import oracles
 from oracles import induce, inner_product, regular_character
@@ -533,6 +539,34 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
     )
     with pytest.raises(InternalCheckError, match=message):
         character_table.__wrapped__(s4)
+
+
+def test_inertia_group_error_names_the_groups(monkeypatch, sl23):
+    Q = p_core(sl23, 2)
+    monkeypatch.setattr(
+        chartab, "group_from_elements", lambda degree, elements: trivial_group(degree)
+    )
+    message = re.escape(
+        f"inertia group does not contain the subgroup {Q!r} in {sl23!r}"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        inertia_group(sl23, Q, trivial_character(Q))
+
+
+def test_class_function_hash_is_cached_and_equal_functions_share_it(s4, a4):
+    table = character_table(s4)
+    chi = table.irreducibles[-1]
+    twin = ClassFunction(s4, chi.values)
+    assert twin is not chi and twin == chi
+    assert twin._hash is None
+    assert hash(twin) == hash(chi)
+    assert twin._hash == hash(chi)
+    rows = character_table(a4).irreducibles
+    _row_coordinates(character_table(a4), rows)
+    rebuilt = tuple(ClassFunction(a4, theta.values) for theta in rows)
+    hits = _row_coordinates.cache_info().hits
+    _row_coordinates(character_table(a4), rebuilt)
+    assert _row_coordinates.cache_info().hits == hits + 1
 
 
 def test_inner_product_requires_same_group(s4, a4):

@@ -13,6 +13,7 @@ import pytest
 
 import blockforge
 from blockforge import catalog, correspond
+from blockforge.arith import prime_factors
 from blockforge.blocks import block_data
 from blockforge.chartab import character_table
 from blockforge.correspond import (
@@ -35,6 +36,7 @@ from blockforge.correspond import (
 )
 from blockforge.cyclotomic import zeta
 from blockforge.errors import DomainError, InternalCheckError
+from blockforge.groupfile import parse_group_file
 from blockforge.modular import modular_data
 from blockforge.permgroup import (
     PermutationGroup,
@@ -45,7 +47,7 @@ from blockforge.permgroup import (
 from blockforge.report import build_report, collect_verdicts
 
 import oracles
-from conftest import alternating, c3_wreath_c2, frobenius20
+from conftest import alternating, c3_wreath_c2, frobenius20, random_subgroup
 
 
 def _block_section_verdicts(G, p):
@@ -346,6 +348,67 @@ def test_navarro_seeds_differ(s4):
     base = navarro_instances(s4, 2, "S4", 0, [])
     other = navarro_instances(s4, 2, "S4", 1, [])
     assert base != other
+
+
+def _s4xs3():
+    return parse_group_file(Path(__file__).parent / "data" / "s4xs3.grp")
+
+
+def test_navarro_sampler_matches_group_oracle():
+    # catalog at seeds 0-2, S4xS3 at both primes, and seeded random
+    # subgroups of S5 and S6 at every prime where they are p-solvable
+    cases = []
+    for ent in catalog.entries():
+        G = ent.load()
+        for p in ent.primes + tuple(catalog.navarro_extra_primes(ent.name)):
+            cases.extend((G, p, ent.name, seed) for seed in range(3))
+    s4xs3 = _s4xs3()
+    cases.extend((s4xs3, p, "S4xS3", 1) for p in (2, 3))
+    for seed in range(20):
+        rng = random.Random(seed)
+        G = random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2)))
+        cases.extend((G, p, f"R{seed}", seed) for p in prime_factors(G.order()))
+    sampled = 0
+    for G, p, name, seed in cases:
+        want = oracles.navarro_sampled_by_groups(G, p, name, seed)
+        got = navarro_instances(G, p, name, seed, [])
+        assert got == ([] if want is None else [want]), (name, p, seed)
+        sampled += want is not None
+    assert sampled > 60
+
+
+def test_navarro_sampler_normalizer_indices_match_group_oracle(monkeypatch):
+    # p-solvable groups never violate, so the index in G is forced to m:
+    # the violations then count the pairs whose |U : N_U(I)| fails to
+    # divide m, on the sampler's side and on the oracle's
+    s4xs3 = _s4xs3()
+    cases = [(s4xs3, 2), (s4xs3, 3), (catalog.entry("S4").load(), 2)]
+    for m in (1, 2, 3, 4):
+        monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: m)
+        for G, p in cases:
+            want = oracles.navarro_sampled_by_groups(G, p, "G", 0, m)
+            assert navarro_instances(G, p, "G", 0, []) == [want], (m, p)
+            assert m > 1 or want["violations"]
+
+
+def test_navarro_sampler_builds_no_group_per_draw(s4, monkeypatch):
+    # a first call fills the cached per-(G, p) set-up: p-solvability,
+    # the Sylow subgroup and its normalizer
+    navarro_instances(s4, 2, "S4", 0, [])
+    built = []
+    init = PermutationGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+    for target in (200, 400):
+        monkeypatch.setattr(correspond, "NAVARRO_TARGET", target)
+        built.clear()
+        (rec,) = navarro_instances(s4, 2, "S4", 0, [])
+        assert rec["pairs_hypothesis_met"] == target
+        assert len(built) < 10, target
 
 
 def test_regular_covering_s4_p2(s4):

@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from blockforge import finitefield
 from blockforge.cyclotomic import rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import FiniteField, ReductionMap, build_reduction
@@ -132,8 +134,23 @@ def test_reduction_field_degrees():
 
 def test_root_image_of_wrong_order_is_rejected(monkeypatch):
     monkeypatch.setattr(FiniteField, "element_of_order", lambda self, n: self.one)
-    with pytest.raises(InternalCheckError, match="wrong order"):
+    message = "root image has the wrong order for conductor 3 at p = 2"
+    with pytest.raises(InternalCheckError, match=message):
         build_reduction(3, 2)
+
+
+def test_missing_element_of_order_names_the_field(monkeypatch):
+    monkeypatch.setattr(FiniteField, "elements", lambda self: [])
+    message = re.escape("no element of order 8 found in GF(3^2)")
+    with pytest.raises(InternalCheckError, match=message):
+        FiniteField(3, 2).element_of_order(8)
+
+
+def test_missing_irreducible_names_the_degree_and_prime(monkeypatch):
+    monkeypatch.setattr(finitefield, "_is_irreducible", lambda coeffs, p, f: False)
+    message = re.escape("no irreducible polynomial of degree 3 found over GF(2)")
+    with pytest.raises(InternalCheckError, match=message):
+        FiniteField(2, 3)
 
 
 def test_zeta_image_off_phi_e_is_rejected(monkeypatch):
