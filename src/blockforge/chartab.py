@@ -11,11 +11,14 @@ row must take complex-conjugate values on inverse classes and the rows
 must be orthonormal, exactly, or an internal error is raised; for a
 square table row orthonormality implies the column relation.
 
-The construction is fully deterministic: instead of random splitting
-vectors, a separating integer combination of the class matrices is
-diagonalised over GF(q).  Its eigenvalues are the roots of its
-characteristic polynomial, read off a Hessenberg form and evaluated at
-every element of GF(q); each root then costs one elimination.
+The construction is fully deterministic, with no random splitting
+vectors: the class matrices split GF(q)^r one at a time, cheapest class
+first (Schneider's refinement of Dixon's method).  Each is restricted to
+every common eigenspace that is not yet a line and splits it by the
+roots of the restriction's characteristic polynomial, read off a
+Hessenberg form and evaluated at every element of GF(q); each root then
+costs one elimination.  A class matrix is built only when the
+refinement reads it (``class_matrix``).
 
 How Irr(G) restricts to a subgroup H lives in one cached table,
 ``restriction_multiplicities(G, H)``: covering, Clifford theory,
@@ -40,26 +43,28 @@ from .errors import DomainError, InternalCheckError
 from .perms import conj, inverse, mult, power
 from .permgroup import group_from_elements, is_normal_in
 
-# primes q = 1 mod e tried for splitting the class algebra before giving up
-DIXON_PRIMES_TRIED = 5
-
-
 @lru_cache(maxsize=None)
-def structure_constants(G):
-    """All class-algebra structure constants a[i][j][k] with
-    a_ijk = #{(x, y) in C_i x C_j : xy = z_k} for the fixed class reps."""
+def class_matrix(G, i):
+    """The class matrix of class i: row j, column k holds
+    a_ijk = #{(x, y) in C_i x C_j : xy = z_k} for the fixed class reps.
+
+    A plane costs |C_i| r products, so each is built once and only when
+    read: the table reads the few that split the class algebra."""
     classes = G.conjugacy_classes()
     r = len(classes)
     reps = [c.representative for c in classes]
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for x in G.class_elements(i):
-            xinv = inverse(x)
-            row = a[i]
-            for k in range(r):
-                j = G.class_index(mult(xinv, reps[k]))
-                row[j][k] += 1
-    return tuple(tuple(tuple(row) for row in plane) for plane in a)
+    plane = [[0] * r for _ in range(r)]
+    for x in G.class_elements(i):
+        xinv = inverse(x)
+        for k in range(r):
+            plane[G.class_index(mult(xinv, reps[k]))][k] += 1
+    return tuple(tuple(row) for row in plane)
+
+
+def structure_constants(G):
+    """All class-algebra structure constants a[i][j][k] = a_ijk: the
+    class matrices of every class, each built once by ``class_matrix``."""
+    return tuple(class_matrix(G, i) for i in range(len(G.conjugacy_classes())))
 
 
 class ClassFunction:
@@ -256,21 +261,12 @@ def character_table(G):
     r = len(classes)
     n = G.order()
     e = G.exponent()
-    a = structure_constants(G)
     sizes = [c.size for c in classes]
     reps = [c.representative for c in classes]
     inverse_class = G.inverse_classes()
 
-    primes = _dixon_primes(e, n)
-    for q in primes:
-        vectors = _common_eigenvectors(a, r, q)
-        if vectors is not None:
-            break
-    else:
-        raise InternalCheckError(
-            f"eigenspace splitting failed on {G!r} "
-            f"for every tried prime q in {primes}"
-        )
+    q = _dixon_prime(e, n)
+    vectors = _central_characters(G, q)
 
     z = _primitive_root_of_unity(G, e, q)
     orders = [c.element_order for c in classes]
@@ -319,14 +315,18 @@ def character_table(G):
     return table
 
 
-def _dixon_primes(e, n):
-    out = []
+def _dixon_prime(e, n):
+    """The least prime q = 1 (mod e) with q^2 > 4|G|.
+
+    GF(q) holds the e-th roots of unity and q > e does not divide |G|,
+    so the class algebra Z(F_q G) is split semisimple: its r central
+    characters are distinct mod q, and the class matrices split GF(q)^r
+    into r common eigenlines.  q^2 > 4|G| makes each degree, and each
+    lifted multiplicity, readable from its residue."""
     q = e + 1
-    while len(out) < DIXON_PRIMES_TRIED:
-        if q * q > 4 * n and is_prime(q):
-            out.append(q)
-        q += max(e, 1)
-    return out
+    while q * q <= 4 * n or not is_prime(q):
+        q += e
+    return q
 
 
 def _primitive_root_of_unity(G, e, q):
@@ -351,55 +351,90 @@ def _degree_from_norm(G, s, q):
     )
 
 
-def _common_eigenvectors(a, r, q):
-    """Eigenvectors of a separating combination of the class matrices,
-    or None if no combination splits completely over GF(q)."""
-    matrices = []
-    for i in range(r):
-        matrices.append([[a[i][j][k] % q for k in range(r)] for j in range(r)])
-    for t in range(1, q):
-        m = [[0] * r for _ in range(r)]
-        weight = 1
-        for i in range(r):
-            plane = matrices[i]
-            for j in range(r):
-                row = plane[j]
-                mj = m[j]
-                for k in range(r):
-                    mj[k] = (mj[k] + weight * row[k]) % q
-            weight = weight * t % q
-        vectors = _eigenvector_scan(m, r, q)
-        if vectors is not None:
-            return vectors
-    return None
+def _central_characters(G, q):
+    """The r common eigenvectors of the class matrices over GF(q), each
+    scaled to lead with 1: the central characters of G mod q (Schneider's
+    refinement of Dixon's method).
+
+    Starting from GF(q)^r, each non-identity class matrix in ascending
+    (class size, index) order splits every space that is not yet a line
+    into its eigenspaces, until every space is a line.  The spaces are
+    common eigenspaces of commuting matrices, so each is invariant under
+    the next matrix; as Z(F_q G) is split semisimple (``_dixon_prime``)
+    every restriction is diagonalisable over GF(q) and the lines are the
+    r central characters.  Only the class matrices read are built."""
+    classes = G.conjugacy_classes()
+    r = len(classes)
+    spaces = [[[int(j == k) for k in range(r)] for j in range(r)]]
+    for i in sorted(range(1, r), key=lambda i: (classes[i].size, i)):
+        if len(spaces) == r:
+            break
+        m = class_matrix(G, i)
+        refined = []
+        for basis in spaces:
+            parts = _split_space(m, basis, q) if len(basis) > 1 else [basis]
+            if parts is None:
+                raise InternalCheckError(
+                    f"eigenspace splitting failed on {G!r} mod q = {q}: the"
+                    f" eigenspaces of class {i} fall short of the space"
+                    " they split"
+                )
+            refined.extend(parts)
+        spaces = refined
+    if len(spaces) != r:
+        raise InternalCheckError(
+            f"eigenspace splitting failed on {G!r} mod q = {q}: the class"
+            " matrices leave a common eigenspace of dimension above one"
+        )
+    return [basis[0] for basis in spaces]
 
 
-def _eigenvector_scan(m, r, q):
-    """The eigenvectors of m over GF(q) in ascending eigenvalue order, or
-    None unless m has r distinct eigenvalues in GF(q).
+def _split_space(m, basis, q):
+    """The eigenspaces of m restricted to the m-invariant space spanned by
+    basis, in ascending eigenvalue order; None when their dimensions add
+    up short of the space's.
 
-    The eigenvalues are the roots of the characteristic polynomial, found
-    by evaluating it at every element of GF(q); each root then costs one
-    elimination.  r distinct roots is the same condition as r eigenspaces
-    of dimension one each."""
-    poly = _characteristic_polynomial(m, q)
-    roots = []
+    Every basis is in reduced echelon form, so the coordinates of a vector
+    of the space are its entries at the pivot columns, and m restricted to
+    the space is read off the pivot rows of m.  The eigenvalues are the
+    roots of the restriction's characteristic polynomial, found by
+    evaluating it at every element of GF(q); each root then costs one
+    elimination."""
+    support = [[(k, x) for k, x in enumerate(b) if x] for b in basis]
+    pivots = [nz[0][0] for nz in support]
+    a = [
+        [sum(m[p][k] * x for k, x in nz) % q for nz in support]
+        for p in pivots
+    ]
+    d = len(a)
+    # a scalar restriction leaves the space whole, with no elimination
+    scalar = a[0][0]
+    if all(a[s][t] == (scalar if s == t else 0) for s in range(d) for t in range(d)):
+        return [basis]
+    poly = _characteristic_polynomial(a, q)
+    parts = []
     for lam in range(q):
         value = 0
         for c in reversed(poly):
             value = (value * lam + c) % q
-        if value == 0:
-            roots.append(lam)
-    if len(roots) != r:
-        return None
-    vectors = []
-    for lam in roots:
+        if value:
+            continue
         shifted = [
-            [(m[j][k] - (lam if j == k else 0)) % q for k in range(r)]
-            for j in range(r)
+            [(x - lam) % q if s == t else x for t, x in enumerate(row)]
+            for s, row in enumerate(a)
         ]
-        vectors.append(_nullspace(shifted, q)[0])
-    return vectors
+        part = []
+        for coords in _echelon(_nullspace(shifted, q), q)[0]:
+            v = [0] * len(basis[0])
+            for c, nz in zip(coords, support):
+                if c:
+                    for k, x in nz:
+                        v[k] += c * x
+            part.append([x % q for x in v])
+        parts.append(part)
+    if sum(len(part) for part in parts) != d:
+        return None
+    return parts
 
 
 def _characteristic_polynomial(m, q):
@@ -448,32 +483,42 @@ def _characteristic_polynomial(m, q):
     return polys[r]
 
 
-def _nullspace(rows, q):
-    r = len(rows)
-    m = [row[:] for row in rows]
+def _echelon(rows, q):
+    """The reduced row echelon form of rows over GF(q): its nonzero rows
+    and their pivot columns."""
+    m = [[x % q for x in row] for row in rows]
     pivots = []
     rank = 0
-    for col in range(r):
-        pivot = next((i for i in range(rank, r) if m[i][col] % q), None)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = pow(m[rank][col], q - 2, q)
-        m[rank] = [x * inv % q for x in m[rank]]
-        for i in range(r):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(m[i][k] - f * m[rank][k]) % q for k in range(r)]
+        top = m[rank] = [x * inv % q for x in m[rank]]
+        for i, row in enumerate(m):
+            f = row[col]
+            if i != rank and f:
+                m[i] = [(x - f * y) % q for x, y in zip(row, top)]
         pivots.append(col)
         rank += 1
+    return m[:rank], pivots
+
+
+def _nullspace(rows, q):
+    """A basis of the right null space of the square matrix rows over
+    GF(q), one vector per free column, with 1 there and 0 at the other
+    free columns."""
+    reduced, pivots = _echelon(rows, q)
+    r = len(rows)
     basis = []
     for fc in range(r):
         if fc in pivots:
             continue
         v = [0] * r
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % q
+        for row, pc in zip(reduced, pivots):
+            v[pc] = (-row[fc]) % q
         basis.append(v)
     return basis
 
@@ -482,7 +527,9 @@ def _verify_orthogonality(table):
     """Check that the rows are the irreducible characters of the group.
 
     First, every row must take complex-conjugate values on inverse
-    classes, chi(x^-1) = conj(chi(x)).  Then X D X* = I, row
+    classes, chi(x^-1) = conj(chi(x)).  Both sides are compared on their
+    integer power-basis coordinates at the element order, which are
+    unique, so the comparison is exact (``_conjugate``).  Then X D X* = I, row
     orthonormality for the table X and D = diag(|C_k| / |G|), reads
     sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su.
 
@@ -510,13 +557,14 @@ def _verify_orthogonality(table):
     r = len(rows)
     if r != len(table.classes):
         raise InternalCheckError(f"row count differs from class count on {G!r}")
-    inverse_class = G.inverse_classes()
-    for s, chi in enumerate(rows):
-        if any(chi.values[k] != v.conj() for k, v in zip(inverse_class, chi.values)):
-            raise InternalCheckError(
-                f"row {s} of {G!r} is not conjugate on inverse classes"
-            )
     coords = _row_coordinates(table, rows)
+    inverse_class = G.inverse_classes()
+    for s, row in enumerate(coords):
+        for c, x, k in zip(table.classes, row, inverse_class):
+            if _conjugate(x, c.element_order) != row[k]:
+                raise InternalCheckError(
+                    f"row {s} of {G!r} is not conjugate on inverse classes"
+                )
     for s in range(r):
         for u in range(s, r):
             total, irrational = _pairing(table, coords[s], coords[u])
@@ -587,6 +635,16 @@ def _pairing(table, a, b):
             return None, o
         total += partial[0]
     return total, None
+
+
+def _conjugate(x, o):
+    """The complex conjugate of the value with integer power-basis
+    coordinates x at conductor o, in the same coordinates: zeta_o^t goes
+    to zeta_o^(-t), and the result is reduced mod Phi_o."""
+    poly = [0] * o
+    for t, c in enumerate(x):
+        poly[-t % o] += c
+    return _reduce_mod_cyclotomic(poly, o)
 
 
 def _reduce_mod_cyclotomic(poly, o):

@@ -74,6 +74,66 @@ def c3_wreath_c2():
     return PermutationGroup(6, gens, name="C3wrC2")
 
 
+def _from_cycles(n, *cycles):
+    img = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            img[a] = b
+    return tuple(img)
+
+
+def elementary_abelian(p, k):
+    """C_p^k, one p-cycle on each of k blocks of p points."""
+    n = p * k
+    gens = [_from_cycles(n, tuple(range(p * i, p * i + p))) for i in range(k)]
+    return PermutationGroup(n, gens, name=f"C{p}^{k}")
+
+
+def psl_2_7():
+    """PSL(2,7) on the 7 points of the Fano plane."""
+    gens = [_from_cycles(7, (0, 1, 2, 3, 4, 5, 6)), _from_cycles(7, (0, 1), (2, 5))]
+    return PermutationGroup(7, gens, name="PSL(2,7)")
+
+
+def s4_times_s3():
+    gens = [
+        _from_cycles(7, (0, 1)),
+        _from_cycles(7, (0, 1, 2, 3)),
+        _from_cycles(7, (4, 5)),
+        _from_cycles(7, (4, 5, 6)),
+    ]
+    return PermutationGroup(7, gens, name="S4xS3")
+
+
+def s4_times_s4():
+    gens = [
+        _from_cycles(8, (0, 1)),
+        _from_cycles(8, (0, 1, 2, 3)),
+        _from_cycles(8, (4, 5)),
+        _from_cycles(8, (4, 5, 6, 7)),
+    ]
+    return PermutationGroup(8, gens, name="S4xS4")
+
+
+def c2_wreath_s4():
+    """C2 wr S4, the hyperoctahedral group of order 384, on four blocks
+    of two points."""
+    gens = [
+        _from_cycles(8, (0, 1)),
+        _from_cycles(8, (0, 2), (1, 3)),
+        _from_cycles(8, (0, 2, 4, 6), (1, 3, 5, 7)),
+    ]
+    return PermutationGroup(8, gens, name="C2wrS4")
+
+
+def c3_wreath_c3():
+    gens = [
+        _from_cycles(9, (0, 1, 2)),
+        _from_cycles(9, (0, 3, 6), (1, 4, 7), (2, 5, 8)),
+    ]
+    return PermutationGroup(9, gens, name="C3wrC3")
+
+
 @pytest.fixture(scope="session")
 def s3():
     return symmetric(3)

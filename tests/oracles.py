@@ -181,6 +181,11 @@ def character_degrees_common_eigenvector(elements):
     GF(q) for a prime q = 1 (mod exponent) exceeding 4*sqrt(|G|); each
     degree is then the unique square root below sqrt(|G|) of
     |G| / sum_i w_i w_{i*} / n_i.  All arithmetic is exact.
+
+    The weights t^i are tried for 0 < t < q only, as t and t + q give the
+    same matrix mod q; a group with many classes against q (C2^5 has 32
+    classes at q = 23) may have no separating combination, and then the
+    oracle fails loudly instead of searching forever.
     """
     elements = set(elements)
     n = len(elements)
@@ -215,12 +220,15 @@ def character_degrees_common_eigenvector(elements):
                     m[j][k] = (m[j][k] + w * a[i][j][k]) % q
         return m
 
-    t = 1
-    while True:
+    for t in range(1, q):
         vecs = eigenvectors_by_full_scan(separating_matrix(t), q)
         if vecs is not None:
             break
-        t += 1
+    else:
+        raise AssertionError(
+            f"no combination with weights t^i, 0 < t < {q}, separates the"
+            f" {r} central characters mod {q}"
+        )
 
     inv_class = [where[oinv(reps[i])] for i in range(r)]
     sizes = [len(c) for c in classes]

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -11,12 +12,14 @@ from blockforge.chartab import (
     CharacterTable,
     ClassFunction,
     _characteristic_polynomial,
+    _central_characters,
     _degree_from_norm,
-    _eigenvector_scan,
     _primitive_root_of_unity,
     _row_coordinates,
+    _split_space,
     _verify_orthogonality,
     character_table,
+    class_matrix,
     constituents,
     inertia_group,
     irr_over,
@@ -40,12 +43,18 @@ import oracles
 from oracles import induce, inner_product, regular_character
 from conftest import (
     alternating,
+    c2_wreath_s4,
     c3_wreath_c2,
+    c3_wreath_c3,
     cyclic,
+    elementary_abelian,
     frobenius20,
     frobenius21,
+    psl_2_7,
     quaternion8,
     random_subgroup,
+    s4_times_s3,
+    s4_times_s4,
     symmetric,
 )
 
@@ -75,6 +84,15 @@ def test_degrees_against_independent_eigenvector_oracle(s3, s4, a4):
         got = sorted(character_table(G).degrees())
         want = oracles.character_degrees_common_eigenvector(G.element_set())
         assert got == want
+
+
+def test_degree_oracle_fails_loudly_without_a_separating_combination():
+    # 32 classes of C2^5 against q = 23: no weight t < q separates them
+    message = "no combination with weights t\\^i, 0 < t < 23"
+    with pytest.raises(AssertionError, match=message):
+        oracles.character_degrees_common_eigenvector(
+            elementary_abelian(2, 5).element_set()
+        )
 
 
 def test_sum_of_degree_squares(s4, a5, sl23):
@@ -124,19 +142,59 @@ def test_structure_constants_s3(s3):
 
 def test_structure_constants_match_pair_counting_oracle(s3, a4):
     for G in (s3, a4, cyclic(6)):
-        a = structure_constants(G)
-        elems = G.element_set()
-        classes = [set(G.class_elements(i)) for i in range(len(a))]
-        reps = [c.representative for c in G.conjugacy_classes()]
-        for i in range(len(a)):
-            for j in range(len(a)):
-                for k in range(len(a)):
-                    count = sum(
-                        1
-                        for x in classes[i]
-                        if oracles.omult(oracles.oinv(x), reps[k]) in classes[j]
-                    )
-                    assert a[i][j][k] == count
+        assert structure_constants(G) == _pair_counts(G)
+
+
+def _pair_counts(G):
+    # a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, by brute-force products
+    where = {}
+    for i in range(len(G.conjugacy_classes())):
+        for x in G.class_elements(i):
+            where[x] = i
+    reps = [c.representative for c in G.conjugacy_classes()]
+    r = len(reps)
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for x, i in where.items():
+        for k, z in enumerate(reps):
+            a[i][where[oracles.omult(oracles.oinv(x), z)]][k] += 1
+    return tuple(tuple(tuple(row) for row in plane) for plane in a)
+
+
+def test_table_reads_fewer_class_matrices_than_classes():
+    # The four groups of the benchmark's table workload: the refinement
+    # splits GF(q)^r with a few cheap class matrices, and the planes left
+    # unread are never built.
+    for G in (symmetric(6), psl_2_7(), s4_times_s3(), alternating(7)):
+        r = len(G.conjugacy_classes())
+        class_matrix.cache_clear()
+        character_table.__wrapped__(G)
+        assert 0 < class_matrix.cache_info().currsize < r
+        assert structure_constants(G) == _pair_counts(G)
+        assert class_matrix.cache_info().currsize == r
+
+
+def test_tables_of_groups_with_many_classes():
+    # p-groups and wreath products with many classes, where one class
+    # matrix alone seldom separates the central characters mod q.
+    known = {
+        "D8xD8": {1: 16, 2: 8, 4: 1},
+        "C2wrS4": {1: 4, 2: 2, 3: 4, 4: 4, 6: 4, 8: 2},
+        "P(C2wrS4)": {1: 8, 2: 6, 4: 6},
+        "C3wrC3": {1: 9, 3: 8},
+    }
+    groups = [(None, elementary_abelian(2, k)) for k in range(1, 7)]
+    groups += [(None, elementary_abelian(3, k)) for k in range(1, 4)]
+    wreath = c2_wreath_s4()
+    groups += [
+        ("D8xD8", sylow_subgroup(s4_times_s4(), 2)),
+        ("C2wrS4", wreath),
+        ("P(C2wrS4)", sylow_subgroup(wreath, 2)),
+        ("C3wrC3", c3_wreath_c3()),
+    ]
+    for label, G in groups:
+        want = known.get(label, {1: G.order()})
+        assert sum(d * d * m for d, m in want.items()) == G.order()
+        assert Counter(character_table.__wrapped__(G).degrees()) == want, label
 
 
 def test_regular_character_constituents(s3):
@@ -402,8 +460,8 @@ def test_table_gate_rejects_irrational_partial_sum(a5):
 
 
 def test_table_gate_rejects_non_integral_value(s4):
-    # A real value on a real class passes the conjugacy check; truncating
-    # 1/2 to an integer would give back the genuine row.
+    # A real value on a real class, rejected when the row is lifted;
+    # truncating 1/2 to an integer would give back the genuine row.
     table = character_table(s4)
     rows = list(table.irreducibles)
     assert rows[3].values[2] == ONE and table.classes[2].element_order == 2
@@ -485,15 +543,27 @@ def test_characteristic_polynomial_is_det_of_shifted_matrix():
                     assert value == _det_mod(shifted, q)
 
 
-def test_eigenvector_scan_rejects_repeated_or_missing_eigenvalues():
+def _whole_space(r):
+    return [[int(j == k) for k in range(r)] for j in range(r)]
+
+
+def test_split_space_keeps_repeated_and_rejects_missing_eigenvalues():
     q = 13
-    assert _eigenvector_scan([[2, 0, 0], [0, 2, 0], [0, 0, 5]], 3, q) is None
-    assert _eigenvector_scan([[2, 1], [0, 2]], 2, q) is None  # one Jordan block
-    assert _eigenvector_scan([[0, 10], [1, 0]], 2, 11) is None  # x^2 + 1 mod 11
-    assert _eigenvector_scan([[2, 1], [0, 5]], 2, q) == [[1, 0], [9, 1]]
+    m = [[2, 0, 0], [0, 2, 0], [0, 0, 5]]
+    assert _split_space(m, _whole_space(3), q) == [
+        [[1, 0, 0], [0, 1, 0]],
+        [[0, 0, 1]],
+    ]
+    assert _split_space([[2, 1], [0, 2]], _whole_space(2), q) is None  # Jordan block
+    assert _split_space([[0, 10], [1, 0]], _whole_space(2), 11) is None  # x^2 + 1
+    assert _split_space([[2, 1], [0, 5]], _whole_space(2), q) == [[[1, 0]], [[1, 3]]]
+    # restricted to the span of the eigenvectors (1, 3, 0) and (0, 0, 1),
+    # for the eigenvalues 5 and 7
+    m = [[2, 1, 0], [0, 5, 0], [0, 0, 7]]
+    assert _split_space(m, [[1, 3, 0], [0, 0, 1]], q) == [[[1, 3, 0]], [[0, 0, 1]]]
 
 
-def test_eigenvector_scan_agrees_with_full_scan():
+def test_split_space_agrees_with_full_scan():
     rng = random.Random(3)
     split = 0
     for q in (7, 13, 31):
@@ -503,10 +573,31 @@ def test_eigenvector_scan_agrees_with_full_scan():
                     m = _random_matrix(rng, r, q)
                 else:
                     m = _diagonalizable_matrix(rng, r, q)
+                parts = _split_space(m, _whole_space(r), q)
+                dims = [
+                    len(oracles._nullspace_mod(_shifted(m, lam, q), q))
+                    for lam in range(q)
+                ]
+                if sum(dims) < r:
+                    assert parts is None
+                    continue
+                assert [len(part) for part in parts] == [d for d in dims if d]
                 want = oracles.eigenvectors_by_full_scan(m, q)
-                assert _eigenvector_scan(m, r, q) == want
-                split += want is not None
+                if want is None:
+                    continue
+                assert parts == [[_leading_one(v, q)] for v in want]
+                split += 1
     assert split > 20
+
+
+def _shifted(m, lam, q):
+    return [[(x - (lam if j == k else 0)) % q for k, x in enumerate(row)]
+            for j, row in enumerate(m)]
+
+
+def _leading_one(v, q):
+    lead = pow(next(x for x in v if x), q - 2, q)
+    return [x * lead % q for x in v]
 
 
 def _diagonalizable_matrix(rng, r, q):
@@ -533,12 +624,22 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
     )
     with pytest.raises(InternalCheckError, match=message):
         _degree_from_norm(s4, 12, 13)
-    monkeypatch.setattr(chartab, "_common_eigenvectors", lambda a, r, q: None)
+    # zeta_3 is not in GF(5): x^3 - 1 has the one root 1 there
+    G = cyclic(3)
     message = re.escape(
-        f"eigenspace splitting failed on {s4!r} for every tried prime q in [13, "
+        f"eigenspace splitting failed on {G!r} mod q = 5: the eigenspaces"
+        " of class 1 fall short of the space they split"
     )
     with pytest.raises(InternalCheckError, match=message):
-        character_table.__wrapped__(s4)
+        _central_characters(G, 5)
+    identity = tuple(tuple(int(j == k) for k in range(3)) for j in range(3))
+    monkeypatch.setattr(chartab, "class_matrix", lambda G, i: identity)
+    message = re.escape(
+        f"eigenspace splitting failed on {G!r} mod q = 7: the class matrices"
+        " leave a common eigenspace of dimension above one"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _central_characters(G, 7)
 
 
 def test_inertia_group_error_names_the_groups(monkeypatch, sl23):
