@@ -24,6 +24,7 @@ from functools import lru_cache
 from .arith import p_part, vp
 from .chartab import (
     character_table,
+    class_action,
     restriction_multiplicities,
     structure_constants,
 )
@@ -414,14 +415,16 @@ def covered_blocks(block, N):
                 b = local.block_of(k)
                 if b not in covered:
                     covered.append(b)
+    row_of = {chi.values: k for k, chi in enumerate(local.table.irreducibles)}
+    # the classes of the group the cached block data was built on
+    action = class_action(G, local.group)
     orbit = {covered[0]}
     frontier = [covered[0]]
     while frontier:
         b = frontier.pop()
-        theta = b.characters()[0]
-        for g in G.generators:
-            image = theta.conjugate_by(g)
-            target = local.block_of(local.table.index_of(image))
+        v = b.characters()[0].values
+        for _, a in action:
+            target = local.block_of(row_of[tuple(v[k] for k in a)])
             if target not in orbit:
                 orbit.add(target)
                 frontier.append(target)

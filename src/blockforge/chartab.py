@@ -25,6 +25,10 @@ How Irr(G) restricts to a subgroup H lives in one cached table,
 Fong-Reynolds induction and Glauberman correspondents read its rows
 and columns.
 
+How G acts on the classes, and so on the characters, of a normal
+subgroup N lives in one cached helper, ``class_action(G, N)``: inertia
+groups (by orbit and stabilizer), block covering and invariance read it.
+
 One pairing on integer power-basis coordinates, ``_pairing``, serves
 both the table gate and the restriction table (through
 ``constituents``); it builds no cyclotomic value.
@@ -40,8 +44,8 @@ from .cyclotomic import (
     from_root_combination,
 )
 from .errors import DomainError, InternalCheckError
-from .perms import conj, inverse, mult, power
-from .permgroup import group_from_elements, is_normal_in
+from .perms import conj, identity, inverse, mult, power
+from .permgroup import PermutationGroup, is_normal_in
 
 @lru_cache(maxsize=None)
 def class_matrix(G, i):
@@ -99,17 +103,6 @@ class ClassFunction:
 
     def galois(self, k):
         return ClassFunction(self.group, tuple(v.galois(k) for v in self.values))
-
-    def conjugate_by(self, g):
-        """The class function x -> value(g x g^{-1})."""
-        G = self.group
-        return ClassFunction(
-            G,
-            tuple(
-                self.values[G.class_index(conj(g, c.representative))]
-                for c in G.conjugacy_classes()
-            ),
-        )
 
     def _same_group(self, other):
         if other.group != self.group:
@@ -213,17 +206,82 @@ def irr_over(G, N, theta):
     )
 
 
+@lru_cache(maxsize=None)
+def class_action(G, N):
+    """How G acts on the classes of its normal subgroup N: for each
+    generator g of G, the pair (g, a) with a[k] the class of g x_k g^-1,
+    x_k the representative of class k of N.
+
+    The character theta conjugated by g, x -> theta(g x g^-1), takes the
+    value theta.values[a[k]] at class k.  Each g is returned with its
+    permutation because equal groups share this cache entry and may
+    list other generators."""
+    classes = N.conjugacy_classes()
+    return tuple(
+        (g, tuple(N.class_index(conj(g, c.representative)) for c in classes))
+        for g in G.generators
+    )
+
+
+def kernel_classes(G):
+    """The kernel of each irreducible character of G, as the set of
+    indices of the classes where chi(x) = chi(1)."""
+    return tuple(
+        frozenset(k for k, v in enumerate(chi.values) if v == chi.values[0])
+        for chi in character_table(G).irreducibles
+    )
+
+
 def inertia_group(G, N, theta):
-    """The stabilizer of theta in G under conjugation; contains N."""
+    """The stabilizer T of theta in G under conjugation; contains N.
+
+    Orbit and stabilizer on the values of theta under ``class_action``:
+    a transversal element t with theta^t = v is kept for each orbit
+    point v, and u t_w^-1, for u = t g and w = v^g, are the Schreier
+    generators of T (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 4.1).  One group is built.  The gate proves T is the
+    stabilizer with direct conjugation, independent of the class action:
+    each transversal element sends theta to its orbit point, so the
+    orbit is at least as large as found; each generator of T fixes
+    theta (N does, as theta is a class function of N); and
+    |T| |orbit| = |G|."""
     if theta.group != N:
         raise DomainError("character does not live on the named subgroup")
     if not is_normal_in(N, G):
         raise DomainError("inertia groups are defined over normal subgroups")
-    members = [g for g in G.elements() if theta.conjugate_by(g) == theta]
-    T = group_from_elements(G.degree, tuple(members))
-    if not N.is_subgroup_of(T):
+    # theta's values, each replaced by a small label, hash cheaply
+    labels = {}
+    start = tuple(labels.setdefault(x, len(labels)) for x in theta.values)
+    transversal = {start: identity(G.degree)}
+    orbit = [start]
+    schreier = set()
+    for v in orbit:
+        t = transversal[v]
+        for g, a in class_action(G, N):
+            w = tuple(v[k] for k in a)
+            u = mult(t, g)
+            if w in transversal:
+                schreier.add(mult(u, inverse(transversal[w])))
+            else:
+                transversal[w] = u
+                orbit.append(w)
+    T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
+    classes = N.conjugacy_classes()
+
+    def conjugated(g):
+        return tuple(start[N.class_index(conj(g, c.representative))] for c in classes)
+
+    # N fixes theta, a class function of N, so only the Schreier
+    # generators are conjugated
+    if (
+        any(conjugated(t) != v for v, t in transversal.items())
+        or any(conjugated(h) != start for h in schreier)
+        or T.order() * len(orbit) != G.order()
+    ):
         raise InternalCheckError(
-            f"inertia group does not contain the subgroup {N!r} in {G!r}"
+            f"inertia group of a character of {N!r} in {G!r} fails the"
+            f" orbit-stabilizer gate: orbit {len(orbit)},"
+            f" stabilizer order {T.order()}"
         )
     return T
 

@@ -21,8 +21,10 @@ from .arith import p_part, vp
 from .blocks import _where, block_data, brauer_correspondent, covered_blocks
 from .chartab import (
     character_table,
+    class_action,
     inertia_group,
     irr_over,
+    kernel_classes,
     restriction_multiplicities,
 )
 from .errors import DomainError, InternalCheckError
@@ -168,7 +170,8 @@ def coprime_setup(G, p):
 
 
 def _is_invariant(G, theta):
-    return all(theta.conjugate_by(g) == theta for g in G.generators)
+    v = theta.values
+    return all(tuple(v[k] for k in a) == v for _, a in class_action(G, theta.group))
 
 
 def _brauer_degrees_over(md, K, theta):
@@ -415,9 +418,7 @@ def verify_regular_covering(G, N, p):
 
 def regular_covering_instances(G, p, name):
     records = []
-    for N in sorted(
-        normal_subgroups(G), key=lambda H: (H.order(), sorted(H.element_set()))
-    ):
+    for N in normal_subgroups(G, kernel_classes(G)):
         for rec in verify_regular_covering(G, N, p):
             full = {"group": name, "prime": p}
             full.update(rec)

@@ -10,6 +10,10 @@ Determinism: no randomness is used anywhere in this module, and every
 derived object (conjugacy classes, Sylow subgroups, cores, quotients,
 normal subgroup lists) is ordered by explicit lexicographic rules,
 so repeated runs produce identical results.
+
+Normal subgroups are read off the character table, which this module
+does not import: the caller passes the kernels of the irreducible
+characters as sets of classes (``chartab.kernel_classes``).
 """
 
 from dataclasses import dataclass
@@ -108,7 +112,10 @@ class PermutationGroup:
             for lvl in reversed(self._levels):
                 elems = [mult(u, h) for u in lvl.transversal.values() for h in elems]
             if len(elems) != self._order:
-                raise InternalCheckError("transversal product does not match group order")
+                raise InternalCheckError(
+                    f"transversal product does not match group order on {self!r}:"
+                    f" {len(elems)} elements"
+                )
             self._elements = tuple(sorted(elems))
             self._element_set = frozenset(self._elements)
         return self._elements
@@ -399,7 +406,10 @@ def sylow_subgroup(G, p):
                 grown = True
                 break
         if not grown:
-            raise InternalCheckError("Sylow growth stalled below the p-part")
+            raise InternalCheckError(
+                f"Sylow growth stalled below the p-part on {G!r} at p = {p}:"
+                f" order {P.order()} of {target}"
+            )
     return P
 
 
@@ -431,7 +441,10 @@ def _core(G, p, accept):
             gens.extend(closure.generators)
     result = group_from_elements(G.degree, tuple(gens)) if gens else trivial_group(G.degree)
     if not accept(result.order()):
-        raise InternalCheckError("core join left the target class of orders")
+        raise InternalCheckError(
+            f"core join left the target class of orders on {G!r} at p = {p}:"
+            f" order {result.order()}"
+        )
     return result
 
 
@@ -473,7 +486,10 @@ def quotient_with_cosets(G, N):
         gen_images.append(tuple(point_of[mult(g, coset[0])] for coset in cosets))
     Q = PermutationGroup(max(len(cosets), 1), gen_images)
     if Q.order() * N.order() != G.order():
-        raise InternalCheckError("coset action order mismatch")
+        raise InternalCheckError(
+            f"coset action order mismatch on {G!r} over {N!r}:"
+            f" quotient order {Q.order()}"
+        )
     return QuotientAction(Q, tuple(cosets), point_of)
 
 
@@ -521,33 +537,34 @@ def intersection(A, B):
 
 
 @lru_cache(maxsize=None)
-def normal_subgroups(G):
-    """All normal subgroups, as joins of normal closures of classes.
+def normal_subgroups(G, kernels):
+    """All normal subgroups, given the kernels of the irreducible
+    characters of G as sets of class indices.
 
-    Every normal subgroup is a union of conjugacy classes and hence the
-    join of the normal closures of the classes it contains, so closing
-    the class-closure set under joins finds them all.  Sorted by
-    (order, element tuple).  Enumerates the group.
+    Every normal subgroup is the intersection of the kernels of the
+    irreducible characters whose kernel contains it (Isaacs, Character
+    Theory of Finite Groups, ch. 2), so closing the kernels under
+    intersection finds every normal subgroup as a set of classes; the
+    empty intersection is G.  Each set is built as one normal closure of
+    its class representatives, which must have as many elements as its
+    classes.  Sorted by (order, element tuple).  Enumerates the group.
     """
-    seeds = []
-    seen = set()
-    for c in G.conjugacy_classes():
-        n = normal_closure(G, (c.representative,))
-        key = n.element_set()
-        if key not in seen:
-            seen.add(key)
-            seeds.append(n)
-    all_normals = {n.element_set(): n for n in seeds}
-    changed = True
-    while changed:
-        changed = False
-        current = list(all_normals.values())
-        for i, a in enumerate(current):
-            for b in current[i + 1 :]:
-                join = group_from_elements(G.degree, a.generators + b.generators)
-                key = join.element_set()
-                if key not in all_normals:
-                    all_normals[key] = join
-                    changed = True
-    result = sorted(all_normals.values(), key=lambda n: (n.order(), n.elements()))
+    classes = G.conjugacy_classes()
+    found = {frozenset(range(len(classes)))}
+    for kernel in kernels:
+        found |= {kernel & s for s in found}
+    result = []
+    for s in found:
+        if len(s) == len(classes):
+            N = G
+        else:
+            N = normal_closure(G, tuple(classes[k].representative for k in sorted(s)))
+        size = sum(classes[k].size for k in s)
+        if N.order() != size:
+            raise InternalCheckError(
+                f"normal closure of a kernel intersection of {G!r} has order"
+                f" {N.order()}, not the {size} elements of its classes"
+            )
+        result.append(N)
+    result.sort(key=lambda n: (n.order(), n.elements()))
     return tuple(result)

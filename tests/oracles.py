@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are seven exceptions, and each takes objects the package built.
+There are nine exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -30,10 +30,17 @@ draws the Navarro sampler's pairs from the same seeded stream and
 judges each one with package groups (a Schreier-Sims run per U, the
 intersection built from elements, and normalizers), to compare with the
 package's sampler on element indices and bitmasks.
+``normal_subgroups_by_joins`` closes the normal closures of the classes
+under joins, one Schreier-Sims run per join, to compare with the
+package's intersections of character kernels.  ``inertia_group_by_scan``
+conjugates a character of a normal subgroup by every element of G
+(``conjugate_character``) and builds the group of those that fix it, to
+compare with the package's orbit-stabilizer run on the generators.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -57,6 +64,7 @@ from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
     is_p_solvable,
+    normal_closure,
     sylow_subgroup,
     trivial_group,
 )
@@ -543,3 +551,58 @@ def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):
         "violations": violations,
         "verdict": "pass" if violations == 0 else "fail",
     }
+
+
+
+def conjugate_character(theta, g):
+    """The class function x -> theta(g x g^-1), conjugating each class
+    representative of theta's group by g."""
+    N = theta.group
+    return ClassFunction(N, tuple(theta.values[k] for k in _conjugation(N, g)))
+
+
+def _conjugation(N, g):
+    return tuple(
+        N.class_index(conj(g, c.representative)) for c in N.conjugacy_classes()
+    )
+
+
+@lru_cache(maxsize=1)
+def _conjugations(G, N):
+    """For every element g of G, in order, the class of g x_k g^-1 for
+    each class representative x_k of N."""
+    return tuple((g, _conjugation(N, g)) for g in G.elements())
+
+
+def inertia_group_by_scan(G, N, theta):
+    """The stabilizer of theta in G: every element of G conjugates
+    theta, and the group is built from the elements that fix it."""
+    v = theta.values
+    members = tuple(g for g, a in _conjugations(G, N) if tuple(v[k] for k in a) == v)
+    return group_from_elements(G.degree, members)
+
+
+def normal_subgroups_by_joins(G):
+    """All normal subgroups as joins of normal closures of classes.
+
+    Every normal subgroup is a union of conjugacy classes and hence the
+    join of the normal closures of the classes it contains, so joining
+    each subgroup found with each class closure it does not contain
+    finds them all; each join is one Schreier-Sims run.  Sorted by
+    (order, element tuple)."""
+    seeds = []
+    for c in G.conjugacy_classes():
+        n = normal_closure(G, (c.representative,))
+        if all(n.element_set() != m.element_set() for m in seeds):
+            seeds.append(n)
+    found = {n.element_set(): n for n in seeds}
+    queue = list(seeds)
+    for a in queue:
+        for b in seeds:
+            if b.is_subgroup_of(a):
+                continue
+            join = PermutationGroup(G.degree, a.generators + b.generators)
+            if join.element_set() not in found:
+                found[join.element_set()] = join
+                queue.append(join)
+    return tuple(sorted(found.values(), key=lambda n: (n.order(), n.elements())))

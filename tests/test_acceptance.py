@@ -32,6 +32,7 @@ from blockforge.perms import order as perm_order
 from blockforge.report import build_report, collect_verdicts
 from oracles import (
     character_degrees_common_eigenvector,
+    conjugate_character,
     defect_group_by_subgroup_search,
     exhaustive_ibr,
     inner_product,
@@ -286,7 +287,7 @@ def test_criterion_8_glauberman():
     theta = next(
         t
         for t in character_table(L).irreducibles
-        if all(t.conjugate_by(g) == t for g in G.generators)
+        if all(conjugate_character(t, g) == t for g in G.generators)
         and t.value_at(diagonal) == zeta(3, 2)
     )
     f = glauberman_correspondent(L, Q, theta, 2)

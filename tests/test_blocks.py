@@ -18,7 +18,7 @@ from blockforge.blocks import (
     shared_reduction,
     _class_algebra_product,
 )
-from blockforge.chartab import character_table
+from blockforge.chartab import character_table, kernel_classes
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import (
     PermutationGroup,
@@ -291,7 +291,7 @@ def test_brauer_correspondent_sl23_p3(sl23):
 
 def test_covered_blocks_s4_over_a4(s4):
     bs = block_data(s4, 2)
-    A4 = [N for N in normal_subgroups(s4) if N.order() == 12][0]
+    A4 = [N for N in normal_subgroups(s4, kernel_classes(s4)) if N.order() == 12][0]
     covered = covered_blocks(bs.blocks[0], A4)
     assert len(covered) == 1
     assert sorted(covered[0].degrees()) == [1, 1, 1, 3]

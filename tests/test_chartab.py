@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import catalog, chartab
+from blockforge import catalog, chartab, permgroup
 from blockforge.chartab import (
     CharacterTable,
     ClassFunction,
@@ -23,6 +23,7 @@ from blockforge.chartab import (
     constituents,
     inertia_group,
     irr_over,
+    kernel_classes,
     restrict,
     restriction_multiplicities,
     structure_constants,
@@ -31,12 +32,12 @@ from blockforge.chartab import (
 from blockforge.cli import main
 from blockforge.cyclotomic import ONE, ZERO, rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.groupfile import format_group_text
+from blockforge.groupfile import format_group_text, parse_group_file
 from blockforge.permgroup import (
     PermutationGroup,
+    normal_subgroups,
     p_core,
     sylow_subgroup,
-    trivial_group,
 )
 
 import oracles
@@ -642,16 +643,100 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
         _central_characters(G, 7)
 
 
-def test_inertia_group_error_names_the_groups(monkeypatch, sl23):
-    Q = p_core(sl23, 2)
-    monkeypatch.setattr(
-        chartab, "group_from_elements", lambda degree, elements: trivial_group(degree)
+def test_inertia_group_error_names_the_groups(monkeypatch, sl23, q8):
+    # a linear character of Q8 moved by SL(2,3); an action fixing every
+    # class puts it in an orbit of one, and the Schreier generators,
+    # SL(2,3)'s own generators, then move it
+    theta = next(
+        chi
+        for chi in character_table(q8).irreducibles
+        if chi.degree() == 1 and chi != trivial_character(q8)
     )
+    fixed = tuple(
+        (g, tuple(range(len(q8.conjugacy_classes())))) for g in sl23.generators
+    )
+    monkeypatch.setattr(chartab, "class_action", lambda G, N: fixed)
     message = re.escape(
-        f"inertia group does not contain the subgroup {Q!r} in {sl23!r}"
+        f"inertia group of a character of {q8!r} in {sl23!r} fails the"
+        " orbit-stabilizer gate: orbit 1, stabilizer order 24"
     )
     with pytest.raises(InternalCheckError, match=message):
-        inertia_group(sl23, Q, trivial_character(Q))
+        inertia_group(sl23, q8, theta)
+
+
+def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
+    cases = [(symmetric(6), alternating(6)), (sl23, q8)]
+    built = []
+    init = PermutationGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    for G, N in cases:
+        for theta in character_table(N).irreducibles:
+            inertia_group(G, N, theta)
+            monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+            built.clear()
+            inertia_group(G, N, theta)
+            assert len(built) == 1, (G, theta)
+            monkeypatch.setattr(PermutationGroup, "__init__", init)
+
+
+def _clifford_groups():
+    """Every catalog group, the five benchmark groups, the families with
+    many classes and seeded random subgroups of S5 and S6, one at a time.
+
+    After each group the caches that its subgroups, their tables and
+    class matrices filled are emptied: C2^5 alone has 374 subgroups, and
+    keeping them all would raise the peak memory of the whole suite."""
+    bench = Path(__file__).parents[1] / "perfbench" / "groups"
+    groups = [ent.load() for ent in catalog.entries()]
+    groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
+    groups += [
+        elementary_abelian(2, 5),
+        sylow_subgroup(s4_times_s4(), 2),
+        c2_wreath_s4(),
+        c3_wreath_c3(),
+    ]
+    for seed in range(20):
+        rng = random.Random(seed)
+        groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
+    for G in groups:
+        yield G
+        for cached in (
+            chartab._row_coordinates,
+            chartab.class_action,
+            chartab.class_matrix,
+            permgroup.group_from_elements,
+            permgroup.normal_closure,
+            permgroup.normal_subgroups,
+            oracles._conjugations,
+        ):
+            cached.cache_clear()
+
+
+def test_normal_subgroups_match_join_oracle(monkeypatch):
+    # uncached tables, here and below: a cached table of an unnamed group
+    # would be handed to an equal, named group of a later test
+    monkeypatch.setattr(chartab, "character_table", character_table.__wrapped__)
+    for G in _clifford_groups():
+        found = normal_subgroups(G, kernel_classes(G))
+        want = oracles.normal_subgroups_by_joins(G)
+        assert [N.elements() for N in found] == [N.elements() for N in want], G
+
+
+def test_inertia_groups_match_scan_oracle(monkeypatch):
+    monkeypatch.setattr(chartab, "character_table", character_table.__wrapped__)
+    cases = 0
+    for G in _clifford_groups():
+        for N in normal_subgroups(G, kernel_classes(G)):
+            for theta in chartab.character_table(N).irreducibles:
+                T = inertia_group(G, N, theta)
+                want = oracles.inertia_group_by_scan(G, N, theta)
+                assert T.element_set() == want.element_set(), (G, N)
+                cases += 1
+    assert cases > 4000
 
 
 def test_class_function_hash_is_cached_and_equal_functions_share_it(s4, a4):

@@ -1,8 +1,12 @@
 import random
+import re
 
 import pytest
 
-from blockforge.errors import DomainError
+from blockforge import permgroup
+
+from blockforge.chartab import kernel_classes
+from blockforge.errors import DomainError, InternalCheckError
 from blockforge.perms import conj, identity, mult, order
 from blockforge.permgroup import (
     PermutationGroup,
@@ -211,14 +215,79 @@ def _sign(p):
 
 
 def test_normal_subgroups_of_s4(s4):
-    ns = normal_subgroups(s4)
+    ns = normal_subgroups(s4, kernel_classes(s4))
     assert [N.order() for N in ns] == [1, 4, 12, 24]
     for N in ns:
         assert is_normal_in(N, s4)
 
 
 def test_normal_subgroups_of_a5(a5):
-    assert [N.order() for N in normal_subgroups(a5)] == [1, 60]
+    assert [N.order() for N in normal_subgroups(a5, kernel_classes(a5))] == [1, 60]
+
+
+def test_kernel_closure_gate_names_the_group(monkeypatch):
+    G = symmetric(4)
+    transpositions = next(
+        c.index for c in G.conjugacy_classes() if c.element_order == 2 and c.size == 6
+    )
+    # a set of classes that is no normal subgroup: the identity and the
+    # transpositions close to all of S4
+    message = re.escape(
+        f"normal closure of a kernel intersection of {G!r} has order 24,"
+        " not the 7 elements of its classes"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        normal_subgroups(G, (frozenset({0, transpositions}),))
+    # the true kernels, with a closure that stays trivial
+    monkeypatch.setattr(permgroup, "normal_closure", lambda G, seeds: trivial_group(4))
+    message = re.escape(f"normal closure of a kernel intersection of {G!r} has order 1")
+    with pytest.raises(InternalCheckError, match=message):
+        normal_subgroups.__wrapped__(G, kernel_classes(G))
+
+
+def test_element_enumeration_gate_names_the_group(monkeypatch):
+    G = symmetric(4)
+    monkeypatch.setattr(G, "_order", 25)
+    message = re.escape(
+        f"transversal product does not match group order on {G!r}: 24 elements"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        G.elements()
+
+
+def test_sylow_growth_gate_names_the_group_and_prime(monkeypatch):
+    G = symmetric(4)
+    # a normalizer that is P itself holds no p-element outside P
+    monkeypatch.setattr(permgroup, "normalizer", lambda G, P: P)
+    message = re.escape(
+        f"Sylow growth stalled below the p-part on {G!r} at p = 2: order 2 of 8"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        sylow_subgroup.__wrapped__(G, 2)
+
+
+def test_core_join_gate_names_the_group_and_prime(monkeypatch):
+    G = symmetric(4)
+    monkeypatch.setattr(permgroup, "group_from_elements", lambda degree, elements: G)
+    message = re.escape(
+        f"core join left the target class of orders on {G!r} at p = 2: order 24"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        p_core.__wrapped__(G, 2)
+
+
+def test_coset_action_gate_names_the_groups(monkeypatch):
+    G = symmetric(4)
+    V = p_core(G, 2)
+    build = PermutationGroup
+    monkeypatch.setattr(
+        permgroup, "PermutationGroup", lambda degree, gens: build(degree, ())
+    )
+    message = re.escape(
+        f"coset action order mismatch on {G!r} over {V!r}: quotient order 1"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        quotient_with_cosets.__wrapped__(G, V)
 
 
 def test_exponent(s4, a5):
