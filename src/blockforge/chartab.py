@@ -208,9 +208,9 @@ def irr_over(G, N, theta):
 
 @lru_cache(maxsize=None)
 def class_action(G, N):
-    """How G acts on the classes of its normal subgroup N: for each
-    generator g of G, the pair (g, a) with a[k] the class of g x_k g^-1,
-    x_k the representative of class k of N.
+    """How G acts by conjugation on the classes of a subgroup N that it
+    normalizes: for each generator g of G, the pair (g, a) with a[k] the
+    class of g x_k g^-1, x_k the representative of class k of N.
 
     The character theta conjugated by g, x -> theta(g x g^-1), takes the
     value theta.values[a[k]] at class k.  Each g is returned with its

@@ -553,7 +553,6 @@ def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):
     }
 
 
-
 def conjugate_character(theta, g):
     """The class function x -> theta(g x g^-1), conjugating each class
     representative of theta's group by g."""
@@ -590,12 +589,11 @@ def normal_subgroups_by_joins(G):
     each subgroup found with each class closure it does not contain
     finds them all; each join is one Schreier-Sims run.  Sorted by
     (order, element tuple)."""
-    seeds = []
+    found = {}
     for c in G.conjugacy_classes():
         n = normal_closure(G, (c.representative,))
-        if all(n.element_set() != m.element_set() for m in seeds):
-            seeds.append(n)
-    found = {n.element_set(): n for n in seeds}
+        found.setdefault(n.element_set(), n)
+    seeds = list(found.values())
     queue = list(seeds)
     for a in queue:
         for b in seeds:

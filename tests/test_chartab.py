@@ -673,14 +673,16 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
         built.append(1)
         init(self, *args, **kwargs)
 
+    # warming calls fill the class action and the classes of N
     for G, N in cases:
         for theta in character_table(N).irreducibles:
             inertia_group(G, N, theta)
-            monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+    monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+    for G, N in cases:
+        for theta in character_table(N).irreducibles:
             built.clear()
             inertia_group(G, N, theta)
             assert len(built) == 1, (G, theta)
-            monkeypatch.setattr(PermutationGroup, "__init__", init)
 
 
 def _clifford_groups():
@@ -689,7 +691,9 @@ def _clifford_groups():
 
     After each group the caches that its subgroups, their tables and
     class matrices filled are emptied: C2^5 alone has 374 subgroups, and
-    keeping them all would raise the peak memory of the whole suite."""
+    keeping them all would raise the peak memory of the whole suite,
+    which test_question35_counts_matchings_without_storing_them reads
+    through its child process."""
     bench = Path(__file__).parents[1] / "perfbench" / "groups"
     groups = [ent.load() for ent in catalog.entries()]
     groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]

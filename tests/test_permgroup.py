@@ -4,7 +4,6 @@ import re
 import pytest
 
 from blockforge import permgroup
-
 from blockforge.chartab import kernel_classes
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.perms import conj, identity, mult, order
