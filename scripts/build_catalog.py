@@ -10,8 +10,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from blockforge.chartab import is_p_solvable
 from blockforge.groupfile import format_group_text, parse_group_file
-from blockforge.permgroup import PermutationGroup, is_p_solvable
+from blockforge.permgroup import PermutationGroup
 from blockforge.arith import prime_factors
 
 CATALOG = Path(__file__).resolve().parents[1] / "src" / "blockforge" / "data" / "catalog"

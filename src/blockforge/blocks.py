@@ -118,9 +118,6 @@ class Block:
         table = self.blockset.table
         return tuple(table.irreducibles[i].degree() for i in self.height_zero)
 
-    def is_principal(self):
-        return 0 in self.char_indices
-
     def defect_group(self):
         if self._defect_group is None:
             self._defect_group = _defect_group_from_defect_class(self)

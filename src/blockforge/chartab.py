@@ -29,6 +29,13 @@ How G acts on the classes, and so on the characters, of a normal
 subgroup N lives in one cached helper, ``class_action(G, N)``: inertia
 groups (by orbit and stabilizer), block covering and invariance read it.
 
+Normal structure lives in one cached lattice, ``normal_class_sets(G)``:
+every normal subgroup as a set of classes, found as the character
+kernels closed under intersection.  The normal subgroups, O_p and O_p'
+(each built from the one largest set whose order is a power of p, or
+prime to p) and p-solvability (read off one chief series of the sets)
+come from it; nothing builds a quotient group.
+
 One pairing on integer power-basis coordinates, ``_pairing``, serves
 both the table gate and the restriction table (through
 ``constituents``); it builds no cyclotomic value.
@@ -37,7 +44,7 @@ both the table gate and the restriction table (through
 from functools import lru_cache
 from math import isqrt
 
-from .arith import is_prime, multiplicative_order
+from .arith import is_prime, multiplicative_order, p_part
 from .cyclotomic import (
     ONE,
     cyclotomic_polynomial,
@@ -45,7 +52,7 @@ from .cyclotomic import (
 )
 from .errors import DomainError, InternalCheckError
 from .perms import conj, identity, inverse, mult, power
-from .permgroup import PermutationGroup, is_normal_in
+from .permgroup import PermutationGroup, is_normal_in, normal_closure
 
 @lru_cache(maxsize=None)
 def class_matrix(G, i):
@@ -86,9 +93,6 @@ class ClassFunction:
 
     def degree(self):
         return self.values[0].integer_value()
-
-    def value_at(self, element):
-        return self.values[self.group.class_index(element)]
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
@@ -230,6 +234,113 @@ def kernel_classes(G):
         frozenset(k for k, v in enumerate(chi.values) if v == chi.values[0])
         for chi in character_table(G).irreducibles
     )
+
+
+def _set_order(G, s):
+    classes = G.conjugacy_classes()
+    return sum(classes[k].size for k in s)
+
+
+@lru_cache(maxsize=None)
+def normal_class_sets(G):
+    """Every normal subgroup of G as the frozenset of the indices of its
+    classes, ascending by (order, sorted indices).
+
+    Every normal subgroup is the intersection of the kernels of the
+    irreducible characters whose kernel contains it (Isaacs, Character
+    Theory of Finite Groups, ch. 2), so closing the kernels under
+    intersection finds them all; the empty intersection is G."""
+    found = {frozenset(range(len(G.conjugacy_classes())))}
+    for kernel in kernel_classes(G):
+        found |= {kernel & s for s in found}
+    return tuple(sorted(found, key=lambda s: (_set_order(G, s), sorted(s))))
+
+
+def _normal_subgroup(G, s):
+    """The normal subgroup whose classes are s, built as one normal
+    closure of their representatives; it must have as many elements as
+    its classes."""
+    classes = G.conjugacy_classes()
+    if len(s) == len(classes):
+        N = G
+    else:
+        N = normal_closure(G, tuple(classes[k].representative for k in sorted(s)))
+    size = _set_order(G, s)
+    if N.order() != size:
+        raise InternalCheckError(
+            f"normal closure of a kernel intersection of {G!r} has order"
+            f" {N.order()}, not the {size} elements of its classes"
+        )
+    return N
+
+
+@lru_cache(maxsize=None)
+def normal_subgroups(G):
+    """All normal subgroups, one built for each of ``normal_class_sets``,
+    sorted by (order, element tuple).  Enumerates the group."""
+    result = [_normal_subgroup(G, s) for s in normal_class_sets(G)]
+    result.sort(key=lambda n: (n.order(), n.elements()))
+    return tuple(result)
+
+
+def _largest_normal(G, p, accept, name):
+    """The largest normal subgroup of G whose order passes accept, built
+    from the largest accepted class set.  Normal p-subgroups, and normal
+    p'-subgroups, are closed under products, so that set must contain
+    every other accepted set, or the lattice is wrong."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    # the trivial subgroup passes both tests, so sets is never empty
+    sets = [s for s in normal_class_sets(G) if accept(_set_order(G, s))]
+    top = sets[-1]
+    missed = sum(not s <= top for s in sets)
+    if missed:
+        raise InternalCheckError(
+            f"no largest normal class set for {name} of {G!r} at p = {p}:"
+            f" the one of order {_set_order(G, top)} misses {missed}"
+            f" of the {len(sets)} accepted"
+        )
+    return _normal_subgroup(G, top)
+
+
+@lru_cache(maxsize=None)
+def p_core(G, p):
+    """O_p(G), the largest normal p-subgroup."""
+    return _largest_normal(G, p, lambda n: n == p_part(n, p), "O_p")
+
+
+@lru_cache(maxsize=None)
+def p_prime_core(G, p):
+    """O_p'(G), the largest normal p'-subgroup."""
+    return _largest_normal(G, p, lambda n: n % p != 0, "O_p'")
+
+
+@lru_cache(maxsize=None)
+def is_p_solvable(G, p):
+    """Whether every composition factor of G is a p-group or a p'-group,
+    read off one chief series.
+
+    From G, each step takes the largest normal class set strictly inside
+    the last one; no normal subgroup of G lies strictly between the two,
+    so the steps down to the trivial subgroup form a chief series.  A
+    chief factor N/M is a minimal normal subgroup of G/M and hence a
+    direct product of copies of one simple group S, which are its
+    composition factors; so they are all p-groups or all p'-groups exactly
+    when |N/M| is a power of p or prime to p.  (A nonabelian S has at
+    least three prime divisors by Burnside's p^a q^b theorem: it is never
+    a p-group, and passes exactly when p does not divide |N/M|.)  The
+    composition factors of G are those of its chief factors."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    sets = normal_class_sets(G)
+    top = sets[-1]
+    while len(top) > 1:
+        M = [s for s in sets if s < top][-1]
+        factor = _set_order(G, top) // _set_order(G, M)
+        if factor % p == 0 and factor != p_part(factor, p):
+            return False
+        top = M
+    return True
 
 
 def inertia_group(G, N, theta):

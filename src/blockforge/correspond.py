@@ -24,7 +24,10 @@ from .chartab import (
     class_action,
     inertia_group,
     irr_over,
-    kernel_classes,
+    is_p_solvable,
+    normal_subgroups,
+    p_core,
+    p_prime_core,
     restriction_multiplicities,
 )
 from .errors import DomainError, InternalCheckError
@@ -37,11 +40,7 @@ from .permgroup import (
     centralizer_of_group,
     intersection,
     is_normal_in,
-    is_p_solvable,
-    normal_subgroups,
     normalizer,
-    p_core,
-    p_prime_core,
     sylow_subgroup,
 )
 
@@ -418,7 +417,7 @@ def verify_regular_covering(G, N, p):
 
 def regular_covering_instances(G, p, name):
     records = []
-    for N in normal_subgroups(G, kernel_classes(G)):
+    for N in normal_subgroups(G):
         for rec in verify_regular_covering(G, N, p):
             full = {"group": name, "prime": p}
             full.update(rec)

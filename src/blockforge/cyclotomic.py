@@ -120,9 +120,6 @@ class Cyclotomic:
         self.conductor = conductor
         self.coords = coords
 
-    def is_rational(self):
-        return self.conductor == 1
-
     def rational_value(self):
         if self.conductor != 1:
             raise DomainError("value is irrational")

@@ -33,12 +33,6 @@ class FiniteField:
         self.zero = FFElement(self, (0,) * f)
         self.one = FFElement(self, (1,) + (0,) * (f - 1))
 
-    def element(self, coeffs):
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.f:
-            raise DomainError("coefficient count does not match the degree")
-        return FFElement(self, coeffs)
-
     def from_integer(self, n):
         return FFElement(self, (n % self.p,) + (0,) * (self.f - 1))
 

@@ -20,10 +20,9 @@ from pathlib import Path
 
 from .arith import solve_rational, vp
 from .blocks import _where, block_data, p_regular_classes
-from .chartab import character_table
+from .chartab import character_table, is_p_solvable
 from .cyclotomic import Cyclotomic
 from .errors import DomainError, InternalCheckError
-from .permgroup import is_p_solvable
 
 _FIXTURE_DIR = Path(__file__).parent / "data" / "fixtures"
 

@@ -7,13 +7,13 @@ are exact from the start.  Everything here is written for desk scale
 outright, and each such function says so in its docstring.
 
 Determinism: no randomness is used anywhere in this module, and every
-derived object (conjugacy classes, Sylow subgroups, cores, quotients,
-normal subgroup lists) is ordered by explicit lexicographic rules,
-so repeated runs produce identical results.
+derived object (conjugacy classes, Sylow subgroups, subgroup closures)
+is ordered by explicit lexicographic rules, so repeated runs produce
+identical results.
 
-Normal subgroups are read off the character table, which this module
-does not import: the caller passes the kernels of the irreducible
-characters as sets of classes (``chartab.kernel_classes``).
+Normal structure (the normal subgroups, O_p, O_p' and p-solvability)
+lives in ``chartab``: it is read off the character table, which this
+module does not import.
 """
 
 from dataclasses import dataclass
@@ -83,12 +83,6 @@ class PermutationGroup:
     def order(self):
         return self._order
 
-    def is_trivial(self):
-        return self._order == 1
-
-    def identity(self):
-        return identity(self.degree)
-
     def contains(self, p):
         if len(p) != self.degree:
             return False
@@ -127,10 +121,6 @@ class PermutationGroup:
 
     def is_subgroup_of(self, other):
         return self.degree == other.degree and all(other.contains(g) for g in self.generators)
-
-    def is_abelian(self):
-        gens = self.generators
-        return all(mult(a, b) == mult(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :])
 
     def conjugacy_classes(self):
         """Conjugacy classes sorted by (element order, size, representative).
@@ -419,102 +409,6 @@ def _p_element_part(x, o, p):
     return power(x, o // p_part(o, p))
 
 
-@lru_cache(maxsize=None)
-def p_core(G, p):
-    """O_p(G): join of normal closures of classes whose closure is a p-group."""
-    return _core(G, p, lambda n: n == p_part(n, p))
-
-
-@lru_cache(maxsize=None)
-def p_prime_core(G, p):
-    """O_{p'}(G): join of normal closures of classes whose closure is a p'-group."""
-    return _core(G, p, lambda n: n % p != 0)
-
-
-def _core(G, p, accept):
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    gens = []
-    for c in G.conjugacy_classes():
-        closure = normal_closure(G, (c.representative,))
-        if accept(closure.order()):
-            gens.extend(closure.generators)
-    result = group_from_elements(G.degree, tuple(gens)) if gens else trivial_group(G.degree)
-    if not accept(result.order()):
-        raise InternalCheckError(
-            f"core join left the target class of orders on {G!r} at p = {p}:"
-            f" order {result.order()}"
-        )
-    return result
-
-
-class QuotientAction:
-    """G acting by left translation on the left cosets of a normal subgroup."""
-
-    def __init__(self, quotient, cosets, point_of):
-        self.quotient = quotient
-        self.cosets = cosets
-        self.point_of = point_of
-
-    def image_of(self, g):
-        """The permutation of cosets induced by g."""
-        return tuple(self.point_of[mult(g, rep[0])] for rep in self.cosets)
-
-
-@lru_cache(maxsize=None)
-def quotient_with_cosets(G, N):
-    """Quotient G/N as a permutation group on left cosets, with the coset data.
-
-    Cosets are sorted by their smallest member, so the coset of the
-    identity is always point 0.  Enumerates the group.
-    """
-    if not is_normal_in(N, G):
-        raise DomainError("subgroup is not normal")
-    nset = N.element_set()
-    point_of = {}
-    cosets = []
-    for x in G.elements():
-        if x in point_of:
-            continue
-        coset = tuple(sorted(mult(x, n) for n in nset))
-        idx = len(cosets)
-        cosets.append(coset)
-        for y in coset:
-            point_of[y] = idx
-    gen_images = []
-    for g in G.generators:
-        gen_images.append(tuple(point_of[mult(g, coset[0])] for coset in cosets))
-    Q = PermutationGroup(max(len(cosets), 1), gen_images)
-    if Q.order() * N.order() != G.order():
-        raise InternalCheckError(
-            f"coset action order mismatch on {G!r} over {N!r}:"
-            f" quotient order {Q.order()}"
-        )
-    return QuotientAction(Q, tuple(cosets), point_of)
-
-
-def quotient_action(G, N):
-    """The quotient group G/N acting faithfully on cosets of N."""
-    return quotient_with_cosets(G, N).quotient
-
-
-@lru_cache(maxsize=None)
-def is_p_solvable(G, p):
-    """Whether every composition factor is a p-group or a p'-group,
-    decided by peeling O_{p'} and O_p alternately."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if G.order() == 1:
-        return True
-    K = p_prime_core(G, p)
-    if K.order() > 1:
-        return is_p_solvable(quotient_action(G, K), p)
-    M = p_core(G, p)
-    if M.order() > 1:
-        return is_p_solvable(quotient_action(G, M), p)
-    return False
-
-
 def are_conjugate_subgroups(G, H, K):
     """Whether H^g = K for some g in G.  Enumerates the group."""
     if H.order() != K.order():
@@ -534,37 +428,3 @@ def intersection(A, B):
     small, big = (A, B) if A.order() <= B.order() else (B, A)
     bigset = big.element_set()
     return group_from_elements(A.degree, tuple(x for x in small.elements() if x in bigset))
-
-
-@lru_cache(maxsize=None)
-def normal_subgroups(G, kernels):
-    """All normal subgroups, given the kernels of the irreducible
-    characters of G as sets of class indices.
-
-    Every normal subgroup is the intersection of the kernels of the
-    irreducible characters whose kernel contains it (Isaacs, Character
-    Theory of Finite Groups, ch. 2), so closing the kernels under
-    intersection finds every normal subgroup as a set of classes; the
-    empty intersection is G.  Each set is built as one normal closure of
-    its class representatives, which must have as many elements as its
-    classes.  Sorted by (order, element tuple).  Enumerates the group.
-    """
-    classes = G.conjugacy_classes()
-    found = {frozenset(range(len(classes)))}
-    for kernel in kernels:
-        found |= {kernel & s for s in found}
-    result = []
-    for s in found:
-        if len(s) == len(classes):
-            N = G
-        else:
-            N = normal_closure(G, tuple(classes[k].representative for k in sorted(s)))
-        size = sum(classes[k].size for k in s)
-        if N.order() != size:
-            raise InternalCheckError(
-                f"normal closure of a kernel intersection of {G!r} has order"
-                f" {N.order()}, not the {size} elements of its classes"
-            )
-        result.append(N)
-    result.sort(key=lambda n: (n.order(), n.elements()))
-    return tuple(result)

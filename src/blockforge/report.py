@@ -5,6 +5,7 @@ import json
 import time
 from collections import namedtuple
 
+from .chartab import is_p_solvable
 from .correspond import (
     block_section,
     fong_block_instances,
@@ -14,7 +15,6 @@ from .correspond import (
     question35_instances,
     regular_covering_instances,
 )
-from .permgroup import is_p_solvable
 
 
 def _degs(values):

@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are nine exceptions, and each takes objects the package built.
+There are eleven exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -36,6 +36,11 @@ package's intersections of character kernels.  ``inertia_group_by_scan``
 conjugates a character of a normal subgroup by every element of G
 (``conjugate_character``) and builds the group of those that fix it, to
 compare with the package's orbit-stabilizer run on the generators.
+``cores_by_class_closures`` joins the normal closures of the classes
+whose closure is a p-group, or a p'-group, and
+``is_p_solvable_by_quotients`` peels those cores off one at a time,
+building each quotient as the action of G on the cosets, to compare
+with the package's reading of both off the kernel lattice.
 """
 
 import random
@@ -50,6 +55,7 @@ from blockforge.chartab import (
     ClassFunction,
     character_table,
     constituents,
+    is_p_solvable,
     structure_constants,
 )
 from blockforge.correspond import (
@@ -63,7 +69,6 @@ from blockforge.perms import conj
 from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
-    is_p_solvable,
     normal_closure,
     sylow_subgroup,
     trivial_group,
@@ -604,3 +609,40 @@ def normal_subgroups_by_joins(G):
                 found[join.element_set()] = join
                 queue.append(join)
     return tuple(sorted(found.values(), key=lambda n: (n.order(), n.elements())))
+
+
+def cores_by_class_closures(G, p):
+    """(O_p(G), O_p'(G)): each the join of the normal closures of the
+    classes whose closure is a p-group, or a p'-group.  A normal
+    subgroup is the join of the normal closures of its classes, and the
+    join of normal p-subgroups (p'-subgroups) is one."""
+    closures = [normal_closure(G, (c.representative,)) for c in G.conjugacy_classes()]
+    cores = []
+    for accept in (lambda n: n == p_part(n, p), lambda n: n % p != 0):
+        gens = [g for N in closures if accept(N.order()) for g in N.generators]
+        cores.append(PermutationGroup(G.degree, gens))
+    return tuple(cores)
+
+
+def is_p_solvable_by_quotients(G, p):
+    """Whether G is p-solvable: G is when it is trivial, or when O_p'(G)
+    or O_p(G) is not trivial and the quotient by it is p-solvable.  The
+    quotient is built as the action of G on the left cosets."""
+    if G.order() == 1:
+        return True
+    for K in reversed(cores_by_class_closures(G, p)):
+        if K.order() > 1:
+            return is_p_solvable_by_quotients(_coset_action(G, K), p)
+    return False
+
+
+def _coset_action(G, K):
+    point_of = {}
+    reps = []
+    for x in G.elements():
+        if x not in point_of:
+            for k in K.elements():
+                point_of[omult(x, k)] = len(reps)
+            reps.append(x)
+    images = [tuple(point_of[omult(g, x)] for x in reps) for g in G.generators]
+    return PermutationGroup(len(reps), images)

@@ -18,12 +18,11 @@ from blockforge.blocks import (
     shared_reduction,
     _class_algebra_product,
 )
-from blockforge.chartab import character_table, kernel_classes
+from blockforge.chartab import character_table, normal_subgroups
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
-    normal_subgroups,
     normalizer,
     sylow_subgroup,
 )
@@ -44,7 +43,7 @@ def test_s4_p2_single_block_of_full_defect(s4):
     assert sorted(b.degrees()) == [1, 1, 2, 3, 3]
     assert b.defect == 3
     assert b.dim == 24
-    assert b.is_principal()
+    assert 0 in b.char_indices
 
 
 def test_s4_p2_idempotent_is_the_identity(s4):
@@ -59,7 +58,7 @@ def test_a5_p2_partition(a5):
     bs = block_data(a5, 2)
     assert degree_multisets(bs) == [[1, 3, 3, 5], [4]]
     principal = bs.blocks[0]
-    assert principal.is_principal()
+    assert 0 in principal.char_indices
     assert sorted(principal.degrees()) == [1, 3, 3, 5]
     assert principal.defect == 2
     other = bs.blocks[1]
@@ -124,7 +123,7 @@ def test_coprime_prime_gives_singleton_blocks(s4):
 def test_blocks_ordered_principal_first(a5, sl23):
     for G, p in ((a5, 2), (sl23, 3)):
         bs = block_data(G, p)
-        assert bs.blocks[0].is_principal()
+        assert 0 in bs.blocks[0].char_indices
         firsts = [min(b.char_indices) for b in bs.blocks]
         assert firsts == sorted(firsts)
 
@@ -291,7 +290,7 @@ def test_brauer_correspondent_sl23_p3(sl23):
 
 def test_covered_blocks_s4_over_a4(s4):
     bs = block_data(s4, 2)
-    A4 = [N for N in normal_subgroups(s4, kernel_classes(s4)) if N.order() == 12][0]
+    A4 = [N for N in normal_subgroups(s4) if N.order() == 12][0]
     covered = covered_blocks(bs.blocks[0], A4)
     assert len(covered) == 1
     assert sorted(covered[0].degrees()) == [1, 1, 1, 3]

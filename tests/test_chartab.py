@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from blockforge import catalog, chartab, permgroup
+from blockforge.arith import is_prime, prime_factors
 from blockforge.chartab import (
     CharacterTable,
     ClassFunction,
@@ -23,7 +24,10 @@ from blockforge.chartab import (
     constituents,
     inertia_group,
     irr_over,
-    kernel_classes,
+    is_p_solvable,
+    normal_subgroups,
+    p_core,
+    p_prime_core,
     restrict,
     restriction_multiplicities,
     structure_constants,
@@ -33,12 +37,7 @@ from blockforge.cli import main
 from blockforge.cyclotomic import ONE, ZERO, rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text, parse_group_file
-from blockforge.permgroup import (
-    PermutationGroup,
-    normal_subgroups,
-    p_core,
-    sylow_subgroup,
-)
+from blockforge.permgroup import PermutationGroup, sylow_subgroup
 
 import oracles
 from oracles import induce, inner_product, regular_character
@@ -357,7 +356,7 @@ def test_constituents_agree_with_cyclotomic_inner_product():
             # when every oracle multiplicity is an integer
             beta = ClassFunction(G, [rational(rng.randint(-4, 4)) for _ in range(r)])
             products = [inner_product(beta, chi) for chi in table.irreducibles]
-            if all(m.is_rational() and m.rational_value().denominator == 1 for m in products):
+            if all(m.conductor == 1 and m.rational_value().denominator == 1 for m in products):
                 assert constituents(beta) == tuple(m.integer_value() for m in products)
             else:
                 with pytest.raises(DomainError, match="not a virtual character"):
@@ -685,24 +684,17 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
             assert len(built) == 1, (G, theta)
 
 
-def _clifford_groups():
-    """Every catalog group, the five benchmark groups, the families with
-    many classes and seeded random subgroups of S5 and S6, one at a time.
+def _oracle_groups(families):
+    """Every catalog group, the five benchmark groups, the given
+    families and seeded random subgroups of S5 and S6, one at a time.
 
     After each group the caches that its subgroups, their tables and
     class matrices filled are emptied: C2^5 alone has 374 subgroups, and
-    keeping them all would raise the peak memory of the whole suite,
-    which test_question35_counts_matchings_without_storing_them reads
-    through its child process."""
+    keeping them all would raise the peak memory of the whole suite."""
     bench = Path(__file__).parents[1] / "perfbench" / "groups"
     groups = [ent.load() for ent in catalog.entries()]
     groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
-    groups += [
-        elementary_abelian(2, 5),
-        sylow_subgroup(s4_times_s4(), 2),
-        c2_wreath_s4(),
-        c3_wreath_c3(),
-    ]
+    groups += families
     for seed in range(20):
         rng = random.Random(seed)
         groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
@@ -712,12 +704,25 @@ def _clifford_groups():
             chartab._row_coordinates,
             chartab.class_action,
             chartab.class_matrix,
+            chartab.is_p_solvable,
+            chartab.normal_class_sets,
+            chartab.normal_subgroups,
+            chartab.p_core,
+            chartab.p_prime_core,
             permgroup.group_from_elements,
             permgroup.normal_closure,
-            permgroup.normal_subgroups,
             oracles._conjugations,
         ):
             cached.cache_clear()
+
+
+def _clifford_groups():
+    return _oracle_groups([
+        elementary_abelian(2, 5),
+        sylow_subgroup(s4_times_s4(), 2),
+        c2_wreath_s4(),
+        c3_wreath_c3(),
+    ])
 
 
 def test_normal_subgroups_match_join_oracle(monkeypatch):
@@ -725,16 +730,40 @@ def test_normal_subgroups_match_join_oracle(monkeypatch):
     # would be handed to an equal, named group of a later test
     monkeypatch.setattr(chartab, "character_table", character_table.__wrapped__)
     for G in _clifford_groups():
-        found = normal_subgroups(G, kernel_classes(G))
+        found = normal_subgroups(G)
         want = oracles.normal_subgroups_by_joins(G)
         assert [N.elements() for N in found] == [N.elements() for N in want], G
+
+
+def test_cores_and_p_solvability_match_closure_oracles(monkeypatch):
+    monkeypatch.setattr(chartab, "character_table", character_table.__wrapped__)
+    families = [
+        elementary_abelian(2, 5),
+        elementary_abelian(3, 3),
+        s4_times_s4(),
+        c2_wreath_s4(),
+        c3_wreath_c3(),
+    ]
+    verdicts = Counter()
+    for G in _oracle_groups(families):
+        n = G.order()
+        primes = list(prime_factors(n))
+        primes.append(next(q for q in range(2, 2 * n + 3) if is_prime(q) and n % q))
+        for p in primes:
+            O_p, O_p_prime = oracles.cores_by_class_closures(G, p)
+            assert p_core(G, p).element_set() == O_p.element_set(), (G, p)
+            assert p_prime_core(G, p).element_set() == O_p_prime.element_set(), (G, p)
+            solvable = is_p_solvable(G, p)
+            assert solvable == oracles.is_p_solvable_by_quotients(G, p), (G, p)
+            verdicts[solvable] += 1
+    assert verdicts == {True: 81, False: 40}
 
 
 def test_inertia_groups_match_scan_oracle(monkeypatch):
     monkeypatch.setattr(chartab, "character_table", character_table.__wrapped__)
     cases = 0
     for G in _clifford_groups():
-        for N in normal_subgroups(G, kernel_classes(G)):
+        for N in normal_subgroups(G):
             for theta in chartab.character_table(N).irreducibles:
                 T = inertia_group(G, N, theta)
                 want = oracles.inertia_group_by_scan(G, N, theta)

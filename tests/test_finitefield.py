@@ -7,14 +7,14 @@ import pytest
 from blockforge import finitefield
 from blockforge.cyclotomic import rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.finitefield import FiniteField, ReductionMap, build_reduction
+from blockforge.finitefield import FFElement, FiniteField, ReductionMap, build_reduction
 
 
 def test_gf4_modulus_and_elements():
     F = FiniteField(2, 2)
     assert F.modulus == (1, 1)
     assert len(F.elements()) == 4
-    t = F.element((0, 1))
+    t = FFElement(F, (0, 1))
     assert t * t == t + F.one
 
 
@@ -36,14 +36,14 @@ def test_gf9_arithmetic():
 
 def test_prime_field():
     F = FiniteField(5, 1)
-    assert F.from_integer(7) == F.element((2,))
-    assert F.element((3,)) * F.element((4,)) == F.element((2,))
+    assert F.from_integer(7) == FFElement(F, (2,))
+    assert FFElement(F, (3,)) * FFElement(F, (4,)) == FFElement(F, (2,))
 
 
 def test_element_of_order_is_encoding_smallest():
     F = FiniteField(2, 2)
     u = F.element_of_order(3)
-    assert u == F.element((0, 1))
+    assert u == FFElement(F, (0, 1))
     F9 = FiniteField(3, 2)
     u8 = F9.element_of_order(8)
     assert u8.multiplicative_order() == 8

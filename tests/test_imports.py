@@ -1,5 +1,5 @@
 """Every module uses every name it imports, and every package function
-has a user outside the tests.
+and public method has a user outside the tests.
 
 A stdlib-only scan of the syntax trees under src/, tests/ and scripts/.
 Package ``__init__.py`` files are skipped: their imports are re-exports.
@@ -60,10 +60,23 @@ def _mentions(node):
     )
 
 
+def _definitions(tree):
+    """(name, node) for each module-level function, and ("Class.method",
+    node) for each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
 def unreferenced_functions(package, users, exported):
-    """(module, name) for each module-level function of the package
-    sources that no user source mentions outside the function's own
-    body and that is not exported.
+    """(module, name) for each module-level function and public method
+    of the package sources that no user source mentions outside its own
+    body and that is not exported.  A method counts as mentioned
+    wherever its bare name is, as the scan cannot tell receivers apart.
 
     package and users map a module label to its source; the package
     sources are users too."""
@@ -71,12 +84,10 @@ def unreferenced_functions(package, users, exported):
     mentioned = sum((_mentions(tree) for tree in trees.values()), Counter())
     found = []
     for label in package:
-        for node in trees[label].body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
+        for name, node in _definitions(trees[label]):
             outside = mentioned[node.name] - _mentions(node)[node.name]
-            if outside <= 0 and node.name not in exported:
-                found.append((label, node.name))
+            if outside <= 0 and name not in exported:
+                found.append((label, name))
     return sorted(found)
 
 
@@ -85,12 +96,16 @@ def test_function_scanner_finds_unreferenced_functions():
         "m": "def used():\n    pass\n\ndef recursive():\n    return recursive()\n"
         "\ndef main():\n    used()\n",
         "n": "import m\n\ndef helper():\n    return m.used\n",
+        "k": "class K:\n    def __init__(self):\n        self.run()\n"
+        "\n    def run(self):\n        pass\n\n    def idle(self):\n"
+        "        return self.idle()\n",
     }
     assert unreferenced_functions(package, {}, {"main"}) == [
+        ("k", "K.idle"),
         ("m", "recursive"),
         ("n", "helper"),
     ]
-    users = {"script": "from n import helper\nhelper()\n"}
+    users = {"script": "from n import helper\nhelper()\nK().idle()\n"}
     assert unreferenced_functions(package, users, {"main"}) == [("m", "recursive")]
 
 

@@ -6,7 +6,7 @@ import pytest
 from blockforge import modular
 from blockforge.arith import prime_factors
 from blockforge.blocks import block_data, brauer_correspondent, p_regular_classes
-from blockforge.chartab import character_table
+from blockforge.chartab import character_table, is_p_solvable
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.modular import (
     ModularData,
@@ -14,7 +14,6 @@ from blockforge.modular import (
     modular_data,
     restriction_to_p_regular,
 )
-from blockforge.permgroup import is_p_solvable
 
 from conftest import (
     alternating,

@@ -3,10 +3,16 @@ import re
 
 import pytest
 
-from blockforge import permgroup
-from blockforge.chartab import kernel_classes
+from blockforge import chartab, permgroup
+from blockforge.chartab import (
+    is_p_solvable,
+    normal_class_sets,
+    normal_subgroups,
+    p_core,
+    p_prime_core,
+)
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.perms import conj, identity, mult, order
+from blockforge.perms import conj, identity, order
 from blockforge.permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -14,14 +20,8 @@ from blockforge.permgroup import (
     group_from_elements,
     intersection,
     is_normal_in,
-    is_p_solvable,
     normal_closure,
-    normal_subgroups,
     normalizer,
-    p_core,
-    p_prime_core,
-    quotient_action,
-    quotient_with_cosets,
     sylow_subgroup,
     trivial_group,
 )
@@ -133,26 +133,6 @@ def test_cores(s4, a4, a5):
     assert p_prime_core(a5, 2).order() == 1
 
 
-def test_quotient_s4_mod_v4(s4):
-    v4 = p_core(s4, 2)
-    act = quotient_with_cosets(s4, v4)
-    Q = act.quotient
-    assert Q.order() == 6
-    assert not Q.is_abelian()
-    assert quotient_action(s4, v4) == Q
-    rng = random.Random(7)
-    elems = s4.elements()
-    for _ in range(50):
-        g, h = rng.choice(elems), rng.choice(elems)
-        assert act.image_of(mult(g, h)) == mult(act.image_of(g), act.image_of(h))
-
-
-def test_quotient_rejects_non_normal(s4):
-    H = PermutationGroup(4, [(1, 0, 2, 3)])
-    with pytest.raises(DomainError):
-        quotient_with_cosets(s4, H)
-
-
 def test_p_solvability(s4, a4, a5):
     for p in (2, 3):
         assert is_p_solvable(s4, p)
@@ -214,14 +194,14 @@ def _sign(p):
 
 
 def test_normal_subgroups_of_s4(s4):
-    ns = normal_subgroups(s4, kernel_classes(s4))
+    ns = normal_subgroups(s4)
     assert [N.order() for N in ns] == [1, 4, 12, 24]
     for N in ns:
         assert is_normal_in(N, s4)
 
 
 def test_normal_subgroups_of_a5(a5):
-    assert [N.order() for N in normal_subgroups(a5, kernel_classes(a5))] == [1, 60]
+    assert [N.order() for N in normal_subgroups(a5)] == [1, 60]
 
 
 def test_kernel_closure_gate_names_the_group(monkeypatch):
@@ -235,13 +215,33 @@ def test_kernel_closure_gate_names_the_group(monkeypatch):
         f"normal closure of a kernel intersection of {G!r} has order 24,"
         " not the 7 elements of its classes"
     )
-    with pytest.raises(InternalCheckError, match=message):
-        normal_subgroups(G, (frozenset({0, transpositions}),))
+    with monkeypatch.context() as patch:
+        patch.setattr(chartab, "kernel_classes", lambda G: (frozenset({0, transpositions}),))
+        patch.setattr(chartab, "normal_class_sets", normal_class_sets.__wrapped__)
+        with pytest.raises(InternalCheckError, match=message):
+            normal_subgroups.__wrapped__(G)
     # the true kernels, with a closure that stays trivial
-    monkeypatch.setattr(permgroup, "normal_closure", lambda G, seeds: trivial_group(4))
+    monkeypatch.setattr(chartab, "normal_closure", lambda G, seeds: trivial_group(4))
     message = re.escape(f"normal closure of a kernel intersection of {G!r} has order 1")
     with pytest.raises(InternalCheckError, match=message):
-        normal_subgroups.__wrapped__(G, kernel_classes(G))
+        normal_subgroups.__wrapped__(G)
+
+
+def test_core_largest_set_gate_names_the_group_and_prime(monkeypatch):
+    G = symmetric(4)
+    # classes of S4: 1, 3 double transpositions, 6 transpositions, ...;
+    # {1} + double transpositions (order 4) and {1} + transpositions
+    # (order 7) are both prime to 3 and neither contains the other
+    sizes = [c.size for c in G.conjugacy_classes()]
+    assert sizes[:3] == [1, 3, 6]
+    sets = (frozenset({0}), frozenset({0, 1}), frozenset({0, 2}))
+    monkeypatch.setattr(chartab, "normal_class_sets", lambda G: sets)
+    message = re.escape(
+        f"no largest normal class set for O_p' of {G!r} at p = 3:"
+        " the one of order 7 misses 1 of the 3 accepted"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        p_prime_core.__wrapped__(G, 3)
 
 
 def test_element_enumeration_gate_names_the_group(monkeypatch):
@@ -265,30 +265,6 @@ def test_sylow_growth_gate_names_the_group_and_prime(monkeypatch):
         sylow_subgroup.__wrapped__(G, 2)
 
 
-def test_core_join_gate_names_the_group_and_prime(monkeypatch):
-    G = symmetric(4)
-    monkeypatch.setattr(permgroup, "group_from_elements", lambda degree, elements: G)
-    message = re.escape(
-        f"core join left the target class of orders on {G!r} at p = 2: order 24"
-    )
-    with pytest.raises(InternalCheckError, match=message):
-        p_core.__wrapped__(G, 2)
-
-
-def test_coset_action_gate_names_the_groups(monkeypatch):
-    G = symmetric(4)
-    V = p_core(G, 2)
-    build = PermutationGroup
-    monkeypatch.setattr(
-        permgroup, "PermutationGroup", lambda degree, gens: build(degree, ())
-    )
-    message = re.escape(
-        f"coset action order mismatch on {G!r} over {V!r}: quotient order 1"
-    )
-    with pytest.raises(InternalCheckError, match=message):
-        quotient_with_cosets.__wrapped__(G, V)
-
-
 def test_exponent(s4, a5):
     assert s4.exponent() == 12
     assert a5.exponent() == 30
@@ -306,7 +282,6 @@ def test_group_equality_and_hash(s4):
 def test_trivial_group():
     T = trivial_group(5)
     assert T.order() == 1
-    assert T.is_trivial()
     assert T.contains(identity(5))
 
 
