@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from itertools import count
 from math import gcd
 from pathlib import Path
 
@@ -748,7 +749,7 @@ def test_cores_and_p_solvability_match_closure_oracles(monkeypatch):
     for G in _oracle_groups(families):
         n = G.order()
         primes = list(prime_factors(n))
-        primes.append(next(q for q in range(2, 2 * n + 3) if is_prime(q) and n % q))
+        primes.append(next(q for q in count(2) if is_prime(q) and n % q))
         for p in primes:
             O_p, O_p_prime = oracles.cores_by_class_closures(G, p)
             assert p_core(G, p).element_set() == O_p.element_set(), (G, p)
