@@ -10,6 +10,13 @@ links characters by sums over p-regular classes and names no ideal.
 Block induction from a subgroup reduces the subgroup's central
 character under the target group's map.
 
+Every character value is read in the table's one representation,
+``row_coordinates``: integer coordinates on the power basis at each
+class's element order o, an integral basis of Z[zeta_o].  A central
+character value is an exact integer quotient of those coordinates, an
+idempotent coefficient a sum of them, and the reduction map reads them
+directly; no cyclotomic value is built here.
+
 Defect groups come from defect classes (the Min-Max theorem, Navarro,
 *Characters and Blocks of Finite Groups*, ch. 4): one centralizer and
 one Sylow subgroup per block, certified by the Brauer image of the
@@ -26,9 +33,9 @@ from .chartab import (
     character_table,
     class_action,
     restriction_multiplicities,
+    row_coordinates,
     structure_constants,
 )
-from .cyclotomic import rational
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
 from .permgroup import centralizer, is_normal_in, normalizer, sylow_subgroup
@@ -47,14 +54,25 @@ def _where(G, p, index=None):
     return where if index is None else f"{where}, block {index}"
 
 
-def central_character(chi):
-    """The central character of an irreducible: class sum values
-    omega(C) = |C| chi(x) / chi(1), all algebraic integers."""
-    G = chi.group
-    d = chi.degree()
-    return tuple(
-        v * rational(c.size) / d for c, v in zip(G.conjugacy_classes(), chi.values)
-    )
+def _reduced_central(table, i, rmap, p):
+    """The central character of row i, omega(C) = |C| chi(x) / chi(1),
+    reduced under rmap.
+
+    The power basis is an integral basis of Z[zeta_o], so omega(C) is an
+    algebraic integer exactly when chi(1) divides every coordinate of
+    |C| chi(x), and the quotients are its coordinates."""
+    d = table.irreducibles[i].degree()
+    row = row_coordinates(table, table.irreducibles)[i]
+    out = []
+    for c, x in zip(table.classes, row):
+        scaled = [c.size * a for a in x]
+        if any(a % d for a in scaled):
+            raise InternalCheckError(
+                f"central character of row {i} is not integral"
+                f" on {_where(table.group, p)}"
+            )
+        out.append(rmap.reduce([a // d for a in scaled], c.element_order))
+    return tuple(out)
 
 
 def p_regular_classes(G, p):
@@ -160,14 +178,8 @@ class BlockSet:
 
     def _partition(self):
         buckets = {}
-        for i, chi in enumerate(self.table.irreducibles):
-            omega = central_character(chi)
-            if not all(v.is_algebraic_integer() for v in omega):
-                raise InternalCheckError(
-                    f"central character of row {i} is not integral"
-                    f" on {_where(self.group, self.prime)}"
-                )
-            lam = tuple(self.rmap.reduce(v) for v in omega)
+        for i in range(len(self.table.irreducibles)):
+            lam = _reduced_central(self.table, i, self.rmap, self.prime)
             buckets.setdefault(lam, []).append(i)
         ordered = sorted(buckets.items(), key=lambda kv: min(kv[1]))
         return tuple(
@@ -225,32 +237,35 @@ def block_data(G, p):
 
 def block_idempotent(block):
     """Idempotent coefficients of the block on the class-sum basis, as
-    residue field elements; the exact coefficients are p-local."""
+    residue field elements.
+
+    The coefficient at class K is (1/|G|) sum over chi in B of
+    chi(1) chi(x_K^-1).  The sum is taken on row coordinates, and the
+    coefficient is p-local exactly when |G|_p divides every coordinate
+    of it (the power basis is an integral basis); the quotient is then
+    reduced and divided by the p'-part of |G| in the residue field."""
     if block.idempotent is not None:
         return block.idempotent
     bs = block.blockset
     G = bs.group
-    p = bs.prime
-    rmap = bs.rmap
-    table = bs.table
-    classes = G.conjugacy_classes()
+    rows = row_coordinates(bs.table, bs.table.irreducibles)
     n = G.order()
-    a = vp(n, p)
-    m_part = n // p_part(n, p)
-    inv_m = rmap.field.from_integer(m_part).inverse()
-    inverse_class = G.inverse_classes()
+    n_p = p_part(n, bs.prime)
+    inv_m = bs.rmap.field.from_integer(n // n_p).inverse()
+    terms = list(zip(block.degrees(), block.char_indices))
     coeffs = []
-    for k in range(len(classes)):
-        total = rational(0)
-        for i in block.char_indices:
-            chi = table.irreducibles[i]
-            total = total + chi.degree() * chi.values[inverse_class[k]]
-        local = total / p_part(n, p) if a else total
-        if not local.is_algebraic_integer():
+    for c, k in zip(G.conjugacy_classes(), G.inverse_classes()):
+        total = [
+            sum(d * rows[i][k][t] for d, i in terms)
+            for t in range(len(rows[0][k]))
+        ]
+        if any(x % n_p for x in total):
             raise InternalCheckError(
-                f"idempotent coefficient is not p-local on {_where(G, p, block.index)}"
+                "idempotent coefficient is not p-local"
+                f" on {_where(G, bs.prime, block.index)}"
             )
-        coeffs.append(rmap.reduce(local) * inv_m)
+        local = [x // n_p for x in total]
+        coeffs.append(bs.rmap.reduce(local, c.element_order) * inv_m)
     block.idempotent = tuple(coeffs)
     return block.idempotent
 
@@ -324,47 +339,38 @@ def _defect_group_from_defect_class(block):
 
 
 def induced_central(b, G):
-    """The induced central function lambda_b^G on the classes of G, or
-    None when the induced function is not multiplicative.
+    """The induced central function lambda_b^G on the classes of G.
 
     Through the class fusion of H = b's group into G,
     lambda_b^G(K^) = sum of lambda_b(L^) over the classes L of H whose
     representative lies in K.  lambda_b is the central character of one
-    member of b, reduced under G's own map, so the result can be
-    compared with the central characters of G's blocks."""
+    member of b, reduced from H's row coordinates under G's own map, so
+    the result can be compared with the central characters of G's
+    blocks."""
     H = b.blockset.group
-    rmap = block_data(G, b.blockset.prime).rmap
-    field = rmap.field
-    chi = b.characters()[0]
-    values = [field.zero] * len(G.conjugacy_classes())
-    for c, v in zip(H.conjugacy_classes(), central_character(chi)):
+    p = b.blockset.prime
+    rmap = block_data(G, p).rmap
+    lam = _reduced_central(b.blockset.table, b.char_indices[0], rmap, p)
+    values = [rmap.field.zero] * len(G.conjugacy_classes())
+    for c, v in zip(H.conjugacy_classes(), lam):
         k = G.class_index(c.representative)
-        values[k] = values[k] + rmap.reduce(v)
-    values = tuple(values)
-    a = structure_constants(G)
-    r = len(values)
-    for i in range(r):
-        for j in range(r):
-            rhs = field.zero
-            for k in range(r):
-                if a[i][j][k]:
-                    rhs = rhs + values[k] * a[i][j][k]
-            if values[i] * values[j] != rhs:
-                return None
-    return values
+        values[k] = values[k] + v
+    return tuple(values)
 
 
 def induced_block(b, G):
     """Brauer induction b^G: the block of G whose central character is
-    the induced one, or None when induction is undefined."""
+    the induced one.
+
+    b belongs to a subgroup H with D C_G(D) <= H for a p-subgroup D of
+    H, as H = N_G(D) does; then b^G is defined for every block b of H
+    (Navarro, *Characters and Blocks of Finite Groups*, ch. 4), so an
+    induced function that matches no block of G is an internal error."""
     H = b.blockset.group
     if H == G:
         return b
-    values = induced_central(b, G)
-    if values is None:
-        return None
     target = block_data(G, b.blockset.prime)
-    found = target.block_with_central(values)
+    found = target.block_with_central(induced_central(b, G))
     if found is None:
         raise InternalCheckError(
             f"induced central character of block {b.index} of {H!r}"

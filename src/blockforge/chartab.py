@@ -36,9 +36,13 @@ kernels closed under intersection.  The normal subgroups, O_p and O_p'
 prime to p) and p-solvability (read off one chief series of the sets)
 come from it; nothing builds a quotient group.
 
-One pairing on integer power-basis coordinates, ``_pairing``, serves
-both the table gate and the restriction table (through
-``constituents``); it builds no cyclotomic value.
+Every layer below the table reads a character value in one
+representation, ``row_coordinates``: its integer coordinates on the
+power basis of Q(zeta_o) at its class's element order o, which is an
+integral basis of Z[zeta_o].  The table gate, the restriction table
+(through ``constituents``), block data and the decomposition matrix all
+read them.  One pairing on them, ``_pairing``, serves both the table
+gate and the restriction table; it builds no cyclotomic value.
 """
 
 from functools import lru_cache
@@ -105,9 +109,6 @@ class ClassFunction:
 
     __rmul__ = __mul__
 
-    def galois(self, k):
-        return ClassFunction(self.group, tuple(v.galois(k) for v in self.values))
-
     def _same_group(self, other):
         if other.group != self.group:
             raise DomainError("class functions live on different groups")
@@ -162,7 +163,7 @@ def constituents(alpha):
     unique, so sum_k m_k theta_k = alpha is checked on coordinates."""
     G = alpha.group
     table = character_table(G)
-    rows = _row_coordinates(table, table.irreducibles)
+    rows = row_coordinates(table, table.irreducibles)
     n = G.order()
     not_virtual = DomainError("class function is not a virtual character")
     a = _lift(table, alpha.values, lambda k, what: not_virtual)
@@ -726,7 +727,7 @@ def _verify_orthogonality(table):
     r = len(rows)
     if r != len(table.classes):
         raise InternalCheckError(f"row count differs from class count on {G!r}")
-    coords = _row_coordinates(table, rows)
+    coords = row_coordinates(table, rows)
     inverse_class = G.inverse_classes()
     for s, row in enumerate(coords):
         for c, x, k in zip(table.classes, row, inverse_class):
@@ -770,10 +771,11 @@ def _lift(table, values, error):
 
 
 @lru_cache(maxsize=None)
-def _row_coordinates(table, rows):
-    """The rows, table.irreducibles, each lifted by ``_lift``; they are
-    part of the key so that rows replaced on a built table are lifted
-    afresh."""
+def row_coordinates(table, rows):
+    """The rows, table.irreducibles, each lifted by ``_lift``: for each
+    row, one list of integer power-basis coordinates per class, at that
+    class's element order.  The rows are part of the key so that rows
+    replaced on a built table are lifted afresh."""
     where = f"of {table.group!r} (split mod q = {table.prime})"
     return [
         _lift(table, chi.values, lambda k, what: InternalCheckError(

@@ -134,9 +134,6 @@ class Cyclotomic:
     def is_zero(self):
         return self.conductor == 1 and self.coords[0] == 0
 
-    def is_algebraic_integer(self):
-        return all(c.denominator == 1 for c in self.coords)
-
     def lift_coords(self, e):
         """Coordinates of this value on the power basis of conductor e."""
         if e % self.conductor:
@@ -152,24 +149,6 @@ class Cyclotomic:
                 for i in range(len(out)):
                     out[i] += c * row[i]
         return tuple(out)
-
-    def galois(self, k):
-        """Image under the field automorphism sending z to z^k."""
-        e = self.conductor
-        if gcd(k, e) != 1:
-            raise DomainError("automorphism exponent not coprime to conductor")
-        basis = _power_basis(e)
-        out = [Fraction(0)] * euler_phi(e)
-        for j, c in enumerate(self.coords):
-            if c:
-                row = basis[(j * k) % e]
-                for i in range(len(out)):
-                    out[i] += c * row[i]
-        return Cyclotomic(e, tuple(out))
-
-    def conj(self):
-        """Complex conjugate (z maps to its inverse)."""
-        return self.galois(self.conductor - 1) if self.conductor > 1 else self
 
     def __add__(self, other):
         other = _coerce(other)

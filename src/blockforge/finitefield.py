@@ -1,4 +1,5 @@
-"""Finite field extensions GF(p^f) and reduction of cyclotomic integers.
+"""Finite field extensions GF(p^f) and reduction of cyclotomic integers
+given by their integer coordinates.
 
 The field GF(p^f) is presented as polynomials over GF(p) modulo the
 lexicographically smallest monic irreducible of degree f, where
@@ -10,11 +11,15 @@ coefficient tuples, constant term first.
 A ReductionMap fixes, once per (conductor, prime) pair, the maximal
 ideal above p used to reduce algebraic integers of Q(zeta_e): the
 p-power part of a root of unity collapses to 1, and zeta of the p'-part
-e' goes to a fixed element u of exact multiplicative order e'.
+e' goes to a fixed element u of exact multiplicative order e'.  A value
+is read in the character table's one representation
+(``chartab.row_coordinates``): its integer coordinates on the power
+basis of a conductor o dividing e, which is an integral basis of
+Z[zeta_o], so the coordinates of an algebraic integer are integers.
 """
 
 from .arith import is_prime, multiplicative_order, p_part, prime_factors, vp
-from .cyclotomic import Cyclotomic, cyclotomic_polynomial
+from .cyclotomic import cyclotomic_polynomial
 from .errors import DomainError, InternalCheckError
 
 
@@ -266,21 +271,20 @@ class ReductionMap:
         for _ in range(self.e_prime - 1):
             self._u_powers.append(self._u_powers[-1] * self.u)
 
-    def reduce(self, x):
-        """Image of an algebraic integer in the residue field."""
-        if isinstance(x, int):
-            return self.field.from_integer(x)
-        if not isinstance(x, Cyclotomic):
-            raise DomainError("can only reduce cyclotomic integers")
-        if not x.is_algebraic_integer():
-            raise DomainError("cannot reduce a non-integral value")
-        if self.e % x.conductor:
+    def reduce(self, coords, o):
+        """Image of the algebraic integer with integer coordinates coords
+        on the power basis of conductor o, where o divides e."""
+        if self.e % o:
             raise DomainError("value lies outside the source field")
-        step = self.e // x.conductor
+        if len(coords) != len(cyclotomic_polynomial(o)) - 1:
+            raise DomainError("coordinate count does not match the conductor")
+        step = self.e // o
         out = self.field.zero
-        for j, c in enumerate(x.coords):
+        for j, c in enumerate(coords):
             if not c:
                 continue
+            if c.denominator != 1:
+                raise DomainError("cannot reduce a non-integral value")
             k = (self.alpha * j * step) % self.e_prime
             out = out + self._u_powers[k] * c.numerator
         return out

@@ -9,6 +9,11 @@ Groups that are not p-solvable fall outside that theorem; for them a
 stored table is consulted instead, keyed by the group's canonical class
 representatives.
 
+Linear algebra reads each value in the character table's one
+representation (``chartab.row_coordinates``), on the power basis at its
+class's element order: lifting to a multiple of that order is injective
+and linear, so independence and decompositions are unchanged by it.
+
 Every ``InternalCheckError`` raised here names the group, the prime
 and, where there is one, the block index.
 """
@@ -20,7 +25,7 @@ from pathlib import Path
 
 from .arith import solve_rational, vp
 from .blocks import _where, block_data, p_regular_classes
-from .chartab import character_table, is_p_solvable
+from .chartab import character_table, is_p_solvable, row_coordinates
 from .cyclotomic import Cyclotomic
 from .errors import DomainError, InternalCheckError
 
@@ -28,14 +33,16 @@ _FIXTURE_DIR = Path(__file__).parent / "data" / "fixtures"
 
 
 class BrauerCharacter:
-    """A class function on the p-regular classes, in class-index order."""
+    """A class function on the p-regular classes, in class-index order;
+    coords holds the coordinates of its values, one class after another."""
 
-    __slots__ = ("group", "prime", "values")
+    __slots__ = ("group", "prime", "values", "coords")
 
-    def __init__(self, group, prime, values):
+    def __init__(self, group, prime, values, coords):
         self.group = group
         self.prime = prime
         self.values = tuple(values)
+        self.coords = tuple(coords)
 
     def degree(self):
         return self.values[0].integer_value()
@@ -61,8 +68,14 @@ class BrauerCharacter:
 def restriction_to_p_regular(chi, p):
     """The values of an ordinary character on the p-regular classes."""
     G = chi.group
+    table = character_table(G)
+    row = row_coordinates(table, table.irreducibles)[table.index_of(chi)]
+    regular = p_regular_classes(G, p)
     return BrauerCharacter(
-        G, p, tuple(chi.values[k] for k in p_regular_classes(G, p))
+        G,
+        p,
+        (chi.values[k] for k in regular),
+        (x for k in regular for x in row[k]),
     )
 
 
@@ -83,13 +96,11 @@ def _greedy_brauer_characters(G, p):
             seen.add(c)
             candidates.append(c)
     candidates.sort(key=lambda c: c.sort_key())
-    e = G.exponent()
     accepted, columns = [], []
     for c in candidates:
-        target = _flatten(c.values, e)
-        if solve_rational(columns, target) is None:
+        if solve_rational(columns, c.coords) is None:
             accepted.append(c)
-            columns.append(target)
+            columns.append(c.coords)
     expected = len(p_regular_classes(G, p))
     if len(accepted) != expected:
         raise InternalCheckError(
@@ -115,6 +126,7 @@ def _fixture_brauer_characters(G, p):
             positions[G.class_index(rep)] = values
         if sorted(positions) != sorted(regular):
             continue
+        classes = G.conjugacy_classes()
         characters = []
         for row in range(len(data["characters_by_class"][0])):
             values = []
@@ -126,7 +138,12 @@ def _fixture_brauer_characters(G, p):
                         tuple(Fraction(n, d) for n, d in coords),
                     )
                 )
-            characters.append(BrauerCharacter(G, p, tuple(values)))
+            lifted = (
+                x
+                for v, k in zip(values, regular)
+                for x in v.lift_coords(classes[k].element_order)
+            )
+            characters.append(BrauerCharacter(G, p, values, lifted))
         characters.sort(key=lambda c: c.sort_key())
         return tuple(characters)
     return None
@@ -143,13 +160,6 @@ def brauer_characters(G, p):
             )
         return stored
     return _greedy_brauer_characters(G, p)
-
-
-def _flatten(values, e):
-    out = []
-    for v in values:
-        out.extend(v.lift_coords(e))
-    return out
 
 
 class ModularData:
@@ -180,15 +190,10 @@ class ModularData:
     def _decomposition_matrix(self):
         G = self.group
         table = self.blockset.table
-        e = G.exponent()
-        columns = [
-            _flatten(phi.values, e) for phi in self.brauer_characters
-        ]
+        columns = [phi.coords for phi in self.brauer_characters]
         matrix = []
         for chi in table.irreducibles:
-            target = _flatten(
-                restriction_to_p_regular(chi, self.prime).values, e
-            )
+            target = restriction_to_p_regular(chi, self.prime).coords
             solution = solve_rational(columns, target)
             if solution is None:
                 raise InternalCheckError(

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -5,7 +6,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
+from blockforge import catalog, chartab, permgroup
+from blockforge.chartab import character_table
+from blockforge.groupfile import parse_group_file
 from blockforge.permgroup import PermutationGroup
+
+import oracles
 
 
 def random_subgroup(rng, degree, n_gens):
@@ -15,6 +21,41 @@ def random_subgroup(rng, degree, n_gens):
         rng.shuffle(img)
         gens.append(tuple(img))
     return PermutationGroup(degree, gens)
+
+
+def oracle_groups(families):
+    """Every catalog group, the five benchmark groups, the given
+    families and seeded random subgroups of S5 and S6, one at a time.
+
+    After each group the caches that it, its subgroups, their tables and
+    class matrices filled are emptied: C2^5 alone has 374 subgroups, and
+    keeping them all would raise the peak memory of the whole suite.
+    The cached table is emptied too, so no later test is handed the
+    table of an equal group under another name."""
+    bench = Path(__file__).parents[1] / "perfbench" / "groups"
+    groups = [ent.load() for ent in catalog.entries()]
+    groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
+    groups += families
+    for seed in range(20):
+        rng = random.Random(seed)
+        groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
+    for G in groups:
+        yield G
+        for cached in (
+            character_table,
+            chartab.row_coordinates,
+            chartab.class_action,
+            chartab.class_matrix,
+            chartab.is_p_solvable,
+            chartab.normal_class_sets,
+            chartab.normal_subgroups,
+            chartab.p_core,
+            chartab.p_prime_core,
+            permgroup.group_from_elements,
+            permgroup.normal_closure,
+            oracles._conjugations,
+        ):
+            cached.cache_clear()
 
 
 def cyclic(n):

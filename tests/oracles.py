@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are eleven exceptions, and each takes objects the package built.
+There are twelve exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -25,7 +25,10 @@ the package's one pairing on integer power-basis coordinates.
 ``induced_central`` induces a block's reduced central character by
 walking every element of G and summing over the classes of the
 subgroup it meets, to compare with the package's route through the
-class fusion of the subgroup into G.  ``navarro_sampled_by_groups``
+class fusion of the subgroup into G.  ``blocks_by_cyclotomic_values``
+builds central characters and idempotent coefficients of the
+package's blocks in cyclotomic arithmetic, value by value, to compare
+with the package's integer row coordinates.  ``navarro_sampled_by_groups``
 draws the Navarro sampler's pairs from the same seeded stream and
 judges each one with package groups (a Schreier-Sims run per U, the
 intersection built from elements, and normalizers), to compare with the
@@ -63,7 +66,7 @@ from blockforge.correspond import (
     NAVARRO_TARGET,
     _normalizer_index,
 )
-from blockforge.cyclotomic import ZERO, rational
+from blockforge.cyclotomic import ZERO, from_root_combination, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.perms import conj
 from blockforge.permgroup import (
@@ -513,6 +516,71 @@ def induced_central(b, G):
             if values[i] * values[j] != rhs:
                 return None
     return values
+
+
+def galois(v, k):
+    """The image of a cyclotomic value under the field automorphism
+    zeta -> zeta^k, built from its coordinates at its own conductor."""
+    e = v.conductor
+    if gcd(k, e) != 1:
+        raise DomainError("automorphism exponent not coprime to conductor")
+    coefficients = [0] * e
+    for j, c in enumerate(v.coords):
+        coefficients[j * k % e] += c
+    return from_root_combination(e, coefficients)
+
+
+def complex_conjugate(v):
+    """The complex conjugate of a cyclotomic value: zeta -> zeta^-1."""
+    return galois(v, -1)
+
+
+def is_algebraic_integer(v):
+    """Whether a cyclotomic value is an algebraic integer: its coordinates
+    at its minimal conductor c are integers, as the power basis is an
+    integral basis of Z[zeta_c]."""
+    return all(c.denominator == 1 for c in v.coords)
+
+
+def central_character(chi):
+    """The central character omega(C) = |C| chi(x) / chi(1) of an
+    irreducible, in cyclotomic arithmetic value by value."""
+    G = chi.group
+    d = chi.degree()
+    return tuple(
+        v * rational(c.size) / d for c, v in zip(G.conjugacy_classes(), chi.values)
+    )
+
+
+def blocks_by_cyclotomic_values(bs):
+    """The reduced central character of every row of bs's table, and the
+    idempotent coefficients of every block of bs, in cyclotomic
+    arithmetic: each central character value and each idempotent
+    coefficient is built as a cyclotomic value, checked integral (or
+    p-local) and reduced at its own minimal conductor."""
+    G, p, rmap = bs.group, bs.prime, bs.rmap
+    centrals = []
+    for chi in bs.table.irreducibles:
+        omega = central_character(chi)
+        if not all(is_algebraic_integer(v) for v in omega):
+            raise InternalCheckError("central character is not integral")
+        centrals.append(tuple(rmap.reduce(v.coords, v.conductor) for v in omega))
+    n_p = p_part(G.order(), p)
+    inv_m = rmap.field.from_integer(G.order() // n_p).inverse()
+    idempotents = []
+    for b in bs.blocks:
+        coeffs = []
+        for k in G.inverse_classes():
+            total = ZERO
+            for i in b.char_indices:
+                chi = bs.table.irreducibles[i]
+                total = total + chi.degree() * chi.values[k]
+            local = total / n_p
+            if not is_algebraic_integer(local):
+                raise InternalCheckError("idempotent coefficient is not p-local")
+            coeffs.append(rmap.reduce(local.coords, local.conductor) * inv_m)
+        idempotents.append(tuple(coeffs))
+    return centrals, idempotents
 
 
 def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):

@@ -27,6 +27,7 @@ from blockforge.perms import order as perm_order
 from blockforge.report import build_report, collect_verdicts
 from oracles import (
     character_degrees_common_eigenvector,
+    complex_conjugate,
     conjugate_character,
     defect_group_by_subgroup_search,
     exhaustive_ibr,
@@ -80,7 +81,7 @@ def test_criterion_1_character_tables():
         for a in range(len(irr)):
             for b in range(len(irr)):
                 total = sum(
-                    (chi.values[a] * chi.values[b].conj() for chi in irr),
+                    (chi.values[a] * complex_conjugate(chi.values[b]) for chi in irr),
                     start=zeta(1, 0) * 0,
                 )
                 expected = G.order() // sizes[a] if a == b else 0

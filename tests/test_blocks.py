@@ -1,8 +1,10 @@
 import random
 import re
+from functools import lru_cache
 
 import pytest
 
+from blockforge import blocks
 from blockforge.arith import prime_factors
 from blockforge.blocks import (
     BlockSet,
@@ -10,7 +12,6 @@ from blockforge.blocks import (
     block_idempotent,
     brauer_correspondent,
     brauer_image_is_nonzero,
-    central_character,
     covered_blocks,
     induced_block,
     induced_central,
@@ -18,7 +19,8 @@ from blockforge.blocks import (
     shared_reduction,
     _class_algebra_product,
 )
-from blockforge.chartab import character_table, normal_subgroups
+from blockforge.chartab import character_table, normal_subgroups, row_coordinates
+from blockforge.cyclotomic import Cyclotomic
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import (
     PermutationGroup,
@@ -27,7 +29,16 @@ from blockforge.permgroup import (
     sylow_subgroup,
 )
 
-from conftest import alternating, cyclic, random_subgroup, symmetric
+from conftest import (
+    alternating,
+    c3_wreath_c3,
+    cyclic,
+    elementary_abelian,
+    oracle_groups,
+    random_subgroup,
+    s4_times_s4,
+    symmetric,
+)
 import oracles
 from oracles import defect_group_by_subgroup_search
 
@@ -145,7 +156,7 @@ def test_block_dims_sum_to_group_order():
 def test_central_character_values_are_class_sums(s4):
     table = character_table(s4)
     chi = table.irreducibles[0]
-    omega = central_character(chi)
+    omega = oracles.central_character(chi)
     sizes = [c.size for c in s4.conjugacy_classes()]
     assert [v.integer_value() for v in omega] == sizes
 
@@ -355,3 +366,104 @@ def test_covered_blocks_sl23_over_q8(sl23, q8):
     assert len(covered) >= 1
     local = block_data(q8, 3)
     assert all(b in local.blocks for b in covered)
+
+
+def _corrupted_rows(table, i, k):
+    """Row coordinates of the table with the first coordinate of row i
+    at class k raised by one, as a fresh copy."""
+    rows = [[list(x) for x in row] for row in row_coordinates(table, table.irreducibles)]
+    rows[i][k][0] += 1
+    return rows
+
+
+def test_central_character_gate_names_group_and_prime(monkeypatch, s4):
+    # row 3 has degree 3; its value at the identity raised to 4 makes
+    # omega(1) = 4/3
+    table = character_table(s4)
+    assert table.irreducibles[3].degree() == 3
+    rows = _corrupted_rows(table, 3, 0)
+    monkeypatch.setattr(blocks, "row_coordinates", lambda table, irr: rows)
+    message = re.escape(
+        f"central character of row 3 is not integral on {s4!r} at p = 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _uncached_blocks(s4, 2)
+
+
+def test_idempotent_gate_names_group_prime_and_block(monkeypatch, s4):
+    # S4 at 2 has one block; the trivial row raised by one at class 1
+    # moves that class's coefficient sum from 0 to 1, which |S4|_2 = 8
+    # does not divide
+    bs = _uncached_blocks(s4, 2)
+    rows = _corrupted_rows(bs.table, 0, 1)
+    monkeypatch.setattr(blocks, "row_coordinates", lambda table, irr: rows)
+    b = bs.blocks[0]
+    b.idempotent = None
+    message = re.escape(
+        f"idempotent coefficient is not p-local on {s4!r} at p = 2, block 0"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        block_idempotent(b)
+
+
+def test_induction_miss_names_both_groups_and_prime(monkeypatch, a5):
+    B = block_data(a5, 2).blocks[0]
+    b = brauer_correspondent(B)
+    H = b.blockset.group
+    zero = block_data(a5, 2).rmap.field.zero
+    monkeypatch.setattr(
+        blocks, "induced_central", lambda b, G: (zero,) * len(G.conjugacy_classes())
+    )
+    message = re.escape(
+        f"induced central character of block {b.index} of {H!r}"
+        f" matches no block of {a5!r} at p = 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        induced_block(b, a5)
+
+
+def test_block_layer_builds_no_cyclotomic_value(monkeypatch, s4, a5, sl23):
+    cases = [(G, p) for G in (s4, a5, sl23) for p in prime_factors(G.order())]
+    for G, p in cases:
+        for B in block_data(G, p).blocks:
+            character_table(brauer_correspondent(B).blockset.group)
+    # fresh block data over the tables built above
+    monkeypatch.setattr(
+        blocks, "block_data", lru_cache(maxsize=None)(block_data.__wrapped__)
+    )
+    built = []
+    init = Cyclotomic.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counting_init)
+    for G, p in cases:
+        for B in blocks.block_data(G, p).blocks:
+            block_idempotent(B)
+            brauer_correspondent(B)
+    assert built == []
+
+
+def test_blocks_match_cyclotomic_oracle():
+    # central characters and idempotents from integer row coordinates
+    # against the same built value by value in cyclotomic arithmetic,
+    # each reduced at its minimal conductor
+    families = [
+        elementary_abelian(2, 5),
+        sylow_subgroup(s4_times_s4(), 2),
+        c3_wreath_c3(),
+    ]
+    cases = 0
+    for G in oracle_groups(families):
+        for p in prime_factors(G.order()):
+            bs = _uncached_blocks(G, p)
+            centrals, idempotents = oracles.blocks_by_cyclotomic_values(bs)
+            for b, want in zip(bs.blocks, idempotents):
+                for i in b.char_indices:
+                    assert centrals[i] == b.reduced_central, (G, p, i)
+                assert block_idempotent(b) == want, (G, p, b.index)
+            assert len(set(centrals)) == len(bs.blocks), (G, p)
+            cases += 1
+    assert cases == 77

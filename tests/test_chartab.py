@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import catalog, chartab, permgroup
+from blockforge import catalog, chartab
 from blockforge.arith import is_prime, prime_factors
 from blockforge.chartab import (
     CharacterTable,
@@ -17,7 +17,6 @@ from blockforge.chartab import (
     _central_characters,
     _degree_from_norm,
     _primitive_root_of_unity,
-    _row_coordinates,
     _split_space,
     _verify_orthogonality,
     character_table,
@@ -31,17 +30,18 @@ from blockforge.chartab import (
     p_prime_core,
     restrict,
     restriction_multiplicities,
+    row_coordinates,
     structure_constants,
     trivial_character,
 )
 from blockforge.cli import main
 from blockforge.cyclotomic import ONE, ZERO, rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.groupfile import format_group_text, parse_group_file
+from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, sylow_subgroup
 
 import oracles
-from oracles import induce, inner_product, regular_character
+from oracles import galois, induce, inner_product, regular_character
 from conftest import (
     alternating,
     c2_wreath_s4,
@@ -51,6 +51,7 @@ from conftest import (
     elementary_abelian,
     frobenius20,
     frobenius21,
+    oracle_groups,
     psl_2_7,
     quaternion8,
     random_subgroup,
@@ -125,7 +126,10 @@ def test_galois_action_permutes_rows(s4, a5):
         e = table.exponent
         for k in range(2, e):
             if gcd(k, e) == 1:
-                assert {chi.galois(k) for chi in table.irreducibles} == rows
+                assert {
+                    ClassFunction(G, (galois(v, k) for v in chi.values))
+                    for chi in table.irreducibles
+                } == rows
 
 
 def test_structure_constants_s3(s3):
@@ -685,40 +689,8 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
             assert len(built) == 1, (G, theta)
 
 
-def _oracle_groups(families):
-    """Every catalog group, the five benchmark groups, the given
-    families and seeded random subgroups of S5 and S6, one at a time.
-
-    After each group the caches that its subgroups, their tables and
-    class matrices filled are emptied: C2^5 alone has 374 subgroups, and
-    keeping them all would raise the peak memory of the whole suite."""
-    bench = Path(__file__).parents[1] / "perfbench" / "groups"
-    groups = [ent.load() for ent in catalog.entries()]
-    groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
-    groups += families
-    for seed in range(20):
-        rng = random.Random(seed)
-        groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
-    for G in groups:
-        yield G
-        for cached in (
-            chartab._row_coordinates,
-            chartab.class_action,
-            chartab.class_matrix,
-            chartab.is_p_solvable,
-            chartab.normal_class_sets,
-            chartab.normal_subgroups,
-            chartab.p_core,
-            chartab.p_prime_core,
-            permgroup.group_from_elements,
-            permgroup.normal_closure,
-            oracles._conjugations,
-        ):
-            cached.cache_clear()
-
-
 def _clifford_groups():
-    return _oracle_groups([
+    return oracle_groups([
         elementary_abelian(2, 5),
         sylow_subgroup(s4_times_s4(), 2),
         c2_wreath_s4(),
@@ -746,7 +718,7 @@ def test_cores_and_p_solvability_match_closure_oracles(monkeypatch):
         c3_wreath_c3(),
     ]
     verdicts = Counter()
-    for G in _oracle_groups(families):
+    for G in oracle_groups(families):
         n = G.order()
         primes = list(prime_factors(n))
         primes.append(next(q for q in count(2) if is_prime(q) and n % q))
@@ -782,11 +754,11 @@ def test_class_function_hash_is_cached_and_equal_functions_share_it(s4, a4):
     assert hash(twin) == hash(chi)
     assert twin._hash == hash(chi)
     rows = character_table(a4).irreducibles
-    _row_coordinates(character_table(a4), rows)
+    row_coordinates(character_table(a4), rows)
     rebuilt = tuple(ClassFunction(a4, theta.values) for theta in rows)
-    hits = _row_coordinates.cache_info().hits
-    _row_coordinates(character_table(a4), rebuilt)
-    assert _row_coordinates.cache_info().hits == hits + 1
+    hits = row_coordinates.cache_info().hits
+    row_coordinates(character_table(a4), rebuilt)
+    assert row_coordinates.cache_info().hits == hits + 1
 
 
 def test_inner_product_requires_same_group(s4, a4):

@@ -12,6 +12,8 @@ from blockforge.cyclotomic import (
 )
 from blockforge.errors import DomainError
 
+from oracles import complex_conjugate, galois, is_algebraic_integer
+
 
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
@@ -37,13 +39,13 @@ def test_zeta4_squared_is_minus_one():
 
 def test_self_conjugate_value():
     x = rational(1) + zeta(5) + zeta(5, 4)
-    assert x.conj() == x
+    assert complex_conjugate(x) == x
 
 
 def test_conjugate_inverts_root():
     for e in (3, 4, 5, 8, 12):
-        assert zeta(e).conj() == zeta(e, e - 1)
-        assert zeta(e) * zeta(e).conj() == rational(1)
+        assert complex_conjugate(zeta(e)) == zeta(e, e - 1)
+        assert zeta(e) * complex_conjugate(zeta(e)) == rational(1)
 
 
 def test_conductor_is_minimal():
@@ -56,17 +58,17 @@ def test_conductor_is_minimal():
 
 def test_galois_automorphism():
     x = zeta(5) + 2 * zeta(5, 2)
-    y = x.galois(2)
+    y = galois(x, 2)
     assert y == zeta(5, 2) + 2 * zeta(5, 4)
     with pytest.raises(DomainError):
-        zeta(6).galois(3)
+        galois(zeta(6), 3)
 
 
 def test_is_algebraic_integer():
-    assert not rational(Fraction(1, 2)).is_algebraic_integer()
-    assert (zeta(8) + zeta(8, 7)).is_algebraic_integer()
-    assert rational(-1).is_algebraic_integer()
-    assert not (zeta(3) / 2).is_algebraic_integer()
+    assert not is_algebraic_integer(rational(Fraction(1, 2)))
+    assert is_algebraic_integer(zeta(8) + zeta(8, 7))
+    assert is_algebraic_integer(rational(-1))
+    assert not is_algebraic_integer(zeta(3) / 2)
 
 
 def test_rational_extraction():

@@ -10,6 +10,12 @@ from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import FFElement, FiniteField, ReductionMap, build_reduction
 
 
+def reduce(rmap, x):
+    """A cyclotomic integer reduced from its coordinates at its own
+    conductor."""
+    return rmap.reduce(x.coords, x.conductor)
+
+
 def test_gf4_modulus_and_elements():
     F = FiniteField(2, 2)
     assert F.modulus == (1, 1)
@@ -66,34 +72,52 @@ def test_reduction_gf4_example():
     rmap = build_reduction(3, 2)
     assert rmap.f == 2
     assert rmap.field == FiniteField(2, 2)
-    u = rmap.reduce(zeta(3))
+    u = reduce(rmap, zeta(3))
     assert u * u + u + rmap.field.one == rmap.field.zero
-    assert rmap.reduce(zeta(3) + zeta(3, 2)) == rmap.field.one
+    assert reduce(rmap, zeta(3) + zeta(3, 2)) == rmap.field.one
 
 
 def test_reduction_kills_p_power_roots():
     rmap = build_reduction(8, 2)
-    assert rmap.reduce(zeta(8)) == rmap.field.one
-    assert rmap.reduce(zeta(8) + zeta(8, 7)) == rmap.field.zero
+    assert reduce(rmap, zeta(8)) == rmap.field.one
+    assert reduce(rmap, zeta(8) + zeta(8, 7)) == rmap.field.zero
 
 
 def test_reduce_integer_is_mod_p():
     rmap = build_reduction(12, 3)
     for m in range(-5, 10):
-        assert rmap.reduce(rational(m)) == rmap.field.from_integer(m)
-        assert rmap.reduce(m) == rmap.field.from_integer(m)
+        assert reduce(rmap, rational(m)) == rmap.field.from_integer(m)
+        assert rmap.reduce((m,), 1) == rmap.field.from_integer(m)
 
 
 def test_reduce_rejects_non_integers():
     rmap = build_reduction(3, 2)
     with pytest.raises(DomainError):
-        rmap.reduce(rational(Fraction(1, 2)))
+        rmap.reduce((Fraction(1, 2),), 1)
 
 
 def test_reduce_rejects_foreign_conductor():
     rmap = build_reduction(3, 2)
     with pytest.raises(DomainError):
-        rmap.reduce(zeta(5))
+        reduce(rmap, zeta(5))
+    with pytest.raises(DomainError, match="coordinate count"):
+        rmap.reduce((0, 1, 0), 3)
+
+
+def test_reduce_reads_coordinates_at_any_dividing_conductor():
+    # a value of Q(zeta_o) reduces to the same element from its
+    # coordinates at o and at every multiple of o dividing e
+    rng = random.Random(7)
+    for e, p in ((12, 2), (30, 3), (84, 7)):
+        rmap = build_reduction(e, p)
+        for o in (d for d in range(1, e + 1) if e % d == 0):
+            x = rational(rng.randrange(-4, 5))
+            for _ in range(3):
+                x = x + rng.randrange(-4, 5) * zeta(o, rng.randrange(o))
+            want = reduce(rmap, x)
+            for m in range(o, e + 1, o):
+                if e % m == 0:
+                    assert rmap.reduce(x.lift_coords(m), m) == want, (e, p, o, m)
 
 
 def test_reduction_is_ring_homomorphism_on_many_samples():
@@ -109,8 +133,8 @@ def test_reduction_is_ring_homomorphism_on_many_samples():
 
         for _ in range(250):
             x, y = sample(), sample()
-            assert rmap.reduce(x + y) == rmap.reduce(x) + rmap.reduce(y)
-            assert rmap.reduce(x * y) == rmap.reduce(x) * rmap.reduce(y)
+            assert reduce(rmap, x + y) == reduce(rmap, x) + reduce(rmap, y)
+            assert reduce(rmap, x * y) == reduce(rmap, x) * reduce(rmap, y)
 
 
 def test_root_image_has_exact_order():
@@ -118,7 +142,7 @@ def test_root_image_has_exact_order():
         rmap = build_reduction(e, p)
         if rmap.e_prime > 1:
             assert rmap.u.multiplicative_order() == rmap.e_prime
-        image = rmap.reduce(zeta(e))
+        image = reduce(rmap, zeta(e))
         assert image ** rmap.e_prime == rmap.field.one
 
 

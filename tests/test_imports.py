@@ -50,13 +50,14 @@ def test_no_unused_imports():
     assert found == []
 
 
-def _mentions(node):
+def _mentions(node, attributes_only=False):
     """How often each name is mentioned under node, as a bare name or as
-    an attribute (``module.name``)."""
+    an attribute (``module.name``); only as an attribute if asked."""
     return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
+        n.attr if isinstance(n, ast.Attribute) else n.id
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Attribute)
+        or (isinstance(n, ast.Name) and not attributes_only)
     )
 
 
@@ -76,16 +77,22 @@ def unreferenced_functions(package, users, exported):
     """(module, name) for each module-level function and public method
     of the package sources that no user source mentions outside its own
     body and that is not exported.  A method counts as mentioned
-    wherever its bare name is, as the scan cannot tell receivers apart.
+    wherever its name is read as an attribute (``x.name``), as the scan
+    cannot tell receivers apart; a bare name of the same spelling, such
+    as a module function or a parameter, does not count for it.
 
     package and users map a module label to its source; the package
     sources are users too."""
     trees = {label: ast.parse(src) for label, src in {**users, **package}.items()}
-    mentioned = sum((_mentions(tree) for tree in trees.values()), Counter())
+    mentioned = {
+        method: sum((_mentions(tree, method) for tree in trees.values()), Counter())
+        for method in (False, True)
+    }
     found = []
     for label in package:
         for name, node in _definitions(trees[label]):
-            outside = mentioned[node.name] - _mentions(node)[node.name]
+            method = "." in name
+            outside = mentioned[method][node.name] - _mentions(node, method)[node.name]
             if outside <= 0 and name not in exported:
                 found.append((label, name))
     return sorted(found)
@@ -98,15 +105,21 @@ def test_function_scanner_finds_unreferenced_functions():
         "n": "import m\n\ndef helper():\n    return m.used\n",
         "k": "class K:\n    def __init__(self):\n        self.run()\n"
         "\n    def run(self):\n        pass\n\n    def idle(self):\n"
-        "        return self.idle()\n",
+        "        return self.idle()\n\n    def helper(self):\n        pass\n",
     }
     assert unreferenced_functions(package, {}, {"main"}) == [
+        ("k", "K.helper"),
         ("k", "K.idle"),
         ("m", "recursive"),
         ("n", "helper"),
     ]
+    # the bare call helper() uses the function n.helper, not the method
+    # K.helper, which no one reads as an attribute
     users = {"script": "from n import helper\nhelper()\nK().idle()\n"}
-    assert unreferenced_functions(package, users, {"main"}) == [("m", "recursive")]
+    assert unreferenced_functions(package, users, {"main"}) == [
+        ("k", "K.helper"),
+        ("m", "recursive"),
+    ]
 
 
 def test_every_package_function_has_a_user():
