@@ -37,7 +37,7 @@ from .chartab import (
     structure_constants,
 )
 from .errors import DomainError, InternalCheckError
-from .finitefield import build_reduction
+from .finitefield import FFElement, build_reduction, mul_coeffs
 from .permgroup import centralizer, is_normal_in, normalizer, sylow_subgroup
 from .perms import mult
 
@@ -271,21 +271,29 @@ def block_idempotent(block):
 
 
 def _class_algebra_product(G, u, v, field):
+    """The product of two class-algebra elements over the residue field,
+    given by their coefficients on the class sums.
+
+    Class k's coefficient is the sum of a_ijk u_i v_j over i and j.
+    Each product u_i v_j is formed once; its coefficient tuple is added
+    a_ijk times into class k's integer list, and each class is reduced
+    modulo p once at the end."""
     a = structure_constants(G)
-    r = len(u)
-    out = [field.zero] * r
-    for i in range(r):
-        if u[i].is_zero():
+    p, modulus = field.p, field.modulus
+    totals = [[0] * field.f for _ in u]
+    for i, x in enumerate(u):
+        if x.is_zero():
             continue
-        for j in range(r):
-            if v[j].is_zero():
+        for j, y in enumerate(v):
+            if y.is_zero():
                 continue
-            uv = u[i] * v[j]
-            row = a[i][j]
-            for k in range(r):
-                if row[k]:
-                    out[k] = out[k] + uv * row[k]
-    return tuple(out)
+            xy = mul_coeffs(x.coeffs, y.coeffs, p, modulus)
+            for k, c in enumerate(a[i][j]):
+                if c:
+                    total = totals[k]
+                    for t, z in enumerate(xy):
+                        total[t] += c * z
+    return tuple(FFElement(field, tuple(t % p for t in total)) for total in totals)
 
 
 def brauer_image_is_nonzero(block, Q):

@@ -56,8 +56,8 @@ def _try_modular(G, p):
         return None
 
 
-def _matching_fields(prefix, left, right):
-    outcome = divisibility_matching(left, right)
+def _matching_fields(prefix, left, right, where):
+    outcome = divisibility_matching(left, right, f"{prefix} degrees on {where}")
     fields = {
         f"{prefix}_left": list(left),
         f"{prefix}_right": list(right),
@@ -98,8 +98,12 @@ def block_section(G, p):
                 "defect": b.defect,
             },
         }
+        where = _where(G, p, B.index)
         _, fields = _matching_fields(
-            "irr0", list(B.height_zero_degrees()), list(b.height_zero_degrees())
+            "irr0",
+            list(B.height_zero_degrees()),
+            list(b.height_zero_degrees()),
+            where,
         )
         rec.update(fields)
         if md_big is None or md_small is None:
@@ -111,6 +115,7 @@ def block_section(G, p):
                 "ibr0",
                 list(md_big.height_zero_brauer_degrees(B)),
                 list(md_small.height_zero_brauer_degrees(b)),
+                where,
             )
             rec.update(fields)
         rec["dim_B"] = B.dim
@@ -229,11 +234,12 @@ def verify_glauberman_lift(G, L, Q, theta, p):
     left = [chi.degree() for chi in irr_over(G, L, theta)]
     right = [chi.degree() for chi in irr_over(H, C, f)]
     rec["counts_equal"] = len(left) == len(right)
-    ok_full, fields = _matching_fields("ordinary", left, right)
+    where = f"{_where(G, p)}, Glauberman lift from {L!r}"
+    ok_full, fields = _matching_fields("ordinary", left, right, where)
     rec.update(fields)
     left_reg = [d for d in left if d % p]
     right_reg = [d for d in right if d % p]
-    ok_reg, fields = _matching_fields("prime_regular", left_reg, right_reg)
+    ok_reg, fields = _matching_fields("prime_regular", left_reg, right_reg, where)
     rec.update(fields)
     ok_brauer = True
     if is_p_solvable(G, p):
@@ -242,7 +248,7 @@ def verify_glauberman_lift(G, L, Q, theta, p):
         bleft = _brauer_degrees_over(md_big, L, theta)
         bright = _brauer_degrees_over(md_small, C, f)
         rec["brauer_counts_equal"] = len(bleft) == len(bright)
-        ok_brauer, fields = _matching_fields("brauer", bleft, bright)
+        ok_brauer, fields = _matching_fields("brauer", bleft, bright, where)
         rec.update(fields)
         ok_brauer = ok_brauer and rec["brauer_counts_equal"]
     passed = rec["counts_equal"] and ok_full and ok_reg and ok_brauer

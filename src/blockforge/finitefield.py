@@ -6,17 +6,36 @@ lexicographically smallest monic irreducible of degree f, where
 polynomials are compared by their coefficient tuples read from the
 highest non-leading power down to the constant (equivalently, by the
 integer whose base-p digits are the coefficients).  Elements are
-coefficient tuples, constant term first.
+coefficient tuples, constant term first, and that integer is an
+element's encoding.
+
+Every field size takes one arithmetic path: a product is the schoolbook
+product of two coefficient tuples reduced by the modulus
+(``mul_coeffs``).  There is no log or Zech table, so GF(3^12) and
+GF(2^23) work like GF(4), at about f^2 integer operations per product.
+The two hot loops, ``ReductionMap.reduce`` and the class-algebra
+product in ``blocks``, add integer multiples of coefficient tuples into
+one integer list, reduce it modulo p once and build one element.
 
 A ReductionMap fixes, once per (conductor, prime) pair, the maximal
 ideal above p used to reduce algebraic integers of Q(zeta_e): the
 p-power part of a root of unity collapses to 1, and zeta of the p'-part
-e' goes to a fixed element u of exact multiplicative order e'.  A value
-is read in the character table's one representation
+e' goes to u, the encoding-smallest element of exact multiplicative
+order e'.  u is found without a scan of the field: the first encoding
+whose ((q - 1)/e')-th power has exact order e' gives a generator of the
+e'-th roots of unity, and u is the smallest of its phi(e') generating
+powers (``FiniteField.element_of_order``).  Each field is built once
+per (p, f) (``residue_field``), and u with its powers once per (p, e')
+(``_root_image``), so conductors with the same p'-part share them.
+
+A value is read in the character table's one representation
 (``chartab.row_coordinates``): its integer coordinates on the power
 basis of a conductor o dividing e, which is an integral basis of
 Z[zeta_o], so the coordinates of an algebraic integer are integers.
 """
+
+from functools import lru_cache
+from math import gcd
 
 from .arith import is_prime, multiplicative_order, p_part, prime_factors, vp
 from .cyclotomic import cyclotomic_polynomial
@@ -42,29 +61,52 @@ class FiniteField:
         return FFElement(self, (n % self.p,) + (0,) * (self.f - 1))
 
     def elements(self):
-        out = []
-        for code in range(self.size):
-            coeffs = []
-            m = code
-            for _ in range(self.f):
-                coeffs.append(m % self.p)
-                m //= self.p
-            out.append(FFElement(self, tuple(coeffs)))
-        return out
+        """Every element, in encoding order."""
+        return [
+            FFElement(self, _digits(code, self.p, self.f))
+            for code in range(self.size)
+        ]
 
     def element_of_order(self, n):
-        """The encoding-smallest element of exact multiplicative order n."""
+        """The encoding-smallest element of exact multiplicative order n.
+
+        GF(q)* is cyclic of order q - 1, so the elements x with x^n = 1
+        form its cyclic subgroup of order n, and y -> y^h with
+        h = (q - 1)/n maps GF(q)* onto that subgroup.  The encodings are
+        walked in order, one element per code, up to the first y whose
+        image w has exact order n: w^n = 1 holds for every y, so it
+        suffices that w^(n/r) != 1 for each prime r dividing n.  Such a
+        w generates the subgroup, and the elements of exact order n in
+        a cyclic group <w> of order n are exactly the powers w^k with
+        gcd(k, n) = 1.  Those phi(n) powers are therefore every element
+        of exact order n in the field, and their encoding-smallest one
+        is the element a scan of all encodings returns.
+
+        Gate: the phi(n) powers must be distinct, as they are when w has
+        exact order n; equal powers mean w's order was misjudged."""
         if (self.size - 1) % n:
             raise DomainError("order does not divide the group order")
-        # x has exact order n iff x^n = 1 and x^(n/q) != 1 for each prime
-        # q | n: cheaper per candidate than computing the order of x.
-        cofactors = [n // q for q in prime_factors(n)]
-        for x in self.elements():
-            if x.is_zero() or x**n != self.one:
-                continue
-            if all(x**c != self.one for c in cofactors):
-                return x
-        raise InternalCheckError(f"no element of order {n} found in {self!r}")
+        h = (self.size - 1) // n
+        cofactors = [n // r for r in prime_factors(n)]
+        for code in range(1, self.size):
+            w = FFElement(self, _digits(code, self.p, self.f)) ** h
+            if all(w ** c != self.one for c in cofactors):
+                break
+        else:
+            raise InternalCheckError(f"no element of order {n} found in {self!r}")
+        generators = []
+        power = self.one.coeffs
+        for k in range(n):
+            if gcd(k, n) == 1:
+                generators.append(power)
+            power = mul_coeffs(power, w.coeffs, self.p, self.modulus)
+        if len(set(generators)) != len(generators):
+            raise InternalCheckError(
+                f"the {len(generators)} generating powers of an element of"
+                f" order {n} in {self!r} are not distinct"
+            )
+        # the encoding reads the digits from the highest power down
+        return FFElement(self, min(generators, key=lambda c: c[::-1]))
 
     def __eq__(self, other):
         return (
@@ -118,22 +160,10 @@ class FFElement:
                 self.field, tuple(a * other % p for a in self.coeffs)
             )
         self._check(other)
-        p = self.field.p
-        f = self.field.f
-        raw = [0] * (2 * f - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                raw[i + j] += a * b
-        modulus = self.field.modulus
-        for k in range(2 * f - 2, f - 1, -1):
-            c = raw[k] % p
-            if c:
-                for i in range(f):
-                    raw[k - f + i] -= c * modulus[i]
-            raw[k] = 0
-        return FFElement(self.field, tuple(raw[i] % p for i in range(f)))
+        field = self.field
+        return FFElement(
+            field, mul_coeffs(self.coeffs, other.coeffs, field.p, field.modulus)
+        )
 
     __rmul__ = __mul__
 
@@ -199,19 +229,41 @@ class FFElement:
         return f"FFElement({self.field!r}, {self})"
 
 
+def _digits(code, p, f):
+    """The f base-p digits of code, least significant first."""
+    out = []
+    for _ in range(f):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
+
+
+def mul_coeffs(a, b, p, modulus):
+    """The product of two coefficient tuples in GF(p)[t] modulo the
+    monic t^f + modulus(t), reduced modulo p."""
+    f = len(a)
+    raw = [0] * (2 * f - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                raw[i + j] += x * y
+    for k in range(2 * f - 2, f - 1, -1):
+        c = raw[k] % p
+        if c:
+            for i, m in enumerate(modulus):
+                raw[k - f + i] -= c * m
+    return tuple(raw[i] % p for i in range(f))
+
+
 def _smallest_irreducible(p, f):
     """Monic irreducible of degree f over GF(p) with the smallest
     coefficient encoding; constant term first, leading 1 omitted."""
     if f == 1:
         return (0,)
     for code in range(p**f):
-        coeffs = []
-        m = code
-        for _ in range(f):
-            coeffs.append(m % p)
-            m //= p
-        if _is_irreducible(tuple(coeffs), p, f):
-            return tuple(coeffs)
+        coeffs = _digits(code, p, f)
+        if _is_irreducible(coeffs, p, f):
+            return coeffs
     raise InternalCheckError(
         f"no irreducible polynomial of degree {f} found over GF({p})"
     )
@@ -223,13 +275,7 @@ def _is_irreducible(coeffs, p, f):
     full = list(coeffs) + [1]
     for deg in range(1, f // 2 + 1):
         for code in range(p**deg):
-            div = []
-            m = code
-            for _ in range(deg):
-                div.append(m % p)
-                m //= p
-            div.append(1)
-            if _poly_divides(div, full, p):
+            if _poly_divides(list(_digits(code, p, deg)) + [1], full, p):
                 return False
     return True
 
@@ -243,6 +289,25 @@ def _poly_divides(div, poly, p):
             for i in range(dd + 1):
                 rem[k - dd + i] = (rem[k - dd + i] - c * div[i]) % p
     return not any(c % p for c in rem)
+
+
+@lru_cache(maxsize=None)
+def residue_field(p, f):
+    """GF(p^f), built (and its modulus searched for) once per (p, f)."""
+    return FiniteField(p, f)
+
+
+@lru_cache(maxsize=None)
+def _root_image(p, n):
+    """The root image u of exact order n in characteristic p, in the
+    smallest field holding it, and the coefficient tuples of its powers
+    u^0, ..., u^(n-1); built once per (p, n)."""
+    field = residue_field(p, multiplicative_order(p, n))
+    u = field.element_of_order(n)
+    powers = [field.one.coeffs]
+    for _ in range(n - 1):
+        powers.append(mul_coeffs(powers[-1], u.coeffs, p, field.modulus))
+    return u, tuple(powers)
 
 
 class ReductionMap:
@@ -262,32 +327,36 @@ class ReductionMap:
         self.e = e
         self.p = p
         self.e_prime = e // p_part(e, p)
-        self.f = multiplicative_order(p, self.e_prime) if self.e_prime > 1 else 1
-        self.field = FiniteField(p, self.f)
-        self.u = self.field.element_of_order(self.e_prime)
+        self.f = multiplicative_order(p, self.e_prime)
+        self.field = residue_field(p, self.f)
+        self.u, self._u_powers = _root_image(p, self.e_prime)
         a = vp(e, p)
         self.alpha = pow(p**a, -1, self.e_prime) if self.e_prime > 1 else 0
-        self._u_powers = [self.field.one]
-        for _ in range(self.e_prime - 1):
-            self._u_powers.append(self._u_powers[-1] * self.u)
 
     def reduce(self, coords, o):
         """Image of the algebraic integer with integer coordinates coords
-        on the power basis of conductor o, where o divides e."""
+        on the power basis of conductor o, where o divides e.
+
+        zeta_o^j maps to u^(alpha j e/o); the coordinates weight those
+        powers' coefficient tuples in one integer list, reduced modulo p
+        once."""
         if self.e % o:
             raise DomainError("value lies outside the source field")
         if len(coords) != len(cyclotomic_polynomial(o)) - 1:
             raise DomainError("coordinate count does not match the conductor")
-        step = self.e // o
-        out = self.field.zero
+        step = self.alpha * (self.e // o)
+        powers = self._u_powers
+        total = [0] * self.f
         for j, c in enumerate(coords):
             if not c:
                 continue
             if c.denominator != 1:
                 raise DomainError("cannot reduce a non-integral value")
-            k = (self.alpha * j * step) % self.e_prime
-            out = out + self._u_powers[k] * c.numerator
-        return out
+            c = c.numerator
+            for i, a in enumerate(powers[j * step % self.e_prime]):
+                total[i] += c * a
+        p = self.p
+        return FFElement(self.field, tuple(t % p for t in total))
 
     def __repr__(self):
         return f"ReductionMap(e={self.e}, p={self.p}, field={self.field!r})"
@@ -309,7 +378,7 @@ def build_reduction(e, p):
         raise InternalCheckError(
             f"root image has the wrong order for conductor {e} at p = {p}"
         )
-    u_bar = rmap._u_powers[rmap.alpha]
+    u_bar = FFElement(rmap.field, rmap._u_powers[rmap.alpha])
     value = rmap.field.zero
     for c in reversed(cyclotomic_polynomial(e)):
         value = value * u_bar + rmap.field.from_integer(c)

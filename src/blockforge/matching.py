@@ -6,6 +6,10 @@ violator: a subset of one side adjacent to strictly fewer vertices on
 the other side.  The smallest violator is reported, scanning the right
 side before the left at each size so a deficient right subset (degrees
 that divide nothing on the left) is preferred as the witness.
+
+Every ``InternalCheckError`` raised here names the degrees' context,
+given by the caller (the group, the prime and, where there is one, the
+block).
 """
 
 from itertools import combinations
@@ -37,8 +41,9 @@ class MatchingOutcome:
         )
 
 
-def divisibility_matching(left, right):
-    """Match each left degree to a distinct right degree dividing it."""
+def divisibility_matching(left, right, where):
+    """Match each left degree to a distinct right degree dividing it;
+    where names the degrees in error messages."""
     left = tuple(left)
     right = tuple(right)
     if len(left) != len(right):
@@ -75,25 +80,27 @@ def divisibility_matching(left, right):
         augment(i, set())
     if all(j is not None for j in match_of_left):
         pairs = tuple((i, match_of_left[i]) for i in range(n))
-        _check_matching(left, right, pairs)
+        _check_matching(left, right, pairs, where)
         return MatchingOutcome(True, pairs=pairs)
-    side, subset = _hall_violator(adj, match_of_left, match_of_right)
+    side, subset = _hall_violator(adj, match_of_left, match_of_right, where)
     degrees = right if side == "right" else left
     witness = tuple(sorted(degrees[i] for i in subset))
-    _check_violator(left, right, adj, side, subset)
+    _check_violator(left, right, adj, side, subset, where)
     return MatchingOutcome(
         False, violator_side=side, violator=witness, reason="hall violator"
     )
 
 
-def _check_matching(left, right, pairs):
+def _check_matching(left, right, pairs, where):
     lefts = sorted(i for i, _ in pairs)
     rights = sorted(j for _, j in pairs)
     if lefts != list(range(len(left))) or rights != list(range(len(right))):
-        raise InternalCheckError("matching is not a bijection")
+        raise InternalCheckError(f"matching of {where} is not a bijection")
     for i, j in pairs:
         if left[i] % right[j]:
-            raise InternalCheckError("matched degree does not divide")
+            raise InternalCheckError(
+                f"matched degree does not divide in the matching of {where}"
+            )
 
 
 def _neighbor_count(adj_for_side, subset):
@@ -103,7 +110,7 @@ def _neighbor_count(adj_for_side, subset):
     return len(seen)
 
 
-def _hall_violator(adj, match_of_left, match_of_right):
+def _hall_violator(adj, match_of_left, match_of_right, where):
     n = len(adj)
     if n <= _EXHAUSTIVE_LIMIT:
         radj = [tuple(i for i in range(n) if j in adj[i]) for j in range(n)]
@@ -113,7 +120,7 @@ def _hall_violator(adj, match_of_left, match_of_right):
                     if _neighbor_count(nbrs, subset) < size:
                         return side, subset
         raise InternalCheckError(
-            "matching failed but no Hall violator exists"
+            f"matching of {where} failed but no Hall violator exists"
         )
     # Too many subsets to scan: fall back to the deficiency witness from
     # the maximum matching just found, without the minimality promise.
@@ -132,11 +139,13 @@ def _hall_violator(adj, match_of_left, match_of_right):
     return "left", tuple(sorted(reachable))
 
 
-def _check_violator(left, right, adj, side, subset):
+def _check_violator(left, right, adj, side, subset, where):
     n = len(left)
     if side == "left":
         nbrs = adj
     else:
         nbrs = [tuple(i for i in range(n) if j in adj[i]) for j in range(n)]
     if _neighbor_count(nbrs, subset) >= len(subset):
-        raise InternalCheckError("reported Hall violator is not deficient")
+        raise InternalCheckError(
+            f"reported Hall violator of {where} is not deficient"
+        )

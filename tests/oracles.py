@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are twelve exceptions, and each takes objects the package built.
+There are fifteen exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -44,6 +44,12 @@ whose closure is a p-group, or a p'-group, and
 ``is_p_solvable_by_quotients`` peels those cores off one at a time,
 building each quotient as the action of G on the cosets, to compare
 with the package's reading of both off the kernel lattice.
+``element_of_order_by_scan`` walks every element of a package field in
+encoding order with generic element powers, to compare with the
+package's root from one cyclic orbit.  ``reduce_by_elements`` and
+``class_algebra_product_by_elements`` reduce coordinates and multiply
+class-algebra elements one field element at a time, to compare with the
+package's accumulation in integer lists.
 """
 
 import random
@@ -714,3 +720,49 @@ def _coset_action(G, K):
             reps.append(x)
     images = [tuple(point_of[omult(g, x)] for x in reps) for g in G.generators]
     return PermutationGroup(len(reps), images)
+
+
+def element_of_order_by_scan(F, n):
+    """The encoding-smallest element of exact multiplicative order n in
+    the field F, found by scanning every element in encoding order."""
+    if (F.size - 1) % n:
+        raise DomainError("order does not divide the group order")
+    cofactors = [n // q for q in prime_factors(n)]
+    for x in F.elements():
+        if x.is_zero() or x**n != F.one:
+            continue
+        if all(x**c != F.one for c in cofactors):
+            return x
+    raise InternalCheckError(f"no element of order {n} found in {F!r}")
+
+
+def reduce_by_elements(rmap, coords, o):
+    """rmap's image of the integer coordinates coords at conductor o,
+    summed one field element per coordinate from the powers of rmap.u."""
+    n = rmap.e_prime
+    step = rmap.e // o
+    out = rmap.field.zero
+    for j, c in enumerate(coords):
+        if c:
+            out = out + rmap.u ** (rmap.alpha * j * step % n) * int(c)
+    return out
+
+
+def class_algebra_product_by_elements(G, u, v, field):
+    """The product of two class-algebra elements over field, summed one
+    field element per nonzero structure constant."""
+    a = structure_constants(G)
+    r = len(u)
+    out = [field.zero] * r
+    for i in range(r):
+        if u[i].is_zero():
+            continue
+        for j in range(r):
+            if v[j].is_zero():
+                continue
+            uv = u[i] * v[j]
+            row = a[i][j]
+            for k in range(r):
+                if row[k]:
+                    out[k] = out[k] + uv * row[k]
+    return tuple(out)

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from blockforge import blocks
+from blockforge import blocks, catalog
 from blockforge.arith import prime_factors
 from blockforge.blocks import (
     BlockSet,
@@ -467,3 +467,28 @@ def test_blocks_match_cyclotomic_oracle():
             assert len(set(centrals)) == len(bs.blocks), (G, p)
             cases += 1
     assert cases == 77
+
+
+def test_integer_field_loops_match_element_oracle():
+    # reduce and the class-algebra product accumulate integer lists;
+    # the oracle sums one field element per term, on every row
+    # coordinate and every pair of block idempotents of the catalog
+    cases = 0
+    for ent in catalog.entries():
+        G = ent.load()
+        for p in ent.primes:
+            bs = block_data(G, p)
+            rmap = bs.rmap
+            for row in row_coordinates(bs.table, bs.table.irreducibles):
+                for c, x in zip(G.conjugacy_classes(), row):
+                    want = oracles.reduce_by_elements(rmap, x, c.element_order)
+                    assert rmap.reduce(x, c.element_order) == want, (G, p)
+            idempotents = [block_idempotent(b) for b in bs.blocks]
+            for u in idempotents:
+                for v in idempotents:
+                    want = oracles.class_algebra_product_by_elements(
+                        G, u, v, rmap.field
+                    )
+                    assert _class_algebra_product(G, u, v, rmap.field) == want, (G, p)
+            cases += 1
+    assert cases == 17

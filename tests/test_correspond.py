@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import blockforge
-from blockforge import catalog, correspond
+from blockforge import catalog, correspond, matching
 from blockforge.arith import prime_factors
 from blockforge.blocks import block_data
 from blockforge.chartab import character_table, is_p_solvable, p_prime_core
@@ -573,3 +573,21 @@ def test_question35_counts_matchings_without_storing_them():
     assert record["brauer_matchings"] == 1
     assert record["result"] == "inconclusive"
     assert int(peak_kb) / 1024 < 60
+
+
+def test_matching_gate_names_group_prime_and_block(monkeypatch, s4):
+    # every matched pair collapsed onto the first: the bijection gate
+    # fires inside block_section, on S4's only 2-block
+    check = matching._check_matching
+    monkeypatch.setattr(
+        matching,
+        "_check_matching",
+        lambda left, right, pairs, where: check(
+            left, right, (pairs[0],) * len(pairs), where
+        ),
+    )
+    message = re.escape(
+        f"matching of irr0 degrees on {s4!r} at p = 2, block 0 is not a bijection"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        block_section(s4, 2)

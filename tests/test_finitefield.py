@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,19 @@ from blockforge import finitefield
 from blockforge.cyclotomic import rational, zeta
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import FFElement, FiniteField, ReductionMap, build_reduction
+
+from oracles import element_of_order_by_scan
+
+
+@pytest.fixture
+def fresh_fields():
+    """Empty the field and root caches before and after the test, so a
+    monkeypatched field is consulted and no root it made outlives it."""
+    finitefield.residue_field.cache_clear()
+    finitefield._root_image.cache_clear()
+    yield
+    finitefield.residue_field.cache_clear()
+    finitefield._root_image.cache_clear()
 
 
 def reduce(rmap, x):
@@ -55,6 +69,43 @@ def test_element_of_order_is_encoding_smallest():
     assert u8.multiplicative_order() == 8
     candidates = [x for x in F9.elements() if not x.is_zero() and x.multiplicative_order() == 8]
     assert u8 == candidates[0]
+
+
+def test_element_of_order_matches_scan_oracle():
+    # every n dividing q - 1 on every GF(p^f) with q <= 1024
+    cases = 0
+    for p in (2, 3, 5, 7):
+        f = 1
+        while p**f <= 1024:
+            F = FiniteField(p, f)
+            for n in range(1, F.size):
+                if (F.size - 1) % n == 0:
+                    want = element_of_order_by_scan(F, n)
+                    assert F.element_of_order(n) == want, (p, f, n)
+                    cases += 1
+            f += 1
+    assert cases == 144
+
+
+def test_element_of_order_in_gf3_12_is_the_scanned_one():
+    # the element the full scan of GF(3^12) returns for n = 140
+    u = FiniteField(3, 12).element_of_order(140)
+    assert str(u) == "2 + t + t^2 + 2*t^3 + t^5 + t^8"
+
+
+def test_large_fields_build_without_a_scan(fresh_fields):
+    # GF(2^23) has 8.4 M elements, GF(3^12) 531441: neither is walked
+    start = time.process_time()
+    rmap = build_reduction(94, 2)
+    took = time.process_time() - start
+    assert rmap.f == 23 and rmap.e_prime == 47
+    assert rmap.u.multiplicative_order() == 47
+    assert took < 1.0, took
+    start = time.process_time()
+    rmap = build_reduction(420, 3)
+    took = time.process_time() - start
+    assert rmap.f == 12 and rmap.e_prime == 140
+    assert took < 0.5, took
 
 
 def test_field_axioms_random():
@@ -156,7 +207,7 @@ def test_reduction_field_degrees():
     assert build_reduction(420, 7).f == 4
 
 
-def test_root_image_of_wrong_order_is_rejected(monkeypatch):
+def test_root_image_of_wrong_order_is_rejected(monkeypatch, fresh_fields):
     monkeypatch.setattr(FiniteField, "element_of_order", lambda self, n: self.one)
     message = "root image has the wrong order for conductor 3 at p = 2"
     with pytest.raises(InternalCheckError, match=message):
@@ -164,10 +215,22 @@ def test_root_image_of_wrong_order_is_rejected(monkeypatch):
 
 
 def test_missing_element_of_order_names_the_field(monkeypatch):
-    monkeypatch.setattr(FiniteField, "elements", lambda self: [])
+    # every encoding decodes to 1, so no candidate reaches order 8
+    F = FiniteField(3, 2)
+    monkeypatch.setattr(finitefield, "_digits", lambda code, p, f: F.one.coeffs)
     message = re.escape("no element of order 8 found in GF(3^2)")
     with pytest.raises(InternalCheckError, match=message):
-        FiniteField(3, 2).element_of_order(8)
+        F.element_of_order(8)
+
+
+def test_repeated_generating_powers_name_the_field_and_order(monkeypatch):
+    # with no prime factor to test, 1 passes as a generator of order 8,
+    # and its four generating powers are all 1
+    F = FiniteField(3, 2)
+    monkeypatch.setattr(finitefield, "prime_factors", lambda n: [])
+    message = re.escape("element of order 8 in GF(3^2) are not distinct")
+    with pytest.raises(InternalCheckError, match=message):
+        F.element_of_order(8)
 
 
 def test_missing_irreducible_names_the_degree_and_prime(monkeypatch):

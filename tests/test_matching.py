@@ -1,18 +1,26 @@
 import random
 
+import re
+
+import pytest
+
+from blockforge import matching
+from blockforge.errors import InternalCheckError
 from blockforge.matching import divisibility_matching
+
+WHERE = "test degrees"
 
 
 def test_a5_ordinary_height_zero_shape_matches():
     left = (1, 3, 3, 5)
     right = (1, 1, 1, 3)
-    out = divisibility_matching(left, right)
+    out = divisibility_matching(left, right, WHERE)
     assert out.ok
     assert all(left[i] % right[j] == 0 for i, j in out.pairs)
 
 
 def test_s4_height_zero_shape():
-    out = divisibility_matching((1, 1, 3, 3), (1, 1, 1, 1))
+    out = divisibility_matching((1, 1, 3, 3), (1, 1, 1, 1), WHERE)
     assert out.ok
     pairs = [(1, 1), (1, 1), (3, 1), (3, 1)]
     left = (1, 1, 3, 3)
@@ -21,24 +29,24 @@ def test_s4_height_zero_shape():
 
 
 def test_identity_matching():
-    out = divisibility_matching((1, 2, 4), (1, 2, 4))
+    out = divisibility_matching((1, 2, 4), (1, 2, 4), WHERE)
     assert out.ok
     assert out.pairs == ((0, 0), (1, 1), (2, 2))
 
 
 def test_size_mismatch_reports_larger_side():
-    out = divisibility_matching((1, 3), (1,))
+    out = divisibility_matching((1, 3), (1,), WHERE)
     assert not out.ok
     assert out.reason == "size mismatch"
     assert out.violator_side == "left"
     assert out.violator == (1, 3)
-    out = divisibility_matching((4,), (1, 2))
+    out = divisibility_matching((4,), (1, 2), WHERE)
     assert out.violator_side == "right"
     assert out.violator == (1, 2)
 
 
 def test_right_singleton_violator():
-    out = divisibility_matching((1,), (2,))
+    out = divisibility_matching((1,), (2,), WHERE)
     assert not out.ok
     assert out.reason == "hall violator"
     assert out.violator_side == "right"
@@ -48,28 +56,28 @@ def test_right_singleton_violator():
 def test_smaller_left_violator_beats_larger_right_one():
     # Left 3 is isolated; the right pair {2, 4} is only deficient at
     # size two, so the singleton wins.
-    out = divisibility_matching((4, 3), (2, 4))
+    out = divisibility_matching((4, 3), (2, 4), WHERE)
     assert not out.ok
     assert out.violator_side == "left"
     assert out.violator == (3,)
 
 
 def test_isolated_right_vertex_found_first():
-    out = divisibility_matching((3, 9), (2, 9))
+    out = divisibility_matching((3, 9), (2, 9), WHERE)
     assert not out.ok
     assert out.violator_side == "right"
     assert out.violator == (2,)
 
 
 def test_left_violator_when_every_right_vertex_has_neighbors():
-    out = divisibility_matching((1, 6), (2, 3))
+    out = divisibility_matching((1, 6), (2, 3), WHERE)
     assert not out.ok
     assert out.violator_side == "left"
     assert out.violator == (1,)
 
 
 def test_nontrivial_divisor_matching():
-    out = divisibility_matching((6, 10, 15), (2, 5, 5))
+    out = divisibility_matching((6, 10, 15), (2, 5, 5), WHERE)
     assert out.ok
     left = (6, 10, 15)
     right = (2, 5, 5)
@@ -79,10 +87,27 @@ def test_nontrivial_divisor_matching():
 def test_deterministic_across_runs():
     left = (2, 4, 8, 8, 6)
     right = (2, 2, 4, 1, 3)
-    first = divisibility_matching(left, right)
-    second = divisibility_matching(left, right)
+    first = divisibility_matching(left, right, WHERE)
+    second = divisibility_matching(left, right, WHERE)
     assert first.ok and second.ok
     assert first.pairs == second.pairs
+
+
+def test_matching_gates_name_their_degrees():
+    where = "irr0 degrees on S4 at p = 2, block 0"
+    cases = [
+        (matching._check_matching, ((1, 1), (1, 1), ((0, 0), (1, 0)), where),
+         "matching of irr0 degrees on S4 at p = 2, block 0 is not a bijection"),
+        (matching._check_matching, ((1, 3), (2, 1), ((0, 0), (1, 1)), where),
+         "matched degree does not divide in the matching of " + where),
+        (matching._hall_violator, ([(0,)], [0], [0], where),
+         "matching of " + where + " failed but no Hall violator exists"),
+        (matching._check_violator, ((2,), (1,), [(0,)], "left", (0,), where),
+         "reported Hall violator of " + where + " is not deficient"),
+    ]
+    for gate, args, message in cases:
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            gate(*args)
 
 
 def test_random_instances_agree_with_brute_force():
@@ -91,7 +116,7 @@ def test_random_instances_agree_with_brute_force():
         n = rng.randrange(1, 6)
         left = tuple(rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(n))
         right = tuple(rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(n))
-        out = divisibility_matching(left, right)
+        out = divisibility_matching(left, right, WHERE)
         assert out.ok == _has_perfect(left, right)
         if out.ok:
             assert all(left[i] % right[j] == 0 for i, j in out.pairs)
@@ -112,7 +137,7 @@ def test_large_deficient_instance_uses_reachable_set_witness():
             tuple(rng.choice((2, 3, 4, 5, 8, 9)) for _ in range(24)),
         ))
     for left, right in cases:
-        out = divisibility_matching(left, right)
+        out = divisibility_matching(left, right, WHERE)
         assert not out.ok
         assert out.reason == "hall violator"
         assert out.violator_side == "left"
@@ -123,7 +148,7 @@ def test_large_deficient_instance_uses_reachable_set_witness():
             if _max_matching_size(left, right, without=i) == size
         ]
         assert out.violator == tuple(sorted(left[i] for i in missable))
-    assert divisibility_matching(*cases[0]).violator == (4,) * 11
+    assert divisibility_matching(*cases[0], WHERE).violator == (4,) * 11
 
 
 def _max_matching_size(left, right, without=None):
