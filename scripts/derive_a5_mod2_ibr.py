@@ -8,7 +8,8 @@ the trivial module, the natural 2-dimensional module, its Frobenius
 twist, and their tensor product.  Each Brauer character value is the
 sum of the lifts of the eigenvalues of the acting matrix: eigenvalues
 live in GF(16), and the lift sends the chosen generator w of GF(16)^*
-to a primitive 15th root of unity.
+to a primitive 15th root of unity, so w^k lifts to zeta_15^k.  A value
+is built once, from the multiset of exponents k it sums.
 
 Run from the repository root:
 
@@ -24,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from blockforge.blocks import p_regular_classes
 from blockforge.chartab import character_table
-from blockforge.cyclotomic import ONE, Cyclotomic, rational, zeta
+from blockforge.cyclotomic import Cyclotomic, from_root_combination
 from blockforge.finitefield import FiniteField
 from blockforge.permgroup import PermutationGroup
 
@@ -77,21 +78,31 @@ def permutation_of(matrix, points, field):
 
 
 def eigenvalue_lifts(matrix, field, big, embed, log):
-    """Lift of each eigenvalue of the matrix to a root of unity."""
+    """The exponent k of the root of unity zeta_15^k that each eigenvalue
+    of the matrix lifts to."""
     a, b, c, d = matrix
     trace = embed[a + d]
     if trace == big.zero:
-        return [ONE, ONE]
+        return [0, 0]
     roots = [
         lam
         for lam in big.elements()
         if lam * lam + trace * lam + big.one == big.zero
     ]
     assert len(roots) == 2
-    return [zeta(15, log[lam]) for lam in roots]
+    return [log[lam] for lam in roots]
 
 
-def main():
+def root_sum(exponents):
+    """The sum of zeta_15^k over the multiset of exponents k."""
+    coefficients = [0] * 15
+    for k in exponents:
+        coefficients[k % 15] += 1
+    return from_root_combination(15, coefficients)
+
+
+def derive():
+    """The fixture's JSON text."""
     group = alternating5()
     field, matrices = special_linear_2_4()
     points = projective_points(field)
@@ -133,9 +144,12 @@ def main():
         m = perm_to_matrix[rep]
         natural = eigenvalue_lifts(m, field, big, embed, log)
         twisted = eigenvalue_lifts(frobenius(m), field, big, embed, log)
-        beta_nat = natural[0] + natural[1]
-        beta_twist = twisted[0] + twisted[1]
-        row = [rational(1), beta_nat, beta_twist, beta_nat * beta_twist]
+        row = [
+            root_sum([0]),
+            root_sum(natural),
+            root_sum(twisted),
+            root_sum([a + b for a in natural for b in twisted]),
+        ]
         by_class.append(
             [
                 [v.conductor, [[f.numerator, f.denominator] for f in v.coords]]
@@ -155,15 +169,22 @@ def main():
         "characters_by_class": by_class,
         "derivation": "scripts/derive_a5_mod2_ibr.py",
     }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def main():
+    text = derive()
     OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(payload, indent=1) + "\n")
+    OUT.write_text(text)
     print(f"wrote {OUT}")
+    payload = json.loads(text)
+    reps, by_class = payload["class_representatives"], payload["characters_by_class"]
     for rep, entry in zip(reps, by_class):
-        print(rep, [str(rebuild(v)) for v in entry])
+        print(tuple(rep), [str(rebuild(v)) for v in entry])
 
     from blockforge.modular import modular_data
 
-    data = modular_data(group, 2)
+    data = modular_data(alternating5(), 2)
     print("degrees:", [phi.degree() for phi in data.brauer_characters])
     print("decomposition rows:", data.decomposition)
 

@@ -98,21 +98,6 @@ class ClassFunction:
     def degree(self):
         return self.values[0].integer_value()
 
-    def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            self._same_group(other)
-            return ClassFunction(
-                self.group,
-                tuple(a * b for a, b in zip(self.values, other.values)),
-            )
-        return ClassFunction(self.group, tuple(v * other for v in self.values))
-
-    __rmul__ = __mul__
-
-    def _same_group(self, other):
-        if other.group != self.group:
-            raise DomainError("class functions live on different groups")
-
     def __eq__(self, other):
         return (
             isinstance(other, ClassFunction)

@@ -1,4 +1,4 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Exact values in cyclotomic fields Q(zeta_e).
 
 Values are stored on the power basis 1, z, ..., z^(phi(e)-1) of the
 field with the smallest possible conductor e, with Fraction
@@ -16,7 +16,6 @@ Q(zeta_gcd(a,b))).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .arith import solve_rational
 from .errors import DomainError
@@ -131,9 +130,6 @@ class Cyclotomic:
             raise DomainError("value is not an integer")
         return q.numerator
 
-    def is_zero(self):
-        return self.conductor == 1 and self.coords[0] == 0
-
     def lift_coords(self, e):
         """Coordinates of this value on the power basis of conductor e."""
         if e % self.conductor:
@@ -150,93 +146,8 @@ class Cyclotomic:
                     out[i] += c * row[i]
         return tuple(out)
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        e = _lcm(self.conductor, other.conductor)
-        a = self.lift_coords(e)
-        b = other.lift_coords(e)
-        return Cyclotomic(e, tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic(
-            self.conductor, tuple(-c for c in self.coords), normalized=True
-        )
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.conductor == 1:
-            q = self.coords[0]
-            return Cyclotomic(
-                other.conductor, tuple(q * c for c in other.coords)
-            )
-        if other.conductor == 1:
-            q = other.coords[0]
-            return Cyclotomic(self.conductor, tuple(q * c for c in self.coords))
-        e = _lcm(self.conductor, other.conductor)
-        a = self.lift_coords(e)
-        b = other.lift_coords(e)
-        basis = _power_basis(e)
-        d = euler_phi(e)
-        out = [Fraction(0)] * d
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                row = basis[(i + j) % e] if i + j >= d else None
-                if row is None:
-                    out[i + j] += ai * bj
-                else:
-                    f = ai * bj
-                    for t in range(d):
-                        out[t] += f * row[t]
-        return Cyclotomic(e, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise DomainError("negative powers are not supported")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __truediv__(self, other):
-        """Division by a nonzero rational."""
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        q = other.rational_value()
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        return Cyclotomic(
-            self.conductor, tuple(c / q for c in self.coords), normalized=True
-        )
-
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self.conductor == other.conductor and self.coords == other.coords
 
@@ -272,18 +183,6 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
-def _coerce(value):
-    if isinstance(value, Cyclotomic):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclotomic(1, (Fraction(value),), normalized=True)
-    return NotImplemented
-
-
 def _canonical(e, coords):
     """Rewrite the value at its minimal conductor."""
     if all(c == 0 for c in coords[1:]):
@@ -305,20 +204,7 @@ def rational(q):
     return Cyclotomic(1, (Fraction(q),), normalized=True)
 
 
-ZERO = rational(0)
 ONE = rational(1)
-
-
-def zeta(e, k=1):
-    """The root of unity z_e^k."""
-    if e < 1:
-        raise DomainError("conductor must be positive")
-    k %= e
-    coords = [Fraction(0)] * euler_phi(e)
-    if k < len(coords):
-        coords[k] = Fraction(1)
-        return Cyclotomic(e, tuple(coords))
-    return Cyclotomic(e, _power_basis(e)[k])
 
 
 def from_root_combination(e, coefficients):

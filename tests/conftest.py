@@ -8,6 +8,7 @@ import pytest
 
 from blockforge import catalog, chartab, permgroup
 from blockforge.chartab import character_table
+from blockforge.cyclotomic import from_root_combination
 from blockforge.groupfile import parse_group_file
 from blockforge.permgroup import PermutationGroup
 
@@ -21,6 +22,18 @@ def random_subgroup(rng, degree, n_gens):
         rng.shuffle(img)
         gens.append(tuple(img))
     return PermutationGroup(degree, gens)
+
+
+def random_value(rng, e, terms, bound):
+    """A seeded random value r_0 + sum of c_i zeta_e^(k_i) over `terms`
+    roots, every coefficient drawn from [-bound, bound], built in one
+    root list."""
+    coefficients = [0] * e
+    coefficients[0] = rng.randrange(-bound, bound + 1)
+    for _ in range(terms):
+        c, k = rng.randrange(-bound, bound + 1), rng.randrange(e)
+        coefficients[k] += c
+    return from_root_combination(e, coefficients)
 
 
 def oracle_groups(families):

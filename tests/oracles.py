@@ -19,20 +19,20 @@ against Frobenius reciprocity and constituent decomposition against
 the character degrees.  ``brauer_degrees_over`` restricts the
 package's Brauer characters themselves to a p'-subgroup and decomposes
 them there, to compare with the package's route through ordinary lifts
-and the restriction table.  ``inner_product`` pairs class functions in
-the package's cyclotomic arithmetic, value by value, to compare with
-the package's one pairing on integer power-basis coordinates.
+and the restriction table.  ``inner_product`` pairs class functions by
+adding every class into one root list at the exponent of G, to compare
+with the package's one pairing on integer power-basis coordinates.
 ``induced_central`` induces a block's reduced central character by
 walking every element of G and summing over the classes of the
 subgroup it meets, to compare with the package's route through the
 class fusion of the subgroup into G.  ``blocks_by_cyclotomic_values``
-builds central characters and idempotent coefficients of the
-package's blocks in cyclotomic arithmetic, value by value, to compare
-with the package's integer row coordinates.  ``navarro_sampled_by_groups``
-draws the Navarro sampler's pairs from the same seeded stream and
-judges each one with package groups (a Schreier-Sims run per U, the
-intersection built from elements, and normalizers), to compare with the
-package's sampler on element indices and bitmasks.
+builds central characters and idempotent coefficients of the package's
+blocks as cyclotomic values, to compare with the package's integer row
+coordinates.  ``navarro_sampled_by_groups`` draws the Navarro sampler's
+pairs from the same seeded stream and judges each one with package
+groups (a Schreier-Sims run per U, the intersection built from
+elements, and normalizers), to compare with the package's sampler on
+element indices and bitmasks.
 ``normal_subgroups_by_joins`` closes the normal closures of the classes
 under joins, one Schreier-Sims run per join, to compare with the
 package's intersections of character kernels.  ``inertia_group_by_scan``
@@ -50,13 +50,17 @@ package's root from one cyclic orbit.  ``reduce_by_elements`` and
 ``class_algebra_product_by_elements`` reduce coordinates and multiply
 class-algebra elements one field element at a time, to compare with the
 package's accumulation in integer lists.
+
+The cyclotomic arithmetic of the tests lives here, on lists of root
+coefficients (``roots``): sums add lists, products convolve them, and
+``from_root_combination`` canonicalizes each result once.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from blockforge.arith import p_part, prime_factors
 from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
@@ -72,7 +76,7 @@ from blockforge.correspond import (
     NAVARRO_TARGET,
     _normalizer_index,
 )
-from blockforge.cyclotomic import ZERO, from_root_combination, rational
+from blockforge.cyclotomic import from_root_combination, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.perms import conj
 from blockforge.permgroup import (
@@ -416,9 +420,55 @@ def defect_group_by_subgroup_search(block):
     return hits[0]
 
 
+def zeta(e, k=1):
+    """The root of unity zeta_e^k."""
+    return from_root_combination(e, [int(t == k % e) for t in range(e)])
+
+
+def roots(v, e):
+    """v's coefficients on zeta_e^0, ..., zeta_e^(e-1), for e a multiple
+    of its conductor c: power-basis coordinate j is zeta_e^(j e/c)."""
+    assert e % v.conductor == 0, "conductor does not divide the requested one"
+    out = [0] * e
+    for j, c in enumerate(v.coords):
+        out[j * (e // v.conductor)] = c
+    return out
+
+
+def convolve(x, y, out, q=1):
+    """Add q times the cyclic convolution of root lists x and y into out."""
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[(i + j) % len(out)] += q * a * b
+
+
+def combination(terms):
+    """sum q * v over the (q, v) in terms: one root list at the lcm of
+    the conductors, canonicalized once."""
+    terms = list(terms)
+    e = lcm(*(v.conductor for _, v in terms))
+    out = [0] * e
+    for q, v in terms:
+        for t, c in enumerate(roots(v, e)):
+            out[t] += q * c
+    return from_root_combination(e, out)
+
+
+def plus(*values):
+    return combination((1, v) for v in values)
+
+
+def times(a, b):
+    e = lcm(a.conductor, b.conductor)
+    out = [0] * e
+    convolve(roots(a, e), roots(b, e), out)
+    return from_root_combination(e, out)
+
+
 def regular_character(G):
     values = [rational(G.order())]
-    values.extend(ZERO for _ in G.conjugacy_classes()[1:])
+    values.extend(rational(0) for _ in G.conjugacy_classes()[1:])
     return ClassFunction(G, values)
 
 
@@ -426,16 +476,16 @@ def inner_product(alpha, chi):
     """<alpha, chi> = (1/|G|) sum over classes |C| alpha(x) conj(chi(x)).
 
     chi must be a character: conj(chi(x)) = chi(x^-1), so chi is read at
-    the inverse class and no value is conjugated."""
-    alpha._same_group(chi)
+    the inverse class and no value is conjugated.  Every class adds into
+    one root list at the exponent of G."""
+    if alpha.group != chi.group:
+        raise DomainError("class functions live on different groups")
     G = alpha.group
-    total = ZERO
+    e = G.exponent()
+    total = [0] * e
     for c, a, k in zip(G.conjugacy_classes(), alpha.values, G.inverse_classes()):
-        b = chi.values[k]
-        if a.is_zero() or b.is_zero():
-            continue
-        total = total + c.size * (a * b)
-    return total / G.order()
+        convolve(roots(a, e), roots(chi.values[k], e), total, c.size)
+    return from_root_combination(e, [Fraction(t, G.order()) for t in total])
 
 
 def induce(psi, G):
@@ -447,15 +497,13 @@ def induce(psi, G):
         return psi
     if not H.is_subgroup_of(G):
         raise DomainError("induction source is not a subgroup")
-    n = G.order()
-    accum = [ZERO] * len(G.conjugacy_classes())
+    classes = G.conjugacy_classes()
+    terms = [[] for _ in classes]
     for c, v in zip(H.conjugacy_classes(), psi.values):
         j = G.class_index(c.representative)
-        accum[j] = accum[j] + c.size * v
-    out = []
-    for c, s in zip(G.conjugacy_classes(), accum):
-        out.append(s * Fraction(n // c.size, H.order()))
-    return ClassFunction(G, out)
+        q = Fraction(c.size * G.order(), classes[j].size * H.order())
+        terms[j].append((q, v))
+    return ClassFunction(G, (combination(t) for t in terms))
 
 
 def brauer_degrees_over(md, K, theta):
@@ -550,23 +598,24 @@ def is_algebraic_integer(v):
 
 def central_character(chi):
     """The central character omega(C) = |C| chi(x) / chi(1) of an
-    irreducible, in cyclotomic arithmetic value by value."""
+    irreducible, one cyclotomic value per class."""
     G = chi.group
     d = chi.degree()
     return tuple(
-        v * rational(c.size) / d for c, v in zip(G.conjugacy_classes(), chi.values)
+        combination([(Fraction(c.size, d), v)])
+        for c, v in zip(G.conjugacy_classes(), chi.values)
     )
 
 
 def blocks_by_cyclotomic_values(bs):
     """The reduced central character of every row of bs's table, and the
-    idempotent coefficients of every block of bs, in cyclotomic
-    arithmetic: each central character value and each idempotent
-    coefficient is built as a cyclotomic value, checked integral (or
-    p-local) and reduced at its own minimal conductor."""
-    G, p, rmap = bs.group, bs.prime, bs.rmap
+    idempotent coefficients of every block of bs, as cyclotomic values:
+    each idempotent coefficient sums the block's characters on one root
+    list, and each value is checked integral (or p-local) and reduced at
+    its own minimal conductor."""
+    G, p, rmap, table = bs.group, bs.prime, bs.rmap, bs.table.irreducibles
     centrals = []
-    for chi in bs.table.irreducibles:
+    for chi in table:
         omega = central_character(chi)
         if not all(is_algebraic_integer(v) for v in omega):
             raise InternalCheckError("central character is not integral")
@@ -577,11 +626,10 @@ def blocks_by_cyclotomic_values(bs):
     for b in bs.blocks:
         coeffs = []
         for k in G.inverse_classes():
-            total = ZERO
-            for i in b.char_indices:
-                chi = bs.table.irreducibles[i]
-                total = total + chi.degree() * chi.values[k]
-            local = total / n_p
+            local = combination(
+                (Fraction(table[i].degree(), n_p), table[i].values[k])
+                for i in b.char_indices
+            )
             if not is_algebraic_integer(local):
                 raise InternalCheckError("idempotent coefficient is not p-local")
             coeffs.append(rmap.reduce(local.coords, local.conductor) * inv_m)

@@ -20,7 +20,6 @@ from blockforge.correspond import (
     regular_covering_instances,
     verify_sylow_normalizer_divisibility,
 )
-from blockforge.cyclotomic import zeta
 from blockforge.modular import modular_data
 from blockforge.permgroup import PermutationGroup, are_conjugate_subgroups
 from blockforge.perms import order as perm_order
@@ -32,6 +31,9 @@ from oracles import (
     defect_group_by_subgroup_search,
     exhaustive_ibr,
     inner_product,
+    plus,
+    times,
+    zeta,
 )
 
 PUBLISHED_DEGREES = {
@@ -80,9 +82,8 @@ def test_criterion_1_character_tables():
         sizes = [c.size for c in table.classes]
         for a in range(len(irr)):
             for b in range(len(irr)):
-                total = sum(
-                    (chi.values[a] * complex_conjugate(chi.values[b]) for chi in irr),
-                    start=zeta(1, 0) * 0,
+                total = plus(
+                    *(times(chi.values[a], complex_conjugate(chi.values[b])) for chi in irr)
                 )
                 expected = G.order() // sizes[a] if a == b else 0
                 assert total.integer_value() == expected, ent.name
@@ -287,7 +288,7 @@ def test_criterion_8_glauberman():
         and t.values[L.class_index(diagonal)] == zeta(3, 2)
     )
     f = glauberman_correspondent(L, Q, theta, 2)
-    assert f.values[f.group.class_index(diagonal)] == zeta(3, 1) * zeta(3, 1)
+    assert f.values[f.group.class_index(diagonal)] == times(zeta(3, 1), zeta(3, 1))
     print("criterion 8 (Glauberman correspondence): PASS")
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 from collections import Counter
 from itertools import count
 from math import gcd
@@ -35,13 +36,13 @@ from blockforge.chartab import (
     trivial_character,
 )
 from blockforge.cli import main
-from blockforge.cyclotomic import ONE, ZERO, rational, zeta
+from blockforge.cyclotomic import ONE, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, sylow_subgroup
 
 import oracles
-from oracles import galois, induce, inner_product, regular_character
+from oracles import galois, induce, inner_product, plus, regular_character, zeta
 from conftest import (
     alternating,
     c2_wreath_s4,
@@ -115,7 +116,7 @@ def test_row_orthogonality_explicit(s4):
     table = character_table(s4)
     for i, chi in enumerate(table.irreducibles):
         for j, psi in enumerate(table.irreducibles):
-            want = ONE if i == j else ZERO
+            want = rational(1 if i == j else 0)
             assert inner_product(chi, psi) == want
 
 
@@ -323,7 +324,8 @@ def test_restriction_table_is_cached(s4, a4):
 
 def test_constituents_integrality_gate(s3):
     with pytest.raises(DomainError, match="not a virtual character"):
-        constituents(trivial_character(s3) * (ONE / 2))
+        half = rational(Fraction(1, 2))
+        constituents(ClassFunction(s3, [half] * len(s3.conjugacy_classes())))
 
 
 def _random_subgroups():
@@ -336,11 +338,11 @@ def _random_subgroups():
 
 
 def _combination(table, coefficients):
-    values = [ZERO] * len(table.classes)
-    for c, chi in zip(coefficients, table.irreducibles):
-        if c:
-            values = [v + c * x for v, x in zip(values, chi.values)]
-    return ClassFunction(table.group, values)
+    columns = zip(*(chi.values for chi in table.irreducibles))
+    return ClassFunction(
+        table.group,
+        [oracles.combination(zip(coefficients, column)) for column in columns],
+    )
 
 
 def test_constituents_agree_with_cyclotomic_inner_product():
@@ -413,7 +415,8 @@ def test_restriction_table_reconstruction_gate(monkeypatch, s4, a4):
 
 def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
     table = character_table(a4)
-    patched = (table.irreducibles[0] * -1,) + table.irreducibles[1:]
+    negated = [oracles.combination([(-1, v)]) for v in table.irreducibles[0].values]
+    patched = (ClassFunction(a4, negated),) + table.irreducibles[1:]
     monkeypatch.setattr(table, "irreducibles", patched)
     message = "from PermutationGroup 'S4'.* to PermutationGroup 'A4'.* negative"
     with pytest.raises(InternalCheckError, match=message):
@@ -437,7 +440,7 @@ def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
 
 def test_table_gate_rejects_rows_that_are_not_orthonormal(s4):
     table = character_table(s4)
-    assert table.irreducibles[1].values[2] == -ONE  # the sign character
+    assert table.irreducibles[1].values[2] == rational(-1)  # the sign character
     rows = list(table.irreducibles)
     rows[1] = trivial_character(s4)
     message = re.escape(f"row orthogonality fails for rows 0, 1 of {s4!r}")
@@ -471,7 +474,7 @@ def test_table_gate_rejects_non_integral_value(s4):
     rows = list(table.irreducibles)
     assert rows[3].values[2] == ONE and table.classes[2].element_order == 2
     values = list(rows[3].values)
-    values[2] = ONE / 2
+    values[2] = rational(Fraction(1, 2))
     rows[3] = ClassFunction(s4, values)
     message = re.escape(
         f"row 3 of {s4!r} (split mod q = {table.prime}) has a non-integral "
@@ -488,7 +491,7 @@ def test_table_gate_rejects_value_beyond_the_element_order(s4):
     rows = list(table.irreducibles)
     assert table.classes[4].element_order == 4
     values = list(rows[3].values)
-    values[4] = zeta(8) + zeta(8, 7)
+    values[4] = plus(zeta(8), zeta(8, 7))
     rows[3] = ClassFunction(s4, values)
     message = re.escape(
         f"row 3 of {s4!r} (split mod q = {table.prime}) has a value outside "

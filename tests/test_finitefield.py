@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from blockforge import finitefield
-from blockforge.cyclotomic import rational, zeta
+from blockforge.cyclotomic import rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import FFElement, FiniteField, ReductionMap, build_reduction
 
-from oracles import element_of_order_by_scan
+from conftest import random_value
+from oracles import element_of_order_by_scan, plus, times, zeta
 
 
 @pytest.fixture
@@ -125,13 +126,13 @@ def test_reduction_gf4_example():
     assert rmap.field == FiniteField(2, 2)
     u = reduce(rmap, zeta(3))
     assert u * u + u + rmap.field.one == rmap.field.zero
-    assert reduce(rmap, zeta(3) + zeta(3, 2)) == rmap.field.one
+    assert reduce(rmap, plus(zeta(3), zeta(3, 2))) == rmap.field.one
 
 
 def test_reduction_kills_p_power_roots():
     rmap = build_reduction(8, 2)
     assert reduce(rmap, zeta(8)) == rmap.field.one
-    assert reduce(rmap, zeta(8) + zeta(8, 7)) == rmap.field.zero
+    assert reduce(rmap, plus(zeta(8), zeta(8, 7))) == rmap.field.zero
 
 
 def test_reduce_integer_is_mod_p():
@@ -162,9 +163,7 @@ def test_reduce_reads_coordinates_at_any_dividing_conductor():
     for e, p in ((12, 2), (30, 3), (84, 7)):
         rmap = build_reduction(e, p)
         for o in (d for d in range(1, e + 1) if e % d == 0):
-            x = rational(rng.randrange(-4, 5))
-            for _ in range(3):
-                x = x + rng.randrange(-4, 5) * zeta(o, rng.randrange(o))
+            x = random_value(rng, o, 3, 4)
             want = reduce(rmap, x)
             for m in range(o, e + 1, o):
                 if e % m == 0:
@@ -176,16 +175,10 @@ def test_reduction_is_ring_homomorphism_on_many_samples():
     for e, p in ((12, 2), (12, 3), (30, 2), (20, 5)):
         rmap = build_reduction(e, p)
 
-        def sample():
-            x = rational(rng.randrange(-4, 5))
-            for _ in range(3):
-                x = x + rng.randrange(-4, 5) * zeta(e, rng.randrange(e))
-            return x
-
         for _ in range(250):
-            x, y = sample(), sample()
-            assert reduce(rmap, x + y) == reduce(rmap, x) + reduce(rmap, y)
-            assert reduce(rmap, x * y) == reduce(rmap, x) * reduce(rmap, y)
+            x, y = random_value(rng, e, 3, 4), random_value(rng, e, 3, 4)
+            assert reduce(rmap, plus(x, y)) == reduce(rmap, x) + reduce(rmap, y)
+            assert reduce(rmap, times(x, y)) == reduce(rmap, x) * reduce(rmap, y)
 
 
 def test_root_image_has_exact_order():

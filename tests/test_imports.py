@@ -1,5 +1,5 @@
 """Every module uses every name it imports, and every package function
-and public method has a user outside the tests.
+and method other than a dunder has a user outside the tests.
 
 A stdlib-only scan of the syntax trees under src/, tests/ and scripts/.
 Package ``__init__.py`` files are skipped: their imports are re-exports.
@@ -61,22 +61,27 @@ def _mentions(node, attributes_only=False):
     )
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
     """(name, node) for each module-level function, and ("Class.method",
-    node) for each public method of a module-level class."""
+    node) for each method of a module-level class, public or private,
+    that is not a dunder."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for method in node.body:
-                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                if isinstance(method, ast.FunctionDef) and not _is_dunder(method.name):
                     yield f"{node.name}.{method.name}", method
 
 
 def unreferenced_functions(package, users, exported):
-    """(module, name) for each module-level function and public method
-    of the package sources that no user source mentions outside its own
-    body and that is not exported.  A method counts as mentioned
+    """(module, name) for each module-level function and non-dunder
+    method of the package sources that no user source mentions outside
+    its own body and that is not exported.  A method counts as mentioned
     wherever its name is read as an attribute (``x.name``), as the scan
     cannot tell receivers apart; a bare name of the same spelling, such
     as a module function or a parameter, does not count for it.
@@ -105,9 +110,13 @@ def test_function_scanner_finds_unreferenced_functions():
         "n": "import m\n\ndef helper():\n    return m.used\n",
         "k": "class K:\n    def __init__(self):\n        self.run()\n"
         "\n    def run(self):\n        pass\n\n    def idle(self):\n"
-        "        return self.idle()\n\n    def helper(self):\n        pass\n",
+        "        return self.idle()\n\n    def helper(self):\n        pass\n"
+        "\n    def _spare(self):\n        pass\n"
+        "\n    def __len__(self):\n        return 0\n",
     }
+    # the private method _spare is flagged; the dunder __len__ is not
     assert unreferenced_functions(package, {}, {"main"}) == [
+        ("k", "K._spare"),
         ("k", "K.helper"),
         ("k", "K.idle"),
         ("m", "recursive"),
@@ -117,6 +126,7 @@ def test_function_scanner_finds_unreferenced_functions():
     # K.helper, which no one reads as an attribute
     users = {"script": "from n import helper\nhelper()\nK().idle()\n"}
     assert unreferenced_functions(package, users, {"main"}) == [
+        ("k", "K._spare"),
         ("k", "K.helper"),
         ("m", "recursive"),
     ]

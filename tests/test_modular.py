@@ -1,5 +1,7 @@
+import importlib.util
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,7 @@ from conftest import (
     sl_2_3,
     symmetric,
 )
-from oracles import exhaustive_ibr
+from oracles import combination, exhaustive_ibr, plus
 
 
 def flatten(values, e):
@@ -78,6 +80,17 @@ def test_coprime_prime_restriction_is_identity(s4):
 
 def test_a5_p2_fixture_degrees(a5):
     assert [phi.degree() for phi in brauer_characters(a5, 2)] == [1, 2, 2, 4]
+
+
+def test_a5_p2_fixture_is_its_derivation():
+    # the committed fixture is exactly what its derivation script writes
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "derive_a5_mod2_ibr.py"
+    spec = importlib.util.spec_from_file_location("derive_a5_mod2_ibr", script)
+    derive = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(derive)
+    fixture = root / "src" / "blockforge" / "data" / "fixtures" / "a5_p2_ibr.json"
+    assert derive.derive().encode("utf-8") == fixture.read_bytes()
 
 
 def test_a5_p2_decomposition_matrix(a5):
@@ -184,11 +197,11 @@ def test_decomposition_reconstructs_restrictions():
                 d = data.decomposition[i][j]
                 if not d:
                     continue
-                term = tuple(v * d for v in phi.values)
+                term = tuple(combination([(d, v)]) for v in phi.values)
                 if rebuilt is None:
                     rebuilt = term
                 else:
-                    rebuilt = tuple(a + b for a, b in zip(rebuilt, term))
+                    rebuilt = tuple(plus(a, b) for a, b in zip(rebuilt, term))
             assert rebuilt == target
 
 
