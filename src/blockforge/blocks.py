@@ -32,6 +32,7 @@ from .arith import p_part, vp
 from .chartab import (
     character_table,
     class_action,
+    class_fusion,
     restriction_multiplicities,
     row_coordinates,
     structure_constants,
@@ -360,8 +361,7 @@ def induced_central(b, G):
     rmap = block_data(G, p).rmap
     lam = _reduced_central(b.blockset.table, b.char_indices[0], rmap, p)
     values = [rmap.field.zero] * len(G.conjugacy_classes())
-    for c, v in zip(H.conjugacy_classes(), lam):
-        k = G.class_index(c.representative)
+    for k, v in zip(class_fusion(G, H), lam):
         values[k] = values[k] + v
     return tuple(values)
 

@@ -69,8 +69,8 @@ def class_matrix(G, i):
     r = len(classes)
     reps = [c.representative for c in classes]
     plane = [[0] * r for _ in range(r)]
-    for x in G.class_elements(i):
-        xinv = inverse(x)
+    # y = x^-1 z_k for x in C_i: walk C_i* = {x^-1 : x in C_i} directly.
+    for xinv in G.class_elements(G.inverse_classes()[i]):
         for k in range(r):
             plane[G.class_index(mult(xinv, reps[k]))][k] += 1
     return tuple(tuple(row) for row in plane)
@@ -121,20 +121,27 @@ def trivial_character(G):
     return ClassFunction(G, (ONE,) * len(G.conjugacy_classes()))
 
 
+@lru_cache(maxsize=None)
+def class_fusion(G, H):
+    """For each class of the subgroup H, the index of the class of G
+    that contains it.
+
+    Groups compare and hash by element set, so an equal pair of groups
+    with other names or generators shares this entry; that is safe,
+    because the class order of each group, and so every index, depends
+    only on its element set."""
+    if not H.is_subgroup_of(G):
+        raise DomainError("restriction target is not a subgroup")
+    return tuple(G.class_index(c.representative) for c in H.conjugacy_classes())
+
+
 def restrict(chi, H):
-    """Restriction of a class function to a subgroup."""
+    """Restriction of a class function to a subgroup, read through the
+    cached ``class_fusion`` (shared by equal groups: see there)."""
     G = chi.group
     if H == G:
         return chi
-    if not H.is_subgroup_of(G):
-        raise DomainError("restriction target is not a subgroup")
-    return ClassFunction(
-        H,
-        tuple(
-            chi.values[G.class_index(c.representative)]
-            for c in H.conjugacy_classes()
-        ),
-    )
+    return ClassFunction(H, tuple(chi.values[k] for k in class_fusion(G, H)))
 
 
 def constituents(alpha):

@@ -27,25 +27,33 @@ from .perms import conj, identity, inverse, is_perm, moved_points, mult, order
 
 class _Level:
     """One level of the stabilizer chain: a base point, generators of the
-    stabilizer of all earlier base points, and a transversal of the orbit."""
+    stabilizer of all earlier base points, a transversal of the orbit
+    (orbit point -> element taking the base point there) and ``inverses``,
+    the inverse of each transversal element under the same key, which
+    every sift reads."""
 
-    __slots__ = ("base", "gens", "transversal")
+    __slots__ = ("base", "gens", "transversal", "inverses")
 
     def __init__(self, base):
         self.base = base
         self.gens = []
         self.transversal = {}
+        self.inverses = {}
 
     def rebuild(self, degree):
         ident = identity(degree)
         self.transversal = {self.base: ident}
+        self.inverses = {self.base: ident}
+        gens = [(s, inverse(s)) for s in self.gens]
         queue = [self.base]
         for pt in queue:
             u = self.transversal[pt]
-            for s in self.gens:
+            uinv = self.inverses[pt]
+            for s, sinv in gens:
                 np = s[pt]
                 if np not in self.transversal:
                     self.transversal[np] = mult(s, u)
+                    self.inverses[np] = mult(uinv, sinv)
                     queue.append(np)
 
 
@@ -89,15 +97,7 @@ class PermutationGroup:
         g = tuple(p)
         if not is_perm(g, self.degree):
             return False
-        for lvl in self._levels:
-            pt = g[lvl.base]
-            if pt == lvl.base:
-                continue
-            u = lvl.transversal.get(pt)
-            if u is None:
-                return False
-            g = mult(inverse(u), g)
-        return g == identity(self.degree)
+        return _sift(self._levels, g, 0)[0] == identity(self.degree)
 
     def elements(self):
         """All elements, sorted lexicographically.  Enumerates the group."""
@@ -161,7 +161,7 @@ class PermutationGroup:
         return e
 
     def _compute_classes(self):
-        gens = self.generators
+        gens = [(g, inverse(g)) for g in self.generators]
         assigned = {}
         raw = []
         for x in self.elements():
@@ -170,8 +170,8 @@ class PermutationGroup:
             orbit = [x]
             assigned[x] = len(raw)
             for y in orbit:
-                for g in gens:
-                    z = conj(g, y)
+                for g, ginv in gens:
+                    z = mult(mult(g, y), ginv)
                     if z not in assigned:
                         assigned[z] = len(raw)
                         orbit.append(z)
@@ -226,6 +226,23 @@ class ConjugacyClass:
     element_order: int
 
 
+def _sift(levels, g, start):
+    """Strip g through levels[start:] by the stored transversal inverses.
+
+    Returns (residue, i): the residue after the last level passed, and the
+    index of the level whose orbit misses it, or len(levels).  g lies in
+    the group of the chain exactly when the residue is the identity."""
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        pt = g[lvl.base]
+        if pt != lvl.base:
+            uinv = lvl.inverses.get(pt)
+            if uinv is None:
+                return g, i
+            g = mult(uinv, g)
+    return g, len(levels)
+
+
 def _schreier_sims(degree, gens):
     """Deterministic stabilizer chain construction.
 
@@ -236,21 +253,8 @@ def _schreier_sims(degree, gens):
     ident = identity(degree)
     levels = []
 
-    def sift(g, start):
-        i = start
-        while i < len(levels):
-            lvl = levels[i]
-            pt = g[lvl.base]
-            if pt != lvl.base:
-                u = lvl.transversal.get(pt)
-                if u is None:
-                    return g, i
-                g = mult(inverse(u), g)
-            i += 1
-        return g, len(levels)
-
     def insert(g, first_level):
-        residue, stop = sift(g, first_level)
+        residue, stop = _sift(levels, g, first_level)
         if residue == ident:
             return False
         if stop == len(levels):
@@ -271,8 +275,7 @@ def _schreier_sims(degree, gens):
             for pt in sorted(lvl.transversal):
                 u = lvl.transversal[pt]
                 for s in lvl.gens:
-                    target = lvl.transversal[s[pt]]
-                    schreier = mult(inverse(target), mult(s, u))
+                    schreier = mult(lvl.inverses[s[pt]], mult(s, u))
                     if insert(schreier, j + 1):
                         changed = True
             if changed:
@@ -331,10 +334,15 @@ def normalizer(G, H):
     """N_G(H) for a subgroup H <= G.  Enumerates the group."""
     _require_subgroup(G, H)
     hset = H.element_set()
-    hits = tuple(
-        g for g in G.elements() if all(conj(g, h) in hset for h in H.generators)
-    )
+    hits = tuple(g for g in G.elements() if _conjugates_into(g, H.generators, hset))
     return group_from_elements(G.degree, hits)
+
+
+def _conjugates_into(g, xs, target):
+    """Whether g x g^-1 lies in the set target for every x in xs; g is
+    inverted once."""
+    ginv = inverse(g)
+    return all(mult(mult(g, x), ginv) in target for x in xs)
 
 
 def _require_subgroup(G, H):
@@ -368,7 +376,7 @@ def is_normal_in(N, G):
     """Whether N is a normal subgroup of G."""
     _require_subgroup(G, N)
     nset = N.element_set()
-    return all(conj(g, n) in nset for g in G.generators for n in N.generators)
+    return all(_conjugates_into(g, N.generators, nset) for g in G.generators)
 
 
 @lru_cache(maxsize=None)
@@ -414,10 +422,7 @@ def are_conjugate_subgroups(G, H, K):
     if H.order() != K.order():
         return False
     kset = K.element_set()
-    for g in G.elements():
-        if all(conj(g, h) in kset for h in H.generators):
-            return True
-    return False
+    return any(_conjugates_into(g, H.generators, kset) for g in G.elements())
 
 
 @lru_cache(maxsize=None)

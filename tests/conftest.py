@@ -58,6 +58,7 @@ def oracle_groups(families):
             character_table,
             chartab.row_coordinates,
             chartab.class_action,
+            chartab.class_fusion,
             chartab.class_matrix,
             chartab.is_p_solvable,
             chartab.normal_class_sets,

@@ -21,6 +21,7 @@ from blockforge.chartab import (
     _split_space,
     _verify_orthogonality,
     character_table,
+    class_fusion,
     class_matrix,
     constituents,
     inertia_group,
@@ -224,6 +225,38 @@ def test_restrict_to_whole_group_is_identity(s4):
     table = character_table(s4)
     for chi in table.irreducibles:
         assert restrict(chi, s4) is chi
+
+
+def test_class_fusion_matches_brute_force():
+    not_subgroup = "restriction target is not a subgroup"
+    for ent in catalog.entries():
+        G = ent.load()
+        brute = oracles.brute_classes(G.elements())
+        sylows = [sylow_subgroup(G, p) for p in prime_factors(G.order())]
+        for H in sylows + list(normal_subgroups(G)):
+            fusion = class_fusion(G, H)
+            assert len(fusion) == len(H.conjugacy_classes()), (G, H)
+            for i, k in enumerate(fusion):
+                rep = G.conjugacy_classes()[k].representative
+                named = next(c for c in brute if rep in c)
+                assert set(H.class_elements(i)) <= named, (G, H, i)
+            # equal groups share the cache entry: the indices depend only
+            # on the element sets, so a copy from other generators agrees
+            twin = PermutationGroup(H.degree, reversed(H.elements()), name="twin")
+            assert class_fusion.__wrapped__(G, twin) == fusion, (G, H)
+        for P in sylows:
+            if P != G:
+                with pytest.raises(DomainError, match=not_subgroup):
+                    class_fusion(P, G)
+        with pytest.raises(DomainError, match=not_subgroup):
+            class_fusion(G, cyclic(G.degree + 1))
+
+
+def test_restriction_table_reads_one_class_fusion(s4, a4):
+    class_fusion.cache_clear()
+    restriction_multiplicities.__wrapped__(s4, a4)
+    assert class_fusion.cache_info().misses == 1
+    assert class_fusion.cache_info().hits == len(character_table(s4).irreducibles) - 1
 
 
 def test_frobenius_reciprocity_on_random_pairs(s4, a4, a5):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from blockforge import chartab, permgroup
+from blockforge import catalog, chartab, permgroup
 from blockforge.chartab import (
     is_p_solvable,
     normal_class_sets,
@@ -12,7 +12,7 @@ from blockforge.chartab import (
     p_prime_core,
 )
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.perms import conj, identity, order
+from blockforge.perms import conj, identity, mult, order
 from blockforge.permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -42,6 +42,24 @@ def test_order_and_membership_match_closure_oracle():
             img = list(range(6))
             rng.shuffle(img)
             assert G.contains(tuple(img)) == (tuple(img) in elems)
+
+
+def test_contains_rejects_non_permutations_and_non_members(a4):
+    assert a4.contains((1, 2, 0, 3))
+    assert not a4.contains((1, 0, 2, 3))  # odd
+    assert not a4.contains((1, 1, 2, 3))  # not a permutation
+    assert not a4.contains((0, 1, 2))  # wrong degree
+    assert not a4.contains((0, 1, 2, 3, 4))
+
+
+def test_stored_inverses_invert_the_transversal():
+    for ent in catalog.entries():
+        G = ent.load()
+        ident = identity(G.degree)
+        for lvl in G._levels:
+            assert lvl.inverses.keys() == lvl.transversal.keys(), G
+            for pt, u in lvl.transversal.items():
+                assert mult(lvl.inverses[pt], u) == ident, (G, lvl.base, pt)
 
 
 def test_s4_classes_frozen():

@@ -22,6 +22,18 @@ def test_mult_applies_right_factor_first():
     assert mult(p, q) == tuple(p[q[i]] for i in range(3))
 
 
+def test_mult_is_a_tuple_at_every_degree():
+    # itemgetter returns a bare item for one index and cannot be built
+    # from none, so degrees 0 and 1 take another path
+    rng = random.Random(3)
+    for degree in (0, 1, 2, 8):
+        for _ in range(10):
+            p, q = (tuple(rng.sample(range(degree), degree)) for _ in range(2))
+            got = mult(p, q)
+            assert type(got) is tuple, degree
+            assert got == oracles.omult(p, q), (p, q)
+
+
 def test_identity_and_inverse():
     e = identity(5)
     assert e == (0, 1, 2, 3, 4)
