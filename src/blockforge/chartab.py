@@ -40,9 +40,10 @@ Every layer below the table reads a character value in one
 representation, ``row_coordinates``: its integer coordinates on the
 power basis of Q(zeta_o) at its class's element order o, which is an
 integral basis of Z[zeta_o].  The table gate, the restriction table
-(through ``constituents``), block data and the decomposition matrix all
-read them.  One pairing on them, ``_pairing``, serves both the table
-gate and the restriction table; it builds no cyclotomic value.
+(G's row coordinates read through the class fusion), block data and
+the decomposition matrix all read them.  One pairing on them,
+``_pairing``, serves both the table gate and the restriction table; it
+builds no cyclotomic value.
 """
 
 from functools import lru_cache
@@ -55,7 +56,7 @@ from .cyclotomic import (
     from_root_combination,
 )
 from .errors import DomainError, InternalCheckError
-from .perms import conj, identity, inverse, mult, power
+from .perms import identity, inverse, mult, power
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
 
 @lru_cache(maxsize=None)
@@ -135,60 +136,51 @@ def class_fusion(G, H):
     return tuple(G.class_index(c.representative) for c in H.conjugacy_classes())
 
 
-def restrict(chi, H):
-    """Restriction of a class function to a subgroup, read through the
-    cached ``class_fusion`` (shared by equal groups: see there)."""
-    G = chi.group
-    if H == G:
-        return chi
-    return ClassFunction(H, tuple(chi.values[k] for k in class_fusion(G, H)))
-
-
-def constituents(alpha):
-    """Decomposition of a virtual character into irreducibles: the
-    integer multiplicity of each irreducible, in table order.
-
-    A value outside Z[zeta_o] at a class of order o, an irrational
-    partial sum or a pairing not divisible by |G| rules out a virtual
-    character (see ``_verify_orthogonality``); integer multiplicities
-    prove one, as Irr(G) is a basis.  Power-basis coordinates are
-    unique, so sum_k m_k theta_k = alpha is checked on coordinates."""
-    G = alpha.group
-    table = character_table(G)
-    rows = row_coordinates(table, table.irreducibles)
-    n = G.order()
-    not_virtual = DomainError("class function is not a virtual character")
-    a = _lift(table, alpha.values, lambda k, what: not_virtual)
-    out = []
-    for b in rows:
-        total, irrational = _pairing(table, a, b)
-        if irrational is not None or total % n:
-            raise not_virtual
-        out.append(total // n)
-    rebuilt = [
-        [sum(m * b[k][i] for m, b in zip(out, rows) if m) for i in range(len(x))]
-        for k, x in enumerate(a)
-    ]
-    if rebuilt != a:
-        raise InternalCheckError(
-            f"constituent decomposition does not reconstruct on {G!r}"
-        )
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def restriction_multiplicities(G, H):
     """The multiplicity of theta_k in the restriction of chi_i to H, as
     row i and column k (table order of Irr(G) and Irr(H)); by Frobenius
-    reciprocity column k also decomposes theta_k induced to G."""
+    reciprocity column k also decomposes theta_k induced to G.
+
+    Read on row coordinates: at class k of H, chi restricted to H takes
+    chi's value at the class of G that contains it (``class_fusion``),
+    which has the same element order, so its coordinates are those of
+    that class in chi's row.  Each is paired with every row of H's
+    table (``_pairing``).  The restriction of a character is a
+    character, so an irrational pairing, or one not divisible by |H|,
+    means a wrong table; so does a negative multiplicity.  Power-basis
+    coordinates are unique, so sum_k m_k theta_k = chi restricted to H
+    is checked on coordinates."""
+    fusion = class_fusion(G, H)
+    table = character_table(G)
+    sub = character_table(H)
+    thetas = row_coordinates(sub, sub.irreducibles)
+    n = H.order()
     rows = []
-    for chi in character_table(G).irreducibles:
-        row = constituents(restrict(chi, H))
+    for x in row_coordinates(table, table.irreducibles):
+        a = [x[k] for k in fusion]
+        row = []
+        for b in thetas:
+            total, irrational = _pairing(sub, a, b)
+            if irrational is not None or total % n:
+                raise InternalCheckError(
+                    f"restriction from {G!r} to {H!r} has a multiplicity"
+                    " that is not an integer"
+                )
+            row.append(total // n)
+        rebuilt = [
+            [sum(m * b[k][i] for m, b in zip(row, thetas) if m) for i in range(len(y))]
+            for k, y in enumerate(a)
+        ]
+        if rebuilt != a:
+            raise InternalCheckError(
+                f"constituent decomposition does not reconstruct on {H!r}"
+            )
         if any(m < 0 for m in row):
             raise InternalCheckError(
                 f"restriction from {G!r} to {H!r} has a negative multiplicity"
             )
-        rows.append(row)
+        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -214,10 +206,12 @@ def class_action(G, N):
     permutation because equal groups share this cache entry and may
     list other generators."""
     classes = N.conjugacy_classes()
-    return tuple(
-        (g, tuple(N.class_index(conj(g, c.representative)) for c in classes))
-        for g in G.generators
-    )
+    action = []
+    for g in G.generators:
+        ginv = inverse(g)
+        a = tuple(N.class_index(mult(mult(g, c.representative), ginv)) for c in classes)
+        action.append((g, a))
+    return tuple(action)
 
 
 def kernel_classes(G):
@@ -373,7 +367,11 @@ def inertia_group(G, N, theta):
     classes = N.conjugacy_classes()
 
     def conjugated(g):
-        return tuple(start[N.class_index(conj(g, c.representative))] for c in classes)
+        ginv = inverse(g)
+        return tuple(
+            start[N.class_index(mult(mult(g, c.representative), ginv))]
+            for c in classes
+        )
 
     # N fixes theta, a class function of N, so only the Schreier
     # generators are conjugated
@@ -746,35 +744,31 @@ def _verify_orthogonality(table):
         )
 
 
-def _lift(table, values, error):
-    """Integer power-basis coordinates of each value at the element order
-    o of its class; a value outside Z[zeta_o] at class k raises
-    error(k, what)."""
-    out = []
-    for k, (v, c) in enumerate(zip(values, table.classes)):
-        o = c.element_order
-        if o % v.conductor:
-            raise error(k, f"a value outside Q(zeta_{o})")
-        a = v.lift_coords(o)
-        if any(x.denominator != 1 for x in a):
-            raise error(k, "a non-integral value")
-        out.append([x.numerator for x in a])
-    return out
-
-
 @lru_cache(maxsize=None)
 def row_coordinates(table, rows):
-    """The rows, table.irreducibles, each lifted by ``_lift``: for each
-    row, one list of integer power-basis coordinates per class, at that
-    class's element order.  The rows are part of the key so that rows
-    replaced on a built table are lifted afresh."""
+    """The rows, table.irreducibles, as integer power-basis coordinates:
+    for each row, one list per class, at that class's element order o.
+    A value outside Z[zeta_o] is not a character value and fails.  The
+    rows are part of the key so that rows replaced on a built table are
+    lifted afresh."""
     where = f"of {table.group!r} (split mod q = {table.prime})"
-    return [
-        _lift(table, chi.values, lambda k, what: InternalCheckError(
-            f"row {s} {where} has {what} at class {k}"
-        ))
-        for s, chi in enumerate(rows)
-    ]
+    out = []
+    for s, chi in enumerate(rows):
+        lifted = []
+        for k, (v, c) in enumerate(zip(chi.values, table.classes)):
+            o = c.element_order
+            if o % v.conductor:
+                raise InternalCheckError(
+                    f"row {s} {where} has a value outside Q(zeta_{o}) at class {k}"
+                )
+            coords = v.lift_coords(o)
+            if any(t.denominator != 1 for t in coords):
+                raise InternalCheckError(
+                    f"row {s} {where} has a non-integral value at class {k}"
+                )
+            lifted.append([t.numerator for t in coords])
+        out.append(lifted)
+    return out
 
 
 def _pairing(table, a, b):

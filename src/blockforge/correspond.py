@@ -33,7 +33,7 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching
 from .modular import modular_data
-from .perms import conj, inverse, mult
+from .perms import inverse, mult
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -347,8 +347,10 @@ def navarro_instances(G, p, name, seed, fixed):
                         members.append(b)
             g = rng.choice(indices)
             if g not in conjugates:
+                h = elements[g]
+                hinv = inverse(h)
                 conjugates[g] = sum(
-                    1 << position[conj(elements[g], x)] for x in sylow.elements()
+                    1 << position[mult(mult(h, x), hinv)] for x in sylow.elements()
                 )
             I = U & conjugates[g]
             if I.bit_count() != p_part(len(members), p):
@@ -541,9 +543,10 @@ def verify_fong_reynolds(B, theta):
 
 
 def find_good_character(B, L):
-    """A constituent of the block's restriction to the normal
+    """A constituent theta of the block's restriction to the normal
     p'-subgroup over which the whole block lives and whose
-    Fong-Reynolds block keeps the defect group."""
+    Fong-Reynolds block keeps the defect group, with the passing
+    ``verify_fong_reynolds`` record."""
     G = B.blockset.group
     p = B.blockset.prime
     if L.order() % p == 0 or not is_normal_in(L, G):
@@ -554,7 +557,7 @@ def find_good_character(B, L):
             continue
         outcome = verify_fong_reynolds(B, theta)
         if outcome["verdict"] == "pass":
-            return theta
+            return theta, outcome
     raise InternalCheckError(
         f"no good character over the p'-core on {_where(G, p, B.index)}"
     )
@@ -565,9 +568,9 @@ def fong_reynolds_instances(G, p, name):
     bs = block_data(G, p)
     records = []
     for B in bs.blocks:
-        theta = find_good_character(B, K)
+        _, outcome = find_good_character(B, K)
         rec = {"group": name, "prime": p, "block": B.index}
-        rec.update(verify_fong_reynolds(B, theta))
+        rec.update(outcome)
         records.append(rec)
     return records
 

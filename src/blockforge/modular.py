@@ -65,11 +65,12 @@ class BrauerCharacter:
         return f"BrauerCharacter(p={self.prime}, degree={self.degree()})"
 
 
-def restriction_to_p_regular(chi, p):
-    """The values of an ordinary character on the p-regular classes."""
-    G = chi.group
+def restriction_to_p_regular(G, i, p):
+    """The values of the ordinary character chi_i, row i of the table,
+    on the p-regular classes."""
     table = character_table(G)
-    row = row_coordinates(table, table.irreducibles)[table.index_of(chi)]
+    chi = table.irreducibles[i]
+    row = row_coordinates(table, table.irreducibles)[i]
     regular = p_regular_classes(G, p)
     return BrauerCharacter(
         G,
@@ -87,11 +88,10 @@ def _greedy_brauer_characters(G, p):
     irreducible ones of strictly smaller degree, which the scan has
     already kept; IBr is linearly independent, so an irreducible one is
     kept."""
-    table = character_table(G)
     seen = set()
     candidates = []
-    for chi in table.irreducibles:
-        c = restriction_to_p_regular(chi, p)
+    for i in range(len(character_table(G).irreducibles)):
+        c = restriction_to_p_regular(G, i, p)
         if c not in seen:
             seen.add(c)
             candidates.append(c)
@@ -192,8 +192,8 @@ class ModularData:
         table = self.blockset.table
         columns = [phi.coords for phi in self.brauer_characters]
         matrix = []
-        for chi in table.irreducibles:
-            target = restriction_to_p_regular(chi, self.prime).coords
+        for i in range(len(table.irreducibles)):
+            target = restriction_to_p_regular(G, i, self.prime).coords
             solution = solve_rational(columns, target)
             if solution is None:
                 raise InternalCheckError(

@@ -22,7 +22,7 @@ from math import lcm
 
 from .arith import is_prime, p_part
 from .errors import DomainError, InternalCheckError
-from .perms import conj, identity, inverse, is_perm, moved_points, mult, order
+from .perms import identity, inverse, is_perm, moved_points, mult, order
 
 
 class _Level:
@@ -362,9 +362,10 @@ def normal_closure(G, seeds):
     gens = list(seeds)
     closure = PermutationGroup(G.degree, gens)
     queue = list(seeds)
+    conjugators = [(g, inverse(g)) for g in G.generators]
     for x in queue:
-        for g in G.generators:
-            y = conj(g, x)
+        for g, ginv in conjugators:
+            y = mult(mult(g, x), ginv)
             if not closure.contains(y):
                 gens.append(y)
                 closure = PermutationGroup(G.degree, gens)

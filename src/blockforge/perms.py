@@ -50,11 +50,6 @@ def power(p, k):
     return result
 
 
-def conj(g, x):
-    """The conjugate g x g^-1 of x by g."""
-    return mult(mult(g, x), inverse(g))
-
-
 def cycles(p):
     """Disjoint cycles of length >= 2, each starting at its smallest point."""
     seen = [False] * len(p)

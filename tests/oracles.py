@@ -6,22 +6,25 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are fifteen exceptions, and each takes objects the package built.
+There are sixteen exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
 that builds package groups) and keeps the one class at which the Brauer
 image of the block idempotent is nonzero, to compare with the package's
-own route through one defect class.  ``induce`` and
+own route through one defect class.  ``induce``, ``restrict`` and
 ``regular_character`` build class functions on the package's classes
 by their defining formulas, so the restriction table can be checked
-against Frobenius reciprocity and constituent decomposition against
-the character degrees.  ``brauer_degrees_over`` restricts the
-package's Brauer characters themselves to a p'-subgroup and decomposes
-them there, to compare with the package's route through ordinary lifts
-and the restriction table.  ``inner_product`` pairs class functions by
-adding every class into one root list at the exponent of G, to compare
-with the package's one pairing on integer power-basis coordinates.
+against Frobenius reciprocity and against the character degrees;
+``restrict`` finds the class of G containing each class representative
+of the subgroup, not through the package's class fusion.
+``brauer_degrees_over`` restricts the package's Brauer characters
+themselves to a p'-subgroup and pairs them there with theta
+(``inner_product``), to compare with the package's route through
+ordinary lifts and the restriction table.  ``inner_product`` pairs
+class functions by adding every class into one root list at the
+exponent of G, to compare with the package's one pairing on integer
+power-basis coordinates.
 ``induced_central`` induces a block's reduced central character by
 walking every element of G and summing over the classes of the
 subgroup it meets, to compare with the package's route through the
@@ -66,8 +69,6 @@ from blockforge.arith import p_part, prime_factors
 from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
 from blockforge.chartab import (
     ClassFunction,
-    character_table,
-    constituents,
     is_p_solvable,
     structure_constants,
 )
@@ -78,7 +79,6 @@ from blockforge.correspond import (
 )
 from blockforge.cyclotomic import from_root_combination, rational
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.perms import conj
 from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
@@ -97,6 +97,11 @@ def oinv(p):
     for i, ip in enumerate(p):
         r[ip] = i
     return tuple(r)
+
+
+def oconj(g, x):
+    """The conjugate g x g^-1 of x by g."""
+    return omult(omult(g, x), oinv(g))
 
 
 def mulclose(gens):
@@ -506,15 +511,23 @@ def induce(psi, G):
     return ClassFunction(G, (combination(t) for t in terms))
 
 
+def restrict(chi, H):
+    """The class function chi restricted to the subgroup H, read at the
+    class of G that contains each class representative of H."""
+    G = chi.group
+    return ClassFunction(
+        H, (chi.values[G.class_index(c.representative)] for c in H.conjugacy_classes())
+    )
+
+
 def brauer_degrees_over(md, K, theta):
     """Degrees of the Brauer characters in md whose restriction to the
     p'-subgroup K contains theta, by restricting each Brauer character's
-    own values to K (every class of K is p-regular) and decomposing the
-    resulting ordinary character of K."""
+    own values to K (every class of K is p-regular) and pairing the
+    resulting ordinary character of K with theta (``inner_product``)."""
     G = md.group
     regular = p_regular_classes(G, p=md.prime)
     position = {k: i for i, k in enumerate(regular)}
-    thetas = character_table(K).irreducibles
     out = []
     for phi in md.brauer_characters:
         restricted = ClassFunction(
@@ -525,16 +538,16 @@ def brauer_degrees_over(md, K, theta):
             ),
         )
         try:
-            pieces = constituents(restricted)
+            m = inner_product(restricted, theta).integer_value()
         except DomainError as exc:
             raise InternalCheckError(
                 "Brauer restriction multiplicity is not an integer"
             ) from exc
-        if any(m < 0 for m in pieces):
+        if m < 0:
             raise InternalCheckError(
                 "Brauer restriction multiplicity is negative"
             )
-        if any(m and xi == theta for xi, m in zip(thetas, pieces)):
+        if m:
             out.append(phi.degree())
     return out
 
@@ -660,7 +673,7 @@ def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):
         )
         U = PermutationGroup(G.degree, gens)
         g = rng.choice(elements)
-        conjugates = (conj(g, x) for x in sylow_elements)
+        conjugates = (oconj(g, x) for x in sylow_elements)
         I = group_from_elements(
             G.degree, tuple(y for y in conjugates if U.contains(y))
         )
@@ -689,7 +702,7 @@ def conjugate_character(theta, g):
 
 def _conjugation(N, g):
     return tuple(
-        N.class_index(conj(g, c.representative)) for c in N.conjugacy_classes()
+        N.class_index(oconj(g, c.representative)) for c in N.conjugacy_classes()
     )
 
 

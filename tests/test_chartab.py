@@ -23,24 +23,22 @@ from blockforge.chartab import (
     character_table,
     class_fusion,
     class_matrix,
-    constituents,
     inertia_group,
     irr_over,
     is_p_solvable,
     normal_subgroups,
     p_core,
     p_prime_core,
-    restrict,
     restriction_multiplicities,
     row_coordinates,
     structure_constants,
     trivial_character,
 )
 from blockforge.cli import main
-from blockforge.cyclotomic import ONE, rational
+from blockforge.cyclotomic import ONE, Cyclotomic, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
-from blockforge.permgroup import PermutationGroup, sylow_subgroup
+from blockforge.permgroup import PermutationGroup, sylow_subgroup, trivial_group
 
 import oracles
 from oracles import galois, induce, inner_product, plus, regular_character, zeta
@@ -204,12 +202,20 @@ def test_tables_of_groups_with_many_classes():
         assert Counter(character_table.__wrapped__(G).degrees()) == want, label
 
 
-def test_regular_character_constituents(s3):
-    table = character_table(s3)
-    rho = regular_character(s3)
-    got = constituents(rho)
-    assert got == table.degrees()
-    assert inner_product(rho, trivial_character(s3)) == ONE
+def test_regular_character_constituents():
+    # The regular character is the trivial character of the trivial
+    # subgroup induced to G, so by Frobenius reciprocity the one column
+    # of the (G, 1) restriction table is its decomposition: the degrees.
+    for ent in catalog.entries():
+        G = ent.load()
+        table = character_table(G)
+        rows = restriction_multiplicities(G, trivial_group(G.degree))
+        column = tuple(row[0] for row in rows)
+        assert column == table.degrees(), G
+        rho = regular_character(G)
+        assert column == tuple(
+            inner_product(rho, chi).integer_value() for chi in table.irreducibles
+        ), G
 
 
 def test_induced_trivial_is_permutation_character(s4, a4):
@@ -222,9 +228,9 @@ def test_induced_trivial_is_permutation_character(s4, a4):
 
 
 def test_restrict_to_whole_group_is_identity(s4):
-    table = character_table(s4)
-    for chi in table.irreducibles:
-        assert restrict(chi, s4) is chi
+    r = len(character_table(s4).irreducibles)
+    identity = tuple(tuple(int(i == k) for k in range(r)) for i in range(r))
+    assert restriction_multiplicities.__wrapped__(s4, s4) == identity
 
 
 def test_class_fusion_matches_brute_force():
@@ -256,7 +262,25 @@ def test_restriction_table_reads_one_class_fusion(s4, a4):
     class_fusion.cache_clear()
     restriction_multiplicities.__wrapped__(s4, a4)
     assert class_fusion.cache_info().misses == 1
-    assert class_fusion.cache_info().hits == len(character_table(s4).irreducibles) - 1
+    assert class_fusion.cache_info().hits == 0
+
+
+def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
+    # Once both tables' row coordinates exist, the restriction table
+    # reads them and builds no coordinates of its own.
+    for G in (s4, a4):
+        table = character_table(G)
+        row_coordinates(table, table.irreducibles)
+    calls = []
+    lift = Cyclotomic.lift_coords
+
+    def counted(self, e):
+        calls.append(e)
+        return lift(self, e)
+
+    monkeypatch.setattr(Cyclotomic, "lift_coords", counted)
+    restriction_multiplicities.__wrapped__(s4, a4)
+    assert calls == []
 
 
 def test_frobenius_reciprocity_on_random_pairs(s4, a4, a5):
@@ -274,7 +298,7 @@ def test_frobenius_reciprocity_on_random_pairs(s4, a4, a5):
             chi = rng.choice(chis)
             psi = rng.choice(psis)
             lhs = inner_product(induce(psi, G), chi)
-            rhs = inner_product(psi, restrict(chi, H))
+            rhs = inner_product(psi, oracles.restrict(chi, H))
             assert lhs == rhs
 
 
@@ -355,12 +379,6 @@ def test_restriction_table_is_cached(s4, a4):
     assert restriction_multiplicities(s4, a4) is table
 
 
-def test_constituents_integrality_gate(s3):
-    with pytest.raises(DomainError, match="not a virtual character"):
-        half = rational(Fraction(1, 2))
-        constituents(ClassFunction(s3, [half] * len(s3.conjugacy_classes())))
-
-
 def _random_subgroups():
     """Seeded random subgroups of S5 and S6."""
     groups = []
@@ -368,53 +386,6 @@ def _random_subgroups():
         rng = random.Random(seed)
         groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
     return groups
-
-
-def _combination(table, coefficients):
-    columns = zip(*(chi.values for chi in table.irreducibles))
-    return ClassFunction(
-        table.group,
-        [oracles.combination(zip(coefficients, column)) for column in columns],
-    )
-
-
-def test_constituents_agree_with_cyclotomic_inner_product():
-    rng = random.Random(8)
-    for G in [ent.load() for ent in catalog.entries()] + _random_subgroups():
-        table = character_table(G)
-        r = len(table.irreducibles)
-        for _ in range(3):
-            # a virtual character, negative multiplicities included
-            coefficients = [rng.randint(-3, 3) for _ in range(r)]
-            alpha = _combination(table, coefficients)
-            oracle = tuple(
-                inner_product(alpha, chi).integer_value()
-                for chi in table.irreducibles
-            )
-            assert constituents(alpha) == oracle == tuple(coefficients), G
-            # integer values on every class: a virtual character exactly
-            # when every oracle multiplicity is an integer
-            beta = ClassFunction(G, [rational(rng.randint(-4, 4)) for _ in range(r)])
-            products = [inner_product(beta, chi) for chi in table.irreducibles]
-            if all(m.conductor == 1 and m.rational_value().denominator == 1 for m in products):
-                assert constituents(beta) == tuple(m.integer_value() for m in products)
-            else:
-                with pytest.raises(DomainError, match="not a virtual character"):
-                    constituents(beta)
-
-
-def test_constituents_reject_an_irrational_partial_sum():
-    # both order-3 classes of C3 take zeta_3, so the sum over them against
-    # the trivial character is 2 zeta_3
-    G = cyclic(3)
-    with pytest.raises(DomainError, match="not a virtual character"):
-        constituents(ClassFunction(G, (ONE, zeta(3), zeta(3))))
-
-
-def test_constituents_reject_a_value_beyond_the_element_order():
-    G = cyclic(2)
-    with pytest.raises(DomainError, match="not a virtual character"):
-        constituents(ClassFunction(G, (ONE, zeta(4))))
 
 
 def test_restriction_table_matches_oracle_on_random_subgroup_pairs():
@@ -458,6 +429,49 @@ def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
 
 def _with_rows(table, rows):
     return CharacterTable(table.group, table.exponent, rows, table.prime)
+
+
+def _forge_last_row_of_a4(monkeypatch, a4, values):
+    table = character_table(a4)
+    assert [c.element_order for c in table.classes] == [1, 2, 3, 3]
+    patched = table.irreducibles[:-1] + (ClassFunction(a4, values),)
+    monkeypatch.setattr(table, "irreducibles", patched)
+
+
+def test_restriction_table_rejects_a_pairing_not_divisible_by_the_order(
+    monkeypatch, s4, a4
+):
+    # Against the trivial character of S4 restricted, a forged row
+    # (1, 0, 0, 0) of Irr(A4) pairs to 1, which |A4| = 12 does not divide.
+    zero = rational(0)
+    _forge_last_row_of_a4(monkeypatch, a4, (ONE, zero, zero, zero))
+    message = re.escape(f"restriction from {s4!r} to {a4!r}") + ".* not an integer"
+    with pytest.raises(InternalCheckError, match=message):
+        restriction_multiplicities.__wrapped__(s4, a4)
+
+
+def test_restriction_table_rejects_an_irrational_pairing(monkeypatch, s4, a4):
+    # zeta_3 on both classes of order 3, which are inverse to each other:
+    # against the trivial character of S4 restricted, the sum over them
+    # is 8 zeta_3.
+    _forge_last_row_of_a4(monkeypatch, a4, (ONE, ONE, zeta(3), zeta(3)))
+    message = re.escape(f"restriction from {s4!r} to {a4!r}") + ".* not an integer"
+    with pytest.raises(InternalCheckError, match=message):
+        restriction_multiplicities.__wrapped__(s4, a4)
+
+
+def test_row_coordinates_reject_a_value_beyond_the_element_order():
+    G = cyclic(2)
+    table = character_table(G)
+    for bad, what in (
+        (zeta(4), re.escape("a value outside Q(zeta_2)")),
+        (rational(Fraction(1, 2)), "a non-integral value"),
+    ):
+        rows = (table.irreducibles[0], ClassFunction(G, (ONE, bad)))
+        forged = _with_rows(table, rows)
+        message = re.escape(f"row 1 of {G!r}") + ".* has " + what + " at class 1"
+        with pytest.raises(InternalCheckError, match=message):
+            row_coordinates(forged, forged.irreducibles)
 
 
 def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():

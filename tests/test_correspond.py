@@ -482,6 +482,27 @@ def test_good_character_gate_names_group_prime_and_block(s4, monkeypatch):
         find_good_character(B, p_prime_core(s4, 3))
 
 
+def test_fong_reynolds_record_is_computed_once(s4, monkeypatch):
+    # Each block's record is the one find_good_character passed: no
+    # candidate is verified a second time.
+    calls = []
+    verify = correspond.verify_fong_reynolds
+
+    def counted(B, theta):
+        calls.append(B.index)
+        return verify(B, theta)
+
+    monkeypatch.setattr(correspond, "verify_fong_reynolds", counted)
+    records = fong_reynolds_instances(s4, 3, "S4")
+    tried = len(calls)
+    calls.clear()
+    K = p_prime_core(s4, 3)
+    for B, rec in zip(block_data(s4, 3).blocks, records):
+        _, outcome = find_good_character(B, K)
+        assert rec == {"group": "S4", "prime": 3, "block": B.index, **outcome}
+    assert len(calls) == tried
+
+
 def test_question35_s4_p2(s4):
     records = question35_instances(s4, 2, "S4")
     assert len(records) == 1

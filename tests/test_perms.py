@@ -1,7 +1,6 @@
 import random
 
 from blockforge.perms import (
-    conj,
     cycles,
     format_perm,
     identity,
@@ -70,19 +69,6 @@ def test_cycles_start_at_smallest_point():
 def test_format_perm_is_one_based():
     assert format_perm((1, 0, 3, 4, 2)) == "(1 2)(3 4 5)"
     assert format_perm(identity(3)) == "()"
-
-
-def test_conj_is_group_action():
-    rng = random.Random(5)
-    for _ in range(40):
-        a, b, x = [], [], []
-        for target in (a, b, x):
-            img = list(range(6))
-            rng.shuffle(img)
-            target.extend(img)
-        a, b, x = tuple(a), tuple(b), tuple(x)
-        assert conj(mult(a, b), x) == conj(a, conj(b, x))
-    assert conj(identity(6), x) == x
 
 
 def test_moved_points():
