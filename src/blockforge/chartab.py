@@ -184,9 +184,8 @@ def restriction_multiplicities(G, H):
     return tuple(rows)
 
 
-def irr_over(G, N, theta):
-    """The irreducible characters of G lying over theta in Irr(N)."""
-    k = character_table(N).index_of(theta)
+def irr_over(G, N, k):
+    """The irreducible characters of G lying over theta, row k of Irr(N)."""
     rows = restriction_multiplicities(G, N)
     return tuple(
         chi
@@ -401,12 +400,6 @@ class CharacterTable:
 
     def degrees(self):
         return tuple(chi.degree() for chi in self.irreducibles)
-
-    def index_of(self, chi):
-        for i, row in enumerate(self.irreducibles):
-            if row == chi:
-                return i
-        raise DomainError("character is not a row of this table")
 
     def __repr__(self):
         return (

@@ -131,34 +131,32 @@ def block_section(G, p):
 # --- Glauberman correspondence and its lift -------------------------
 
 
-def glauberman_correspondent(L, Q, theta, p):
-    """The unique constituent of theta restricted to the fixed-point
-    centralizer whose multiplicity is not divisible by p."""
+def glauberman_correspondent(L, Q, k, p):
+    """The unique constituent of theta, row k of Irr(L), restricted to
+    the fixed-point centralizer C whose multiplicity is not divisible by
+    p: returns C and the constituent's row index in Irr(C)."""
     if Q.order() != p ** vp(Q.order(), p):
         raise DomainError("the acting group is not a p-group")
-    if theta.group != L:
-        raise DomainError("character does not live on the acted-on group")
     if gcd(L.order(), Q.order()) != 1:
         raise DomainError("the action is not coprime")
+    theta = character_table(L).irreducibles[k]
     if not _is_invariant(Q, theta):
         raise DomainError("character is not invariant under the action")
     C = centralizer_of_group(L, Q)
-    row = restriction_multiplicities(L, C)[character_table(L).index_of(theta)]
-    survivors = [
-        xi for xi, m in zip(character_table(C).irreducibles, row) if m % p
-    ]
+    row = restriction_multiplicities(L, C)[k]
+    survivors = [j for j, m in enumerate(row) if m % p]
     if len(survivors) != 1:
         raise InternalCheckError(
             f"expected one constituent of multiplicity prime to {p},"
             f" found {len(survivors)}, on {_where(L, p)}"
         )
-    f = survivors[0]
-    if theta.degree() % f.degree():
+    j = survivors[0]
+    if theta.degree() % character_table(C).irreducibles[j].degree():
         raise InternalCheckError(
             "correspondent degree does not divide the original degree"
             f" on {_where(L, p)}"
         )
-    return f
+    return C, j
 
 
 def coprime_setup(G, p):
@@ -178,17 +176,16 @@ def _is_invariant(G, theta):
     return all(tuple(v[k] for k in a) == v for _, a in class_action(G, theta.group))
 
 
-def _brauer_degrees_over(md, K, theta):
+def _brauer_degrees_over(md, K, k):
     """Degrees of the Brauer characters whose restriction to the
-    p'-subgroup K contains theta.
+    p'-subgroup K contains theta, row k of Irr(K).
 
     Each phi is read at its ordinary lift: the chi whose decomposition
     row is the unit vector of phi, so that chi restricted to the
-    p-regular classes is phi (the exact decomposition solve certifies
+    p-regular classes is phi (the elimination that found phi certifies
     it).  Every class of K is p-regular, so phi and chi agree on K and
     the restriction table of (G, K) answers the question."""
     G = md.group
-    k = character_table(K).index_of(theta)
     rows = restriction_multiplicities(G, K)
     count = len(md.brauer_characters)
     out = []
@@ -205,10 +202,11 @@ def _brauer_degrees_over(md, K, theta):
     return out
 
 
-def verify_glauberman_lift(G, L, Q, theta, p):
-    """One lift instance: character sets over theta and over its
-    correspondent, their cardinalities, and divisibility matchings on
-    the full sets and on the p'-degree subsets."""
+def verify_glauberman_lift(G, L, Q, k, p):
+    """One lift instance for theta, row k of Irr(L): character sets over
+    theta and over its correspondent, their cardinalities, and
+    divisibility matchings on the full sets and on the p'-degree
+    subsets."""
     if L.order() % p == 0:
         raise DomainError("the normal subgroup is not a p'-group")
     if not is_normal_in(L, G):
@@ -216,6 +214,7 @@ def verify_glauberman_lift(G, L, Q, theta, p):
     product = PermutationGroup(G.degree, L.generators + Q.generators)
     if not is_normal_in(product, G):
         raise DomainError("the product subgroup is not normal")
+    theta = character_table(L).irreducibles[k]
     rec = {
         "l_order": L.order(),
         "q_order": Q.order(),
@@ -227,12 +226,11 @@ def verify_glauberman_lift(G, L, Q, theta, p):
         rec["reason"] = "character is not invariant"
         rec["verdict"] = "hypothesis not met"
         return rec
-    f = glauberman_correspondent(L, Q, theta, p)
+    C, j = glauberman_correspondent(L, Q, k, p)
     H = normalizer(G, Q)
-    C = f.group
-    rec["correspondent_degree"] = f.degree()
-    left = [chi.degree() for chi in irr_over(G, L, theta)]
-    right = [chi.degree() for chi in irr_over(H, C, f)]
+    rec["correspondent_degree"] = character_table(C).irreducibles[j].degree()
+    left = [chi.degree() for chi in irr_over(G, L, k)]
+    right = [chi.degree() for chi in irr_over(H, C, j)]
     rec["counts_equal"] = len(left) == len(right)
     where = f"{_where(G, p)}, Glauberman lift from {L!r}"
     ok_full, fields = _matching_fields("ordinary", left, right, where)
@@ -245,8 +243,8 @@ def verify_glauberman_lift(G, L, Q, theta, p):
     if is_p_solvable(G, p):
         md_big = modular_data(G, p)
         md_small = modular_data(H, p)
-        bleft = _brauer_degrees_over(md_big, L, theta)
-        bright = _brauer_degrees_over(md_small, C, f)
+        bleft = _brauer_degrees_over(md_big, L, k)
+        bright = _brauer_degrees_over(md_small, C, j)
         rec["brauer_counts_equal"] = len(bleft) == len(bright)
         ok_brauer, fields = _matching_fields("brauer", bleft, bright, where)
         rec.update(fields)
@@ -259,9 +257,9 @@ def verify_glauberman_lift(G, L, Q, theta, p):
 def glauberman_instances(G, p, name):
     L, Q = coprime_setup(G, p)
     records = []
-    for theta in character_table(L).irreducibles:
+    for k in range(len(character_table(L).irreducibles)):
         rec = {"group": name, "prime": p}
-        rec.update(verify_glauberman_lift(G, L, Q, theta, p))
+        rec.update(verify_glauberman_lift(G, L, Q, k, p))
         records.append(rec)
     return records
 
@@ -478,15 +476,13 @@ def fong_block_instances(G, p, name):
 # --- Fong-Reynolds ---------------------------------------------------
 
 
-def _fong_reynolds_data(B, theta):
-    """The inertia group T of theta and the pairs (j, i) where psi_j in
-    Irr(T) lies over theta and induces to chi_i in the block B; by
-    Frobenius reciprocity that is when column j of the (G, T)
-    restriction table is the unit vector e_i."""
+def _fong_reynolds_data(B, L, k):
+    """The inertia group T of theta, row k of Irr(L), and the pairs
+    (j, i) where psi_j in Irr(T) lies over theta and induces to chi_i in
+    the block B; by Frobenius reciprocity that is when column j of the
+    (G, T) restriction table is the unit vector e_i."""
     G = B.blockset.group
-    L = theta.group
-    T = inertia_group(G, L, theta)
-    k = character_table(L).index_of(theta)
+    T = inertia_group(G, L, character_table(L).irreducibles[k])
     over_theta = restriction_multiplicities(T, L)
     induced = restriction_multiplicities(G, T)
     members = []
@@ -502,12 +498,13 @@ def _fong_reynolds_data(B, theta):
     return T, members
 
 
-def verify_fong_reynolds(B, theta):
-    """Induction from the inertia group of a good character must hit
-    the block bijectively, preserving heights and the defect group."""
+def verify_fong_reynolds(B, L, k):
+    """Induction from the inertia group of a good character, row k of
+    Irr(L), must hit the block bijectively, preserving heights and the
+    defect group."""
     G = B.blockset.group
     p = B.blockset.prime
-    T, members = _fong_reynolds_data(B, theta)
+    T, members = _fong_reynolds_data(B, L, k)
     induced_indices = sorted(idx for _, idx in members)
     bijective = induced_indices == sorted(B.char_indices)
     local = block_data(T, p)
@@ -531,7 +528,7 @@ def verify_fong_reynolds(B, theta):
         )
     verdict = bijective and single_block and heights_ok and defect_ok
     return {
-        "theta_degree": theta.degree(),
+        "theta_degree": character_table(L).irreducibles[k].degree(),
         "inertia_index": G.order() // T.order(),
         "characters": len(B.char_indices),
         "bijective": bijective,
@@ -555,7 +552,7 @@ def find_good_character(B, L):
     for k, theta in enumerate(character_table(L).irreducibles):
         if not all(rows[i][k] for i in B.char_indices):
             continue
-        outcome = verify_fong_reynolds(B, theta)
+        outcome = verify_fong_reynolds(B, L, k)
         if outcome["verdict"] == "pass":
             return theta, outcome
     raise InternalCheckError(

@@ -1,13 +1,18 @@
 """Irreducible Brauer characters, decomposition matrices and the
 modular side of block data.
 
-For p-solvable groups the irreducible Brauer characters are exactly the
-restrictions of ordinary irreducibles to p-regular classes, so they are
-found by a greedy scan: walk candidate restrictions in ascending degree
-order and keep the ones outside the span of the characters kept so far.
-Groups that are not p-solvable fall outside that theorem; for them a
-stored table is consulted instead, keyed by the group's canonical class
-representatives.
+One elimination gives the irreducible Brauer characters and the
+decomposition matrix.  Each ordinary irreducible restricted to the
+p-regular classes is reduced, in ascending order, against the Brauer
+characters found so far, and the combination taken off is kept: a zero
+remainder makes it the character's decomposition row, a nonzero one
+makes the restriction a new Brauer character.  For p-solvable groups
+that finds them all, since every irreducible Brauer character is the
+restriction of an ordinary irreducible (Fong-Swan), and a reducible
+restriction is a sum of irreducible ones of smaller degree, found before
+it.  Groups that are not p-solvable fall outside that theorem; for them
+a stored table, keyed by the group's canonical class representatives,
+is entered first, and every restriction must then reduce to zero.
 
 Linear algebra reads each value in the character table's one
 representation (``chartab.row_coordinates``), on the power basis at its
@@ -23,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .arith import solve_rational, vp
+from .arith import vp
 from .blocks import _where, block_data, p_regular_classes
 from .chartab import character_table, is_p_solvable, row_coordinates
 from .cyclotomic import Cyclotomic
@@ -36,10 +41,9 @@ class BrauerCharacter:
     """A class function on the p-regular classes, in class-index order;
     coords holds the coordinates of its values, one class after another."""
 
-    __slots__ = ("group", "prime", "values", "coords")
+    __slots__ = ("prime", "values", "coords")
 
-    def __init__(self, group, prime, values, coords):
-        self.group = group
+    def __init__(self, prime, values, coords):
         self.prime = prime
         self.values = tuple(values)
         self.coords = tuple(coords)
@@ -49,17 +53,6 @@ class BrauerCharacter:
 
     def sort_key(self):
         return (self.degree(),) + tuple(v.sort_key() for v in self.values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrauerCharacter)
-            and self.group == other.group
-            and self.prime == other.prime
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.prime, self.values))
 
     def __repr__(self):
         return f"BrauerCharacter(p={self.prime}, degree={self.degree()})"
@@ -73,41 +66,10 @@ def restriction_to_p_regular(G, i, p):
     row = row_coordinates(table, table.irreducibles)[i]
     regular = p_regular_classes(G, p)
     return BrauerCharacter(
-        G,
         p,
         (chi.values[k] for k in regular),
         (x for k in regular for x in row[k]),
     )
-
-
-def _greedy_brauer_characters(G, p):
-    """IBr(G) for p-solvable G: each chi restricted to the p-regular
-    classes, in ascending degree, kept unless it lies in the span of
-    those kept before it.  By Fong-Swan every irreducible Brauer
-    character is such a restriction.  A reducible one is a sum of
-    irreducible ones of strictly smaller degree, which the scan has
-    already kept; IBr is linearly independent, so an irreducible one is
-    kept."""
-    seen = set()
-    candidates = []
-    for i in range(len(character_table(G).irreducibles)):
-        c = restriction_to_p_regular(G, i, p)
-        if c not in seen:
-            seen.add(c)
-            candidates.append(c)
-    candidates.sort(key=lambda c: c.sort_key())
-    accepted, columns = [], []
-    for c in candidates:
-        if solve_rational(columns, c.coords) is None:
-            accepted.append(c)
-            columns.append(c.coords)
-    expected = len(p_regular_classes(G, p))
-    if len(accepted) != expected:
-        raise InternalCheckError(
-            f"found {len(accepted)} Brauer characters,"
-            f" expected {expected}, on {_where(G, p)}"
-        )
-    return tuple(accepted)
 
 
 def _fixture_brauer_characters(G, p):
@@ -143,14 +105,16 @@ def _fixture_brauer_characters(G, p):
                 for v, k in zip(values, regular)
                 for x in v.lift_coords(classes[k].element_order)
             )
-            characters.append(BrauerCharacter(G, p, values, lifted))
+            characters.append(BrauerCharacter(p, values, lifted))
         characters.sort(key=lambda c: c.sort_key())
         return tuple(characters)
     return None
 
 
-def brauer_characters(G, p):
-    """The irreducible Brauer characters at p, ascending by degree."""
+def brauer_decomposition(G, p):
+    """IBr(G) at p, ascending by sort_key, and the decomposition matrix,
+    by the one elimination of the module docstring."""
+    stored = None
     if G.order() % p == 0 and not is_p_solvable(G, p):
         stored = _fixture_brauer_characters(G, p)
         if stored is None:
@@ -158,8 +122,68 @@ def brauer_characters(G, p):
                 "no stored Brauer character table for this group;"
                 " the lifting method needs a p-solvable group"
             )
-        return stored
-    return _greedy_brauer_characters(G, p)
+    found = []
+    # (pivot, row, combination): row is 1 at its pivot and 0 at every
+    # earlier pivot, and equals the combination of the found characters
+    echelon = []
+
+    def remainder(phi):
+        rest, taken = list(phi.coords), [0] * len(found)
+        for pivot, row, combination in echelon:
+            u = rest[pivot]
+            if u:
+                rest = [x - u * y if y else x for x, y in zip(rest, row)]
+                for j, y in enumerate(combination):
+                    taken[j] += u * y
+        return rest, taken
+
+    def keep(phi, rest, taken):
+        pivot = next(k for k, x in enumerate(rest) if x)
+        u = Fraction(rest[pivot])
+        echelon.append(
+            (pivot, [x / u for x in rest], [-y / u for y in taken] + [1 / u])
+        )
+        found.append(phi)
+
+    for phi in stored or ():
+        rest, taken = remainder(phi)
+        if not any(rest):
+            raise InternalCheckError(
+                "stored Brauer character depends on earlier ones"
+                f" on {_where(G, p)}"
+            )
+        keep(phi, rest, taken)
+    restrictions = [
+        restriction_to_p_regular(G, i, p)
+        for i in range(len(character_table(G).irreducibles))
+    ]
+    rows = [None] * len(restrictions)
+    for i in sorted(range(len(rows)), key=lambda i: restrictions[i].sort_key()):
+        rest, taken = remainder(restrictions[i])
+        if not any(rest):
+            if any(d.denominator != 1 or d < 0 for d in taken):
+                raise InternalCheckError(
+                    "decomposition number is not a nonnegative integer"
+                    f" on {_where(G, p)}"
+                )
+            rows[i] = taken
+        elif stored is None:
+            keep(restrictions[i], rest, taken)
+            rows[i] = [0] * len(taken) + [1]
+        else:
+            raise InternalCheckError(
+                "ordinary character does not decompose over the"
+                f" Brauer characters on {_where(G, p)}"
+            )
+    expected = len(p_regular_classes(G, p))
+    if len(found) != expected:
+        raise InternalCheckError(
+            f"found {len(found)} Brauer characters,"
+            f" expected {expected}, on {_where(G, p)}"
+        )
+    return tuple(found), tuple(
+        tuple(int(d) for d in row) + (0,) * (expected - len(row)) for row in rows
+    )
 
 
 class ModularData:
@@ -172,8 +196,7 @@ class ModularData:
         p = blockset.prime
         self.group = G
         self.prime = p
-        self.brauer_characters = brauer_characters(G, p)
-        self.decomposition = self._decomposition_matrix()
+        self.brauer_characters, self.decomposition = brauer_decomposition(G, p)
         self.block_of_brauer = self._assign_blocks()
         self._verify_brauer_graph()
         a = vp(G.order(), p)
@@ -186,30 +209,6 @@ class ModularData:
             raise InternalCheckError(
                 f"negative Brauer character height on {_where(G, p)}"
             )
-
-    def _decomposition_matrix(self):
-        G = self.group
-        table = self.blockset.table
-        columns = [phi.coords for phi in self.brauer_characters]
-        matrix = []
-        for i in range(len(table.irreducibles)):
-            target = restriction_to_p_regular(G, i, self.prime).coords
-            solution = solve_rational(columns, target)
-            if solution is None:
-                raise InternalCheckError(
-                    "ordinary character does not decompose over the"
-                    f" Brauer characters on {_where(G, self.prime)}"
-                )
-            row = []
-            for d in solution:
-                if d.denominator != 1 or d < 0:
-                    raise InternalCheckError(
-                        "decomposition number is not a nonnegative integer"
-                        f" on {_where(G, self.prime)}"
-                    )
-                row.append(int(d))
-            matrix.append(tuple(row))
-        return tuple(matrix)
 
     def _assign_blocks(self):
         G, p = self.group, self.prime

@@ -94,6 +94,13 @@ def dihedral8():
     return PermutationGroup(4, [(1, 2, 3, 0), (2, 1, 0, 3)], name="D8")
 
 
+def dihedral(n):
+    """The dihedral group of order 2n on the n vertices of a polygon."""
+    rotation = tuple(range(1, n)) + (0,)
+    reflection = tuple(-i % n for i in range(n))
+    return PermutationGroup(n, [rotation, reflection], name=f"D{2 * n}")
+
+
 # The degree-8 groups act on the nonzero vectors of GF(3)^2 listed as
 # (1,0),(2,0),(0,1),(1,1),(2,1),(0,2),(1,2),(2,2); the generators below
 # are the permutations induced by unimodular matrices.

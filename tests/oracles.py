@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are sixteen exceptions, and each takes objects the package built.
+There are seventeen exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -18,6 +18,10 @@ by their defining formulas, so the restriction table can be checked
 against Frobenius reciprocity and against the character degrees;
 ``restrict`` finds the class of G containing each class representative
 of the subgroup, not through the package's class fusion.
+``brauer_by_solves`` finds IBr and the decomposition matrix from the
+package's restrictions to the p-regular classes (or its stored table)
+with one ``solve_rational`` per candidate and one per ordinary
+character, to compare with the package's one elimination.
 ``brauer_degrees_over`` restricts the package's Brauer characters
 themselves to a p'-subgroup and pairs them there with theta
 (``inner_product``), to compare with the package's route through
@@ -65,10 +69,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from blockforge.arith import p_part, prime_factors
+from blockforge.arith import p_part, prime_factors, solve_rational
 from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
 from blockforge.chartab import (
     ClassFunction,
+    character_table,
     is_p_solvable,
     structure_constants,
 )
@@ -79,6 +84,7 @@ from blockforge.correspond import (
 )
 from blockforge.cyclotomic import from_root_combination, rational
 from blockforge.errors import DomainError, InternalCheckError
+from blockforge.modular import _fixture_brauer_characters, restriction_to_p_regular
 from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
@@ -550,6 +556,37 @@ def brauer_degrees_over(md, K, theta):
         if m:
             out.append(phi.degree())
     return out
+
+
+def brauer_by_solves(G, p):
+    """IBr(G) at p and the decomposition matrix, one exact solve at a
+    time.  For G not p-solvable IBr is the package's stored table;
+    otherwise the restrictions to the p-regular classes are scanned in
+    ascending sort_key order, and each one outside the span of those
+    kept so far is kept.  Each ordinary character's row is then the
+    solution of its restriction over the kept columns."""
+    table = character_table(G)
+    restrictions = [
+        restriction_to_p_regular(G, i, p) for i in range(len(table.irreducibles))
+    ]
+    if G.order() % p == 0 and not is_p_solvable(G, p):
+        kept = _fixture_brauer_characters(G, p)
+        if kept is None:
+            raise DomainError("no stored Brauer character table")
+    else:
+        kept = []
+        for c in sorted(restrictions, key=lambda c: c.sort_key()):
+            if solve_rational([phi.coords for phi in kept], c.coords) is None:
+                kept.append(c)
+    assert len(kept) == len(p_regular_classes(G, p)), (G, p)
+    columns = [phi.coords for phi in kept]
+    rows = []
+    for c in restrictions:
+        solution = solve_rational(columns, c.coords)
+        assert solution is not None, (G, p)
+        assert all(d.denominator == 1 and d >= 0 for d in solution), (G, p)
+        rows.append(tuple(int(d) for d in solution))
+    return tuple(kept), tuple(rows)
 
 
 def induced_central(b, G):

@@ -253,11 +253,11 @@ def test_criterion_7_fong_swan():
         count = len(md.brauer_characters)
         subset = exhaustive_ibr(seen, count)
         oracle = sorted(seen[i] for i in subset)
-        greedy = sorted(
+        found = sorted(
             (phi.degree(), _flatten(phi.values, e))
             for phi in md.brauer_characters
         )
-        assert greedy == oracle, (ent.name, p)
+        assert found == oracle, (ent.name, p)
         for row in md.decomposition:
             assert all(d >= 0 for d in row), (ent.name, p)
     s4 = catalog.entry("S4").load()
@@ -281,13 +281,14 @@ def test_criterion_8_glauberman():
     L = p_prime_core(G, 2)
     Q = PermutationGroup(6, [(3, 4, 5, 0, 1, 2)])
     diagonal = (1, 2, 0, 4, 5, 3)
-    theta = next(
-        t
-        for t in character_table(L).irreducibles
+    k = next(
+        k
+        for k, t in enumerate(character_table(L).irreducibles)
         if all(conjugate_character(t, g) == t for g in G.generators)
         and t.values[L.class_index(diagonal)] == zeta(3, 2)
     )
-    f = glauberman_correspondent(L, Q, theta, 2)
+    C, j = glauberman_correspondent(L, Q, k, 2)
+    f = character_table(C).irreducibles[j]
     assert f.values[f.group.class_index(diagonal)] == times(zeta(3, 1), zeta(3, 1))
     print("criterion 8 (Glauberman correspondence): PASS")
 

@@ -326,17 +326,18 @@ def test_sl23_linear_of_q8_induces_degree_three(sl23):
 def test_irr_over_and_inertia_sl23(sl23):
     Q = p_core(sl23, 2)
     q8_table = character_table(Q)
-    theta = next(
-        chi
-        for chi in q8_table.irreducibles
+    k = next(
+        k
+        for k, chi in enumerate(q8_table.irreducibles)
         if chi.degree() == 1 and chi != trivial_character(Q)
     )
-    T = inertia_group(sl23, Q, theta)
+    T = inertia_group(sl23, Q, q8_table.irreducibles[k])
     assert T == Q
-    over = irr_over(sl23, Q, theta)
+    over = irr_over(sl23, Q, k)
     assert [chi.degree() for chi in over] == [3]
     assert inertia_group(sl23, Q, trivial_character(Q)) == sl23
-    over_trivial = irr_over(sl23, Q, trivial_character(Q))
+    assert q8_table.irreducibles[0] == trivial_character(Q)
+    over_trivial = irr_over(sl23, Q, 0)
     assert sorted(chi.degree() for chi in over_trivial) == [1, 1, 1]
 
 
@@ -344,8 +345,8 @@ def test_irr_over_partitions_table(s4):
     v4 = p_core(s4, 2)
     table = character_table(v4)
     seen = []
-    for theta in table.irreducibles:
-        seen.extend(irr_over(s4, v4, theta))
+    for k in range(len(table.irreducibles)):
+        seen.extend(irr_over(s4, v4, k))
     assert len(seen) >= len(character_table(s4).irreducibles)
 
 

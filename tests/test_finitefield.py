@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from blockforge import finitefield
+from blockforge.blocks import block_data
 from blockforge.cyclotomic import rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import FFElement, FiniteField, ReductionMap, build_reduction
+from blockforge.modular import ModularData
 
-from conftest import random_value
+from conftest import dihedral, random_value
 from oracles import element_of_order_by_scan, plus, times, zeta
 
 
@@ -107,6 +109,18 @@ def test_large_fields_build_without_a_scan(fresh_fields):
     took = time.process_time() - start
     assert rmap.f == 12 and rmap.e_prime == 140
     assert took < 0.5, took
+
+
+def test_d46_modular_data_takes_one_elimination():
+    # D46 at 2 (23 classes, residue field GF(2^11)): with its blocks
+    # built, the Brauer characters and the decomposition matrix take one
+    # elimination; a fresh exact solve per candidate and per ordinary
+    # character took over twice this bound
+    blockset = block_data(dihedral(23), 2)
+    start = time.process_time()
+    ModularData(blockset)
+    took = time.process_time() - start
+    assert took < 0.3, took
 
 
 def test_field_axioms_random():

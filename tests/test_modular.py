@@ -1,29 +1,33 @@
 import importlib.util
+import itertools
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from blockforge import modular
-from blockforge.arith import prime_factors
-from blockforge.blocks import block_data, brauer_correspondent, p_regular_classes
+from blockforge.arith import is_prime, prime_factors
+from blockforge.blocks import brauer_correspondent, p_regular_classes
 from blockforge.chartab import character_table, is_p_solvable
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.modular import (
-    ModularData,
-    brauer_characters,
+    brauer_decomposition,
     modular_data,
     restriction_to_p_regular,
 )
 
+import oracles
 from conftest import (
     alternating,
     c3_wreath_c2,
     cyclic,
+    dihedral,
     dihedral8,
     frobenius20,
     frobenius21,
+    oracle_groups,
     quaternion8,
     random_subgroup,
     sl_2_3,
@@ -40,7 +44,7 @@ def flatten(values, e):
 
 
 def test_s4_p2_brauer_degrees(s4):
-    assert [phi.degree() for phi in brauer_characters(s4, 2)] == [1, 2]
+    assert [phi.degree() for phi in brauer_decomposition(s4, 2)[0]] == [1, 2]
 
 
 def test_s4_p2_decomposition_matrix(s4):
@@ -49,11 +53,11 @@ def test_s4_p2_decomposition_matrix(s4):
 
 
 def test_s4_p3_brauer_degrees(s4):
-    assert [phi.degree() for phi in brauer_characters(s4, 3)] == [1, 1, 3, 3]
+    assert [phi.degree() for phi in brauer_decomposition(s4, 3)[0]] == [1, 1, 3, 3]
 
 
 def test_sl23_p3_brauer_degrees(sl23):
-    assert [phi.degree() for phi in brauer_characters(sl23, 3)] == [1, 2, 3]
+    assert [phi.degree() for phi in brauer_decomposition(sl23, 3)[0]] == [1, 2, 3]
 
 
 def test_sl23_p3_linear_decomposes_trivially(sl23):
@@ -65,7 +69,7 @@ def test_sl23_p3_linear_decomposes_trivially(sl23):
 
 
 def test_a4_p2_brauer_degrees(a4):
-    assert [phi.degree() for phi in brauer_characters(a4, 2)] == [1, 1, 1]
+    assert [phi.degree() for phi in brauer_decomposition(a4, 2)[0]] == [1, 1, 1]
 
 
 def test_coprime_prime_restriction_is_identity(s4):
@@ -79,7 +83,7 @@ def test_coprime_prime_restriction_is_identity(s4):
 
 
 def test_a5_p2_fixture_degrees(a5):
-    assert [phi.degree() for phi in brauer_characters(a5, 2)] == [1, 2, 2, 4]
+    assert [phi.degree() for phi in brauer_decomposition(a5, 2)[0]] == [1, 2, 2, 4]
 
 
 def test_a5_p2_fixture_is_its_derivation():
@@ -136,10 +140,10 @@ def test_s4_p2_height_zero_brauer(s4):
 def test_unavailable_table_raises():
     s5 = symmetric(5)
     with pytest.raises(DomainError):
-        brauer_characters(s5, 2)
+        brauer_decomposition(s5, 2)
 
 
-def test_greedy_matches_exhaustive_oracle():
+def test_brauer_characters_match_exhaustive_oracle():
     cases = [
         (symmetric(4), 2),
         (symmetric(4), 3),
@@ -179,11 +183,11 @@ def test_greedy_matches_exhaustive_oracle():
         count = len(p_regular_classes(G, p))
         subset = exhaustive_ibr(seen, count)
         oracle = sorted(seen[i] for i in subset)
-        greedy = sorted(
+        found = sorted(
             (phi.degree(), flatten(phi.values, e))
-            for phi in brauer_characters(G, p)
+            for phi in brauer_decomposition(G, p)[0]
         )
-        assert greedy == oracle, (G.name, p)
+        assert found == oracle, (G.name, p)
 
 
 def test_decomposition_reconstructs_restrictions():
@@ -219,17 +223,83 @@ def test_block_counts_ordinary_vs_brauer():
             assert 1 <= l <= len(b.char_indices)
 
 
-def test_modular_gate_names_group_and_prime(monkeypatch, s4):
-    # Without the Brauer character of degree 2, the ordinary character of
-    # degree 2 has no decomposition.
-    phis = brauer_characters(s4, 2)
-    monkeypatch.setattr(modular, "brauer_characters", lambda G, p: phis[:1])
+def _stored_a5_table(monkeypatch, a5, table):
+    """Replace the stored table of A5 at 2 by table(stored)."""
+    stored = modular._fixture_brauer_characters(a5, 2)
+    assert [phi.degree() for phi in stored] == [1, 2, 2, 4]
+    monkeypatch.setattr(
+        modular, "_fixture_brauer_characters", lambda G, p: table(stored)
+    )
+
+
+def test_modular_gate_names_group_and_prime(monkeypatch, a5):
+    # A stored table without the Brauer character of degree 4: the
+    # ordinary character of degree 4 has no decomposition.
+    _stored_a5_table(monkeypatch, a5, lambda stored: stored[:3])
     message = re.escape(
         "ordinary character does not decompose over the Brauer characters"
-        f" on {s4!r} at p = 2"
+        f" on {a5!r} at p = 2"
     )
     with pytest.raises(InternalCheckError, match=message):
-        ModularData(block_data(s4, 2))
+        brauer_decomposition(a5, 2)
+
+
+def test_stored_table_gate_rejects_a_dependent_character(monkeypatch, a5):
+    _stored_a5_table(monkeypatch, a5, lambda stored: stored[:1] + stored)
+    message = re.escape(
+        f"stored Brauer character depends on earlier ones on {a5!r} at p = 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        brauer_decomposition(a5, 2)
+
+
+def test_decomposition_gate_rejects_a_negative_number(monkeypatch, a5):
+    # phi_2 replaced by chi_5 restricted, which is 1 + phi_2 + phi_3: the
+    # ordinary character 1 + phi_2 of degree 3 is then chi_5 - phi_3.
+    five = restriction_to_p_regular(a5, 4, 2)
+    assert five.degree() == 5
+    _stored_a5_table(monkeypatch, a5, lambda stored: (stored[0], five) + stored[2:])
+    message = re.escape(
+        f"decomposition number is not a nonnegative integer on {a5!r} at p = 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        brauer_decomposition(a5, 2)
+
+
+def test_brauer_count_gate(monkeypatch, s4):
+    # Every restriction read as the trivial one reduces to it: one Brauer
+    # character is found where S4 has two 2-regular classes.
+    trivial = restriction_to_p_regular(s4, 0, 2)
+    monkeypatch.setattr(modular, "restriction_to_p_regular", lambda G, i, p: trivial)
+    message = re.escape(f"found 1 Brauer characters, expected 2, on {s4!r} at p = 2")
+    with pytest.raises(InternalCheckError, match=message):
+        brauer_decomposition(s4, 2)
+
+
+def test_brauer_decomposition_matches_two_solve_oracle():
+    # every prime dividing the order and one that does not; groups that
+    # are not p-solvable and have no stored table raise on both routes
+    cases = Counter()
+    for G in oracle_groups([dihedral(23)]):
+        n = G.order()
+        primes = list(prime_factors(n))
+        primes.append(next(q for q in itertools.count(2) if is_prime(q) and n % q))
+        for p in primes:
+            try:
+                want_ibr, want_rows = oracles.brauer_by_solves(G, p)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    brauer_decomposition(G, p)
+                cases["unavailable"] += 1
+                continue
+            ibr, rows = brauer_decomposition(G, p)
+            assert [phi.values for phi in ibr] == [phi.values for phi in want_ibr]
+            assert [phi.coords for phi in ibr] == [phi.coords for phi in want_ibr]
+            assert rows == want_rows, (G, p)
+            lifted = n % p or is_p_solvable(G, p)
+            cases["lifted" if lifted else "stored"] += 1
+    # A5 at 2 is stored: from the catalog and as a random subgroup of S5
+    assert cases == {"lifted": 72, "stored": 2, "unavailable": 38}
 
 
 def test_brauer_heights_a5(a5):
