@@ -30,8 +30,8 @@ from functools import lru_cache
 
 from .arith import p_part, vp
 from .chartab import (
+    character_action,
     character_table,
-    class_action,
     class_fusion,
     restriction_multiplicities,
     row_coordinates,
@@ -63,7 +63,7 @@ def _reduced_central(table, i, rmap, p):
     algebraic integer exactly when chi(1) divides every coordinate of
     |C| chi(x), and the quotients are its coordinates."""
     d = table.irreducibles[i].degree()
-    row = row_coordinates(table, table.irreducibles)[i]
+    row = row_coordinates(table)[i]
     out = []
     for c, x in zip(table.classes, row):
         scaled = [c.size * a for a in x]
@@ -84,7 +84,10 @@ def p_regular_classes(G, p):
 
 
 class Block:
-    """One p-block: its characters, defect, invariants and field data."""
+    """One p-block: its characters, defect, invariants and field data.
+
+    Blocks compare by identity: ``block_data`` is cached, so there is
+    one BlockSet per (G, p)."""
 
     __slots__ = (
         "blockset",
@@ -125,10 +128,6 @@ class Block:
         self.idempotent = None
         self._defect_group = None
 
-    def characters(self):
-        table = self.blockset.table
-        return tuple(table.irreducibles[i] for i in self.char_indices)
-
     def degrees(self):
         table = self.blockset.table
         return tuple(table.irreducibles[i].degree() for i in self.char_indices)
@@ -141,19 +140,6 @@ class Block:
         if self._defect_group is None:
             self._defect_group = _defect_group_from_defect_class(self)
         return self._defect_group
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Block)
-            and self.blockset.group == other.blockset.group
-            and self.blockset.prime == other.blockset.prime
-            and self.char_indices == other.char_indices
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.blockset.group, self.blockset.prime, self.char_indices)
-        )
 
     def __repr__(self):
         return (
@@ -249,7 +235,7 @@ def block_idempotent(block):
         return block.idempotent
     bs = block.blockset
     G = bs.group
-    rows = row_coordinates(bs.table, bs.table.irreducibles)
+    rows = row_coordinates(bs.table)
     n = G.order()
     n_p = p_part(n, bs.prime)
     inv_m = bs.rmap.field.from_integer(n // n_p).inverse()
@@ -412,7 +398,8 @@ def brauer_correspondent(block):
 
 def covered_blocks(block, N):
     """Blocks of the normal subgroup N covered by the given block; the
-    result is checked to be a single orbit under conjugation."""
+    result is checked to be a single orbit under conjugation, walked on
+    row indices through ``character_action``."""
     bs = block.blockset
     G = bs.group
     if not is_normal_in(N, G):
@@ -426,16 +413,14 @@ def covered_blocks(block, N):
                 b = local.block_of(k)
                 if b not in covered:
                     covered.append(b)
-    row_of = {chi.values: k for k, chi in enumerate(local.table.irreducibles)}
-    # the classes of the group the cached block data was built on
-    action = class_action(G, local.group)
+    action = character_action(G, N)
     orbit = {covered[0]}
     frontier = [covered[0]]
     while frontier:
         b = frontier.pop()
-        v = b.characters()[0].values
+        k = b.char_indices[0]
         for _, a in action:
-            target = local.block_of(row_of[tuple(v[k] for k in a)])
+            target = local.block_of(a[k])
             if target not in orbit:
                 orbit.add(target)
                 frontier.append(target)

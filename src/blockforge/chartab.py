@@ -25,9 +25,11 @@ How Irr(G) restricts to a subgroup H lives in one cached table,
 Fong-Reynolds induction and Glauberman correspondents read its rows
 and columns.
 
-How G acts on the classes, and so on the characters, of a normal
-subgroup N lives in one cached helper, ``class_action(G, N)``: inertia
-groups (by orbit and stabilizer), block covering and invariance read it.
+How G acts on Irr(N), for a normal subgroup N, lives in one cached
+table, ``character_action(G, N)``: for each generator of G, the row
+index of each conjugated row of N's table, matched on row coordinates.
+Characters of N are named by row index: inertia groups (orbit and
+stabilizer on row indices), block covering and invariance read it.
 
 Normal structure lives in one cached lattice, ``normal_class_sets(G)``:
 every normal subgroup as a set of classes, found as the character
@@ -37,11 +39,11 @@ prime to p) and p-solvability (read off one chief series of the sets)
 come from it; nothing builds a quotient group.
 
 Every layer below the table reads a character value in one
-representation, ``row_coordinates``: its integer coordinates on the
-power basis of Q(zeta_o) at its class's element order o, which is an
-integral basis of Z[zeta_o].  The table gate, the restriction table
-(G's row coordinates read through the class fusion), block data and
-the decomposition matrix all read them.  One pairing on them,
+representation, ``row_coordinates(table)``, cached per table: its
+integer coordinates on the power basis of Q(zeta_o) at its class's
+element order o, which is an integral basis of Z[zeta_o].  The table
+gate, the restriction table (G's row coordinates read through the class
+fusion), block data and the decomposition matrix all read them.  One pairing on them,
 ``_pairing``, serves both the table gate and the restriction table; it
 builds no cyclotomic value.
 """
@@ -86,7 +88,7 @@ def structure_constants(G):
 class ClassFunction:
     """An exact class function: one cyclotomic value per conjugacy class."""
 
-    __slots__ = ("group", "values", "_hash")
+    __slots__ = ("group", "values")
 
     def __init__(self, group, values):
         values = tuple(values)
@@ -94,7 +96,6 @@ class ClassFunction:
             raise DomainError("one value per conjugacy class required")
         self.group = group
         self.values = values
-        self._hash = None
 
     def degree(self):
         return self.values[0].integer_value()
@@ -107,9 +108,7 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.group, self.values))
-        return self._hash
+        return hash((self.group, self.values))
 
     def sort_key(self):
         return (self.degree(), tuple(v.sort_key() for v in self.values))
@@ -154,10 +153,10 @@ def restriction_multiplicities(G, H):
     fusion = class_fusion(G, H)
     table = character_table(G)
     sub = character_table(H)
-    thetas = row_coordinates(sub, sub.irreducibles)
+    thetas = row_coordinates(sub)
     n = H.order()
     rows = []
-    for x in row_coordinates(table, table.irreducibles):
+    for x in row_coordinates(table):
         a = [x[k] for k in fusion]
         row = []
         for b in thetas:
@@ -194,21 +193,40 @@ def irr_over(G, N, k):
     )
 
 
-@lru_cache(maxsize=None)
-def class_action(G, N):
-    """How G acts by conjugation on the classes of a subgroup N that it
-    normalizes: for each generator g of G, the pair (g, a) with a[k] the
-    class of g x_k g^-1, x_k the representative of class k of N.
+def _conjugate_classes(N, g):
+    """For each class k of N, the class of g x_k g^-1, x_k its
+    representative: the conjugate x -> theta(g x g^-1) of a class
+    function theta of N takes the value theta.values[a[k]] at class k."""
+    ginv = inverse(g)
+    return tuple(
+        N.class_index(mult(mult(g, c.representative), ginv))
+        for c in N.conjugacy_classes()
+    )
 
-    The character theta conjugated by g, x -> theta(g x g^-1), takes the
-    value theta.values[a[k]] at class k.  Each g is returned with its
-    permutation because equal groups share this cache entry and may
-    list other generators."""
-    classes = N.conjugacy_classes()
+
+@lru_cache(maxsize=None)
+def character_action(G, N):
+    """How G acts by conjugation on Irr(N), for a subgroup N that it
+    normalizes: for each generator g of G, the pair (g, a) with a[k] the
+    row index of theta_k^g, the conjugate of row k of N's table.
+
+    Built once from N's row coordinates, which are unique and kept by
+    conjugation (it keeps element orders), so rows are matched on
+    integers.  A conjugate of an irreducible character is irreducible,
+    so every conjugate must be a row of the table, or the table is
+    wrong.  Each g is returned with its permutation because equal groups
+    share this cache entry and may list other generators."""
+    rows = [tuple(map(tuple, x)) for x in row_coordinates(character_table(N))]
+    row_of = {x: k for k, x in enumerate(rows)}
     action = []
     for g in G.generators:
-        ginv = inverse(g)
-        a = tuple(N.class_index(mult(mult(g, c.representative), ginv)) for c in classes)
+        c = _conjugate_classes(N, g)
+        a = tuple(row_of.get(tuple(x[j] for j in c)) for x in rows)
+        if None in a:
+            raise InternalCheckError(
+                f"row {a.index(None)} of {N!r} conjugated by a generator of"
+                f" {G!r} is not a row of its table"
+            )
         action.append((g, a))
     return tuple(action)
 
@@ -329,33 +347,31 @@ def is_p_solvable(G, p):
     return True
 
 
-def inertia_group(G, N, theta):
-    """The stabilizer T of theta in G under conjugation; contains N.
+def inertia_group(G, N, k):
+    """The stabilizer T in G of theta, row k of Irr(N), under
+    conjugation; contains N.
 
-    Orbit and stabilizer on the values of theta under ``class_action``:
-    a transversal element t with theta^t = v is kept for each orbit
+    Orbit and stabilizer on row indices under ``character_action``: a
+    transversal element t with theta^t = theta_v is kept for each orbit
     point v, and u t_w^-1, for u = t g and w = v^g, are the Schreier
     generators of T (Holt, Eick and O'Brien, Handbook of Computational
     Group Theory, 4.1).  One group is built.  The gate proves T is the
-    stabilizer with direct conjugation, independent of the class action:
-    each transversal element sends theta to its orbit point, so the
-    orbit is at least as large as found; each generator of T fixes
-    theta (N does, as theta is a class function of N); and
-    |T| |orbit| = |G|."""
-    if theta.group != N:
-        raise DomainError("character does not live on the named subgroup")
+    stabilizer with direct conjugation, independent of the action table:
+    each transversal element sends theta to the values of its orbit
+    point's row, so the orbit is at least as large as found; each
+    generator of T fixes theta (N does, as theta is a class function of
+    N); and |T| |orbit| = |G|."""
     if not is_normal_in(N, G):
         raise DomainError("inertia groups are defined over normal subgroups")
-    # theta's values, each replaced by a small label, hash cheaply
-    labels = {}
-    start = tuple(labels.setdefault(x, len(labels)) for x in theta.values)
-    transversal = {start: identity(G.degree)}
-    orbit = [start]
+    rows = character_table(N).irreducibles
+    action = character_action(G, N)
+    transversal = {k: identity(G.degree)}
+    orbit = [k]
     schreier = set()
     for v in orbit:
         t = transversal[v]
-        for g, a in class_action(G, N):
-            w = tuple(v[k] for k in a)
+        for g, a in action:
+            w = a[v]
             u = mult(t, g)
             if w in transversal:
                 schreier.add(mult(u, inverse(transversal[w])))
@@ -363,20 +379,16 @@ def inertia_group(G, N, theta):
                 transversal[w] = u
                 orbit.append(w)
     T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
-    classes = N.conjugacy_classes()
+    theta = rows[k].values
 
     def conjugated(g):
-        ginv = inverse(g)
-        return tuple(
-            start[N.class_index(mult(mult(g, c.representative), ginv))]
-            for c in classes
-        )
+        return tuple(theta[j] for j in _conjugate_classes(N, g))
 
     # N fixes theta, a class function of N, so only the Schreier
     # generators are conjugated
     if (
-        any(conjugated(t) != v for v, t in transversal.items())
-        or any(conjugated(h) != start for h in schreier)
+        any(conjugated(t) != rows[v].values for v, t in transversal.items())
+        or any(conjugated(h) != theta for h in schreier)
         or T.order() * len(orbit) != G.order()
     ):
         raise InternalCheckError(
@@ -710,7 +722,7 @@ def _verify_orthogonality(table):
     r = len(rows)
     if r != len(table.classes):
         raise InternalCheckError(f"row count differs from class count on {G!r}")
-    coords = row_coordinates(table, rows)
+    coords = row_coordinates(table)
     inverse_class = G.inverse_classes()
     for s, row in enumerate(coords):
         for c, x, k in zip(table.classes, row, inverse_class):
@@ -738,15 +750,13 @@ def _verify_orthogonality(table):
 
 
 @lru_cache(maxsize=None)
-def row_coordinates(table, rows):
-    """The rows, table.irreducibles, as integer power-basis coordinates:
-    for each row, one list per class, at that class's element order o.
-    A value outside Z[zeta_o] is not a character value and fails.  The
-    rows are part of the key so that rows replaced on a built table are
-    lifted afresh."""
+def row_coordinates(table):
+    """The rows of the table as integer power-basis coordinates: for
+    each row, one list per class, at that class's element order o.  A
+    value outside Z[zeta_o] is not a character value and fails."""
     where = f"of {table.group!r} (split mod q = {table.prime})"
     out = []
-    for s, chi in enumerate(rows):
+    for s, chi in enumerate(table.irreducibles):
         lifted = []
         for k, (v, c) in enumerate(zip(chi.values, table.classes)):
             o = c.element_order

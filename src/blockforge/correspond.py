@@ -20,8 +20,8 @@ from math import gcd
 from .arith import p_part, vp
 from .blocks import _where, block_data, brauer_correspondent, covered_blocks
 from .chartab import (
+    character_action,
     character_table,
-    class_action,
     inertia_group,
     irr_over,
     is_p_solvable,
@@ -140,7 +140,7 @@ def glauberman_correspondent(L, Q, k, p):
     if gcd(L.order(), Q.order()) != 1:
         raise DomainError("the action is not coprime")
     theta = character_table(L).irreducibles[k]
-    if not _is_invariant(Q, theta):
+    if not _is_invariant(Q, L, k):
         raise DomainError("character is not invariant under the action")
     C = centralizer_of_group(L, Q)
     row = restriction_multiplicities(L, C)[k]
@@ -171,9 +171,9 @@ def coprime_setup(G, p):
     return L, p_core(G, p)
 
 
-def _is_invariant(G, theta):
-    v = theta.values
-    return all(tuple(v[k] for k in a) == v for _, a in class_action(G, theta.group))
+def _is_invariant(G, N, k):
+    """Whether G fixes theta, row k of Irr(N), under conjugation."""
+    return all(a[k] == k for _, a in character_action(G, N))
 
 
 def _brauer_degrees_over(md, K, k):
@@ -221,7 +221,7 @@ def verify_glauberman_lift(G, L, Q, k, p):
         "theta_degree": theta.degree(),
         "hypothesis_met": True,
     }
-    if not _is_invariant(G, theta):
+    if not _is_invariant(G, L, k):
         rec["hypothesis_met"] = False
         rec["reason"] = "character is not invariant"
         rec["verdict"] = "hypothesis not met"
@@ -449,7 +449,7 @@ def fong_block_instances(G, p, name):
     sylow_defect = vp(G.order(), p)
     records = []
     for k, theta in enumerate(character_table(K).irreducibles):
-        if not _is_invariant(G, theta):
+        if not _is_invariant(G, K, k):
             continue
         over = {i for i, row in enumerate(rows) if row[k]}
         owner = next(
@@ -482,7 +482,7 @@ def _fong_reynolds_data(B, L, k):
     the block B; by Frobenius reciprocity that is when column j of the
     (G, T) restriction table is the unit vector e_i."""
     G = B.blockset.group
-    T = inertia_group(G, L, character_table(L).irreducibles[k])
+    T = inertia_group(G, L, k)
     over_theta = restriction_multiplicities(T, L)
     induced = restriction_multiplicities(G, T)
     members = []

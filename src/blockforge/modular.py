@@ -63,7 +63,7 @@ def restriction_to_p_regular(G, i, p):
     on the p-regular classes."""
     table = character_table(G)
     chi = table.irreducibles[i]
-    row = row_coordinates(table, table.irreducibles)[i]
+    row = row_coordinates(table)[i]
     regular = p_regular_classes(G, p)
     return BrauerCharacter(
         p,

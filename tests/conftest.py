@@ -57,7 +57,7 @@ def oracle_groups(families):
         for cached in (
             character_table,
             chartab.row_coordinates,
-            chartab.class_action,
+            chartab.character_action,
             chartab.class_fusion,
             chartab.class_matrix,
             chartab.is_p_solvable,

@@ -368,10 +368,31 @@ def test_covered_blocks_sl23_over_q8(sl23, q8):
     assert all(b in local.blocks for b in covered)
 
 
+def test_covered_blocks_hash_no_value_once_warm(monkeypatch, s4, a4, sl23, q8):
+    # Once the character action of (G, N) is built, a covering walks
+    # row indices and hashes no character value.
+    cases = [(G, N, p) for G, N in ((s4, a4), (sl23, q8)) for p in (2, 3)]
+    for G, N, p in cases:
+        for B in block_data(G, p).blocks:
+            covered_blocks(B, N)
+    calls = []
+    hash_value = Cyclotomic.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return hash_value(self)
+
+    monkeypatch.setattr(Cyclotomic, "__hash__", counted)
+    for G, N, p in cases:
+        for B in block_data(G, p).blocks:
+            covered_blocks(B, N)
+    assert calls == []
+
+
 def _corrupted_rows(table, i, k):
     """Row coordinates of the table with the first coordinate of row i
     at class k raised by one, as a fresh copy."""
-    rows = [[list(x) for x in row] for row in row_coordinates(table, table.irreducibles)]
+    rows = [[list(x) for x in row] for row in row_coordinates(table)]
     rows[i][k][0] += 1
     return rows
 
@@ -382,7 +403,7 @@ def test_central_character_gate_names_group_and_prime(monkeypatch, s4):
     table = character_table(s4)
     assert table.irreducibles[3].degree() == 3
     rows = _corrupted_rows(table, 3, 0)
-    monkeypatch.setattr(blocks, "row_coordinates", lambda table, irr: rows)
+    monkeypatch.setattr(blocks, "row_coordinates", lambda table: rows)
     message = re.escape(
         f"central character of row 3 is not integral on {s4!r} at p = 2"
     )
@@ -396,7 +417,7 @@ def test_idempotent_gate_names_group_prime_and_block(monkeypatch, s4):
     # does not divide
     bs = _uncached_blocks(s4, 2)
     rows = _corrupted_rows(bs.table, 0, 1)
-    monkeypatch.setattr(blocks, "row_coordinates", lambda table, irr: rows)
+    monkeypatch.setattr(blocks, "row_coordinates", lambda table: rows)
     b = bs.blocks[0]
     b.idempotent = None
     message = re.escape(
@@ -479,7 +500,7 @@ def test_integer_field_loops_match_element_oracle():
         for p in ent.primes:
             bs = block_data(G, p)
             rmap = bs.rmap
-            for row in row_coordinates(bs.table, bs.table.irreducibles):
+            for row in row_coordinates(bs.table):
                 for c, x in zip(G.conjugacy_classes(), row):
                     want = oracles.reduce_by_elements(rmap, x, c.element_order)
                     assert rmap.reduce(x, c.element_order) == want, (G, p)

@@ -269,8 +269,7 @@ def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
     # Once both tables' row coordinates exist, the restriction table
     # reads them and builds no coordinates of its own.
     for G in (s4, a4):
-        table = character_table(G)
-        row_coordinates(table, table.irreducibles)
+        row_coordinates(character_table(G))
     calls = []
     lift = Cyclotomic.lift_coords
 
@@ -323,20 +322,25 @@ def test_sl23_linear_of_q8_induces_degree_three(sl23):
         assert psi in table.irreducibles
 
 
+def _nontrivial_linear_row(N):
+    """The row index of the first nontrivial linear character of N."""
+    return next(
+        k
+        for k, chi in enumerate(character_table(N).irreducibles)
+        if chi.degree() == 1 and chi != trivial_character(N)
+    )
+
+
 def test_irr_over_and_inertia_sl23(sl23):
     Q = p_core(sl23, 2)
     q8_table = character_table(Q)
-    k = next(
-        k
-        for k, chi in enumerate(q8_table.irreducibles)
-        if chi.degree() == 1 and chi != trivial_character(Q)
-    )
-    T = inertia_group(sl23, Q, q8_table.irreducibles[k])
+    k = _nontrivial_linear_row(Q)
+    T = inertia_group(sl23, Q, k)
     assert T == Q
     over = irr_over(sl23, Q, k)
     assert [chi.degree() for chi in over] == [3]
-    assert inertia_group(sl23, Q, trivial_character(Q)) == sl23
     assert q8_table.irreducibles[0] == trivial_character(Q)
+    assert inertia_group(sl23, Q, 0) == sl23
     over_trivial = irr_over(sl23, Q, 0)
     assert sorted(chi.degree() for chi in over_trivial) == [1, 1, 1]
 
@@ -411,8 +415,8 @@ def test_restriction_table_reconstruction_gate(monkeypatch, s4, a4):
     # multiplicity is still an integer, but the restriction of the trivial
     # character of S4 is counted twice and no longer reconstructs.
     table = character_table(a4)
-    patched = table.irreducibles[:-1] + (trivial_character(a4),)
-    monkeypatch.setattr(table, "irreducibles", patched)
+    rows = table.irreducibles[:-1] + (trivial_character(a4),)
+    _forge_rows(monkeypatch, table, rows)
     message = "does not reconstruct on PermutationGroup 'A4'"
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
@@ -421,8 +425,8 @@ def test_restriction_table_reconstruction_gate(monkeypatch, s4, a4):
 def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
     table = character_table(a4)
     negated = [oracles.combination([(-1, v)]) for v in table.irreducibles[0].values]
-    patched = (ClassFunction(a4, negated),) + table.irreducibles[1:]
-    monkeypatch.setattr(table, "irreducibles", patched)
+    rows = (ClassFunction(a4, negated),) + table.irreducibles[1:]
+    _forge_rows(monkeypatch, table, rows)
     message = "from PermutationGroup 'S4'.* to PermutationGroup 'A4'.* negative"
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
@@ -432,11 +436,21 @@ def _with_rows(table, rows):
     return CharacterTable(table.group, table.exponent, rows, table.prime)
 
 
+def _forge_rows(monkeypatch, table, rows):
+    """Hand chartab a new table of table.group with the given rows; the
+    cached table, and so its cached row coordinates, stay untouched."""
+    forged = _with_rows(table, rows)
+    G = table.group
+    monkeypatch.setattr(
+        chartab, "character_table", lambda H: forged if H == G else character_table(H)
+    )
+
+
 def _forge_last_row_of_a4(monkeypatch, a4, values):
     table = character_table(a4)
     assert [c.element_order for c in table.classes] == [1, 2, 3, 3]
-    patched = table.irreducibles[:-1] + (ClassFunction(a4, values),)
-    monkeypatch.setattr(table, "irreducibles", patched)
+    rows = table.irreducibles[:-1] + (ClassFunction(a4, values),)
+    _forge_rows(monkeypatch, table, rows)
 
 
 def test_restriction_table_rejects_a_pairing_not_divisible_by_the_order(
@@ -472,7 +486,7 @@ def test_row_coordinates_reject_a_value_beyond_the_element_order():
         forged = _with_rows(table, rows)
         message = re.escape(f"row 1 of {G!r}") + ".* has " + what + " at class 1"
         with pytest.raises(InternalCheckError, match=message):
-            row_coordinates(forged, forged.irreducibles)
+            row_coordinates(forged)
 
 
 def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
@@ -700,23 +714,37 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
 
 def test_inertia_group_error_names_the_groups(monkeypatch, sl23, q8):
     # a linear character of Q8 moved by SL(2,3); an action fixing every
-    # class puts it in an orbit of one, and the Schreier generators,
+    # row puts it in an orbit of one, and the Schreier generators,
     # SL(2,3)'s own generators, then move it
-    theta = next(
-        chi
-        for chi in character_table(q8).irreducibles
-        if chi.degree() == 1 and chi != trivial_character(q8)
-    )
-    fixed = tuple(
-        (g, tuple(range(len(q8.conjugacy_classes())))) for g in sl23.generators
-    )
-    monkeypatch.setattr(chartab, "class_action", lambda G, N: fixed)
+    k = _nontrivial_linear_row(q8)
+    every_row = tuple(range(len(character_table(q8).irreducibles)))
+    fixed = tuple((g, every_row) for g in sl23.generators)
+    monkeypatch.setattr(chartab, "character_action", lambda G, N: fixed)
     message = re.escape(
         f"inertia group of a character of {q8!r} in {sl23!r} fails the"
         " orbit-stabilizer gate: orbit 1, stabilizer order 24"
     )
     with pytest.raises(InternalCheckError, match=message):
-        inertia_group(sl23, q8, theta)
+        inertia_group(sl23, q8, k)
+
+
+def test_character_action_rejects_a_conjugate_outside_the_table(
+    monkeypatch, sl23, q8
+):
+    # Irr(Q8) with one nontrivial linear row replaced by the trivial
+    # character: SL(2,3) permutes the three nontrivial linear characters
+    # cyclically, so the one it sends to the replaced row has a conjugate
+    # that is no longer a row
+    table = character_table(q8)
+    rows = list(table.irreducibles)
+    rows[_nontrivial_linear_row(q8)] = trivial_character(q8)
+    _forge_rows(monkeypatch, table, rows)
+    message = (
+        re.escape(f"of {q8!r} conjugated by a generator of {sl23!r}")
+        + " is not a row of its table"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        chartab.character_action.__wrapped__(sl23, q8)
 
 
 def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
@@ -728,16 +756,16 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
         built.append(1)
         init(self, *args, **kwargs)
 
-    # warming calls fill the class action and the classes of N
+    # warming calls fill the character action and the classes of N
     for G, N in cases:
-        for theta in character_table(N).irreducibles:
-            inertia_group(G, N, theta)
+        for k in range(len(character_table(N).irreducibles)):
+            inertia_group(G, N, k)
     monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
     for G, N in cases:
-        for theta in character_table(N).irreducibles:
+        for k in range(len(character_table(N).irreducibles)):
             built.clear()
-            inertia_group(G, N, theta)
-            assert len(built) == 1, (G, theta)
+            inertia_group(G, N, k)
+            assert len(built) == 1, (G, k)
 
 
 def _clifford_groups():
@@ -783,33 +811,26 @@ def test_cores_and_p_solvability_match_closure_oracles(monkeypatch):
     assert verdicts == {True: 81, False: 40}
 
 
-def test_inertia_groups_match_scan_oracle(monkeypatch):
-    monkeypatch.setattr(chartab, "character_table", character_table.__wrapped__)
+def test_inertia_groups_match_scan_oracle():
+    # start from an empty table cache; oracle_groups empties it after
+    # each group, so no table outlives its group
+    character_table.cache_clear()
     cases = 0
     for G in _clifford_groups():
         for N in normal_subgroups(G):
-            for theta in chartab.character_table(N).irreducibles:
-                T = inertia_group(G, N, theta)
+            for k, theta in enumerate(character_table(N).irreducibles):
+                T = inertia_group(G, N, k)
                 want = oracles.inertia_group_by_scan(G, N, theta)
                 assert T.element_set() == want.element_set(), (G, N)
                 cases += 1
     assert cases > 4000
 
 
-def test_class_function_hash_is_cached_and_equal_functions_share_it(s4, a4):
-    table = character_table(s4)
-    chi = table.irreducibles[-1]
+def test_equal_class_functions_hash_equally(s4):
+    chi = character_table(s4).irreducibles[-1]
     twin = ClassFunction(s4, chi.values)
     assert twin is not chi and twin == chi
-    assert twin._hash is None
     assert hash(twin) == hash(chi)
-    assert twin._hash == hash(chi)
-    rows = character_table(a4).irreducibles
-    row_coordinates(character_table(a4), rows)
-    rebuilt = tuple(ClassFunction(a4, theta.values) for theta in rows)
-    hits = row_coordinates.cache_info().hits
-    row_coordinates(character_table(a4), rebuilt)
-    assert row_coordinates.cache_info().hits == hits + 1
 
 
 def test_inner_product_requires_same_group(s4, a4):
