@@ -43,9 +43,11 @@ representation, ``row_coordinates(table)``, cached per table: its
 integer coordinates on the power basis of Q(zeta_o) at its class's
 element order o, which is an integral basis of Z[zeta_o].  The table
 gate, the restriction table (G's row coordinates read through the class
-fusion), block data and the decomposition matrix all read them.  One pairing on them,
-``_pairing``, serves both the table gate and the restriction table; it
-builds no cyclotomic value.
+fusion), block data and the decomposition matrix all read them.  One
+pairing on them, ``_pairing``, builds no cyclotomic value and has three
+readers: the table gate, which keeps its partial sums by element order
+on the table (``partial_sums``); the restriction table; and the block
+partition, which reads the kept sums (Osima's criterion, ``blocks``).
 """
 
 from functools import lru_cache
@@ -77,12 +79,6 @@ def class_matrix(G, i):
         for k in range(r):
             plane[G.class_index(mult(xinv, reps[k]))][k] += 1
     return tuple(tuple(row) for row in plane)
-
-
-def structure_constants(G):
-    """All class-algebra structure constants a[i][j][k] = a_ijk: the
-    class matrices of every class, each built once by ``class_matrix``."""
-    return tuple(class_matrix(G, i) for i in range(len(G.conjugacy_classes())))
 
 
 class ClassFunction:
@@ -160,13 +156,13 @@ def restriction_multiplicities(G, H):
         a = [x[k] for k in fusion]
         row = []
         for b in thetas:
-            total, irrational = _pairing(sub, a, b)
-            if irrational is not None or total % n:
+            sums, irrational = _pairing(sub, a, b)
+            if irrational is not None or sum(sums.values()) % n:
                 raise InternalCheckError(
                     f"restriction from {G!r} to {H!r} has a multiplicity"
                     " that is not an integer"
                 )
-            row.append(total // n)
+            row.append(sum(sums.values()) // n)
         rebuilt = [
             [sum(m * b[k][i] for m, b in zip(row, thetas) if m) for i in range(len(y))]
             for k, y in enumerate(a)
@@ -409,6 +405,8 @@ class CharacterTable:
         self.irreducibles = tuple(irreducibles)
         # the prime q whose field GF(q) split the class algebra
         self.prime = prime
+        # the table gate's {o: S_o} for each pair of rows s <= u, at (s, u)
+        self.partial_sums = None
 
     def degrees(self):
         return tuple(chi.degree() for chi in self.irreducibles)
@@ -704,7 +702,8 @@ def _verify_orthogonality(table):
     coordinates on the power basis of conductor o; a value outside
     Q(zeta_o), or with a non-integral coordinate, is not a character
     value and fails.  The partial sum S_o over the classes of order o
-    must be rational, and the S_o must add up to |G| delta_su.
+    must be rational, and the S_o must add up to |G| delta_su.  They are
+    kept on the table (``partial_sums``) for Osima's criterion.
 
     This is no weaker than checking the identity directly: the S_o add up
     to the full sum, so passing both tests proves it.  Nor does it reject
@@ -730,23 +729,26 @@ def _verify_orthogonality(table):
                 raise InternalCheckError(
                     f"row {s} of {G!r} is not conjugate on inverse classes"
                 )
+    partial_sums = {}
     for s in range(r):
         for u in range(s, r):
-            total, irrational = _pairing(table, coords[s], coords[u])
+            sums, irrational = _pairing(table, coords[s], coords[u])
             if irrational is not None:
                 raise InternalCheckError(
                     f"row orthogonality fails for rows {s}, {u} of {G!r}: "
                     f"the sum over the classes of element order {irrational} "
                     "is irrational"
                 )
-            if total != (G.order() if s == u else 0):
+            if sum(sums.values()) != (G.order() if s == u else 0):
                 raise InternalCheckError(
                     f"row orthogonality fails for rows {s}, {u} of {G!r}"
                 )
+            partial_sums[s, u] = sums
     if rows[0] != trivial_character(G):
         raise InternalCheckError(
             f"first table row of {G!r} is not the trivial character"
         )
+    table.partial_sums = partial_sums
 
 
 @lru_cache(maxsize=None)
@@ -775,10 +777,10 @@ def row_coordinates(table):
 
 
 def _pairing(table, a, b):
-    """sum_k |C_k| a_k b_(k^-1) for lifted class functions a and b: the
-    terms over the classes of order o are added as integer polynomials in
-    zeta_o and reduced once mod Phi_o.  Returns (total, None), or
-    (None, o) for the first order o whose partial sum is irrational."""
+    """sum_k |C_k| a_k b_(k^-1) for lifted class functions a and b, by
+    element order: the terms over the classes of order o are added as
+    integer polynomials in zeta_o and reduced once mod Phi_o to S_o.
+    Returns ({o: S_o}, None), or (None, o) for the first irrational S_o."""
     sums = {}
     for c, x, k in zip(table.classes, a, table.group.inverse_classes()):
         y = b[k]
@@ -788,13 +790,13 @@ def _pairing(table, a, b):
                 xi *= c.size
                 for j, yj in enumerate(y):
                     acc[i + j] += xi * yj
-    total = 0
+    partials = {}
     for o, acc in sums.items():
         partial = _reduce_mod_cyclotomic(acc, o)
         if any(partial[1:]):
             return None, o
-        total += partial[0]
-    return total, None
+        partials[o] = partial[0]
+    return partials, None
 
 
 def _conjugate(x, o):

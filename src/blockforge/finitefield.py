@@ -13,9 +13,9 @@ Every field size takes one arithmetic path: a product is the schoolbook
 product of two coefficient tuples reduced by the modulus
 (``mul_coeffs``).  There is no log or Zech table, so GF(3^12) and
 GF(2^23) work like GF(4), at about f^2 integer operations per product.
-The two hot loops, ``ReductionMap.reduce`` and the class-algebra
-product in ``blocks``, add integer multiples of coefficient tuples into
-one integer list, reduce it modulo p once and build one element.
+The hot loop, ``ReductionMap.reduce``, adds integer multiples of
+coefficient tuples into one integer list, reduces it modulo p once and
+builds one element.
 
 A ReductionMap fixes, once per (conductor, prime) pair, the maximal
 ideal above p used to reduce algebraic integers of Q(zeta_e): the

@@ -29,7 +29,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .arith import vp
-from .blocks import _where, block_data, p_regular_classes
+from .blocks import _where, block_data, components, p_regular_classes
 from .chartab import character_table, is_p_solvable, row_coordinates
 from .cyclotomic import Cyclotomic
 from .errors import DomainError, InternalCheckError
@@ -242,23 +242,12 @@ class ModularData:
         """Linking ordinary characters through shared Brauer
         constituents must reproduce the block partition exactly."""
         n = len(self.decomposition)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        links = []
         for j in range(len(self.brauer_characters)):
             linked = [i for i in range(n) if self.decomposition[i][j]]
-            for i in linked[1:]:
-                parent[find(i)] = find(linked[0])
-        components = {}
-        for i in range(n):
-            components.setdefault(find(i), set()).add(i)
+            links += zip(linked, linked[1:])
         blocks = {frozenset(b.char_indices) for b in self.blockset.blocks}
-        if {frozenset(c) for c in components.values()} != blocks:
+        if components(n, links) != blocks:
             raise InternalCheckError(
                 "decomposition linkage disagrees with the block partition"
                 f" on {_where(self.group, self.prime)}"

@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are seventeen exceptions, and each takes objects the package built.
+There are eighteen exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -53,10 +53,14 @@ building each quotient as the action of G on the cosets, to compare
 with the package's reading of both off the kernel lattice.
 ``element_of_order_by_scan`` walks every element of a package field in
 encoding order with generic element powers, to compare with the
-package's root from one cyclic orbit.  ``reduce_by_elements`` and
-``class_algebra_product_by_elements`` reduce coordinates and multiply
-class-algebra elements one field element at a time, to compare with the
-package's accumulation in integer lists.
+package's root from one cyclic orbit.  ``reduce_by_elements`` reduces
+coordinates one field element at a time, to compare with the package's
+accumulation in integer lists.  ``structure_constants`` reads every
+class matrix the package builds for its table (``class_matrix``);
+``class_algebra_product_by_elements`` multiplies class-algebra elements
+over them one field element at a time, to check that the package's
+block idempotents are orthogonal idempotents, e_u e_v = delta_uv e_u,
+which the package itself proves without a product.
 
 The cyclotomic arithmetic of the tests lives here, on lists of root
 coefficients (``roots``): sums add lists, products convolve them, and
@@ -74,8 +78,8 @@ from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
 from blockforge.chartab import (
     ClassFunction,
     character_table,
+    class_matrix,
     is_p_solvable,
-    structure_constants,
 )
 from blockforge.correspond import (
     NAVARRO_MAX_DRAWS,
@@ -844,6 +848,12 @@ def reduce_by_elements(rmap, coords, o):
         if c:
             out = out + rmap.u ** (rmap.alpha * j * step % n) * int(c)
     return out
+
+
+def structure_constants(G):
+    """All class-algebra structure constants a[i][j][k] = a_ijk: the
+    package's class matrix of every class."""
+    return tuple(class_matrix(G, i) for i in range(len(G.conjugacy_classes())))
 
 
 def class_algebra_product_by_elements(G, u, v, field):

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 from functools import lru_cache
@@ -16,8 +17,8 @@ from blockforge.blocks import (
     induced_block,
     induced_central,
     p_regular_classes,
+    osima_partition,
     shared_reduction,
-    _class_algebra_product,
 )
 from blockforge.chartab import character_table, normal_subgroups, row_coordinates
 from blockforge.cyclotomic import Cyclotomic
@@ -234,7 +235,7 @@ def test_idempotents_are_orthogonal(a5):
     bs = block_data(a5, 2)
     e0 = block_idempotent(bs.blocks[0])
     e1 = block_idempotent(bs.blocks[1])
-    product = _class_algebra_product(a5, e0, e1, bs.rmap.field)
+    product = oracles.class_algebra_product_by_elements(a5, e0, e1, bs.rmap.field)
     assert all(c.is_zero() for c in product)
 
 
@@ -427,6 +428,55 @@ def test_idempotent_gate_names_group_prime_and_block(monkeypatch, s4):
         block_idempotent(b)
 
 
+def test_osima_partition_matches_central_characters():
+    # two routes to the partition: the table gate's partial sums at
+    # element orders prime to p, and the reduced central characters
+    cases = 0
+    for G in oracle_groups([]):
+        table = character_table(G)
+        for p in prime_factors(G.order()):
+            rmap = shared_reduction(G.exponent(), p)
+            buckets = {}
+            for i in range(len(table.irreducibles)):
+                lam = blocks._reduced_central(table, i, rmap, p)
+                buckets.setdefault(lam, set()).add(i)
+            want = {frozenset(c) for c in buckets.values()}
+            assert osima_partition(table, p) == want, (G, p)
+            cases += 1
+    assert cases == 74
+
+
+def test_osima_gate_fires_on_merged_central_characters(monkeypatch, a5):
+    # one central character for every row merges A5's two 2-blocks into
+    # one bucket; its idempotent is 1, so p-locality, the sum to one and
+    # the dimension sum all pass, and only the Osima comparison sees it
+    monkeypatch.setattr(blocks, "_reduced_central", lambda table, i, rmap, p: ())
+    message = re.escape(
+        f"Osima's criterion disagrees with the central characters on {a5!r} at p = 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        block_data.__wrapped__(a5, 2)
+
+
+def test_osima_gate_fires_on_a_forged_partial_sum(monkeypatch, a5):
+    # rows 0 (degree 1) and 3 (degree 4) lie in different 2-blocks of A5;
+    # a nonzero sum at order 1, which is 2-regular, links them
+    table = character_table(a5)
+    assert [table.irreducibles[i].degree() for i in (0, 3)] == [1, 4]
+    assert sum(v for o, v in table.partial_sums[0, 3].items() if o % 2) == 0
+    forged = copy.copy(table)
+    forged.partial_sums = dict(table.partial_sums)
+    sums = dict(forged.partial_sums[0, 3])
+    sums[1] += 1
+    forged.partial_sums[0, 3] = sums
+    monkeypatch.setattr(blocks, "character_table", lambda G: forged)
+    message = re.escape(
+        f"Osima's criterion disagrees with the central characters on {a5!r} at p = 2"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _uncached_blocks(a5, 2)
+
+
 def test_induction_miss_names_both_groups_and_prime(monkeypatch, a5):
     B = block_data(a5, 2).blocks[0]
     b = brauer_correspondent(B)
@@ -491,9 +541,11 @@ def test_blocks_match_cyclotomic_oracle():
 
 
 def test_integer_field_loops_match_element_oracle():
-    # reduce and the class-algebra product accumulate integer lists;
-    # the oracle sums one field element per term, on every row
-    # coordinate and every pair of block idempotents of the catalog
+    # reduce accumulates integer lists and the oracle sums one field
+    # element per term, on every row coordinate of the catalog; the
+    # oracle's class-algebra product checks e_u e_v = delta_uv e_u on
+    # every pair of block idempotents, which the package proves without
+    # a product
     cases = 0
     for ent in catalog.entries():
         G = ent.load()
@@ -505,11 +557,12 @@ def test_integer_field_loops_match_element_oracle():
                     want = oracles.reduce_by_elements(rmap, x, c.element_order)
                     assert rmap.reduce(x, c.element_order) == want, (G, p)
             idempotents = [block_idempotent(b) for b in bs.blocks]
+            zero = (rmap.field.zero,) * len(G.conjugacy_classes())
             for u in idempotents:
                 for v in idempotents:
-                    want = oracles.class_algebra_product_by_elements(
+                    product = oracles.class_algebra_product_by_elements(
                         G, u, v, rmap.field
                     )
-                    assert _class_algebra_product(G, u, v, rmap.field) == want, (G, p)
+                    assert product == (u if u is v else zero), (G, p)
             cases += 1
     assert cases == 17
