@@ -6,10 +6,13 @@ matrices is found over a prime field GF(q) with q = 1 (mod exponent)
 and q squared exceeding 4|G|, degrees are recovered from the second
 orthogonality relation, and the actual cyclotomic character values are
 lifted through the discrete Fourier sum over power maps, taken over each
-class's element order rather than the group exponent.  Every finished
-row must take complex-conjugate values on inverse classes and the rows
-must be orthonormal, exactly, or an internal error is raised; for a
-square table row orthonormality implies the column relation.
+class's element order o rather than the group exponent: each value's
+integer root coefficients are reduced once mod Phi_o, and only an
+irrational value is canonicalized (``cyclotomic.from_root_combination``).
+Every finished row must take complex-conjugate values on inverse classes
+and the rows must be orthonormal, exactly, or an internal error is
+raised; for a square table row orthonormality implies the column
+relation.
 
 The construction is fully deterministic, with no random splitting
 vectors: the class matrices split GF(q)^r one at a time, cheapest class
@@ -54,11 +57,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_prime, multiplicative_order, p_part
-from .cyclotomic import (
-    ONE,
-    cyclotomic_polynomial,
-    from_root_combination,
-)
+from .cyclotomic import ONE, from_root_combination, reduce_mod_cyclotomic
 from .errors import DomainError, InternalCheckError
 from .perms import identity, inverse, mult, power
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
@@ -140,20 +139,23 @@ def restriction_multiplicities(G, H):
     Read on row coordinates: at class k of H, chi restricted to H takes
     chi's value at the class of G that contains it (``class_fusion``),
     which has the same element order, so its coordinates are those of
-    that class in chi's row.  Each is paired with every row of H's
-    table (``_pairing``).  The restriction of a character is a
-    character, so an irrational pairing, or one not divisible by |H|,
-    means a wrong table; so does a negative multiplicity.  Power-basis
-    coordinates are unique, so sum_k m_k theta_k = chi restricted to H
-    is checked on coordinates."""
+    that class in chi's row.  Each distinct fused row is paired with every
+    row of H's table (``_pairing``) and gated once; rows of G that agree
+    on the fused classes restrict to the same character and share it.
+    The restriction of a character is a character, so an irrational
+    pairing, or one not divisible by |H|, means a wrong table; so does a
+    negative multiplicity.  Power-basis coordinates are unique, so
+    sum_k m_k theta_k = chi restricted to H is checked on coordinates."""
     fusion = class_fusion(G, H)
-    table = character_table(G)
     sub = character_table(H)
     thetas = row_coordinates(sub)
     n = H.order()
-    rows = []
-    for x in row_coordinates(table):
-        a = [x[k] for k in fusion]
+    fused = [
+        tuple(tuple(x[k]) for k in fusion)
+        for x in row_coordinates(character_table(G))
+    ]
+    found = {}
+    for a in dict.fromkeys(fused):
         row = []
         for b in thetas:
             sums, irrational = _pairing(sub, a, b)
@@ -163,10 +165,13 @@ def restriction_multiplicities(G, H):
                     " that is not an integer"
                 )
             row.append(sum(sums.values()) // n)
-        rebuilt = [
-            [sum(m * b[k][i] for m, b in zip(row, thetas) if m) for i in range(len(y))]
+        rebuilt = tuple(
+            tuple(
+                sum(m * b[k][i] for m, b in zip(row, thetas) if m)
+                for i in range(len(y))
+            )
             for k, y in enumerate(a)
-        ]
+        )
         if rebuilt != a:
             raise InternalCheckError(
                 f"constituent decomposition does not reconstruct on {H!r}"
@@ -175,8 +180,8 @@ def restriction_multiplicities(G, H):
             raise InternalCheckError(
                 f"restriction from {G!r} to {H!r} has a negative multiplicity"
             )
-        rows.append(tuple(row))
-    return tuple(rows)
+        found[a] = tuple(row)
+    return tuple(found[a] for a in fused)
 
 
 def irr_over(G, N, k):
@@ -792,7 +797,7 @@ def _pairing(table, a, b):
                     acc[i + j] += xi * yj
     partials = {}
     for o, acc in sums.items():
-        partial = _reduce_mod_cyclotomic(acc, o)
+        partial = reduce_mod_cyclotomic(acc, o)
         if any(partial[1:]):
             return None, o
         partials[o] = partial[0]
@@ -806,17 +811,4 @@ def _conjugate(x, o):
     poly = [0] * o
     for t, c in enumerate(x):
         poly[-t % o] += c
-    return _reduce_mod_cyclotomic(poly, o)
-
-
-def _reduce_mod_cyclotomic(poly, o):
-    """The integer polynomial poly (low degree first) reduced mod Phi_o."""
-    phi = cyclotomic_polynomial(o)
-    d = len(phi) - 1
-    poly = poly[:]
-    for t in range(len(poly) - 1, d - 1, -1):
-        c = poly[t]
-        if c:
-            for i, f in enumerate(phi):
-                poly[t - d + i] -= c * f
-    return poly[:d]
+    return reduce_mod_cyclotomic(poly, o)

@@ -7,6 +7,12 @@ structural: two equal values always have the same conductor and the
 same coordinate tuple, so values can be hashed and sorted
 deterministically.
 
+Values are built by one reduction mod Phi_e (``reduce_mod_cyclotomic``):
+a sum of roots of unity with integer coefficients reduces in integers.
+Power-basis coordinates are unique, so a result with no coordinate past
+the first is rational and is stored as it is; Fraction arithmetic is
+used only to canonicalize irrational values.
+
 The minimal conductor is found by descending through the divisors of
 the working conductor in increasing order; the first divisor d whose
 field contains the value is its conductor, because the set of such
@@ -63,6 +69,21 @@ def cyclotomic_polynomial(e):
     return tuple(poly)
 
 
+def reduce_mod_cyclotomic(poly, e):
+    """The polynomial poly in zeta_e (low degree first, at least phi(e)
+    coefficients) reduced mod Phi_e: its power-basis coordinates.  Phi_e
+    is monic, so integer coefficients stay integers."""
+    phi = cyclotomic_polynomial(e)
+    d = len(phi) - 1
+    poly = poly[:]
+    for t in range(len(poly) - 1, d - 1, -1):
+        c = poly[t]
+        if c:
+            for i, f in enumerate(phi):
+                poly[t - d + i] -= c * f
+    return poly[:d]
+
+
 def _polydiv_exact(num, den):
     num = num[:]
     out = [0] * (len(num) - len(den) + 1)
@@ -82,24 +103,10 @@ def _polydiv_exact(num, den):
 def _power_basis(e):
     """Coordinates of z^k for k = 0..e-1 on the power basis mod the
     cyclotomic polynomial, as tuples of Fractions."""
-    d = euler_phi(e)
-    phi = cyclotomic_polynomial(e)
-    # x^d = -(phi[0] + phi[1] x + ... + phi[d-1] x^(d-1))
-    top = [Fraction(-c) for c in phi[:d]]
-    rows = []
-    current = [Fraction(0)] * d
-    current[0] = Fraction(1)
-    for _ in range(e):
-        rows.append(tuple(current))
-        nxt = [Fraction(0)] * d
-        carry = current[d - 1]
-        for i in range(d - 1):
-            nxt[i + 1] = current[i]
-        if carry:
-            for i in range(d):
-                nxt[i] += carry * top[i]
-        current = nxt
-    return tuple(rows)
+    return tuple(
+        tuple(map(Fraction, reduce_mod_cyclotomic([int(t == k) for t in range(e)], e)))
+        for k in range(e)
+    )
 
 
 class Cyclotomic:
@@ -134,17 +141,15 @@ class Cyclotomic:
         """Coordinates of this value on the power basis of conductor e."""
         if e % self.conductor:
             raise DomainError("conductor does not divide the requested one")
+        if self.conductor == 1:
+            return self.coords + (0,) * (euler_phi(e) - 1)
         if e == self.conductor:
             return self.coords
-        basis = _power_basis(e)
         step = e // self.conductor
-        out = [Fraction(0)] * euler_phi(e)
+        poly = [0] * e
         for j, c in enumerate(self.coords):
-            if c:
-                row = basis[(j * step) % e]
-                for i in range(len(out)):
-                    out[i] += c * row[i]
-        return tuple(out)
+            poly[j * step] = c
+        return tuple(reduce_mod_cyclotomic(poly, e))
 
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -208,13 +213,14 @@ ONE = rational(1)
 
 
 def from_root_combination(e, coefficients):
-    """The value sum_t coefficients[t] * zeta_e^t, built in one pass so
-    only a single canonicalization runs."""
-    basis = _power_basis(e)
-    out = [Fraction(0)] * euler_phi(e)
+    """The value sum_t coefficients[t] * zeta_e^t, t read mod e, by one
+    reduction mod Phi_e.  A rational result is stored as it is; only an
+    irrational one is canonicalized."""
+    poly = [0] * e
     for t, c in enumerate(coefficients):
         if c:
-            row = basis[t % e]
-            for i in range(len(out)):
-                out[i] += c * row[i]
-    return Cyclotomic(e, tuple(out))
+            poly[t % e] += c
+    coords = reduce_mod_cyclotomic(poly, e)
+    if any(coords[1:]):
+        return Cyclotomic(e, coords)
+    return rational(coords[0])

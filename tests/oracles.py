@@ -65,6 +65,11 @@ which the package itself proves without a product.
 The cyclotomic arithmetic of the tests lives here, on lists of root
 coefficients (``roots``): sums add lists, products convolve them, and
 ``from_root_combination`` canonicalizes each result once.
+``from_root_combination_by_power_basis`` builds a value the Fraction
+way: each root coefficient times the power-basis coordinates of its
+root (``power_basis_coords``, from the recurrence zeta^(k+1) = zeta *
+zeta^k mod Phi_e), and every result canonicalized, rational or not, to
+compare with the package's one integer reduction.
 """
 
 import random
@@ -86,7 +91,12 @@ from blockforge.correspond import (
     NAVARRO_TARGET,
     _normalizer_index,
 )
-from blockforge.cyclotomic import from_root_combination, rational
+from blockforge.cyclotomic import (
+    Cyclotomic,
+    cyclotomic_polynomial,
+    from_root_combination,
+    rational,
+)
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.modular import _fixture_brauer_characters, restriction_to_p_regular
 from blockforge.permgroup import (
@@ -433,6 +443,42 @@ def defect_group_by_subgroup_search(block):
             f"expected one defect group class, found {len(hits)}"
         )
     return hits[0]
+
+
+@lru_cache(maxsize=None)
+def _power_basis_by_recurrence(e):
+    """The coordinates of zeta_e^k, k = 0..e-1, on the power basis of
+    conductor e as tuples of Fractions: each row is the last times zeta,
+    with zeta^d rewritten as zeta^d - Phi_e(zeta) for d = phi(e)."""
+    phi = cyclotomic_polynomial(e)
+    d = len(phi) - 1
+    current = [Fraction(1)] + [Fraction(0)] * (d - 1)
+    rows = []
+    for _ in range(e):
+        rows.append(tuple(current))
+        carry = current[-1]
+        current = [Fraction(0)] + current[:-1]
+        for i in range(d):
+            current[i] -= carry * phi[i]
+    return tuple(rows)
+
+
+def power_basis_coords(e, coefficients):
+    """The power-basis coordinates at conductor e of sum_t coefficients[t]
+    zeta_e^t, t read mod e, in Fractions."""
+    basis = _power_basis_by_recurrence(e)
+    out = [Fraction(0)] * len(basis[0])
+    for t, c in enumerate(coefficients):
+        if c:
+            for i, x in enumerate(basis[t % e]):
+                out[i] += c * x
+    return tuple(out)
+
+
+def from_root_combination_by_power_basis(e, coefficients):
+    """The value sum_t coefficients[t] zeta_e^t on Fraction coordinates,
+    canonicalized by the package's constructor whether rational or not."""
+    return Cyclotomic(e, power_basis_coords(e, coefficients))
 
 
 def zeta(e, k=1):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import catalog, chartab
+from blockforge import catalog, chartab, cyclotomic
 from blockforge.arith import is_prime, prime_factors
 from blockforge.chartab import (
     CharacterTable,
@@ -279,6 +279,26 @@ def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
     monkeypatch.setattr(Cyclotomic, "lift_coords", counted)
     restriction_multiplicities.__wrapped__(s4, a4)
     assert calls == []
+
+
+def test_only_irrational_values_are_canonicalized(monkeypatch):
+    # The lift reduces each value's root coefficients in integers; only an
+    # irrational result goes through the canonical form.  S4 x S3 has a
+    # rational table, PSL(2,7) four irrational entries.
+    calls = []
+    canonical = cyclotomic._canonical
+
+    def counted(e, coords):
+        calls.append(e)
+        return canonical(e, coords)
+
+    monkeypatch.setattr(cyclotomic, "_canonical", counted)
+    for G, irrational in ((s4_times_s3(), 0), (psl_2_7(), 4)):
+        calls.clear()
+        table = character_table.__wrapped__(G)
+        values = [v for chi in table.irreducibles for v in chi.values]
+        assert sum(v.conductor != 1 for v in values) == irrational, G
+        assert len(calls) == irrational, G
 
 
 def test_frobenius_reciprocity_on_random_pairs(s4, a4, a5):
@@ -847,6 +867,19 @@ def test_table_is_deterministic(s4):
     ]
 
 
+def _table_json(tmp_path, group):
+    """The bytes of ``table --format json`` on a file named after group."""
+    path = tmp_path / f"{group.name}.grp"
+    path.write_text(format_group_text(group), encoding="utf-8")
+    out = tmp_path / "table.json"
+    assert main(["table", str(path), "--format", "json", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _golden(name):
+    return (Path(__file__).parent / "data" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "group, golden, atlas_degrees",
     [
@@ -862,12 +895,23 @@ def test_table_is_deterministic(s4):
 def test_exponent_420_tables_match_goldens(tmp_path, group, golden, atlas_degrees):
     # Both groups have exponent 420; the goldens are the byte-exact
     # ``table --format json`` output of the full-exponent Fourier lift.
-    path = tmp_path / f"{group.name}.grp"
-    path.write_text(format_group_text(group), encoding="utf-8")
-    out = tmp_path / "table.json"
-    assert main(["table", str(path), "--format", "json", "--out", str(out)]) == 0
-    text = out.read_bytes()
-    assert text == (Path(__file__).parent / "data" / golden).read_bytes()
+    text = _table_json(tmp_path, group)
+    assert text == _golden(golden)
     payload = json.loads(text)
     assert payload["exponent"] == 420
     assert [int(row[0]) for row in payload["irreducibles"]] == atlas_degrees
+
+
+@pytest.mark.parametrize(
+    "group, golden",
+    [
+        (symmetric(6), "s6_table.json"),
+        (psl_2_7(), "psl27_table.json"),
+        (s4_times_s3(), "s4xs3_table.json"),
+    ],
+    ids=["S6", "PSL(2,7)", "S4xS3"],
+)
+def test_benchmark_tables_match_goldens(tmp_path, group, golden):
+    # With A7 above, the four groups of the ``tables`` benchmark workload;
+    # each golden is the byte-exact ``table --format json`` output.
+    assert _table_json(tmp_path, group) == _golden(golden)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from blockforge.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    from_root_combination,
     rational,
 )
 from blockforge.errors import DomainError
@@ -14,9 +16,12 @@ from blockforge.errors import DomainError
 from oracles import (
     combination,
     complex_conjugate,
+    from_root_combination_by_power_basis,
     galois,
     is_algebraic_integer,
     plus,
+    power_basis_coords,
+    roots,
     times,
     zeta,
 )
@@ -122,6 +127,44 @@ def test_lift_and_mixed_conductor_arithmetic():
     assert plus(zeta(3), zeta(4)) == plus(zeta(4), zeta(3))
     # z12^4 = z12^2 - 1 on the power basis of Q(zeta_12), as Phi_12 = x^4 - x^2 + 1
     assert x.lift_coords(12) == (-1, 0, 1, 0)
+
+
+def _root_coefficients(rng, e, kind):
+    """Seeded root coefficients for zeta_e: random, longer than e (they
+    wrap), or a function of gcd(t, e), which the Galois group fixes, so
+    the value is rational."""
+    if kind == "random":
+        return [rng.randrange(-3, 4) for _ in range(e)]
+    if kind == "long":
+        return [rng.randrange(-3, 4) for _ in range(2 * e + rng.randrange(1, 5))]
+    by_gcd = {d: rng.randrange(-3, 4) for d in range(1, e + 1) if e % d == 0}
+    return [by_gcd[gcd(t, e)] for t in range(e)]
+
+
+def test_root_combination_matches_the_power_basis_oracle():
+    rng = random.Random(22)
+    for e in range(1, 25):
+        for kind in ("random", "long", "invariant") * 4:
+            ints = _root_coefficients(rng, e, kind)
+            den = rng.randrange(2, 6)
+            for coefficients in (ints, [Fraction(c, den) for c in ints]):
+                got = from_root_combination(e, coefficients)
+                want = from_root_combination_by_power_basis(e, coefficients)
+                assert (got.conductor, got.coords) == (want.conductor, want.coords), e
+                assert all(type(c) is Fraction for c in got.coords), e
+                if kind == "invariant":
+                    assert got.conductor == 1, (e, coefficients)
+
+
+def test_lift_coords_match_the_power_basis_oracle():
+    rng = random.Random(41)
+    for e in (1, 2, 3, 4, 5, 6, 8, 12, 15, 20, 24):
+        for _ in range(6):
+            q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+            assert rational(q).lift_coords(e) == power_basis_coords(e, [q]), (e, q)
+        for c in (d for d in range(2, e + 1) if e % d == 0):
+            x = random_value(rng, c, 3, 4)
+            assert x.lift_coords(e) == power_basis_coords(e, roots(x, e)), (e, x)
 
 
 def test_values_carry_no_arithmetic():
