@@ -33,7 +33,7 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching
 from .modular import modular_data
-from .perms import inverse, mult
+from .perms import mult
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -303,53 +303,84 @@ def verify_sylow_normalizer_divisibility(G, p, U, P):
     }
 
 
+def _right_regular(G):
+    """G's right regular representation on indices into G.elements():
+    right[b][a] is the index of elements[a] * elements[b], and inv[a]
+    that of elements[a]^-1.  Each generator's column takes |G| products;
+    a breadth-first walk composes the other columns, each a permutation
+    of range(|G|).  The table holds |G|^2 indices."""
+    elements = G.elements()
+    position = {x: i for i, x in enumerate(elements)}
+    columns = [tuple(position[mult(x, h)] for x in elements) for h in G.generators]
+    right = [None] * len(elements)
+    right[0] = tuple(range(len(elements)))
+    walk = [0]
+    for b in walk:
+        for column in columns:
+            c = column[b]
+            if right[c] is None:
+                right[c] = mult(column, right[b])
+                walk.append(c)
+    return position, right, [column.index(0) for column in right]
+
+
 def navarro_instances(G, p, name, seed, fixed):
     """Sampled subgroup/Sylow pairs plus any fixed instances from the
     catalog.  Sampling is skipped when the group is not p-solvable.
 
     Each draw pairs U with a conjugate P^g of one Sylow subgroup P.
     |G : N_G(P^g)| = |G : N_G(P)| for every g, so the index in G is
-    computed once.  The draws are indices into the sorted elements of G:
-    an index from range(|G|) consumes the same random numbers as an
-    element, so every draw is as it was.  U is closed from the identity
-    (index 0) by right multiplication with the drawn generators, which
-    for a finite group gives exactly the subgroup they generate.  U, P^g
-    and I = U ∩ P^g are bitmasks; each distinct (U, I) is judged once."""
+    computed once.  Elements are indices into G.elements(), and every
+    product (closing U, conjugating P, testing normalizers) is a lookup
+    in G's right regular representation (`_right_regular`), built once
+    per call.  U = <<<1, s1>, s2>, s3> for the drawn s_i: a join is U
+    when s lies in U, and otherwise closes U's generators and s from the
+    identity by right multiplication, once per (U, s).  U, P^g and
+    I = U ∩ P^g are bitmasks; each distinct (U, I) is judged once.
+
+    The record is the one that drawing elements and multiplying
+    permutations gives: an index from range(|G|) consumes the same
+    random numbers as an element, the calls come in the same order (the
+    number of generators, the generators, then g), and each draw ends
+    in the subgroup <s1, s2, s3>, with its Sylow intersection and
+    normalizer count."""
     records = []
     if is_p_solvable(G, p):
         rng = random.Random(f"{seed}:{name}:{p}:navarro")
-        elements = sorted(G.element_set())
-        indices = range(len(elements))
-        position = {x: i for i, x in enumerate(elements)}
-        products = {}
-
-        def times(a, b):
-            if (a, b) not in products:
-                products[a, b] = position[mult(elements[a], elements[b])]
-            return products[a, b]
-
+        position, right, inv = _right_regular(G)
+        indices = range(len(right))
         sylow = sylow_subgroup(G, p)
+        sylow_indices = [position[x] for x in sylow.elements()]
         index_big = _normalizer_index(G, sylow)
+        subgroups = {1: ((), [0])}  # mask -> (generators, members)
+        joins = {}
         conjugates = {}
         violated = {}
         met = drawn = violations = 0
         while met < NAVARRO_TARGET and drawn < NAVARRO_MAX_DRAWS:
             drawn += 1
-            gens = [rng.choice(indices) for _ in range(rng.randrange(1, 4))]
-            U, members = 1, [0]
-            for a in members:
-                for s in gens:
-                    b = times(a, s)
-                    if not U >> b & 1:
-                        U |= 1 << b
-                        members.append(b)
+            U = 1
+            for _ in range(rng.randrange(1, 4)):
+                s = rng.choice(indices)
+                if U >> s & 1:
+                    continue
+                if (U, s) not in joins:
+                    gens = subgroups[U][0] + (s,)
+                    mask, members = 1, [0]
+                    for a in members:
+                        for t in gens:
+                            b = right[t][a]
+                            if not mask >> b & 1:
+                                mask |= 1 << b
+                                members.append(b)
+                    subgroups.setdefault(mask, (gens, members))
+                    joins[U, s] = mask
+                U = joins[U, s]
+            members = subgroups[U][1]
             g = rng.choice(indices)
             if g not in conjugates:
-                h = elements[g]
-                hinv = inverse(h)
-                conjugates[g] = sum(
-                    1 << position[mult(mult(h, x), hinv)] for x in sylow.elements()
-                )
+                to_g = right[inv[g]]
+                conjugates[g] = sum(1 << to_g[right[x][g]] for x in sylow_indices)
             I = U & conjugates[g]
             if I.bit_count() != p_part(len(members), p):
                 continue
@@ -358,10 +389,8 @@ def navarro_instances(G, p, name, seed, fixed):
                 inside = [x for x in members if I >> x & 1]
                 normalizing = 0
                 for u in members:
-                    v = position[inverse(elements[u])]
-                    normalizing += all(
-                        I >> times(times(u, x), v) & 1 for x in inside
-                    )
+                    to_u = right[inv[u]]
+                    normalizing += all(I >> to_u[right[x][u]] & 1 for x in inside)
                 violated[U, I] = index_big % (len(members) // normalizing) != 0
             violations += violated[U, I]
         records.append(

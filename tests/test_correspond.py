@@ -20,6 +20,7 @@ from blockforge.correspond import (
     _count_matchings,
     _matchings,
     _perfect_matchings,
+    _right_regular,
     block_section,
     coprime_setup,
     find_good_character,
@@ -37,10 +38,23 @@ from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import parse_group_file
 from blockforge.modular import modular_data
 from blockforge.permgroup import PermutationGroup, sylow_subgroup
+from blockforge.perms import mult
 from blockforge.report import build_report, collect_verdicts
 
 import oracles
-from conftest import alternating, c3_wreath_c2, frobenius20, random_subgroup
+from conftest import (
+    alternating,
+    c2_wreath_s4,
+    c3_wreath_c2,
+    c3_wreath_c3,
+    cyclic,
+    elementary_abelian,
+    frobenius20,
+    random_subgroup,
+    s4_times_s4,
+    sl_2_3,
+    symmetric,
+)
 
 
 def _block_section_verdicts(G, p):
@@ -357,6 +371,17 @@ def test_navarro_sampler_matches_group_oracle():
             cases.extend((G, p, ent.name, seed) for seed in range(3))
     s4xs3 = _s4xs3()
     cases.extend((s4xs3, p, "S4xS3", 1) for p in (2, 3))
+    # large subgroups, reached from many generator sets: the join memo
+    cases.extend(
+        (G, p, G.name, 0)
+        for G, p in (
+            (c3_wreath_c3(), 3),
+            (c2_wreath_s4(), 2),
+            (c2_wreath_s4(), 3),
+            (s4_times_s4(), 2),
+            (elementary_abelian(2, 5), 2),
+        )
+    )
     for seed in range(20):
         rng = random.Random(seed)
         G = random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2)))
@@ -402,6 +427,55 @@ def test_navarro_sampler_builds_no_group_per_draw(s4, monkeypatch):
         (rec,) = navarro_instances(s4, 2, "S4", 0, [])
         assert rec["pairs_hypothesis_met"] == target
         assert len(built) < 10, target
+
+
+def test_right_regular_matches_permutation_products():
+    identity_and_repeat = PermutationGroup(
+        4, [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3)]
+    )
+    groups = [
+        PermutationGroup(1, []),
+        cyclic(6),
+        symmetric(4),
+        sl_2_3(),
+        _s4xs3(),
+        identity_and_repeat,
+    ]
+    for G in groups:
+        elements = G.elements()
+        position, right, inv = _right_regular(G)
+        assert position == {x: i for i, x in enumerate(elements)}
+        n = len(elements)
+        assert len(right) == len(inv) == n, G
+        for b in range(n):
+            assert len(right[b]) == n
+            for a in range(n):
+                assert right[b][a] == position[mult(elements[a], elements[b])]
+        assert all(right[inv[a]][a] == 0 for a in range(n)), G
+
+
+def test_navarro_sampler_multiplies_only_to_build_its_table(monkeypatch):
+    # every product of a draw is a lookup in the index table, so one call
+    # makes the permutation products of the table alone: |G| per
+    # generator column and at most one per other column, however many
+    # pairs are drawn
+    G = _s4xs3()
+    navarro_instances(G, 2, "S4xS3", 0, [])
+    calls = []
+
+    def counting_mult(p, q):
+        calls.append(1)
+        return mult(p, q)
+
+    monkeypatch.setattr(correspond, "mult", counting_mult)
+    counts = []
+    for target in (200, 400):
+        monkeypatch.setattr(correspond, "NAVARRO_TARGET", target)
+        calls.clear()
+        (rec,) = navarro_instances(G, 2, "S4xS3", 0, [])
+        assert rec["pairs_hypothesis_met"] == target
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= G.order() * (len(G.generators) + 1), counts
 
 
 def test_regular_covering_s4_p2(s4):
