@@ -1,7 +1,7 @@
 """Small exact helpers used throughout: primality, p-parts, valuations,
-and linear solving over Q."""
+prime factors and multiplicative orders."""
 
-from fractions import Fraction
+from math import gcd
 
 
 def is_prime(n):
@@ -52,8 +52,6 @@ def prime_factors(n):
 
 def multiplicative_order(a, n):
     """Order of a modulo n; requires gcd(a, n) == 1."""
-    from math import gcd
-
     if n == 1:
         return 1
     if gcd(a, n) != 1:
@@ -65,32 +63,3 @@ def multiplicative_order(a, n):
         k += 1
     return k
 
-
-def solve_rational(columns, target):
-    """A solution a of sum_j a_j * columns[j] = target over Q, as a list
-    of Fractions (free unknowns set to 0); None if inconsistent."""
-    rows = len(target)
-    cols = len(columns)
-    m = [[columns[j][i] for j in range(cols)] + [target[i]] for i in range(rows)]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, rows):
-        if m[i][cols]:
-            return None
-    solution = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        solution[col] = m[i][cols]
-    return solution

@@ -8,7 +8,8 @@ orthogonality relation, and the actual cyclotomic character values are
 lifted through the discrete Fourier sum over power maps, taken over each
 class's element order o rather than the group exponent: each value's
 integer root coefficients are reduced once mod Phi_o, and only an
-irrational value is canonicalized (``cyclotomic.from_root_combination``).
+irrational value descends to its minimal conductor, one prime at a time
+with no linear solve (``cyclotomic.from_root_combination``).
 Every finished row must take complex-conjugate values on inverse classes
 and the rows must be orthonormal, exactly, or an internal error is
 raised; for a square table row orthonormality implies the column

@@ -192,7 +192,13 @@ def run_verify(args):
     kinds = KINDS if args.kind == "all" else (args.kind,)
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("BLOCKFORGE_SEED", "0"))
+        text = os.environ.get("BLOCKFORGE_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(
+                f"BLOCKFORGE_SEED={text!r} is not an integer"
+            ) from None
     jobs = _verify_jobs(args, kinds)
     reports = []
     unexpected = []

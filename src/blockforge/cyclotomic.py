@@ -10,63 +10,41 @@ deterministically.
 Values are built by one reduction mod Phi_e (``reduce_mod_cyclotomic``):
 a sum of roots of unity with integer coefficients reduces in integers.
 Power-basis coordinates are unique, so a result with no coordinate past
-the first is rational and is stored as it is; Fraction arithmetic is
-used only to canonicalize irrational values.
+the first is rational and is stored as it is.  An irrational value
+descends to its minimal conductor one prime at a time (``_descend``),
+on the raw coordinates; only the result is converted to Fractions.
 
-The minimal conductor is found by descending through the divisors of
-the working conductor in increasing order; the first divisor d whose
-field contains the value is its conductor, because the set of such
-divisors is closed under gcd (Q(zeta_a) with Q(zeta_b) intersect in
-Q(zeta_gcd(a,b))).
+For a prime r with e = r m, the value lies in Q(zeta_m) exactly when
+one coefficient test on its coordinates passes (``_down``), and the
+same identity that gives the test gives its coordinates there.  The
+conductors whose field holds the value are closed under gcd (Q(zeta_a)
+and Q(zeta_b) intersect in Q(zeta_gcd(a,b))), so a conductor from which
+no prime descends is the minimal one.  The same identities build
+Phi_e: Phi_e(x) = Phi_m(x^r) when r divides m, and Phi_m(x^r) / Phi_m(x)
+when it does not.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import solve_rational
+from .arith import prime_factors
 from .errors import DomainError
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n):
-    out = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
-    return out
-
-
-@lru_cache(maxsize=None)
-def divisors(n):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e):
     """Integer coefficients of the e-th cyclotomic polynomial, low degree
-    first, computed by exact division of x^e - 1 by the proper-divisor
-    factors."""
-    poly = [-1] + [0] * (e - 1) + [1]
-    for d in divisors(e):
-        if d == e:
-            continue
-        poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    first, from Phi_m with e = r m for the smallest prime r of e."""
+    if e == 1:
+        return (-1, 1)
+    r = prime_factors(e)[0]
+    m = e // r
+    inner = cyclotomic_polynomial(m)
+    spread = [0] * (r * (len(inner) - 1) + 1)
+    spread[::r] = inner
+    if m % r == 0:
+        return tuple(spread)
+    return tuple(_polydiv_exact(spread, inner))
 
 
 def reduce_mod_cyclotomic(poly, e):
@@ -99,32 +77,23 @@ def _polydiv_exact(num, den):
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_basis(e):
-    """Coordinates of z^k for k = 0..e-1 on the power basis mod the
-    cyclotomic polynomial, as tuples of Fractions."""
-    return tuple(
-        tuple(map(Fraction, reduce_mod_cyclotomic([int(t == k) for t in range(e)], e)))
-        for k in range(e)
-    )
-
-
 class Cyclotomic:
-    """An exact element of a cyclotomic field, at its minimal conductor."""
+    """An exact element of a cyclotomic field, at its minimal conductor.
+
+    Cyclotomic(e, coords) takes int or Fraction coordinates on the power
+    basis of conductor e and stores Fractions at the minimal conductor."""
 
     __slots__ = ("conductor", "coords")
 
-    def __init__(self, conductor, coords, normalized=False):
-        if normalized:
-            self.conductor = conductor
-            self.coords = coords
-            return
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != euler_phi(conductor):
+    def __init__(self, conductor, coords):
+        if len(coords) != len(cyclotomic_polynomial(conductor)) - 1:
             raise DomainError("coordinate count does not match the conductor")
-        conductor, coords = _canonical(conductor, coords)
+        if any(coords[1:]):
+            conductor, coords = _descend(conductor, coords)
+        else:
+            conductor, coords = 1, coords[:1]
         self.conductor = conductor
-        self.coords = coords
+        self.coords = tuple(map(Fraction, coords))
 
     def rational_value(self):
         if self.conductor != 1:
@@ -142,7 +111,7 @@ class Cyclotomic:
         if e % self.conductor:
             raise DomainError("conductor does not divide the requested one")
         if self.conductor == 1:
-            return self.coords + (0,) * (euler_phi(e) - 1)
+            return self.coords + (0,) * (len(cyclotomic_polynomial(e)) - 2)
         if e == self.conductor:
             return self.coords
         step = e // self.conductor
@@ -188,25 +157,52 @@ class Cyclotomic:
         return f"Cyclotomic({self})"
 
 
-def _canonical(e, coords):
-    """Rewrite the value at its minimal conductor."""
-    if all(c == 0 for c in coords[1:]):
-        return 1, (coords[0],)
-    basis = _power_basis(e)
-    for d in divisors(e):
-        if d == e:
-            break
-        step = e // d
-        columns = [basis[(j * step) % e] for j in range(euler_phi(d))]
-        solution = solve_rational(columns, coords)
-        if solution is not None:
-            return d, tuple(solution)
-    return e, coords
+def _descend(e, coords):
+    """The value with coordinates coords at conductor e, rewritten at its
+    minimal conductor: descend by any prime that leaves it in the smaller
+    field, until none does."""
+    while True:
+        for r in prime_factors(e):
+            down = _down(e, r, coords)
+            if down is not None:
+                e, coords = e // r, down
+                break
+        else:
+            return e, coords
+
+
+def _down(e, r, coords):
+    """The value's coordinates at conductor m = e / r for a prime r, or
+    None when it does not lie in Q(zeta_m).
+
+    When r divides m, Phi_e(x) = Phi_m(x^r), so zeta_e^(r j + i) =
+    zeta_m^j zeta_e^i for i < r, and 1, zeta_e, ..., zeta_e^(r-1) is a
+    basis over Q(zeta_m): the value lies there exactly when only the
+    coordinates at multiples of r are nonzero.  Otherwise zeta_e^t =
+    zeta_r^x zeta_m^y with t = m x + r y mod e (CRT), which splits the
+    value as the sum over x of zeta_r^x w_x, w_x in Q(zeta_m); as
+    zeta_r^(r-1) = -(1 + ... + zeta_r^(r-2)) and 1, ..., zeta_r^(r-2) is
+    a basis over Q(zeta_m), the value lies there exactly when
+    w_1 = ... = w_(r-1), and is then w_0 - w_1."""
+    m = e // r
+    if m % r == 0:
+        if any(c for t, c in enumerate(coords) if t % r):
+            return None
+        return coords[::r]
+    to_x, to_y = pow(m, -1, r), pow(r, -1, m)
+    split = [[0] * m for _ in range(r)]
+    for t, c in enumerate(coords):
+        if c:
+            split[t * to_x % r][t * to_y % m] += c
+    w = [reduce_mod_cyclotomic(poly, m) for poly in split]
+    if any(wx != w[1] for wx in w[2:]):
+        return None
+    return [a - b for a, b in zip(w[0], w[1])]
 
 
 def rational(q):
     """The rational number q as a cyclotomic value."""
-    return Cyclotomic(1, (Fraction(q),), normalized=True)
+    return Cyclotomic(1, (q,))
 
 
 ONE = rational(1)
@@ -214,13 +210,9 @@ ONE = rational(1)
 
 def from_root_combination(e, coefficients):
     """The value sum_t coefficients[t] * zeta_e^t, t read mod e, by one
-    reduction mod Phi_e.  A rational result is stored as it is; only an
-    irrational one is canonicalized."""
+    reduction mod Phi_e."""
     poly = [0] * e
     for t, c in enumerate(coefficients):
         if c:
             poly[t % e] += c
-    coords = reduce_mod_cyclotomic(poly, e)
-    if any(coords[1:]):
-        return Cyclotomic(e, coords)
-    return rational(coords[0])
+    return Cyclotomic(e, reduce_mod_cyclotomic(poly, e))

@@ -22,7 +22,7 @@ from math import lcm
 
 from .arith import is_prime, p_part
 from .errors import DomainError, InternalCheckError
-from .perms import identity, inverse, is_perm, moved_points, mult, order
+from .perms import identity, inverse, is_perm, moved_points, mult, order, power
 
 
 class _Level:
@@ -413,8 +413,6 @@ def sylow_subgroup(G, p):
 
 
 def _p_element_part(x, o, p):
-    from .perms import power
-
     return power(x, o // p_part(o, p))
 
 

@@ -68,8 +68,10 @@ coefficients (``roots``): sums add lists, products convolve them, and
 ``from_root_combination_by_power_basis`` builds a value the Fraction
 way: each root coefficient times the power-basis coordinates of its
 root (``power_basis_coords``, from the recurrence zeta^(k+1) = zeta *
-zeta^k mod Phi_e), and every result canonicalized, rational or not, to
-compare with the package's one integer reduction.
+zeta^k mod Phi_e), and every result canonicalized, rational or not, by
+``canonical_by_solves``: one ``solve_rational`` per divisor of the
+conductor, in increasing order, to compare with the package's one
+integer reduction and its descent one prime at a time.
 """
 
 import random
@@ -78,7 +80,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from blockforge.arith import p_part, prime_factors, solve_rational
+from blockforge.arith import p_part, prime_factors
 from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
 from blockforge.chartab import (
     ClassFunction,
@@ -92,7 +94,6 @@ from blockforge.correspond import (
     _normalizer_index,
 )
 from blockforge.cyclotomic import (
-    Cyclotomic,
     cyclotomic_polynomial,
     from_root_combination,
     rational,
@@ -475,10 +476,61 @@ def power_basis_coords(e, coefficients):
     return tuple(out)
 
 
+def solve_rational(columns, target):
+    """A solution a of sum_j a_j * columns[j] = target over Q, as a list
+    of Fractions (free unknowns set to 0); None if inconsistent."""
+    rows = len(target)
+    cols = len(columns)
+    m = [[columns[j][i] for j in range(cols)] + [target[i]] for i in range(rows)]
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, rows):
+        if m[i][cols]:
+            return None
+    solution = [Fraction(0)] * cols
+    for i, col in enumerate(pivots):
+        solution[col] = m[i][cols]
+    return solution
+
+
+def canonical_by_solves(e, coords):
+    """(conductor, coordinates) of the value with power-basis coordinates
+    coords at conductor e, rewritten at its minimal conductor: the first
+    divisor d of e, in increasing order, for which one solve_rational
+    finds coordinates on zeta_d^j = zeta_e^(j e/d), j < phi(d).  The
+    first such d is the minimal conductor, because the conductors whose
+    field holds the value are closed under gcd."""
+    coords = tuple(map(Fraction, coords))
+    basis = _power_basis_by_recurrence(e)
+    for d in range(1, e):
+        if e % d:
+            continue
+        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+        columns = [basis[j * (e // d)] for j in range(phi)]
+        solution = solve_rational(columns, coords)
+        if solution is not None:
+            return d, tuple(solution)
+    return e, coords
+
+
 def from_root_combination_by_power_basis(e, coefficients):
-    """The value sum_t coefficients[t] zeta_e^t on Fraction coordinates,
-    canonicalized by the package's constructor whether rational or not."""
-    return Cyclotomic(e, power_basis_coords(e, coefficients))
+    """(conductor, coordinates) of the value sum_t coefficients[t] zeta_e^t:
+    Fraction coordinates, canonicalized by ``canonical_by_solves`` whether
+    rational or not."""
+    return canonical_by_solves(e, power_basis_coords(e, coefficients))
 
 
 def zeta(e, k=1):

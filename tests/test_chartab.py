@@ -283,16 +283,16 @@ def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
 
 def test_only_irrational_values_are_canonicalized(monkeypatch):
     # The lift reduces each value's root coefficients in integers; only an
-    # irrational result goes through the canonical form.  S4 x S3 has a
+    # irrational result descends to its minimal conductor.  S4 x S3 has a
     # rational table, PSL(2,7) four irrational entries.
     calls = []
-    canonical = cyclotomic._canonical
+    descend = cyclotomic._descend
 
     def counted(e, coords):
         calls.append(e)
-        return canonical(e, coords)
+        return descend(e, coords)
 
-    monkeypatch.setattr(cyclotomic, "_canonical", counted)
+    monkeypatch.setattr(cyclotomic, "_descend", counted)
     for G, irrational in ((s4_times_s3(), 0), (psl_2_7(), 4)):
         calls.clear()
         table = character_table.__wrapped__(G)

@@ -182,6 +182,19 @@ def test_seed_env_and_flag(capsys, monkeypatch):
     assert json.loads(out)["reports"][0]["seed"] == 0
 
 
+def test_malformed_seed_env_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("BLOCKFORGE_SEED", "abc")
+    code, out, err = run(capsys, "verify", "am", "C6", "-p", "2")
+    assert code == 2
+    assert out == ""
+    assert "BLOCKFORGE_SEED='abc' is not an integer" in err
+    # --seed overrides the variable, so a malformed one is never read
+    code, out, err = run(
+        capsys, "verify", "am", "C6", "-p", "2", "--seed", "1"
+    )
+    assert code == 0
+
+
 def test_timings_flag(capsys):
     code, out, err = run(capsys, "verify", "dim", "C6", "-p", "2", "--timings")
     assert code == 0

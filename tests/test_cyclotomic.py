@@ -7,13 +7,14 @@ import pytest
 from blockforge.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
-    euler_phi,
     from_root_combination,
     rational,
+    reduce_mod_cyclotomic,
 )
 from blockforge.errors import DomainError
 
 from oracles import (
+    canonical_by_solves,
     combination,
     complex_conjugate,
     from_root_combination_by_power_basis,
@@ -37,8 +38,27 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_multiply_to_x_e_minus_1():
+    # x^e - 1 is the product of Phi_d over the divisors d of e, multiplied
+    # out here with no code shared with the recursion that builds each Phi_d
+    for e in range(1, 301):
+        product = [1]
+        for d in range(1, e + 1):
+            if e % d:
+                continue
+            phi = cyclotomic_polynomial(d)
+            out = [0] * (len(product) + len(phi) - 1)
+            for i, a in enumerate(product):
+                if a:
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+            product = out
+        assert product == [-1] + [0] * (e - 1) + [1], e
+
+
 def test_phi():
-    assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+    phi = [len(cyclotomic_polynomial(n)) - 1 for n in range(1, 13)]
+    assert phi == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_zeta3_sum_is_minus_one():
@@ -111,7 +131,8 @@ def test_canonical_form_idempotent():
     rng = random.Random(29)
     for _ in range(40):
         e = rng.choice((6, 8, 12, 30))
-        coords = [Fraction(rng.randrange(-3, 4)) for _ in range(euler_phi(e))]
+        phi = len(cyclotomic_polynomial(e)) - 1
+        coords = [Fraction(rng.randrange(-3, 4)) for _ in range(phi)]
         x = Cyclotomic(e, tuple(coords))
         y = Cyclotomic(x.conductor, x.coords)
         assert y.conductor == x.conductor
@@ -150,10 +171,33 @@ def test_root_combination_matches_the_power_basis_oracle():
             for coefficients in (ints, [Fraction(c, den) for c in ints]):
                 got = from_root_combination(e, coefficients)
                 want = from_root_combination_by_power_basis(e, coefficients)
-                assert (got.conductor, got.coords) == (want.conductor, want.coords), e
+                assert (got.conductor, got.coords) == want, e
                 assert all(type(c) is Fraction for c in got.coords), e
                 if kind == "invariant":
                     assert got.conductor == 1, (e, coefficients)
+
+
+def test_descent_matches_the_solve_oracle():
+    # One value from each subfield Q(zeta_d), d | e, lifted to e, for every
+    # e <= 120 and for 210 and 420 (the exponent of A7); the package gets
+    # its integer coordinates and the same divided by a denominator, and
+    # the oracle's answer for the first, divided likewise, must match both.
+    rng = random.Random(24)
+    for e in (*range(1, 121), 210, 420):
+        for d in (d for d in range(1, e + 1) if e % d == 0):
+            roots = [0] * e
+            for j in range(len(cyclotomic_polynomial(d)) - 1):
+                roots[j * (e // d)] = rng.randrange(-3, 4)
+            ints = reduce_mod_cyclotomic(roots, e)
+            conductor, coords = canonical_by_solves(e, ints)
+            assert d % conductor == 0, (e, d)
+            den = rng.randrange(2, 6)
+            fractions = [Fraction(c, den) for c in ints]
+            for scale, raw in ((1, ints), (den, fractions)):
+                got = Cyclotomic(e, raw)
+                want = (conductor, tuple(c / scale for c in coords))
+                assert (got.conductor, got.coords) == want, (e, d, scale)
+                assert all(type(c) is Fraction for c in got.coords), (e, d)
 
 
 def test_lift_coords_match_the_power_basis_oracle():
