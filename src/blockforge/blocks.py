@@ -10,8 +10,8 @@ see below) names no ideal.  Block induction from a subgroup reduces the
 subgroup's central character under the target group's map.
 
 Every character value is read in the table's one representation,
-``row_coordinates``: integer coordinates on the power basis at each
-class's element order o, an integral basis of Z[zeta_o].  A central
+its ``coords``: integer coordinates on the power basis at each class's
+element order o, an integral basis of Z[zeta_o].  A central
 character value is an exact integer quotient of those coordinates, an
 idempotent coefficient a sum of them, and the reduction map reads them
 directly; no cyclotomic value is built here.
@@ -51,7 +51,6 @@ from .chartab import (
     character_table,
     class_fusion,
     restriction_multiplicities,
-    row_coordinates,
 )
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
@@ -79,7 +78,7 @@ def _reduced_central(table, i, rmap, p):
     algebraic integer exactly when chi(1) divides every coordinate of
     |C| chi(x), and the quotients are its coordinates."""
     d = table.irreducibles[i].degree()
-    row = row_coordinates(table)[i]
+    row = table.coords[i]
     out = []
     for c, x in zip(table.classes, row):
         scaled = [c.size * a for a in x]
@@ -261,7 +260,7 @@ def block_idempotent(block):
         return block.idempotent
     bs = block.blockset
     G = bs.group
-    rows = row_coordinates(bs.table)
+    rows = bs.table.coords
     n = G.order()
     n_p = p_part(n, bs.prime)
     inv_m = bs.rmap.field.from_integer(n // n_p).inverse()

@@ -7,9 +7,9 @@ and q squared exceeding 4|G|, degrees are recovered from the second
 orthogonality relation, and the actual cyclotomic character values are
 lifted through the discrete Fourier sum over power maps, taken over each
 class's element order o rather than the group exponent: each value's
-integer root coefficients are reduced once mod Phi_o, and only an
-irrational value descends to its minimal conductor, one prime at a time
-with no linear solve (``cyclotomic.from_root_combination``).
+integer root coefficients are reduced once mod Phi_o to its
+coordinates, and only an irrational value descends to its minimal
+conductor, one prime at a time with no linear solve (``cyclotomic``).
 Every finished row must take complex-conjugate values on inverse classes
 and the rows must be orthonormal, exactly, or an internal error is
 raised; for a square table row orthonormality implies the column
@@ -43,11 +43,12 @@ prime to p) and p-solvability (read off one chief series of the sets)
 come from it; nothing builds a quotient group.
 
 Every layer below the table reads a character value in one
-representation, ``row_coordinates(table)``, cached per table: its
-integer coordinates on the power basis of Q(zeta_o) at its class's
-element order o, which is an integral basis of Z[zeta_o].  The table
-gate, the restriction table (G's row coordinates read through the class
-fusion), block data and the decomposition matrix all read them.  One
+representation, kept on the table as ``coords``: its integer
+coordinates on the power basis of Q(zeta_o) at its class's element
+order o, which is an integral basis of Z[zeta_o].  They are the ones
+the lift computes, and each printed value must lift back to them.  The
+table gate, the restriction table (G's row coordinates read through the
+class fusion), block data and the decomposition matrix all read them.  One
 pairing on them, ``_pairing``, builds no cyclotomic value and has three
 readers: the table gate, which keeps its partial sums by element order
 on the table (``partial_sums``); the restriction table; and the block
@@ -58,7 +59,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .arith import is_prime, multiplicative_order, p_part
-from .cyclotomic import ONE, from_root_combination, reduce_mod_cyclotomic
+from .cyclotomic import ONE, Cyclotomic, reduce_mod_cyclotomic
 from .errors import DomainError, InternalCheckError
 from .perms import identity, inverse, mult, power
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
@@ -149,12 +150,9 @@ def restriction_multiplicities(G, H):
     sum_k m_k theta_k = chi restricted to H is checked on coordinates."""
     fusion = class_fusion(G, H)
     sub = character_table(H)
-    thetas = row_coordinates(sub)
+    thetas = sub.coords
     n = H.order()
-    fused = [
-        tuple(tuple(x[k]) for k in fusion)
-        for x in row_coordinates(character_table(G))
-    ]
+    fused = [tuple(x[k] for k in fusion) for x in character_table(G).coords]
     found = {}
     for a in dict.fromkeys(fused):
         row = []
@@ -218,7 +216,7 @@ def character_action(G, N):
     so every conjugate must be a row of the table, or the table is
     wrong.  Each g is returned with its permutation because equal groups
     share this cache entry and may list other generators."""
-    rows = [tuple(map(tuple, x)) for x in row_coordinates(character_table(N))]
+    rows = character_table(N).coords
     row_of = {x: k for k, x in enumerate(rows)}
     action = []
     for g in G.generators:
@@ -404,11 +402,14 @@ def inertia_group(G, N, k):
 class CharacterTable:
     """The full ordinary character table of a finite permutation group."""
 
-    def __init__(self, group, exponent, irreducibles, prime):
+    def __init__(self, group, exponent, irreducibles, coords, prime):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.exponent = exponent
         self.irreducibles = tuple(irreducibles)
+        # for each row, one tuple per class: the value's integer
+        # power-basis coordinates at the class's element order
+        self.coords = tuple(coords)
         # the prime q whose field GF(q) split the class algebra
         self.prime = prime
         # the table gate's {o: S_o} for each pair of rows s <= u, at (s, u)
@@ -446,7 +447,7 @@ def character_table(G):
     # z^(e/o) is a primitive o-th root of unity mod q, for each order o.
     roots = {o: [pow(z, e // o * i, q) for i in range(o)] for o in set(orders)}
 
-    irreducibles = []
+    rows = []
     for w in vectors:
         if w[0] % q == 0:
             raise InternalCheckError(
@@ -459,7 +460,7 @@ def character_table(G):
             s = (s + w[k] * w[inverse_class[k]] * pow(sizes[k], q - 2, q)) % q
         d = _degree_from_norm(G, s, q)
         cbar = [d * w[j] * pow(sizes[j], q - 2, q) % q for j in range(r)]
-        values = []
+        values, coords = [], []
         for j in range(r):
             o = orders[j]
             zpow = roots[o]
@@ -475,11 +476,21 @@ def character_table(G):
                         f"lifted multiplicity out of range on {G!r}"
                     )
                 coeffs.append(m)
-            values.append(from_root_combination(o, coeffs))
-        irreducibles.append(ClassFunction(G, values))
+            x = tuple(reduce_mod_cyclotomic(coeffs, o))
+            v = Cyclotomic(o, x)
+            # the printed value must be the one the table gate checks
+            if v.conductor != 1 and v.lift_coords(o) != x:
+                raise InternalCheckError(
+                    f"value at class {j} of {G!r} (split mod q = {q}) does"
+                    " not lift back to its coordinates"
+                )
+            values.append(v)
+            coords.append(x)
+        rows.append((ClassFunction(G, values), tuple(coords)))
 
-    irreducibles.sort(key=lambda chi: chi.sort_key())
-    table = CharacterTable(G, e, irreducibles, q)
+    rows.sort(key=lambda row: row[0].sort_key())
+    irreducibles, coords = zip(*rows)
+    table = CharacterTable(G, e, irreducibles, coords, q)
     _verify_orthogonality(table)
     return table
 
@@ -703,11 +714,11 @@ def _verify_orthogonality(table):
     sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su.
 
     That sum is ``_pairing``, in exact integer arithmetic one element
-    order at a time.  A character value at an element of order o lies in
-    Z[zeta_o], the ring of integers of Q(zeta_o), so it has integer
-    coordinates on the power basis of conductor o; a value outside
-    Q(zeta_o), or with a non-integral coordinate, is not a character
-    value and fails.  The partial sum S_o over the classes of order o
+    order at a time, on the table's ``coords``: integer coordinates on
+    the power basis of conductor o, as a character value at an element of
+    order o lies in Z[zeta_o], the ring of integers of Q(zeta_o).  The
+    lift makes them so, reducing integer root coefficients by the monic
+    Phi_o.  The partial sum S_o over the classes of order o
     must be rational, and the S_o must add up to |G| delta_su.  They are
     kept on the table (``partial_sums``) for Osima's criterion.
 
@@ -727,7 +738,7 @@ def _verify_orthogonality(table):
     r = len(rows)
     if r != len(table.classes):
         raise InternalCheckError(f"row count differs from class count on {G!r}")
-    coords = row_coordinates(table)
+    coords = table.coords
     inverse_class = G.inverse_classes()
     for s, row in enumerate(coords):
         for c, x, k in zip(table.classes, row, inverse_class):
@@ -755,31 +766,6 @@ def _verify_orthogonality(table):
             f"first table row of {G!r} is not the trivial character"
         )
     table.partial_sums = partial_sums
-
-
-@lru_cache(maxsize=None)
-def row_coordinates(table):
-    """The rows of the table as integer power-basis coordinates: for
-    each row, one list per class, at that class's element order o.  A
-    value outside Z[zeta_o] is not a character value and fails."""
-    where = f"of {table.group!r} (split mod q = {table.prime})"
-    out = []
-    for s, chi in enumerate(table.irreducibles):
-        lifted = []
-        for k, (v, c) in enumerate(zip(chi.values, table.classes)):
-            o = c.element_order
-            if o % v.conductor:
-                raise InternalCheckError(
-                    f"row {s} {where} has a value outside Q(zeta_{o}) at class {k}"
-                )
-            coords = v.lift_coords(o)
-            if any(t.denominator != 1 for t in coords):
-                raise InternalCheckError(
-                    f"row {s} {where} has a non-integral value at class {k}"
-                )
-            lifted.append([t.numerator for t in coords])
-        out.append(lifted)
-    return out
 
 
 def _pairing(table, a, b):
@@ -812,4 +798,4 @@ def _conjugate(x, o):
     poly = [0] * o
     for t, c in enumerate(x):
         poly[-t % o] += c
-    return reduce_mod_cyclotomic(poly, o)
+    return tuple(reduce_mod_cyclotomic(poly, o))

@@ -633,11 +633,6 @@ def _matchings(left, right):
             pending.append(iter(options[len(chosen)]))
 
 
-def _perfect_matchings(left, right, cap):
-    """The first cap + 1 divisibility matchings, in lexicographic order."""
-    return list(islice(_matchings(left, right), cap + 1))
-
-
 def _count_matchings(left, right, cap):
     """The number of divisibility matchings, or cap + 1 if there are
     more, counted without enumerating them.
@@ -704,7 +699,7 @@ def question35_instances(G, p, name):
             rec["reason"] = "search space exceeds the pair cap"
             records.append(rec)
             continue
-        psis = _perfect_matchings(lbdeg, rbdeg, MATCHING_PAIR_CAP)
+        psis = list(islice(_matchings(lbdeg, rbdeg), MATCHING_PAIR_CAP + 1))
         pairs = ((o, s) for o in _matchings(ldeg, rdeg) for s in psis)
         witness = next(
             (

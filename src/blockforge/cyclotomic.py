@@ -110,10 +110,6 @@ class Cyclotomic:
         """Coordinates of this value on the power basis of conductor e."""
         if e % self.conductor:
             raise DomainError("conductor does not divide the requested one")
-        if self.conductor == 1:
-            return self.coords + (0,) * (len(cyclotomic_polynomial(e)) - 2)
-        if e == self.conductor:
-            return self.coords
         step = e // self.conductor
         poly = [0] * e
         for j, c in enumerate(self.coords):

@@ -29,7 +29,7 @@ per (p, f) (``residue_field``), and u with its powers once per (p, e')
 (``_root_image``), so conductors with the same p'-part share them.
 
 A value is read in the character table's one representation
-(``chartab.row_coordinates``): its integer coordinates on the power
+(``CharacterTable.coords``): its integer coordinates on the power
 basis of a conductor o dividing e, which is an integral basis of
 Z[zeta_o], so the coordinates of an algebraic integer are integers.
 """

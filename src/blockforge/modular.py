@@ -15,7 +15,7 @@ a stored table, keyed by the group's canonical class representatives,
 is entered first, and every restriction must then reduce to zero.
 
 Linear algebra reads each value in the character table's one
-representation (``chartab.row_coordinates``), on the power basis at its
+representation (``CharacterTable.coords``), on the power basis at its
 class's element order: lifting to a multiple of that order is injective
 and linear, so independence and decompositions are unchanged by it.
 
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .arith import vp
 from .blocks import _where, block_data, components, p_regular_classes
-from .chartab import character_table, is_p_solvable, row_coordinates
+from .chartab import character_table, is_p_solvable
 from .cyclotomic import Cyclotomic
 from .errors import DomainError, InternalCheckError
 
@@ -63,7 +63,7 @@ def restriction_to_p_regular(G, i, p):
     on the p-regular classes."""
     table = character_table(G)
     chi = table.irreducibles[i]
-    row = row_coordinates(table)[i]
+    row = table.coords[i]
     regular = p_regular_classes(G, p)
     return BrauerCharacter(
         p,

@@ -56,7 +56,6 @@ def oracle_groups(families):
         yield G
         for cached in (
             character_table,
-            chartab.row_coordinates,
             chartab.character_action,
             chartab.class_fusion,
             chartab.class_matrix,

@@ -20,7 +20,7 @@ from blockforge.blocks import (
     osima_partition,
     shared_reduction,
 )
-from blockforge.chartab import character_table, normal_subgroups, row_coordinates
+from blockforge.chartab import character_table, normal_subgroups
 from blockforge.cyclotomic import Cyclotomic
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.permgroup import (
@@ -390,12 +390,15 @@ def test_covered_blocks_hash_no_value_once_warm(monkeypatch, s4, a4, sl23, q8):
     assert calls == []
 
 
-def _corrupted_rows(table, i, k):
-    """Row coordinates of the table with the first coordinate of row i
-    at class k raised by one, as a fresh copy."""
-    rows = [[list(x) for x in row] for row in row_coordinates(table)]
-    rows[i][k][0] += 1
-    return rows
+def _corrupted_table(table, i, k):
+    """A copy of the table whose first coordinate of row i at class k is
+    raised by one; the table itself stays untouched."""
+    rows = [list(row) for row in table.coords]
+    x = rows[i][k]
+    rows[i][k] = (x[0] + 1,) + x[1:]
+    forged = copy.copy(table)
+    forged.coords = tuple(map(tuple, rows))
+    return forged
 
 
 def test_central_character_gate_names_group_and_prime(monkeypatch, s4):
@@ -403,8 +406,10 @@ def test_central_character_gate_names_group_and_prime(monkeypatch, s4):
     # omega(1) = 4/3
     table = character_table(s4)
     assert table.irreducibles[3].degree() == 3
-    rows = _corrupted_rows(table, 3, 0)
-    monkeypatch.setattr(blocks, "row_coordinates", lambda table: rows)
+    forged = _corrupted_table(table, 3, 0)
+    monkeypatch.setattr(
+        blocks, "character_table", lambda H: forged if H == s4 else character_table(H)
+    )
     message = re.escape(
         f"central character of row 3 is not integral on {s4!r} at p = 2"
     )
@@ -412,13 +417,12 @@ def test_central_character_gate_names_group_and_prime(monkeypatch, s4):
         _uncached_blocks(s4, 2)
 
 
-def test_idempotent_gate_names_group_prime_and_block(monkeypatch, s4):
+def test_idempotent_gate_names_group_prime_and_block(s4):
     # S4 at 2 has one block; the trivial row raised by one at class 1
     # moves that class's coefficient sum from 0 to 1, which |S4|_2 = 8
     # does not divide
     bs = _uncached_blocks(s4, 2)
-    rows = _corrupted_rows(bs.table, 0, 1)
-    monkeypatch.setattr(blocks, "row_coordinates", lambda table: rows)
+    bs.table = _corrupted_table(bs.table, 0, 1)
     b = bs.blocks[0]
     b.idempotent = None
     message = re.escape(
@@ -552,7 +556,7 @@ def test_integer_field_loops_match_element_oracle():
         for p in ent.primes:
             bs = block_data(G, p)
             rmap = bs.rmap
-            for row in row_coordinates(bs.table):
+            for row in bs.table.coords:
                 for c, x in zip(G.conjugacy_classes(), row):
                     want = oracles.reduce_by_elements(rmap, x, c.element_order)
                     assert rmap.reduce(x, c.element_order) == want, (G, p)

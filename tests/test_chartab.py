@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from fractions import Fraction
 from collections import Counter
 from itertools import count
 from math import gcd
@@ -30,7 +29,6 @@ from blockforge.chartab import (
     p_core,
     p_prime_core,
     restriction_multiplicities,
-    row_coordinates,
     trivial_character,
 )
 from blockforge.cli import main
@@ -40,7 +38,7 @@ from blockforge.groupfile import format_group_text
 from blockforge.permgroup import PermutationGroup, sylow_subgroup, trivial_group
 
 import oracles
-from oracles import galois, induce, inner_product, plus, regular_character, zeta
+from oracles import galois, induce, inner_product, regular_character, roots, zeta
 from conftest import (
     alternating,
     c2_wreath_s4,
@@ -264,11 +262,24 @@ def test_restriction_table_reads_one_class_fusion(s4, a4):
     assert class_fusion.cache_info().hits == 0
 
 
+def test_coords_match_the_power_basis_oracle():
+    # The integer coordinates a table keeps, against its printed values
+    # read back at each class's element order by the oracle's recurrence,
+    # with no use of the package's lift.
+    for G in oracle_groups([cyclic(35)]):
+        table = character_table(G)
+        for chi, row in zip(table.irreducibles, table.coords):
+            for v, c, x in zip(chi.values, table.classes, row):
+                o = c.element_order
+                assert all(type(t) is int for t in x), (G, c.index)
+                assert x == oracles.power_basis_coords(o, roots(v, o)), (G, c.index)
+
+
 def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
-    # Once both tables' row coordinates exist, the restriction table
-    # reads them and builds no coordinates of its own.
-    for G in (s4, a4):
-        row_coordinates(character_table(G))
+    # Building a table lifts each irrational value back to its class's
+    # element order once, for the round-trip gate: S4 x S3 has a rational
+    # table, PSL(2,7) four irrational entries.  The restriction table reads
+    # the coordinates both tables keep and lifts no value.
     calls = []
     lift = Cyclotomic.lift_coords
 
@@ -277,6 +288,13 @@ def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
         return lift(self, e)
 
     monkeypatch.setattr(Cyclotomic, "lift_coords", counted)
+    for G, irrational in ((s4_times_s3(), 0), (psl_2_7(), 4)):
+        calls.clear()
+        character_table.__wrapped__(G)
+        assert len(calls) == irrational, G
+    for G in (s4, a4):
+        character_table(G)
+    calls.clear()
     restriction_multiplicities.__wrapped__(s4, a4)
     assert calls == []
 
@@ -299,6 +317,26 @@ def test_only_irrational_values_are_canonicalized(monkeypatch):
         values = [v for chi in table.irreducibles for v in chi.values]
         assert sum(v.conductor != 1 for v in values) == irrational, G
         assert len(calls) == irrational, G
+
+
+def test_table_gate_rejects_a_value_that_does_not_lift_back(monkeypatch):
+    # A descent that shifts one coordinate prints a value other than the
+    # one whose coordinates the table gate checks.
+    descend = cyclotomic._descend
+
+    def shifted(e, coords):
+        e, coords = descend(e, coords)
+        return e, [coords[0] + 1] + list(coords[1:])
+
+    monkeypatch.setattr(cyclotomic, "_descend", shifted)
+    G = psl_2_7()
+    message = (
+        r"value at class \d+ of "
+        + re.escape(f"{G!r} (split mod q = ")
+        + r"\d+\) does not lift back to its coordinates"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        character_table.__wrapped__(G)
 
 
 def test_frobenius_reciprocity_on_random_pairs(s4, a4, a5):
@@ -452,12 +490,21 @@ def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
 
 
 def _with_rows(table, rows):
-    return CharacterTable(table.group, table.exponent, rows, table.prime)
+    """A table of table.group with the given rows, their coordinates read
+    off the values by the power-basis oracle."""
+    coords = [
+        tuple(
+            oracles.power_basis_coords(c.element_order, roots(v, c.element_order))
+            for v, c in zip(chi.values, table.classes)
+        )
+        for chi in rows
+    ]
+    return CharacterTable(table.group, table.exponent, rows, coords, table.prime)
 
 
 def _forge_rows(monkeypatch, table, rows):
     """Hand chartab a new table of table.group with the given rows; the
-    cached table, and so its cached row coordinates, stay untouched."""
+    cached table stays untouched."""
     forged = _with_rows(table, rows)
     G = table.group
     monkeypatch.setattr(
@@ -492,20 +539,6 @@ def test_restriction_table_rejects_an_irrational_pairing(monkeypatch, s4, a4):
     message = re.escape(f"restriction from {s4!r} to {a4!r}") + ".* not an integer"
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
-
-
-def test_row_coordinates_reject_a_value_beyond_the_element_order():
-    G = cyclic(2)
-    table = character_table(G)
-    for bad, what in (
-        (zeta(4), re.escape("a value outside Q(zeta_2)")),
-        (rational(Fraction(1, 2)), "a non-integral value"),
-    ):
-        rows = (table.irreducibles[0], ClassFunction(G, (ONE, bad)))
-        forged = _with_rows(table, rows)
-        message = re.escape(f"row 1 of {G!r}") + ".* has " + what + " at class 1"
-        with pytest.raises(InternalCheckError, match=message):
-            row_coordinates(forged)
 
 
 def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
@@ -543,40 +576,6 @@ def test_table_gate_rejects_irrational_partial_sum(a5):
     message = re.escape(
         f"row orthogonality fails for rows 0, {i} of {a5!r}: "
         "the sum over the classes of element order 5 is irrational"
-    )
-    with pytest.raises(InternalCheckError, match=message):
-        _verify_orthogonality(_with_rows(table, rows))
-
-
-def test_table_gate_rejects_non_integral_value(s4):
-    # A real value on a real class, rejected when the row is lifted;
-    # truncating 1/2 to an integer would give back the genuine row.
-    table = character_table(s4)
-    rows = list(table.irreducibles)
-    assert rows[3].values[2] == ONE and table.classes[2].element_order == 2
-    values = list(rows[3].values)
-    values[2] = rational(Fraction(1, 2))
-    rows[3] = ClassFunction(s4, values)
-    message = re.escape(
-        f"row 3 of {s4!r} (split mod q = {table.prime}) has a non-integral "
-        "value at class 2"
-    )
-    with pytest.raises(InternalCheckError, match=message):
-        _verify_orthogonality(_with_rows(table, rows))
-
-
-def test_table_gate_rejects_value_beyond_the_element_order(s4):
-    # sqrt 2 = z8 + z8^-1 is a real algebraic integer, but not in Q(i),
-    # where the values at an element of order 4 lie.
-    table = character_table(s4)
-    rows = list(table.irreducibles)
-    assert table.classes[4].element_order == 4
-    values = list(rows[3].values)
-    values[4] = plus(zeta(8), zeta(8, 7))
-    rows[3] = ClassFunction(s4, values)
-    message = re.escape(
-        f"row 3 of {s4!r} (split mod q = {table.prime}) has a value outside "
-        "Q(zeta_4) at class 4"
     )
     with pytest.raises(InternalCheckError, match=message):
         _verify_orthogonality(_with_rows(table, rows))

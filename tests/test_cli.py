@@ -146,6 +146,14 @@ def test_unknown_kind_exit_2(capsys):
     assert info.value.code == 2
 
 
+def test_verify_only_flags_exit_2_elsewhere(capsys):
+    for flags in (["--seed", "1"], ["--timings"]):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "S4", *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_kind_defaults_to_all():
     args = build_parser().parse_args(["verify"])
     assert args.kind == "all"
