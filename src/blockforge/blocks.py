@@ -55,7 +55,7 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
 from .permgroup import centralizer, is_normal_in, normalizer, sylow_subgroup
-from .perms import mult
+from .perms import right_factor
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +286,9 @@ def brauer_image_is_nonzero(block, Q):
     """Whether the Brauer homomorphism at Q keeps the block idempotent
     alive: some class with a nonzero coefficient must meet C_G(Q)."""
     G = block.blockset.group
+    factors = [(h, right_factor(h)) for h in Q.generators]
     return any(
-        all(mult(x, h) == mult(h, x) for h in Q.generators)
+        all(by_h(x) == right_factor(x)(h) for h, by_h in factors)
         for k, a in enumerate(block_idempotent(block))
         if not a.is_zero()
         for x in G.class_elements(k)

@@ -61,7 +61,7 @@ from math import isqrt
 from .arith import is_prime, multiplicative_order, p_part
 from .cyclotomic import ONE, Cyclotomic, reduce_mod_cyclotomic
 from .errors import DomainError, InternalCheckError
-from .perms import identity, inverse, mult, power
+from .perms import identity, inverse, power, right_factor
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
 
 @lru_cache(maxsize=None)
@@ -70,15 +70,18 @@ def class_matrix(G, i):
     a_ijk = #{(x, y) in C_i x C_j : xy = z_k} for the fixed class reps.
 
     A plane costs |C_i| r products, so each is built once and only when
-    read: the table reads the few that split the class algebra."""
-    classes = G.conjugacy_classes()
-    r = len(classes)
-    reps = [c.representative for c in classes]
-    plane = [[0] * r for _ in range(r)]
+    read: the table reads the few that split the class algebra.  Column
+    k applies z_k's map p -> p z_k to every element of C_i* and counts
+    the classes of the products."""
+    r = len(G.conjugacy_classes())
+    index = G.class_indices()
     # y = x^-1 z_k for x in C_i: walk C_i* = {x^-1 : x in C_i} directly.
-    for xinv in G.class_elements(G.inverse_classes()[i]):
-        for k in range(r):
-            plane[G.class_index(mult(xinv, reps[k]))][k] += 1
+    xinvs = G.class_elements(G.inverse_classes()[i])
+    plane = [[0] * r for _ in range(r)]
+    for k, c in enumerate(G.conjugacy_classes()):
+        products = map(right_factor(c.representative), xinvs)
+        for j in map(index.__getitem__, products):
+            plane[j][k] += 1
     return tuple(tuple(row) for row in plane)
 
 
@@ -197,9 +200,9 @@ def _conjugate_classes(N, g):
     """For each class k of N, the class of g x_k g^-1, x_k its
     representative: the conjugate x -> theta(g x g^-1) of a class
     function theta of N takes the value theta.values[a[k]] at class k."""
-    ginv = inverse(g)
+    by_ginv = right_factor(inverse(g))
     return tuple(
-        N.class_index(mult(mult(g, c.representative), ginv))
+        N.class_index(by_ginv(right_factor(c.representative)(g)))
         for c in N.conjugacy_classes()
     )
 
@@ -365,18 +368,22 @@ def inertia_group(G, N, k):
         raise DomainError("inertia groups are defined over normal subgroups")
     rows = character_table(N).irreducibles
     action = character_action(G, N)
+    steps = [(right_factor(g), a) for g, a in action]
     transversal = {k: identity(G.degree)}
+    # p -> p t_w^-1 for each orbit point w
+    back = {k: right_factor(identity(G.degree))}
     orbit = [k]
     schreier = set()
     for v in orbit:
         t = transversal[v]
-        for g, a in action:
+        for by_g, a in steps:
             w = a[v]
-            u = mult(t, g)
+            u = by_g(t)
             if w in transversal:
-                schreier.add(mult(u, inverse(transversal[w])))
+                schreier.add(back[w](u))
             else:
                 transversal[w] = u
+                back[w] = right_factor(inverse(u))
                 orbit.append(w)
     T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
     theta = rows[k].values

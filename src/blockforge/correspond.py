@@ -33,7 +33,7 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching
 from .modular import modular_data
-from .perms import mult
+from .perms import right_factor
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -308,18 +308,24 @@ def _right_regular(G):
     right[b][a] is the index of elements[a] * elements[b], and inv[a]
     that of elements[a]^-1.  Each generator's column takes |G| products;
     a breadth-first walk composes the other columns, each a permutation
-    of range(|G|).  The table holds |G|^2 indices."""
+    of range(|G|).  The walk steps from b to c, the index of h
+    elements[b] for a generator h, which is right[b] read at h's index;
+    then right[c] is right[b] composed with h's column, one map per
+    generator built once.  The table holds |G|^2 indices."""
     elements = G.elements()
     position = {x: i for i, x in enumerate(elements)}
-    columns = [tuple(position[mult(x, h)] for x in elements) for h in G.generators]
+    steps = []
+    for h in G.generators:
+        column = map(position.__getitem__, map(right_factor(h), elements))
+        steps.append((position[h], right_factor(tuple(column))))
     right = [None] * len(elements)
     right[0] = tuple(range(len(elements)))
     walk = [0]
     for b in walk:
-        for column in columns:
-            c = column[b]
+        for h, by_column in steps:
+            c = right[b][h]
             if right[c] is None:
-                right[c] = mult(column, right[b])
+                right[c] = by_column(right[b])
                 walk.append(c)
     return position, right, [column.index(0) for column in right]
 

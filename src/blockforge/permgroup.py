@@ -11,18 +11,23 @@ derived object (conjugacy classes, Sylow subgroups, subgroup closures)
 is ordered by explicit lexicographic rules, so repeated runs produce
 identical results.
 
+Every loop here that keeps one factor of a product fixed (sifting,
+Schreier generators, element enumeration, conjugation) builds that
+factor's map once with ``perms.right_factor`` and applies it.
+
 Normal structure (the normal subgroups, O_p, O_p' and p-solvability)
 lives in ``chartab``: it is read off the character table, which this
 module does not import.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 from .arith import is_prime, p_part
 from .errors import DomainError, InternalCheckError
-from .perms import identity, inverse, is_perm, moved_points, mult, order, power
+from .perms import identity, inverse, is_perm, moved_points, order, power, right_factor
 
 
 class _Level:
@@ -44,16 +49,16 @@ class _Level:
         ident = identity(degree)
         self.transversal = {self.base: ident}
         self.inverses = {self.base: ident}
-        gens = [(s, inverse(s)) for s in self.gens]
+        gens = [(s, right_factor(inverse(s))) for s in self.gens]
         queue = [self.base]
         for pt in queue:
-            u = self.transversal[pt]
+            by_u = right_factor(self.transversal[pt])
             uinv = self.inverses[pt]
-            for s, sinv in gens:
+            for s, by_sinv in gens:
                 np = s[pt]
                 if np not in self.transversal:
-                    self.transversal[np] = mult(s, u)
-                    self.inverses[np] = mult(uinv, sinv)
+                    self.transversal[np] = by_u(s)
+                    self.inverses[np] = by_sinv(uinv)
                     queue.append(np)
 
 
@@ -102,9 +107,16 @@ class PermutationGroup:
     def elements(self):
         """All elements, sorted lexicographically.  Enumerates the group."""
         if self._elements is None:
+            # The stabilizer H_i of the first i base points is
+            # H_{i+1} v for v in level i's inverses, a right transversal
+            # of H_{i+1} in H_i; each v is one fixed right factor,
+            # applied over all of H_{i+1}.
             elems = [identity(self.degree)]
             for lvl in reversed(self._levels):
-                elems = [mult(u, h) for u in lvl.transversal.values() for h in elems]
+                below = elems
+                elems = []
+                for v in lvl.inverses.values():
+                    elems.extend(map(right_factor(v), below))
             if len(elems) != self._order:
                 raise InternalCheckError(
                     f"transversal product does not match group order on {self!r}:"
@@ -115,6 +127,7 @@ class PermutationGroup:
         return self._elements
 
     def element_set(self):
+        """The elements as a frozenset.  Enumerates the group."""
         if self._element_set is None:
             self.elements()
         return self._element_set
@@ -134,15 +147,20 @@ class PermutationGroup:
 
     def class_index(self, x):
         """Index of the class containing x.  Enumerates the group."""
-        if self._class_index is None:
-            self._compute_classes()
-        x = tuple(x)
-        idx = self._class_index.get(x)
+        idx = self.class_indices().get(tuple(x))
         if idx is None:
             raise DomainError("element does not belong to the group")
         return idx
 
+    def class_indices(self):
+        """The dict from each element to the index of its class, for
+        loops that look up many products.  Enumerates the group."""
+        if self._class_index is None:
+            self._compute_classes()
+        return self._class_index
+
     def class_elements(self, i):
+        """The sorted elements of class i.  Enumerates the group."""
         if self._class_elements is None:
             self._compute_classes()
         return self._class_elements[i]
@@ -155,13 +173,16 @@ class PermutationGroup:
         return self._inverse_classes
 
     def exponent(self):
+        """The lcm of the element orders.  Enumerates the group."""
         e = 1
         for c in self.conjugacy_classes():
             e = lcm(e, c.element_order)
         return e
 
     def _compute_classes(self):
-        gens = [(g, inverse(g)) for g in self.generators]
+        # z = g y g^-1: y's map is shared by the generators, and each
+        # generator's inverse has one map for the whole pass
+        gens = [(g, right_factor(inverse(g))) for g in self.generators]
         assigned = {}
         raw = []
         for x in self.elements():
@@ -170,8 +191,9 @@ class PermutationGroup:
             orbit = [x]
             assigned[x] = len(raw)
             for y in orbit:
-                for g, ginv in gens:
-                    z = mult(mult(g, y), ginv)
+                by_y = right_factor(y)
+                for g, by_ginv in gens:
+                    z = by_ginv(by_y(g))
                     if z not in assigned:
                         assigned[z] = len(raw)
                         orbit.append(z)
@@ -200,15 +222,18 @@ class PermutationGroup:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, PermutationGroup):
             return NotImplemented
-        return (
-            self.degree == other.degree
-            and self._order == other._order
-            and all(self.contains(g) for g in other.generators)
-        )
+        if self.degree != other.degree or self._order != other._order:
+            return False
+        # other's constructor checked its generators are permutations
+        ident = identity(self.degree)
+        return all(_sift(self._levels, g, 0)[0] == ident for g in other.generators)
 
     def __hash__(self):
+        """Hash of the element set.  Enumerates the group."""
         if self._hash is None:
             self._hash = hash((self.degree, self._order, self.element_set()))
         return self._hash
@@ -218,12 +243,9 @@ class PermutationGroup:
         return f"PermutationGroup{label}(degree={self.degree}, order={self._order})"
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    index: int
-    representative: tuple
-    size: int
-    element_order: int
+ConjugacyClass = namedtuple(
+    "ConjugacyClass", ("index", "representative", "size", "element_order")
+)
 
 
 def _sift(levels, g, start):
@@ -231,7 +253,12 @@ def _sift(levels, g, start):
 
     Returns (residue, i): the residue after the last level passed, and the
     index of the level whose orbit misses it, or len(levels).  g lies in
-    the group of the chain exactly when the residue is the identity."""
+    the group of the chain exactly when the residue is the identity.
+
+    A level's base point is moved by some generator, so a chain with a
+    level has degree at least 2, where ``perms.right_factor(g)`` is
+    ``itemgetter(*g)``; the sift applies it inline, with no frame per
+    product, and so does ``_schreier_sims``."""
     for i in range(start, len(levels)):
         lvl = levels[i]
         pt = g[lvl.base]
@@ -239,7 +266,7 @@ def _sift(levels, g, start):
             uinv = lvl.inverses.get(pt)
             if uinv is None:
                 return g, i
-            g = mult(uinv, g)
+            g = itemgetter(*g)(uinv)
     return g, len(levels)
 
 
@@ -273,9 +300,9 @@ def _schreier_sims(degree, gens):
         changed = False
         for j, lvl in enumerate(levels):
             for pt in sorted(lvl.transversal):
-                u = lvl.transversal[pt]
+                by_u = itemgetter(*lvl.transversal[pt])
                 for s in lvl.gens:
-                    schreier = mult(lvl.inverses[s[pt]], mult(s, u))
+                    schreier = itemgetter(*by_u(s))(lvl.inverses[s[pt]])
                     if insert(schreier, j + 1):
                         changed = True
             if changed:
@@ -309,7 +336,8 @@ def centralizer(G, x):
     x = tuple(x)
     if not G.contains(x):
         raise DomainError("element does not belong to the group")
-    hits = tuple(g for g in G.elements() if mult(g, x) == mult(x, g))
+    by_x = right_factor(x)
+    hits = tuple(g for g in G.elements() if by_x(g) == right_factor(g)(x))
     return group_from_elements(G.degree, hits)
 
 
@@ -323,9 +351,13 @@ def centralizer_of_group(G, H):
     """
     if H.degree != G.degree:
         raise DomainError("degree mismatch between group and subgroup")
-    hits = tuple(
-        g for g in G.elements() if all(mult(g, h) == mult(h, g) for h in H.generators)
-    )
+    factors = [(h, right_factor(h)) for h in H.generators]
+
+    def commutes(g):
+        by_g = right_factor(g)
+        return all(by_h(g) == by_g(h) for h, by_h in factors)
+
+    hits = tuple(filter(commutes, G.elements()))
     return group_from_elements(G.degree, hits)
 
 
@@ -334,15 +366,16 @@ def normalizer(G, H):
     """N_G(H) for a subgroup H <= G.  Enumerates the group."""
     _require_subgroup(G, H)
     hset = H.element_set()
-    hits = tuple(g for g in G.elements() if _conjugates_into(g, H.generators, hset))
+    factors = tuple(map(right_factor, H.generators))
+    hits = tuple(g for g in G.elements() if _conjugates_into(g, factors, hset))
     return group_from_elements(G.degree, hits)
 
 
-def _conjugates_into(g, xs, target):
-    """Whether g x g^-1 lies in the set target for every x in xs; g is
-    inverted once."""
-    ginv = inverse(g)
-    return all(mult(mult(g, x), ginv) in target for x in xs)
+def _conjugates_into(g, factors, target):
+    """Whether g x g^-1 lies in the set target for every x whose map
+    p -> p x is in factors; g is inverted once."""
+    by_ginv = right_factor(inverse(g))
+    return all(by_ginv(by_x(g)) in target for by_x in factors)
 
 
 def _require_subgroup(G, H):
@@ -362,10 +395,11 @@ def normal_closure(G, seeds):
     gens = list(seeds)
     closure = PermutationGroup(G.degree, gens)
     queue = list(seeds)
-    conjugators = [(g, inverse(g)) for g in G.generators]
+    conjugators = [(g, right_factor(inverse(g))) for g in G.generators]
     for x in queue:
-        for g, ginv in conjugators:
-            y = mult(mult(g, x), ginv)
+        by_x = right_factor(x)
+        for g, by_ginv in conjugators:
+            y = by_ginv(by_x(g))
             if not closure.contains(y):
                 gens.append(y)
                 closure = PermutationGroup(G.degree, gens)
@@ -374,10 +408,11 @@ def normal_closure(G, seeds):
 
 
 def is_normal_in(N, G):
-    """Whether N is a normal subgroup of G."""
+    """Whether N is a normal subgroup of G.  Enumerates N."""
     _require_subgroup(G, N)
     nset = N.element_set()
-    return all(_conjugates_into(g, N.generators, nset) for g in G.generators)
+    factors = tuple(map(right_factor, N.generators))
+    return all(_conjugates_into(g, factors, nset) for g in G.generators)
 
 
 @lru_cache(maxsize=None)
@@ -387,6 +422,7 @@ def sylow_subgroup(G, p):
     While |P| is below the full p-part of |G|, the normalizer N_G(P)
     contains a p-element outside P; adjoining the first such element in
     lexicographic order keeps the construction deterministic.
+    Enumerates the normalizers.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -421,7 +457,8 @@ def are_conjugate_subgroups(G, H, K):
     if H.order() != K.order():
         return False
     kset = K.element_set()
-    return any(_conjugates_into(g, H.generators, kset) for g in G.elements())
+    factors = tuple(map(right_factor, H.generators))
+    return any(_conjugates_into(g, factors, kset) for g in G.elements())
 
 
 @lru_cache(maxsize=None)

@@ -5,10 +5,15 @@ of point i.  Composition is mult(p, q) = "apply q first, then p", so
 mult(p, q)[i] == p[q[i]].  Tuples are immutable and hashable, which lets
 groups of permutations live in sets and dict keys without ceremony.
 
-The product is ``itemgetter(*q)(p)``, which builds the tuple in C; it is
-the most frequent call in the package.  ``itemgetter`` returns a bare
-item for one index and cannot be built from none, so degrees 0 and 1
-take the tuple expression instead.
+The product kernel is ``right_factor(q)``, the map p -> mult(p, q) built
+once: ``itemgetter(*q)``, which builds each product tuple in C.  A loop
+that keeps one factor fixed (sifting, Schreier generators, conjugation,
+class matrices) builds the map once and applies it, often through
+``map``, with no Python frame per product.  ``itemgetter`` returns a
+bare item for one index and cannot be built from none, so degrees 0 and
+1 take a tuple expression instead; that case is handled in
+``right_factor`` alone.  ``mult`` is the one-off product, through the
+same kernel.
 
 Cycle notation used for display and in group files is 1-based.
 """
@@ -21,11 +26,16 @@ def identity(degree):
     return tuple(range(degree))
 
 
+def right_factor(q):
+    """The map p -> mult(p, q) for a fixed right factor q."""
+    if len(q) > 1:
+        return itemgetter(*q)
+    return lambda p: tuple(p[i] for i in q)
+
+
 def mult(p, q):
     """Compose two permutations: apply q first, then p."""
-    if len(q) > 1:
-        return itemgetter(*q)(p)
-    return tuple(p[i] for i in q)
+    return right_factor(q)(p)
 
 
 def inverse(p):

@@ -37,7 +37,7 @@ from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import parse_group_file
 from blockforge.modular import modular_data
 from blockforge.permgroup import PermutationGroup, sylow_subgroup
-from blockforge.perms import mult
+from blockforge.perms import mult, right_factor
 from blockforge.report import build_report, collect_verdicts
 
 import oracles
@@ -457,16 +457,22 @@ def test_navarro_sampler_multiplies_only_to_build_its_table(monkeypatch):
     # every product of a draw is a lookup in the index table, so one call
     # makes the permutation products of the table alone: |G| per
     # generator column and at most one per other column, however many
-    # pairs are drawn
+    # pairs are drawn; each product is one application of a right
+    # factor's map
     G = _s4xs3()
     navarro_instances(G, 2, "S4xS3", 0, [])
     calls = []
 
-    def counting_mult(p, q):
-        calls.append(1)
-        return mult(p, q)
+    def counting_right_factor(q):
+        by_q = right_factor(q)
 
-    monkeypatch.setattr(correspond, "mult", counting_mult)
+        def counted(p):
+            calls.append(1)
+            return by_q(p)
+
+        return counted
+
+    monkeypatch.setattr(correspond, "right_factor", counting_right_factor)
     counts = []
     for target in (200, 400):
         monkeypatch.setattr(correspond, "NAVARRO_TARGET", target)

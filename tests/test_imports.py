@@ -3,10 +3,15 @@ and method other than a dunder has a user outside the tests.
 
 A stdlib-only scan of the syntax trees under src/, tests/ and scripts/.
 Package ``__init__.py`` files are skipped: their imports are re-exports.
+Importing the CLI must also leave the slow ``dataclasses`` and
+``inspect`` modules unloaded.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -32,6 +37,20 @@ def unused_imports(source):
     return sorted(
         (line, name) for name, line in imported.items() if name not in used
     )
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both are slow to import (inspect pulls in ast, dis and tokenize),
+    # and the package uses neither
+    probe = "import sys, blockforge.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_scanner_finds_unused_names():

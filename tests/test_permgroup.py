@@ -3,8 +3,10 @@ import re
 
 import pytest
 
-from blockforge import catalog, chartab, permgroup
+from blockforge import catalog, chartab, permgroup, perms
 from blockforge.chartab import (
+    character_table,
+    class_matrix,
     is_p_solvable,
     normal_class_sets,
     normal_subgroups,
@@ -295,6 +297,66 @@ def test_group_equality_and_hash(s4):
     assert P1 == P2
     assert hash(P1) == hash(P2)
     assert P1 != sylow_subgroup(s4, 3)
+
+
+def test_degrees_one_and_two_keep_their_results():
+    # the degrees where a bare itemgetter would return a scalar or fail
+    S1 = PermutationGroup(1, ())
+    assert S1.elements() == ((0,),)
+    assert S1.conjugacy_classes() == (permgroup.ConjugacyClass(0, (0,), 1, 1),)
+    assert class_matrix.__wrapped__(S1, 0) == ((1,),)
+    table = character_table.__wrapped__(S1)
+    assert [str(chi) for chi in table.irreducibles] == ["ClassFunction(1)"]
+    assert table.coords == (((1,),),)
+    C2 = PermutationGroup(2, [(1, 0)])
+    assert C2.elements() == ((0, 1), (1, 0))
+    assert C2.conjugacy_classes() == (
+        permgroup.ConjugacyClass(0, (0, 1), 1, 1),
+        permgroup.ConjugacyClass(1, (1, 0), 1, 2),
+    )
+    assert [class_matrix.__wrapped__(C2, i) for i in range(2)] == [
+        ((1, 0), (0, 1)),
+        ((0, 1), (1, 0)),
+    ]
+    table = character_table.__wrapped__(C2)
+    assert [str(chi) for chi in table.irreducibles] == [
+        "ClassFunction(1, 1)",
+        "ClassFunction(1, -1)",
+    ]
+    assert table.coords == (((1,), (1,)), ((1,), (-1,)))
+
+
+def test_conjugacy_class_is_an_immutable_record():
+    c = permgroup.ConjugacyClass(index=1, representative=(1, 0), size=1, element_order=2)
+    assert c == permgroup.ConjugacyClass(1, (1, 0), 1, 2)
+    assert hash(c) == hash(permgroup.ConjugacyClass(1, (1, 0), 1, 2))
+    assert repr(c) == (
+        "ConjugacyClass(index=1, representative=(1, 0), size=1, element_order=2)"
+    )
+    with pytest.raises(AttributeError):
+        c.size = 2
+
+
+def test_hot_loops_make_no_mult_calls(monkeypatch):
+    # a loop with one fixed factor applies a map built once
+    # (perms.right_factor); mult is for one-off products
+    P = sylow_subgroup(symmetric(6), 2)
+    calls = []
+
+    def counting_mult(p, q):
+        calls.append((p, q))
+        return mult(p, q)
+
+    for module in (perms, permgroup, chartab):
+        monkeypatch.setattr(module, "mult", counting_mult, raising=False)
+    G = PermutationGroup(6, symmetric(6).generators)
+    assert len(G.elements()) == 720
+    classes = G.conjugacy_classes()
+    for i, c in enumerate(classes):
+        plane = class_matrix.__wrapped__(G, i)
+        assert [sum(col) for col in zip(*plane)] == [c.size] * len(classes)
+    assert normalizer.__wrapped__(G, P) == P
+    assert calls == []
 
 
 def test_trivial_group():

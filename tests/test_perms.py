@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 from blockforge.perms import (
     cycles,
@@ -10,6 +11,7 @@ from blockforge.perms import (
     mult,
     order,
     power,
+    right_factor,
 )
 
 import oracles
@@ -31,6 +33,23 @@ def test_mult_is_a_tuple_at_every_degree():
             got = mult(p, q)
             assert type(got) is tuple, degree
             assert got == oracles.omult(p, q), (p, q)
+
+
+def test_right_factor_is_mult_with_the_right_factor_fixed():
+    # exhaustive at degrees 0-4: a bare itemgetter cannot be built at
+    # degree 0 and returns a bare item at degree 1
+    for degree in range(5):
+        perms = list(permutations(range(degree)))
+        for q in perms:
+            by_q = right_factor(q)
+            for p in perms:
+                got = by_q(p)
+                assert type(got) is tuple, degree
+                assert got == oracles.omult(p, q), (p, q)
+    rng = random.Random(12)
+    for _ in range(200):
+        p, q = (tuple(rng.sample(range(12), 12)) for _ in range(2))
+        assert right_factor(q)(p) == oracles.omult(p, q), (p, q)
 
 
 def test_identity_and_inverse():
