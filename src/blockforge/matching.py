@@ -7,6 +7,11 @@ the other side.  The smallest violator is reported, scanning the right
 side before the left at each size so a deficient right subset (degrees
 that divide nothing on the left) is preferred as the witness.
 
+The augmenting-path search itself, ``maximum_matching``, takes any
+adjacency: the Question 3.5 search calls it directly, on an adjacency
+that also asks for equal decomposition rows, and never needs a Hall
+violator.
+
 Every ``InternalCheckError`` raised here names the degrees' context,
 given by the caller (the group, the prime and, where there is one, the
 block).
@@ -62,6 +67,31 @@ def divisibility_matching(left, right, where):
         )
         for i in range(n)
     ]
+    match_of_left, match_of_right = maximum_matching(
+        adj, sorted(range(n), key=lambda i: (left[i], i))
+    )
+    if all(j is not None for j in match_of_left):
+        pairs = tuple((i, match_of_left[i]) for i in range(n))
+        _check_matching(left, right, pairs, where)
+        return MatchingOutcome(True, pairs=pairs)
+    side, subset = _hall_violator(adj, match_of_left, match_of_right, where)
+    degrees = right if side == "right" else left
+    witness = tuple(sorted(degrees[i] for i in subset))
+    _check_violator(left, right, adj, side, subset, where)
+    return MatchingOutcome(
+        False, violator_side=side, violator=witness, reason="hall violator"
+    )
+
+
+def maximum_matching(adj, order):
+    """A maximum matching of the bipartite graph on n = len(adj) left
+    and n right vertices in which left vertex i may take the right
+    vertices adj[i], tried in that order.  Augmenting paths are grown
+    from the left vertices in the given order.
+    Returns (match_of_left, match_of_right), with None for an unmatched
+    vertex; the matching is perfect exactly when match_of_left holds no
+    None."""
+    n = len(adj)
     match_of_right = [None] * n
     match_of_left = [None] * n
 
@@ -76,19 +106,9 @@ def divisibility_matching(left, right, where):
                 return True
         return False
 
-    for i in sorted(range(n), key=lambda i: (left[i], i)):
+    for i in order:
         augment(i, set())
-    if all(j is not None for j in match_of_left):
-        pairs = tuple((i, match_of_left[i]) for i in range(n))
-        _check_matching(left, right, pairs, where)
-        return MatchingOutcome(True, pairs=pairs)
-    side, subset = _hall_violator(adj, match_of_left, match_of_right, where)
-    degrees = right if side == "right" else left
-    witness = tuple(sorted(degrees[i] for i in subset))
-    _check_violator(left, right, adj, side, subset, where)
-    return MatchingOutcome(
-        False, violator_side=side, violator=witness, reason="hall violator"
-    )
+    return match_of_left, match_of_right
 
 
 def _check_matching(left, right, pairs, where):

@@ -110,11 +110,6 @@ def _fong_reynolds_line(r):
 def _question35_line(r):
     if r["result"] == "skipped":
         return f"  skipped ({r['reason']})"
-    if r["result"] == "found":
-        return (
-            f"  block {r['block']}: found"
-            f" ({r['ordinary_matchings']} x {r['brauer_matchings']})"
-        )
     detail = f" ({r['reason']})" if "reason" in r else ""
     return f"  block {r['block']}: {r['result']}{detail}"
 

@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are eighteen exceptions, and each takes objects the package built.
+There are nineteen exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -61,6 +61,12 @@ class matrix the package builds for its table (``class_matrix``);
 over them one field element at a time, to check that the package's
 block idempotents are orthogonal idempotents, e_u e_v = delta_uv e_u,
 which the package itself proves without a product.
+``question35_by_pairs`` runs the Question 3.5 search as a product on
+the package's blocks, correspondents and decomposition matrices: every
+ordinary height-zero matching, each against every Brauer one, until all
+the height-zero decomposition entries agree, to compare with the
+package's search over the Brauer side alone, one bipartite matching per
+Brauer-side matching.
 
 The cyclotomic arithmetic of the tests lives here, on lists of root
 coefficients (``roots``): sums add lists, products convolve them, and
@@ -77,11 +83,16 @@ integer reduction and its descent one prime at a time.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt, lcm
 
 from blockforge.arith import p_part, prime_factors
-from blockforge.blocks import brauer_image_is_nonzero, p_regular_classes
+from blockforge.blocks import (
+    block_data,
+    brauer_correspondent,
+    brauer_image_is_nonzero,
+    p_regular_classes,
+)
 from blockforge.chartab import (
     ClassFunction,
     character_table,
@@ -99,7 +110,11 @@ from blockforge.cyclotomic import (
     rational,
 )
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.modular import _fixture_brauer_characters, restriction_to_p_regular
+from blockforge.modular import (
+    _fixture_brauer_characters,
+    modular_data,
+    restriction_to_p_regular,
+)
 from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
@@ -972,3 +987,78 @@ def class_algebra_product_by_elements(G, u, v, field):
                 if row[k]:
                     out[k] = out[k] + uv * row[k]
     return tuple(out)
+
+
+def _divisibility_matchings(left, right):
+    """Each injective assignment of right positions to the left ones
+    with left[i] divisible by right[j], in lexicographic order."""
+
+    def extend(chosen):
+        if len(chosen) == len(left):
+            yield tuple(chosen)
+            return
+        a = left[len(chosen)]
+        for j, b in enumerate(right):
+            if j not in chosen and a % b == 0:
+                yield from extend(chosen + [j])
+
+    return extend([])
+
+
+def question35_by_pairs(G, p, cap):
+    """The Question 3.5 result of each block of a p-solvable G, found by
+    walking every ordinary matching omega, in lexicographic order, and
+    for each one every Brauer matching psi, until
+    D_B[i, j] = D_b[omega(i), psi(j)] on all height-zero rows i and
+    columns j.  A block with more than cap pairs gets None; any other
+    gets a dict with its result and, when found, the two witnesses as
+    [degree, degree] pairs."""
+    bs = block_data(G, p)
+    md_big = modular_data(G, p)
+    out = []
+    for B in bs.blocks:
+        b = brauer_correspondent(B)
+        md_small = modular_data(b.blockset.group, p)
+        left0, right0 = B.height_zero, b.height_zero
+        lbr = md_big.height_zero_brauer(B)
+        rbr = md_small.height_zero_brauer(b)
+        if len(left0) != len(right0) or len(lbr) != len(rbr):
+            out.append({"result": "none"})
+            continue
+        ldeg = [bs.table.irreducibles[i].degree() for i in left0]
+        rdeg = [b.blockset.table.irreducibles[i].degree() for i in right0]
+        lbdeg = [md_big.brauer_characters[j].degree() for j in lbr]
+        rbdeg = [md_small.brauer_characters[j].degree() for j in rbr]
+        omegas = list(islice(_divisibility_matchings(ldeg, rdeg), cap + 1))
+        psis = list(islice(_divisibility_matchings(lbdeg, rbdeg), cap + 1))
+        if len(omegas) * len(psis) > cap:
+            out.append(None)
+            continue
+        rec = {"result": "none"}
+        for omega in omegas:
+            psi = next(
+                (
+                    psi
+                    for psi in psis
+                    if all(
+                        md_big.decomposition[i][j]
+                        == md_small.decomposition[right0[omega[a]]][rbr[psi[c]]]
+                        for a, i in enumerate(left0)
+                        for c, j in enumerate(lbr)
+                    )
+                ),
+                None,
+            )
+            if psi is not None:
+                rec = {
+                    "result": "found",
+                    "ordinary_witness": [
+                        [d, rdeg[k]] for d, k in zip(ldeg, omega)
+                    ],
+                    "brauer_witness": [
+                        [d, rbdeg[k]] for d, k in zip(lbdeg, psi)
+                    ],
+                }
+                break
+        out.append(rec)
+    return out

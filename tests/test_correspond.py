@@ -4,7 +4,6 @@ import random
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +16,6 @@ from blockforge.blocks import block_data
 from blockforge.chartab import character_table, is_p_solvable, p_prime_core
 from blockforge.correspond import (
     _brauer_degrees_over,
-    _count_matchings,
     _matchings,
     _right_regular,
     block_section,
@@ -49,6 +47,7 @@ from conftest import (
     cyclic,
     elementary_abelian,
     frobenius20,
+    oracle_groups,
     random_subgroup,
     s4_times_s4,
     sl_2_3,
@@ -582,8 +581,6 @@ def test_question35_s4_p2(s4):
     assert len(records) == 1
     rec = records[0]
     assert rec["result"] == "found"
-    assert rec["ordinary_matchings"] == 24
-    assert rec["brauer_matchings"] == 1
     assert rec["brauer_witness"] == [[1, 1]]
 
 
@@ -612,28 +609,90 @@ def test_perfect_matchings_enumeration():
     assert len(list(_matchings([1, 1, 1], [1, 1, 1]))) == 6
 
 
-def test_count_matchings_stops_at_cap_plus_one():
-    assert _count_matchings([2, 2], [1, 2], 100) == 2
-    assert _count_matchings([3], [2], 100) == 0
-    assert _count_matchings([1] * 5, [1] * 5, 1000) == 120
-    assert _count_matchings([1] * 5, [1] * 5, 100) == 101
-    # 16! matchings, counted per distinct degree in sixteen steps rather
-    # than one at a time.
-    start = time.process_time()
-    assert _count_matchings([1] * 16, [1] * 16, 10**6) == 10**6 + 1
-    assert _count_matchings([1] * 16, [1] * 16, 10**14) == 20922789888000
-    assert time.process_time() - start < 0.5
+def test_question35_agrees_with_pair_search():
+    # The reference walks every ordinary matching against every Brauer
+    # one; blocks with more pairs than its cap are left out.
+    compared = 0
+    for G in oracle_groups([]):
+        for p in prime_factors(G.order()):
+            if not is_p_solvable(G, p):
+                continue
+            records = question35_instances(G, p, G.name)
+            wants = oracles.question35_by_pairs(G, p, 10**5)
+            assert len(records) == len(wants)
+            for rec, want in zip(records, wants):
+                if want is None:
+                    continue
+                keys = ("result", "ordinary_witness", "brauer_witness")
+                assert {k: rec[k] for k in keys if k in rec} == want, (G.name, p)
+                compared += 1
+    assert compared >= 50
 
 
-def test_count_matchings_agrees_with_enumeration():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(0, 6)
-        left = [rng.choice((1, 2, 3, 4, 6, 12)) for _ in range(n)]
-        right = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n + rng.randint(0, 1))]
-        want = sum(1 for _ in _matchings(left, right))
-        assert _count_matchings(left, right, 10**6) == want
-        assert _count_matchings(left, right, 3) == min(want, 4)
+def test_question35_s4xs4_p2_found():
+    # more than 10^6 ordinary height-zero matchings, one Brauer matching
+    (rec,) = question35_instances(s4_times_s4(), 2, "S4xS4")
+    assert rec["result"] == "found"
+    assert rec["brauer_witness"] == [[1, 1]]
+
+
+def _forge_correspondent_rows(monkeypatch, G, forge):
+    """Replace the decomposition matrix D_b of each correspondent of a
+    block of G that lives on a proper subgroup by forge(D_b), for the
+    package and for the pair-search oracle, and forbid the Hall-violator
+    scan."""
+    real = correspond.modular_data
+
+    def forged(H, q):
+        md = real(H, q)
+        if H.order() == G.order():
+            return md
+        return SimpleNamespace(
+            decomposition=forge(md.decomposition),
+            height_zero_brauer=md.height_zero_brauer,
+            brauer_characters=md.brauer_characters,
+        )
+
+    def no_violator(*args):
+        raise AssertionError("question 3.5 scanned for a Hall violator")
+
+    monkeypatch.setattr(correspond, "modular_data", forged)
+    monkeypatch.setattr(oracles, "modular_data", forged)
+    monkeypatch.setattr(matching, "_hall_violator", no_violator)
+
+
+def _sevens(decomposition):
+    # no row of D_B can equal a row of 7s
+    return [[7] * len(row) for row in decomposition]
+
+
+def _rotated(decomposition):
+    # S3's rows (1, 0), (0, 1), (1, 1) for degrees 1, 1, 2 become
+    # (1, 1), (1, 0), (0, 1): every row of S4's block still has an equal
+    # row, but under either Brauer matching one of them sits on degree 2,
+    # which does not divide the degree 1 of its only partner
+    return decomposition[-1:] + decomposition[:-1]
+
+
+@pytest.mark.parametrize("forge", [_sevens, _rotated], ids=["sevens", "rotated"])
+def test_question35_none_when_no_brauer_matching_admits_one(monkeypatch, s4, forge):
+    # S4 at 3: block 0 has Brauer degrees [1, 1] on both sides, so two
+    # Brauer matchings, and its correspondent lives on S3.
+    _forge_correspondent_rows(monkeypatch, s4, forge)
+    rec = question35_instances(s4, 3, "S4")[0]
+    assert rec == {"group": "S4", "prime": 3, "block": 0, "result": "none"}
+    assert oracles.question35_by_pairs(s4, 3, 10**5)[0] == {"result": "none"}
+
+
+def test_question35_inconclusive_past_the_brauer_matching_cap(monkeypatch, s4):
+    _forge_correspondent_rows(monkeypatch, s4, _sevens)
+    monkeypatch.setattr(correspond, "BRAUER_MATCHING_CAP", 1)
+    rec = question35_instances(s4, 3, "S4")[0]
+    assert rec["result"] == "inconclusive"
+    assert rec["reason"] == "Brauer matchings exceed the cap"
+    # two Brauer matchings and a cap of two: both are tried, so none
+    monkeypatch.setattr(correspond, "BRAUER_MATCHING_CAP", 2)
+    assert question35_instances(s4, 3, "S4")[0]["result"] == "none"
 
 
 _Q35_C2_4 = """
@@ -651,11 +710,12 @@ with open("/proc/self/status") as status:
 
 
 def test_question35_counts_matchings_without_storing_them():
-    # C2^4 at p = 2 has 16! ordinary height-zero matchings, so the count
-    # stops at the cap + 1 and the search is inconclusive.  Run in a child
-    # process that reports its own peak RSS (VmHWM).  The rusage of a
-    # child would not do: a forked child starts with the parent's
-    # high-water mark, so it would read the peak of the test process.
+    # C2^4 at p = 2 has 16! ordinary height-zero matchings and one Brauer
+    # matching; the search walks the Brauer side and matches the
+    # ordinary side once, storing neither set.  Run in a child process
+    # that reports its own peak RSS (VmHWM).  The rusage of a child
+    # would not do: a forked child starts with the parent's high-water
+    # mark, so it would read the peak of the test process.
     src = str(Path(blockforge.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", _Q35_C2_4],
@@ -666,9 +726,8 @@ def test_question35_counts_matchings_without_storing_them():
     )
     out, peak_kb = done.stdout.splitlines()
     (record,) = json.loads(out)
-    assert record["ordinary_matchings"] == 1000001
-    assert record["brauer_matchings"] == 1
-    assert record["result"] == "inconclusive"
+    assert record["result"] == "found"
+    assert record["brauer_witness"] == [[1, 1]]
     assert int(peak_kb) / 1024 < 60
 
 

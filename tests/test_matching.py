@@ -6,7 +6,7 @@ import pytest
 
 from blockforge import matching
 from blockforge.errors import InternalCheckError
-from blockforge.matching import divisibility_matching
+from blockforge.matching import divisibility_matching, maximum_matching
 
 WHERE = "test degrees"
 
@@ -91,6 +91,42 @@ def test_deterministic_across_runs():
     second = divisibility_matching(left, right, WHERE)
     assert first.ok and second.ok
     assert first.pairs == second.pairs
+
+
+def test_pairs_are_pinned():
+    # the matchings divisibility_matching returned before the
+    # augmenting-path search was split out of it
+    cases = [
+        ((2, 4, 8, 8, 6), (2, 2, 4, 1, 3),
+         ((0, 1), (1, 2), (2, 0), (3, 3), (4, 4))),
+        ((6, 10, 15), (2, 5, 5), ((0, 0), (1, 2), (2, 1))),
+        ((4, 2), (2, 4), ((0, 1), (1, 0))),
+        ((12, 6, 4, 3), (3, 6, 2, 4), ((0, 2), (1, 1), (2, 3), (3, 0))),
+        ((4, 3, 8), (2, 4, 3), ((0, 1), (1, 2), (2, 0))),
+        ((1, 6, 6), (2, 3, 1), ((0, 2), (1, 1), (2, 0))),
+    ]
+    for left, right, pairs in cases:
+        assert divisibility_matching(left, right, WHERE).pairs == pairs
+
+
+def test_maximum_matching_reroutes_along_an_augmenting_path():
+    # no degrees: left 0 takes right 0 first, and left 1, which can only
+    # take right 0, moves it on to right 1
+    assert maximum_matching([(0, 1), (0,)], (0, 1)) == ([1, 0], [1, 0])
+    # longer path: 2 -> 0 displaces 0 -> 1 displaces 1 -> 2
+    assert maximum_matching([(0, 1), (1, 2), (0,)], (0, 1, 2)) == (
+        [1, 2, 0], [2, 0, 1]
+    )
+    # the order picks which of two rivals keeps the one right vertex
+    assert maximum_matching([(0,), (0,)], (0, 1)) == ([0, None], [0, None])
+    assert maximum_matching([(0,), (0,)], (1, 0)) == ([None, 0], [1, None])
+
+
+def test_maximum_matching_with_an_empty_row_is_not_perfect():
+    match_of_left, match_of_right = maximum_matching([(0, 1), (), (1, 0)], (0, 1, 2))
+    assert match_of_left == [0, None, 1]
+    assert match_of_right == [0, 2, None]
+    assert maximum_matching([], ()) == ([], [])
 
 
 def test_matching_gates_name_their_degrees():
