@@ -48,18 +48,32 @@ coordinates on the power basis of Q(zeta_o) at its class's element
 order o, which is an integral basis of Z[zeta_o].  They are the ones
 the lift computes, and each printed value must lift back to them.  The
 table gate, the restriction table (G's row coordinates read through the
-class fusion), block data and the decomposition matrix all read them.  One
-pairing on them, ``_pairing``, builds no cyclotomic value and has three
-readers: the table gate, which keeps its partial sums by element order
-on the table (``partial_sums``); the restriction table; and the block
-partition, which reads the kept sums (Osima's criterion, ``blocks``).
+class fusion), block data and the decomposition matrix all read them.
+
+The table also keeps them sparse (``sparse``): per row and class, only
+the nonzero (index, coordinate) pairs; a rational value is one pair at
+index 0, and a zero value none.  One pairing on the sparse rows,
+``_pairing``, builds no cyclotomic value and has three readers: the
+table gate, which keeps its partial sums by element order on the table
+(``partial_sums``); the restriction table, which reads G's sparse rows
+through the class fusion; and the block partition, which reads the kept
+sums (Osima's criterion, ``blocks``).  It multiplies nonzero coordinates
+only, and reduces a sum mod Phi_o only when a coefficient at or above
+phi(o) is nonzero: below phi(o) the sum already holds power-basis
+coordinates, as 1, zeta_o, ..., zeta_o^(phi(o)-1) is a basis.  So the
+gate reduces nothing on a rational table.
 """
 
 from functools import lru_cache
 from math import isqrt
 
 from .arith import is_prime, multiplicative_order, p_part
-from .cyclotomic import ONE, Cyclotomic, reduce_mod_cyclotomic
+from .cyclotomic import (
+    ONE,
+    Cyclotomic,
+    cyclotomic_polynomial,
+    reduce_mod_cyclotomic,
+)
 from .errors import DomainError, InternalCheckError
 from .perms import identity, inverse, power, right_factor
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
@@ -141,21 +155,24 @@ def restriction_multiplicities(G, H):
     row i and column k (table order of Irr(G) and Irr(H)); by Frobenius
     reciprocity column k also decomposes theta_k induced to G.
 
-    Read on row coordinates: at class k of H, chi restricted to H takes
-    chi's value at the class of G that contains it (``class_fusion``),
-    which has the same element order, so its coordinates are those of
-    that class in chi's row.  Each distinct fused row is paired with every
-    row of H's table (``_pairing``) and gated once; rows of G that agree
-    on the fused classes restrict to the same character and share it.
-    The restriction of a character is a character, so an irrational
-    pairing, or one not divisible by |H|, means a wrong table; so does a
-    negative multiplicity.  Power-basis coordinates are unique, so
-    sum_k m_k theta_k = chi restricted to H is checked on coordinates."""
+    Read on sparse rows (``CharacterTable.sparse``): at class k of H, chi
+    restricted to H takes chi's value at the class of G that contains it
+    (``class_fusion``), which has the same element order, so its nonzero
+    coordinates are those of that class in chi's sparse row.  Each
+    distinct fused row is paired with every sparse row of H's table
+    (``_pairing``) and gated once; rows of G that agree on the fused
+    classes restrict to the same character and share it.  The
+    restriction of a character is a character, so an irrational pairing,
+    or one not divisible by |H|, means a wrong table; so does a negative
+    multiplicity.  Power-basis coordinates are unique, so
+    sum_k m_k theta_k = chi restricted to H is checked on coordinates: the
+    nonzero coordinates of the thetas with m_k != 0, times m_k, must add
+    up to the nonzero coordinates of the fused row."""
     fusion = class_fusion(G, H)
     sub = character_table(H)
-    thetas = sub.coords
+    thetas = sub.sparse
     n = H.order()
-    fused = [tuple(x[k] for k in fusion) for x in character_table(G).coords]
+    fused = [tuple(x[k] for k in fusion) for x in character_table(G).sparse]
     found = {}
     for a in dict.fromkeys(fused):
         row = []
@@ -167,14 +184,14 @@ def restriction_multiplicities(G, H):
                     " that is not an integer"
                 )
             row.append(sum(sums.values()) // n)
-        rebuilt = tuple(
-            tuple(
-                sum(m * b[k][i] for m, b in zip(row, thetas) if m)
-                for i in range(len(y))
-            )
-            for k, y in enumerate(a)
-        )
-        if rebuilt != a:
+        rebuilt = [{} for _ in a]
+        for m, b in zip(row, thetas):
+            if m:
+                for acc, y in zip(rebuilt, b):
+                    for i, c in y:
+                        acc[i] = acc.get(i, 0) + m * c
+        nonzero = [{i: c for i, c in acc.items() if c} for acc in rebuilt]
+        if nonzero != list(map(dict, a)):
             raise InternalCheckError(
                 f"constituent decomposition does not reconstruct on {H!r}"
             )
@@ -417,6 +434,18 @@ class CharacterTable:
         # for each row, one tuple per class: the value's integer
         # power-basis coordinates at the class's element order
         self.coords = tuple(coords)
+        # the same values with their zero coordinates dropped: per row and
+        # class, the nonzero (index, coordinate) pairs, index ascending
+        self.sparse = tuple(tuple(map(_nonzeros, row)) for row in self.coords)
+        # the pairing's walk, one element order o at a time: (o, phi(o),
+        # its classes as (index, size, index of the inverse class))
+        walk = {}
+        for c, k in zip(self.classes, group.inverse_classes()):
+            walk.setdefault(c.element_order, []).append((c.index, c.size, k))
+        self.orders = tuple(
+            (o, len(cyclotomic_polynomial(o)) - 1, tuple(classes))
+            for o, classes in walk.items()
+        )
         # the prime q whose field GF(q) split the class algebra
         self.prime = prime
         # the table gate's {o: S_o} for each pair of rows s <= u, at (s, u)
@@ -716,18 +745,23 @@ def _verify_orthogonality(table):
     First, every row must take complex-conjugate values on inverse
     classes, chi(x^-1) = conj(chi(x)).  Both sides are compared on their
     integer power-basis coordinates at the element order, which are
-    unique, so the comparison is exact (``_conjugate``).  Then X D X* = I, row
-    orthonormality for the table X and D = diag(|C_k| / |G|), reads
+    unique, so the comparison is exact (``_conjugate``); a rational value
+    is its own conjugate, so only irrational values are reduced there.
+    Then X D X* = I, row orthonormality for the table X and
+    D = diag(|C_k| / |G|), reads
     sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su.
 
     That sum is ``_pairing``, in exact integer arithmetic one element
-    order at a time, on the table's ``coords``: integer coordinates on
-    the power basis of conductor o, as a character value at an element of
-    order o lies in Z[zeta_o], the ring of integers of Q(zeta_o).  The
-    lift makes them so, reducing integer root coefficients by the monic
-    Phi_o.  The partial sum S_o over the classes of order o
-    must be rational, and the S_o must add up to |G| delta_su.  They are
-    kept on the table (``partial_sums``) for Osima's criterion.
+    order at a time, on the table's ``sparse`` rows: the nonzero integer
+    coordinates on the power basis of conductor o, as a character value
+    at an element of order o lies in Z[zeta_o], the ring of integers of
+    Q(zeta_o).  The lift makes them so, reducing integer root
+    coefficients by the monic Phi_o.  The partial sum S_o over the
+    classes of order o must be rational, and the S_o must add up to
+    |G| delta_su.  They are kept on the table (``partial_sums``) for
+    Osima's criterion.  A sum with no coefficient at phi(o) or above is
+    not reduced (``_pairing``), so a rational table passes the gate with
+    no reduction at all.
 
     This is no weaker than checking the identity directly: the S_o add up
     to the full sum, so passing both tests proves it.  Nor does it reject
@@ -753,10 +787,11 @@ def _verify_orthogonality(table):
                 raise InternalCheckError(
                     f"row {s} of {G!r} is not conjugate on inverse classes"
                 )
+    sparse = table.sparse
     partial_sums = {}
     for s in range(r):
         for u in range(s, r):
-            sums, irrational = _pairing(table, coords[s], coords[u])
+            sums, irrational = _pairing(table, sparse[s], sparse[u])
             if irrational is not None:
                 raise InternalCheckError(
                     f"row orthogonality fails for rows {s}, {u} of {G!r}: "
@@ -776,32 +811,50 @@ def _verify_orthogonality(table):
 
 
 def _pairing(table, a, b):
-    """sum_k |C_k| a_k b_(k^-1) for lifted class functions a and b, by
-    element order: the terms over the classes of order o are added as
-    integer polynomials in zeta_o and reduced once mod Phi_o to S_o.
-    Returns ({o: S_o}, None), or (None, o) for the first irrational S_o."""
-    sums = {}
-    for c, x, k in zip(table.classes, a, table.group.inverse_classes()):
-        y = b[k]
-        acc = sums.setdefault(c.element_order, [0] * (2 * len(y) - 1))
-        for i, xi in enumerate(x):
-            if xi:
-                xi *= c.size
-                for j, yj in enumerate(y):
-                    acc[i + j] += xi * yj
+    """sum_k |C_k| a_k b_(k^-1) for lifted class functions a and b, given
+    as sparse rows (``CharacterTable.sparse``), by element order: the
+    terms over the classes of order o (``CharacterTable.orders``) are
+    added as integer polynomials in zeta_o, one product of nonzero
+    coordinates at a time, into 2 phi(o) - 1 coefficients.
+    Returns ({o: S_o}, None), or (None, o) for the first irrational S_o.
+
+    The sum is reduced mod Phi_o only when a coefficient at phi(o) or
+    above is nonzero.  Below phi(o) it already holds the power-basis
+    coordinates of S_o, as 1, zeta_o, ..., zeta_o^(phi(o)-1) is a basis
+    of Q(zeta_o); then S_o is rational exactly when only the coefficient
+    at 0 is nonzero.  Products of rational values stay at index 0, so a
+    rational table never reduces."""
     partials = {}
-    for o, acc in sums.items():
-        partial = reduce_mod_cyclotomic(acc, o)
-        if any(partial[1:]):
+    for o, phi, classes in table.orders:
+        acc = [0] * (2 * phi - 1)
+        for j, size, k in classes:
+            x = a[j]
+            if x:
+                y = b[k]
+                for i, xi in x:
+                    xi *= size
+                    for t, yt in y:
+                        acc[i + t] += xi * yt
+        if any(acc[phi:]):
+            acc = reduce_mod_cyclotomic(acc, o)
+        if any(acc[1:]):
             return None, o
-        partials[o] = partial[0]
+        partials[o] = acc[0]
     return partials, None
+
+
+def _nonzeros(x):
+    """The nonzero (index, coordinate) pairs of the coordinates x."""
+    return tuple((i, c) for i, c in enumerate(x) if c)
 
 
 def _conjugate(x, o):
     """The complex conjugate of the value with integer power-basis
     coordinates x at conductor o, in the same coordinates: zeta_o^t goes
-    to zeta_o^(-t), and the result is reduced mod Phi_o."""
+    to zeta_o^(-t), and the result is reduced mod Phi_o.  A rational value
+    is its own conjugate and is returned as it is, with no reduction."""
+    if not any(x[1:]):
+        return x
     poly = [0] * o
     for t, c in enumerate(x):
         poly[-t % o] += c

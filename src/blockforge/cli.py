@@ -146,7 +146,7 @@ def run_blocks(args):
 
 
 def run_catalog(args):
-    lines = []
+    lines, records = [], []
     for ent in catalog.entries():
         G = ent.load()
         primes = ",".join(str(p) for p in ent.primes)
@@ -154,14 +154,24 @@ def run_catalog(args):
             f"{ent.name:10s} order {ent.order:4d}  degree {G.degree}"
             f"  primes {primes}"
         )
-        tags = [
-            f"{p}:{','.join(kinds)}"
-            for p, kinds in sorted(ent.expected_fail.items())
-        ]
+        fails = sorted(ent.expected_fail.items())
+        tags = [f"{p}:{','.join(kinds)}" for p, kinds in fails]
         if tags:
             line += f"  expected-fail {' '.join(tags)}"
         lines.append(line)
-    _emit("\n".join(lines) + "\n", args.out)
+        records.append(
+            {
+                "name": ent.name,
+                "order": ent.order,
+                "degree": G.degree,
+                "primes": list(ent.primes),
+                "expected_fail": {str(p): list(kinds) for p, kinds in fails},
+            }
+        )
+    if args.format == "json":
+        _emit(json.dumps(records, indent=2) + "\n", args.out)
+    else:
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

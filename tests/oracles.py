@@ -6,7 +6,7 @@ by multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
-There are nineteen exceptions, and each takes objects the package built.
+There are twenty exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -28,7 +28,11 @@ themselves to a p'-subgroup and pairs them there with theta
 ordinary lifts and the restriction table.  ``inner_product`` pairs
 class functions by adding every class into one root list at the
 exponent of G, to compare with the package's one pairing on integer
-power-basis coordinates.
+power-basis coordinates.  ``pairing_dense`` is that pairing as the
+package once computed it, on a table's dense ``coords``: every
+coordinate multiplied, and every element order's sum reduced mod Phi_o,
+to compare with the package's pairing on sparse rows, which skips zero
+coordinates and the reductions that cannot change the sum.
 ``induced_central`` induces a block's reduced central character by
 walking every element of G and summing over the classes of the
 subgroup it meets, to compare with the package's route through the
@@ -108,6 +112,7 @@ from blockforge.cyclotomic import (
     cyclotomic_polynomial,
     from_root_combination,
     rational,
+    reduce_mod_cyclotomic,
 )
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.modular import (
@@ -614,6 +619,30 @@ def inner_product(alpha, chi):
     for c, a, k in zip(G.conjugacy_classes(), alpha.values, G.inverse_classes()):
         convolve(roots(a, e), roots(chi.values[k], e), total, c.size)
     return from_root_combination(e, [Fraction(t, G.order()) for t in total])
+
+
+def pairing_dense(table, a, b):
+    """sum_k |C_k| a_k b_(k^-1) for rows a and b of integer power-basis
+    coordinates on the table's classes, by element order: the terms over
+    the classes of order o are added as integer polynomials in zeta_o and
+    reduced once mod Phi_o to S_o.  Returns ({o: S_o}, None), or (None, o)
+    for the first irrational S_o."""
+    sums = {}
+    for c, x, k in zip(table.classes, a, table.group.inverse_classes()):
+        y = b[k]
+        acc = sums.setdefault(c.element_order, [0] * (2 * len(y) - 1))
+        for i, xi in enumerate(x):
+            if xi:
+                xi *= c.size
+                for j, yj in enumerate(y):
+                    acc[i + j] += xi * yj
+    partials = {}
+    for o, acc in sums.items():
+        partial = reduce_mod_cyclotomic(acc, o)
+        if any(partial[1:]):
+            return None, o
+        partials[o] = partial[0]
+    return partials, None
 
 
 def induce(psi, G):

@@ -581,6 +581,71 @@ def test_table_gate_rejects_irrational_partial_sum(a5):
         _verify_orthogonality(_with_rows(table, rows))
 
 
+def _sparse(row):
+    return tuple(tuple((i, c) for i, c in enumerate(x) if c) for x in row)
+
+
+def test_pairing_matches_the_dense_oracle():
+    # Every pair of rows of every table, and zeta_o alone at one class of
+    # order o >= 3 against every row, whose sums are irrational: the
+    # sparse pairing, with its skipped reductions, against the dense one.
+    irrational = 0
+    for G in oracle_groups([cyclic(35)]):
+        table = character_table(G)
+        assert table.sparse == tuple(map(_sparse, table.coords)), G
+        rows = list(zip(table.sparse, table.coords))
+        for c in table.classes:
+            if c.element_order >= 3:
+                dense = [(0,) * len(x) for x in table.coords[0]]
+                dense[c.index] = (0, 1) + (0,) * (len(dense[c.index]) - 2)
+                rows.append((_sparse(dense), tuple(dense)))
+        for a, x in rows:
+            for b, y in zip(table.sparse, table.coords):
+                want = oracles.pairing_dense(table, x, y)
+                assert chartab._pairing(table, a, b) == want, G
+                irrational += want[0] is None
+    assert irrational > 0
+
+
+def test_restriction_pairings_match_the_dense_oracle():
+    # Every fused row of G against every row of N's table, for each
+    # normal subgroup N of each catalog group; each sum is |N| times the
+    # restriction table's multiplicity.
+    for ent in catalog.entries():
+        G = ent.load()
+        big = character_table(G)
+        for N in normal_subgroups(G):
+            fusion = class_fusion(G, N)
+            sub = character_table(N)
+            rows = restriction_multiplicities(G, N)
+            for a, x, row in zip(big.sparse, big.coords, rows):
+                a = tuple(a[k] for k in fusion)
+                x = tuple(x[k] for k in fusion)
+                for b, y, m in zip(sub.sparse, sub.coords, row):
+                    want = oracles.pairing_dense(sub, x, y)
+                    assert chartab._pairing(sub, a, b) == want, (G, N)
+                    assert sum(want[0].values()) == m * N.order(), (G, N)
+
+
+def test_table_gate_reduces_no_value_of_a_rational_table(monkeypatch):
+    # A rational table's coordinates all sit at index 0, so no pairing
+    # sum reaches phi(o) and every value is its own conjugate: the gate
+    # calls reduce_mod_cyclotomic 945 times on S4 x S3 and 517 times on
+    # S6 when it reduces every sum and every conjugate.
+    calls = []
+    reduce = chartab.reduce_mod_cyclotomic
+
+    def counted(poly, e):
+        calls.append(e)
+        return reduce(poly, e)
+
+    tables = [character_table(G) for G in (s4_times_s3(), symmetric(6))]
+    monkeypatch.setattr(chartab, "reduce_mod_cyclotomic", counted)
+    for table in tables:
+        _verify_orthogonality(table)
+        assert calls == [], table.group
+
+
 def _det_mod(m, q):
     m = [row[:] for row in m]
     det = 1

@@ -21,6 +21,29 @@ def test_catalog_list(capsys):
     assert "expected-fail 2:am,dim" in lines[-1]
 
 
+def test_catalog_list_json(capsys):
+    # one record per text line, with the same fields, in the same order
+    code, out, err = run(capsys, "catalog", "list", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    _, text, _ = run(capsys, "catalog", "list")
+    assert len(records) == len(text.splitlines()) == 10
+    assert records[0] == {
+        "name": "C6",
+        "order": 6,
+        "degree": 6,
+        "primes": [2, 3],
+        "expected_fail": {},
+    }
+    assert records[-1]["expected_fail"] == {"2": ["am", "dim"]}
+    for rec, line in zip(records, text.splitlines()):
+        name, _, order, _, degree, _, primes = line.split()[:7]
+        assert name == rec["name"]
+        assert (int(order), int(degree)) == (rec["order"], rec["degree"])
+        assert primes == ",".join(map(str, rec["primes"]))
+    assert run(capsys, "catalog", "list", "--format", "json")[1] == out
+
+
 def test_table_text(capsys):
     code, out, err = run(capsys, "table", "catalog:S4")
     assert code == 0
