@@ -306,7 +306,8 @@ def _defect_group_from_defect_class(block):
     (lambda_B(K^) != 0 and a nonzero idempotent coefficient at K) is
     p-regular, and its centralizer's Sylow subgroups are the defect
     groups.  Defect zero needs no special case, since its defect class
-    has p'-centralizer and the Sylow subgroup is trivial.
+    has p'-centralizer and the Sylow subgroup is trivial.  As
+    |C_G(x_K)| = |G| / |K|, only the centralizer kept is built.
 
     Gate: Br_Q(e_B) != 0 exactly when Q lies in a defect group up to
     conjugacy, so a nonzero Brauer image at the returned subgroup of
@@ -319,9 +320,8 @@ def _defect_group_from_defect_class(block):
     for k in p_regular_classes(G, p):
         if block.reduced_central[k].is_zero():
             continue
-        C = centralizer(G, classes[k].representative)
-        if vp(C.order(), p) == block.defect:
-            D = sylow_subgroup(C, p)
+        if vp(G.order() // classes[k].size, p) == block.defect:
+            D = sylow_subgroup(centralizer(G, classes[k].representative), p)
             if not brauer_image_is_nonzero(block, D):
                 raise InternalCheckError(
                     "Brauer image of the idempotent vanishes at the defect"

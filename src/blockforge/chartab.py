@@ -20,9 +20,9 @@ vectors: the class matrices split GF(q)^r one at a time, cheapest class
 first (Schneider's refinement of Dixon's method).  Each is restricted to
 every common eigenspace that is not yet a line and splits it by the
 roots of the restriction's characteristic polynomial, read off a
-Hessenberg form and evaluated at every element of GF(q); each root then
-costs one elimination.  A class matrix is built only when the
-refinement reads it (``class_matrix``).
+Hessenberg form and evaluated in GF(q) until the eigenspaces fill the
+space; each root then costs one elimination.  No class matrix is built:
+a row is built when the restriction reads it (``_class_row``).
 
 How Irr(G) restricts to a subgroup H lives in one cached table,
 ``restriction_multiplicities(G, H)``: covering, Clifford theory,
@@ -64,8 +64,10 @@ coordinates, as 1, zeta_o, ..., zeta_o^(phi(o)-1) is a basis.  So the
 gate reduces nothing on a rational table.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from .arith import is_prime, multiplicative_order, p_part
 from .cyclotomic import (
@@ -77,27 +79,6 @@ from .cyclotomic import (
 from .errors import DomainError, InternalCheckError
 from .perms import identity, inverse, power, right_factor
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
-
-@lru_cache(maxsize=None)
-def class_matrix(G, i):
-    """The class matrix of class i: row j, column k holds
-    a_ijk = #{(x, y) in C_i x C_j : xy = z_k} for the fixed class reps.
-
-    A plane costs |C_i| r products, so each is built once and only when
-    read: the table reads the few that split the class algebra.  Column
-    k applies z_k's map p -> p z_k to every element of C_i* and counts
-    the classes of the products."""
-    r = len(G.conjugacy_classes())
-    index = G.class_indices()
-    # y = x^-1 z_k for x in C_i: walk C_i* = {x^-1 : x in C_i} directly.
-    xinvs = G.class_elements(G.inverse_classes()[i])
-    plane = [[0] * r for _ in range(r)]
-    for k, c in enumerate(G.conjugacy_classes()):
-        products = map(right_factor(c.representative), xinvs)
-        for j in map(index.__getitem__, products):
-            plane[j][k] += 1
-    return tuple(tuple(row) for row in plane)
-
 
 class ClassFunction:
     """An exact class function: one cyclotomic value per conjugacy class."""
@@ -467,7 +448,6 @@ def character_table(G):
     r = len(classes)
     n = G.order()
     e = G.exponent()
-    sizes = [c.size for c in classes]
     reps = [c.representative for c in classes]
     inverse_class = G.inverse_classes()
 
@@ -480,8 +460,14 @@ def character_table(G):
         [G.class_index(power(reps[j], k)) for k in range(orders[j])]
         for j in range(r)
     ]
-    # z^(e/o) is a primitive o-th root of unity mod q, for each order o.
-    roots = {o: [pow(z, e // o * i, q) for i in range(o)] for o in set(orders)}
+    # zeta^(-tk) / o mod q, row t and column k, with zeta = z^(e/o) at order o
+    kernels = {}
+    for o in set(orders):
+        zpow = [pow(z, e // o * i, q) * pow(o, q - 2, q) % q for i in range(o)]
+        kernels[o] = [[zpow[-t * k % o] for k in range(o)] for t in range(o)]
+    inv_sizes = [pow(c.size, q - 2, q) for c in classes]
+    # each distinct (o, coordinates) is built, and gated, once per table
+    lifted = {}
 
     rows = []
     for w in vectors:
@@ -491,35 +477,27 @@ def character_table(G):
             )
         scale = pow(w[0], q - 2, q)
         w = [x * scale % q for x in w]
-        s = 0
-        for k in range(r):
-            s = (s + w[k] * w[inverse_class[k]] * pow(sizes[k], q - 2, q)) % q
+        s = sum(w[k] * w[inverse_class[k]] * inv_sizes[k] for k in range(r)) % q
         d = _degree_from_norm(G, s, q)
-        cbar = [d * w[j] * pow(sizes[j], q - 2, q) % q for j in range(r)]
+        cbar = [d * x * inv % q for x, inv in zip(w, inv_sizes)]
         values, coords = [], []
-        for j in range(r):
-            o = orders[j]
-            zpow = roots[o]
-            o_inv = pow(o, q - 2, q)
-            coeffs = []
-            for t in range(o):
-                m = 0
-                for k in range(o):
-                    m = (m + cbar[power_class[j][k]] * zpow[(-t * k) % o]) % q
-                m = m * o_inv % q
-                if 2 * m >= q:
-                    raise InternalCheckError(
-                        f"lifted multiplicity out of range on {G!r}"
-                    )
-                coeffs.append(m)
-            x = tuple(reduce_mod_cyclotomic(coeffs, o))
-            v = Cyclotomic(o, x)
-            # the printed value must be the one the table gate checks
-            if v.conductor != 1 and v.lift_coords(o) != x:
+        for j, (o, powers) in enumerate(zip(orders, power_class)):
+            column = [cbar[k] for k in powers]
+            coeffs = [sum(map(mul, column, row)) % q for row in kernels[o]]
+            if 2 * max(coeffs) >= q:
                 raise InternalCheckError(
-                    f"value at class {j} of {G!r} (split mod q = {q}) does"
-                    " not lift back to its coordinates"
+                    f"lifted multiplicity out of range on {G!r}"
                 )
+            x = tuple(reduce_mod_cyclotomic(coeffs, o))
+            v = lifted.get((o, x))
+            if v is None:
+                v = lifted[o, x] = Cyclotomic(o, x)
+                # the printed value must be the one the table gate checks
+                if v.conductor != 1 and v.lift_coords(o) != x:
+                    raise InternalCheckError(
+                        f"value at class {j} of {G!r} (split mod q = {q}) does"
+                        " not lift back to its coordinates"
+                    )
             values.append(v)
             coords.append(x)
         rows.append((ClassFunction(G, values), tuple(coords)))
@@ -578,17 +556,19 @@ def _central_characters(G, q):
     common eigenspaces of commuting matrices, so each is invariant under
     the next matrix; as Z(F_q G) is split semisimple (``_dixon_prime``)
     every restriction is diagonalisable over GF(q) and the lines are the
-    r central characters.  Only the class matrices read are built."""
+    r central characters.  A row of a class matrix is built when
+    ``_split_space`` reads it, once: the first split reads every row of
+    its class, later ones only the pivot rows of their spaces."""
     classes = G.conjugacy_classes()
     r = len(classes)
     spaces = [[[int(j == k) for k in range(r)] for j in range(r)]]
     for i in sorted(range(1, r), key=lambda i: (classes[i].size, i)):
         if len(spaces) == r:
             break
-        m = class_matrix(G, i)
+        row = lru_cache(maxsize=None)(lambda j: _class_row(G, i, j, q))
         refined = []
         for basis in spaces:
-            parts = _split_space(m, basis, q) if len(basis) > 1 else [basis]
+            parts = _split_space(row, basis, q) if len(basis) > 1 else [basis]
             if parts is None:
                 raise InternalCheckError(
                     f"eigenspace splitting failed on {G!r} mod q = {q}: the"
@@ -605,39 +585,67 @@ def _central_characters(G, q):
     return [basis[0] for basis in spaces]
 
 
-def _split_space(m, basis, q):
+def _class_row(G, i, j, q):
+    """Row j of the class matrix of class i: for each class k,
+    a_ijk = #{(x, y) in C_i x C_j : xy = z_k}, xy = mult(x, y) (y applied
+    first), z_k the representative of class k.
+
+    Count the triples (x, y, z) in C_i x C_j x C_k with xy = z two ways.
+    Conjugation permutes each class, so each z in C_k has as many pairs
+    as z_k, a_ijk, and each y in C_j as many x as z_j,
+    n_jk = #{x in C_i : x z_j in C_k}.  So |C_k| a_ijk = |C_j| n_jk: one
+    map p -> mult(p, z_j) over C_i gives the row in |C_i| products.  Gate:
+    each division is exact; q only names the split in the message."""
+    classes = G.conjugacy_classes()
+    by_zj = right_factor(classes[j].representative)
+    n = Counter(map(G.class_indices().__getitem__, map(by_zj, G.class_elements(i))))
+    size = classes[j].size
+    if any(size * n[k] % classes[k].size for k in n):
+        raise InternalCheckError(
+            f"class matrix row {j} of class {i} of {G!r} (split mod q = {q})"
+            " has a structure constant that is not an integer"
+        )
+    return [size * n[c.index] // c.size for c in classes]
+
+
+def _split_space(row, basis, q):
     """The eigenspaces of m restricted to the m-invariant space spanned by
     basis, in ascending eigenvalue order; None when their dimensions add
-    up short of the space's.
+    up short of the space's.  row(j) returns row j of m.
 
     Every basis is in reduced echelon form, so the coordinates of a vector
     of the space are its entries at the pivot columns, and m restricted to
-    the space is read off the pivot rows of m.  The eigenvalues are the
-    roots of the restriction's characteristic polynomial, found by
-    evaluating it at every element of GF(q); each root then costs one
-    elimination."""
+    the space is read off the pivot rows of m, the only rows read (on the
+    whole space, the identity basis reads m itself).  The eigenvalues are
+    the roots of the restriction's characteristic polynomial, evaluated at
+    each element of GF(q) until the eigenspaces fill the space, or at all
+    of them when they do not; each root then costs one elimination."""
     support = [[(k, x) for k, x in enumerate(b) if x] for b in basis]
     pivots = [nz[0][0] for nz in support]
+    d = len(basis)
     a = [
-        [sum(m[p][k] * x for k, x in nz) % q for nz in support]
-        for p in pivots
+        [x % q for x in m_p] if d == len(m_p) else
+        [sum(m_p[k] * x for k, x in nz) % q for nz in support]
+        for m_p in map(row, pivots)
     ]
-    d = len(a)
     # a scalar restriction leaves the space whole, with no elimination
     scalar = a[0][0]
     if all(a[s][t] == (scalar if s == t else 0) for s in range(d) for t in range(d)):
         return [basis]
     poly = _characteristic_polynomial(a, q)
     parts = []
+    found = 0
     for lam in range(q):
+        if found == d:
+            break
         value = 0
         for c in reversed(poly):
             value = (value * lam + c) % q
         if value:
             continue
         shifted = [
-            [(x - lam) % q if s == t else x for t, x in enumerate(row)]
-            for s, row in enumerate(a)
+            [(x - lam) % q if s == t else x for t, x in enumerate(a_s)]
+            for s, a_s in enumerate(a)
         ]
         part = []
         for coords in _echelon(_nullspace(shifted, q), q)[0]:
@@ -648,7 +656,8 @@ def _split_space(m, basis, q):
                         v[k] += c * x
             part.append([x % q for x in v])
         parts.append(part)
-    if sum(len(part) for part in parts) != d:
+        found += len(part)
+    if found != d:
         return None
     return parts
 

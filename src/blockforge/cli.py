@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import catalog
@@ -260,7 +261,9 @@ def run_verify(args):
     return 1 if unexpected else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """Built once: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="blockforge",
         description="Exact block data and degree-divisibility checks"

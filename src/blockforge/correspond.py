@@ -201,11 +201,10 @@ def _brauer_degrees_over(md, K, k):
     return out
 
 
-def verify_glauberman_lift(G, L, Q, k, p):
-    """One lift instance for theta, row k of Irr(L): character sets over
-    theta and over its correspondent, their cardinalities, and
-    divisibility matchings on the full sets and on the p'-degree
-    subsets."""
+def verify_glauberman_lifts(G, L, Q, p):
+    """The lift instance of each theta in Irr(L) (``_glauberman_lift``).
+    The hypotheses are on (G, L, Q) alone, so they are checked once: L is
+    a normal p'-subgroup and LQ is normal."""
     if L.order() % p == 0:
         raise DomainError("the normal subgroup is not a p'-group")
     if not is_normal_in(L, G):
@@ -213,6 +212,15 @@ def verify_glauberman_lift(G, L, Q, k, p):
     product = PermutationGroup(G.degree, L.generators + Q.generators)
     if not is_normal_in(product, G):
         raise DomainError("the product subgroup is not normal")
+    count = len(character_table(L).irreducibles)
+    return [_glauberman_lift(G, L, Q, k, p) for k in range(count)]
+
+
+def _glauberman_lift(G, L, Q, k, p):
+    """One lift instance for theta, row k of Irr(L): character sets over
+    theta and over its correspondent, their cardinalities, and
+    divisibility matchings on the full sets and on the p'-degree
+    subsets."""
     theta = character_table(L).irreducibles[k]
     rec = {
         "l_order": L.order(),
@@ -255,12 +263,8 @@ def verify_glauberman_lift(G, L, Q, k, p):
 
 def glauberman_instances(G, p, name):
     L, Q = coprime_setup(G, p)
-    records = []
-    for k in range(len(character_table(L).irreducibles)):
-        rec = {"group": name, "prime": p}
-        rec.update(verify_glauberman_lift(G, L, Q, k, p))
-        records.append(rec)
-    return records
+    records = verify_glauberman_lifts(G, L, Q, p)
+    return [{"group": name, "prime": p, **rec} for rec in records]
 
 
 # --- Sylow normalizer index divisibility ----------------------------

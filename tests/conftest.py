@@ -40,8 +40,8 @@ def oracle_groups(families):
     """Every catalog group, the five benchmark groups, the given
     families and seeded random subgroups of S5 and S6, one at a time.
 
-    After each group the caches that it, its subgroups, their tables and
-    class matrices filled are emptied: C2^5 alone has 374 subgroups, and
+    After each group the caches that it, its subgroups and their tables
+    filled are emptied: C2^5 alone has 374 subgroups, and
     keeping them all would raise the peak memory of the whole suite.
     The cached table is emptied too, so no later test is handed the
     table of an equal group under another name."""
@@ -58,7 +58,6 @@ def oracle_groups(families):
             character_table,
             chartab.character_action,
             chartab.class_fusion,
-            chartab.class_matrix,
             chartab.is_p_solvable,
             chartab.normal_class_sets,
             chartab.normal_subgroups,

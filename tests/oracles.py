@@ -59,8 +59,10 @@ with the package's reading of both off the kernel lattice.
 encoding order with generic element powers, to compare with the
 package's root from one cyclic orbit.  ``reduce_by_elements`` reduces
 coordinates one field element at a time, to compare with the package's
-accumulation in integer lists.  ``structure_constants`` reads every
-class matrix the package builds for its table (``class_matrix``);
+accumulation in integer lists.  ``structure_constants`` counts every
+class-algebra structure constant from products of elements, to compare
+with the class-matrix rows the package builds for its table from one
+class and its size ratios (``chartab._class_row``);
 ``class_algebra_product_by_elements`` multiplies class-algebra elements
 over them one field element at a time, to check that the package's
 block idempotents are orthogonal idempotents, e_u e_v = delta_uv e_u,
@@ -100,7 +102,6 @@ from blockforge.blocks import (
 from blockforge.chartab import (
     ClassFunction,
     character_table,
-    class_matrix,
     is_p_solvable,
 )
 from blockforge.correspond import (
@@ -993,9 +994,17 @@ def reduce_by_elements(rmap, coords, o):
 
 
 def structure_constants(G):
-    """All class-algebra structure constants a[i][j][k] = a_ijk: the
-    package's class matrix of every class."""
-    return tuple(class_matrix(G, i) for i in range(len(G.conjugacy_classes())))
+    """All class-algebra structure constants
+    a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, z_k the representative of
+    class k, by one product of elements per x and k."""
+    reps = [c.representative for c in G.conjugacy_classes()]
+    r = len(reps)
+    where = {x: i for i in range(r) for x in G.class_elements(i)}
+    a = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for x, i in where.items():
+        for k, z in enumerate(reps):
+            a[i][where[omult(oinv(x), z)]][k] += 1
+    return tuple(tuple(tuple(row) for row in plane) for plane in a)
 
 
 def class_algebra_product_by_elements(G, u, v, field):

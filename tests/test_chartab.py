@@ -15,13 +15,13 @@ from blockforge.chartab import (
     ClassFunction,
     _characteristic_polynomial,
     _central_characters,
+    _class_row,
     _degree_from_norm,
     _primitive_root_of_unity,
     _split_space,
     _verify_orthogonality,
     character_table,
     class_fusion,
-    class_matrix,
     inertia_group,
     irr_over,
     is_p_solvable,
@@ -143,36 +143,54 @@ def test_structure_constants_s3(s3):
 
 
 def test_structure_constants_match_pair_counting_oracle(s3, a4):
-    for G in (s3, a4, cyclic(6)):
-        assert oracles.structure_constants(G) == _pair_counts(G)
+    # every class-matrix row, from one class and the class sizes, against
+    # a count of element products
+    for G in (s3, a4, cyclic(6), psl_2_7()):
+        a = oracles.structure_constants(G)
+        q = character_table(G).prime
+        for i, plane in enumerate(a):
+            for j, row in enumerate(plane):
+                assert _class_row(G, i, j, q) == list(row), (G, i, j)
 
 
-def _pair_counts(G):
-    # a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, by brute-force products
-    where = {}
-    for i in range(len(G.conjugacy_classes())):
-        for x in G.class_elements(i):
-            where[x] = i
-    reps = [c.representative for c in G.conjugacy_classes()]
-    r = len(reps)
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for x, i in where.items():
-        for k, z in enumerate(reps):
-            a[i][where[oracles.omult(oracles.oinv(x), z)]][k] += 1
-    return tuple(tuple(tuple(row) for row in plane) for plane in a)
-
-
-def test_table_reads_fewer_class_matrices_than_classes():
+def test_table_reads_fewer_class_matrices_than_classes(monkeypatch):
     # The four groups of the benchmark's table workload: the refinement
-    # splits GF(q)^r with a few cheap class matrices, and the planes left
-    # unread are never built.
+    # splits GF(q)^r with a few cheap classes, and builds only the rows
+    # of their class matrices that it reads, each once.
+    built = []
+    class_row = chartab._class_row
+
+    def recorded(G, i, j, q):
+        built.append((i, j, class_row(G, i, j, q)))
+        return built[-1][2]
+
+    monkeypatch.setattr(chartab, "_class_row", recorded)
     for G in (symmetric(6), psl_2_7(), s4_times_s3(), alternating(7)):
         r = len(G.conjugacy_classes())
-        class_matrix.cache_clear()
+        built.clear()
         character_table.__wrapped__(G)
-        assert 0 < class_matrix.cache_info().currsize < r
-        assert oracles.structure_constants(G) == _pair_counts(G)
-        assert class_matrix.cache_info().currsize == r
+        read = {i for i, _, _ in built}
+        assert 0 < len(read) < r, G
+        assert len({(i, j) for i, j, _ in built}) == len(built), G
+        assert len(built) < r * len(read), G
+        a = oracles.structure_constants(G)
+        for i, j, row in built:
+            assert row == list(a[i][j]), (G, i, j)
+
+
+def test_class_row_gate_rejects_an_inexact_division(monkeypatch, s3):
+    # Row 2 (the 3-cycles, 2 elements) of the transpositions' class
+    # matrix: each of the 3 transpositions times a 3-cycle is a
+    # transposition, and 2 * 3 / 3 is exact.  With one transposition
+    # missing from its class, 2 * 2 / 3 is not.
+    class_elements = s3.class_elements
+    monkeypatch.setattr(s3, "class_elements", lambda i: class_elements(i)[:-1])
+    message = re.escape(
+        f"class matrix row 2 of class 1 of {s3!r} (split mod q = 7) has a"
+        " structure constant that is not an integer"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        _class_row(s3, 1, 2, 7)
 
 
 def test_tables_of_groups_with_many_classes():
@@ -276,10 +294,11 @@ def test_coords_match_the_power_basis_oracle():
 
 
 def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
-    # Building a table lifts each irrational value back to its class's
-    # element order once, for the round-trip gate: S4 x S3 has a rational
-    # table, PSL(2,7) four irrational entries.  The restriction table reads
-    # the coordinates both tables keep and lifts no value.
+    # Building a table lifts each distinct irrational value back to its
+    # class's element order once, for the round-trip gate: S4 x S3 has a
+    # rational table, PSL(2,7) four irrational entries with two distinct
+    # values.  The restriction table reads the coordinates both tables
+    # keep and lifts no value.
     calls = []
     lift = Cyclotomic.lift_coords
 
@@ -288,10 +307,10 @@ def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
         return lift(self, e)
 
     monkeypatch.setattr(Cyclotomic, "lift_coords", counted)
-    for G, irrational in ((s4_times_s3(), 0), (psl_2_7(), 4)):
+    for G, distinct in ((s4_times_s3(), 0), (psl_2_7(), 2)):
         calls.clear()
         character_table.__wrapped__(G)
-        assert len(calls) == irrational, G
+        assert len(calls) == distinct, G
     for G in (s4, a4):
         character_table(G)
     calls.clear()
@@ -301,8 +320,9 @@ def test_restriction_table_lifts_no_value(monkeypatch, s4, a4):
 
 def test_only_irrational_values_are_canonicalized(monkeypatch):
     # The lift reduces each value's root coefficients in integers; only an
-    # irrational result descends to its minimal conductor.  S4 x S3 has a
-    # rational table, PSL(2,7) four irrational entries.
+    # irrational result descends to its minimal conductor, once for each
+    # distinct (element order, value).  S4 x S3 has a rational table,
+    # PSL(2,7) four irrational entries with two distinct values.
     calls = []
     descend = cyclotomic._descend
 
@@ -314,9 +334,13 @@ def test_only_irrational_values_are_canonicalized(monkeypatch):
     for G, irrational in ((s4_times_s3(), 0), (psl_2_7(), 4)):
         calls.clear()
         table = character_table.__wrapped__(G)
-        values = [v for chi in table.irreducibles for v in chi.values]
-        assert sum(v.conductor != 1 for v in values) == irrational, G
-        assert len(calls) == irrational, G
+        values = [
+            (c.element_order, v)
+            for chi in table.irreducibles
+            for c, v in zip(table.classes, chi.values)
+        ]
+        assert sum(v.conductor != 1 for _, v in values) == irrational, G
+        assert len(calls) == len({x for x in values if x[1].conductor != 1}), G
 
 
 def test_table_gate_rejects_a_value_that_does_not_lift_back(monkeypatch):
@@ -702,18 +726,25 @@ def _whole_space(r):
 
 def test_split_space_keeps_repeated_and_rejects_missing_eigenvalues():
     q = 13
+    read = []
+
+    def split(m, basis, q):
+        read.clear()
+        return _split_space(lambda j: read.append(j) or m[j], basis, q)
+
     m = [[2, 0, 0], [0, 2, 0], [0, 0, 5]]
-    assert _split_space(m, _whole_space(3), q) == [
+    assert split(m, _whole_space(3), q) == [
         [[1, 0, 0], [0, 1, 0]],
         [[0, 0, 1]],
     ]
-    assert _split_space([[2, 1], [0, 2]], _whole_space(2), q) is None  # Jordan block
-    assert _split_space([[0, 10], [1, 0]], _whole_space(2), 11) is None  # x^2 + 1
-    assert _split_space([[2, 1], [0, 5]], _whole_space(2), q) == [[[1, 0]], [[1, 3]]]
+    assert split([[2, 1], [0, 2]], _whole_space(2), q) is None  # Jordan block
+    assert split([[0, 10], [1, 0]], _whole_space(2), 11) is None  # x^2 + 1
+    assert split([[2, 1], [0, 5]], _whole_space(2), q) == [[[1, 0]], [[1, 3]]]
     # restricted to the span of the eigenvectors (1, 3, 0) and (0, 0, 1),
-    # for the eigenvalues 5 and 7
+    # for the eigenvalues 5 and 7: only the pivot rows 0 and 2 are read
     m = [[2, 1, 0], [0, 5, 0], [0, 0, 7]]
-    assert _split_space(m, [[1, 3, 0], [0, 0, 1]], q) == [[[1, 3, 0]], [[0, 0, 1]]]
+    assert split(m, [[1, 3, 0], [0, 0, 1]], q) == [[[1, 3, 0]], [[0, 0, 1]]]
+    assert read == [0, 2]
 
 
 def test_split_space_agrees_with_full_scan():
@@ -726,7 +757,7 @@ def test_split_space_agrees_with_full_scan():
                     m = _random_matrix(rng, r, q)
                 else:
                     m = _diagonalizable_matrix(rng, r, q)
-                parts = _split_space(m, _whole_space(r), q)
+                parts = _split_space(m.__getitem__, _whole_space(r), q)
                 dims = [
                     len(oracles._nullspace_mod(_shifted(m, lam, q), q))
                     for lam in range(q)
@@ -785,8 +816,9 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
     )
     with pytest.raises(InternalCheckError, match=message):
         _central_characters(G, 5)
-    identity = tuple(tuple(int(j == k) for k in range(3)) for j in range(3))
-    monkeypatch.setattr(chartab, "class_matrix", lambda G, i: identity)
+    monkeypatch.setattr(
+        chartab, "_class_row", lambda G, i, j, q: [int(j == k) for k in range(3)]
+    )
     message = re.escape(
         f"eigenspace splitting failed on {G!r} mod q = 7: the class matrices"
         " leave a common eigenspace of dimension above one"

@@ -177,6 +177,29 @@ def test_verify_only_flags_exit_2_elsewhere(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process; a usage error and a valid
+    # call give the same output and exit code in one process as each
+    # does on a freshly built parser, as in separate runs.
+    def usage_error():
+        with pytest.raises(SystemExit) as info:
+            main(["table", "S4", "--seed", "1"])
+        return info.value.code, capsys.readouterr()
+
+    def valid():
+        return run(capsys, "table", "S4", "--format", "json")
+
+    build_parser.cache_clear()
+    alone = [usage_error()]
+    build_parser.cache_clear()
+    alone.append(valid())
+    build_parser.cache_clear()
+    together = [usage_error(), valid()]
+    assert together == alone
+    assert alone[0][0] == 2 and alone[1][0] == 0
+    assert build_parser() is build_parser()
+
+
 def test_verify_kind_defaults_to_all():
     args = build_parser().parse_args(["verify"])
     assert args.kind == "all"

@@ -28,7 +28,7 @@ from blockforge.correspond import (
     navarro_instances,
     question35_instances,
     regular_covering_instances,
-    verify_glauberman_lift,
+    verify_glauberman_lifts,
     verify_sylow_normalizer_divisibility,
 )
 from blockforge.errors import DomainError, InternalCheckError
@@ -244,7 +244,7 @@ def test_glauberman_correspondent_uniqueness_gates(s4):
 def test_glauberman_lift_rejects_p_divisible_core(s4):
     V4 = PermutationGroup(4, [(1, 0, 3, 2), (3, 2, 1, 0)])
     with pytest.raises(DomainError):
-        verify_glauberman_lift(s4, V4, sylow_subgroup(s4, 2), 0, 2)
+        verify_glauberman_lifts(s4, V4, sylow_subgroup(s4, 2), 2)
 
 
 def test_brauer_restriction_gates(s4):

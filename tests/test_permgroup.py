@@ -5,8 +5,8 @@ import pytest
 
 from blockforge import catalog, chartab, permgroup, perms
 from blockforge.chartab import (
+    _class_row,
     character_table,
-    class_matrix,
     is_p_solvable,
     normal_class_sets,
     normal_subgroups,
@@ -304,7 +304,7 @@ def test_degrees_one_and_two_keep_their_results():
     S1 = PermutationGroup(1, ())
     assert S1.elements() == ((0,),)
     assert S1.conjugacy_classes() == (permgroup.ConjugacyClass(0, (0,), 1, 1),)
-    assert class_matrix.__wrapped__(S1, 0) == ((1,),)
+    assert _class_row(S1, 0, 0, 3) == [1]
     table = character_table.__wrapped__(S1)
     assert [str(chi) for chi in table.irreducibles] == ["ClassFunction(1)"]
     assert table.coords == (((1,),),)
@@ -314,9 +314,9 @@ def test_degrees_one_and_two_keep_their_results():
         permgroup.ConjugacyClass(0, (0, 1), 1, 1),
         permgroup.ConjugacyClass(1, (1, 0), 1, 2),
     )
-    assert [class_matrix.__wrapped__(C2, i) for i in range(2)] == [
-        ((1, 0), (0, 1)),
-        ((0, 1), (1, 0)),
+    assert [[_class_row(C2, i, j, 3) for j in range(2)] for i in range(2)] == [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
     ]
     table = character_table.__wrapped__(C2)
     assert [str(chi) for chi in table.irreducibles] == [
@@ -353,7 +353,7 @@ def test_hot_loops_make_no_mult_calls(monkeypatch):
     assert len(G.elements()) == 720
     classes = G.conjugacy_classes()
     for i, c in enumerate(classes):
-        plane = class_matrix.__wrapped__(G, i)
+        plane = [_class_row(G, i, j, 61) for j in range(len(classes))]
         assert [sum(col) for col in zip(*plane)] == [c.size] * len(classes)
     assert normalizer.__wrapped__(G, P) == P
     assert calls == []
