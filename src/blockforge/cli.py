@@ -16,7 +16,7 @@ from . import catalog
 from .arith import is_prime
 from .blocks import block_data
 from .chartab import character_table
-from .errors import DomainError, GroupFileError
+from .errors import DomainError
 from .groupfile import parse_group_file
 from .perms import format_perm
 from .report import KINDS, build_report, collect_verdicts, to_text
@@ -177,25 +177,19 @@ def run_catalog(args):
 
 
 def _verify_jobs(args, kinds):
-    """(group, name, prime, kinds, fixed, entry) tuples to verify."""
-    jobs = []
+    """(group, name, prime, kinds, entry) tuples to verify."""
     if args.group is not None:
         G, name, ent = resolve_group(args.group)
-        p = _require_prime(args.prime)
-        fixed = catalog.navarro_fixed(name, p) if ent else []
-        jobs.append((G, name, p, kinds, fixed, ent))
-        return jobs
+        return [(G, name, _require_prime(args.prime), kinds, ent)]
     if args.prime is not None:
         raise UsageError("a prime filter needs an explicit group")
+    jobs = []
     for ent in catalog.entries():
         G = ent.load()
-        for p in ent.primes:
-            fixed = catalog.navarro_fixed(ent.name, p)
-            jobs.append((G, ent.name, p, kinds, fixed, ent))
+        jobs.extend((G, ent.name, p, kinds, ent) for p in ent.primes)
         if "navarro" in kinds:
-            for p in catalog.navarro_extra_primes(ent.name):
-                fixed = catalog.navarro_fixed(ent.name, p)
-                jobs.append((G, ent.name, p, ("navarro",), fixed, ent))
+            extra = catalog.navarro_extra_primes(ent.name)
+            jobs.extend((G, ent.name, p, ("navarro",), ent) for p in extra)
     return jobs
 
 
@@ -213,7 +207,9 @@ def run_verify(args):
     jobs = _verify_jobs(args, kinds)
     reports = []
     unexpected = []
-    for G, name, p, job_kinds, fixed, ent in jobs:
+    for G, name, p, job_kinds, ent in jobs:
+        fixed = catalog.navarro_fixed(name, p) if ent else []
+        expected_fail = ent.expected_failures(p) if ent else ()
         report = build_report(
             G,
             p,
@@ -225,7 +221,6 @@ def run_verify(args):
         )
         reports.append(report)
         verdicts = collect_verdicts(report)
-        expected_fail = ent.expected_failures(p) if ent else ()
         for kind in job_kinds:
             if kind not in verdicts:
                 continue
@@ -310,13 +305,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GroupFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,11 +6,12 @@ induction, and the exploratory decomposition-number compatibility
 search of Question 3.5, which enumerates the Brauer-side matchings only
 and decides the ordinary side of each with the one bipartite matcher.
 
-Every verifier returns plain dict records with stable key order so
-reports serialize byte-identically for a fixed seed.  Pass verdicts,
-wherever they assert a theorem, are backed by an explicit certificate
-in the record (a matching, an integer quotient, or an equality
-witness).
+Every verifier sees the group and the prime alone (navarro also its
+job's name, seed and fixed instances) and returns plain dict records
+with stable key order and no job fields; ``report`` stamps each with
+its group and prime.  Pass verdicts, wherever they assert a theorem,
+are backed by an explicit certificate in the record (a matching, an
+integer quotient, or an equality witness).
 """
 
 import random
@@ -261,10 +262,8 @@ def _glauberman_lift(G, L, Q, k, p):
     return rec
 
 
-def glauberman_instances(G, p, name):
-    L, Q = coprime_setup(G, p)
-    records = verify_glauberman_lifts(G, L, Q, p)
-    return [{"group": name, "prime": p, **rec} for rec in records]
+def glauberman_instances(G, p):
+    return verify_glauberman_lifts(G, *coprime_setup(G, p), p)
 
 
 # --- Sylow normalizer index divisibility ----------------------------
@@ -404,8 +403,6 @@ def navarro_instances(G, p, name, seed, fixed):
             violations += violated[U, I]
         records.append(
             {
-                "group": name,
-                "prime": p,
                 "kind": "sampled",
                 "pairs_drawn": drawn,
                 "pairs_hypothesis_met": met,
@@ -416,9 +413,9 @@ def navarro_instances(G, p, name, seed, fixed):
     for u_gens, p_gens in fixed:
         U = PermutationGroup(G.degree, [tuple(g) for g in u_gens])
         P = PermutationGroup(G.degree, [tuple(g) for g in p_gens])
-        rec = {"group": name, "prime": p, "kind": "fixed"}
-        rec.update(verify_sylow_normalizer_divisibility(G, p, U, P))
-        records.append(rec)
+        records.append(
+            {"kind": "fixed", **verify_sylow_normalizer_divisibility(G, p, U, P)}
+        )
     return records
 
 
@@ -459,20 +456,14 @@ def verify_regular_covering(G, N, p):
     return records
 
 
-def regular_covering_instances(G, p, name):
-    records = []
-    for N in normal_subgroups(G):
-        for rec in verify_regular_covering(G, N, p):
-            full = {"group": name, "prime": p}
-            full.update(rec)
-            records.append(full)
-    return records
+def regular_covering_instances(G, p):
+    return [r for N in normal_subgroups(G) for r in verify_regular_covering(G, N, p)]
 
 
 # --- Fong's block lemma ----------------------------------------------
 
 
-def fong_block_instances(G, p, name):
+def fong_block_instances(G, p):
     """For each invariant character of the p'-core: the characters
     over it must be exactly one block, with Sylow defect.
 
@@ -497,8 +488,6 @@ def fong_block_instances(G, p, name):
         has_sylow_defect = owner is not None and owner.defect == sylow_defect
         records.append(
             {
-                "group": name,
-                "prime": p,
                 "theta_degree": theta.degree(),
                 "characters_over": len(over),
                 "is_one_block": is_one_block,
@@ -598,16 +587,12 @@ def find_good_character(B, L):
     )
 
 
-def fong_reynolds_instances(G, p, name):
+def fong_reynolds_instances(G, p):
     K = p_prime_core(G, p)
-    bs = block_data(G, p)
-    records = []
-    for B in bs.blocks:
-        _, outcome = find_good_character(B, K)
-        rec = {"group": name, "prime": p, "block": B.index}
-        rec.update(outcome)
-        records.append(rec)
-    return records
+    return [
+        {"block": B.index, **find_good_character(B, K)[1]}
+        for B in block_data(G, p).blocks
+    ]
 
 
 # --- Question 3.5 exploration ----------------------------------------
@@ -643,7 +628,7 @@ def _matchings(left, right):
             pending.append(iter(options[len(chosen)]))
 
 
-def question35_instances(G, p, name):
+def question35_instances(G, p):
     """Search for a pair of height-zero matchings compatible with the
     decomposition numbers.  Exploratory: results are data points.
 
@@ -655,14 +640,7 @@ def question35_instances(G, p, name):
     ``none`` means every psi was tried, and ``inconclusive`` that there
     are more than BRAUER_MATCHING_CAP of them."""
     if not is_p_solvable(G, p):
-        return [
-            {
-                "group": name,
-                "prime": p,
-                "result": "skipped",
-                "reason": "group is not p-solvable",
-            }
-        ]
+        return [{"result": "skipped", "reason": "group is not p-solvable"}]
     bs = block_data(G, p)
     md_big = modular_data(G, p)
     records = []
@@ -670,7 +648,7 @@ def question35_instances(G, p, name):
         b = brauer_correspondent(B)
         H = b.blockset.group
         md_small = modular_data(H, p)
-        rec = {"group": name, "prime": p, "block": B.index}
+        rec = {"block": B.index}
         left0 = B.height_zero
         right0 = b.height_zero
         lbr = md_big.height_zero_brauer(B)

@@ -461,7 +461,6 @@ def are_conjugate_subgroups(G, H, K):
     return any(_conjugates_into(g, factors, kset) for g in G.elements())
 
 
-@lru_cache(maxsize=None)
 def intersection(A, B):
     """A n B for groups of equal degree.  Enumerates the smaller group."""
     if A.degree != B.degree:

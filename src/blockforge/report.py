@@ -135,10 +135,12 @@ def _none_failed(records):
 # "blocks" is the report's top-level list, shared by am and dim and
 # computed once; every other key sits under "propositions".
 # compute(G, p, name, seed, navarro_fixed) returns one record list per
-# section, and passed(records) gives the verdict (None: the kind never
-# gives one).  compute looks the correspond functions up in this
-# module's globals at call time, so wrappers installed on those names
-# (perfbench's tracer) see every call.
+# section, with no job fields (build_report stamps each proposition
+# record's group and prime); only navarro reads the last three.
+# passed(records) gives the verdict (None: the kind never gives one).
+# compute looks the correspond functions up in this module's globals at
+# call time, so wrappers installed on those names (perfbench's tracer)
+# see every call.
 Verifier = namedtuple("Verifier", "kind sections compute passed")
 
 _BLOCKS = ("blocks", None, lambda rec: "\n".join(_block_lines(rec)))
@@ -149,7 +151,7 @@ VERIFIERS = (
     Verifier(
         "glauberman",
         (("glauberman", "glauberman", _glauberman_line),),
-        lambda G, p, name, *_: (glauberman_instances(G, p, name),),
+        lambda G, p, *_: (glauberman_instances(G, p),),
         _none_failed,
     ),
     Verifier(
@@ -163,7 +165,7 @@ VERIFIERS = (
     Verifier(
         "regular",
         (("regular_covering", "regular covering", _regular_line),),
-        lambda G, p, name, *_: (regular_covering_instances(G, p, name),),
+        lambda G, p, *_: (regular_covering_instances(G, p),),
         _none_failed,
     ),
     Verifier(
@@ -172,16 +174,13 @@ VERIFIERS = (
             ("fong_block", "fong block", _fong_block_line),
             ("fong_reynolds", "fong-reynolds", _fong_reynolds_line),
         ),
-        lambda G, p, name, *_: (
-            fong_block_instances(G, p, name),
-            fong_reynolds_instances(G, p, name),
-        ),
+        lambda G, p, *_: (fong_block_instances(G, p), fong_reynolds_instances(G, p)),
         _none_failed,
     ),
     Verifier(
         "q35",
         (("question35", "question 3.5", _question35_line),),
-        lambda G, p, name, *_: (question35_instances(G, p, name),),
+        lambda G, p, *_: (question35_instances(G, p),),
         None,
     ),
 )
@@ -215,7 +214,10 @@ def build_report(
         "prime": p,
         "p_solvable": is_p_solvable(G, p),
         "blocks": blocks,
-        "propositions": records,
+        "propositions": {
+            key: [{"group": name, "prime": p, **rec} for rec in recs]
+            for key, recs in records.items()
+        },
         "seed": seed,
         "elapsed_ms": (
             int((time.monotonic() - start) * 1000) if timings else None

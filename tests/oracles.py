@@ -867,8 +867,6 @@ def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):
         if index_big % _normalizer_index(U, I):
             violations += 1
     return {
-        "group": name,
-        "prime": p,
         "kind": "sampled",
         "pairs_drawn": drawn,
         "pairs_hypothesis_met": met,

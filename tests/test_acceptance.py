@@ -226,7 +226,7 @@ def test_criterion_6_regular_covering():
         ent = catalog.entry(name)
         G = ent.load()
         for p in ent.primes:
-            for rec in regular_covering_instances(G, p, name):
+            for rec in regular_covering_instances(G, p):
                 assert rec["verdict"] == "pass", (name, p, rec)
                 assert isinstance(rec["n"], int) and rec["n"] > 0
                 seen.add((name, rec["normal_order"]))
@@ -268,7 +268,7 @@ def test_criterion_7_fong_swan():
 
 def test_criterion_8_glauberman():
     for ent, G, p in _catalog_pairs():
-        records = glauberman_instances(G, p, ent.name)
+        records = glauberman_instances(G, p)
         for rec in records:
             if not rec["hypothesis_met"]:
                 continue

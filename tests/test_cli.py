@@ -145,6 +145,13 @@ def test_unknown_group_exit_2(capsys):
     assert "unknown group" in err
 
 
+def test_unknown_catalog_group_exit_2(capsys):
+    # a plain DomainError, not a usage or group-file error
+    code, out, err = run(capsys, "table", "catalog:NOPE")
+    assert (code, out) == (2, "")
+    assert err == "error: no catalog group named 'NOPE'\n"
+
+
 def test_missing_prime_exit_2(capsys):
     code, out, err = run(capsys, "blocks", "S4")
     assert code == 2

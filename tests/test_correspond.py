@@ -139,7 +139,7 @@ def test_coprime_setup_prefers_sylow_when_product_normal(s4, sl23):
 
 
 def test_glauberman_s4_p3(s4):
-    records = glauberman_instances(s4, 3, "S4")
+    records = glauberman_instances(s4, 3)
     assert len(records) == 4
     met = [r for r in records if r["hypothesis_met"]]
     assert len(met) == 1
@@ -157,7 +157,7 @@ def test_glauberman_s4_p3(s4):
 
 
 def test_glauberman_sl23_p3(sl23):
-    records = glauberman_instances(sl23, 3, "SL(2,3)")
+    records = glauberman_instances(sl23, 3)
     met = [r for r in records if r["hypothesis_met"]]
     assert len(met) == 2 and len(records) == 5
     by_degree = {r["theta_degree"]: r for r in met}
@@ -170,7 +170,7 @@ def test_glauberman_sl23_p3(sl23):
 
 def test_glauberman_a5_p2_vacuous(a5):
     # trivial odd core and trivial 2-core give the identity instance
-    records = glauberman_instances(a5, 2, "A5")
+    records = glauberman_instances(a5, 2)
     assert len(records) == 1
     rec = records[0]
     assert rec["l_order"] == 1 and rec["q_order"] == 1
@@ -213,7 +213,7 @@ def test_glauberman_wreath_correspondent_value():
 
 def test_glauberman_wreath_instances():
     G = c3_wreath_c2()
-    records = glauberman_instances(G, 2, "C3wrC2")
+    records = glauberman_instances(G, 2)
     met = [r for r in records if r["hypothesis_met"]]
     assert len(met) == 3 and len(records) == 9
     assert all(r["verdict"] == "pass" for r in met)
@@ -222,7 +222,7 @@ def test_glauberman_wreath_instances():
 
 def test_glauberman_frobenius20():
     G = frobenius20()
-    records = glauberman_instances(G, 2, "F20")
+    records = glauberman_instances(G, 2)
     met = [r for r in records if r["hypothesis_met"]]
     assert len(met) == 1 and len(records) == 5
     assert met[0]["ordinary_left"] == [1, 1, 1, 1]
@@ -483,7 +483,7 @@ def test_navarro_sampler_multiplies_only_to_build_its_table(monkeypatch):
 
 
 def test_regular_covering_s4_p2(s4):
-    records = regular_covering_instances(s4, 2, "S4")
+    records = regular_covering_instances(s4, 2)
     assert [r["normal_order"] for r in records] == [1, 4, 12, 24]
     assert [r["n"] for r in records] == [24, 6, 2, 1]
     assert all(r["verdict"] == "pass" for r in records)
@@ -491,7 +491,7 @@ def test_regular_covering_s4_p2(s4):
 
 
 def test_regular_covering_s4_p3(s4):
-    records = regular_covering_instances(s4, 3, "S4")
+    records = regular_covering_instances(s4, 3)
     by_normal = {}
     for r in records:
         by_normal.setdefault(r["normal_order"], []).append(r)
@@ -502,7 +502,7 @@ def test_regular_covering_s4_p3(s4):
 
 
 def test_regular_covering_sl23_q8(sl23):
-    records = regular_covering_instances(sl23, 3, "SL(2,3)")
+    records = regular_covering_instances(sl23, 3)
     over_q8 = [r for r in records if r["normal_order"] == 8]
     assert [r["n"] for r in over_q8] == [3, 3, 3]
     assert [r["covered_blocks"] for r in over_q8] == [1, 1, 3]
@@ -510,7 +510,7 @@ def test_regular_covering_sl23_q8(sl23):
 
 
 def test_fong_block_sl23_p3(sl23):
-    records = fong_block_instances(sl23, 3, "SL(2,3)")
+    records = fong_block_instances(sl23, 3)
     assert [r["theta_degree"] for r in records] == [1, 2]
     assert all(r["is_one_block"] for r in records)
     assert all(r["sylow_defect"] for r in records)
@@ -519,13 +519,13 @@ def test_fong_block_sl23_p3(sl23):
 
 def test_fong_block_s4(s4):
     for p, expected_rows in ((2, 1), (3, 1)):
-        records = fong_block_instances(s4, p, "S4")
+        records = fong_block_instances(s4, p)
         assert len(records) == expected_rows
         assert all(r["verdict"] == "pass" for r in records)
 
 
 def test_fong_reynolds_sl23_p3(sl23):
-    records = fong_reynolds_instances(sl23, 3, "SL(2,3)")
+    records = fong_reynolds_instances(sl23, 3)
     assert [r["inertia_index"] for r in records] == [1, 1, 3]
     assert [r["theta_degree"] for r in records] == [1, 2, 1]
     assert [r["characters"] for r in records] == [3, 3, 1]
@@ -533,7 +533,7 @@ def test_fong_reynolds_sl23_p3(sl23):
 
 
 def test_fong_reynolds_s4_p3(s4):
-    records = fong_reynolds_instances(s4, 3, "S4")
+    records = fong_reynolds_instances(s4, 3)
     assert [r["inertia_index"] for r in records] == [1, 3, 3]
     assert all(r["bijective"] for r in records)
     assert all(r["heights_preserved"] for r in records)
@@ -566,18 +566,18 @@ def test_fong_reynolds_record_is_computed_once(s4, monkeypatch):
         return verify(B, L, k)
 
     monkeypatch.setattr(correspond, "verify_fong_reynolds", counted)
-    records = fong_reynolds_instances(s4, 3, "S4")
+    records = fong_reynolds_instances(s4, 3)
     tried = len(calls)
     calls.clear()
     K = p_prime_core(s4, 3)
     for B, rec in zip(block_data(s4, 3).blocks, records):
         _, outcome = find_good_character(B, K)
-        assert rec == {"group": "S4", "prime": 3, "block": B.index, **outcome}
+        assert rec == {"block": B.index, **outcome}
     assert len(calls) == tried
 
 
 def test_question35_s4_p2(s4):
-    records = question35_instances(s4, 2, "S4")
+    records = question35_instances(s4, 2)
     assert len(records) == 1
     rec = records[0]
     assert rec["result"] == "found"
@@ -585,22 +585,15 @@ def test_question35_s4_p2(s4):
 
 
 def test_question35_sl23_p3(sl23):
-    records = question35_instances(sl23, 3, "SL(2,3)")
+    records = question35_instances(sl23, 3)
     assert [r["result"] for r in records] == ["found", "found", "found"]
     assert records[1]["ordinary_witness"] == [[2, 1], [2, 1], [2, 1]]
     assert records[2]["ordinary_witness"] == [[3, 3]]
 
 
 def test_question35_skips_non_solvable(a5):
-    records = question35_instances(a5, 2, "A5")
-    assert records == [
-        {
-            "group": "A5",
-            "prime": 2,
-            "result": "skipped",
-            "reason": "group is not p-solvable",
-        }
-    ]
+    records = question35_instances(a5, 2)
+    assert records == [{"result": "skipped", "reason": "group is not p-solvable"}]
 
 
 def test_perfect_matchings_enumeration():
@@ -617,7 +610,7 @@ def test_question35_agrees_with_pair_search():
         for p in prime_factors(G.order()):
             if not is_p_solvable(G, p):
                 continue
-            records = question35_instances(G, p, G.name)
+            records = question35_instances(G, p)
             wants = oracles.question35_by_pairs(G, p, 10**5)
             assert len(records) == len(wants)
             for rec, want in zip(records, wants):
@@ -631,7 +624,7 @@ def test_question35_agrees_with_pair_search():
 
 def test_question35_s4xs4_p2_found():
     # more than 10^6 ordinary height-zero matchings, one Brauer matching
-    (rec,) = question35_instances(s4_times_s4(), 2, "S4xS4")
+    (rec,) = question35_instances(s4_times_s4(), 2)
     assert rec["result"] == "found"
     assert rec["brauer_witness"] == [[1, 1]]
 
@@ -679,20 +672,20 @@ def test_question35_none_when_no_brauer_matching_admits_one(monkeypatch, s4, for
     # S4 at 3: block 0 has Brauer degrees [1, 1] on both sides, so two
     # Brauer matchings, and its correspondent lives on S3.
     _forge_correspondent_rows(monkeypatch, s4, forge)
-    rec = question35_instances(s4, 3, "S4")[0]
-    assert rec == {"group": "S4", "prime": 3, "block": 0, "result": "none"}
+    rec = question35_instances(s4, 3)[0]
+    assert rec == {"block": 0, "result": "none"}
     assert oracles.question35_by_pairs(s4, 3, 10**5)[0] == {"result": "none"}
 
 
 def test_question35_inconclusive_past_the_brauer_matching_cap(monkeypatch, s4):
     _forge_correspondent_rows(monkeypatch, s4, _sevens)
     monkeypatch.setattr(correspond, "BRAUER_MATCHING_CAP", 1)
-    rec = question35_instances(s4, 3, "S4")[0]
+    rec = question35_instances(s4, 3)[0]
     assert rec["result"] == "inconclusive"
     assert rec["reason"] == "Brauer matchings exceed the cap"
     # two Brauer matchings and a cap of two: both are tried, so none
     monkeypatch.setattr(correspond, "BRAUER_MATCHING_CAP", 2)
-    assert question35_instances(s4, 3, "S4")[0]["result"] == "none"
+    assert question35_instances(s4, 3)[0]["result"] == "none"
 
 
 _Q35_C2_4 = """
@@ -702,7 +695,7 @@ from blockforge.permgroup import PermutationGroup
 gens = [(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 3, 2, 4, 5, 6, 7),
         (0, 1, 2, 3, 5, 4, 6, 7), (0, 1, 2, 3, 4, 5, 7, 6)]
 G = PermutationGroup(8, gens, name="C2^4")
-print(json.dumps(question35_instances(G, 2, "C2^4")))
+print(json.dumps(question35_instances(G, 2)))
 # the child's own peak resident set, in kB
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))

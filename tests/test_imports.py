@@ -4,7 +4,8 @@ and method other than a dunder has a user outside the tests.
 A stdlib-only scan of the syntax trees under src/, tests/ and scripts/.
 Package ``__init__.py`` files are skipped: their imports are re-exports.
 Importing the CLI must also leave the slow ``dataclasses`` and
-``inspect`` modules unloaded.
+``inspect`` modules unloaded, and the package's ``lru_cache`` functions
+are pinned by name.
 """
 
 import ast
@@ -183,3 +184,65 @@ def test_method_names_shared_between_classes_are_pinned():
             name.split(".")[1] for name, _ in _definitions(tree) if "." in name
         )
     assert {name for name, count in defined.items() if count > 1} == SHARED_METHOD_NAMES
+
+
+# Every module-level function the package memoizes with ``lru_cache``.
+# The census of caches in ROADMAP.md counts these: a change that adds or
+# drops one fails here until it updates this set and that census.
+# ``cli.build_parser`` keeps the one argument parser; the rest hold data.
+CACHED_FUNCTIONS = {
+    "blocks.block_data",
+    "blocks.shared_reduction",
+    "catalog._index",
+    "chartab.character_action",
+    "chartab.character_table",
+    "chartab.class_fusion",
+    "chartab.is_p_solvable",
+    "chartab.normal_class_sets",
+    "chartab.normal_subgroups",
+    "chartab.p_core",
+    "chartab.p_prime_core",
+    "chartab.restriction_multiplicities",
+    "cli.build_parser",
+    "cyclotomic.cyclotomic_polynomial",
+    "finitefield._root_image",
+    "finitefield.residue_field",
+    "modular.modular_data",
+    "permgroup.centralizer",
+    "permgroup.centralizer_of_group",
+    "permgroup.group_from_elements",
+    "permgroup.normal_closure",
+    "permgroup.normalizer",
+    "permgroup.sylow_subgroup",
+}
+
+
+def cached_functions(label, source):
+    """module.name for each module-level function decorated with
+    ``lru_cache``, called or bare, by name or through ``functools``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if _mentions(target)["lru_cache"]:
+                    yield f"{label}.{node.name}"
+
+
+def test_cache_scanner_finds_decorated_functions():
+    source = (
+        "import functools\nfrom functools import lru_cache\n\n"
+        "@lru_cache(maxsize=None)\ndef a():\n    pass\n\n"
+        "@lru_cache\ndef b():\n    pass\n\n"
+        "@functools.lru_cache(maxsize=1)\ndef c():\n    pass\n\n"
+        "@staticmethod\ndef d():\n    return lru_cache(maxsize=None)(d)\n\n"
+        "class K:\n    @lru_cache\n    def e(self):\n        pass\n"
+    )
+    # d only builds a cache inside its body, and e is a method
+    assert list(cached_functions("m", source)) == ["m.a", "m.b", "m.c"]
+
+
+def test_package_caches_are_pinned():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(cached_functions(path.stem, path.read_text(encoding="utf-8")))
+    assert found == CACHED_FUNCTIONS

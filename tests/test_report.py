@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from blockforge import catalog
 from blockforge.report import (
     KINDS,
+    VERIFIERS,
     build_report,
     collect_verdicts,
     to_json,
@@ -74,6 +76,22 @@ def test_each_kind_fills_only_its_records(s4, kind):
     # carries both verdicts; the CLI counts only the requested kinds.
     expected = {"am": {"am", "dim"}, "dim": {"am", "dim"}, "q35": set()}
     assert set(collect_verdicts(rep)) == expected.get(kind, {kind})
+    # the report alone stamps each proposition record with its job
+    for key, recs in rep["propositions"].items():
+        for rec in recs:
+            assert list(rec)[:2] == ["group", "prime"], (key, rec)
+            assert (rec["group"], rec["prime"]) == ("S4", 2), (key, rec)
+
+
+def test_verifiers_return_records_without_job_fields(s4):
+    # the catalog's fixed navarro instances on S4 at 2 are verified too
+    fixed = catalog.navarro_fixed("S4", 2)
+    assert fixed
+    for v in VERIFIERS:
+        for recs in v.compute(s4, 2, "S4", 0, fixed):
+            assert recs, v.kind
+            for rec in recs:
+                assert not {"group", "prime"} & set(rec), (v.kind, rec)
 
 
 def test_json_round_trip(s4):
