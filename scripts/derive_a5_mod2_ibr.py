@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from blockforge.blocks import p_regular_classes
 from blockforge.chartab import character_table
 from blockforge.cyclotomic import Cyclotomic, from_root_combination
-from blockforge.finitefield import FiniteField
+from blockforge.finitefield import element_of_order, mul_coeffs, residue_field
 from blockforge.permgroup import PermutationGroup
 
 OUT = (
@@ -39,19 +39,47 @@ OUT = (
 )
 
 
+class Char2Field:
+    """GF(2^f) on the package's coefficient tuples, constant term first:
+    the little arithmetic this derivation needs.  In characteristic 2,
+    minus is plus."""
+
+    def __init__(self, f):
+        self.f = f
+        self.modulus = residue_field(2, f)
+        self.zero = (0,) * f
+        self.one = (1,) + self.zero[1:]
+
+    def elements(self):
+        """Every element, in encoding order (binary digits of 0, ...,
+        2^f - 1, least significant first)."""
+        return [
+            tuple(code >> i & 1 for i in range(self.f)) for code in range(2**self.f)
+        ]
+
+    def add(self, x, y):
+        return tuple(a ^ b for a, b in zip(x, y))
+
+    def mul(self, x, y):
+        return mul_coeffs(x, y, 2, self.modulus)
+
+    def inverse(self, x):
+        return next(y for y in self.elements() if self.mul(x, y) == self.one)
+
+
 def alternating5():
     return PermutationGroup(5, [(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)], name="A5")
 
 
 def special_linear_2_4():
-    field = FiniteField(2, 2)
+    field = Char2Field(2)
     elements = field.elements()
     matrices = []
     for a in elements:
         for b in elements:
             for c in elements:
                 for d in elements:
-                    if a * d - b * c == field.one:
+                    if field.add(field.mul(a, d), field.mul(b, c)) == field.one:
                         matrices.append((a, b, c, d))
     assert len(matrices) == 60
     return field, matrices
@@ -65,15 +93,18 @@ def projective_points(field):
 
 def normalize(x, y, field):
     if x != field.zero:
-        return (field.one, y * x.inverse())
+        return (field.one, field.mul(y, field.inverse(x)))
     return (field.zero, field.one)
 
 
 def permutation_of(matrix, points, field):
     a, b, c, d = matrix
+    add, mul = field.add, field.mul
     images = []
     for x, y in points:
-        images.append(normalize(a * x + b * y, c * x + d * y, field))
+        images.append(
+            normalize(add(mul(a, x), mul(b, y)), add(mul(c, x), mul(d, y)), field)
+        )
     return tuple(points.index(q) for q in images)
 
 
@@ -81,13 +112,14 @@ def eigenvalue_lifts(matrix, field, big, embed, log):
     """The exponent k of the root of unity zeta_15^k that each eigenvalue
     of the matrix lifts to."""
     a, b, c, d = matrix
-    trace = embed[a + d]
+    trace = embed[field.add(a, d)]
     if trace == big.zero:
         return [0, 0]
     roots = [
         lam
         for lam in big.elements()
-        if lam * lam + trace * lam + big.one == big.zero
+        if big.add(big.add(big.mul(lam, lam), big.mul(trace, lam)), big.one)
+        == big.zero
     ]
     assert len(roots) == 2
     return [log[lam] for lam in roots]
@@ -113,28 +145,30 @@ def derive():
     assert len(perm_to_matrix) == 60
     assert set(perm_to_matrix) == group.element_set()
 
-    big = FiniteField(2, 4)
-    w = big.element_of_order(15)
+    big = Char2Field(4)
+    w = element_of_order(2, 4, 15)
     log = {}
+    powers = []
     power = big.one
     for j in range(15):
         log[power] = j
-        power = power * w
-    g3 = w**5
-    u = field.element_of_order(3)
+        powers.append(power)
+        power = big.mul(power, w)
+    g3 = powers[5]
+    u = element_of_order(2, 2, 3)
     embed = {
         field.zero: big.zero,
         field.one: big.one,
         u: g3,
-        u * u: g3 * g3,
+        field.mul(u, u): big.mul(g3, g3),
     }
     for x in field.elements():
         for y in field.elements():
-            assert embed[x + y] == embed[x] + embed[y]
-            assert embed[x * y] == embed[x] * embed[y]
+            assert embed[field.add(x, y)] == big.add(embed[x], embed[y])
+            assert embed[field.mul(x, y)] == big.mul(embed[x], embed[y])
 
     def frobenius(matrix):
-        return tuple(entry * entry for entry in matrix)
+        return tuple(field.mul(entry, entry) for entry in matrix)
 
     regular = p_regular_classes(group, 2)
     reps = [group.conjugacy_classes()[k].representative for k in regular]

@@ -200,9 +200,10 @@ class BlockSet:
                 "Osima's criterion disagrees with the central characters"
                 f" on {_where(group, prime)}"
             )
-        field = rmap.field
-        total = [sum(c, field.zero) for c in zip(*map(block_idempotent, self.blocks))]
-        if total != [field.one] + [field.zero] * (len(total) - 1):
+        zero = (0,) * rmap.f
+        columns = zip(*map(block_idempotent, self.blocks))
+        total = [tuple(sum(t) % prime for t in zip(*c)) for c in columns]
+        if total != [(1,) + zero[1:]] + [zero] * (len(total) - 1):
             raise InternalCheckError(
                 f"block idempotents do not sum to one on {_where(group, prime)}"
             )
@@ -249,13 +250,13 @@ def block_data(G, p):
 
 def block_idempotent(block):
     """Idempotent coefficients of the block on the class-sum basis, as
-    residue field elements.
+    residue coefficient tuples.
 
     The coefficient at class K is (1/|G|) sum over chi in B of
     chi(1) chi(x_K^-1).  The sum is taken on row coordinates, and the
     coefficient is p-local exactly when |G|_p divides every coordinate
-    of it (the power basis is an integral basis); the quotient is then
-    reduced and divided by the p'-part of |G| in the residue field."""
+    of it (the power basis is an integral basis); the quotient, times
+    the inverse of the p'-part of |G| mod p, is then reduced."""
     if block.idempotent is not None:
         return block.idempotent
     bs = block.blockset
@@ -263,7 +264,7 @@ def block_idempotent(block):
     rows = bs.table.coords
     n = G.order()
     n_p = p_part(n, bs.prime)
-    inv_m = bs.rmap.field.from_integer(n // n_p).inverse()
+    inv_m = pow(n // n_p, -1, bs.prime)
     terms = list(zip(block.degrees(), block.char_indices))
     coeffs = []
     for c, k in zip(G.conjugacy_classes(), G.inverse_classes()):
@@ -276,8 +277,8 @@ def block_idempotent(block):
                 "idempotent coefficient is not p-local"
                 f" on {_where(G, bs.prime, block.index)}"
             )
-        local = [x // n_p for x in total]
-        coeffs.append(bs.rmap.reduce(local, c.element_order) * inv_m)
+        local = [x // n_p * inv_m for x in total]
+        coeffs.append(bs.rmap.reduce(local, c.element_order))
     block.idempotent = tuple(coeffs)
     return block.idempotent
 
@@ -290,7 +291,7 @@ def brauer_image_is_nonzero(block, Q):
     return any(
         all(by_h(x) == right_factor(x)(h) for h, by_h in factors)
         for k, a in enumerate(block_idempotent(block))
-        if not a.is_zero()
+        if any(a)
         for x in G.class_elements(k)
     )
 
@@ -318,7 +319,7 @@ def _defect_group_from_defect_class(block):
     p = bs.prime
     classes = G.conjugacy_classes()
     for k in p_regular_classes(G, p):
-        if block.reduced_central[k].is_zero():
+        if not any(block.reduced_central[k]):
             continue
         if vp(G.order() // classes[k].size, p) == block.defect:
             D = sylow_subgroup(centralizer(G, classes[k].representative), p)
@@ -341,14 +342,18 @@ def induced_central(b, G):
     representative lies in K.  lambda_b is the central character of one
     member of b, reduced from H's row coordinates under G's own map, so
     the result can be compared with the central characters of G's
-    blocks."""
+    blocks.
+
+    No values of two residue fields meet here: every value is reduced
+    under G's map alone, one (p, f) gives one modulus, and tuples of
+    different f have different lengths, so they never compare equal."""
     H = b.blockset.group
     p = b.blockset.prime
     rmap = block_data(G, p).rmap
     lam = _reduced_central(b.blockset.table, b.char_indices[0], rmap, p)
-    values = [rmap.field.zero] * len(G.conjugacy_classes())
+    values = [(0,) * rmap.f] * len(G.conjugacy_classes())
     for k, v in zip(class_fusion(G, H), lam):
-        values[k] = values[k] + v
+        values[k] = tuple((a + b) % p for a, b in zip(values[k], v))
     return tuple(values)
 
 

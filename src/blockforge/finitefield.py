@@ -5,17 +5,21 @@ The field GF(p^f) is presented as polynomials over GF(p) modulo the
 lexicographically smallest monic irreducible of degree f, where
 polynomials are compared by their coefficient tuples read from the
 highest non-leading power down to the constant (equivalently, by the
-integer whose base-p digits are the coefficients).  Elements are
-coefficient tuples, constant term first, and that integer is an
-element's encoding.
+integer whose base-p digits are the coefficients); that modulus is
+all the package keeps of a field (``residue_field``).  Every residue
+value in the package is a plain coefficient tuple, constant term
+first, and that integer is its encoding.
 
-Every field size takes one arithmetic path: a product is the schoolbook
-product of two coefficient tuples reduced by the modulus
-(``mul_coeffs``).  There is no log or Zech table, so GF(3^12) and
-GF(2^23) work like GF(4), at about f^2 integer operations per product.
-The hot loop, ``ReductionMap.reduce``, adds integer multiples of
-coefficient tuples into one integer list, reduces it modulo p once and
-builds one element.
+The package tests values for zero with ``any`` and adds them modulo p
+coefficient by coefficient; its one product of two values is
+``mul_coeffs``, the schoolbook product reduced by the modulus, with no
+log or Zech table, so GF(3^12) and GF(2^23) work like GF(4), at about
+f^2 integer operations per product.  The hot loop,
+``ReductionMap.reduce``, adds integer multiples of coefficient tuples
+into one integer list and reduces it modulo p once.  The element
+arithmetic the package does without (inverses, orders, every element
+of a field) lives in ``tests/oracles.py`` (``ResidueField``), which
+checks these routines.
 
 A ReductionMap fixes, once per (conductor, prime) pair, the maximal
 ideal above p used to reduce algebraic integers of Q(zeta_e): the
@@ -24,8 +28,8 @@ e' goes to u, the encoding-smallest element of exact multiplicative
 order e'.  u is found without a scan of the field: the first encoding
 whose ((q - 1)/e')-th power has exact order e' gives a generator of the
 e'-th roots of unity, and u is the smallest of its phi(e') generating
-powers (``FiniteField.element_of_order``).  Each field is built once
-per (p, f) (``residue_field``), and u with its powers once per (p, e')
+powers (``element_of_order``).  Each modulus is found once per (p, f)
+(``residue_field``), and u with its powers once per (p, e')
 (``_root_image``), so conductors with the same p'-part share them.
 
 A value is read in the character table's one representation
@@ -40,193 +44,6 @@ from math import gcd
 from .arith import is_prime, multiplicative_order, p_part, prime_factors, vp
 from .cyclotomic import cyclotomic_polynomial
 from .errors import DomainError, InternalCheckError
-
-
-class FiniteField:
-    """GF(p^f) with a deterministic modulus polynomial."""
-
-    def __init__(self, p, f):
-        if not is_prime(p):
-            raise DomainError("characteristic must be prime")
-        if f < 1:
-            raise DomainError("extension degree must be positive")
-        self.p = p
-        self.f = f
-        self.size = p**f
-        self.modulus = _smallest_irreducible(p, f)
-        self.zero = FFElement(self, (0,) * f)
-        self.one = FFElement(self, (1,) + (0,) * (f - 1))
-
-    def from_integer(self, n):
-        return FFElement(self, (n % self.p,) + (0,) * (self.f - 1))
-
-    def elements(self):
-        """Every element, in encoding order."""
-        return [
-            FFElement(self, _digits(code, self.p, self.f))
-            for code in range(self.size)
-        ]
-
-    def element_of_order(self, n):
-        """The encoding-smallest element of exact multiplicative order n.
-
-        GF(q)* is cyclic of order q - 1, so the elements x with x^n = 1
-        form its cyclic subgroup of order n, and y -> y^h with
-        h = (q - 1)/n maps GF(q)* onto that subgroup.  The encodings are
-        walked in order, one element per code, up to the first y whose
-        image w has exact order n: w^n = 1 holds for every y, so it
-        suffices that w^(n/r) != 1 for each prime r dividing n.  Such a
-        w generates the subgroup, and the elements of exact order n in
-        a cyclic group <w> of order n are exactly the powers w^k with
-        gcd(k, n) = 1.  Those phi(n) powers are therefore every element
-        of exact order n in the field, and their encoding-smallest one
-        is the element a scan of all encodings returns.
-
-        Gate: the phi(n) powers must be distinct, as they are when w has
-        exact order n; equal powers mean w's order was misjudged."""
-        if (self.size - 1) % n:
-            raise DomainError("order does not divide the group order")
-        h = (self.size - 1) // n
-        cofactors = [n // r for r in prime_factors(n)]
-        for code in range(1, self.size):
-            w = FFElement(self, _digits(code, self.p, self.f)) ** h
-            if all(w ** c != self.one for c in cofactors):
-                break
-        else:
-            raise InternalCheckError(f"no element of order {n} found in {self!r}")
-        generators = []
-        power = self.one.coeffs
-        for k in range(n):
-            if gcd(k, n) == 1:
-                generators.append(power)
-            power = mul_coeffs(power, w.coeffs, self.p, self.modulus)
-        if len(set(generators)) != len(generators):
-            raise InternalCheckError(
-                f"the {len(generators)} generating powers of an element of"
-                f" order {n} in {self!r} are not distinct"
-            )
-        # the encoding reads the digits from the highest power down
-        return FFElement(self, min(generators, key=lambda c: c[::-1]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.f == other.f
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.f))
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.f})" if self.f > 1 else f"GF({self.p})"
-
-
-class FFElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if not isinstance(other, FFElement) or other.field != self.field:
-            raise DomainError("elements belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElement(
-            self.field,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.field.p
-        return FFElement(
-            self.field,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            p = self.field.p
-            return FFElement(
-                self.field, tuple(a * other % p for a in self.coeffs)
-            )
-        self._check(other)
-        field = self.field
-        return FFElement(
-            field, mul_coeffs(self.coeffs, other.coeffs, field.p, field.modulus)
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self):
-        if self == self.field.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field.size - 2)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise DomainError("zero has no multiplicative order")
-        n = self.field.size - 1
-        for q in prime_factors(n):
-            while n % q == 0 and self ** (n // q) == self.field.one:
-                n //= q
-        return n
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FFElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.f, self.coeffs))
-
-    def __str__(self):
-        if self.field.f == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"FFElement({self.field!r}, {self})"
 
 
 def _digits(code, p, f):
@@ -253,6 +70,67 @@ def mul_coeffs(a, b, p, modulus):
             for i, m in enumerate(modulus):
                 raw[k - f + i] -= c * m
     return tuple(raw[i] % p for i in range(f))
+
+
+def _field_name(p, f):
+    return f"GF({p}^{f})" if f > 1 else f"GF({p})"
+
+
+def _power(a, n, p, modulus):
+    """a^n for n >= 0, by square and multiply with ``mul_coeffs``."""
+    out = (1,) + (0,) * (len(a) - 1)
+    while n:
+        if n & 1:
+            out = mul_coeffs(out, a, p, modulus)
+        a = mul_coeffs(a, a, p, modulus)
+        n >>= 1
+    return out
+
+
+def element_of_order(p, f, n):
+    """The encoding-smallest element of exact multiplicative order n in
+    GF(p^f), as a coefficient tuple.
+
+    GF(q)* is cyclic of order q - 1, so the elements x with x^n = 1
+    form its cyclic subgroup of order n, and y -> y^h with
+    h = (q - 1)/n maps GF(q)* onto that subgroup.  The encodings are
+    walked in order, one element per code, up to the first y whose
+    image w has exact order n: w^n = 1 holds for every y, so it
+    suffices that w^(n/r) != 1 for each prime r dividing n.  Such a
+    w generates the subgroup, and the elements of exact order n in
+    a cyclic group <w> of order n are exactly the powers w^k with
+    gcd(k, n) = 1.  Those phi(n) powers are therefore every element
+    of exact order n in the field, and their encoding-smallest one
+    is the element a scan of all encodings returns.
+
+    Gate: the phi(n) powers must be distinct, as they are when w has
+    exact order n; equal powers mean w's order was misjudged."""
+    modulus = residue_field(p, f)
+    size = p**f
+    if (size - 1) % n:
+        raise DomainError("order does not divide the group order")
+    h = (size - 1) // n
+    one = (1,) + (0,) * (f - 1)
+    cofactors = [n // r for r in prime_factors(n)]
+    for code in range(1, size):
+        w = _power(_digits(code, p, f), h, p, modulus)
+        if all(_power(w, c, p, modulus) != one for c in cofactors):
+            break
+    else:
+        raise InternalCheckError(f"no element of order {n} found in {_field_name(p, f)}")
+    generators = []
+    power = one
+    for k in range(n):
+        if gcd(k, n) == 1:
+            generators.append(power)
+        power = mul_coeffs(power, w, p, modulus)
+    if len(set(generators)) != len(generators):
+        raise InternalCheckError(
+            f"the {len(generators)} generating powers of an element of"
+            f" order {n} in {_field_name(p, f)} are not distinct"
+        )
+    # the encoding reads the digits from the highest power down
+    return min(generators, key=lambda c: c[::-1])
 
 
 def _smallest_irreducible(p, f):
@@ -293,20 +171,27 @@ def _poly_divides(div, poly, p):
 
 @lru_cache(maxsize=None)
 def residue_field(p, f):
-    """GF(p^f), built (and its modulus searched for) once per (p, f)."""
-    return FiniteField(p, f)
+    """The modulus of GF(p^f), searched for once per (p, f): the smallest
+    monic irreducible of degree f over GF(p), constant term first,
+    leading 1 omitted."""
+    if not is_prime(p):
+        raise DomainError("characteristic must be prime")
+    if f < 1:
+        raise DomainError("extension degree must be positive")
+    return _smallest_irreducible(p, f)
 
 
 @lru_cache(maxsize=None)
 def _root_image(p, n):
     """The root image u of exact order n in characteristic p, in the
-    smallest field holding it, and the coefficient tuples of its powers
-    u^0, ..., u^(n-1); built once per (p, n)."""
-    field = residue_field(p, multiplicative_order(p, n))
-    u = field.element_of_order(n)
-    powers = [field.one.coeffs]
+    smallest field holding it, and its powers u^0, ..., u^(n-1); built
+    once per (p, n)."""
+    f = multiplicative_order(p, n)
+    modulus = residue_field(p, f)
+    u = element_of_order(p, f, n)
+    powers = [(1,) + (0,) * (f - 1)]
     for _ in range(n - 1):
-        powers.append(mul_coeffs(powers[-1], u.coeffs, p, field.modulus))
+        powers.append(mul_coeffs(powers[-1], u, p, modulus))
     return u, tuple(powers)
 
 
@@ -328,18 +213,20 @@ class ReductionMap:
         self.p = p
         self.e_prime = e // p_part(e, p)
         self.f = multiplicative_order(p, self.e_prime)
-        self.field = residue_field(p, self.f)
+        self.modulus = residue_field(p, self.f)
         self.u, self._u_powers = _root_image(p, self.e_prime)
         a = vp(e, p)
         self.alpha = pow(p**a, -1, self.e_prime) if self.e_prime > 1 else 0
 
     def reduce(self, coords, o):
         """Image of the algebraic integer with integer coordinates coords
-        on the power basis of conductor o, where o divides e.
+        on the power basis of conductor o, where o divides e, as a
+        coefficient tuple.
 
         zeta_o^j maps to u^(alpha j e/o); the coordinates weight those
         powers' coefficient tuples in one integer list, reduced modulo p
-        once."""
+        once.  The map is linear, so a factor folded into the integer
+        coordinates comes out of the reduction as its residue mod p."""
         if self.e % o:
             raise DomainError("value lies outside the source field")
         if len(coords) != len(cyclotomic_polynomial(o)) - 1:
@@ -356,33 +243,41 @@ class ReductionMap:
             for i, a in enumerate(powers[j * step % self.e_prime]):
                 total[i] += c * a
         p = self.p
-        return FFElement(self.field, tuple(t % p for t in total))
+        return tuple(t % p for t in total)
 
     def __repr__(self):
-        return f"ReductionMap(e={self.e}, p={self.p}, field={self.field!r})"
+        return f"ReductionMap(e={self.e}, p={self.p}, f={self.f})"
 
 
 def build_reduction(e, p):
     """Construct the reduction map for conductor e above p, and prove it
     is a ring homomorphism.
 
-    Once u is checked to have exact order e', ``reduce`` is linear in the
-    power-basis coordinates and sends zeta_c to u_bar^(e/c) for every c
-    dividing e, where u_bar = u^alpha is the image of zeta_e.  It is therefore the restriction of the ring
+    u has exact order e' when u^e' = 1 and u^(e'/r) != 1 for each prime
+    r dividing e', read off the table of its powers u^0, ..., u^(e'-1).
+    Then ``reduce`` is linear in the power-basis coordinates and sends
+    zeta_c to u_bar^(e/c) for every c dividing e, where u_bar = u^alpha
+    is the image of zeta_e.  It is therefore the restriction of the ring
     homomorphism Z[zeta_e] = Z[x]/(Phi_e) -> GF(p^f), x -> u_bar, which
-    exists exactly when Phi_e(u_bar) = 0.  That one evaluation also
-    implies that the p-power part of zeta_e maps to 1.
+    exists exactly when Phi_e(u_bar) = 0, evaluated by Horner's rule.
+    That one evaluation also implies that the p-power part of zeta_e
+    maps to 1.
     """
     rmap = ReductionMap(e, p)
-    if rmap.e_prime > 1 and rmap.u.multiplicative_order() != rmap.e_prime:
+    n, modulus, powers = rmap.e_prime, rmap.modulus, rmap._u_powers
+    one = powers[0]
+    if mul_coeffs(powers[-1], rmap.u, p, modulus) != one or any(
+        powers[n // r] == one for r in prime_factors(n)
+    ):
         raise InternalCheckError(
             f"root image has the wrong order for conductor {e} at p = {p}"
         )
-    u_bar = FFElement(rmap.field, rmap._u_powers[rmap.alpha])
-    value = rmap.field.zero
+    u_bar = powers[rmap.alpha]
+    value = (0,) * rmap.f
     for c in reversed(cyclotomic_polynomial(e)):
-        value = value * u_bar + rmap.field.from_integer(c)
-    if not value.is_zero():
+        value = mul_coeffs(value, u_bar, p, modulus)
+        value = ((value[0] + c) % p,) + value[1:]
+    if any(value):
         raise InternalCheckError(
             f"the image of zeta_{e} is not a root of Phi_{e} mod {p}"
         )

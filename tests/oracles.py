@@ -55,14 +55,19 @@ whose closure is a p-group, or a p'-group, and
 ``is_p_solvable_by_quotients`` peels those cores off one at a time,
 building each quotient as the action of G on the cosets, to compare
 with the package's reading of both off the kernel lattice.
-``element_of_order_by_scan`` walks every element of a package field in
-encoding order with generic element powers, to compare with the
-package's root from one cyclic orbit.  ``reduce_by_elements`` reduces
-coordinates one field element at a time, to compare with the package's
-accumulation in integer lists.  ``structure_constants`` counts every
-class-algebra structure constant from products of elements, to compare
-with the class-matrix rows the package builds for its table from one
-class and its size ratios (``chartab._class_row``);
+``ResidueField`` is the element arithmetic of GF(p^f) on the
+package's coefficient tuples over the package's modulus
+(``finitefield.residue_field``), its product written here by Horner's
+rule rather than through the package's ``mul_coeffs``; the field
+oracles below compute on it.  ``element_of_order_by_scan`` walks every
+element of a field in encoding order with generic element powers, to
+compare with the package's root from one cyclic orbit.
+``reduce_by_elements`` reduces coordinates one field element at a
+time, to compare with the package's accumulation in integer lists.
+``structure_constants`` counts every class-algebra structure constant
+from products of elements, to compare with the class-matrix rows the
+package builds for its table from one class and its size ratios
+(``chartab._class_row``);
 ``class_algebra_product_by_elements`` multiplies class-algebra elements
 over them one field element at a time, to check that the package's
 block idempotents are orthogonal idempotents, e_u e_v = delta_uv e_u,
@@ -116,6 +121,7 @@ from blockforge.cyclotomic import (
     reduce_mod_cyclotomic,
 )
 from blockforge.errors import DomainError, InternalCheckError
+from blockforge.finitefield import residue_field
 from blockforge.modular import (
     _fixture_brauer_characters,
     modular_data,
@@ -742,29 +748,29 @@ def induced_central(b, G):
     distinct classes L of H met by the elements of K.  None when the
     induced function is not multiplicative."""
     H = b.blockset.group
-    field = b.blockset.rmap.field
+    F = ResidueField.of_map(b.blockset.rmap)
     hset = H.element_set()
     values = []
     for c in G.conjugacy_classes():
-        total = field.zero
+        total = F.zero
         seen_h_classes = set()
         for x in G.class_elements(c.index):
             if x in hset:
                 hidx = H.class_index(x)
                 if hidx not in seen_h_classes:
                     seen_h_classes.add(hidx)
-                    total = total + b.reduced_central[hidx]
+                    total = F.add(total, b.reduced_central[hidx])
         values.append(total)
     values = tuple(values)
     a = structure_constants(G)
     r = len(values)
     for i in range(r):
         for j in range(r):
-            rhs = field.zero
+            rhs = F.zero
             for k in range(r):
                 if a[i][j][k]:
-                    rhs = rhs + values[k] * a[i][j][k]
-            if values[i] * values[j] != rhs:
+                    rhs = F.add(rhs, F.mul(values[k], F.of(a[i][j][k])))
+            if F.mul(values[i], values[j]) != rhs:
                 return None
     return values
 
@@ -818,7 +824,8 @@ def blocks_by_cyclotomic_values(bs):
             raise InternalCheckError("central character is not integral")
         centrals.append(tuple(rmap.reduce(v.coords, v.conductor) for v in omega))
     n_p = p_part(G.order(), p)
-    inv_m = rmap.field.from_integer(G.order() // n_p).inverse()
+    F = ResidueField.of_map(rmap)
+    inv_m = F.inverse(F.of(G.order() // n_p))
     idempotents = []
     for b in bs.blocks:
         coeffs = []
@@ -829,7 +836,7 @@ def blocks_by_cyclotomic_values(bs):
             )
             if not is_algebraic_integer(local):
                 raise InternalCheckError("idempotent coefficient is not p-local")
-            coeffs.append(rmap.reduce(local.coords, local.conductor) * inv_m)
+            coeffs.append(F.mul(rmap.reduce(local.coords, local.conductor), inv_m))
         idempotents.append(tuple(coeffs))
     return centrals, idempotents
 
@@ -965,29 +972,108 @@ def _coset_action(G, K):
     return PermutationGroup(len(reps), images)
 
 
+class ResidueField:
+    """GF(p^f) on coefficient tuples, constant term first, modulo the
+    package's modulus t^f + m(t): every element operation the package
+    does without, for the oracles and the field-axiom tests."""
+
+    def __init__(self, p, f):
+        self.p = p
+        self.f = f
+        self.size = p**f
+        self.modulus = residue_field(p, f)
+        self.zero = (0,) * f
+        self.one = (1,) + self.zero[1:]
+
+    @classmethod
+    def of_map(cls, rmap):
+        """The field a reduction map lands in."""
+        return cls(rmap.p, rmap.f)
+
+    def of(self, n):
+        """The image of the integer n."""
+        return (n % self.p,) + self.zero[1:]
+
+    def elements(self):
+        """Every element, in encoding order: the base-p digits of 0, ...,
+        q - 1, least significant first."""
+        return [
+            tuple(code // self.p**i % self.p for i in range(self.f))
+            for code in range(self.size)
+        ]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def mul(self, a, b):
+        """a b by Horner's rule on b, highest coefficient first: each step
+        multiplies by t, where t^f = -m(t), and adds a multiple of a."""
+        out = self.zero
+        for y in reversed(b):
+            top = out[-1]
+            out = tuple(
+                (s - top * m + y * x) % self.p
+                for s, m, x in zip((0,) + out[:-1], self.modulus, a)
+            )
+        return out
+
+    def pow(self, a, n):
+        """a^n for n >= 0."""
+        out, base = self.one, a
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return out
+
+    def inverse(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.size - 2)
+
+    def multiplicative_order(self, a):
+        if a == self.zero:
+            raise DomainError("zero has no multiplicative order")
+        n = self.size - 1
+        for q in prime_factors(n):
+            while n % q == 0 and self.pow(a, n // q) == self.one:
+                n //= q
+        return n
+
+
 def element_of_order_by_scan(F, n):
     """The encoding-smallest element of exact multiplicative order n in
-    the field F, found by scanning every element in encoding order."""
+    the reference field F, found by scanning every element in encoding
+    order."""
     if (F.size - 1) % n:
         raise DomainError("order does not divide the group order")
     cofactors = [n // q for q in prime_factors(n)]
     for x in F.elements():
-        if x.is_zero() or x**n != F.one:
+        if x == F.zero or F.pow(x, n) != F.one:
             continue
-        if all(x**c != F.one for c in cofactors):
+        if all(F.pow(x, c) != F.one for c in cofactors):
             return x
-    raise InternalCheckError(f"no element of order {n} found in {F!r}")
+    raise InternalCheckError(f"no element of order {n} found in GF({F.p}^{F.f})")
 
 
 def reduce_by_elements(rmap, coords, o):
     """rmap's image of the integer coordinates coords at conductor o,
     summed one field element per coordinate from the powers of rmap.u."""
+    F = ResidueField.of_map(rmap)
     n = rmap.e_prime
     step = rmap.e // o
-    out = rmap.field.zero
+    out = F.zero
     for j, c in enumerate(coords):
         if c:
-            out = out + rmap.u ** (rmap.alpha * j * step % n) * int(c)
+            power = F.pow(rmap.u, rmap.alpha * j * step % n)
+            out = F.add(out, F.mul(power, F.of(int(c))))
     return out
 
 
@@ -1005,23 +1091,23 @@ def structure_constants(G):
     return tuple(tuple(tuple(row) for row in plane) for plane in a)
 
 
-def class_algebra_product_by_elements(G, u, v, field):
-    """The product of two class-algebra elements over field, summed one
-    field element per nonzero structure constant."""
+def class_algebra_product_by_elements(G, u, v, F):
+    """The product of two class-algebra elements over the reference
+    field F, summed one field element per nonzero structure constant."""
     a = structure_constants(G)
     r = len(u)
-    out = [field.zero] * r
+    out = [F.zero] * r
     for i in range(r):
-        if u[i].is_zero():
+        if u[i] == F.zero:
             continue
         for j in range(r):
-            if v[j].is_zero():
+            if v[j] == F.zero:
                 continue
-            uv = u[i] * v[j]
+            uv = F.mul(u[i], v[j])
             row = a[i][j]
             for k in range(r):
                 if row[k]:
-                    out[k] = out[k] + uv * row[k]
+                    out[k] = F.add(out[k], F.mul(uv, F.of(row[k])))
     return tuple(out)
 
 

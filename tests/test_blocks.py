@@ -61,9 +61,9 @@ def test_s4_p2_single_block_of_full_defect(s4):
 def test_s4_p2_idempotent_is_the_identity(s4):
     bs = block_data(s4, 2)
     coeffs = block_idempotent(bs.blocks[0])
-    field = bs.rmap.field
-    assert coeffs[0] == field.one
-    assert all(c.is_zero() for c in coeffs[1:])
+    zero = (0,) * bs.rmap.f
+    assert coeffs[0] == (1,) + zero[1:]
+    assert all(c == zero for c in coeffs[1:])
 
 
 def test_a5_p2_partition(a5):
@@ -210,7 +210,7 @@ def test_defect_group_needs_a_p_regular_defect_class(a5):
     b = bs.blocks[0]
     regular = p_regular_classes(a5, 2)
     b.reduced_central = tuple(
-        bs.rmap.field.zero if k in regular else v
+        (0,) * bs.rmap.f if k in regular else v
         for k, v in enumerate(b.reduced_central)
     )
     message = re.escape(f"no p-regular defect class on {a5!r} at p = 2, block 0")
@@ -222,7 +222,7 @@ def test_brauer_image_gate_names_group_prime_and_block(sl23):
     bs = _uncached_blocks(sl23, 3)
     b = bs.blocks[1]
     assert b.defect == 1
-    b.idempotent = (bs.rmap.field.zero,) * len(b.idempotent)
+    b.idempotent = ((0,) * bs.rmap.f,) * len(b.idempotent)
     message = re.escape(
         f"Brauer image of the idempotent vanishes at the defect group"
         f" on {sl23!r} at p = 3, block 1"
@@ -235,8 +235,9 @@ def test_idempotents_are_orthogonal(a5):
     bs = block_data(a5, 2)
     e0 = block_idempotent(bs.blocks[0])
     e1 = block_idempotent(bs.blocks[1])
-    product = oracles.class_algebra_product_by_elements(a5, e0, e1, bs.rmap.field)
-    assert all(c.is_zero() for c in product)
+    F = oracles.ResidueField.of_map(bs.rmap)
+    product = oracles.class_algebra_product_by_elements(a5, e0, e1, F)
+    assert all(c == F.zero for c in product)
 
 
 def test_brauer_image_vanishes_above_defect_group(a5):
@@ -327,6 +328,26 @@ def test_partition_stable_under_larger_conductor(a4, a5):
     ]
     assert small.rmap.e == 6
     assert big.rmap.e == 30
+
+
+def test_induced_central_lands_in_the_target_field(s4, a5):
+    # A4 = N_A5(V4) at 2: A4's own map lands in GF(4), A5's in GF(16).
+    # Induction reduces under A5's map alone, so every entry is a GF(16)
+    # tuple of length 4, and it finds A5's principal block
+    target = block_data(a5, 2)
+    a4 = normalizer(a5, target.blocks[0].defect_group())
+    assert a4.order() == 12
+    assert block_data(a4, 2).rmap.f == 2
+    assert target.rmap.f == 4
+    for b in block_data(a4, 2).blocks:
+        assert all(len(v) == 4 for v in induced_central(b, a5))
+        assert induced_block(b, a5) is target.blocks[0]
+    # C4 <= S4 at 2: the classes of r and r^3 fuse into the 4-cycles, so
+    # lambda^G sums 1 + 1 there, which is 0 mod 2
+    c4 = PermutationGroup(4, [(1, 2, 3, 0)])
+    values = induced_central(block_data(c4, 2).blocks[0], s4)
+    assert all(len(v) == 2 and set(v) <= {0, 1} for v in values)
+    assert sorted(values) == [(0, 0)] * 3 + [(1, 0)] * 2
 
 
 def test_blocks_of_random_subgroups_need_no_common_map():
@@ -450,6 +471,21 @@ def test_osima_partition_matches_central_characters():
     assert cases == 74
 
 
+def test_sum_to_one_gate_fires_on_a_dropped_idempotent(monkeypatch, a5):
+    # A5 at 2 has two blocks; with the defect-zero block's idempotent
+    # forged to zero, the idempotents sum to the principal one, not to 1
+    real = blocks.block_idempotent
+
+    def forged(b):
+        coeffs = real(b)
+        return tuple((0,) * len(c) for c in coeffs) if b.index == 1 else coeffs
+
+    monkeypatch.setattr(blocks, "block_idempotent", forged)
+    message = re.escape(f"block idempotents do not sum to one on {a5!r} at p = 2")
+    with pytest.raises(InternalCheckError, match=message):
+        _uncached_blocks(a5, 2)
+
+
 def test_osima_gate_fires_on_merged_central_characters(monkeypatch, a5):
     # one central character for every row merges A5's two 2-blocks into
     # one bucket; its idempotent is 1, so p-locality, the sum to one and
@@ -485,7 +521,7 @@ def test_induction_miss_names_both_groups_and_prime(monkeypatch, a5):
     B = block_data(a5, 2).blocks[0]
     b = brauer_correspondent(B)
     H = b.blockset.group
-    zero = block_data(a5, 2).rmap.field.zero
+    zero = (0,) * block_data(a5, 2).rmap.f
     monkeypatch.setattr(
         blocks, "induced_central", lambda b, G: (zero,) * len(G.conjugacy_classes())
     )
@@ -561,11 +597,12 @@ def test_integer_field_loops_match_element_oracle():
                     want = oracles.reduce_by_elements(rmap, x, c.element_order)
                     assert rmap.reduce(x, c.element_order) == want, (G, p)
             idempotents = [block_idempotent(b) for b in bs.blocks]
-            zero = (rmap.field.zero,) * len(G.conjugacy_classes())
+            F = oracles.ResidueField.of_map(rmap)
+            zero = (F.zero,) * len(G.conjugacy_classes())
             for u in idempotents:
                 for v in idempotents:
                     product = oracles.class_algebra_product_by_elements(
-                        G, u, v, rmap.field
+                        G, u, v, F
                     )
                     assert product == (u if u is v else zero), (G, p)
             cases += 1

@@ -9,17 +9,23 @@ from blockforge import finitefield
 from blockforge.blocks import block_data
 from blockforge.cyclotomic import rational
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.finitefield import FFElement, FiniteField, ReductionMap, build_reduction
+from blockforge.finitefield import (
+    ReductionMap,
+    build_reduction,
+    element_of_order,
+    mul_coeffs,
+    residue_field,
+)
 from blockforge.modular import ModularData
 
 from conftest import dihedral, random_value
-from oracles import element_of_order_by_scan, plus, times, zeta
+from oracles import ResidueField, element_of_order_by_scan, plus, times, zeta
 
 
 @pytest.fixture
 def fresh_fields():
-    """Empty the field and root caches before and after the test, so a
-    monkeypatched field is consulted and no root it made outlives it."""
+    """Empty the modulus and root caches before and after the test, so a
+    monkeypatched routine is consulted and no root it made outlives it."""
     finitefield.residue_field.cache_clear()
     finitefield._root_image.cache_clear()
     yield
@@ -34,43 +40,44 @@ def reduce(rmap, x):
 
 
 def test_gf4_modulus_and_elements():
-    F = FiniteField(2, 2)
-    assert F.modulus == (1, 1)
+    F = ResidueField(2, 2)
+    assert residue_field(2, 2) == (1, 1)
     assert len(F.elements()) == 4
-    t = FFElement(F, (0, 1))
-    assert t * t == t + F.one
+    t = (0, 1)
+    assert mul_coeffs(t, t, 2, F.modulus) == F.add(t, F.one)
+    assert F.mul(t, t) == F.add(t, F.one)
 
 
 def test_gf8_modulus_is_x3_plus_x_plus_1():
-    F = FiniteField(2, 3)
-    assert F.modulus == (1, 1, 0)
+    assert residue_field(2, 3) == (1, 1, 0)
 
 
 def test_gf9_arithmetic():
-    F = FiniteField(3, 2)
+    F = ResidueField(3, 2)
     elems = F.elements()
-    nonzero = [x for x in elems if not x.is_zero()]
+    nonzero = [x for x in elems if x != F.zero]
     for x in nonzero:
-        assert x * x.inverse() == F.one
-        assert (F.size - 1) % x.multiplicative_order() == 0
-    orders = sorted(x.multiplicative_order() for x in nonzero)
+        assert F.mul(x, F.inverse(x)) == F.one
+        assert (F.size - 1) % F.multiplicative_order(x) == 0
+    orders = sorted(F.multiplicative_order(x) for x in nonzero)
     assert orders.count(8) == 4
 
 
 def test_prime_field():
-    F = FiniteField(5, 1)
-    assert F.from_integer(7) == FFElement(F, (2,))
-    assert FFElement(F, (3,)) * FFElement(F, (4,)) == FFElement(F, (2,))
+    F = ResidueField(5, 1)
+    assert F.of(7) == (2,)
+    assert F.mul((3,), (4,)) == (2,)
+    assert mul_coeffs((3,), (4,), 5, residue_field(5, 1)) == (2,)
 
 
 def test_element_of_order_is_encoding_smallest():
-    F = FiniteField(2, 2)
-    u = F.element_of_order(3)
-    assert u == FFElement(F, (0, 1))
-    F9 = FiniteField(3, 2)
-    u8 = F9.element_of_order(8)
-    assert u8.multiplicative_order() == 8
-    candidates = [x for x in F9.elements() if not x.is_zero() and x.multiplicative_order() == 8]
+    assert element_of_order(2, 2, 3) == (0, 1)
+    F9 = ResidueField(3, 2)
+    u8 = element_of_order(3, 2, 8)
+    assert F9.multiplicative_order(u8) == 8
+    candidates = [
+        x for x in F9.elements() if x != F9.zero and F9.multiplicative_order(x) == 8
+    ]
     assert u8 == candidates[0]
 
 
@@ -80,20 +87,21 @@ def test_element_of_order_matches_scan_oracle():
     for p in (2, 3, 5, 7):
         f = 1
         while p**f <= 1024:
-            F = FiniteField(p, f)
+            F = ResidueField(p, f)
             for n in range(1, F.size):
                 if (F.size - 1) % n == 0:
                     want = element_of_order_by_scan(F, n)
-                    assert F.element_of_order(n) == want, (p, f, n)
+                    assert element_of_order(p, f, n) == want, (p, f, n)
                     cases += 1
             f += 1
     assert cases == 144
 
 
 def test_element_of_order_in_gf3_12_is_the_scanned_one():
-    # the element the full scan of GF(3^12) returns for n = 140
-    u = FiniteField(3, 12).element_of_order(140)
-    assert str(u) == "2 + t + t^2 + 2*t^3 + t^5 + t^8"
+    # the element the full scan of GF(3^12) returns for n = 140:
+    # 2 + t + t^2 + 2 t^3 + t^5 + t^8
+    u = element_of_order(3, 12, 140)
+    assert u == (2, 1, 1, 2, 0, 1, 0, 0, 1, 0, 0, 0)
 
 
 def test_large_fields_build_without_a_scan(fresh_fields):
@@ -102,7 +110,7 @@ def test_large_fields_build_without_a_scan(fresh_fields):
     rmap = build_reduction(94, 2)
     took = time.process_time() - start
     assert rmap.f == 23 and rmap.e_prime == 47
-    assert rmap.u.multiplicative_order() == 47
+    assert ResidueField(2, 23).multiplicative_order(rmap.u) == 47
     assert took < 1.0, took
     start = time.process_time()
     rmap = build_reduction(420, 3)
@@ -124,36 +132,42 @@ def test_d46_modular_data_takes_one_elimination():
 
 
 def test_field_axioms_random():
+    # on the reference arithmetic, and its product against mul_coeffs
     rng = random.Random(13)
-    F = FiniteField(3, 3)
+    F = ResidueField(3, 3)
     elems = F.elements()
+    add, mul = F.add, F.mul
     for _ in range(60):
         a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        assert a + (-a) == F.zero
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(a, F.neg(a)) == F.zero
+        assert F.sub(add(a, b), b) == a
+        assert mul(a, b) == mul_coeffs(a, b, 3, F.modulus)
 
 
 def test_reduction_gf4_example():
     rmap = build_reduction(3, 2)
     assert rmap.f == 2
-    assert rmap.field == FiniteField(2, 2)
+    assert rmap.modulus == residue_field(2, 2)
+    F = ResidueField.of_map(rmap)
     u = reduce(rmap, zeta(3))
-    assert u * u + u + rmap.field.one == rmap.field.zero
-    assert reduce(rmap, plus(zeta(3), zeta(3, 2))) == rmap.field.one
+    assert F.add(F.add(F.mul(u, u), u), F.one) == F.zero
+    assert reduce(rmap, plus(zeta(3), zeta(3, 2))) == F.one
 
 
 def test_reduction_kills_p_power_roots():
     rmap = build_reduction(8, 2)
-    assert reduce(rmap, zeta(8)) == rmap.field.one
-    assert reduce(rmap, plus(zeta(8), zeta(8, 7))) == rmap.field.zero
+    assert reduce(rmap, zeta(8)) == (1,)
+    assert reduce(rmap, plus(zeta(8), zeta(8, 7))) == (0,)
 
 
 def test_reduce_integer_is_mod_p():
     rmap = build_reduction(12, 3)
+    F = ResidueField.of_map(rmap)
     for m in range(-5, 10):
-        assert reduce(rmap, rational(m)) == rmap.field.from_integer(m)
-        assert rmap.reduce((m,), 1) == rmap.field.from_integer(m)
+        assert reduce(rmap, rational(m)) == F.of(m)
+        assert rmap.reduce((m,), 1) == F.of(m)
 
 
 def test_reduce_rejects_non_integers():
@@ -188,20 +202,21 @@ def test_reduction_is_ring_homomorphism_on_many_samples():
     rng = random.Random(101)
     for e, p in ((12, 2), (12, 3), (30, 2), (20, 5)):
         rmap = build_reduction(e, p)
-
+        F = ResidueField.of_map(rmap)
         for _ in range(250):
             x, y = random_value(rng, e, 3, 4), random_value(rng, e, 3, 4)
-            assert reduce(rmap, plus(x, y)) == reduce(rmap, x) + reduce(rmap, y)
-            assert reduce(rmap, times(x, y)) == reduce(rmap, x) * reduce(rmap, y)
+            assert reduce(rmap, plus(x, y)) == F.add(reduce(rmap, x), reduce(rmap, y))
+            assert reduce(rmap, times(x, y)) == F.mul(reduce(rmap, x), reduce(rmap, y))
 
 
 def test_root_image_has_exact_order():
     for e, p in ((12, 2), (30, 2), (20, 5), (21, 3), (12, 3)):
         rmap = build_reduction(e, p)
+        F = ResidueField.of_map(rmap)
         if rmap.e_prime > 1:
-            assert rmap.u.multiplicative_order() == rmap.e_prime
+            assert F.multiplicative_order(rmap.u) == rmap.e_prime
         image = reduce(rmap, zeta(e))
-        assert image ** rmap.e_prime == rmap.field.one
+        assert F.pow(image, rmap.e_prime) == F.one
 
 
 def test_reduction_field_degrees():
@@ -215,36 +230,48 @@ def test_reduction_field_degrees():
 
 
 def test_root_image_of_wrong_order_is_rejected(monkeypatch, fresh_fields):
-    monkeypatch.setattr(FiniteField, "element_of_order", lambda self, n: self.one)
+    # u = 1 passes u^e' = 1 but not u^(e'/r) != 1
+    monkeypatch.setattr(
+        finitefield, "element_of_order", lambda p, f, n: (1,) + (0,) * (f - 1)
+    )
     message = "root image has the wrong order for conductor 3 at p = 2"
     with pytest.raises(InternalCheckError, match=message):
         build_reduction(3, 2)
 
 
+def test_root_image_of_larger_order_is_rejected(monkeypatch, fresh_fields):
+    # for e' = 4 at p = 3 (GF(9)), an element of order 8 passes
+    # u^(e'/2) = u^2 != 1 but not u^e' = u^4 = 1
+    u8 = element_of_order(3, 2, 8)
+    monkeypatch.setattr(finitefield, "element_of_order", lambda p, f, n: u8)
+    message = "root image has the wrong order for conductor 4 at p = 3"
+    with pytest.raises(InternalCheckError, match=message):
+        build_reduction(4, 3)
+
+
 def test_missing_element_of_order_names_the_field(monkeypatch):
     # every encoding decodes to 1, so no candidate reaches order 8
-    F = FiniteField(3, 2)
-    monkeypatch.setattr(finitefield, "_digits", lambda code, p, f: F.one.coeffs)
+    residue_field(3, 2)
+    monkeypatch.setattr(finitefield, "_digits", lambda code, p, f: (1, 0))
     message = re.escape("no element of order 8 found in GF(3^2)")
     with pytest.raises(InternalCheckError, match=message):
-        F.element_of_order(8)
+        element_of_order(3, 2, 8)
 
 
 def test_repeated_generating_powers_name_the_field_and_order(monkeypatch):
     # with no prime factor to test, 1 passes as a generator of order 8,
     # and its four generating powers are all 1
-    F = FiniteField(3, 2)
     monkeypatch.setattr(finitefield, "prime_factors", lambda n: [])
     message = re.escape("element of order 8 in GF(3^2) are not distinct")
     with pytest.raises(InternalCheckError, match=message):
-        F.element_of_order(8)
+        element_of_order(3, 2, 8)
 
 
-def test_missing_irreducible_names_the_degree_and_prime(monkeypatch):
+def test_missing_irreducible_names_the_degree_and_prime(monkeypatch, fresh_fields):
     monkeypatch.setattr(finitefield, "_is_irreducible", lambda coeffs, p, f: False)
     message = re.escape("no irreducible polynomial of degree 3 found over GF(2)")
     with pytest.raises(InternalCheckError, match=message):
-        FiniteField(2, 3)
+        residue_field(2, 3)
 
 
 def test_zeta_image_off_phi_e_is_rejected(monkeypatch):

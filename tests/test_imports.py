@@ -173,7 +173,7 @@ def test_every_package_function_has_a_user():
 # either one is read (``x.degree()``): an uncalled one is never flagged.
 # These are the names it cannot judge.  A new shared name fails here
 # until each of its definitions has been checked for a caller by hand.
-SHARED_METHOD_NAMES = {"degree", "degrees", "elements", "sort_key"}
+SHARED_METHOD_NAMES = {"degree", "degrees", "sort_key"}
 
 
 def test_method_names_shared_between_classes_are_pinned():
