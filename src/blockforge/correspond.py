@@ -658,10 +658,10 @@ def question35_instances(G, p):
             rec["reason"] = "height-zero sets have different sizes"
             records.append(rec)
             continue
-        ldeg = [bs.table.irreducibles[i].degree() for i in left0]
-        rdeg = [b.blockset.table.irreducibles[i].degree() for i in right0]
-        lbdeg = [md_big.brauer_characters[j].degree() for j in lbr]
-        rbdeg = [md_small.brauer_characters[j].degree() for j in rbr]
+        ldeg = B.height_zero_degrees()
+        rdeg = b.height_zero_degrees()
+        lbdeg = md_big.height_zero_brauer_degrees(B)
+        rbdeg = md_small.height_zero_brauer_degrees(b)
         big_rows = [[md_big.decomposition[i][j] for j in lbr] for i in left0]
         for tried, psi in enumerate(_matchings(lbdeg, rbdeg)):
             if tried == BRAUER_MATCHING_CAP:
@@ -679,7 +679,7 @@ def question35_instances(G, p):
                 ]
                 for d, row in zip(ldeg, big_rows)
             ]
-            omega, _ = maximum_matching(adj, range(len(adj)))
+            omega = maximum_matching(adj, range(len(adj)))
             if None not in omega:
                 rec["result"] = "found"
                 rec["ordinary_witness"] = [

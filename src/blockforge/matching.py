@@ -2,10 +2,15 @@
 
 A perfect matching pairs every left degree with a distinct right degree
 that divides it.  When none exists the failure is certified by a Hall
-violator: a subset of one side adjacent to strictly fewer vertices on
-the other side.  The smallest violator is reported, scanning the right
-side before the left at each size so a deficient right subset (degrees
-that divide nothing on the left) is preferred as the witness.
+violator: a sub-multiset of one side's degrees adjacent to strictly
+fewer entries on the other side.  The smallest violator is reported;
+at equal size one of the right side (degrees that divide too little on
+the left) is preferred, then the smallest sorted degrees.
+
+Adjacency is degree divisibility, so equal degrees have equal
+neighbourhoods: ``_hall_violator`` finds the witness from the sets of
+distinct degrees alone, at most 2^(number of distinct degrees) sets per
+side.
 
 The augmenting-path search itself, ``maximum_matching``, takes any
 adjacency: the Question 3.5 search calls it directly, on an adjacency
@@ -17,33 +22,16 @@ given by the caller (the group, the prime and, where there is one, the
 block).
 """
 
-from itertools import combinations
+from collections import Counter, namedtuple
 
 from .errors import InternalCheckError
 
-_EXHAUSTIVE_LIMIT = 20
-
-
-class MatchingOutcome:
-    """Either a perfect divisibility matching or its refutation."""
-
-    __slots__ = ("ok", "pairs", "violator_side", "violator", "reason")
-
-    def __init__(self, ok, pairs=None, violator_side=None, violator=None,
-                 reason=None):
-        self.ok = ok
-        self.pairs = pairs
-        self.violator_side = violator_side
-        self.violator = violator
-        self.reason = reason
-
-    def __repr__(self):
-        if self.ok:
-            return f"MatchingOutcome(pairs={list(self.pairs)})"
-        return (
-            f"MatchingOutcome({self.reason}:"
-            f" {self.violator_side} {self.violator})"
-        )
+# Either a perfect divisibility matching or its refutation.
+MatchingOutcome = namedtuple(
+    "MatchingOutcome",
+    ("ok", "pairs", "violator_side", "violator", "reason"),
+    defaults=(None, None, None, None),
+)
 
 
 def divisibility_matching(left, right, where):
@@ -59,25 +47,17 @@ def divisibility_matching(left, right, where):
             reason="size mismatch",
         )
     n = len(left)
-    adj = [
-        tuple(
-            j
-            for j in sorted(range(n), key=lambda j: (right[j], j))
-            if left[i] % right[j] == 0
-        )
-        for i in range(n)
-    ]
-    match_of_left, match_of_right = maximum_matching(
+    right_order = sorted(range(n), key=lambda j: (right[j], j))
+    adj = [tuple(j for j in right_order if d % right[j] == 0) for d in left]
+    match_of_left = maximum_matching(
         adj, sorted(range(n), key=lambda i: (left[i], i))
     )
-    if all(j is not None for j in match_of_left):
-        pairs = tuple((i, match_of_left[i]) for i in range(n))
+    if None not in match_of_left:
+        pairs = tuple(enumerate(match_of_left))
         _check_matching(left, right, pairs, where)
         return MatchingOutcome(True, pairs=pairs)
-    side, subset = _hall_violator(adj, match_of_left, match_of_right, where)
-    degrees = right if side == "right" else left
-    witness = tuple(sorted(degrees[i] for i in subset))
-    _check_violator(left, right, adj, side, subset, where)
+    side, witness = _hall_violator(left, right, where)
+    _check_violator(left, right, side, witness, where)
     return MatchingOutcome(
         False, violator_side=side, violator=witness, reason="hall violator"
     )
@@ -88,9 +68,8 @@ def maximum_matching(adj, order):
     and n right vertices in which left vertex i may take the right
     vertices adj[i], tried in that order.  Augmenting paths are grown
     from the left vertices in the given order.
-    Returns (match_of_left, match_of_right), with None for an unmatched
-    vertex; the matching is perfect exactly when match_of_left holds no
-    None."""
+    Returns match_of_left, with None for an unmatched left vertex; the
+    matching is perfect exactly when it holds no None."""
     n = len(adj)
     match_of_right = [None] * n
     match_of_left = [None] * n
@@ -108,7 +87,7 @@ def maximum_matching(adj, order):
 
     for i in order:
         augment(i, set())
-    return match_of_left, match_of_right
+    return match_of_left
 
 
 def _check_matching(left, right, pairs, where):
@@ -123,49 +102,68 @@ def _check_matching(left, right, pairs, where):
             )
 
 
-def _neighbor_count(adj_for_side, subset):
-    seen = set()
-    for i in subset:
-        seen.update(adj_for_side[i])
-    return len(seen)
+def _adjacent(side, mine, other):
+    """Whether a degree of the given side meets one of the other side."""
+    return other % mine == 0 if side == "right" else mine % other == 0
 
 
-def _hall_violator(adj, match_of_left, match_of_right, where):
-    n = len(adj)
-    if n <= _EXHAUSTIVE_LIMIT:
-        radj = [tuple(i for i in range(n) if j in adj[i]) for j in range(n)]
-        for size in range(1, n + 1):
-            for side, nbrs in (("right", radj), ("left", adj)):
-                for subset in combinations(range(n), size):
-                    if _neighbor_count(nbrs, subset) < size:
-                        return side, subset
+def _hall_violator(left, right, where):
+    """(side, sorted degrees) of the smallest Hall violator of two
+    equally long degree lists: least size, then the right side, then
+    the lexicographically smallest sorted degrees.
+
+    Equal degrees have equal neighbourhoods.  So for a set T of
+    distinct degrees on one side, with N(T) the entries of the other
+    side adjacent to some degree in T, any |N(T)| + 1 copies of T's
+    degrees are deficient; T's candidate is the smallest |N(T)| + 1, if
+    T has that many copies.  Every candidate is a violator, and the
+    support of the least violator gives a candidate no larger, so the
+    least candidate over all T, both sides, is the least violator.
+
+    On ascending lists, as every caller in the package passes, it is
+    also the first deficient index subset in the order (size, right
+    before left, lexicographic indices).  Let S_M take the first
+    occurrences of the least violator M's degrees.  An index subset S
+    of the same side and size before S_M first differs from it at some
+    position, holding s where S_M holds m > s, so deg(s) <= deg(m).  If
+    deg(s) < deg(m), S's sorted degrees come before M, so S is not
+    deficient.  deg(s) = deg(m) cannot happen: S_M holds every index of
+    that degree below m, and S shares them all before s."""
+    best = None
+    for side, mine, other in (("right", right, left), ("left", left, right)):
+        counts = sorted(Counter(mine).items())
+        reach = [
+            {k for k, e in enumerate(other) if _adjacent(side, d, e)}
+            for d, _ in counts
+        ]
+        # (next distinct degree, copies, neighbours) of a support T: N(T)
+        # grows with T, so a T whose candidate is too big is not widened
+        stack = [(0, [], set())]
+        while stack:
+            start, copies, nbrs = stack.pop()
+            for t in range(start, len(counts)):
+                wider = nbrs | reach[t]
+                size = len(wider) + 1
+                if best is not None and size > best[0]:
+                    continue
+                grown = copies + [counts[t][0]] * counts[t][1]
+                key = (size, side == "left", tuple(grown[:size]))
+                if len(grown) >= size and (best is None or key < best):
+                    best = key
+                stack.append((t + 1, grown, wider))
+    if best is None:
         raise InternalCheckError(
             f"matching of {where} failed but no Hall violator exists"
         )
-    # Too many subsets to scan: fall back to the deficiency witness from
-    # the maximum matching just found, without the minimality promise.
-    # The left vertices reachable from unmatched ones along alternating
-    # paths have only matched neighbours, whose partners are all in the
-    # set, so the set outnumbers its neighbourhood (König).
-    frontier = [i for i in range(n) if match_of_left[i] is None]
-    reachable = set(frontier)
-    while frontier:
-        i = frontier.pop()
-        for j in adj[i]:
-            owner = match_of_right[j]
-            if owner is not None and owner not in reachable:
-                reachable.add(owner)
-                frontier.append(owner)
-    return "left", tuple(sorted(reachable))
+    _, on_left, degrees = best
+    return "left" if on_left else "right", degrees
 
 
-def _check_violator(left, right, adj, side, subset, where):
-    n = len(left)
-    if side == "left":
-        nbrs = adj
-    else:
-        nbrs = [tuple(i for i in range(n) if j in adj[i]) for j in range(n)]
-    if _neighbor_count(nbrs, subset) >= len(subset):
+def _check_violator(left, right, side, degrees, where):
+    mine, other = (left, right) if side == "left" else (right, left)
+    nbrs = [e for e in other if any(_adjacent(side, d, e) for d in degrees)]
+    if (side not in ("left", "right") or not degrees
+            or Counter(degrees) - Counter(mine) or len(nbrs) >= len(degrees)):
         raise InternalCheckError(
             f"reported Hall violator of {where} is not deficient"
         )

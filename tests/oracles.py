@@ -89,12 +89,23 @@ zeta^k mod Phi_e), and every result canonicalized, rational or not, by
 ``canonical_by_solves``: one ``solve_rational`` per divisor of the
 conductor, in increasing order, to compare with the package's one
 integer reduction and its descent one prime at a time.
+
+Two Hall-violator oracles take bare degree lists, equally long, and
+return the smallest violator as (side, sorted degrees), or None when a
+perfect divisibility matching exists.  ``hall_violator_by_subsets``
+scans every index subset by size, the right side before the left and
+each in lexicographic order, to compare with the package on ascending
+lists.  ``hall_violator_by_multiplicities`` walks every vector of
+multiplicities up to each side's counts of equal degrees and keeps the
+least (size, right before left, sorted degrees), to compare with the
+package's scan over sets of distinct degrees.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import gcd, isqrt, lcm
 
 from blockforge.arith import p_part, prime_factors
@@ -1125,6 +1136,55 @@ def _divisibility_matchings(left, right):
                 yield from extend(chosen + [j])
 
     return extend([])
+
+
+def _reach_masks(side, mine, other):
+    """Per entry of mine, the bitmask of the entries of other it meets."""
+    return [
+        sum(1 << k for k, e in enumerate(other)
+            if (e % d if side == "right" else d % e) == 0)
+        for d in mine
+    ]
+
+
+def hall_violator_by_subsets(left, right):
+    n = len(left)
+    sides = [
+        (side, mine, _reach_masks(side, mine, other))
+        for side, mine, other in (("right", right, left), ("left", left, right))
+    ]
+    for size in range(1, n + 1):
+        for side, mine, masks in sides:
+            for subset in combinations(range(n), size):
+                nbrs = 0
+                for i in subset:
+                    nbrs |= masks[i]
+                if nbrs.bit_count() < size:
+                    return side, tuple(sorted(mine[i] for i in subset))
+    return None
+
+
+def hall_violator_by_multiplicities(left, right):
+    best = None
+    for rank, side, mine, other in (
+        (0, "right", right, left),
+        (1, "left", left, right),
+    ):
+        counts = sorted(Counter(mine).items())
+        masks = _reach_masks(side, [d for d, _ in counts], other)
+        for vector in product(*(range(m + 1) for _, m in counts)):
+            size = sum(vector)
+            nbrs = 0
+            for mask, c in zip(masks, vector):
+                if c:
+                    nbrs |= mask
+            if 0 < size and nbrs.bit_count() < size:
+                degrees = tuple(
+                    d for (d, _), c in zip(counts, vector) for _ in range(c)
+                )
+                key = (size, rank, degrees)
+                best = key if best is None else min(best, key)
+    return None if best is None else (("right", "left")[best[1]], best[2])
 
 
 def question35_by_pairs(G, p, cap):

@@ -643,6 +643,7 @@ def _forge_correspondent_rows(monkeypatch, G, forge):
         return SimpleNamespace(
             decomposition=forge(md.decomposition),
             height_zero_brauer=md.height_zero_brauer,
+            height_zero_brauer_degrees=md.height_zero_brauer_degrees,
             brauer_characters=md.brauer_characters,
         )
 

@@ -7,6 +7,7 @@ import pytest
 from blockforge import matching
 from blockforge.errors import InternalCheckError
 from blockforge.matching import divisibility_matching, maximum_matching
+from oracles import hall_violator_by_multiplicities, hall_violator_by_subsets
 
 WHERE = "test degrees"
 
@@ -112,21 +113,18 @@ def test_pairs_are_pinned():
 def test_maximum_matching_reroutes_along_an_augmenting_path():
     # no degrees: left 0 takes right 0 first, and left 1, which can only
     # take right 0, moves it on to right 1
-    assert maximum_matching([(0, 1), (0,)], (0, 1)) == ([1, 0], [1, 0])
+    assert maximum_matching([(0, 1), (0,)], (0, 1)) == [1, 0]
     # longer path: 2 -> 0 displaces 0 -> 1 displaces 1 -> 2
-    assert maximum_matching([(0, 1), (1, 2), (0,)], (0, 1, 2)) == (
-        [1, 2, 0], [2, 0, 1]
-    )
+    assert maximum_matching([(0, 1), (1, 2), (0,)], (0, 1, 2)) == [1, 2, 0]
     # the order picks which of two rivals keeps the one right vertex
-    assert maximum_matching([(0,), (0,)], (0, 1)) == ([0, None], [0, None])
-    assert maximum_matching([(0,), (0,)], (1, 0)) == ([None, 0], [1, None])
+    assert maximum_matching([(0,), (0,)], (0, 1)) == [0, None]
+    assert maximum_matching([(0,), (0,)], (1, 0)) == [None, 0]
 
 
 def test_maximum_matching_with_an_empty_row_is_not_perfect():
-    match_of_left, match_of_right = maximum_matching([(0, 1), (), (1, 0)], (0, 1, 2))
+    match_of_left = maximum_matching([(0, 1), (), (1, 0)], (0, 1, 2))
     assert match_of_left == [0, None, 1]
-    assert match_of_right == [0, 2, None]
-    assert maximum_matching([], ()) == ([], [])
+    assert maximum_matching([], ()) == []
 
 
 def test_matching_gates_name_their_degrees():
@@ -136,14 +134,31 @@ def test_matching_gates_name_their_degrees():
          "matching of irr0 degrees on S4 at p = 2, block 0 is not a bijection"),
         (matching._check_matching, ((1, 3), (2, 1), ((0, 0), (1, 1)), where),
          "matched degree does not divide in the matching of " + where),
-        (matching._hall_violator, ([(0,)], [0], [0], where),
+        (matching._hall_violator, ((1,), (1,), where),
          "matching of " + where + " failed but no Hall violator exists"),
-        (matching._check_violator, ((2,), (1,), [(0,)], "left", (0,), where),
+        (matching._check_violator, ((2,), (1,), "left", (2,), where),
          "reported Hall violator of " + where + " is not deficient"),
     ]
     for gate, args, message in cases:
         with pytest.raises(InternalCheckError, match=re.escape(message)):
             gate(*args)
+
+
+def test_violator_gate_checks_the_printed_degrees():
+    # the same test as the benchmark's re-check: a sub-multiset of the
+    # named side, adjacent to fewer entries than it has
+    where = "test degrees"
+    message = "reported Hall violator of " + where + " is not deficient"
+    matching._check_violator((1, 3), (2, 3), "left", (1,), where)
+    for side, degrees in (
+        ("left", (1, 1)),   # not a sub-multiset of the left degrees
+        ("right", (5,)),    # not a right degree at all
+        ("left", ()),       # empty
+        ("middle", (1,)),   # no such side
+        ("right", (3,)),    # divides the left 3
+    ):
+        with pytest.raises(InternalCheckError, match=re.escape(message)):
+            matching._check_violator((1, 3), (2, 3), side, degrees, where)
 
 
 def test_random_instances_agree_with_brute_force():
@@ -160,11 +175,40 @@ def test_random_instances_agree_with_brute_force():
             assert _is_deficient(left, right, out.violator_side, out.violator)
 
 
-def test_large_deficient_instance_uses_reachable_set_witness():
-    # Above the exhaustive-scan limit the violator is the set of left
-    # vertices reachable from unmatched ones along alternating paths.
-    # That set is the left vertices some maximum matching leaves
-    # unmatched, so it is checked here by removing one vertex at a time.
+def test_ascending_instances_agree_with_the_subset_scan():
+    # on ascending lists, as the package passes them, the witness is
+    # the first deficient index subset in scan order
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(2000):
+        n = rng.randrange(1, 13)
+        pool = rng.sample((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16), rng.randrange(1, 6))
+        left = tuple(sorted(rng.choice(pool) for _ in range(n)))
+        right = tuple(sorted(rng.choice(pool) for _ in range(n)))
+        out = divisibility_matching(left, right, WHERE)
+        expected = hall_violator_by_subsets(left, right)
+        assert out.ok == (expected is None)
+        if not out.ok:
+            failures += 1
+            assert (out.violator_side, out.violator) == expected
+    assert failures >= 500
+
+
+def test_large_instances_agree_with_the_multiplicity_oracle():
+    rng = random.Random(5)
+    for n in range(20, 41):
+        pool = rng.sample((1, 2, 3, 4, 6, 8, 9, 12, 18), 4)
+        left = tuple(sorted(rng.choice(pool) for _ in range(n)))
+        right = tuple(sorted(rng.choice(pool) for _ in range(n)))
+        out = divisibility_matching(left, right, WHERE)
+        expected = hall_violator_by_multiplicities(left, right)
+        assert out.ok == (expected is None)
+        if not out.ok:
+            assert (out.violator_side, out.violator) == expected
+
+
+def test_large_deficient_instances_give_the_smallest_witness():
+    # more than 20 degrees, several of them distinct
     rng = random.Random(3)
     cases = [((4,) * 11 + (9,) * 11, (2,) * 10 + (3,) * 11 + (7,))]
     for _ in range(5):
@@ -176,30 +220,21 @@ def test_large_deficient_instance_uses_reachable_set_witness():
         out = divisibility_matching(left, right, WHERE)
         assert not out.ok
         assert out.reason == "hall violator"
-        assert out.violator_side == "left"
-        assert _is_deficient(left, right, "left", out.violator)
-        size = _max_matching_size(left, right)
-        missable = [
-            i for i in range(len(left))
-            if _max_matching_size(left, right, without=i) == size
-        ]
-        assert out.violator == tuple(sorted(left[i] for i in missable))
-    assert divisibility_matching(*cases[0], WHERE).violator == (4,) * 11
+        assert _is_deficient(left, right, out.violator_side, out.violator)
+        expected = hall_violator_by_multiplicities(left, right)
+        assert (out.violator_side, out.violator) == expected
+    out = divisibility_matching(*cases[0], WHERE)
+    assert (out.violator_side, out.violator) == ("right", (7,))
 
 
-def _max_matching_size(left, right, without=None):
-    owner = {}
-
-    def augment(i, seen):
-        for j, d in enumerate(right):
-            if left[i] % d == 0 and j not in seen:
-                seen.add(j)
-                if j not in owner or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    return sum(augment(i, set()) for i in range(len(left)) if i != without)
+def test_two_degree_instance_of_twenty():
+    # the left 3s reach only the nine right 3s: over a million index
+    # subsets, but two distinct degrees a side
+    left = (2,) * 10 + (3,) * 10
+    right = (2,) * 11 + (3,) * 9
+    out = divisibility_matching(left, right, WHERE)
+    assert (out.violator_side, out.violator) == ("left", (3,) * 10)
+    assert hall_violator_by_multiplicities(left, right) == ("left", (3,) * 10)
 
 
 def _has_perfect(left, right):
