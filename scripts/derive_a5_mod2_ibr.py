@@ -193,7 +193,7 @@ def derive():
 
     identity_row = [rebuild(entry) for entry in by_class[0]]
     assert [v.integer_value() for v in identity_row] == [1, 2, 2, 4]
-    assert sorted(character_table(group).degrees()) == [1, 3, 3, 4, 5]
+    assert sorted(character_table(group).degrees) == [1, 3, 3, 4, 5]
 
     payload = {
         "group_degree": 5,
@@ -219,7 +219,7 @@ def main():
     from blockforge.modular import modular_data
 
     data = modular_data(alternating5(), 2)
-    print("degrees:", [phi.degree() for phi in data.brauer_characters])
+    print("degrees:", list(data.brauer_degrees))
     print("decomposition rows:", data.decomposition)
 
 

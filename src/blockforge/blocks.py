@@ -77,7 +77,7 @@ def _reduced_central(table, i, rmap, p):
     The power basis is an integral basis of Z[zeta_o], so omega(C) is an
     algebraic integer exactly when chi(1) divides every coordinate of
     |C| chi(x), and the quotients are its coordinates."""
-    d = table.irreducibles[i].degree()
+    d = table.degrees[i]
     row = table.coords[i]
     out = []
     for c, x in zip(table.classes, row):
@@ -108,7 +108,7 @@ def osima_partition(table, p):
     the element orders o prime to p add up to a nonzero number."""
     sums = table.partial_sums.items()
     return components(
-        len(table.irreducibles),
+        len(table.values),
         (pair for pair, s in sums if sum(v for o, v in s.items() if o % p)),
     )
 
@@ -146,7 +146,7 @@ class Block:
         self.reduced_central = reduced_central
         G = blockset.group
         p = blockset.prime
-        degrees = [blockset.table.irreducibles[i].degree() for i in char_indices]
+        degrees = [blockset.table.degrees[i] for i in char_indices]
         a = vp(G.order(), p)
         self.defect = a - min(vp(d, p) for d in degrees)
         self.dim = sum(d * d for d in degrees)
@@ -166,12 +166,10 @@ class Block:
         self._defect_group = None
 
     def degrees(self):
-        table = self.blockset.table
-        return tuple(table.irreducibles[i].degree() for i in self.char_indices)
+        return tuple(self.blockset.table.degrees[i] for i in self.char_indices)
 
     def height_zero_degrees(self):
-        table = self.blockset.table
-        return tuple(table.irreducibles[i].degree() for i in self.height_zero)
+        return tuple(self.blockset.table.degrees[i] for i in self.height_zero)
 
     def defect_group(self):
         if self._defect_group is None:
@@ -214,7 +212,7 @@ class BlockSet:
 
     def _partition(self):
         buckets = {}
-        for i in range(len(self.table.irreducibles)):
+        for i in range(len(self.table.values)):
             lam = _reduced_central(self.table, i, self.rmap, self.prime)
             buckets.setdefault(lam, []).append(i)
         ordered = sorted(buckets.items(), key=lambda kv: min(kv[1]))

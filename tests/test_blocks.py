@@ -155,8 +155,7 @@ def test_block_dims_sum_to_group_order():
 
 
 def test_central_character_values_are_class_sums(s4):
-    table = character_table(s4)
-    chi = table.irreducibles[0]
+    chi = oracles.characters(s4)[0]
     omega = oracles.central_character(chi)
     sizes = [c.size for c in s4.conjugacy_classes()]
     assert [v.integer_value() for v in omega] == sizes
@@ -426,7 +425,7 @@ def test_central_character_gate_names_group_and_prime(monkeypatch, s4):
     # row 3 has degree 3; its value at the identity raised to 4 makes
     # omega(1) = 4/3
     table = character_table(s4)
-    assert table.irreducibles[3].degree() == 3
+    assert table.degrees[3] == 3
     forged = _corrupted_table(table, 3, 0)
     monkeypatch.setattr(
         blocks, "character_table", lambda H: forged if H == s4 else character_table(H)
@@ -462,7 +461,7 @@ def test_osima_partition_matches_central_characters():
         for p in prime_factors(G.order()):
             rmap = shared_reduction(G.exponent(), p)
             buckets = {}
-            for i in range(len(table.irreducibles)):
+            for i in range(len(table.values)):
                 lam = blocks._reduced_central(table, i, rmap, p)
                 buckets.setdefault(lam, set()).add(i)
             want = {frozenset(c) for c in buckets.values()}
@@ -502,7 +501,7 @@ def test_osima_gate_fires_on_a_forged_partial_sum(monkeypatch, a5):
     # rows 0 (degree 1) and 3 (degree 4) lie in different 2-blocks of A5;
     # a nonzero sum at order 1, which is 2-regular, links them
     table = character_table(a5)
-    assert [table.irreducibles[i].degree() for i in (0, 3)] == [1, 4]
+    assert [table.degrees[i] for i in (0, 3)] == [1, 4]
     assert sum(v for o, v in table.partial_sums[0, 3].items() if o % 2) == 0
     forged = copy.copy(table)
     forged.partial_sums = dict(table.partial_sums)

@@ -127,6 +127,28 @@ def test_block_section_sl23_p3(sl23):
     assert [rec["dim_b"] for rec in records] == [3, 3, 9]
 
 
+def test_block_section_asks_no_correspondent_for_brauer_data_g_lacks(
+    monkeypatch, a5
+):
+    # A5 at 5 has no Brauer character data: it is not 5-solvable and no
+    # table is stored.  Modular data is asked for A5 alone, never for a
+    # block's correspondent, and every record says unavailable.
+    calls = []
+    real = correspond.modular_data
+
+    def counted(H, p):
+        calls.append((H.order(), p))
+        return real(H, p)
+
+    monkeypatch.setattr(correspond, "modular_data", counted)
+    records = block_section(a5, 5)
+    assert calls == [(60, 5)]
+    assert len(records) == 2
+    for rec in records:
+        assert rec["ibr0_left"] is None and rec["ibr0_right"] is None
+        assert rec["ibr0_unavailable"] == "no Brauer character data"
+
+
 def test_coprime_setup_prefers_sylow_when_product_normal(s4, sl23):
     L, Q = coprime_setup(s4, 3)
     assert L.order() == 4 and Q.order() == 3
@@ -188,7 +210,7 @@ def test_glauberman_wreath_correspondent_value():
     diagonal = (1, 2, 0, 4, 5, 3)
     invariant = [
         theta
-        for theta in character_table(L).irreducibles
+        for theta in oracles.characters(L)
         if all(oracles.conjugate_character(theta, g) == theta for g in G.generators)
     ]
     assert len(invariant) == 3
@@ -199,11 +221,11 @@ def test_glauberman_wreath_correspondent_value():
     ]
     assert len(want) == 1
     theta = want[0]
-    k = character_table(L).irreducibles.index(theta)
+    k = oracles.characters(L).index(theta)
     C, j = glauberman_correspondent(L, Q, k, 2)
-    f = character_table(C).irreducibles[j]
+    f = oracles.characters(C)[j]
     assert f.group.order() == 3
-    assert f.degree() == 1
+    assert character_table(C).degrees[j] == 1
     # the correspondent of a product character is the square: its value
     # at the diagonal generator is the factor value squared
     value = f.values[f.group.class_index(diagonal)]
@@ -233,7 +255,7 @@ def test_glauberman_correspondent_uniqueness_gates(s4):
     V4 = PermutationGroup(4, [(1, 0, 3, 2), (3, 2, 1, 0)])
     C3 = PermutationGroup(4, [(1, 2, 0, 3)])
     C, j = glauberman_correspondent(V4, C3, 0, 3)
-    assert character_table(C).irreducibles[j].degree() == 1
+    assert character_table(C).degrees[j] == 1
     with pytest.raises(DomainError):
         glauberman_correspondent(V4, C3, 0, 2)  # C3 is not a 2-group
     with pytest.raises(DomainError):
@@ -254,19 +276,15 @@ def test_brauer_restriction_gates(s4):
 
 
 def test_brauer_restriction_lift_gate(s4):
-    # Every decomposition row that is the unit vector of phi_0 is
-    # doubled, so phi_0 has no ordinary lift left.
+    # phi_0 forged to have no ordinary lift, as a stored Brauer
+    # character has none.
     md = modular_data(s4, 3)
-    unit = (1,) + (0,) * (len(md.brauer_characters) - 1)
-    assert unit in md.decomposition
+    assert md.lifts[0] is not None
     forged = SimpleNamespace(
         group=md.group,
         prime=md.prime,
-        brauer_characters=md.brauer_characters,
-        decomposition=tuple(
-            tuple(2 * d for d in row) if row == unit else row
-            for row in md.decomposition
-        ),
+        brauer_degrees=md.brauer_degrees,
+        lifts=(None,) + md.lifts[1:],
     )
     V4 = p_prime_core(s4, 3)
     message = re.escape(f"Brauer character 0 of {s4!r} at p = 3")
@@ -285,9 +303,10 @@ def test_brauer_restrictions_match_oracle_on_catalog():
             if not is_p_solvable(G, p):
                 continue
             md = modular_data(G, p)
+            ibr, _ = oracles.brauer_by_solves(G, p)
             K = p_prime_core(G, p)
-            for k, theta in enumerate(character_table(K).irreducibles):
-                want = oracles.brauer_degrees_over(md, K, theta)
+            for k, theta in enumerate(oracles.characters(K)):
+                want = oracles.brauer_degrees_over(G, p, ibr, theta)
                 assert _brauer_degrees_over(md, K, k) == want
                 checked += K.order() > 1
     assert checked
@@ -571,8 +590,9 @@ def test_fong_reynolds_record_is_computed_once(s4, monkeypatch):
     calls.clear()
     K = p_prime_core(s4, 3)
     for B, rec in zip(block_data(s4, 3).blocks, records):
-        _, outcome = find_good_character(B, K)
+        k, outcome = find_good_character(B, K)
         assert rec == {"block": B.index, **outcome}
+        assert outcome["theta_degree"] == character_table(K).degrees[k]
     assert len(calls) == tried
 
 
@@ -644,7 +664,7 @@ def _forge_correspondent_rows(monkeypatch, G, forge):
             decomposition=forge(md.decomposition),
             height_zero_brauer=md.height_zero_brauer,
             height_zero_brauer_degrees=md.height_zero_brauer_degrees,
-            brauer_characters=md.brauer_characters,
+            brauer_degrees=md.brauer_degrees,
         )
 
     def no_violator(*args):

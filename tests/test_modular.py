@@ -9,7 +9,7 @@ import pytest
 
 from blockforge import modular
 from blockforge.arith import is_prime, prime_factors
-from blockforge.blocks import brauer_correspondent, p_regular_classes
+from blockforge.blocks import block_data, brauer_correspondent, p_regular_classes
 from blockforge.chartab import character_table, is_p_solvable
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.modular import (
@@ -43,8 +43,22 @@ def flatten(values, e):
     return tuple(out)
 
 
+def _ibr(G, p):
+    """The package's IBr(G) at p as (values, coordinates) pairs on the
+    p-regular classes: a lifted Brauer character read off its ordinary
+    row, a stored one off the fixture, each checked against its degree."""
+    degrees, lifts, _ = brauer_decomposition(G, p)
+    stored = modular._fixture_brauer_characters(G, p) if None in lifts else ()
+    ibr = [
+        stored[j] if i is None else restriction_to_p_regular(G, i, p)
+        for j, i in enumerate(lifts)
+    ]
+    assert [values[0].integer_value() for values, _ in ibr] == list(degrees)
+    return ibr
+
+
 def test_s4_p2_brauer_degrees(s4):
-    assert [phi.degree() for phi in brauer_decomposition(s4, 2)[0]] == [1, 2]
+    assert brauer_decomposition(s4, 2)[0] == (1, 2)
 
 
 def test_s4_p2_decomposition_matrix(s4):
@@ -53,37 +67,37 @@ def test_s4_p2_decomposition_matrix(s4):
 
 
 def test_s4_p3_brauer_degrees(s4):
-    assert [phi.degree() for phi in brauer_decomposition(s4, 3)[0]] == [1, 1, 3, 3]
+    assert brauer_decomposition(s4, 3)[0] == (1, 1, 3, 3)
 
 
 def test_sl23_p3_brauer_degrees(sl23):
-    assert [phi.degree() for phi in brauer_decomposition(sl23, 3)[0]] == [1, 2, 3]
+    assert brauer_decomposition(sl23, 3)[0] == (1, 2, 3)
 
 
 def test_sl23_p3_linear_decomposes_trivially(sl23):
     data = modular_data(sl23, 3)
     table = character_table(sl23)
-    for i, chi in enumerate(table.irreducibles):
-        if chi.degree() == 1:
+    for i, d in enumerate(table.degrees):
+        if d == 1:
             assert data.decomposition[i] == (1, 0, 0)
 
 
 def test_a4_p2_brauer_degrees(a4):
-    assert [phi.degree() for phi in brauer_decomposition(a4, 2)[0]] == [1, 1, 1]
+    assert brauer_decomposition(a4, 2)[0] == (1, 1, 1)
 
 
 def test_coprime_prime_restriction_is_identity(s4):
     data = modular_data(s4, 5)
-    n = len(data.brauer_characters)
+    n = len(data.brauer_degrees)
     assert n == 5
-    table_degrees = sorted(character_table(s4).degrees())
-    assert sorted(phi.degree() for phi in data.brauer_characters) == table_degrees
+    table_degrees = sorted(character_table(s4).degrees)
+    assert sorted(data.brauer_degrees) == table_degrees
     for row in data.decomposition:
         assert sum(row) == 1
 
 
 def test_a5_p2_fixture_degrees(a5):
-    assert [phi.degree() for phi in brauer_decomposition(a5, 2)[0]] == [1, 2, 2, 4]
+    assert brauer_decomposition(a5, 2)[0] == (1, 2, 2, 4)
 
 
 def test_a5_p2_fixture_is_its_derivation():
@@ -175,17 +189,16 @@ def test_brauer_characters_match_exhaustive_oracle():
         e = G.exponent()
         table = character_table(G)
         seen = []
-        for i in range(len(table.irreducibles)):
-            c = restriction_to_p_regular(G, i, p)
-            pair = (c.degree(), flatten(c.values, e))
+        for i in range(len(table.values)):
+            values, _ = restriction_to_p_regular(G, i, p)
+            pair = (values[0].integer_value(), flatten(values, e))
             if pair not in seen:
                 seen.append(pair)
         count = len(p_regular_classes(G, p))
         subset = exhaustive_ibr(seen, count)
         oracle = sorted(seen[i] for i in subset)
         found = sorted(
-            (phi.degree(), flatten(phi.values, e))
-            for phi in brauer_decomposition(G, p)[0]
+            (values[0].integer_value(), flatten(values, e)) for values, _ in _ibr(G, p)
         )
         assert found == oracle, (G.name, p)
 
@@ -194,14 +207,15 @@ def test_decomposition_reconstructs_restrictions():
     for G, p in ((symmetric(4), 2), (sl_2_3(), 3), (alternating(5), 2)):
         data = modular_data(G, p)
         table = character_table(G)
-        for i in range(len(table.irreducibles)):
-            target = restriction_to_p_regular(G, i, p).values
+        ibr = _ibr(G, p)
+        for i in range(len(table.values)):
+            target = restriction_to_p_regular(G, i, p)[0]
             rebuilt = None
-            for j, phi in enumerate(data.brauer_characters):
+            for j, (values, _) in enumerate(ibr):
                 d = data.decomposition[i][j]
                 if not d:
                     continue
-                term = tuple(combination([(d, v)]) for v in phi.values)
+                term = tuple(combination([(d, v)]) for v in values)
                 if rebuilt is None:
                     rebuilt = term
                 else:
@@ -226,7 +240,7 @@ def test_block_counts_ordinary_vs_brauer():
 def _stored_a5_table(monkeypatch, a5, table):
     """Replace the stored table of A5 at 2 by table(stored)."""
     stored = modular._fixture_brauer_characters(a5, 2)
-    assert [phi.degree() for phi in stored] == [1, 2, 2, 4]
+    assert [values[0].integer_value() for values, _ in stored] == [1, 2, 2, 4]
     monkeypatch.setattr(
         modular, "_fixture_brauer_characters", lambda G, p: table(stored)
     )
@@ -257,7 +271,7 @@ def test_decomposition_gate_rejects_a_negative_number(monkeypatch, a5):
     # phi_2 replaced by chi_5 restricted, which is 1 + phi_2 + phi_3: the
     # ordinary character 1 + phi_2 of degree 3 is then chi_5 - phi_3.
     five = restriction_to_p_regular(a5, 4, 2)
-    assert five.degree() == 5
+    assert five[0][0].integer_value() == 5
     _stored_a5_table(monkeypatch, a5, lambda stored: (stored[0], five) + stored[2:])
     message = re.escape(
         f"decomposition number is not a nonnegative integer on {a5!r} at p = 2"
@@ -292,14 +306,36 @@ def test_brauer_decomposition_matches_two_solve_oracle():
                     brauer_decomposition(G, p)
                 cases["unavailable"] += 1
                 continue
-            ibr, rows = brauer_decomposition(G, p)
-            assert [phi.values for phi in ibr] == [phi.values for phi in want_ibr]
-            assert [phi.coords for phi in ibr] == [phi.coords for phi in want_ibr]
-            assert rows == want_rows, (G, p)
+            assert _ibr(G, p) == list(want_ibr), (G, p)
+            assert brauer_decomposition(G, p)[2] == want_rows, (G, p)
             lifted = n % p or is_p_solvable(G, p)
             cases["lifted" if lifted else "stored"] += 1
     # A5 at 2 is stored: from the catalog and as a random subgroup of S5
     assert cases == {"lifted": 72, "stored": 2, "unavailable": 38}
+
+
+def test_each_brauer_character_is_its_lift_restricted():
+    # Every p-solvable (group, prime), a prime prime to the order among
+    # them: row lifts[j] of the decomposition matrix is the unit vector
+    # e_j, and phi_j has the degree of its lift.
+    cases = 0
+    for G in oracle_groups([]):
+        n = G.order()
+        primes = list(prime_factors(n))
+        primes.append(next(q for q in itertools.count(2) if is_prime(q) and n % q))
+        degrees = character_table(G).degrees
+        for p in primes:
+            if not is_p_solvable(G, p):
+                continue
+            md = modular.ModularData(block_data.__wrapped__(G, p))
+            count = len(md.brauer_degrees)
+            assert len(md.lifts) == count, (G, p)
+            for j, i in enumerate(md.lifts):
+                unit = tuple(int(t == j) for t in range(count))
+                assert md.decomposition[i] == unit, (G, p, j)
+                assert md.brauer_degrees[j] == degrees[i], (G, p, j)
+            cases += 1
+    assert cases == 69
 
 
 def test_brauer_heights_a5(a5):
