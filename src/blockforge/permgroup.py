@@ -1,19 +1,18 @@
-"""Finite permutation groups with a Schreier-Sims stabilizer chain.
+"""Finite permutation groups held as their element sets.
 
 A PermutationGroup is immutable after construction.  The constructor
-builds a base-and-strong-generating-set chain, so order and membership
-are exact from the start.  Everything here is written for desk scale
-(orders up to about 10^5): several operations enumerate elements
-outright, and each such function says so in its docstring.
+enumerates the group by Dimino's algorithm, so order, membership and
+equality read the element set from the start.  Everything here is
+written for desk scale (orders up to about 10^5).
 
 Determinism: no randomness is used anywhere in this module, and every
 derived object (conjugacy classes, Sylow subgroups, subgroup closures)
 is ordered by explicit lexicographic rules, so repeated runs produce
 identical results.
 
-Every loop here that keeps one factor of a product fixed (sifting,
-Schreier generators, element enumeration, conjugation) builds that
-factor's map once with ``perms.right_factor`` and applies it.
+Every loop here that keeps one factor of a product fixed (coset
+enumeration, conjugation) builds that factor's map once with
+``perms.right_factor`` and applies it.
 
 Normal structure (the normal subgroups, O_p, O_p' and p-solvability)
 lives in ``chartab``: it is read off the character table, which this
@@ -23,49 +22,39 @@ module does not import.
 from collections import namedtuple
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter
 
 from .arith import is_prime, p_part
 from .errors import DomainError, InternalCheckError
-from .perms import identity, inverse, is_perm, moved_points, order, power, right_factor
-
-
-class _Level:
-    """One level of the stabilizer chain: a base point, generators of the
-    stabilizer of all earlier base points, a transversal of the orbit
-    (orbit point -> element taking the base point there) and ``inverses``,
-    the inverse of each transversal element under the same key, which
-    every sift reads."""
-
-    __slots__ = ("base", "gens", "transversal", "inverses")
-
-    def __init__(self, base):
-        self.base = base
-        self.gens = []
-        self.transversal = {}
-        self.inverses = {}
-
-    def rebuild(self, degree):
-        ident = identity(degree)
-        self.transversal = {self.base: ident}
-        self.inverses = {self.base: ident}
-        gens = [(s, right_factor(inverse(s))) for s in self.gens]
-        queue = [self.base]
-        for pt in queue:
-            by_u = right_factor(self.transversal[pt])
-            uinv = self.inverses[pt]
-            for s, by_sinv in gens:
-                np = s[pt]
-                if np not in self.transversal:
-                    self.transversal[np] = by_u(s)
-                    self.inverses[np] = by_sinv(uinv)
-                    queue.append(np)
+from .perms import identity, inverse, is_perm, order, power, right_factor
 
 
 class PermutationGroup:
     """A subgroup of the symmetric group on {0, ..., degree-1}."""
 
     def __init__(self, degree, generators=(), name=None):
+        """Enumerate the group by Dimino's algorithm (G. Butler,
+        Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+
+        Each generator g that the elements found so far miss extends
+        them: with H the list found before g, every coset
+        representative r is multiplied by g and by each earlier
+        generator that extended the group, and each product e not yet
+        found adds the right coset H e and becomes a representative.
+
+        The found set is always a union of right cosets of H, so a
+        representative that is not found starts a disjoint coset.  It
+        is closed under right multiplication by the generators so far,
+        since (h r) s = h (r s) lies in the coset of r s, which the loop
+        adds.  In a finite group the submonoid generated by a set is the
+        subgroup it generates, so the set is the group.
+
+        Generators are taken in decreasing element order, so the early
+        subgroups H are large and the later steps have few cosets; on
+        S8 from a transposition and an 8-cycle that is 5040 cosets
+        rather than 20160.  Disjoint cosets make the list of coset
+        elements as long as the set, and a longer list is an
+        InternalCheckError naming the group.
+        """
         if degree < 1:
             raise DomainError(f"degree must be positive, got {degree}")
         gens = []
@@ -81,55 +70,54 @@ class PermutationGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        self._levels = _schreier_sims(degree, gens)
-        self._order = 1
-        for lvl in self._levels:
-            self._order *= len(lvl.transversal)
+        ident = identity(degree)
+        elems = [ident]
+        found = {ident}
+        factors = []
+        for g in sorted(gens, key=order, reverse=True):
+            if g in found:
+                continue
+            H = elems
+            elems = list(H)
+            factors.append(right_factor(g))
+            reps = [ident]
+            for r in reps:
+                for by_s in factors:
+                    e = by_s(r)
+                    if e not in found:
+                        coset = list(map(right_factor(e), H))
+                        elems += coset
+                        found.update(coset)
+                        reps.append(e)
+        if len(elems) != len(found):
+            raise InternalCheckError(
+                f"cosets overlap while enumerating {name!r} of degree {degree}:"
+                f" {len(elems)} coset elements, {len(found)} distinct"
+            )
+        self._order = len(found)
+        self._coset_order = elems
         self._elements = None
-        self._element_set = None
+        self._element_set = frozenset(found)
         self._classes = None
         self._class_index = None
         self._class_elements = None
         self._inverse_classes = None
-        self._hash = None
 
     def order(self):
         return self._order
 
     def contains(self, p):
-        if len(p) != self.degree:
-            return False
-        g = tuple(p)
-        if not is_perm(g, self.degree):
-            return False
-        return _sift(self._levels, g, 0)[0] == identity(self.degree)
+        return tuple(p) in self._element_set
 
     def elements(self):
-        """All elements, sorted lexicographically.  Enumerates the group."""
+        """All elements, sorted lexicographically."""
         if self._elements is None:
-            # The stabilizer H_i of the first i base points is
-            # H_{i+1} v for v in level i's inverses, a right transversal
-            # of H_{i+1} in H_i; each v is one fixed right factor,
-            # applied over all of H_{i+1}.
-            elems = [identity(self.degree)]
-            for lvl in reversed(self._levels):
-                below = elems
-                elems = []
-                for v in lvl.inverses.values():
-                    elems.extend(map(right_factor(v), below))
-            if len(elems) != self._order:
-                raise InternalCheckError(
-                    f"transversal product does not match group order on {self!r}:"
-                    f" {len(elems)} elements"
-                )
-            self._elements = tuple(sorted(elems))
-            self._element_set = frozenset(self._elements)
+            self._elements = tuple(sorted(self._coset_order))
+            self._coset_order = None
         return self._elements
 
     def element_set(self):
-        """The elements as a frozenset.  Enumerates the group."""
-        if self._element_set is None:
-            self.elements()
+        """The elements as a frozenset."""
         return self._element_set
 
     def is_subgroup_of(self, other):
@@ -228,15 +216,10 @@ class PermutationGroup:
             return NotImplemented
         if self.degree != other.degree or self._order != other._order:
             return False
-        # other's constructor checked its generators are permutations
-        ident = identity(self.degree)
-        return all(_sift(self._levels, g, 0)[0] == ident for g in other.generators)
+        return all(g in self._element_set for g in other.generators)
 
     def __hash__(self):
-        """Hash of the element set.  Enumerates the group."""
-        if self._hash is None:
-            self._hash = hash((self.degree, self._order, self.element_set()))
-        return self._hash
+        return hash(self._element_set)
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -246,68 +229,6 @@ class PermutationGroup:
 ConjugacyClass = namedtuple(
     "ConjugacyClass", ("index", "representative", "size", "element_order")
 )
-
-
-def _sift(levels, g, start):
-    """Strip g through levels[start:] by the stored transversal inverses.
-
-    Returns (residue, i): the residue after the last level passed, and the
-    index of the level whose orbit misses it, or len(levels).  g lies in
-    the group of the chain exactly when the residue is the identity.
-
-    A level's base point is moved by some generator, so a chain with a
-    level has degree at least 2, where ``perms.right_factor(g)`` is
-    ``itemgetter(*g)``; the sift applies it inline, with no frame per
-    product, and so does ``_schreier_sims``."""
-    for i in range(start, len(levels)):
-        lvl = levels[i]
-        pt = g[lvl.base]
-        if pt != lvl.base:
-            uinv = lvl.inverses.get(pt)
-            if uinv is None:
-                return g, i
-            g = itemgetter(*g)(uinv)
-    return g, len(levels)
-
-
-def _schreier_sims(degree, gens):
-    """Deterministic stabilizer chain construction.
-
-    Base points are chosen as the smallest point moved at each level, and
-    Schreier generators are processed in a fixed order, so the chain is a
-    pure function of (degree, generator list).
-    """
-    ident = identity(degree)
-    levels = []
-
-    def insert(g, first_level):
-        residue, stop = _sift(levels, g, first_level)
-        if residue == ident:
-            return False
-        if stop == len(levels):
-            levels.append(_Level(min(moved_points(residue))))
-            stop = len(levels) - 1
-        for j in range(first_level, stop + 1):
-            levels[j].gens.append(residue)
-            levels[j].rebuild(degree)
-        return True
-
-    for g in gens:
-        insert(g, 0)
-
-    changed = True
-    while changed:
-        changed = False
-        for j, lvl in enumerate(levels):
-            for pt in sorted(lvl.transversal):
-                by_u = itemgetter(*lvl.transversal[pt])
-                for s in lvl.gens:
-                    schreier = itemgetter(*by_u(s))(lvl.inverses[s[pt]])
-                    if insert(schreier, j + 1):
-                        changed = True
-            if changed:
-                break
-    return levels
 
 
 def trivial_group(degree):

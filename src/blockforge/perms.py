@@ -7,8 +7,8 @@ groups of permutations live in sets and dict keys without ceremony.
 
 The product kernel is ``right_factor(q)``, the map p -> mult(p, q) built
 once: ``itemgetter(*q)``, which builds each product tuple in C.  A loop
-that keeps one factor fixed (sifting, Schreier generators, conjugation,
-class matrices) builds the map once and applies it, often through
+that keeps one factor fixed (coset enumeration, conjugation, class
+matrices) builds the map once and applies it, often through
 ``map``, with no Python frame per product.  ``itemgetter`` returns a
 bare item for one index and cannot be built from none, so degrees 0 and
 1 take a tuple expression instead; that case is handled in
@@ -91,10 +91,6 @@ def format_perm(p):
     if not cycs:
         return "()"
     return "".join("(" + " ".join(str(i + 1) for i in cyc) + ")" for cyc in cycs)
-
-
-def moved_points(p):
-    return tuple(i for i in range(len(p)) if p[i] != i)
 
 
 def is_perm(p, degree):

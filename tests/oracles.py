@@ -1,8 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
-Nothing here calls into the package's stabilizer-chain, character-table
-or block machinery: groups are plain frozensets of image tuples closed
-by multiplication, classes come from direct conjugation orbits, and
+Nothing here calls into the package's group, character-table or block
+machinery: groups are plain frozensets of image tuples closed by
+multiplication, classes come from direct conjugation orbits, and
 character degrees come from a separately written common-eigenvector
 computation modulo a prime chosen independently of the package's own.
 
@@ -41,11 +41,11 @@ builds central characters and idempotent coefficients of the package's
 blocks as cyclotomic values, to compare with the package's integer row
 coordinates.  ``navarro_sampled_by_groups`` draws the Navarro sampler's
 pairs from the same seeded stream and judges each one with package
-groups (a Schreier-Sims run per U, the intersection built from
+groups (a Dimino enumeration per U, the intersection built from
 elements, and normalizers), to compare with the package's sampler on
 element indices and bitmasks.
 ``normal_subgroups_by_joins`` closes the normal closures of the classes
-under joins, one Schreier-Sims run per join, to compare with the
+under joins, one Dimino enumeration per join, to compare with the
 package's intersections of character kernels.  ``inertia_group_by_scan``
 conjugates a character of a normal subgroup by every element of G
 (``conjugate_character``) and builds the group of those that fix it, to
@@ -173,12 +173,11 @@ def oconj(g, x):
     return omult(omult(g, x), oinv(g))
 
 
-def mulclose(gens):
-    """All products of the generators: breadth-first closure."""
+def mulclose(degree, gens):
+    """All products of the generators of the given degree, the identity
+    among them: breadth-first closure."""
     gens = [tuple(g) for g in gens]
-    if not gens:
-        return frozenset()
-    ident = tuple(range(len(gens[0])))
+    ident = tuple(range(degree))
     seen = {ident}
     frontier = [ident]
     while frontier:
@@ -227,7 +226,7 @@ def all_subgroups(elements):
             for x in elements:
                 if x in h:
                     continue
-                k = mulclose(list(h) + [x])
+                k = mulclose(degree, list(h) + [x])
                 if k not in seen:
                     seen.add(k)
                     new.append(k)

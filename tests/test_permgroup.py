@@ -1,9 +1,10 @@
 import random
 import re
+from itertools import chain
 
 import pytest
 
-from blockforge import catalog, chartab, permgroup, perms
+from blockforge import chartab, permgroup, perms
 from blockforge.chartab import (
     _class_row,
     character_table,
@@ -29,21 +30,59 @@ from blockforge.permgroup import (
 )
 
 import oracles
-from conftest import alternating, cyclic, random_subgroup, symmetric
+from conftest import alternating, cyclic, oracle_groups, random_subgroup, symmetric
 from oracles import subgroups_of_order
+
+
+def _seeded_generator_lists(rng, count):
+    """Generator lists of degree 1 to 8 with 1 to 4 generators, each
+    list with the identity or a repeated generator mixed in half the
+    time."""
+    for _ in range(count):
+        degree = rng.randint(1, 8)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            img = list(range(degree))
+            rng.shuffle(img)
+            gens.append(tuple(img))
+        if rng.random() < 0.5:
+            gens.insert(rng.randrange(len(gens) + 1), identity(degree))
+        if rng.random() < 0.5:
+            gens.append(rng.choice(gens))
+        yield degree, gens
 
 
 def test_order_and_membership_match_closure_oracle():
     rng = random.Random(17)
-    for _ in range(25):
-        G = random_subgroup(rng, 6, 2)
-        elems = oracles.mulclose(G.generators)
-        assert G.order() == len(elems)
-        assert set(G.elements()) == set(elems)
+    lists = list(_seeded_generator_lists(rng, 30))
+    seeded = (PermutationGroup(d, gens) for d, gens in lists)
+    for G in chain(oracle_groups([]), seeded):
+        n = G.degree
+        elems = oracles.mulclose(n, G.generators)
+        assert G.order() == len(elems), G
+        assert G.element_set() == elems, G
+        assert G.elements() == tuple(sorted(elems)), G
         for _ in range(5):
-            img = list(range(6))
+            img = list(range(n))
             rng.shuffle(img)
-            assert G.contains(tuple(img)) == (tuple(img) in elems)
+            x = tuple(img)
+            assert G.contains(x) == (x in elems), (G, x)
+            assert G.contains(img) == (x in elems), (G, img)
+            assert not G.contains(x + (n,)), (G, x)
+            assert not G.contains(x[1:]), (G, x)
+        assert not G.contains((0,) * (n + 1))
+        if n > 1:
+            assert not G.contains((0,) * n), G
+        # the same group from a reversed generator list with the
+        # identity, a repeat and a product of two elements added
+        extra = rng.choice(G.elements()), rng.choice(G.elements())
+        gens = list(reversed(G.generators)) + [identity(n), mult(*extra)]
+        gens += gens[:1]
+        K = PermutationGroup(n, gens)
+        assert K == G and G == K, G
+        assert hash(K) == hash(G), G
+        if G.order() > 1:
+            assert G != trivial_group(n)
 
 
 def test_contains_rejects_non_permutations_and_non_members(a4):
@@ -52,16 +91,6 @@ def test_contains_rejects_non_permutations_and_non_members(a4):
     assert not a4.contains((1, 1, 2, 3))  # not a permutation
     assert not a4.contains((0, 1, 2))  # wrong degree
     assert not a4.contains((0, 1, 2, 3, 4))
-
-
-def test_stored_inverses_invert_the_transversal():
-    for ent in catalog.entries():
-        G = ent.load()
-        ident = identity(G.degree)
-        for lvl in G._levels:
-            assert lvl.inverses.keys() == lvl.transversal.keys(), G
-            for pt, u in lvl.transversal.items():
-                assert mult(lvl.inverses[pt], u) == ident, (G, lvl.base, pt)
 
 
 def test_s4_classes_frozen():
@@ -264,14 +293,16 @@ def test_core_largest_set_gate_names_the_group_and_prime(monkeypatch):
         p_prime_core.__wrapped__(G, 3)
 
 
-def test_element_enumeration_gate_names_the_group(monkeypatch):
-    G = symmetric(4)
-    monkeypatch.setattr(G, "_order", 25)
+def test_coset_gate_names_the_group(monkeypatch):
+    # every product forged to its right factor: the coset H (2 3 4 1) of
+    # H = <(1 2)> is listed as that one element twice
+    monkeypatch.setattr(permgroup, "right_factor", lambda q: lambda p: q)
     message = re.escape(
-        f"transversal product does not match group order on {G!r}: 24 elements"
+        "cosets overlap while enumerating 'S4' of degree 4:"
+        " 4 coset elements, 3 distinct"
     )
     with pytest.raises(InternalCheckError, match=message):
-        G.elements()
+        symmetric(4)
 
 
 def test_sylow_growth_gate_names_the_group_and_prime(monkeypatch):

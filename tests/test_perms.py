@@ -7,7 +7,6 @@ from blockforge.perms import (
     identity,
     inverse,
     is_perm,
-    moved_points,
     mult,
     order,
     power,
@@ -88,11 +87,6 @@ def test_cycles_start_at_smallest_point():
 def test_format_perm_is_one_based():
     assert format_perm((1, 0, 3, 4, 2)) == "(1 2)(3 4 5)"
     assert format_perm(identity(3)) == "()"
-
-
-def test_moved_points():
-    assert moved_points((1, 0, 2, 3)) == (0, 1)
-    assert moved_points(identity(4)) == ()
 
 
 def test_is_perm_rejects_bad_tuples():
