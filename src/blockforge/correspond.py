@@ -338,12 +338,20 @@ def navarro_instances(G, p, name, seed, fixed):
     Each draw pairs U with a conjugate P^g of one Sylow subgroup P.
     |G : N_G(P^g)| = |G : N_G(P)| for every g, so the index in G is
     computed once.  Elements are indices into G.elements(), and every
-    product (closing U, conjugating P, testing normalizers) is a lookup
-    in G's right regular representation (`_right_regular`), built once
-    per call.  U = <<<1, s1>, s2>, s3> for the drawn s_i: a join is U
-    when s lies in U, and otherwise closes U's generators and s from the
-    identity by right multiplication, once per (U, s).  U, P^g and
-    I = U ∩ P^g are bitmasks; each distinct (U, I) is judged once.
+    product (closing U, conjugating P and U's Sylow subgroups) is a
+    lookup in G's right regular representation (`_right_regular`),
+    built once per call.  U = <<<1, s1>, s2>, s3> for the drawn s_i: a
+    join is U when s lies in U, and otherwise is closed once per (U, s)
+    by Dimino's right cosets, as in `PermutationGroup.__init__`, starting
+    from U's members: each new product c of a coset representative and
+    a generator adds the coset U c, which is column c of the table read
+    at U's members.  U, P^g and I = U ∩ P^g are bitmasks.
+
+    A pair meets the hypothesis when I is a Sylow p-subgroup of U.  All
+    Sylow p-subgroups of U are conjugate in U, so |U : N_U(I)| = n_p(U)
+    for each of them, and U is judged once, by the size of I's orbit
+    under U: a walk that conjugates each subgroup found by each of U's
+    generators t, x -> t x t^-1 being two lookups per element.
 
     The record is the one that drawing elements and multiplying
     permutations gives: an index from range(|G|) consumes the same
@@ -356,10 +364,12 @@ def navarro_instances(G, p, name, seed, fixed):
         rng = random.Random(f"{seed}:{name}:{p}:navarro")
         position, right, inv = _right_regular(G)
         indices = range(len(right))
+        bits = [1 << x for x in indices]
         sylow = sylow_subgroup(G, p)
         sylow_indices = [position[x] for x in sylow.elements()]
         index_big = _normalizer_index(G, sylow)
-        subgroups = {1: ((), [0])}  # mask -> (generators, members)
+        # mask -> (generators, members, p-part of the order)
+        subgroups = {1: ((), [0], 1)}
         joins = {}
         conjugates = {}
         violated = {}
@@ -372,34 +382,43 @@ def navarro_instances(G, p, name, seed, fixed):
                 if U >> s & 1:
                     continue
                 if (U, s) not in joins:
-                    gens = subgroups[U][0] + (s,)
-                    mask, members = 1, [0]
-                    for a in members:
+                    gens, members, _ = subgroups[U]
+                    gens += (s,)
+                    mask, joined, reps = U, list(members), [0]
+                    for r in reps:
                         for t in gens:
-                            b = right[t][a]
-                            if not mask >> b & 1:
-                                mask |= 1 << b
-                                members.append(b)
-                    subgroups.setdefault(mask, (gens, members))
+                            c = right[t][r]
+                            if not mask >> c & 1:
+                                coset = list(map(right[c].__getitem__, members))
+                                joined += coset
+                                mask |= sum(map(bits.__getitem__, coset))
+                                reps.append(c)
+                    if mask not in subgroups:
+                        subgroups[mask] = (gens, joined, p_part(len(joined), p))
                     joins[U, s] = mask
                 U = joins[U, s]
-            members = subgroups[U][1]
             g = rng.choice(indices)
             if g not in conjugates:
                 to_g = right[inv[g]]
-                conjugates[g] = sum(1 << to_g[right[x][g]] for x in sylow_indices)
+                conjugates[g] = sum(bits[to_g[right[x][g]]] for x in sylow_indices)
             I = U & conjugates[g]
-            if I.bit_count() != p_part(len(members), p):
+            gens, members, sylow_order = subgroups[U]
+            if I.bit_count() != sylow_order:
                 continue
             met += 1
-            if (U, I) not in violated:
-                inside = [x for x in members if I >> x & 1]
-                normalizing = 0
-                for u in members:
-                    to_u = right[inv[u]]
-                    normalizing += all(I >> to_u[right[x][u]] & 1 for x in inside)
-                violated[U, I] = index_big % (len(members) // normalizing) != 0
-            violations += violated[U, I]
+            if U not in violated:
+                orbit = {I}
+                walk = [[x for x in members if I >> x & 1]]
+                for inside in walk:
+                    for t in gens:
+                        to_t = right[inv[t]]
+                        image = [to_t[right[x][t]] for x in inside]
+                        J = sum(map(bits.__getitem__, image))
+                        if J not in orbit:
+                            orbit.add(J)
+                            walk.append(image)
+                violated[U] = index_big % len(walk) != 0
+            violations += violated[U]
         records.append(
             {
                 "kind": "sampled",

@@ -941,8 +941,8 @@ def normal_subgroups_by_joins(G):
     Every normal subgroup is a union of conjugacy classes and hence the
     join of the normal closures of the classes it contains, so joining
     each subgroup found with each class closure it does not contain
-    finds them all; each join is one Schreier-Sims run.  Sorted by
-    (order, element tuple)."""
+    finds them all; each join is one Dimino enumeration on the
+    generators of both.  Sorted by (order, element tuple)."""
     found = {}
     for c in G.conjugacy_classes():
         n = normal_closure(G, (c.representative,))

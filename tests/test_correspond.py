@@ -417,7 +417,17 @@ def test_navarro_sampler_normalizer_indices_match_group_oracle(monkeypatch):
     # the violations then count the pairs whose |U : N_U(I)| fails to
     # divide m, on the sampler's side and on the oracle's
     s4xs3 = _s4xs3()
-    cases = [(s4xs3, 2), (s4xs3, 3), (catalog.entry("S4").load(), 2)]
+    c2wrs4 = c2_wreath_s4()
+    cases = [
+        (s4xs3, 2),
+        (s4xs3, 3),
+        (catalog.entry("S4").load(), 2),
+        # many subgroups with several Sylow subgroups each: the per-U
+        # verdict and the orbit count
+        (c2wrs4, 2),
+        (c2wrs4, 3),
+        (s4_times_s4(), 3),
+    ]
     for m in (1, 2, 3, 4):
         monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: m)
         for G, p in cases:
