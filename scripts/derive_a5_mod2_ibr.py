@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from blockforge.blocks import p_regular_classes
 from blockforge.chartab import character_table
-from blockforge.cyclotomic import Cyclotomic, from_root_combination
+from blockforge.cyclotomic import Cyclotomic, reduce_mod_cyclotomic
 from blockforge.finitefield import element_of_order, mul_coeffs, residue_field
 from blockforge.permgroup import PermutationGroup
 
@@ -130,7 +130,7 @@ def root_sum(exponents):
     coefficients = [0] * 15
     for k in exponents:
         coefficients[k % 15] += 1
-    return from_root_combination(15, coefficients)
+    return Cyclotomic(15, reduce_mod_cyclotomic(coefficients, 15))
 
 
 def derive():

@@ -7,7 +7,6 @@ is unexpected, 2 for usage or parse errors.
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -193,15 +192,6 @@ def _verify_jobs(args, kinds):
 
 def run_verify(args):
     kinds = KINDS if args.kind == "all" else (args.kind,)
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("BLOCKFORGE_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise UsageError(
-                f"BLOCKFORGE_SEED={text!r} is not an integer"
-            ) from None
     jobs = _verify_jobs(args, kinds)
     reports = []
     unexpected = []
@@ -212,7 +202,6 @@ def run_verify(args):
             G,
             p,
             name=name,
-            seed=seed,
             kinds=job_kinds,
             navarro_fixed=fixed,
             timings=args.timings,
@@ -286,7 +275,7 @@ def build_parser():
     v.add_argument("kind", nargs="?", default="all", choices=(*KINDS, "all"))
     v.add_argument("group", nargs="?")
     common(v)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, help="accepted, has no effect")
     v.add_argument("--timings", action="store_true")
     v.set_defaults(func=run_verify)
 

@@ -1,23 +1,21 @@
 """Verifiers for the degree-divisibility statements: height-zero
 matchings across the Brauer correspondence, block dimension
-divisibility, the Glauberman lift, Sylow-normalizer index divisibility,
+divisibility, the Glauberman lift, Sylow numbers (Navarro's theorem),
 regular-character covering, Fong's block lemma, Fong-Reynolds
 induction, and the exploratory decomposition-number compatibility
 search of Question 3.5, which enumerates the Brauer-side matchings only
 and decides the ordinary side of each with the one bipartite matcher.
 
 Every verifier sees the group and the prime alone (navarro also its
-job's name, seed and fixed instances) and returns plain dict records
-with stable key order and no job fields; ``report`` stamps each with
-its group and prime.  Pass verdicts, wherever they assert a theorem,
-are backed by an explicit certificate in the record (a matching, an
+job's fixed instances) and returns plain dict records with stable key
+order and no job fields; ``report`` stamps each with its group and
+prime.  Pass verdicts, wherever they assert a theorem, are backed by an explicit certificate in the record (a matching, an
 integer quotient, or an equality witness).
 
 Characters are named by row index on both sides; their degrees are
 ``CharacterTable.degrees`` and ``ModularData.brauer_degrees``.
 """
 
-import random
 from math import gcd
 
 from .arith import p_part, vp
@@ -48,8 +46,6 @@ from .permgroup import (
 )
 
 BRAUER_MATCHING_CAP = 10**6
-NAVARRO_TARGET = 200
-NAVARRO_MAX_DRAWS = 4000
 
 
 def _try_modular(G, p):
@@ -331,102 +327,125 @@ def _right_regular(G):
     return position, right, [column.index(0) for column in right]
 
 
-def navarro_instances(G, p, name, seed, fixed):
-    """Sampled subgroup/Sylow pairs plus any fixed instances from the
-    catalog.  Sampling is skipped when the group is not p-solvable.
+def _conjugates(right, inv, bits, conjugations, mask, members):
+    """The orbit of the subgroup U with this mask and these members under
+    the (t, map x -> t x t^-1) pairs in conjugations, as {mask of
+    g U g^-1: (its members, g)}, and the Schreier generators g'^-1 t g,
+    one per step t from g U g^-1 onto a g' U g'^-1 already found; when
+    the t generate G, these generate N_G(U)."""
+    orbit = {mask: (members, 0)}
+    walk = [(members, 0)]
+    normalizing = set()
+    for inside, g in walk:
+        for t, by_t in conjugations:
+            image = list(map(by_t.__getitem__, inside))
+            J = sum(map(bits.__getitem__, image))
+            tg = right[g][t]
+            if J in orbit:
+                normalizing.add(right[tg][inv[orbit[J][1]]])
+            else:
+                orbit[J] = (image, tg)
+                walk.append((image, tg))
+    return orbit, normalizing
 
-    Each draw pairs U with a conjugate P^g of one Sylow subgroup P.
-    |G : N_G(P^g)| = |G : N_G(P)| for every g, so the index in G is
-    computed once.  Elements are indices into G.elements(), and every
-    product (closing U, conjugating P and U's Sylow subgroups) is a
-    lookup in G's right regular representation (`_right_regular`),
-    built once per call.  U = <<<1, s1>, s2>, s3> for the drawn s_i: a
-    join is U when s lies in U, and otherwise is closed once per (U, s)
-    by Dimino's right cosets, as in `PermutationGroup.__init__`, starting
-    from U's members: each new product c of a coset representative and
-    a generator adds the coset U c, which is column c of the table read
-    at U's members.  U, P^g and I = U ∩ P^g are bitmasks.
 
-    A pair meets the hypothesis when I is a Sylow p-subgroup of U.  All
-    Sylow p-subgroups of U are conjugate in U, so |U : N_U(I)| = n_p(U)
-    for each of them, and U is judged once, by the size of I's orbit
-    under U: a walk that conjugates each subgroup found by each of U's
-    generators t, x -> t x t^-1 being two lookups per element.
+def sylow_numbers_by_class(G, p):
+    """n_p(G), and (|U|, n_p(U)) for one U in each conjugacy class of
+    subgroups generated by p-elements, in the order found.
 
-    The record is the one that drawing elements and multiplying
-    permutations gives: an index from range(|G|) consumes the same
-    random numbers as an element, the calls come in the same order (the
-    number of generators, the generators, then g), and each draw ends
-    in the subgroup <s1, s2, s3>, with its Sylow intersection and
-    normalizer count."""
+    These U decide every subgroup: n_p is a conjugacy invariant, and
+    n_p(U) = n_p(O^{p'}(U)), as O^{p'}(U) holds every p-subgroup of U.
+    Elements are indices into G.elements(), products are lookups in
+    `_right_regular`'s table, and a subgroup is a (mask, members,
+    generators) triple.  Breadth-first from the trivial subgroup, each
+    class representative U is joined with p-elements s outside U, by
+    Dimino's right cosets from U's members (as in
+    `PermutationGroup.__init__`, a coset U c is column c read at them).
+    Three rules cut the joins and lose no class: (a) only s with s^p in
+    U, since a p-generated K is reached by adding g^(p^(a-1)), ..., g
+    for each generator g of order p^a; (b) one s per N_G(U)-orbit, as
+    <U, s^n> = <U, s>^n; (c) no element of U s after s.  A join whose
+    mask is no conjugate seen so far is a new class, with its orbit.
+
+    A Sylow subgroup Q of U lies in a Sylow S of G, and then Q = U ∩ S,
+    so n_p(U) counts the distinct U ∩ S of order |U|_p over the
+    conjugates S of one Sylow mask.  Their number n_p(G) must be
+    |G : N_G(P)|, an InternalCheckError otherwise."""
+    position, right, inv = _right_regular(G)
+    n = len(right)
+    bits = [1 << x for x in range(n)]
+    gens = [position[t] for t in G.generators]
+    conjugations = [(t, [right[inv[t]][right[x][t]] for x in range(n)]) for t in gens]
+    sylow = sylow_subgroup(G, p)
+    inside = [position[x] for x in sylow.elements()]
+    P = sum(map(bits.__getitem__, inside))
+    sylows, _ = _conjugates(right, inv, bits, conjugations, P, inside)
+    index_big = _normalizer_index(G, sylow)
+    if len(sylows) != index_big:
+        raise InternalCheckError(
+            f"{len(sylows)} conjugates of a Sylow {p}-subgroup, but"
+            f" |G : N_G(P)| = {index_big}, on {_where(G, p)}"
+        )
+    # the p-elements are the members of the Sylow subgroups
+    p_elements = sorted({x for members, _ in sylows.values() for x in members} - {0})
+    powers = list(range(n))
+    for _ in range(p - 1):
+        powers = [right[x][y] for x, y in enumerate(powers)]
+    seen = {1}
+    classes = [((1, [0], ()), gens)]
+    for (mask, members, U_gens), normalizing in classes:
+        done = set()
+        for s in p_elements:
+            if mask >> s & 1 or not mask >> powers[s] & 1 or s in done:
+                continue
+            orbit = [s]
+            for x in orbit:
+                # U is in N_G(U), so these U x hold s U: s u = u (u^-1 s u)
+                done.update(map(right[x].__getitem__, members))
+                for t in normalizing:
+                    y = right[inv[t]][right[x][t]]
+                    if y not in done:
+                        done.add(y)
+                        orbit.append(y)
+            J, joined, reps, J_gens = mask, list(members), [0], U_gens + (s,)
+            for r in reps:
+                for t in J_gens:
+                    c = right[t][r]
+                    if not J >> c & 1:
+                        coset = list(map(right[c].__getitem__, members))
+                        joined += coset
+                        J |= sum(map(bits.__getitem__, coset))
+                        reps.append(c)
+            if J not in seen:
+                conjugates, normalizing_J = _conjugates(right, inv, bits, conjugations, J, joined)
+                seen.update(conjugates)
+                classes.append(((J, joined, J_gens), sorted(normalizing_J)))
+    pairs = []
+    for (mask, members, _), _ in classes:
+        q = p_part(len(members), p)
+        meets = {mask & S for S in sylows}
+        pairs.append((len(members), sum(I.bit_count() == q for I in meets)))
+    return index_big, pairs
+
+
+def navarro_instances(G, p, fixed):
+    """Navarro's theorem decided over every subgroup when G is
+    p-solvable: one ``exhaustive`` record with the number of classes of
+    p-generated subgroups, n_p(G) and the number of classes whose n_p(U)
+    does not divide it, each of which adds a ``violation`` record.  Then
+    any fixed instances from the catalog."""
     records = []
     if is_p_solvable(G, p):
-        rng = random.Random(f"{seed}:{name}:{p}:navarro")
-        position, right, inv = _right_regular(G)
-        indices = range(len(right))
-        bits = [1 << x for x in indices]
-        sylow = sylow_subgroup(G, p)
-        sylow_indices = [position[x] for x in sylow.elements()]
-        index_big = _normalizer_index(G, sylow)
-        # mask -> (generators, members, p-part of the order)
-        subgroups = {1: ((), [0], 1)}
-        joins = {}
-        conjugates = {}
-        violated = {}
-        met = drawn = violations = 0
-        while met < NAVARRO_TARGET and drawn < NAVARRO_MAX_DRAWS:
-            drawn += 1
-            U = 1
-            for _ in range(rng.randrange(1, 4)):
-                s = rng.choice(indices)
-                if U >> s & 1:
-                    continue
-                if (U, s) not in joins:
-                    gens, members, _ = subgroups[U]
-                    gens += (s,)
-                    mask, joined, reps = U, list(members), [0]
-                    for r in reps:
-                        for t in gens:
-                            c = right[t][r]
-                            if not mask >> c & 1:
-                                coset = list(map(right[c].__getitem__, members))
-                                joined += coset
-                                mask |= sum(map(bits.__getitem__, coset))
-                                reps.append(c)
-                    if mask not in subgroups:
-                        subgroups[mask] = (gens, joined, p_part(len(joined), p))
-                    joins[U, s] = mask
-                U = joins[U, s]
-            g = rng.choice(indices)
-            if g not in conjugates:
-                to_g = right[inv[g]]
-                conjugates[g] = sum(bits[to_g[right[x][g]]] for x in sylow_indices)
-            I = U & conjugates[g]
-            gens, members, sylow_order = subgroups[U]
-            if I.bit_count() != sylow_order:
-                continue
-            met += 1
-            if U not in violated:
-                orbit = {I}
-                walk = [[x for x in members if I >> x & 1]]
-                for inside in walk:
-                    for t in gens:
-                        to_t = right[inv[t]]
-                        image = [to_t[right[x][t]] for x in inside]
-                        J = sum(map(bits.__getitem__, image))
-                        if J not in orbit:
-                            orbit.add(J)
-                            walk.append(image)
-                violated[U] = index_big % len(walk) != 0
-            violations += violated[U]
+        index_big, pairs = sylow_numbers_by_class(G, p)
+        bad = [(order, index_sub) for order, index_sub in pairs if index_big % index_sub]
         records.append(
-            {
-                "kind": "sampled",
-                "pairs_drawn": drawn,
-                "pairs_hypothesis_met": met,
-                "violations": violations,
-                "verdict": "pass" if violations == 0 else "fail",
-            }
+            {"kind": "exhaustive", "classes": len(pairs), "sylow_number": index_big,
+             "violations": len(bad), "verdict": "fail" if bad else "pass"}
+        )
+        records += (
+            {"kind": "violation", "subgroup_order": order, "index_in_subgroup": index_sub,
+             "index_in_group": index_big, "verdict": "fail"}
+            for order, index_sub in bad
         )
     for u_gens, p_gens in fixed:
         U = PermutationGroup(G.degree, [tuple(g) for g in u_gens])

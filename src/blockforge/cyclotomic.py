@@ -202,13 +202,3 @@ def rational(q):
 
 
 ONE = rational(1)
-
-
-def from_root_combination(e, coefficients):
-    """The value sum_t coefficients[t] * zeta_e^t, t read mod e, by one
-    reduction mod Phi_e."""
-    poly = [0] * e
-    for t, c in enumerate(coefficients):
-        if c:
-            poly[t % e] += c
-    return Cyclotomic(e, reduce_mod_cyclotomic(poly, e))

@@ -29,7 +29,11 @@ from .perms import identity, inverse, is_perm, order, power, right_factor
 
 
 class PermutationGroup:
-    """A subgroup of the symmetric group on {0, ..., degree-1}."""
+    """A subgroup of the symmetric group on {0, ..., degree-1}.
+
+    Groups compare and hash by element set, and caches are keyed by
+    them, so equal groups share cached results: a result names the
+    first equal group it was built for."""
 
     def __init__(self, degree, generators=(), name=None):
         """Enumerate the group by Dimino's algorithm (G. Butler,

@@ -72,15 +72,16 @@ def _glauberman_line(r):
 
 
 def _navarro_line(r):
-    if r["kind"] == "sampled":
+    if r["kind"] == "exhaustive":
         return (
-            f"  sampled {r['pairs_drawn']} pairs"
-            f"  {r['pairs_hypothesis_met']} met"
+            f"  exhaustive {r['classes']} classes  sylow number {r['sylow_number']}"
             f"  {r['violations']} violations: {r['verdict']}"
         )
+    indices = f"indices {r['index_in_subgroup']} vs {r['index_in_group']}"
+    if r["kind"] == "violation":
+        return f"  violation |U|={r['subgroup_order']}  {indices}: {r['verdict']}"
     return (
-        f"  fixed |U|={r['subgroup_order']} |P|={r['p_subgroup_order']}"
-        f"  indices {r['index_in_subgroup']} vs {r['index_in_group']}"
+        f"  fixed |U|={r['subgroup_order']} |P|={r['p_subgroup_order']}  {indices}"
         f"  divides {'yes' if r['divides'] else 'no'}: {r['verdict']}"
     )
 
@@ -114,7 +115,7 @@ def _question35_line(r):
     return f"  block {r['block']}: {r['result']}{detail}"
 
 
-def _block_records(G, p, *_):
+def _block_records(G, p, _):
     return (block_section(G, p),)
 
 
@@ -134,9 +135,10 @@ def _none_failed(records):
 # record lists the kind fills as (key, text heading, line renderer):
 # "blocks" is the report's top-level list, shared by am and dim and
 # computed once; every other key sits under "propositions".
-# compute(G, p, name, seed, navarro_fixed) returns one record list per
-# section, with no job fields (build_report stamps each proposition
-# record's group and prime); only navarro reads the last three.
+# compute(G, p, navarro_fixed) returns one record list per section,
+# with no job fields (build_report stamps each proposition record's
+# group and prime); only navarro reads navarro_fixed, and no kind
+# draws at random.
 # passed(records) gives the verdict (None: the kind never gives one).
 # compute looks the correspond functions up in this module's globals at
 # call time, so wrappers installed on those names (perfbench's tracer)
@@ -151,21 +153,19 @@ VERIFIERS = (
     Verifier(
         "glauberman",
         (("glauberman", "glauberman", _glauberman_line),),
-        lambda G, p, *_: (glauberman_instances(G, p),),
+        lambda G, p, _: (glauberman_instances(G, p),),
         _none_failed,
     ),
     Verifier(
         "navarro",
         (("navarro", "navarro", _navarro_line),),
-        lambda G, p, name, seed, fixed: (
-            navarro_instances(G, p, name, seed, fixed),
-        ),
+        lambda G, p, fixed: (navarro_instances(G, p, fixed),),
         _none_failed,
     ),
     Verifier(
         "regular",
         (("regular_covering", "regular covering", _regular_line),),
-        lambda G, p, *_: (regular_covering_instances(G, p),),
+        lambda G, p, _: (regular_covering_instances(G, p),),
         _none_failed,
     ),
     Verifier(
@@ -174,13 +174,13 @@ VERIFIERS = (
             ("fong_block", "fong block", _fong_block_line),
             ("fong_reynolds", "fong-reynolds", _fong_reynolds_line),
         ),
-        lambda G, p, *_: (fong_block_instances(G, p), fong_reynolds_instances(G, p)),
+        lambda G, p, _: (fong_block_instances(G, p), fong_reynolds_instances(G, p)),
         _none_failed,
     ),
     Verifier(
         "q35",
         (("question35", "question 3.5", _question35_line),),
-        lambda G, p, *_: (question35_instances(G, p),),
+        lambda G, p, _: (question35_instances(G, p),),
         None,
     ),
 )
@@ -188,9 +188,7 @@ KINDS = tuple(v.kind for v in VERIFIERS)
 _SECTIONS = tuple(dict.fromkeys(s for v in VERIFIERS for s in v.sections))
 
 
-def build_report(
-    G, p, name=None, seed=0, kinds=KINDS, navarro_fixed=(), timings=False
-):
+def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
     """All requested verifier records for one group at one prime.
 
     Unrequested kinds come back as empty lists so the schema is stable.
@@ -204,7 +202,7 @@ def build_report(
     for v in VERIFIERS:
         if v.kind in kinds and v.sections not in done:
             done.add(v.sections)
-            lists = v.compute(G, p, name, seed, navarro_fixed)
+            lists = v.compute(G, p, navarro_fixed)
             for (key, _, _), recs in zip(v.sections, lists):
                 records[key] = recs
     blocks = records.pop("blocks")
@@ -218,7 +216,6 @@ def build_report(
             key: [{"group": name, "prime": p, **rec} for rec in recs]
             for key, recs in records.items()
         },
-        "seed": seed,
         "elapsed_ms": (
             int((time.monotonic() - start) * 1000) if timings else None
         ),
@@ -255,7 +252,6 @@ def to_text(report):
     lines = [
         f"group {report['group']}  order {report['order']}"
         f"  prime {report['prime']}  p-solvable {solvable}"
-        f"  seed {report['seed']}"
     ]
     if report["elapsed_ms"] is not None:
         lines.append(f"elapsed {report['elapsed_ms']} ms")

@@ -8,11 +8,11 @@ import pytest
 
 from blockforge import catalog, chartab, permgroup
 from blockforge.chartab import character_table
-from blockforge.cyclotomic import from_root_combination
 from blockforge.groupfile import parse_group_file
 from blockforge.permgroup import PermutationGroup
 
 import oracles
+from oracles import from_root_combination
 
 
 def random_subgroup(rng, degree, n_gens):

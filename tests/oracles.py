@@ -39,11 +39,11 @@ subgroup it meets, to compare with the package's route through the
 class fusion of the subgroup into G.  ``blocks_by_cyclotomic_values``
 builds central characters and idempotent coefficients of the package's
 blocks as cyclotomic values, to compare with the package's integer row
-coordinates.  ``navarro_sampled_by_groups`` draws the Navarro sampler's
-pairs from the same seeded stream and judges each one with package
-groups (a Dimino enumeration per U, the intersection built from
-elements, and normalizers), to compare with the package's sampler on
-element indices and bitmasks.
+coordinates.  ``navarro_classes_by_subgroups`` lists every subgroup by
+closure growth, sorts the p-generated ones into conjugacy classes of
+element sets and counts each Sylow number as the subgroups of order the
+p-part inside, to compare with the package's breadth-first extension
+on element indices and bitmasks.
 ``normal_subgroups_by_joins`` closes the normal closures of the classes
 under joins, one Dimino enumeration per join, to compare with the
 package's intersections of character kernels.  ``inertia_group_by_scan``
@@ -81,7 +81,8 @@ Brauer-side matching.
 
 The cyclotomic arithmetic of the tests lives here, on lists of root
 coefficients (``roots``): sums add lists, products convolve them, and
-``from_root_combination`` canonicalizes each result once.
+``from_root_combination`` canonicalizes each result once, by one
+reduction mod Phi_e and the package's descent.
 ``from_root_combination_by_power_basis`` builds a value the Fraction
 way: each root coefficient times the power-basis coordinates of its
 root (``power_basis_coords``, from the recurrence zeta^(k+1) = zeta *
@@ -101,7 +102,6 @@ least (size, right before left, sorted degrees), to compare with the
 package's scan over sets of distinct degrees.
 """
 
-import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -116,14 +116,9 @@ from blockforge.blocks import (
     p_regular_classes,
 )
 from blockforge.chartab import character_table, is_p_solvable
-from blockforge.correspond import (
-    NAVARRO_MAX_DRAWS,
-    NAVARRO_TARGET,
-    _normalizer_index,
-)
 from blockforge.cyclotomic import (
+    Cyclotomic,
     cyclotomic_polynomial,
-    from_root_combination,
     rational,
     reduce_mod_cyclotomic,
 )
@@ -573,6 +568,16 @@ def canonical_by_solves(e, coords):
     return e, coords
 
 
+def from_root_combination(e, coefficients):
+    """The value sum_t coefficients[t] * zeta_e^t, t read mod e, by one
+    reduction mod Phi_e."""
+    poly = [0] * e
+    for t, c in enumerate(coefficients):
+        if c:
+            poly[t % e] += c
+    return Cyclotomic(e, reduce_mod_cyclotomic(poly, e))
+
+
 def from_root_combination_by_power_basis(e, coefficients):
     """(conductor, coordinates) of the value sum_t coefficients[t] zeta_e^t:
     Fraction coordinates, canonicalized by ``canonical_by_solves`` whether
@@ -866,45 +871,29 @@ def blocks_by_cyclotomic_values(bs):
     return centrals, idempotents
 
 
-def navarro_sampled_by_groups(G, p, name, seed, index_in_group=None):
-    """The sampled Navarro record, or None when G is not p-solvable: the
-    package's draws, each U built as a group from its generators and
-    U ∩ P^g from the elements of P^g that lie in U.  index_in_group,
-    when given, replaces |G : N_G(P)|, so that violations count the
-    pairs whose |U : N_U(U ∩ P^g)| does not divide it."""
-    if not is_p_solvable(G, p):
-        return None
-    rng = random.Random(f"{seed}:{name}:{p}:navarro")
-    elements = sorted(G.element_set())
-    sylow = sylow_subgroup(G, p)
-    sylow_elements = sylow.elements()
-    index_big = index_in_group or _normalizer_index(G, sylow)
-    met = 0
-    drawn = 0
-    violations = 0
-    while met < NAVARRO_TARGET and drawn < NAVARRO_MAX_DRAWS:
-        drawn += 1
-        gens = tuple(
-            rng.choice(elements) for _ in range(rng.randrange(1, 4))
-        )
-        U = PermutationGroup(G.degree, gens)
-        g = rng.choice(elements)
-        conjugates = (oconj(g, x) for x in sylow_elements)
-        I = group_from_elements(
-            G.degree, tuple(y for y in conjugates if U.contains(y))
-        )
-        if I.order() != p_part(U.order(), p):
+def navarro_classes_by_subgroups(G, p):
+    """The sorted (|U|, n_p(U)) over the conjugacy classes of subgroups U
+    generated by p-elements, and n_p(G), from every subgroup of G
+    (``all_subgroups``): U is p-generated when its p-elements close to
+    U, its class is the set of its conjugates g U g^-1, and n_p counts
+    the subgroups of order the p-part that lie in it."""
+    elements = G.element_set()
+    subgroups = all_subgroups(elements)
+
+    def sylow_number(U):
+        q = p_part(len(U), p)
+        return sum(len(Q) == q and Q <= U for Q in subgroups)
+
+    pairs = []
+    classified = set()
+    for U in subgroups:
+        if U in classified:
             continue
-        met += 1
-        if index_big % _normalizer_index(U, I):
-            violations += 1
-    return {
-        "kind": "sampled",
-        "pairs_drawn": drawn,
-        "pairs_hypothesis_met": met,
-        "violations": violations,
-        "verdict": "pass" if violations == 0 else "fail",
-    }
+        classified.update(frozenset(oconj(g, x) for x in U) for g in elements)
+        p_elements = [x for x in U if p_part(perm_order(x), p) == perm_order(x)]
+        if len(mulclose(G.degree, p_elements)) == len(U):
+            pairs.append((len(U), sylow_number(U)))
+    return sorted(pairs), sylow_number(elements)
 
 
 def conjugate_character(theta, g):

@@ -187,11 +187,10 @@ def test_criterion_5_sylow_normalizer_indices():
         ent = catalog.entry(name)
         G = ent.load()
         for p in ent.primes:
-            records = navarro_instances(G, p, name, 0, [])
-            sampled = records[0]
-            assert sampled["kind"] == "sampled"
-            assert sampled["pairs_hypothesis_met"] >= 200, (name, p)
-            assert sampled["violations"] == 0, (name, p)
+            (record,) = navarro_instances(G, p, [])
+            assert record["kind"] == "exhaustive"
+            assert record["classes"] >= 2, (name, p)
+            assert record["violations"] == 0, (name, p)
 
     s4 = catalog.entry("S4").load()
     for u_gens, p_gens in catalog.navarro_fixed("S4", 2):

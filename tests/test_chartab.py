@@ -604,6 +604,19 @@ def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
         _verify_orthogonality(forged)
 
 
+def test_equal_groups_share_cached_results():
+    # caches key a group by its element set, so an equal group under
+    # another name is handed the result built first, which names it
+    character_table.cache_clear()
+    try:
+        first = character_table(elementary_abelian(3, 1))
+        assert cyclic(3) == elementary_abelian(3, 1)
+        assert character_table(cyclic(3)) is first
+        assert character_table(cyclic(3)).group.name == "C3^1"
+    finally:
+        character_table.cache_clear()
+
+
 def test_table_gate_rejects_rows_that_are_not_orthonormal(s4):
     table = character_table(s4)
     assert table.values[1][2] == rational(-1)  # the sign character

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import re
 import subprocess
 import sys
@@ -28,6 +27,7 @@ from blockforge.correspond import (
     navarro_instances,
     question35_instances,
     regular_covering_instances,
+    sylow_numbers_by_class,
     verify_glauberman_lifts,
     verify_sylow_normalizer_divisibility,
 )
@@ -35,7 +35,7 @@ from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import parse_group_file
 from blockforge.modular import modular_data
 from blockforge.permgroup import PermutationGroup, sylow_subgroup
-from blockforge.perms import mult, right_factor
+from blockforge.perms import mult
 from blockforge.report import build_report, collect_verdicts
 
 import oracles
@@ -48,7 +48,6 @@ from conftest import (
     elementary_abelian,
     frobenius20,
     oracle_groups,
-    random_subgroup,
     s4_times_s4,
     sl_2_3,
     symmetric,
@@ -351,109 +350,109 @@ def test_navarro_hypothesis_met_divides(s4):
     assert rec["verdict"] == "pass"
 
 
-def test_navarro_sampling_deterministic(s4):
-    first = navarro_instances(s4, 2, "S4", 0, [])
-    second = navarro_instances(s4, 2, "S4", 0, [])
-    assert first == second
-    assert len(first) == 1
-    rec = first[0]
-    assert rec["kind"] == "sampled"
-    assert rec["pairs_hypothesis_met"] == 200
-    assert rec["violations"] == 0
-    assert rec["verdict"] == "pass"
+def test_navarro_exhaustive_s4(s4):
+    records = navarro_instances(s4, 2, [])
+    assert records == navarro_instances(s4, 2, [])
+    assert records == [
+        {
+            "kind": "exhaustive",
+            "classes": 9,
+            "sylow_number": 3,
+            "violations": 0,
+            "verdict": "pass",
+        }
+    ]
 
 
 def test_navarro_sampling_skipped_for_non_solvable(a5):
-    records = navarro_instances(a5, 2, "A5", 0, [])
+    records = navarro_instances(a5, 2, [])
     assert records == []
-
-
-def test_navarro_seeds_differ(s4):
-    base = navarro_instances(s4, 2, "S4", 0, [])
-    other = navarro_instances(s4, 2, "S4", 1, [])
-    assert base != other
 
 
 def _s4xs3():
     return parse_group_file(Path(__file__).parent / "data" / "s4xs3.grp")
 
 
-def test_navarro_sampler_matches_group_oracle():
-    # catalog at seeds 0-2, S4xS3 at both primes, and seeded random
-    # subgroups of S5 and S6 at every prime where they are p-solvable
-    cases = []
+def test_navarro_classes_match_subgroup_oracle():
+    # every p-solvable catalog job, the fixed instances' extra primes and
+    # C3 wr C3, a 3-group where every subgroup is 3-generated
+    cases = [(c3_wreath_c3(), 3)]
     for ent in catalog.entries():
         G = ent.load()
         for p in ent.primes + tuple(catalog.navarro_extra_primes(ent.name)):
-            cases.extend((G, p, ent.name, seed) for seed in range(3))
-    s4xs3 = _s4xs3()
-    cases.extend((s4xs3, p, "S4xS3", 1) for p in (2, 3))
-    # large subgroups, reached from many generator sets: the join memo
-    cases.extend(
-        (G, p, G.name, 0)
-        for G, p in (
-            (c3_wreath_c3(), 3),
-            (c2_wreath_s4(), 2),
-            (c2_wreath_s4(), 3),
-            (s4_times_s4(), 2),
-            (elementary_abelian(2, 5), 2),
-        )
-    )
-    for seed in range(20):
-        rng = random.Random(seed)
-        G = random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2)))
-        cases.extend((G, p, f"R{seed}", seed) for p in prime_factors(G.order()))
-    sampled = 0
-    for G, p, name, seed in cases:
-        want = oracles.navarro_sampled_by_groups(G, p, name, seed)
-        got = navarro_instances(G, p, name, seed, [])
-        assert got == ([] if want is None else [want]), (name, p, seed)
-        sampled += want is not None
-    assert sampled > 60
+            if is_p_solvable(G, p):
+                cases.append((G, p))
+    assert len(cases) == 17
+    for G, p in cases:
+        index_big, pairs = sylow_numbers_by_class(G, p)
+        want = oracles.navarro_classes_by_subgroups(G, p)
+        assert (sorted(pairs), index_big) == want, (G, p)
+        assert navarro_instances(G, p, [])[0]["classes"] == len(pairs)
 
 
-def test_navarro_sampler_normalizer_indices_match_group_oracle(monkeypatch):
-    # p-solvable groups never violate, so the index in G is forced to m:
-    # the violations then count the pairs whose |U : N_U(I)| fails to
-    # divide m, on the sampler's side and on the oracle's
-    s4xs3 = _s4xs3()
-    c2wrs4 = c2_wreath_s4()
+def test_navarro_class_counts():
+    # classes of p-generated subgroups, the trivial one included
+    s4xs3, s4xs4, c2wrs4 = _s4xs3(), s4_times_s4(), c2_wreath_s4()
     cases = [
-        (s4xs3, 2),
-        (s4xs3, 3),
+        (s4xs3, 2, 51),
+        (s4xs3, 3, 8),
+        (c3_wreath_c3(), 3, 20),
+        (s4xs4, 2, 229),
+        (s4xs4, 3, 14),
+        (c2wrs4, 2, 178),
+        (c2wrs4, 3, 6),
+        (elementary_abelian(2, 5), 2, 374),
+    ]
+    for G, p, classes in cases:
+        (rec,) = navarro_instances(G, p, [])
+        assert rec["kind"] == "exhaustive"
+        assert rec["classes"] == classes, (G, p)
+        assert rec["violations"] == 0 and rec["verdict"] == "pass", (G, p)
+    # every U of C2^5 is its own class: the 374 subgroups of GF(2)^5
+    assert rec["sylow_number"] == 1
+
+
+def test_navarro_violations_on_forged_sylow_number(monkeypatch):
+    # p-solvable groups never violate, so n_p(G) is forged to m: each
+    # class whose n_p(U) does not divide m gives one violation record,
+    # with the class's order and that non-dividing pair
+    cases = [
+        (_s4xs3(), 2),
+        (_s4xs3(), 3),
         (catalog.entry("S4").load(), 2),
-        # many subgroups with several Sylow subgroups each: the per-U
-        # verdict and the orbit count
-        (c2wrs4, 2),
-        (c2wrs4, 3),
+        (c2_wreath_s4(), 3),
         (s4_times_s4(), 3),
     ]
+    real = correspond.sylow_numbers_by_class
     for m in (1, 2, 3, 4):
-        monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: m)
+        monkeypatch.setattr(
+            correspond, "sylow_numbers_by_class", lambda G, p: (m, real(G, p)[1])
+        )
         for G, p in cases:
-            want = oracles.navarro_sampled_by_groups(G, p, "G", 0, m)
-            assert navarro_instances(G, p, "G", 0, []) == [want], (m, p)
-            assert m > 1 or want["violations"]
+            pairs = real(G, p)[1]
+            head, *violations = navarro_instances(G, p, [])
+            want = [(order, n) for order, n in pairs if m % n]
+            assert head["sylow_number"] == m
+            assert head["violations"] == len(want) == len(violations), (m, p)
+            assert head["verdict"] == ("fail" if want else "pass")
+            for rec, (order, n) in zip(violations, want):
+                assert rec == {
+                    "kind": "violation",
+                    "subgroup_order": order,
+                    "index_in_subgroup": n,
+                    "index_in_group": m,
+                    "verdict": "fail",
+                }
+                assert isinstance(n, int) and m % n
+            assert m > 1 or want
 
 
-def test_navarro_sampler_builds_no_group_per_draw(s4, monkeypatch):
-    # a first call fills the cached per-(G, p) set-up: p-solvability,
-    # the Sylow subgroup and its normalizer
-    navarro_instances(s4, 2, "S4", 0, [])
-    built = []
-    init = PermutationGroup.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
-    for target in (200, 400):
-        monkeypatch.setattr(correspond, "NAVARRO_TARGET", target)
-        built.clear()
-        (rec,) = navarro_instances(s4, 2, "S4", 0, [])
-        assert rec["pairs_hypothesis_met"] == target
-        assert len(built) < 10, target
+def test_navarro_sylow_number_gate(s4, monkeypatch):
+    # n_p(G) is counted twice: as the orbit of one Sylow mask and as
+    # |G : N_G(P)|; a forged normalizer index fires the gate
+    monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: 4)
+    with pytest.raises(InternalCheckError, match="S4.* at p = 2"):
+        navarro_instances(s4, 2, [])
 
 
 def test_right_regular_matches_permutation_products():
@@ -479,36 +478,6 @@ def test_right_regular_matches_permutation_products():
             for a in range(n):
                 assert right[b][a] == position[mult(elements[a], elements[b])]
         assert all(right[inv[a]][a] == 0 for a in range(n)), G
-
-
-def test_navarro_sampler_multiplies_only_to_build_its_table(monkeypatch):
-    # every product of a draw is a lookup in the index table, so one call
-    # makes the permutation products of the table alone: |G| per
-    # generator column and at most one per other column, however many
-    # pairs are drawn; each product is one application of a right
-    # factor's map
-    G = _s4xs3()
-    navarro_instances(G, 2, "S4xS3", 0, [])
-    calls = []
-
-    def counting_right_factor(q):
-        by_q = right_factor(q)
-
-        def counted(p):
-            calls.append(1)
-            return by_q(p)
-
-        return counted
-
-    monkeypatch.setattr(correspond, "right_factor", counting_right_factor)
-    counts = []
-    for target in (200, 400):
-        monkeypatch.setattr(correspond, "NAVARRO_TARGET", target)
-        calls.clear()
-        (rec,) = navarro_instances(G, 2, "S4xS3", 0, [])
-        assert rec["pairs_hypothesis_met"] == target
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= G.order() * (len(G.generators) + 1), counts
 
 
 def test_regular_covering_s4_p2(s4):

@@ -7,7 +7,6 @@ import pytest
 from blockforge.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
-    from_root_combination,
     rational,
     reduce_mod_cyclotomic,
 )
@@ -17,6 +16,7 @@ from oracles import (
     canonical_by_solves,
     combination,
     complex_conjugate,
+    from_root_combination,
     from_root_combination_by_power_basis,
     galois,
     is_algebraic_integer,

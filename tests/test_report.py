@@ -14,7 +14,7 @@ from blockforge.report import (
 
 
 def test_schema_key_order(s4):
-    rep = build_report(s4, 2, name="S4", seed=0)
+    rep = build_report(s4, 2, name="S4")
     assert list(rep.keys()) == [
         "group",
         "order",
@@ -22,7 +22,6 @@ def test_schema_key_order(s4):
         "p_solvable",
         "blocks",
         "propositions",
-        "seed",
         "elapsed_ms",
     ]
     assert list(rep["propositions"].keys()) == [
@@ -36,21 +35,20 @@ def test_schema_key_order(s4):
     assert rep["group"] == "S4"
     assert rep["order"] == 24
     assert rep["p_solvable"] is True
-    assert rep["seed"] == 0
 
 
 def test_elapsed_defaults_to_null(s4):
-    rep = build_report(s4, 3, seed=0)
+    rep = build_report(s4, 3)
     assert rep["elapsed_ms"] is None
-    timed = build_report(s4, 3, seed=0, timings=True)
+    timed = build_report(s4, 3, timings=True)
     assert isinstance(timed["elapsed_ms"], int)
 
 
 def test_unrequested_kinds_are_empty(s4):
-    rep = build_report(s4, 2, seed=0, kinds=("am",))
+    rep = build_report(s4, 2, kinds=("am",))
     assert rep["blocks"]
     assert all(not v for v in rep["propositions"].values())
-    rep = build_report(s4, 2, seed=0, kinds=("glauberman",))
+    rep = build_report(s4, 2, kinds=("glauberman",))
     assert rep["blocks"] == []
     assert rep["propositions"]["glauberman"]
     assert rep["propositions"]["navarro"] == []
@@ -69,7 +67,7 @@ KIND_RECORDS = {
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_each_kind_fills_only_its_records(s4, kind):
-    rep = build_report(s4, 2, seed=0, kinds=(kind,))
+    rep = build_report(s4, 2, kinds=(kind,))
     lists = {"blocks": rep["blocks"], **rep["propositions"]}
     assert {key for key, recs in lists.items() if recs} == KIND_RECORDS[kind]
     # am and dim both read the block records, so a report holding them
@@ -88,27 +86,27 @@ def test_verifiers_return_records_without_job_fields(s4):
     fixed = catalog.navarro_fixed("S4", 2)
     assert fixed
     for v in VERIFIERS:
-        for recs in v.compute(s4, 2, "S4", 0, fixed):
+        for recs in v.compute(s4, 2, fixed):
             assert recs, v.kind
             for rec in recs:
                 assert not {"group", "prime"} & set(rec), (v.kind, rec)
 
 
 def test_json_round_trip(s4):
-    rep = build_report(s4, 2, seed=0)
+    rep = build_report(s4, 2)
     text = to_json(rep)
     assert text.endswith("\n")
     assert json.loads(text) == rep
 
 
 def test_reports_are_reproducible(s4):
-    one = to_json(build_report(s4, 2, seed=0))
-    two = to_json(build_report(s4, 2, seed=0))
+    one = to_json(build_report(s4, 2))
+    two = to_json(build_report(s4, 2))
     assert one == two
 
 
 def test_collect_verdicts_s4(s4):
-    rep = build_report(s4, 2, seed=0)
+    rep = build_report(s4, 2)
     verdicts = collect_verdicts(rep)
     assert verdicts == {
         "am": "pass",
@@ -121,25 +119,25 @@ def test_collect_verdicts_s4(s4):
 
 
 def test_collect_verdicts_a5(a5):
-    rep = build_report(a5, 2, seed=0)
+    rep = build_report(a5, 2)
     verdicts = collect_verdicts(rep)
     assert verdicts["am"] == "fail"
     assert verdicts["dim"] == "fail"
     assert verdicts["glauberman"] == "pass"
     assert verdicts["regular"] == "pass"
-    # no navarro records at all: non-solvable sampling is skipped and
+    # no navarro records at all: the exhaustive pass needs p-solvability and
     # no fixed instances were passed in
     assert "navarro" not in verdicts
 
 
 def test_question35_never_produces_a_verdict(s4):
-    rep = build_report(s4, 2, seed=0, kinds=("q35",))
+    rep = build_report(s4, 2, kinds=("q35",))
     assert rep["propositions"]["question35"]
     assert collect_verdicts(rep) == {}
 
 
 def test_text_carries_the_same_verdicts(s4, a5):
-    rep = build_report(s4, 2, seed=0)
+    rep = build_report(s4, 2)
     text = to_text(rep)
     assert text.count("matched") == 2
     assert "violator" not in text
@@ -157,7 +155,7 @@ def test_text_carries_the_same_verdicts(s4, a5):
     assert text.count(": pass") == verdict_records
     assert "hypothesis not met" not in text
 
-    bad = build_report(a5, 2, seed=0)
+    bad = build_report(a5, 2)
     bad_text = to_text(bad)
     assert "violator right [1,1,1] (size mismatch)" in bad_text
     assert "dims 44 vs 12  divides no" in bad_text
@@ -165,12 +163,10 @@ def test_text_carries_the_same_verdicts(s4, a5):
 
 
 def test_text_header_and_structure(sl23):
-    rep = build_report(sl23, 3, name="SL(2,3)", seed=0)
+    rep = build_report(sl23, 3, name="SL(2,3)")
     text = to_text(rep)
     lines = text.splitlines()
-    assert lines[0] == (
-        "group SL(2,3)  order 24  prime 3  p-solvable yes  seed 0"
-    )
+    assert lines[0] == "group SL(2,3)  order 24  prime 3  p-solvable yes"
     assert sum(1 for ln in lines if ln.startswith("block ")) == 3
     assert "question 3.5:" in text
     assert text.endswith("\n")
