@@ -226,20 +226,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert payload["reports"][0]["prime"] == 3
 
 
-def test_seed_env_and_flag(capsys, monkeypatch):
-    # the benchmark's invocation: --seed is accepted and, like the old
-    # BLOCKFORGE_SEED variable, changes no byte of the output
+def test_seed_env_and_flag(capsys):
+    # the benchmark's invocation: --seed is accepted and changes no byte
+    # of the output
     outputs = set()
     for flags in (["--seed", "0"], ["--seed", "7"], []):
         code, out, err = run(capsys, "verify", "all", "--format", "json", *flags)
         assert code == 0 and err == ""
         outputs.add(out)
-    monkeypatch.setenv("BLOCKFORGE_SEED", "abc")
-    code, out, err = run(capsys, "verify", "all", "--format", "json")
-    assert code == 0
-    outputs.add(out)
     assert len(outputs) == 1
     assert '"seed"' not in out
+
+
+def test_malformed_seed_env_is_ignored(capsys, monkeypatch):
+    # BLOCKFORGE_SEED is no longer read, so a malformed value neither
+    # exits 2 nor changes a byte of the output
+    monkeypatch.delenv("BLOCKFORGE_SEED", raising=False)
+    code, expected, err = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0 and err == ""
+    monkeypatch.setenv("BLOCKFORGE_SEED", "abc")
+    code, out, err = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0 and err == ""
+    assert out == expected
 
 
 def test_timings_flag(capsys):
