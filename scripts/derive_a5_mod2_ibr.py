@@ -18,7 +18,6 @@ Run from the repository root:
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -184,14 +183,9 @@ def derive():
             root_sum(twisted),
             root_sum([a + b for a in natural for b in twisted]),
         ]
-        by_class.append(
-            [
-                [v.conductor, [[f.numerator, f.denominator] for f in v.coords]]
-                for v in row
-            ]
-        )
+        by_class.append([[v.conductor, list(v.coords)] for v in row])
 
-    identity_row = [rebuild(entry) for entry in by_class[0]]
+    identity_row = [Cyclotomic(*entry) for entry in by_class[0]]
     assert [v.integer_value() for v in identity_row] == [1, 2, 2, 4]
     assert sorted(character_table(group).degrees) == [1, 3, 3, 4, 5]
 
@@ -214,20 +208,13 @@ def main():
     payload = json.loads(text)
     reps, by_class = payload["class_representatives"], payload["characters_by_class"]
     for rep, entry in zip(reps, by_class):
-        print(tuple(rep), [str(rebuild(v)) for v in entry])
+        print(tuple(rep), [str(Cyclotomic(*v)) for v in entry])
 
     from blockforge.modular import modular_data
 
     data = modular_data(alternating5(), 2)
     print("degrees:", list(data.brauer_degrees))
     print("decomposition rows:", data.decomposition)
-
-
-def rebuild(serialized):
-    conductor, coords = serialized
-    return Cyclotomic(
-        conductor, tuple(Fraction(n, d) for n, d in coords)
-    )
 
 
 if __name__ == "__main__":

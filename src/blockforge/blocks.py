@@ -58,12 +58,6 @@ from .permgroup import centralizer, is_normal_in, normalizer, sylow_subgroup
 from .perms import right_factor
 
 
-@lru_cache(maxsize=None)
-def shared_reduction(e, p):
-    """The reduction map for conductor e above p."""
-    return build_reduction(e, p)
-
-
 def _where(G, p, index=None):
     """Error context: the group, the prime and the block index, if any."""
     where = f"{G!r} at p = {p}"
@@ -243,7 +237,7 @@ class BlockSet:
 @lru_cache(maxsize=None)
 def block_data(G, p):
     """Blocks of G at p, under the reduction map at G's exponent."""
-    return BlockSet(G, p, shared_reduction(G.exponent(), p))
+    return BlockSet(G, p, build_reduction(G.exponent(), p))
 
 
 def block_idempotent(block):

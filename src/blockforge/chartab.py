@@ -374,7 +374,7 @@ class CharacterTable:
     Row i is the irreducible character chi_i, in parallel forms: its
     printed values, their coordinates and their sparse coordinates."""
 
-    def __init__(self, group, exponent, values, coords, prime):
+    def __init__(self, group, exponent, values, coords):
         self.group = group
         self.classes = group.conjugacy_classes()
         self.exponent = exponent
@@ -397,8 +397,6 @@ class CharacterTable:
             (o, len(cyclotomic_polynomial(o)) - 1, tuple(classes))
             for o, classes in walk.items()
         )
-        # the prime q whose field GF(q) split the class algebra
-        self.prime = prime
         # the table gate's {o: S_o} for each pair of rows s <= u, at (s, u)
         self.partial_sums = None
 
@@ -470,7 +468,7 @@ def character_table(G):
     # values[0] is the degree, and 1 sorts first: rows ascend by degree
     rows.sort(key=lambda row: tuple(v.sort_key() for v in row[0]))
     values, coords = zip(*rows)
-    table = CharacterTable(G, e, values, coords, q)
+    table = CharacterTable(G, e, values, coords)
     _verify_orthogonality(table)
     return table
 

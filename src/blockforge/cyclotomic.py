@@ -1,18 +1,19 @@
 """Exact values in cyclotomic fields Q(zeta_e).
 
 Values are stored on the power basis 1, z, ..., z^(phi(e)-1) of the
-field with the smallest possible conductor e, with Fraction
-coordinates.  Keeping every value at its true conductor makes equality
-structural: two equal values always have the same conductor and the
-same coordinate tuple, so values can be hashed and sorted
-deterministically.
+field with the smallest possible conductor e, with the coordinates they
+are given: ints for every value the package builds, as character values
+are algebraic integers, and a power basis of Z[zeta_e] is an integral
+basis.  Keeping every value at its true conductor makes equality
+structural: two equal values always have the same conductor and equal
+coordinate tuples, so values can be hashed and sorted deterministically.
 
 Values are built by one reduction mod Phi_e (``reduce_mod_cyclotomic``):
 a sum of roots of unity with integer coefficients reduces in integers.
 Power-basis coordinates are unique, so a result with no coordinate past
 the first is rational and is stored as it is.  An irrational value
 descends to its minimal conductor one prime at a time (``_descend``),
-on the raw coordinates; only the result is converted to Fractions.
+in the coordinates' own arithmetic: integers stay integers.
 
 For a prime r with e = r m, the value lies in Q(zeta_m) exactly when
 one coefficient test on its coordinates passes (``_down``), and the
@@ -24,7 +25,6 @@ Phi_e: Phi_e(x) = Phi_m(x^r) when r divides m, and Phi_m(x^r) / Phi_m(x)
 when it does not.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import prime_factors
@@ -80,8 +80,9 @@ def _polydiv_exact(num, den):
 class Cyclotomic:
     """An exact element of a cyclotomic field, at its minimal conductor.
 
-    Cyclotomic(e, coords) takes int or Fraction coordinates on the power
-    basis of conductor e and stores Fractions at the minimal conductor."""
+    Cyclotomic(e, coords) takes coordinates on the power basis of
+    conductor e and stores them, as given, at the minimal conductor:
+    integer input stays int, and rational input works alike."""
 
     __slots__ = ("conductor", "coords")
 
@@ -93,7 +94,7 @@ class Cyclotomic:
         else:
             conductor, coords = 1, coords[:1]
         self.conductor = conductor
-        self.coords = tuple(map(Fraction, coords))
+        self.coords = tuple(coords)
 
     def rational_value(self):
         if self.conductor != 1:

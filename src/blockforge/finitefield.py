@@ -249,6 +249,7 @@ class ReductionMap:
         return f"ReductionMap(e={self.e}, p={self.p}, f={self.f})"
 
 
+@lru_cache(maxsize=None)
 def build_reduction(e, p):
     """Construct the reduction map for conductor e above p, and prove it
     is a ring homomorphism.

@@ -25,6 +25,8 @@ Linear algebra reads each value in the character table's one
 representation (``CharacterTable.coords``), on the power basis at its
 class's element order: lifting to a multiple of that order is injective
 and linear, so independence and decompositions are unchanged by it.
+Those coordinates, and the stored table's, are integers; the elimination
+divides by its pivots, so it alone works in Fractions.
 
 Every ``InternalCheckError`` raised here names the group, the prime
 and, where there is one, the block index.
@@ -79,13 +81,7 @@ def _fixture_brauer_characters(G, p):
         for row in range(len(data["characters_by_class"][0])):
             values = []
             for k in regular:
-                conductor, coords = positions[k][row]
-                values.append(
-                    Cyclotomic(
-                        conductor,
-                        tuple(Fraction(n, d) for n, d in coords),
-                    )
-                )
+                values.append(Cyclotomic(*positions[k][row]))
             lifted = (
                 x
                 for v, k in zip(values, regular)

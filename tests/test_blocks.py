@@ -18,11 +18,11 @@ from blockforge.blocks import (
     induced_central,
     p_regular_classes,
     osima_partition,
-    shared_reduction,
 )
 from blockforge.chartab import character_table, normal_subgroups
 from blockforge.cyclotomic import Cyclotomic
 from blockforge.errors import DomainError, InternalCheckError
+from blockforge.finitefield import build_reduction
 from blockforge.permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -201,7 +201,7 @@ def test_defect_groups_of_random_subgroups_match_subgroup_search():
 
 def _uncached_blocks(G, p):
     """A BlockSet outside the block_data cache, safe to corrupt."""
-    return BlockSet(G, p, shared_reduction(G.exponent(), p))
+    return BlockSet(G, p, build_reduction(G.exponent(), p))
 
 
 def test_defect_group_needs_a_p_regular_defect_class(a5):
@@ -321,7 +321,7 @@ def cyclic_subgroup_of_s4():
 
 def test_partition_stable_under_larger_conductor(a4, a5):
     small = block_data(a4, 2)
-    big = BlockSet(a4, 2, shared_reduction(a5.exponent(), 2))
+    big = BlockSet(a4, 2, build_reduction(a5.exponent(), 2))
     assert [b.char_indices for b in small.blocks] == [
         b.char_indices for b in big.blocks
     ]
@@ -362,7 +362,7 @@ def test_blocks_of_random_subgroups_need_no_common_map():
         G = random_subgroup(rng, degree, rng.choice((1, 2)))
         for p in prime_factors(G.order()):
             bs = block_data(G, p)
-            wide = BlockSet(G, p, shared_reduction(60, p))
+            wide = BlockSet(G, p, build_reduction(60, p))
             assert [b.char_indices for b in bs.blocks] == [
                 b.char_indices for b in wide.blocks
             ], (seed, p)
@@ -459,7 +459,7 @@ def test_osima_partition_matches_central_characters():
     for G in oracle_groups([]):
         table = character_table(G)
         for p in prime_factors(G.order()):
-            rmap = shared_reduction(G.exponent(), p)
+            rmap = build_reduction(G.exponent(), p)
             buckets = {}
             for i in range(len(table.values)):
                 lam = blocks._reduced_central(table, i, rmap, p)

@@ -172,7 +172,8 @@ def test_root_combination_matches_the_power_basis_oracle():
                 got = from_root_combination(e, coefficients)
                 want = from_root_combination_by_power_basis(e, coefficients)
                 assert (got.conductor, got.coords) == want, e
-                assert all(type(c) is Fraction for c in got.coords), e
+                if coefficients is ints:
+                    assert all(type(c) is int for c in got.coords), e
                 if kind == "invariant":
                     assert got.conductor == 1, (e, coefficients)
 
@@ -197,7 +198,8 @@ def test_descent_matches_the_solve_oracle():
                 got = Cyclotomic(e, raw)
                 want = (conductor, tuple(c / scale for c in coords))
                 assert (got.conductor, got.coords) == want, (e, d, scale)
-                assert all(type(c) is Fraction for c in got.coords), (e, d)
+                if raw is ints:
+                    assert all(type(c) is int for c in got.coords), (e, d)
 
 
 def test_lift_coords_match_the_power_basis_oracle():

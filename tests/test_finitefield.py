@@ -24,13 +24,19 @@ from oracles import ResidueField, element_of_order_by_scan, plus, times, zeta
 
 @pytest.fixture
 def fresh_fields():
-    """Empty the modulus and root caches before and after the test, so a
-    monkeypatched routine is consulted and no root it made outlives it."""
-    finitefield.residue_field.cache_clear()
-    finitefield._root_image.cache_clear()
+    """Empty the modulus, root and reduction-map caches before and after
+    the test, so a monkeypatched routine is consulted and nothing it made
+    outlives it."""
+    caches = (
+        finitefield.residue_field,
+        finitefield._root_image,
+        finitefield.build_reduction,
+    )
+    for cached in caches:
+        cached.cache_clear()
     yield
-    finitefield.residue_field.cache_clear()
-    finitefield._root_image.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def reduce(rmap, x):
@@ -274,7 +280,7 @@ def test_missing_irreducible_names_the_degree_and_prime(monkeypatch, fresh_field
         residue_field(2, 3)
 
 
-def test_zeta_image_off_phi_e_is_rejected(monkeypatch):
+def test_zeta_image_off_phi_e_is_rejected(monkeypatch, fresh_fields):
     # u keeps its exact order, but zeta_3 is sent to u^0 = 1, which is
     # not a root of Phi_3 = x^2 + x + 1 mod 2: only the Phi_e gate sees it.
     init = ReductionMap.__init__

@@ -193,7 +193,6 @@ def test_method_names_shared_between_classes_are_pinned():
 # ``cli.build_parser`` keeps the one argument parser; the rest hold data.
 CACHED_FUNCTIONS = {
     "blocks.block_data",
-    "blocks.shared_reduction",
     "catalog._index",
     "chartab.character_action",
     "chartab.character_table",
@@ -207,6 +206,7 @@ CACHED_FUNCTIONS = {
     "cli.build_parser",
     "cyclotomic.cyclotomic_polynomial",
     "finitefield._root_image",
+    "finitefield.build_reduction",
     "finitefield.residue_field",
     "modular.modular_data",
     "permgroup.centralizer",

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import modular
+from blockforge import catalog, modular
 from blockforge.arith import is_prime, prime_factors
 from blockforge.blocks import block_data, brauer_correspondent, p_regular_classes
 from blockforge.chartab import character_table, is_p_solvable
 from blockforge.errors import DomainError, InternalCheckError
+from blockforge.groupfile import parse_group_file
 from blockforge.modular import (
     brauer_decomposition,
     modular_data,
@@ -109,6 +110,24 @@ def test_a5_p2_fixture_is_its_derivation():
     spec.loader.exec_module(derive)
     fixture = root / "src" / "blockforge" / "data" / "fixtures" / "a5_p2_ibr.json"
     assert derive.derive().encode("utf-8") == fixture.read_bytes()
+
+
+def test_character_values_hold_int_coordinates(a5):
+    # Character values are algebraic integers, so every coordinate the
+    # package builds or stores is an int: the tables of the catalog and
+    # benchmark groups, values and coords, and the stored A5 Brauer values.
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+    groups = [ent.load() for ent in catalog.entries()]
+    groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
+    found = []
+    for G in groups:
+        table = character_table(G)
+        found += (x for row in table.values for v in row for x in v.coords)
+        found += (x for row in table.coords for xs in row for x in xs)
+    for values, lifted in modular._fixture_brauer_characters(a5, 2):
+        found += (x for v in values for x in v.coords)
+        found += lifted
+    assert found and {type(x) for x in found} == {int}
 
 
 def test_a5_p2_decomposition_matrix(a5):
