@@ -321,7 +321,9 @@ def inertia_group(G, N, k):
     transversal element t with theta^t = theta_v is kept for each orbit
     point v, and u t_w^-1, for u = t g and w = v^g, are the Schreier
     generators of T (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 4.1).  One group is built.  The gate proves T is the
+    Group Theory, 4.1).  At most one group is built; none when theta is
+    G-invariant, where T is G: at an orbit of one the Schreier
+    generators are the action's generators of G.  The gate proves T is the
     stabilizer with direct conjugation, independent of the action table:
     each transversal element sends theta to the values of its orbit
     point's row, so the orbit is at least as large as found; each
@@ -348,14 +350,18 @@ def inertia_group(G, N, k):
                 transversal[w] = u
                 back[w] = right_factor(inverse(u))
                 orbit.append(w)
-    T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
+    if len(orbit) == 1:
+        T = G
+    else:
+        T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
     theta = rows[k]
 
     def conjugated(g):
         return tuple(theta[j] for j in _conjugate_classes(N, g))
 
     # N fixes theta, a class function of N, so only the Schreier
-    # generators are conjugated
+    # generators are conjugated; when T is G, |T| |orbit| = |G| holds
+    # by itself and these conjugations are the whole check
     if (
         any(conjugated(t) != rows[v] for v, t in transversal.items())
         or any(conjugated(h) != theta for h in schreier)

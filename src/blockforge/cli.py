@@ -6,7 +6,6 @@ is unexpected, 2 for usage or parse errors.
 """
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -18,7 +17,7 @@ from .chartab import character_table
 from .errors import DomainError
 from .groupfile import parse_group_file
 from .perms import format_perm
-from .report import KINDS, build_report, collect_verdicts, to_text
+from .report import KINDS, build_report, collect_verdicts, to_json, to_text
 
 
 class UsageError(Exception):
@@ -83,7 +82,7 @@ def run_table(args):
             ],
             "irreducibles": [[str(v) for v in row] for row in table.values],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(to_json(payload), args.out)
         return 0
     headers = ["", *(str(c.index) for c in classes)]
     rows = [
@@ -128,7 +127,7 @@ def run_blocks(args):
                 for B in bs.blocks
             ],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(to_json(payload), args.out)
         return 0
     lines = [f"group {name}  order {G.order()}  prime {p}  blocks {len(bs.blocks)}"]
     for B in bs.blocks:
@@ -167,7 +166,7 @@ def run_catalog(args):
             }
         )
     if args.format == "json":
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
+        _emit(to_json(records), args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -224,7 +223,7 @@ def run_verify(args):
                 )
     if args.format == "json":
         payload = {"reports": reports, "unexpected": unexpected}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(to_json(payload), args.out)
     else:
         chunks = [to_text(r) for r in reports]
         for u in unexpected:

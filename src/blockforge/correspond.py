@@ -16,6 +16,7 @@ Characters are named by row index on both sides; their degrees are
 ``CharacterTable.degrees`` and ``ModularData.brauer_degrees``.
 """
 
+from functools import lru_cache
 from math import gcd
 
 from .arith import p_part, vp
@@ -349,9 +350,12 @@ def _conjugates(right, inv, bits, conjugations, mask, members):
     return orbit, normalizing
 
 
+@lru_cache(maxsize=None)
 def sylow_numbers_by_class(G, p):
-    """n_p(G), and (|U|, n_p(U)) for one U in each conjugacy class of
-    subgroups generated by p-elements, in the order found.
+    """n_p(G), and the tuple of (|U|, n_p(U)) for one U in each
+    conjugacy class of subgroups generated by p-elements, in the order
+    found.  Cached per (G, p), so the result is immutable and shared;
+    like ``sylow_subgroup``'s, the cache key keeps G alive.
 
     These U decide every subgroup: n_p is a conjugacy invariant, and
     n_p(U) = n_p(O^{p'}(U)), as O^{p'}(U) holds every p-subgroup of U.
@@ -425,7 +429,7 @@ def sylow_numbers_by_class(G, p):
         q = p_part(len(members), p)
         meets = {mask & S for S in sylows}
         pairs.append((len(members), sum(I.bit_count() == q for I in meets)))
-    return index_big, pairs
+    return index_big, tuple(pairs)
 
 
 def navarro_instances(G, p, fixed):

@@ -177,7 +177,8 @@ class PermutationGroup:
         gens = [(g, right_factor(inverse(g))) for g in self.generators]
         assigned = {}
         raw = []
-        for x in self.elements():
+        # walked unsorted; each class is represented by its least member
+        for x in self._element_set:
             if x in assigned:
                 continue
             orbit = [x]
@@ -189,7 +190,8 @@ class PermutationGroup:
                     if z not in assigned:
                         assigned[z] = len(raw)
                         orbit.append(z)
-            raw.append((x, tuple(sorted(orbit))))
+            members = tuple(sorted(orbit))
+            raw.append((members[0], members))
         keyed = sorted(raw, key=lambda pair: (order(pair[0]), len(pair[1]), pair[0]))
         classes = []
         index = {}

@@ -243,8 +243,44 @@ def collect_verdicts(report):
     return out
 
 
-def to_json(report):
-    return json.dumps(report, indent=2) + "\n"
+_encode_str = json.encoder.encode_basestring_ascii
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _render(obj, indent):
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # _encode_str raises TypeError on a key that is not a str
+        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in obj.items()]
+        head, tail = "{", "}"
+    elif kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = [_render(v, inner) for v in obj]
+        head, tail = "[", "]"
+    elif kind is float:
+        return json.dumps(obj)
+    elif obj is None or kind is bool:
+        return _WORDS[obj]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return head + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + tail
+
+
+def to_json(obj):
+    """json.dumps(obj, indent=2) plus a newline, byte for byte, for
+    values built of str, int, float, bool, None, list, tuple and dicts
+    with str keys; any other type or key raises TypeError.  The stdlib
+    runs its C encoder only when indent is None, and its pure-Python one
+    takes about twice as long on a report."""
+    return _render(obj, "") + "\n"
 
 
 def to_text(report):

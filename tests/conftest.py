@@ -6,7 +6,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from blockforge import catalog, chartab, permgroup
+from blockforge import catalog, chartab, correspond, permgroup
 from blockforge.chartab import character_table
 from blockforge.groupfile import parse_group_file
 from blockforge.permgroup import PermutationGroup
@@ -63,6 +63,7 @@ def oracle_groups(families):
             chartab.normal_subgroups,
             chartab.p_core,
             chartab.p_prime_core,
+            correspond.sylow_numbers_by_class,
             permgroup.group_from_elements,
             permgroup.normal_closure,
             oracles._conjugations,

@@ -918,11 +918,45 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
         for k in range(len(character_table(N).values)):
             inertia_group(G, N, k)
     monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+    invariant = []
     for G, N in cases:
+        action = chartab.character_action(G, N)
+        invariant.append(0)
         for k in range(len(character_table(N).values)):
             built.clear()
-            inertia_group(G, N, k)
-            assert len(built) == 1, (G, k)
+            T = inertia_group(G, N, k)
+            if all(a[k] == k for _, a in action):
+                # an invariant theta has T = G, returned as it is
+                invariant[-1] += 1
+                assert not built and T is G, (G, k)
+            else:
+                assert len(built) == 1, (G, k)
+    # 5 of the 7 rows of A6 and 2 of the 5 rows of Q8 are invariant
+    assert invariant == [5, 2]
+
+
+def test_inertia_gate_conjugates_every_generator_of_an_invariant_theta(
+    monkeypatch, sl23, q8
+):
+    # the degree-2 character of Q8 is SL(2,3)-invariant, so T is SL(2,3);
+    # one generator forged to swap the classes of 1 and -1 moves theta,
+    # and the direct conjugation still catches it
+    k = character_table(q8).degrees.index(2)
+    assert inertia_group(sl23, q8, k) is sl23
+    g = chartab.character_action(sl23, q8)[0][0]
+    real = chartab._conjugate_classes
+
+    def forged(N, h):
+        c = real(N, h)
+        return (c[1], c[0], *c[2:]) if h == g else c
+
+    monkeypatch.setattr(chartab, "_conjugate_classes", forged)
+    message = re.escape(
+        f"inertia group of a character of {q8!r} in {sl23!r} fails the"
+        " orbit-stabilizer gate: orbit 1, stabilizer order 24"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        inertia_group(sl23, q8, k)
 
 
 def _clifford_groups():

@@ -449,7 +449,9 @@ def test_navarro_violations_on_forged_sylow_number(monkeypatch):
 
 def test_navarro_sylow_number_gate(s4, monkeypatch):
     # n_p(G) is counted twice: as the orbit of one Sylow mask and as
-    # |G : N_G(P)|; a forged normalizer index fires the gate
+    # |G : N_G(P)|; a forged normalizer index fires the gate, which runs
+    # on a cache miss
+    sylow_numbers_by_class.cache_clear()
     monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: 4)
     with pytest.raises(InternalCheckError, match="S4.* at p = 2"):
         navarro_instances(s4, 2, [])

@@ -204,6 +204,7 @@ CACHED_FUNCTIONS = {
     "chartab.p_prime_core",
     "chartab.restriction_multiplicities",
     "cli.build_parser",
+    "correspond.sylow_numbers_by_class",
     "cyclotomic.cyclotomic_polynomial",
     "finitefield._root_image",
     "finitefield.build_reduction",

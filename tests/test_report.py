@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from blockforge import catalog
+from blockforge.cli import main
 from blockforge.report import (
     KINDS,
     VERIFIERS,
@@ -97,6 +99,64 @@ def test_json_round_trip(s4):
     text = to_json(rep)
     assert text.endswith("\n")
     assert json.loads(text) == rep
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_renderer_matches_stdlib_on_goldens():
+    goldens = sorted((Path(__file__).parent / "data").glob("*.json"))
+    assert len(goldens) == 7
+    for path in goldens:
+        text = path.read_text(encoding="utf-8")
+        value = json.loads(text)
+        assert to_json(value) == _stdlib_json(value) == text, path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "catalog:S4"),
+        ("blocks", "catalog:S4", "-p", "2"),
+        ("verify", "all", "catalog:A5", "-p", "2", "--timings"),
+        ("catalog", "list"),
+    ],
+)
+def test_renderer_matches_stdlib_on_cli_output(capsys, argv):
+    main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    value = json.loads(out)
+    assert to_json(value) == _stdlib_json(value) == out
+
+
+def test_renderer_matches_stdlib_on_edge_values():
+    value = {
+        "empty": [{}, [], [[]], {"x": {}}, ()],
+        "tuple": (1, (2, -3), [()]),
+        "words": [True, False, None],
+        "ints": [0, -1, 10**30, -(10**30)],
+        "floats": [0.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan")],
+        "strings": ['"', "\\", "\n\t\x00\x1f\x7f", "é€\U0001d11e", ""],
+        'key "with" \\ and é': "",
+    }
+    assert to_json(value) == _stdlib_json(value)
+    assert to_json([]) == "[]\n" and to_json("x") == '"x"\n'
+
+
+@pytest.mark.parametrize(
+    "value", [{1: 2}, {"a": {None: 1}}, {(1,): 2}, {True: 1}, {0.5: 1}]
+)
+def test_renderer_rejects_keys_that_are_not_strings(value):
+    # json.dumps would coerce these keys; no report holds one
+    with pytest.raises(TypeError):
+        to_json(value)
+
+
+@pytest.mark.parametrize("value", [{1}, b"x", object(), [1j], {"a": range(2)}])
+def test_renderer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        to_json(value)
 
 
 def test_reports_are_reproducible(s4):
