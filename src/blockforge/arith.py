@@ -20,9 +20,11 @@ def is_prime(n):
 
 
 def vp(n, p):
-    """The exponent of p in n (n a nonzero integer)."""
+    """The exponent of p in n (n a nonzero integer, p at least 2)."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    if p < 2:
+        raise ValueError(f"valuation at {p} is undefined")
     n = abs(n)
     v = 0
     while n % p == 0:

@@ -54,7 +54,13 @@ from .chartab import (
 )
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
-from .permgroup import centralizer, is_normal_in, normalizer, sylow_subgroup
+from .permgroup import (
+    PermutationGroup,
+    centralizer,
+    is_normal_in,
+    normalizer,
+    sylow_subgroup,
+)
 from .perms import right_factor
 
 
@@ -314,7 +320,9 @@ def _defect_group_from_defect_class(block):
         if not any(block.reduced_central[k]):
             continue
         if vp(G.order() // classes[k].size, p) == block.defect:
-            D = sylow_subgroup(centralizer(G, classes[k].representative), p)
+            x_K = classes[k].representative
+            C = centralizer(G, PermutationGroup(G.degree, [x_K]))
+            D = sylow_subgroup(C, p)
             if not brauer_image_is_nonzero(block, D):
                 raise InternalCheckError(
                     "Brauer image of the idempotent vanishes at the defect"

@@ -19,7 +19,7 @@ Characters are named by row index on both sides; their degrees are
 from functools import lru_cache
 from math import gcd
 
-from .arith import p_part, vp
+from .arith import is_prime, p_part, vp
 from .blocks import _where, block_data, brauer_correspondent, covered_blocks
 from .chartab import (
     character_action,
@@ -39,7 +39,7 @@ from .perms import right_factor
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
-    centralizer_of_group,
+    centralizer,
     intersection,
     is_normal_in,
     normalizer,
@@ -77,8 +77,9 @@ def _matching_fields(prefix, left, right, where):
 
 def block_section(G, p):
     """Per-block records covering the height-zero matchings on both
-    character levels and the dimension divisibilities; the am and dim
-    verdicts are read off them in ``report.VERIFIERS``."""
+    character levels and the dimension divisibilities.  The report
+    computes them once (``report.SECTIONS["blocks"]``) and reads both
+    the am and the dim verdict off them (``report.VERIFIERS``)."""
     bs = block_data(G, p)
     md_big = _try_modular(G, p)
     records = []
@@ -136,13 +137,15 @@ def glauberman_correspondent(L, Q, k, p):
     """The unique constituent of theta, row k of Irr(L), restricted to
     the fixed-point centralizer C whose multiplicity is not divisible by
     p: returns C and the constituent's row index in Irr(C)."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if Q.order() != p ** vp(Q.order(), p):
         raise DomainError("the acting group is not a p-group")
     if gcd(L.order(), Q.order()) != 1:
         raise DomainError("the action is not coprime")
     if not _is_invariant(Q, L, k):
         raise DomainError("character is not invariant under the action")
-    C = centralizer_of_group(L, Q)
+    C = centralizer(L, Q)
     row = restriction_multiplicities(L, C)[k]
     survivors = [j for j, m in enumerate(row) if m % p]
     if len(survivors) != 1:
@@ -203,6 +206,8 @@ def verify_glauberman_lifts(G, L, Q, p):
     """The lift instance of each theta in Irr(L) (``_glauberman_lift``).
     The hypotheses are on (G, L, Q) alone, so they are checked once: L is
     a normal p'-subgroup and LQ is normal."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if L.order() % p == 0:
         raise DomainError("the normal subgroup is not a p'-group")
     if not is_normal_in(L, G):

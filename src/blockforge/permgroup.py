@@ -99,7 +99,6 @@ class PermutationGroup:
                 f" {len(elems)} coset elements, {len(found)} distinct"
             )
         self._order = len(found)
-        self._coset_order = elems
         self._elements = None
         self._element_set = frozenset(found)
         self._classes = None
@@ -116,8 +115,7 @@ class PermutationGroup:
     def elements(self):
         """All elements, sorted lexicographically."""
         if self._elements is None:
-            self._elements = tuple(sorted(self._coset_order))
-            self._coset_order = None
+            self._elements = tuple(sorted(self._element_set))
         return self._elements
 
     def element_set(self):
@@ -246,7 +244,9 @@ def group_from_elements(degree, elements):
     """Group generated by the given elements, with a reduced generator list.
 
     Elements are scanned in sorted order and kept only when they enlarge
-    the group built so far, which keeps generator lists short.
+    the group built so far, which keeps generator lists short.  The scans
+    here pass frozensets, so that one element set found in two orders
+    shares a cache entry.
     """
     current = trivial_group(degree)
     kept = []
@@ -258,18 +258,7 @@ def group_from_elements(degree, elements):
 
 
 @lru_cache(maxsize=None)
-def centralizer(G, x):
-    """C_G(x).  Enumerates the group."""
-    x = tuple(x)
-    if not G.contains(x):
-        raise DomainError("element does not belong to the group")
-    by_x = right_factor(x)
-    hits = tuple(g for g in G.elements() if by_x(g) == right_factor(g)(x))
-    return group_from_elements(G.degree, hits)
-
-
-@lru_cache(maxsize=None)
-def centralizer_of_group(G, H):
+def centralizer(G, H):
     """Elements of G commuting with everything in H.
 
     H does not have to be contained in G; for an external action this
@@ -284,7 +273,7 @@ def centralizer_of_group(G, H):
         by_g = right_factor(g)
         return all(by_h(g) == by_g(h) for h, by_h in factors)
 
-    hits = tuple(filter(commutes, G.elements()))
+    hits = frozenset(filter(commutes, G.element_set()))
     return group_from_elements(G.degree, hits)
 
 
@@ -294,7 +283,7 @@ def normalizer(G, H):
     _require_subgroup(G, H)
     hset = H.element_set()
     factors = tuple(map(right_factor, H.generators))
-    hits = tuple(g for g in G.elements() if _conjugates_into(g, factors, hset))
+    hits = frozenset(g for g in G.element_set() if _conjugates_into(g, factors, hset))
     return group_from_elements(G.degree, hits)
 
 
@@ -385,13 +374,12 @@ def are_conjugate_subgroups(G, H, K):
         return False
     kset = K.element_set()
     factors = tuple(map(right_factor, H.generators))
-    return any(_conjugates_into(g, factors, kset) for g in G.elements())
+    return any(_conjugates_into(g, factors, kset) for g in G.element_set())
 
 
 def intersection(A, B):
-    """A n B for groups of equal degree.  Enumerates the smaller group."""
+    """A n B for groups of equal degree: the intersection of the element
+    sets, which scans the smaller one."""
     if A.degree != B.degree:
         raise DomainError("degree mismatch")
-    small, big = (A, B) if A.order() <= B.order() else (B, A)
-    bigset = big.element_set()
-    return group_from_elements(A.degree, tuple(x for x in small.elements() if x in bigset))
+    return group_from_elements(A.degree, A.element_set() & B.element_set())

@@ -3,7 +3,6 @@ and plain-text renderings that carry the same verdicts."""
 
 import json
 import time
-from collections import namedtuple
 
 from .chartab import is_p_solvable
 from .correspond import (
@@ -15,6 +14,7 @@ from .correspond import (
     question35_instances,
     regular_covering_instances,
 )
+from .errors import DomainError
 
 
 def _degs(values):
@@ -115,10 +115,6 @@ def _question35_line(r):
     return f"  block {r['block']}: {r['result']}{detail}"
 
 
-def _block_records(G, p, _):
-    return (block_section(G, p),)
-
-
 def _all_matched(blocks):
     return all("irr0_matching" in b and "ibr0_matching" in b for b in blocks)
 
@@ -131,80 +127,78 @@ def _none_failed(records):
     return not any(r["verdict"] == "fail" for r in records)
 
 
-# One verifier kind per entry, in report order.  sections lists the
-# record lists the kind fills as (key, text heading, line renderer):
-# "blocks" is the report's top-level list, shared by am and dim and
-# computed once; every other key sits under "propositions".
-# compute(G, p, navarro_fixed) returns one record list per section,
-# with no job fields (build_report stamps each proposition record's
-# group and prime); only navarro reads navarro_fixed, and no kind
-# draws at random.
-# passed(records) gives the verdict (None: the kind never gives one).
-# compute looks the correspond functions up in this module's globals at
-# call time, so wrappers installed on those names (perfbench's tracer)
-# see every call.
-Verifier = namedtuple("Verifier", "kind sections compute passed")
-
-_BLOCKS = ("blocks", None, lambda rec: "\n".join(_block_lines(rec)))
-
-VERIFIERS = (
-    Verifier("am", (_BLOCKS,), _block_records, _all_matched),
-    Verifier("dim", (_BLOCKS,), _block_records, _all_dims_divide),
-    Verifier(
-        "glauberman",
-        (("glauberman", "glauberman", _glauberman_line),),
-        lambda G, p, _: (glauberman_instances(G, p),),
-        _none_failed,
-    ),
-    Verifier(
-        "navarro",
-        (("navarro", "navarro", _navarro_line),),
-        lambda G, p, fixed: (navarro_instances(G, p, fixed),),
-        _none_failed,
-    ),
-    Verifier(
-        "regular",
-        (("regular_covering", "regular covering", _regular_line),),
-        lambda G, p, _: (regular_covering_instances(G, p),),
-        _none_failed,
-    ),
-    Verifier(
-        "fong",
-        (
-            ("fong_block", "fong block", _fong_block_line),
-            ("fong_reynolds", "fong-reynolds", _fong_reynolds_line),
-        ),
-        lambda G, p, _: (fong_block_instances(G, p), fong_reynolds_instances(G, p)),
-        _none_failed,
-    ),
-    Verifier(
-        "q35",
-        (("question35", "question 3.5", _question35_line),),
-        lambda G, p, _: (question35_instances(G, p),),
+# Each record list of a report, in report order, as key: (text heading,
+# line renderer, compute).  "blocks" is the report's top-level list;
+# every other key sits under "propositions".  compute(G, p,
+# navarro_fixed) returns the list with no job fields (build_report
+# stamps each proposition record's group and prime); only navarro reads
+# navarro_fixed, and nothing draws at random.  compute looks the
+# correspond functions up in this module's globals at call time, so
+# wrappers installed on those names (perfbench's tracer) see every call.
+SECTIONS = {
+    "blocks": (
         None,
+        lambda rec: "\n".join(_block_lines(rec)),
+        lambda G, p, _: block_section(G, p),
     ),
-)
-KINDS = tuple(v.kind for v in VERIFIERS)
-_SECTIONS = tuple(dict.fromkeys(s for v in VERIFIERS for s in v.sections))
+    "glauberman": (
+        "glauberman", _glauberman_line, lambda G, p, _: glauberman_instances(G, p)
+    ),
+    "navarro": (
+        "navarro", _navarro_line, lambda G, p, fixed: navarro_instances(G, p, fixed)
+    ),
+    "regular_covering": (
+        "regular covering",
+        _regular_line,
+        lambda G, p, _: regular_covering_instances(G, p),
+    ),
+    "fong_block": (
+        "fong block", _fong_block_line, lambda G, p, _: fong_block_instances(G, p)
+    ),
+    "fong_reynolds": (
+        "fong-reynolds",
+        _fong_reynolds_line,
+        lambda G, p, _: fong_reynolds_instances(G, p),
+    ),
+    "question35": (
+        "question 3.5", _question35_line, lambda G, p, _: question35_instances(G, p)
+    ),
+}
+
+# One verifier kind per entry, as kind: (the section keys it reads,
+# passed).  am and dim read the same block list.  passed(records) gives
+# the verdict on those sections' records; None: the kind never gives one.
+VERIFIERS = {
+    "am": (("blocks",), _all_matched),
+    "dim": (("blocks",), _all_dims_divide),
+    "glauberman": (("glauberman",), _none_failed),
+    "navarro": (("navarro",), _none_failed),
+    "regular": (("regular_covering",), _none_failed),
+    "fong": (("fong_block", "fong_reynolds"), _none_failed),
+    "q35": (("question35",), None),
+}
+KINDS = tuple(VERIFIERS)
 
 
 def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
     """All requested verifier records for one group at one prime.
 
-    Unrequested kinds come back as empty lists so the schema is stable.
-    elapsed_ms stays null unless timings are requested, keeping repeat
-    runs byte-identical.
+    Unrequested kinds come back as empty lists so the schema is stable,
+    and a kind not in KINDS raises DomainError.  elapsed_ms stays null
+    unless timings are requested, keeping repeat runs byte-identical.
     """
+    unknown = [kind for kind in kinds if kind not in VERIFIERS]
+    if unknown:
+        raise DomainError(
+            f"unknown verifier kind {unknown[0]!r}; the kinds are {', '.join(KINDS)}"
+        )
     start = time.monotonic()
     name = name if name is not None else (G.name or f"degree-{G.degree}")
-    records = {key: [] for key, _, _ in _SECTIONS}
-    done = set()
-    for v in VERIFIERS:
-        if v.kind in kinds and v.sections not in done:
-            done.add(v.sections)
-            lists = v.compute(G, p, navarro_fixed)
-            for (key, _, _), recs in zip(v.sections, lists):
-                records[key] = recs
+    wanted = {key for kind in kinds for key in VERIFIERS[kind][0]}
+    records = {
+        key: compute(G, p, navarro_fixed) if key in wanted else []
+        for key, (_, _, compute) in SECTIONS.items()
+    }
     blocks = records.pop("blocks")
     return {
         "group": name,
@@ -236,10 +230,10 @@ def collect_verdicts(report):
     produces a verdict at all.
     """
     out = {}
-    for v in VERIFIERS:
-        records = [r for key, _, _ in v.sections for r in _records(report, key)]
-        if v.passed is not None and records:
-            out[v.kind] = "pass" if v.passed(records) else "fail"
+    for kind, (keys, passed) in VERIFIERS.items():
+        records = [r for key in keys for r in _records(report, key)]
+        if passed is not None and records:
+            out[kind] = "pass" if passed(records) else "fail"
     return out
 
 
@@ -291,7 +285,7 @@ def to_text(report):
     ]
     if report["elapsed_ms"] is not None:
         lines.append(f"elapsed {report['elapsed_ms']} ms")
-    for key, title, render in _SECTIONS:
+    for key, (title, render, _) in SECTIONS.items():
         records = _records(report, key)
         if records and title:
             lines.append(f"{title}:")

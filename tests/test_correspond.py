@@ -10,7 +10,7 @@ import pytest
 
 import blockforge
 from blockforge import catalog, correspond, matching
-from blockforge.arith import prime_factors
+from blockforge.arith import prime_factors, vp
 from blockforge.blocks import block_data
 from blockforge.chartab import character_table, is_p_solvable, p_prime_core
 from blockforge.correspond import (
@@ -260,6 +260,20 @@ def test_glauberman_correspondent_uniqueness_gates(s4):
     with pytest.raises(DomainError):
         # non-coprime action
         glauberman_correspondent(V4, PermutationGroup(4, [(1, 0, 3, 2)]), 0, 2)
+
+
+def test_glauberman_entry_points_reject_a_non_prime(s4):
+    # vp looped forever at p = 1 and divided by zero at p = 0
+    V4 = PermutationGroup(4, [(1, 0, 3, 2), (3, 2, 1, 0)])
+    C3 = PermutationGroup(4, [(1, 2, 0, 3)])
+    for p in (0, 1, 4):
+        with pytest.raises(DomainError, match=f"{p} is not prime"):
+            glauberman_correspondent(V4, C3, 0, p)
+        with pytest.raises(DomainError, match=f"{p} is not prime"):
+            verify_glauberman_lifts(s4, V4, C3, p)
+    for p in (-2, 0, 1):
+        with pytest.raises(ValueError, match="undefined"):
+            vp(12, p)
 
 
 def test_glauberman_lift_rejects_p_divisible_core(s4):

@@ -211,7 +211,6 @@ CACHED_FUNCTIONS = {
     "finitefield.residue_field",
     "modular.modular_data",
     "permgroup.centralizer",
-    "permgroup.centralizer_of_group",
     "permgroup.group_from_elements",
     "permgroup.normal_closure",
     "permgroup.normalizer",

@@ -134,12 +134,13 @@ def test_class_index_roundtrip(s4):
 
 
 def test_centralizer_sizes(s3, s4):
-    three_cycle = (1, 2, 0)
+    three_cycle = PermutationGroup(3, [(1, 2, 0)])
     assert centralizer(s3, three_cycle).order() == 3
-    transposition = (1, 0, 2, 3)
+    transposition = PermutationGroup(4, [(1, 0, 2, 3)])
     assert centralizer(s4, transposition).order() == 4
     for c in s4.conjugacy_classes():
-        assert centralizer(s4, c.representative).order() * c.size == 24
+        x = PermutationGroup(4, [c.representative])
+        assert centralizer(s4, x).order() * c.size == 24
 
 
 def test_normalizer_of_v4_in_a5(a5):

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import catalog
+from blockforge import catalog, report
 from blockforge.cli import main
+from blockforge.errors import DomainError
 from blockforge.report import (
     KINDS,
-    VERIFIERS,
+    SECTIONS,
     build_report,
     collect_verdicts,
     to_json,
@@ -56,6 +57,12 @@ def test_unrequested_kinds_are_empty(s4):
     assert rep["propositions"]["navarro"] == []
 
 
+def test_unknown_kind_is_rejected(s4):
+    with pytest.raises(DomainError, match="'amm'") as err:
+        build_report(s4, 2, kinds=("am", "amm"))
+    assert ", ".join(KINDS) in str(err.value)
+
+
 KIND_RECORDS = {
     "am": {"blocks"},
     "dim": {"blocks"},
@@ -87,11 +94,34 @@ def test_verifiers_return_records_without_job_fields(s4):
     # the catalog's fixed navarro instances on S4 at 2 are verified too
     fixed = catalog.navarro_fixed("S4", 2)
     assert fixed
-    for v in VERIFIERS:
-        for recs in v.compute(s4, 2, fixed):
-            assert recs, v.kind
-            for rec in recs:
-                assert not {"group", "prime"} & set(rec), (v.kind, rec)
+    for key, (_, _, compute) in SECTIONS.items():
+        recs = compute(s4, 2, fixed)
+        assert recs, key
+        for rec in recs:
+            assert not {"group", "prime"} & set(rec), (key, rec)
+
+
+def test_each_section_is_computed_once_per_report(s4, monkeypatch):
+    # am and dim share the block list; compute looks each correspond
+    # function up at call time, so a wrapper on the module's name (as
+    # perfbench's tracer installs) sees every call
+    names = (
+        "block_section",
+        "glauberman_instances",
+        "navarro_instances",
+        "regular_covering_instances",
+        "fong_block_instances",
+        "fong_reynolds_instances",
+        "question35_instances",
+    )
+    calls = []
+    for name in names:
+        real = getattr(report, name)
+        monkeypatch.setattr(
+            report, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
+        )
+    build_report(s4, 2)
+    assert calls == list(names)
 
 
 def test_json_round_trip(s4):
