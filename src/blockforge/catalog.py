@@ -63,17 +63,16 @@ def entry(name):
 
 def navarro_fixed(name, p):
     """Fixed (subgroup, p-subgroup) generator pairs for this group and
-    prime."""
-    out = []
-    for rec in _index()["navarro_fixed"]:
-        if rec["group"] == name and rec["prime"] == p:
-            out.append(
-                (
-                    [tuple(g) for g in rec["subgroup"]],
-                    [tuple(g) for g in rec["p_subgroup"]],
-                )
-            )
-    return out
+    prime, as a tuple of (tuple, tuple) pairs of permutation tuples, so
+    that the instances can key a cache."""
+    return tuple(
+        (
+            tuple(tuple(g) for g in rec["subgroup"]),
+            tuple(tuple(g) for g in rec["p_subgroup"]),
+        )
+        for rec in _index()["navarro_fixed"]
+        if rec["group"] == name and rec["prime"] == p
+    )
 
 
 def navarro_extra_primes(name):

@@ -16,7 +16,6 @@ Characters are named by row index on both sides; their degrees are
 ``CharacterTable.degrees`` and ``ModularData.brauer_degrees``.
 """
 
-from functools import lru_cache
 from math import gcd
 
 from .arith import is_prime, p_part, vp
@@ -355,12 +354,10 @@ def _conjugates(right, inv, bits, conjugations, mask, members):
     return orbit, normalizing
 
 
-@lru_cache(maxsize=None)
 def sylow_numbers_by_class(G, p):
     """n_p(G), and the tuple of (|U|, n_p(U)) for one U in each
     conjugacy class of subgroups generated by p-elements, in the order
-    found.  Cached per (G, p), so the result is immutable and shared;
-    like ``sylow_subgroup``'s, the cache key keeps G alive.
+    found.
 
     These U decide every subgroup: n_p is a conjugacy invariant, and
     n_p(U) = n_p(O^{p'}(U)), as O^{p'}(U) holds every p-subgroup of U.

@@ -3,6 +3,7 @@ and plain-text renderings that carry the same verdicts."""
 
 import json
 import time
+from functools import lru_cache
 
 from .chartab import is_p_solvable
 from .correspond import (
@@ -132,9 +133,10 @@ def _none_failed(records):
 # every other key sits under "propositions".  compute(G, p,
 # navarro_fixed) returns the list with no job fields (build_report
 # stamps each proposition record's group and prime); only navarro reads
-# navarro_fixed, and nothing draws at random.  compute looks the
-# correspond functions up in this module's globals at call time, so
-# wrappers installed on those names (perfbench's tracer) see every call.
+# navarro_fixed, and nothing draws at random, so _section caches it.
+# compute looks the correspond functions up in this module's globals at
+# call time, so wrappers installed on those names (perfbench's tracer)
+# see every computation.
 SECTIONS = {
     "blocks": (
         None,
@@ -180,12 +182,36 @@ VERIFIERS = {
 KINDS = tuple(VERIFIERS)
 
 
+@lru_cache(maxsize=None)
+def _section(key, G, p, fixed):
+    """One section's records for (G, p) and the navarro instances fixed,
+    a tuple of (tuple, tuple) generator pairs, computed once per
+    process: every gate runs on that first computation.  Kinds that read
+    one section share its entry, and so do equal groups; the records
+    carry no group name, so the entry serves an equal group under any
+    name.  Callers take copies (``_fresh``), never the shared records."""
+    return tuple(SECTIONS[key][2](G, p, fixed))
+
+
+def _fresh(obj):
+    """obj with each dict and list in it copied, down to the leaves."""
+    kind = type(obj)
+    if kind is dict:
+        return {k: _fresh(v) for k, v in obj.items()}
+    if kind is list:
+        return [_fresh(v) for v in obj]
+    return obj
+
+
 def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
     """All requested verifier records for one group at one prime.
 
     Unrequested kinds come back as empty lists so the schema is stable,
     and a kind not in KINDS raises DomainError.  elapsed_ms stays null
     unless timings are requested, keeping repeat runs byte-identical.
+    Each section is memoized per (G, p, navarro_fixed), so a repeat
+    does no verifier work, and its elapsed_ms times the cached path;
+    every report gets its own copy of the records.
     """
     unknown = [kind for kind in kinds if kind not in VERIFIERS]
     if unknown:
@@ -194,10 +220,14 @@ def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
         )
     start = time.monotonic()
     name = name if name is not None else (G.name or f"degree-{G.degree}")
+    fixed = tuple(
+        (tuple(map(tuple, u_gens)), tuple(map(tuple, p_gens)))
+        for u_gens, p_gens in navarro_fixed
+    )
     wanted = {key for kind in kinds for key in VERIFIERS[kind][0]}
     records = {
-        key: compute(G, p, navarro_fixed) if key in wanted else []
-        for key, (_, _, compute) in SECTIONS.items()
+        key: _section(key, G, p, fixed) if key in wanted else ()
+        for key in SECTIONS
     }
     blocks = records.pop("blocks")
     return {
@@ -205,9 +235,9 @@ def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
         "order": G.order(),
         "prime": p,
         "p_solvable": is_p_solvable(G, p),
-        "blocks": blocks,
+        "blocks": [_fresh(rec) for rec in blocks],
         "propositions": {
-            key: [{"group": name, "prime": p, **rec} for rec in recs]
+            key: [{"group": name, "prime": p, **_fresh(rec)} for rec in recs]
             for key, recs in records.items()
         },
         "elapsed_ms": (

@@ -6,8 +6,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from blockforge import catalog, chartab, correspond, permgroup
-from blockforge.chartab import character_table
+import blockforge
+from blockforge import catalog
 from blockforge.groupfile import parse_group_file
 from blockforge.permgroup import PermutationGroup
 
@@ -40,11 +40,10 @@ def oracle_groups(families):
     """Every catalog group, the five benchmark groups, the given
     families and seeded random subgroups of S5 and S6, one at a time.
 
-    After each group the caches that it, its subgroups and their tables
-    filled are emptied: C2^5 alone has 374 subgroups, and
-    keeping them all would raise the peak memory of the whole suite.
-    The cached table is emptied too, so no later test is handed the
-    table of an equal group under another name."""
+    After each group every cache is emptied: C2^5 alone has 374
+    subgroups, and keeping them all would raise the peak memory of the
+    whole suite.  No later test is handed the table or report section
+    of an equal group under another name either."""
     bench = Path(__file__).parents[1] / "perfbench" / "groups"
     groups = [ent.load() for ent in catalog.entries()]
     groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
@@ -54,21 +53,8 @@ def oracle_groups(families):
         groups.append(random_subgroup(rng, rng.choice((5, 6)), rng.choice((1, 2))))
     for G in groups:
         yield G
-        for cached in (
-            character_table,
-            chartab.character_action,
-            chartab.class_fusion,
-            chartab.is_p_solvable,
-            chartab.normal_class_sets,
-            chartab.normal_subgroups,
-            chartab.p_core,
-            chartab.p_prime_core,
-            correspond.sylow_numbers_by_class,
-            permgroup.group_from_elements,
-            permgroup.normal_closure,
-            oracles._conjugations,
-        ):
-            cached.cache_clear()
+        blockforge.clear_caches()
+        oracles._conjugations.cache_clear()
 
 
 def cyclic(n):

@@ -437,13 +437,12 @@ def test_navarro_violations_on_forged_sylow_number(monkeypatch):
         (c2_wreath_s4(), 3),
         (s4_times_s4(), 3),
     ]
-    real = correspond.sylow_numbers_by_class
+    cases = [(G, p, sylow_numbers_by_class(G, p)[1]) for G, p in cases]
     for m in (1, 2, 3, 4):
-        monkeypatch.setattr(
-            correspond, "sylow_numbers_by_class", lambda G, p: (m, real(G, p)[1])
-        )
-        for G, p in cases:
-            pairs = real(G, p)[1]
+        for G, p, pairs in cases:
+            monkeypatch.setattr(
+                correspond, "sylow_numbers_by_class", lambda G, p: (m, pairs)
+            )
             head, *violations = navarro_instances(G, p, [])
             want = [(order, n) for order, n in pairs if m % n]
             assert head["sylow_number"] == m
@@ -463,9 +462,7 @@ def test_navarro_violations_on_forged_sylow_number(monkeypatch):
 
 def test_navarro_sylow_number_gate(s4, monkeypatch):
     # n_p(G) is counted twice: as the orbit of one Sylow mask and as
-    # |G : N_G(P)|; a forged normalizer index fires the gate, which runs
-    # on a cache miss
-    sylow_numbers_by_class.cache_clear()
+    # |G : N_G(P)|; a forged normalizer index fires the gate
     monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: 4)
     with pytest.raises(InternalCheckError, match="S4.* at p = 2"):
         navarro_instances(s4, 2, [])

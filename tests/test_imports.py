@@ -9,6 +9,7 @@ are pinned by name.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 import blockforge
+from blockforge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "scripts")
@@ -204,7 +206,6 @@ CACHED_FUNCTIONS = {
     "chartab.p_prime_core",
     "chartab.restriction_multiplicities",
     "cli.build_parser",
-    "correspond.sylow_numbers_by_class",
     "cyclotomic.cyclotomic_polynomial",
     "finitefield._root_image",
     "finitefield.build_reduction",
@@ -215,6 +216,7 @@ CACHED_FUNCTIONS = {
     "permgroup.normal_closure",
     "permgroup.normalizer",
     "permgroup.sylow_subgroup",
+    "report._section",
 }
 
 
@@ -247,3 +249,17 @@ def test_package_caches_are_pinned():
     for path in sorted(PACKAGE.glob("*.py")):
         found.update(cached_functions(path.stem, path.read_text(encoding="utf-8")))
     assert found == CACHED_FUNCTIONS
+
+
+def test_clear_caches_empties_every_pinned_cache():
+    # a full verify run fills the caches of every layer and the parser
+    blockforge.clear_caches()
+    assert main(["verify", "all", "catalog:S4", "-p", "2"]) == 0
+    caches = {}
+    for name in CACHED_FUNCTIONS:
+        module, function = name.split(".")
+        caches[name] = getattr(importlib.import_module(f"blockforge.{module}"), function)
+    assert caches["report._section"].cache_info().currsize == 7
+    blockforge.clear_caches()
+    left = {name: f.cache_info().currsize for name, f in caches.items()}
+    assert left == dict.fromkeys(CACHED_FUNCTIONS, 0)

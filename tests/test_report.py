@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import catalog, report
+from blockforge import catalog, clear_caches, report
 from blockforge.cli import main
 from blockforge.errors import DomainError
+from blockforge.permgroup import PermutationGroup
 from blockforge.report import (
     KINDS,
     SECTIONS,
@@ -102,9 +103,10 @@ def test_verifiers_return_records_without_job_fields(s4):
 
 
 def test_each_section_is_computed_once_per_report(s4, monkeypatch):
-    # am and dim share the block list; compute looks each correspond
-    # function up at call time, so a wrapper on the module's name (as
-    # perfbench's tracer installs) sees every call
+    # am and dim share the block list, and a repeat for an equal group
+    # under another name reads every section from the cache; compute
+    # looks each correspond function up at call time, so a wrapper on
+    # the module's name (as perfbench's tracer installs) sees every call
     names = (
         "block_section",
         "glauberman_instances",
@@ -120,8 +122,48 @@ def test_each_section_is_computed_once_per_report(s4, monkeypatch):
         monkeypatch.setattr(
             report, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a)
         )
-    build_report(s4, 2)
+    clear_caches()
+    first = to_json(build_report(s4, 2))
     assert calls == list(names)
+    calls.clear()
+    twin = PermutationGroup(4, s4.generators[::-1], name="twin")
+    again = build_report(twin, 2)
+    assert calls == []
+    assert again["group"] == "twin"
+    for key, recs in again["propositions"].items():
+        assert recs and all(rec["group"] == "twin" for rec in recs), key
+    assert to_json(again).replace('"twin"', '"S4"') == first
+    clear_caches()
+    assert to_json(build_report(twin, 2)) == to_json(again)
+
+
+def test_edits_to_a_report_do_not_reach_the_next(s4):
+    clear_caches()
+    cold = to_json(build_report(s4, 2))
+    # the first report's records are the ones just computed, the second
+    # report's come from the cache: edit both
+    for _ in range(2):
+        rep = build_report(s4, 2)
+        block = rep["blocks"][0]
+        block["degrees"].append(99)
+        block["irr0_matching"][0][1] = 99
+        block["correspondent"]["degrees"].clear()
+        block["correspondent"]["id"] = 99
+        rep["propositions"]["navarro"][0]["verdict"] = "fail"
+        assert to_json(build_report(s4, 2)) == cold
+
+
+def test_fixed_instances_as_lists_share_the_cache_entry(s4):
+    fixed = catalog.navarro_fixed("S4", 2)
+    assert fixed and hash(fixed)
+    as_lists = [([list(g) for g in u], [list(g) for g in q]) for u, q in fixed]
+    clear_caches()
+    one = build_report(s4, 2, kinds=("navarro",), navarro_fixed=fixed)
+    two = build_report(s4, 2, kinds=("navarro",), navarro_fixed=as_lists)
+    assert one == two
+    assert one["propositions"]["navarro"][-1]["kind"] == "fixed"
+    info = report._section.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_json_round_trip(s4):
