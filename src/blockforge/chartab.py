@@ -45,7 +45,9 @@ every normal subgroup as a set of classes, found as the character
 kernels closed under intersection.  The normal subgroups, O_p and O_p'
 (each built from the one largest set whose order is a power of p, or
 prime to p) and p-solvability (read off one chief series of the sets)
-come from it; nothing builds a quotient group.
+come from it; nothing builds a quotient group.  Of these readers only
+p-solvability keeps a cache of its own (``is_p_solvable``); the others
+build their subgroups through the cached ``normal_closure``.
 
 Every layer below the table reads a character value in one
 representation, kept on the table as ``coords``: its integer
@@ -85,15 +87,10 @@ from .errors import DomainError, InternalCheckError
 from .perms import identity, inverse, power, right_factor
 from .permgroup import PermutationGroup, is_normal_in, normal_closure
 
-@lru_cache(maxsize=None)
+
 def class_fusion(G, H):
     """For each class of the subgroup H, the index of the class of G
-    that contains it.
-
-    Groups compare and hash by element set, so an equal pair of groups
-    with other names or generators shares this entry; that is safe,
-    because the class order of each group, and so every index, depends
-    only on its element set."""
+    that contains it."""
     if not H.is_subgroup_of(G):
         raise DomainError("restriction target is not a subgroup")
     return tuple(G.class_index(c.representative) for c in H.conjugacy_classes())
@@ -244,7 +241,6 @@ def _normal_subgroup(G, s):
     return N
 
 
-@lru_cache(maxsize=None)
 def normal_subgroups(G):
     """All normal subgroups, one built for each of ``normal_class_sets``,
     sorted by (order, element tuple).  Enumerates the group."""
@@ -273,13 +269,11 @@ def _largest_normal(G, p, accept, name):
     return _normal_subgroup(G, top)
 
 
-@lru_cache(maxsize=None)
 def p_core(G, p):
     """O_p(G), the largest normal p-subgroup."""
     return _largest_normal(G, p, lambda n: n == p_part(n, p), "O_p")
 
 
-@lru_cache(maxsize=None)
 def p_prime_core(G, p):
     """O_p'(G), the largest normal p'-subgroup."""
     return _largest_normal(G, p, lambda n: n % p != 0, "O_p'")
@@ -299,7 +293,12 @@ def is_p_solvable(G, p):
     when |N/M| is a power of p or prime to p.  (A nonabelian S has at
     least three prime divisors by Burnside's p^a q^b theorem: it is never
     a p-group, and passes exactly when p does not divide |N/M|.)  The
-    composition factors of G are those of its chief factors."""
+    composition factors of G are those of its chief factors.
+
+    Cached, unlike the other readers of ``normal_class_sets``: every
+    report reads it, and the command line parses a fresh group for each
+    job, whose classes are not computed yet.  A hit keyed by an equal
+    group answers without computing them."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     sets = normal_class_sets(G)

@@ -23,6 +23,10 @@ and Q(zeta_b) intersect in Q(zeta_gcd(a,b))), so a conductor from which
 no prime descends is the minimal one.  The same identities build
 Phi_e: Phi_e(x) = Phi_m(x^r) when r divides m, and Phi_m(x^r) / Phi_m(x)
 when it does not.
+
+Both the reduction and that quotient are one division by a monic
+polynomial (``divide_monic``), which also reduces products and tests
+irreducibility in the residue fields (``finitefield``).
 """
 
 from functools import lru_cache
@@ -31,10 +35,28 @@ from .arith import prime_factors
 from .errors import DomainError
 
 
+def divide_monic(poly, monic):
+    """Quotient and remainder of poly (at least deg(monic) coefficients)
+    by a monic polynomial, all low degree first.  Each quotient
+    coefficient stays in place of the leading term it cancels, so the
+    quotient is the top of the worked list and the remainder its bottom
+    deg(monic) coefficients.  Integers stay integers, and reduced mod p
+    they give the division over GF(p)."""
+    d = len(monic) - 1
+    poly = list(poly)
+    for t in range(len(poly) - 1, d - 1, -1):
+        c = poly[t]
+        if c:
+            for i in range(d):
+                poly[t - d + i] -= c * monic[i]
+    return poly[d:], poly[:d]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e):
     """Integer coefficients of the e-th cyclotomic polynomial, low degree
-    first, from Phi_m with e = r m for the smallest prime r of e."""
+    first, from Phi_m with e = r m for the smallest prime r of e; the
+    division by Phi_m must be exact."""
     if e == 1:
         return (-1, 1)
     r = prime_factors(e)[0]
@@ -44,37 +66,17 @@ def cyclotomic_polynomial(e):
     spread[::r] = inner
     if m % r == 0:
         return tuple(spread)
-    return tuple(_polydiv_exact(spread, inner))
+    quotient, remainder = divide_monic(spread, inner)
+    if any(remainder):
+        raise ArithmeticError("nonzero polynomial remainder")
+    return tuple(quotient)
 
 
 def reduce_mod_cyclotomic(poly, e):
     """The polynomial poly in zeta_e (low degree first, at least phi(e)
     coefficients) reduced mod Phi_e: its power-basis coordinates.  Phi_e
     is monic, so integer coefficients stay integers."""
-    phi = cyclotomic_polynomial(e)
-    d = len(phi) - 1
-    poly = poly[:]
-    for t in range(len(poly) - 1, d - 1, -1):
-        c = poly[t]
-        if c:
-            for i, f in enumerate(phi):
-                poly[t - d + i] -= c * f
-    return poly[:d]
-
-
-def _polydiv_exact(num, den):
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        coefficient, remainder = divmod(num[shift + len(den) - 1], den[-1])
-        if remainder:
-            raise ArithmeticError("inexact polynomial division")
-        out[shift] = coefficient
-        for i, c in enumerate(den):
-            num[shift + i] -= coefficient * c
-    if any(num):
-        raise ArithmeticError("nonzero polynomial remainder")
-    return out
+    return divide_monic(poly, cyclotomic_polynomial(e))[1]
 
 
 class Cyclotomic:

@@ -12,14 +12,14 @@ first, and that integer is its encoding.
 
 The package tests values for zero with ``any`` and adds them modulo p
 coefficient by coefficient; its one product of two values is
-``mul_coeffs``, the schoolbook product reduced by the modulus, with no
-log or Zech table, so GF(3^12) and GF(2^23) work like GF(4), at about
-f^2 integer operations per product.  The hot loop,
-``ReductionMap.reduce``, adds integer multiples of coefficient tuples
-into one integer list and reduces it modulo p once.  The element
-arithmetic the package does without (inverses, orders, every element
-of a field) lives in ``tests/oracles.py`` (``ResidueField``), which
-checks these routines.
+``mul_coeffs``, the schoolbook product reduced by the modulus through
+``cyclotomic.divide_monic``, with no log or Zech table, so GF(3^12)
+and GF(2^23) work like GF(4), at about f^2 integer operations per
+product.  The hot loop, ``ReductionMap.reduce``, adds integer multiples
+of coefficient tuples into one integer list and reduces it modulo p
+once.  The element arithmetic the package does without (inverses,
+orders, every element of a field) lives in ``tests/oracles.py``
+(``ResidueField``), which checks these routines.
 
 A ReductionMap fixes, once per (conductor, prime) pair, the maximal
 ideal above p used to reduce algebraic integers of Q(zeta_e): the
@@ -42,7 +42,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import is_prime, multiplicative_order, p_part, prime_factors, vp
-from .cyclotomic import cyclotomic_polynomial
+from .cyclotomic import cyclotomic_polynomial, divide_monic
 from .errors import DomainError, InternalCheckError
 
 
@@ -64,12 +64,7 @@ def mul_coeffs(a, b, p, modulus):
         if x:
             for j, y in enumerate(b):
                 raw[i + j] += x * y
-    for k in range(2 * f - 2, f - 1, -1):
-        c = raw[k] % p
-        if c:
-            for i, m in enumerate(modulus):
-                raw[k - f + i] -= c * m
-    return tuple(raw[i] % p for i in range(f))
+    return tuple(c % p for c in divide_monic(raw, (*modulus, 1))[1])
 
 
 def _field_name(p, f):
@@ -150,23 +145,13 @@ def _smallest_irreducible(p, f):
 def _is_irreducible(coeffs, p, f):
     if coeffs[0] == 0:
         return False
-    full = list(coeffs) + [1]
+    full = (*coeffs, 1)
     for deg in range(1, f // 2 + 1):
         for code in range(p**deg):
-            if _poly_divides(list(_digits(code, p, deg)) + [1], full, p):
+            _, remainder = divide_monic(full, (*_digits(code, p, deg), 1))
+            if not any(c % p for c in remainder):
                 return False
     return True
-
-
-def _poly_divides(div, poly, p):
-    rem = list(poly)
-    dd = len(div) - 1
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k] % p
-        if c:
-            for i in range(dd + 1):
-                rem[k - dd + i] = (rem[k - dd + i] - c * div[i]) % p
-    return not any(c % p for c in rem)
 
 
 @lru_cache(maxsize=None)

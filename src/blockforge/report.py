@@ -207,12 +207,18 @@ def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
     """All requested verifier records for one group at one prime.
 
     Unrequested kinds come back as empty lists so the schema is stable,
-    and a kind not in KINDS raises DomainError.  elapsed_ms stays null
-    unless timings are requested, keeping repeat runs byte-identical.
+    and a kind not in KINDS, or a string in place of a sequence of
+    kinds, raises DomainError.  elapsed_ms stays null unless timings
+    are requested, keeping repeat runs byte-identical.
     Each section is memoized per (G, p, navarro_fixed), so a repeat
     does no verifier work, and its elapsed_ms times the cached path;
     every report gets its own copy of the records.
     """
+    if isinstance(kinds, str):
+        raise DomainError(
+            f"kinds must be a sequence of verifier kinds, not the string"
+            f" {kinds!r}; the kinds are {', '.join(KINDS)}"
+        )
     unknown = [kind for kind in kinds if kind not in VERIFIERS]
     if unknown:
         raise DomainError(

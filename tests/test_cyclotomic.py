@@ -4,13 +4,16 @@ from math import gcd
 
 import pytest
 
+from blockforge import cyclotomic
 from blockforge.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
+    divide_monic,
     rational,
     reduce_mod_cyclotomic,
 )
 from blockforge.errors import DomainError
+from blockforge.finitefield import residue_field
 
 from oracles import (
     canonical_by_solves,
@@ -54,6 +57,42 @@ def test_cyclotomic_polynomials_multiply_to_x_e_minus_1():
                         out[i + j] += a * b
             product = out
         assert product == [-1] + [0] * (e - 1) + [1], e
+
+
+def _product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_divide_monic_rebuilds_the_dividend():
+    # poly = q monic + r, with r of exactly deg(monic) coefficients, for
+    # every Phi_e with e <= 60 and the moduli of the residue fields
+    rng = random.Random(41)
+    moduli = [cyclotomic_polynomial(e) for e in range(1, 61)]
+    moduli += [
+        (*residue_field(p, f), 1) for p in (2, 3, 5, 7) for f in range(1, 7)
+    ]
+    for monic in moduli:
+        d = len(monic) - 1
+        for _ in range(5):
+            poly = [rng.randint(-9, 9) for _ in range(d + rng.randint(0, 2 * d + 3))]
+            q, r = divide_monic(poly, monic)
+            assert len(r) == d, (monic, poly)
+            rebuilt = _product(q, monic) if q else [0] * d
+            for i, c in enumerate(r):
+                rebuilt[i] += c
+            assert rebuilt == poly, (monic, poly)
+
+
+def test_cyclotomic_polynomial_rejects_an_inexact_division(monkeypatch):
+    # Phi_6 = Phi_3(x^2) / Phi_3(x); forged Phi_3 = x^2 + 1 leaves
+    # x^4 + 1 = (x^2 - 1)(x^2 + 1) + 2
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", lambda m: (1, 0, 1))
+    with pytest.raises(ArithmeticError, match="nonzero polynomial remainder"):
+        cyclotomic_polynomial.__wrapped__(6)
 
 
 def test_phi():

@@ -198,12 +198,8 @@ CACHED_FUNCTIONS = {
     "catalog._index",
     "chartab.character_action",
     "chartab.character_table",
-    "chartab.class_fusion",
     "chartab.is_p_solvable",
     "chartab.normal_class_sets",
-    "chartab.normal_subgroups",
-    "chartab.p_core",
-    "chartab.p_prime_core",
     "chartab.restriction_multiplicities",
     "cli.build_parser",
     "cyclotomic.cyclotomic_polynomial",

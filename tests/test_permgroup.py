@@ -269,12 +269,12 @@ def test_kernel_closure_gate_names_the_group(monkeypatch):
         patch.setattr(chartab, "kernel_classes", lambda G: (frozenset({0, transpositions}),))
         patch.setattr(chartab, "normal_class_sets", normal_class_sets.__wrapped__)
         with pytest.raises(InternalCheckError, match=message):
-            normal_subgroups.__wrapped__(G)
+            normal_subgroups(G)
     # the true kernels, with a closure that stays trivial
     monkeypatch.setattr(chartab, "normal_closure", lambda G, seeds: trivial_group(4))
     message = re.escape(f"normal closure of a kernel intersection of {G!r} has order 1")
     with pytest.raises(InternalCheckError, match=message):
-        normal_subgroups.__wrapped__(G)
+        normal_subgroups(G)
 
 
 def test_core_largest_set_gate_names_the_group_and_prime(monkeypatch):
@@ -291,7 +291,7 @@ def test_core_largest_set_gate_names_the_group_and_prime(monkeypatch):
         " the one of order 7 misses 1 of the 3 accepted"
     )
     with pytest.raises(InternalCheckError, match=message):
-        p_prime_core.__wrapped__(G, 3)
+        p_prime_core(G, 3)
 
 
 def test_coset_gate_names_the_group(monkeypatch):

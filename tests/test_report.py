@@ -6,6 +6,7 @@ import pytest
 from blockforge import catalog, clear_caches, report
 from blockforge.cli import main
 from blockforge.errors import DomainError
+from blockforge.groupfile import parse_group_file
 from blockforge.permgroup import PermutationGroup
 from blockforge.report import (
     KINDS,
@@ -61,6 +62,13 @@ def test_unrequested_kinds_are_empty(s4):
 def test_unknown_kind_is_rejected(s4):
     with pytest.raises(DomainError, match="'amm'") as err:
         build_report(s4, 2, kinds=("am", "amm"))
+    assert ", ".join(KINDS) in str(err.value)
+
+
+def test_string_kinds_are_rejected(s4):
+    # a string would be read one letter at a time, as the kind 'a'
+    with pytest.raises(DomainError, match="not the string 'am'") as err:
+        build_report(s4, 2, kinds="am")
     assert ", ".join(KINDS) in str(err.value)
 
 
@@ -164,6 +172,16 @@ def test_fixed_instances_as_lists_share_the_cache_entry(s4):
     assert one["propositions"]["navarro"][-1]["kind"] == "fixed"
     info = report._section.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_repeat_report_on_a_parsed_copy_computes_no_classes():
+    # the command line parses a fresh group for each job; is_p_solvable's
+    # cache, keyed by the equal group, answers without the copy's classes
+    path = Path(__file__).parents[1] / "perfbench" / "groups" / "s6.grp"
+    first = build_report(parse_group_file(path), 3)
+    copy = parse_group_file(path)
+    assert build_report(copy, 3) == first
+    assert copy._classes is None
 
 
 def test_json_round_trip(s4):
