@@ -45,9 +45,9 @@ every normal subgroup as a set of classes, found as the character
 kernels closed under intersection.  The normal subgroups, O_p and O_p'
 (each built from the one largest set whose order is a power of p, or
 prime to p) and p-solvability (read off one chief series of the sets)
-come from it; nothing builds a quotient group.  Of these readers only
-p-solvability keeps a cache of its own (``is_p_solvable``); the others
-build their subgroups through the cached ``normal_closure``.
+come from it; nothing builds a quotient group.  None of these readers
+keeps a cache of its own: p-solvability reads the cached lattice, and
+the others build their subgroups through the cached ``normal_closure``.
 
 Every layer below the table reads a character value in one
 representation, kept on the table as ``coords``: its integer
@@ -279,7 +279,6 @@ def p_prime_core(G, p):
     return _largest_normal(G, p, lambda n: n % p != 0, "O_p'")
 
 
-@lru_cache(maxsize=None)
 def is_p_solvable(G, p):
     """Whether every composition factor of G is a p-group or a p'-group,
     read off one chief series.
@@ -293,12 +292,7 @@ def is_p_solvable(G, p):
     when |N/M| is a power of p or prime to p.  (A nonabelian S has at
     least three prime divisors by Burnside's p^a q^b theorem: it is never
     a p-group, and passes exactly when p does not divide |N/M|.)  The
-    composition factors of G are those of its chief factors.
-
-    Cached, unlike the other readers of ``normal_class_sets``: every
-    report reads it, and the command line parses a fresh group for each
-    job, whose classes are not computed yet.  A hit keyed by an equal
-    group answers without computing them."""
+    composition factors of G are those of its chief factors."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     sets = normal_class_sets(G)

@@ -5,8 +5,13 @@ generator per line in 1-based disjoint-cycle notation, for example
 ``(1 2)(3 4)``.  Blank lines are skipped and ``#`` starts a comment
 that runs to the end of the line.  Parse errors carry 1-based line and
 column positions.
+
+Parsing is memoized: each file text and name gives one shared
+PermutationGroup for the life of the process, so a repeated job on the
+same file enumerates the group and computes its classes once.
 """
 
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import GroupFileError
@@ -63,8 +68,15 @@ def parse_perm(text, degree, line_no=None):
     return tuple(images)
 
 
+@lru_cache(maxsize=None)
 def parse_group_text(text, name=None):
-    """Parse a whole group file into a PermutationGroup."""
+    """Parse a whole group file into a PermutationGroup.
+
+    Cached per (text, name), so the name must be hashable: calls with
+    the same text and name, passed the same way (``lru_cache`` keys a
+    keyword apart from a position), return the one shared group, which
+    is immutable.  Errors are not cached: a malformed text raises
+    GroupFileError on every call."""
     degree = None
     generators = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -91,6 +103,11 @@ def parse_group_text(text, name=None):
 
 
 def parse_group_file(path, name=None):
+    """Parse the group file at ``path``, named by its stem unless
+    ``name`` (hashable) is given.
+
+    The file is read on every call; the same content under the same
+    name returns the one shared, immutable group (``parse_group_text``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

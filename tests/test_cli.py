@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blockforge import clear_caches, groupfile
 from blockforge.cli import build_parser, main
 
 
@@ -58,6 +59,25 @@ def test_table_json(capsys):
     assert payload["order"] == 6
     assert len(payload["irreducibles"]) == 6
     assert payload["irreducibles"][0] == ["1"] * 6
+
+
+def test_repeated_table_on_a_file_builds_the_group_once(
+    capsys, tmp_path, monkeypatch
+):
+    path = tmp_path / "s4.grp"
+    path.write_text("degree: 4\n(1 2)\n(1 2 3 4)\n")
+    built = []
+    real = groupfile.PermutationGroup
+    monkeypatch.setattr(
+        groupfile,
+        "PermutationGroup",
+        lambda *args, **kwargs: built.append(args) or real(*args, **kwargs),
+    )
+    clear_caches()
+    first = run(capsys, "table", str(path))
+    assert run(capsys, "table", str(path)) == first
+    assert first[0] == 0
+    assert len(built) == 1
 
 
 def test_blocks_text(capsys):

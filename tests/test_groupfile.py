@@ -1,5 +1,6 @@
 import pytest
 
+from blockforge import clear_caches
 from blockforge.errors import GroupFileError
 from blockforge.groupfile import (
     format_group_text,
@@ -91,3 +92,44 @@ def test_name_comes_from_stem(tmp_path):
     path = tmp_path / "alt4.grp"
     path.write_text(format_group_text(G))
     assert parse_group_file(path).name == "alt4"
+
+
+S4_TEXT = "degree: 4\n(1 2)\n(1 2 3 4)\n"
+
+
+def test_same_text_and_name_give_the_same_group():
+    G = parse_group_text(S4_TEXT, name="S4")
+    assert parse_group_text(S4_TEXT, name="S4") is G
+
+
+def test_another_name_gives_another_group_with_that_name():
+    G = parse_group_text(S4_TEXT, name="S4")
+    H = parse_group_text(S4_TEXT, name="sym4")
+    assert H is not G
+    assert (H.name, G.name) == ("sym4", "S4")
+    assert H == G
+
+
+def test_clear_caches_drops_parsed_groups():
+    G = parse_group_text(S4_TEXT)
+    clear_caches()
+    H = parse_group_text(S4_TEXT)
+    assert H is not G
+    assert H == G
+
+
+def test_malformed_text_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(GroupFileError) as e:
+            parse_group_text("degree: 4\n(1 5)\n")
+        assert e.value.line == 2
+
+
+def test_file_is_read_on_every_parse(tmp_path):
+    # the same content shares one group; new content gives a new one
+    path = tmp_path / "g.grp"
+    path.write_text(S4_TEXT)
+    G = parse_group_file(path)
+    assert parse_group_file(path) is G
+    path.write_text("degree: 4\n(1 2 3)\n")
+    assert parse_group_file(path).order() == 3

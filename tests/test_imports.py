@@ -198,7 +198,6 @@ CACHED_FUNCTIONS = {
     "catalog._index",
     "chartab.character_action",
     "chartab.character_table",
-    "chartab.is_p_solvable",
     "chartab.normal_class_sets",
     "chartab.restriction_multiplicities",
     "cli.build_parser",
@@ -206,6 +205,7 @@ CACHED_FUNCTIONS = {
     "finitefield._root_image",
     "finitefield.build_reduction",
     "finitefield.residue_field",
+    "groupfile.parse_group_text",
     "modular.modular_data",
     "permgroup.centralizer",
     "permgroup.group_from_elements",

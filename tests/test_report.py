@@ -174,14 +174,27 @@ def test_fixed_instances_as_lists_share_the_cache_entry(s4):
     assert (info.currsize, info.hits) == (1, 1)
 
 
-def test_repeat_report_on_a_parsed_copy_computes_no_classes():
-    # the command line parses a fresh group for each job; is_p_solvable's
-    # cache, keyed by the equal group, answers without the copy's classes
+def test_repeat_report_on_a_parsed_copy_computes_no_classes(monkeypatch):
+    # the command line parses the group file for each job; a second parse
+    # of the same file returns the first parse's group, whose classes the
+    # first report computed, so the repeat computes none
     path = Path(__file__).parents[1] / "perfbench" / "groups" / "s6.grp"
-    first = build_report(parse_group_file(path), 3)
+    computed = []
+    real = PermutationGroup._compute_classes
+    monkeypatch.setattr(
+        PermutationGroup,
+        "_compute_classes",
+        lambda self: computed.append(self) or real(self),
+    )
+    clear_caches()
+    G = parse_group_file(path)
+    first = build_report(G, 3)
     copy = parse_group_file(path)
+    assert copy is G
+    before = len(computed)
     assert build_report(copy, 3) == first
-    assert copy._classes is None
+    assert len(computed) == before
+    assert sum(H is G for H in computed) == 1
 
 
 def test_json_round_trip(s4):
