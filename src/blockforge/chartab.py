@@ -673,7 +673,8 @@ def _characteristic_polynomial(m, q):
 
 def _echelon(rows, q):
     """The reduced row echelon form of rows over GF(q): its nonzero rows
-    and their pivot columns."""
+    and their pivot columns.  Its two callers: ``_split_space`` (also
+    through ``_nullspace``), and ``modular.brauer_decomposition``."""
     m = [[x % q for x in row] for row in rows]
     pivots = []
     rank = 0
@@ -682,7 +683,7 @@ def _echelon(rows, q):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], q - 2, q)
+        inv = pow(m[rank][col], -1, q)
         top = m[rank] = [x * inv % q for x in m[rank]]
         for i, row in enumerate(m):
             f = row[col]

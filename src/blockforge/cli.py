@@ -59,7 +59,10 @@ def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}")
 
 
 def run_table(args):

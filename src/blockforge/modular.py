@@ -1,20 +1,18 @@
 """Irreducible Brauer characters, decomposition matrices and the
 modular side of block data.
 
-One elimination gives the irreducible Brauer characters and the
-decomposition matrix.  Each ordinary irreducible restricted to the
-p-regular classes is reduced, in ascending order, against the Brauer
-characters found so far, and the combination taken off is kept: a zero
-remainder makes it the character's decomposition row, a nonzero one
-makes the restriction a new Brauer character.  For p-solvable groups
-that finds them all, since every irreducible Brauer character is the
-restriction of an ordinary irreducible (Fong-Swan), and a reducible
+One row reduction gives the irreducible Brauer characters and the
+decomposition matrix.  Its columns are the ordinary irreducibles
+restricted to the p-regular classes, ascending by the table's row key
+tuple(v.sort_key() for v in values); the pivot columns, each outside the
+span of those before it, are the Brauer characters, and every other
+column's reduced entries are its decomposition row.  For p-solvable
+groups that finds them all, since every irreducible Brauer character is
+the restriction of an ordinary irreducible (Fong-Swan), and a reducible
 restriction is a sum of irreducible ones of smaller degree, found before
-it.  Groups that are not p-solvable fall outside that theorem; for them
-a stored table, keyed by the group's canonical class representatives,
-is entered first, and every restriction must then reduce to zero.
-Restrictions and stored characters alike ascend by the table's row key,
-tuple(v.sort_key() for v in values).
+it.  For groups that are not p-solvable a stored table, keyed by the
+group's canonical class representatives and in the same order, enters
+as the leading columns, and every restriction must fall in its span.
 
 As on the ordinary side, Brauer character j is no object: it is its
 degree, its lift (the ordinary row whose restriction found it, whose
@@ -22,28 +20,39 @@ decomposition row is e_j; None for a stored one) and column j of the
 decomposition matrix.
 
 Linear algebra reads each value in the character table's one
-representation (``CharacterTable.coords``), on the power basis at its
-class's element order: lifting to a multiple of that order is injective
-and linear, so independence and decompositions are unchanged by it.
-Those coordinates, and the stored table's, are integers; the elimination
-divides by its pivots, so it alone works in Fractions.
+representation (``CharacterTable.coords``), its integer coordinates on
+the power basis at its class's element order: lifting to a multiple of
+that order is injective and linear, so independence and decompositions
+are unchanged by it.  The stored table's coordinates are integers too.
+The row reduction is ``chartab._echelon`` mod the Mersenne prime
+P = 2^521 - 1, and its result is exact in three steps:
 
+1. A pivot mod P is independent over Q: its minor is a nonzero integer.
+2. Each decomposition row, lifted to (-P/2, P/2), must be nonnegative
+   and rebuild its restriction in integers: each dependence holds over Q.
+3. The elimination misses no dependence when P exceeds the Hadamard
+   bound, the product of the l largest column norms for l Brauer
+   characters.  Measured bounds are about 2^185 for D194 at 2, 2^79 for
+   D188 at 2 and 2^54 for S3 wr C4 at 3: margins of 336, 442 and 467 bits.
+
+So a prime too small can only fail a gate, never return a wrong table.
 Every ``InternalCheckError`` raised here names the group, the prime
 and, where there is one, the block index.
 """
 
 import json
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from .arith import vp
 from .blocks import _where, block_data, components, p_regular_classes
-from .chartab import character_table, is_p_solvable
+from .chartab import _echelon, character_table, is_p_solvable
 from .cyclotomic import Cyclotomic
 from .errors import DomainError, InternalCheckError
 
 _FIXTURE_DIR = Path(__file__).parent / "data" / "fixtures"
+# the Mersenne prime of the row reduction
+_PRIME = (1 << 521) - 1
 
 
 def restriction_to_p_regular(G, i, p):
@@ -94,11 +103,14 @@ def _fixture_brauer_characters(G, p):
 
 
 def brauer_decomposition(G, p):
-    """IBr(G) at p by the one elimination of the module docstring: the
+    """IBr(G) at p by the one row reduction of the module docstring: the
     Brauer degrees, ascending by the row key; for each Brauer character
     the ordinary row it was found from, its lift, or None for a stored
-    one; and the decomposition matrix."""
-    stored = None
+    one; and the decomposition matrix.  The columns are the stored
+    characters, then the restrictions; a pivot mod _PRIME is independent
+    over Q, every decomposition row is checked in integers, and the
+    elimination is complete while _PRIME exceeds the Hadamard bound."""
+    stored = ()
     if G.order() % p == 0 and not is_p_solvable(G, p):
         stored = _fixture_brauer_characters(G, p)
         if stored is None:
@@ -106,74 +118,54 @@ def brauer_decomposition(G, p):
                 "no stored Brauer character table for this group;"
                 " the lifting method needs a p-solvable group"
             )
-    degrees, lifts = [], []
-    # (pivot, row, combination): row is 1 at its pivot and 0 at every
-    # earlier pivot, and equals the combination of the found characters
-    echelon = []
-
-    def remainder(coords):
-        rest, taken = list(coords), [0] * len(degrees)
-        for pivot, row, combination in echelon:
-            u = rest[pivot]
-            if u:
-                rest = [x - u * y if y else x for x, y in zip(rest, row)]
-                for j, y in enumerate(combination):
-                    taken[j] += u * y
-        return rest, taken
-
-    def keep(values, rest, taken, lift):
-        pivot = next(k for k, x in enumerate(rest) if x)
-        u = Fraction(rest[pivot])
-        echelon.append(
-            (pivot, [x / u for x in rest], [-y / u for y in taken] + [1 / u])
-        )
-        degrees.append(values[0].integer_value())
-        lifts.append(lift)
-
-    for values, coords in stored or ():
-        rest, taken = remainder(coords)
-        if not any(rest):
-            raise InternalCheckError(
-                "stored Brauer character depends on earlier ones"
-                f" on {_where(G, p)}"
-            )
-        keep(values, rest, taken, None)
     restrictions = [
         restriction_to_p_regular(G, i, p)
         for i in range(len(character_table(G).values))
     ]
-    rows = [None] * len(restrictions)
     order = sorted(
-        range(len(rows)),
+        range(len(restrictions)),
         key=lambda i: tuple(v.sort_key() for v in restrictions[i][0]),
     )
-    for i in order:
-        values, coords = restrictions[i]
-        rest, taken = remainder(coords)
-        if not any(rest):
-            if any(d.denominator != 1 or d < 0 for d in taken):
+    columns = [*stored, *(restrictions[i] for i in order)]
+    reduced, pivots = _echelon(zip(*(coords for _, coords in columns)), _PRIME)
+    degrees, lifts = [], []
+    rows = [None] * len(restrictions)
+    for c, (values, coords) in enumerate(columns):
+        i = order[c - len(stored)] if c >= len(stored) else None
+        if c in pivots:
+            if i is not None:
+                if stored:
+                    raise InternalCheckError(
+                        "ordinary character does not decompose over the"
+                        f" Brauer characters on {_where(G, p)}"
+                    )
+                rows[i] = tuple(int(t == len(degrees)) for t in range(len(pivots)))
+            degrees.append(values[0].integer_value())
+            lifts.append(i)
+        elif i is None:
+            raise InternalCheckError(
+                "stored Brauer character depends on earlier ones"
+                f" on {_where(G, p)}"
+            )
+        else:
+            row = tuple(r[c] - _PRIME if 2 * r[c] > _PRIME else r[c] for r in reduced)
+            rebuilt = [0] * len(coords)
+            for d, pivot in zip(row, pivots):
+                if d:
+                    rebuilt = [x + d * y for x, y in zip(rebuilt, columns[pivot][1])]
+            if any(d < 0 for d in row) or tuple(rebuilt) != coords:
                 raise InternalCheckError(
                     "decomposition number is not a nonnegative integer"
                     f" on {_where(G, p)}"
                 )
-            rows[i] = taken
-        elif stored is None:
-            keep(values, rest, taken, i)
-            rows[i] = [0] * len(taken) + [1]
-        else:
-            raise InternalCheckError(
-                "ordinary character does not decompose over the"
-                f" Brauer characters on {_where(G, p)}"
-            )
+            rows[i] = row
     expected = len(p_regular_classes(G, p))
     if len(degrees) != expected:
         raise InternalCheckError(
             f"found {len(degrees)} Brauer characters,"
             f" expected {expected}, on {_where(G, p)}"
         )
-    return tuple(degrees), tuple(lifts), tuple(
-        tuple(int(d) for d in row) + (0,) * (expected - len(row)) for row in rows
-    )
+    return tuple(degrees), tuple(lifts), tuple(rows)
 
 
 class ModularData:

@@ -246,6 +246,17 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert payload["reports"][0]["prime"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [("table", "S4"), ("verify", "dim", "S4", "-p", "3")], ids=["table", "verify"]
+)
+def test_unwritable_out_exit_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_seed_env_and_flag(capsys):
     # the benchmark's invocation: --seed is accepted and changes no byte
     # of the output

@@ -42,10 +42,11 @@ def unused_imports(source):
     )
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # both are slow to import (inspect pulls in ast, dis and tokenize),
-    # and the package uses neither
-    probe = "import sys, blockforge.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_cli_import_skips_dataclasses_inspect_fractions_and_decimal():
+    # all four are slow to import (inspect pulls in ast, dis and tokenize,
+    # fractions pulls in decimal), and the package uses none of them
+    slow = "{'dataclasses', 'inspect', 'fractions', 'decimal'}"
+    probe = f"import sys, blockforge.cli; print(sorted({slow} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,

@@ -22,6 +22,7 @@ from blockforge.modular import (
 import oracles
 from conftest import (
     alternating,
+    c2_wreath_s4,
     c3_wreath_c2,
     cyclic,
     dihedral,
@@ -31,6 +32,7 @@ from conftest import (
     oracle_groups,
     quaternion8,
     random_subgroup,
+    s4_times_s4,
     sl_2_3,
     symmetric,
 )
@@ -97,6 +99,12 @@ def test_coprime_prime_restriction_is_identity(s4):
         assert sum(row) == 1
 
 
+def _catalog_and_bench_groups():
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+    groups = [ent.load() for ent in catalog.entries()]
+    return groups + [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
+
+
 def test_a5_p2_fixture_degrees(a5):
     assert brauer_decomposition(a5, 2)[0] == (1, 2, 2, 4)
 
@@ -116,11 +124,8 @@ def test_character_values_hold_int_coordinates(a5):
     # Character values are algebraic integers, so every coordinate the
     # package builds or stores is an int: the tables of the catalog and
     # benchmark groups, values and coords, and the stored A5 Brauer values.
-    bench = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
-    groups = [ent.load() for ent in catalog.entries()]
-    groups += [parse_group_file(path) for path in sorted(bench.glob("*.grp"))]
     found = []
-    for G in groups:
+    for G in _catalog_and_bench_groups():
         table = character_table(G)
         found += (x for row in table.values for v in row for x in v.coords)
         found += (x for row in table.coords for xs in row for x in xs)
@@ -313,7 +318,7 @@ def test_brauer_decomposition_matches_two_solve_oracle():
     # every prime dividing the order and one that does not; groups that
     # are not p-solvable and have no stored table raise on both routes
     cases = Counter()
-    for G in oracle_groups([dihedral(23)]):
+    for G in oracle_groups([dihedral(23), s4_times_s4(), c2_wreath_s4()]):
         n = G.order()
         primes = list(prime_factors(n))
         primes.append(next(q for q in itertools.count(2) if is_prime(q) and n % q))
@@ -330,7 +335,43 @@ def test_brauer_decomposition_matches_two_solve_oracle():
             lifted = n % p or is_p_solvable(G, p)
             cases["lifted" if lifted else "stored"] += 1
     # A5 at 2 is stored: from the catalog and as a random subgroup of S5
-    assert cases == {"lifted": 72, "stored": 2, "unavailable": 38}
+    assert cases == {"lifted": 78, "stored": 2, "unavailable": 38}
+
+
+def test_the_prime_is_a_mersenne_prime():
+    # Lucas-Lehmer: for an odd prime n, 2^n - 1 is prime iff n - 2 steps
+    # of s -> s^2 - 2 mod 2^n - 1, from s = 4, end at 0
+    n = modular._PRIME.bit_length()
+    assert modular._PRIME == (1 << n) - 1 and n == 521
+    s = 4
+    for _ in range(n - 2):
+        s = (s * s - 2) % modular._PRIME
+    assert s == 0
+
+
+def test_a_small_prime_only_stops_the_elimination(monkeypatch):
+    # Mod a prime too small for the group, columns independent over Q
+    # may look dependent; a gate must then raise.  Every result that
+    # passes the gates must be the one the real prime gives.
+    cases = []
+    for G in _catalog_and_bench_groups():
+        for p in prime_factors(G.order()):
+            try:
+                cases.append((G, p, brauer_decomposition(G, p)))
+            except DomainError:
+                pass  # not p-solvable, and no stored table
+    outcomes = Counter()
+    for small in (2, 3, 5, 7):
+        monkeypatch.setattr(modular, "_PRIME", small)
+        for G, p, want in cases:
+            try:
+                got = brauer_decomposition(G, p)
+            except InternalCheckError:
+                outcomes["raised"] += 1
+                continue
+            assert got == want, (G, p, small)
+            outcomes["matched"] += 1
+    assert outcomes["raised"] and outcomes["matched"], outcomes
 
 
 def test_each_brauer_character_is_its_lift_restricted():
