@@ -24,13 +24,11 @@ orders, every element of a field) lives in ``tests/oracles.py``
 A ReductionMap fixes, once per (conductor, prime) pair, the maximal
 ideal above p used to reduce algebraic integers of Q(zeta_e): the
 p-power part of a root of unity collapses to 1, and zeta of the p'-part
-e' goes to u, the encoding-smallest element of exact multiplicative
-order e'.  u is found without a scan of the field: the first encoding
-whose ((q - 1)/e')-th power has exact order e' gives a generator of the
-e'-th roots of unity, and u is the smallest of its phi(e') generating
-powers (``element_of_order``).  Each modulus is found once per (p, f)
-(``residue_field``), and u with its powers once per (p, e')
-(``_root_image``), so conductors with the same p'-part share them.
+e' goes to u, the first element of exact order e' that a walk of the
+encodings meets (``element_of_order``).  Any such u serves, since the
+blocks do not depend on the ideal (Osima's criterion), up to the caveat
+on defect groups ``ReductionMap`` names.  Each modulus is found once
+per (p, f) (``residue_field``), and u with its powers once per map.
 
 A value is read in the character table's one representation
 (``CharacterTable.coords``): its integer coordinates on the power
@@ -39,7 +37,6 @@ Z[zeta_o], so the coordinates of an algebraic integer are integers.
 """
 
 from functools import lru_cache
-from math import gcd
 
 from .arith import is_prime, multiplicative_order, p_part, prime_factors, vp
 from .cyclotomic import cyclotomic_polynomial, divide_monic
@@ -67,65 +64,39 @@ def mul_coeffs(a, b, p, modulus):
     return tuple(c % p for c in divide_monic(raw, (*modulus, 1))[1])
 
 
-def _field_name(p, f):
-    return f"GF({p}^{f})" if f > 1 else f"GF({p})"
-
-
 def _power(a, n, p, modulus):
-    """a^n for n >= 0, by square and multiply with ``mul_coeffs``."""
-    out = (1,) + (0,) * (len(a) - 1)
-    while n:
-        if n & 1:
+    """a^n for n >= 1, by square and multiply with ``mul_coeffs`` from
+    the leading bit of n down, so no product has a factor 1."""
+    out = a
+    for bit in bin(n)[3:]:
+        out = mul_coeffs(out, out, p, modulus)
+        if bit == "1":
             out = mul_coeffs(out, a, p, modulus)
-        a = mul_coeffs(a, a, p, modulus)
-        n >>= 1
     return out
 
 
 def element_of_order(p, f, n):
-    """The encoding-smallest element of exact multiplicative order n in
-    GF(p^f), as a coefficient tuple.
+    """The first element of exact multiplicative order n in GF(p^f) that
+    a walk of the encodings meets, as a coefficient tuple.
 
-    GF(q)* is cyclic of order q - 1, so the elements x with x^n = 1
-    form its cyclic subgroup of order n, and y -> y^h with
-    h = (q - 1)/n maps GF(q)* onto that subgroup.  The encodings are
-    walked in order, one element per code, up to the first y whose
-    image w has exact order n: w^n = 1 holds for every y, so it
-    suffices that w^(n/r) != 1 for each prime r dividing n.  Such a
-    w generates the subgroup, and the elements of exact order n in
-    a cyclic group <w> of order n are exactly the powers w^k with
-    gcd(k, n) = 1.  Those phi(n) powers are therefore every element
-    of exact order n in the field, and their encoding-smallest one
-    is the element a scan of all encodings returns.
-
-    Gate: the phi(n) powers must be distinct, as they are when w has
-    exact order n; equal powers mean w's order was misjudged."""
+    GF(q)* is cyclic of order q - 1, so y -> y^h with h = (q - 1)/n
+    maps it onto its subgroup of order n, the x with x^n = 1.  The
+    encodings y are walked in order up to the first whose image w has
+    exact order n: w^n = 1 always holds, so it suffices that
+    w^(n/r) != 1 for each prime r dividing n.  Any such w serves a
+    reduction map, up to the caveat ``ReductionMap`` names."""
     modulus = residue_field(p, f)
-    size = p**f
-    if (size - 1) % n:
+    h, rest = divmod(p**f - 1, n)
+    if rest:
         raise DomainError("order does not divide the group order")
-    h = (size - 1) // n
     one = (1,) + (0,) * (f - 1)
     cofactors = [n // r for r in prime_factors(n)]
-    for code in range(1, size):
+    for code in range(1, p**f):
         w = _power(_digits(code, p, f), h, p, modulus)
         if all(_power(w, c, p, modulus) != one for c in cofactors):
-            break
-    else:
-        raise InternalCheckError(f"no element of order {n} found in {_field_name(p, f)}")
-    generators = []
-    power = one
-    for k in range(n):
-        if gcd(k, n) == 1:
-            generators.append(power)
-        power = mul_coeffs(power, w, p, modulus)
-    if len(set(generators)) != len(generators):
-        raise InternalCheckError(
-            f"the {len(generators)} generating powers of an element of"
-            f" order {n} in {_field_name(p, f)} are not distinct"
-        )
-    # the encoding reads the digits from the highest power down
-    return min(generators, key=lambda c: c[::-1])
+            return w
+    field = f"GF({p}^{f})" if f > 1 else f"GF({p})"
+    raise InternalCheckError(f"no element of order {n} found in {field}")
 
 
 def _smallest_irreducible(p, f):
@@ -166,27 +137,18 @@ def residue_field(p, f):
     return _smallest_irreducible(p, f)
 
 
-@lru_cache(maxsize=None)
-def _root_image(p, n):
-    """The root image u of exact order n in characteristic p, in the
-    smallest field holding it, and its powers u^0, ..., u^(n-1); built
-    once per (p, n)."""
-    f = multiplicative_order(p, n)
-    modulus = residue_field(p, f)
-    u = element_of_order(p, f, n)
-    powers = [(1,) + (0,) * (f - 1)]
-    for _ in range(n - 1):
-        powers.append(mul_coeffs(powers[-1], u, p, modulus))
-    return u, tuple(powers)
-
-
 class ReductionMap:
     """Reduction of algebraic integers in Q(zeta_e) modulo a fixed
     maximal ideal above p, landing in GF(p^f).
 
-    f is the multiplicative order of p modulo the p'-part e' of e; the
-    chosen root image u is the encoding-smallest element of exact order
-    e'.  Roots of unity of p-power order collapse to 1.
+    f is the order of p modulo the p'-part e' of e, zeta_e' goes to u,
+    the first element of exact order e' that ``element_of_order`` meets,
+    and roots of unity of p-power order go to 1.  Any such u serves: the
+    blocks do not depend on the ideal (Osima's criterion).  Caveat: the
+    defect group ``blocks`` returns comes from the first p-regular class
+    K with lambda_B(K^) != 0, and F21's central-character value
+    (-1 + sqrt(-7))/2 has norm 2, so it lies in one ideal above 2 only;
+    another root could pick a conjugate D and renumber N_G(D)'s blocks.
     """
 
     def __init__(self, e, p):
@@ -199,9 +161,11 @@ class ReductionMap:
         self.e_prime = e // p_part(e, p)
         self.f = multiplicative_order(p, self.e_prime)
         self.modulus = residue_field(p, self.f)
-        self.u, self._u_powers = _root_image(p, self.e_prime)
-        a = vp(e, p)
-        self.alpha = pow(p**a, -1, self.e_prime) if self.e_prime > 1 else 0
+        self.u = element_of_order(p, self.f, self.e_prime)
+        self._u_powers = powers = [(1,) + (0,) * (self.f - 1)]
+        for _ in range(self.e_prime - 1):
+            powers.append(mul_coeffs(powers[-1], self.u, p, self.modulus))
+        self.alpha = pow(p ** vp(e, p), -1, self.e_prime) if self.e_prime > 1 else 0
 
     def reduce(self, coords, o):
         """Image of the algebraic integer with integer coordinates coords

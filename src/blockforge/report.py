@@ -5,6 +5,7 @@ import json
 import time
 from functools import lru_cache
 
+from .arith import is_prime
 from .chartab import is_p_solvable
 from .correspond import (
     block_section,
@@ -207,9 +208,10 @@ def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
     """All requested verifier records for one group at one prime.
 
     Unrequested kinds come back as empty lists so the schema is stable,
-    and a kind not in KINDS, or a string in place of a sequence of
-    kinds, raises DomainError.  elapsed_ms stays null unless timings
-    are requested, keeping repeat runs byte-identical.
+    and a kind not in KINDS, a string in place of a sequence of kinds,
+    or a p that is not a prime int raises DomainError.  elapsed_ms
+    stays null unless timings are requested, keeping repeat runs
+    byte-identical.
     Each section is memoized per (G, p, navarro_fixed), so a repeat
     does no verifier work, and its elapsed_ms times the cached path;
     every report gets its own copy of the records.
@@ -224,6 +226,8 @@ def build_report(G, p, name=None, kinds=KINDS, navarro_fixed=(), timings=False):
         raise DomainError(
             f"unknown verifier kind {unknown[0]!r}; the kinds are {', '.join(KINDS)}"
         )
+    if not (type(p) is int and is_prime(p)):
+        raise DomainError(f"{p!r} is not prime")
     start = time.monotonic()
     name = name if name is not None else (G.name or f"degree-{G.degree}")
     fixed = tuple(

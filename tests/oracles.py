@@ -44,9 +44,10 @@ closure growth, sorts the p-generated ones into conjugacy classes of
 element sets and counts each Sylow number as the subgroups of order the
 p-part inside, to compare with the package's breadth-first extension
 on element indices and bitmasks.
-``normal_subgroups_by_joins`` closes the normal closures of the classes
-under joins, one Dimino enumeration per join, to compare with the
-package's intersections of character kernels.  ``inertia_group_by_scan``
+``normal_subgroups_by_joins`` closes the normal closures of the classes,
+each the subgroup a class's elements generate, under joins, one Dimino
+enumeration per join, to compare with the package's intersections of
+character kernels.  ``inertia_group_by_scan``
 conjugates a character of a normal subgroup by every element of G
 (``conjugate_character``) and builds the group of those that fix it, to
 compare with the package's orbit-stabilizer run on the generators.
@@ -59,9 +60,7 @@ with the package's reading of both off the kernel lattice.
 package's coefficient tuples over the package's modulus
 (``finitefield.residue_field``), its product written here by Horner's
 rule rather than through the package's ``mul_coeffs``; the field
-oracles below compute on it.  ``element_of_order_by_scan`` walks every
-element of a field in encoding order with generic element powers, to
-compare with the package's root from one cyclic orbit.
+oracles below compute on it.
 ``reduce_by_elements`` reduces coordinates one field element at a
 time, to compare with the package's accumulation in integer lists.
 ``structure_constants`` counts every class-algebra structure constant
@@ -132,7 +131,6 @@ from blockforge.modular import (
 from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
-    normal_closure,
     sylow_subgroup,
     trivial_group,
 )
@@ -927,6 +925,7 @@ def inertia_group_by_scan(G, N, theta):
 def normal_subgroups_by_joins(G):
     """All normal subgroups as joins of normal closures of classes.
 
+    The normal closure of a class is the subgroup its elements generate.
     Every normal subgroup is a union of conjugacy classes and hence the
     join of the normal closures of the classes it contains, so joining
     each subgroup found with each class closure it does not contain
@@ -934,7 +933,7 @@ def normal_subgroups_by_joins(G):
     generators of both.  Sorted by (order, element tuple)."""
     found = {}
     for c in G.conjugacy_classes():
-        n = normal_closure(G, (c.representative,))
+        n = PermutationGroup(G.degree, G.class_elements(c.index))
         found.setdefault(n.element_set(), n)
     seeds = list(found.values())
     queue = list(seeds)
@@ -951,10 +950,14 @@ def normal_subgroups_by_joins(G):
 
 def cores_by_class_closures(G, p):
     """(O_p(G), O_p'(G)): each the join of the normal closures of the
-    classes whose closure is a p-group, or a p'-group.  A normal
+    classes whose closure is a p-group, or a p'-group.  The normal
+    closure of a class is the subgroup its elements generate; a normal
     subgroup is the join of the normal closures of its classes, and the
     join of normal p-subgroups (p'-subgroups) is one."""
-    closures = [normal_closure(G, (c.representative,)) for c in G.conjugacy_classes()]
+    closures = [
+        PermutationGroup(G.degree, G.class_elements(c.index))
+        for c in G.conjugacy_classes()
+    ]
     cores = []
     for accept in (lambda n: n == p_part(n, p), lambda n: n % p != 0):
         gens = [g for N in closures if accept(N.order()) for g in N.generators]
@@ -1060,21 +1063,6 @@ class ResidueField:
             while n % q == 0 and self.pow(a, n // q) == self.one:
                 n //= q
         return n
-
-
-def element_of_order_by_scan(F, n):
-    """The encoding-smallest element of exact multiplicative order n in
-    the reference field F, found by scanning every element in encoding
-    order."""
-    if (F.size - 1) % n:
-        raise DomainError("order does not divide the group order")
-    cofactors = [n // q for q in prime_factors(n)]
-    for x in F.elements():
-        if x == F.zero or F.pow(x, n) != F.one:
-            continue
-        if all(F.pow(x, c) != F.one for c in cofactors):
-            return x
-    raise InternalCheckError(f"no element of order {n} found in GF({F.p}^{F.f})")
 
 
 def reduce_by_elements(rmap, coords, o):

@@ -2,11 +2,14 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from blockforge import finitefield
+from blockforge import clear_caches, finitefield
 from blockforge.blocks import block_data
+from blockforge.cli import main
 from blockforge.cyclotomic import rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.finitefield import (
@@ -19,24 +22,16 @@ from blockforge.finitefield import (
 from blockforge.modular import ModularData
 
 from conftest import dihedral, random_value
-from oracles import ResidueField, element_of_order_by_scan, plus, times, zeta
+from oracles import ResidueField, plus, times, zeta
 
 
 @pytest.fixture
 def fresh_fields():
-    """Empty the modulus, root and reduction-map caches before and after
-    the test, so a monkeypatched routine is consulted and nothing it made
-    outlives it."""
-    caches = (
-        finitefield.residue_field,
-        finitefield._root_image,
-        finitefield.build_reduction,
-    )
-    for cached in caches:
-        cached.cache_clear()
+    """Empty every cache of the package before and after the test, so a
+    monkeypatched routine is consulted and nothing it made outlives it."""
+    clear_caches()
     yield
-    for cached in caches:
-        cached.cache_clear()
+    clear_caches()
 
 
 def reduce(rmap, x):
@@ -76,18 +71,12 @@ def test_prime_field():
     assert mul_coeffs((3,), (4,), 5, residue_field(5, 1)) == (2,)
 
 
-def test_element_of_order_is_encoding_smallest():
-    assert element_of_order(2, 2, 3) == (0, 1)
-    F9 = ResidueField(3, 2)
-    u8 = element_of_order(3, 2, 8)
-    assert F9.multiplicative_order(u8) == 8
-    candidates = [
-        x for x in F9.elements() if x != F9.zero and F9.multiplicative_order(x) == 8
-    ]
-    assert u8 == candidates[0]
+def test_element_of_order_has_exact_order_in_gf4_and_gf9():
+    assert ResidueField(2, 2).multiplicative_order(element_of_order(2, 2, 3)) == 3
+    assert ResidueField(3, 2).multiplicative_order(element_of_order(3, 2, 8)) == 8
 
 
-def test_element_of_order_matches_scan_oracle():
+def test_element_of_order_has_exact_order_on_small_fields():
     # every n dividing q - 1 on every GF(p^f) with q <= 1024
     cases = 0
     for p in (2, 3, 5, 7):
@@ -96,18 +85,16 @@ def test_element_of_order_matches_scan_oracle():
             F = ResidueField(p, f)
             for n in range(1, F.size):
                 if (F.size - 1) % n == 0:
-                    want = element_of_order_by_scan(F, n)
-                    assert element_of_order(p, f, n) == want, (p, f, n)
+                    u = element_of_order(p, f, n)
+                    assert F.multiplicative_order(u) == n, (p, f, n)
                     cases += 1
             f += 1
     assert cases == 144
 
 
-def test_element_of_order_in_gf3_12_is_the_scanned_one():
-    # the element the full scan of GF(3^12) returns for n = 140:
-    # 2 + t + t^2 + 2 t^3 + t^5 + t^8
+def test_element_of_order_in_gf3_12_has_exact_order():
     u = element_of_order(3, 12, 140)
-    assert u == (2, 1, 1, 2, 0, 1, 0, 0, 1, 0, 0, 0)
+    assert ResidueField(3, 12).multiplicative_order(u) == 140
 
 
 def test_large_fields_build_without_a_scan(fresh_fields):
@@ -264,15 +251,6 @@ def test_missing_element_of_order_names_the_field(monkeypatch):
         element_of_order(3, 2, 8)
 
 
-def test_repeated_generating_powers_name_the_field_and_order(monkeypatch):
-    # with no prime factor to test, 1 passes as a generator of order 8,
-    # and its four generating powers are all 1
-    monkeypatch.setattr(finitefield, "prime_factors", lambda n: [])
-    message = re.escape("element of order 8 in GF(3^2) are not distinct")
-    with pytest.raises(InternalCheckError, match=message):
-        element_of_order(3, 2, 8)
-
-
 def test_missing_irreducible_names_the_degree_and_prime(monkeypatch, fresh_fields):
     monkeypatch.setattr(finitefield, "_is_irreducible", lambda coeffs, p, f: False)
     message = re.escape("no irreducible polynomial of degree 3 found over GF(2)")
@@ -292,3 +270,41 @@ def test_zeta_image_off_phi_e_is_rejected(monkeypatch, fresh_fields):
     monkeypatch.setattr(ReductionMap, "__init__", corrupted)
     with pytest.raises(InternalCheckError, match="Phi_3"):
         build_reduction(3, 2)
+
+
+def test_report_bytes_do_not_depend_on_the_root(monkeypatch, fresh_fields, capsys):
+    # another root of exact order e' picks another ideal above p: the
+    # catalog and the benchmark's stress jobs print the same bytes, and
+    # exit with the same codes, under the root raised to the largest
+    # k < e' prime to e'.
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
+    jobs = [["verify", "all", "--format", "json"]] + [
+        ["verify", "all", str(bench / name), "-p", str(p), "--format", "json"]
+        for name, p in (
+            ("s4xs3.grp", 2), ("s5.grp", 2), ("s6.grp", 3), ("s6.grp", 5),
+            ("psl27.grp", 7),
+        )
+    ]
+
+    def outputs():
+        out = []
+        for argv in jobs:
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    expected = outputs()
+    real = finitefield.element_of_order
+    moved = []
+
+    def other_root(p, f, n):
+        w = real(p, f, n)
+        k = max(k for k in range(n) if gcd(k, n) == 1)
+        u = ResidueField(p, f).pow(w, k)
+        moved.append(u != w)
+        return u
+
+    monkeypatch.setattr(finitefield, "element_of_order", other_root)
+    clear_caches()
+    assert outputs() == expected
+    assert any(moved)

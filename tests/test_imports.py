@@ -203,7 +203,6 @@ CACHED_FUNCTIONS = {
     "chartab.restriction_multiplicities",
     "cli.build_parser",
     "cyclotomic.cyclotomic_polynomial",
-    "finitefield._root_image",
     "finitefield.build_reduction",
     "finitefield.residue_field",
     "groupfile.parse_group_text",

@@ -72,6 +72,19 @@ def test_string_kinds_are_rejected(s4):
     assert ", ".join(KINDS) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "kinds", [KINDS, ("navarro",), ()], ids=["all", "navarro", "none"]
+)
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 2.0, True, "2"], ids=repr)
+def test_non_prime_p_is_rejected_before_any_section(s4, p, kinds):
+    # p is checked before any layer sees it: a float or a string would
+    # reach the group layer as a TypeError, and each layer words its own
+    # rejection of a non-prime int
+    with pytest.raises(DomainError) as err:
+        build_report(s4, p, kinds=kinds)
+    assert str(err.value) == f"{p!r} is not prime"
+
+
 KIND_RECORDS = {
     "am": {"blocks"},
     "dim": {"blocks"},
