@@ -7,8 +7,10 @@ characteristic 2.  The simple modules in defining characteristic are
 the trivial module, the natural 2-dimensional module, its Frobenius
 twist, and their tensor product.  Each Brauer character value is the
 sum of the lifts of the eigenvalues of the acting matrix: eigenvalues
-live in GF(16), and the lift sends the chosen generator w of GF(16)^*
-to a primitive 15th root of unity, so w^k lifts to zeta_15^k.  A value
+live in GF(16), and the lift sends the generator t of GF(16)^* to a
+primitive 15th root of unity, so t^k lifts to zeta_15^k.  The two
+fields are built here, as GF(2)[t] modulo t^2 + t + 1 and t^4 + t + 1,
+in each of which t has the full order 3 and 15.  A value
 is built once, from the multiset of exponents k it sums.
 
 Run from the repository root:
@@ -24,8 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from blockforge.blocks import p_regular_classes
 from blockforge.chartab import character_table
-from blockforge.cyclotomic import Cyclotomic, reduce_mod_cyclotomic
-from blockforge.finitefield import element_of_order, mul_coeffs, residue_field
+from blockforge.cyclotomic import Cyclotomic, divide_monic, reduce_mod_cyclotomic
 from blockforge.permgroup import PermutationGroup
 
 OUT = (
@@ -39,15 +40,16 @@ OUT = (
 
 
 class Char2Field:
-    """GF(2^f) on the package's coefficient tuples, constant term first:
-    the little arithmetic this derivation needs.  In characteristic 2,
-    minus is plus."""
+    """GF(2^f) as GF(2)[t] modulo the monic t^f + modulus(t), on
+    coefficient tuples, constant term first: the little arithmetic this
+    derivation needs.  In characteristic 2, minus is plus."""
 
-    def __init__(self, f):
-        self.f = f
-        self.modulus = residue_field(2, f)
+    def __init__(self, modulus):
+        self.f = f = len(modulus)
+        self.modulus = (*modulus, 1)
         self.zero = (0,) * f
         self.one = (1,) + self.zero[1:]
+        self.t = (0, 1) + self.zero[2:]
 
     def elements(self):
         """Every element, in encoding order (binary digits of 0, ...,
@@ -60,7 +62,11 @@ class Char2Field:
         return tuple(a ^ b for a, b in zip(x, y))
 
     def mul(self, x, y):
-        return mul_coeffs(x, y, 2, self.modulus)
+        raw = [0] * (2 * self.f - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                raw[i + j] += a * b
+        return tuple(c % 2 for c in divide_monic(raw, self.modulus)[1])
 
     def inverse(self, x):
         return next(y for y in self.elements() if self.mul(x, y) == self.one)
@@ -71,7 +77,7 @@ def alternating5():
 
 
 def special_linear_2_4():
-    field = Char2Field(2)
+    field = Char2Field((1, 1))
     elements = field.elements()
     matrices = []
     for a in elements:
@@ -144,8 +150,8 @@ def derive():
     assert len(perm_to_matrix) == 60
     assert set(perm_to_matrix) == group.element_set()
 
-    big = Char2Field(4)
-    w = element_of_order(2, 4, 15)
+    big = Char2Field((1, 1, 0, 0))
+    w = big.t
     log = {}
     powers = []
     power = big.one
@@ -154,7 +160,7 @@ def derive():
         powers.append(power)
         power = big.mul(power, w)
     g3 = powers[5]
-    u = element_of_order(2, 2, 3)
+    u = field.t
     embed = {
         field.zero: big.zero,
         field.one: big.one,

@@ -1,13 +1,15 @@
-"""p-blocks over a fixed maximal ideal: partition, defects, defect
-groups, idempotents, Brauer homomorphism, block induction, Brauer
-correspondents, dimensions and covering.
+"""p-blocks: partition, defects, defect groups, idempotents, Brauer
+homomorphism, block induction, Brauer correspondents, dimensions and
+covering.
 
 Block data depends only on the group and the prime.  Each group's
-blocks are computed under the reduction map at its own exponent: the
-partition does not depend on the maximal ideal above p, since Osima's
-criterion (Navarro, *Characters and Blocks of Finite Groups*, ch. 3;
-see below) names no ideal.  Block induction from a subgroup reduces the
-subgroup's central character under the target group's map.
+blocks are computed under the reduction map at its own exponent, into
+the product of all the residue fields above p at once
+(``finitefield``): the partition does not depend on the maximal ideal
+above p, since Osima's criterion (Navarro, *Characters and Blocks of
+Finite Groups*, ch. 3; see below) names no ideal.  Block induction
+from a subgroup reduces the subgroup's central character under the
+target group's map.
 
 Every character value is read in the table's one representation,
 its ``coords``: integer coordinates on the power basis at each class's
@@ -198,7 +200,7 @@ class BlockSet:
                 "Osima's criterion disagrees with the central characters"
                 f" on {_where(group, prime)}"
             )
-        zero = (0,) * rmap.f
+        zero = (0,) * rmap.width
         columns = zip(*map(block_idempotent, self.blocks))
         total = [tuple(sum(t) % prime for t in zip(*c)) for c in columns]
         if total != [(1,) + zero[1:]] + [zero] * (len(total) - 1):
@@ -240,9 +242,10 @@ class BlockSet:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def block_data(G, p):
-    """Blocks of G at p, under the reduction map at G's exponent."""
+    """Blocks of G at p, under the reduction map at G's exponent, which
+    rejects a p that is not a prime int; the cache is typed for 2.0."""
     return BlockSet(G, p, build_reduction(G.exponent(), p))
 
 
@@ -344,14 +347,13 @@ def induced_central(b, G):
     the result can be compared with the central characters of G's
     blocks.
 
-    No values of two residue fields meet here: every value is reduced
-    under G's map alone, one (p, f) gives one modulus, and tuples of
-    different f have different lengths, so they never compare equal."""
+    Every value is reduced under G's map alone, so all of them, and the
+    central characters of G's blocks, lie in one ring."""
     H = b.blockset.group
     p = b.blockset.prime
     rmap = block_data(G, p).rmap
     lam = _reduced_central(b.blockset.table, b.char_indices[0], rmap, p)
-    values = [(0,) * rmap.f] * len(G.conjugacy_classes())
+    values = [(0,) * rmap.width] * len(G.conjugacy_classes())
     for k, v in zip(class_fusion(G, H), lam):
         values[k] = tuple((a + b) % p for a, b in zip(values[k], v))
     return tuple(values)

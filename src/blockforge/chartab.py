@@ -114,7 +114,13 @@ def restriction_multiplicities(G, H):
     multiplicity.  Power-basis coordinates are unique, so
     sum_k m_k theta_k = chi restricted to H is checked on coordinates: the
     nonzero coordinates of the thetas with m_k != 0, times m_k, must add
-    up to the nonzero coordinates of the fused row."""
+    up to the nonzero coordinates of the fused row.
+
+    For H = G it is the identity, unpaired: the table gate has proved
+    <chi_i, chi_j> = delta_ij exactly on the same cached table."""
+    if H == G:
+        rows = range(len(character_table(G).values))
+        return tuple(tuple(int(i == k) for k in rows) for i in rows)
     fusion = class_fusion(G, H)
     sub = character_table(H)
     thetas = sub.sparse

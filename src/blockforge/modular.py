@@ -255,7 +255,7 @@ class ModularData:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def modular_data(G, p):
-    """Modular character data for G at p."""
+    """Modular character data for G at p, typed like ``block_data``."""
     return ModularData(block_data(G, p))

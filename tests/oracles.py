@@ -56,13 +56,18 @@ whose closure is a p-group, or a p'-group, and
 ``is_p_solvable_by_quotients`` peels those cores off one at a time,
 building each quotient as the action of G on the cosets, to compare
 with the package's reading of both off the kernel lattice.
-``ResidueField`` is the element arithmetic of GF(p^f) on the
-package's coefficient tuples over the package's modulus
-(``finitefield.residue_field``), its product written here by Horner's
-rule rather than through the package's ``mul_coeffs``; the field
-oracles below compute on it.
-``reduce_by_elements`` reduces coordinates one field element at a
-time, to compare with the package's accumulation in integer lists.
+``ResidueField`` is the element arithmetic of GF(p)[t] modulo a monic
+modulus on the package's coefficient tuples, its product written by
+Horner's rule: the reduction map's ring R, modulo Phi_e'
+(``ResidueField.of_map``), on which the field oracles below compute,
+and the residue fields above p, each R modulo an irreducible factor of
+Phi_e' mod p (``fields_above``).  The factors are split off by
+equal-degree gcds (``_split``) rather than by trial division, which
+would try all 3^12 monic polynomials of degree 12 over GF(3) to split
+Phi_140 into its four factors.
+``reduce_by_elements`` reduces coordinates one ring element at a
+time, from the map's power table, to compare with the package's
+accumulation in integer lists.
 ``structure_constants`` counts every class-algebra structure constant
 from products of elements, to compare with the class-matrix rows the
 package builds for its table from one class and its size ratios
@@ -101,13 +106,14 @@ least (size, right before left, sorted degrees), to compare with the
 package's scan over sets of distinct degrees.
 """
 
+import random
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, product
 from math import gcd, isqrt, lcm
 
-from blockforge.arith import p_part, prime_factors
+from blockforge.arith import multiplicative_order, p_part, prime_factors
 from blockforge.blocks import (
     block_data,
     brauer_correspondent,
@@ -118,11 +124,11 @@ from blockforge.chartab import character_table, is_p_solvable
 from blockforge.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
+    divide_monic,
     rational,
     reduce_mod_cyclotomic,
 )
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.finitefield import residue_field
 from blockforge.modular import (
     _fixture_brauer_characters,
     modular_data,
@@ -989,23 +995,89 @@ def _coset_action(G, K):
     return PermutationGroup(len(reps), images)
 
 
-class ResidueField:
-    """GF(p^f) on coefficient tuples, constant term first, modulo the
-    package's modulus t^f + m(t): every element operation the package
-    does without, for the oracles and the field-axiom tests."""
+def _monic(a, p):
+    """a over GF(p), low degree first, without its zero top
+    coefficients and scaled to be monic; () for zero."""
+    a = [c % p for c in a]
+    while a and not a[-1]:
+        a.pop()
+    inv = pow(a[-1], -1, p) if a else 0
+    return tuple(c * inv % p for c in a)
 
-    def __init__(self, p, f):
+
+def _gcd(a, b, p):
+    """The monic gcd over GF(p) of a and b, deg a >= deg b, by Euclid."""
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(divide_monic(a, b)[1], p)
+    return a
+
+
+def _split(h, f, p, rng):
+    """The monic irreducible factors of the monic h, a product of
+    distinct irreducibles of degree f over GF(p), by equal-degree
+    splitting: GF(p)[t]/(h) is a product of copies of GF(p^f), and for
+    a random a the gcd of h with a^((p^f - 1)/2) - 1 (p odd) or with
+    the trace a + a^2 + ... + a^(2^(f-1)) (p = 2) keeps about half of
+    the factors."""
+    if len(h) - 1 == f:
+        return [h]
+    ring = ResidueField(p, h[:-1])
+    while True:
+        a = tuple(rng.randrange(p) for _ in range(ring.f))
+        if p == 2:
+            b = t = a
+            for _ in range(f - 1):
+                t = ring.mul(t, t)
+                b = ring.add(b, t)
+        else:
+            b = ring.sub(ring.pow(a, (p**f - 1) // 2), ring.one)
+        g = _gcd(h, b, p)
+        if 1 < len(g) < len(h):
+            q = tuple(c % p for c in divide_monic(h, g)[0])
+            return _split(g, f, p, rng) + _split(q, f, p, rng)
+
+
+@lru_cache(maxsize=None)
+def _phi_factors(n, p):
+    phi = tuple(c % p for c in cyclotomic_polynomial(n))
+    return tuple(sorted(_split(phi, multiplicative_order(p, n), p, random.Random(n))))
+
+
+def fields_above(rmap):
+    """The residue fields above p, one per irreducible factor g of
+    Phi_e' mod p, each of degree the order f of p mod e', in coefficient
+    order: each is R modulo g (``ResidueField.residue``)."""
+    return [ResidueField(rmap.p, g[:-1]) for g in _phi_factors(rmap.e_prime, rmap.p)]
+
+
+class ResidueField:
+    """GF(p)[t] modulo the monic t^f + m(t), on coefficient tuples,
+    constant term first, m given without its leading 1: every element
+    operation the package does without, for the oracles and the
+    field-axiom tests.  The ring is a field when the modulus is
+    irreducible; in the reduction map's ring only GF(p) scalars are
+    inverted, and a^(p^f - 2) is their inverse there too."""
+
+    def __init__(self, p, modulus):
         self.p = p
-        self.f = f
+        self.f = f = len(modulus)
         self.size = p**f
-        self.modulus = residue_field(p, f)
+        self.modulus = tuple(modulus)
         self.zero = (0,) * f
         self.one = (1,) + self.zero[1:]
 
     @classmethod
     def of_map(cls, rmap):
-        """The field a reduction map lands in."""
-        return cls(rmap.p, rmap.f)
+        """The ring R = GF(p)[x]/(Phi_e') a reduction map lands in."""
+        return cls(rmap.p, cyclotomic_polynomial(rmap.e_prime)[:-1])
+
+    def residue(self, a):
+        """The image of a coefficient tuple of any width, read modulo
+        this ring's modulus: for an element of R and a field above p, its
+        image in that field."""
+        a = tuple(a) + self.zero[len(a):]
+        return tuple(c % self.p for c in divide_monic(a, (*self.modulus, 1))[1])
 
     def of(self, n):
         """The image of the integer n."""
@@ -1067,14 +1139,16 @@ class ResidueField:
 
 def reduce_by_elements(rmap, coords, o):
     """rmap's image of the integer coordinates coords at conductor o,
-    summed one field element per coordinate from the powers of rmap.u."""
+    summed one ring element per coordinate from the powers of x, read
+    off the map's power table."""
     F = ResidueField.of_map(rmap)
     n = rmap.e_prime
     step = rmap.e // o
+    x = rmap.powers[1]
     out = F.zero
     for j, c in enumerate(coords):
         if c:
-            power = F.pow(rmap.u, rmap.alpha * j * step % n)
+            power = F.pow(x, rmap.alpha * j * step % n)
             out = F.add(out, F.mul(power, F.of(int(c))))
     return out
 

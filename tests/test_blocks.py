@@ -61,7 +61,7 @@ def test_s4_p2_single_block_of_full_defect(s4):
 def test_s4_p2_idempotent_is_the_identity(s4):
     bs = block_data(s4, 2)
     coeffs = block_idempotent(bs.blocks[0])
-    zero = (0,) * bs.rmap.f
+    zero = (0,) * bs.rmap.width
     assert coeffs[0] == (1,) + zero[1:]
     assert all(c == zero for c in coeffs[1:])
 
@@ -209,7 +209,7 @@ def test_defect_group_needs_a_p_regular_defect_class(a5):
     b = bs.blocks[0]
     regular = p_regular_classes(a5, 2)
     b.reduced_central = tuple(
-        (0,) * bs.rmap.f if k in regular else v
+        (0,) * bs.rmap.width if k in regular else v
         for k, v in enumerate(b.reduced_central)
     )
     message = re.escape(f"no p-regular defect class on {a5!r} at p = 2, block 0")
@@ -221,7 +221,7 @@ def test_brauer_image_gate_names_group_prime_and_block(sl23):
     bs = _uncached_blocks(sl23, 3)
     b = bs.blocks[1]
     assert b.defect == 1
-    b.idempotent = ((0,) * bs.rmap.f,) * len(b.idempotent)
+    b.idempotent = ((0,) * bs.rmap.width,) * len(b.idempotent)
     message = re.escape(
         f"Brauer image of the idempotent vanishes at the defect group"
         f" on {sl23!r} at p = 3, block 1"
@@ -330,16 +330,17 @@ def test_partition_stable_under_larger_conductor(a4, a5):
 
 
 def test_induced_central_lands_in_the_target_field(s4, a5):
-    # A4 = N_A5(V4) at 2: A4's own map lands in GF(4), A5's in GF(16).
-    # Induction reduces under A5's map alone, so every entry is a GF(16)
-    # tuple of length 4, and it finds A5's principal block
+    # A4 = N_A5(V4) at 2: A4's own map lands in GF(2)[x]/(Phi_3), of
+    # width 2, A5's in GF(2)[x]/(Phi_15), of width phi(15) = 8.
+    # Induction reduces under A5's map alone, so every entry is a tuple
+    # of length 8, and it finds A5's principal block
     target = block_data(a5, 2)
     a4 = normalizer(a5, target.blocks[0].defect_group())
     assert a4.order() == 12
-    assert block_data(a4, 2).rmap.f == 2
-    assert target.rmap.f == 4
+    assert block_data(a4, 2).rmap.width == 2
+    assert target.rmap.width == 8
     for b in block_data(a4, 2).blocks:
-        assert all(len(v) == 4 for v in induced_central(b, a5))
+        assert all(len(v) == 8 for v in induced_central(b, a5))
         assert induced_block(b, a5) is target.blocks[0]
     # C4 <= S4 at 2: the classes of r and r^3 fuse into the 4-cycles, so
     # lambda^G sums 1 + 1 there, which is 0 mod 2
@@ -520,7 +521,7 @@ def test_induction_miss_names_both_groups_and_prime(monkeypatch, a5):
     B = block_data(a5, 2).blocks[0]
     b = brauer_correspondent(B)
     H = b.blockset.group
-    zero = (0,) * block_data(a5, 2).rmap.f
+    zero = (0,) * block_data(a5, 2).rmap.width
     monkeypatch.setattr(
         blocks, "induced_central", lambda b, G: (zero,) * len(G.conjugacy_classes())
     )

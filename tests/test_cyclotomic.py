@@ -13,12 +13,13 @@ from blockforge.cyclotomic import (
     reduce_mod_cyclotomic,
 )
 from blockforge.errors import DomainError
-from blockforge.finitefield import residue_field
+from blockforge.finitefield import build_reduction
 
 from oracles import (
     canonical_by_solves,
     combination,
     complex_conjugate,
+    fields_above,
     from_root_combination,
     from_root_combination_by_power_basis,
     galois,
@@ -70,10 +71,15 @@ def _product(a, b):
 def test_divide_monic_rebuilds_the_dividend():
     # poly = q monic + r, with r of exactly deg(monic) coefficients, for
     # every Phi_e with e <= 60 and the moduli of the residue fields
+    # above 2, 3, 5 and 7 in Q(zeta_e) for e prime to p up to 21
     rng = random.Random(41)
     moduli = [cyclotomic_polynomial(e) for e in range(1, 61)]
     moduli += [
-        (*residue_field(p, f), 1) for p in (2, 3, 5, 7) for f in range(1, 7)
+        (*F.modulus, 1)
+        for p in (2, 3, 5, 7)
+        for e in range(1, 22)
+        if e % p
+        for F in fields_above(build_reduction(e, p))
     ]
     for monic in moduli:
         d = len(monic) - 1

@@ -1,28 +1,29 @@
 import random
-import re
 import time
 from fractions import Fraction
-from math import gcd
-from pathlib import Path
 
 import pytest
 
-from blockforge import clear_caches, finitefield
-from blockforge.blocks import block_data
-from blockforge.cli import main
+from blockforge import blocks, clear_caches
+from blockforge.arith import prime_factors, vp
+from blockforge.blocks import block_data, p_regular_classes
 from blockforge.cyclotomic import rational
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.finitefield import (
-    ReductionMap,
-    build_reduction,
-    element_of_order,
-    mul_coeffs,
-    residue_field,
-)
+from blockforge.finitefield import ReductionMap, build_reduction
 from blockforge.modular import ModularData
 
-from conftest import dihedral, random_value
-from oracles import ResidueField, plus, times, zeta
+from conftest import (
+    alternating,
+    cyclic,
+    dihedral,
+    frobenius20,
+    frobenius21,
+    oracle_groups,
+    psl_2_7,
+    random_value,
+    symmetric,
+)
+from oracles import ResidueField, fields_above, plus, times, zeta
 
 
 @pytest.fixture
@@ -40,21 +41,42 @@ def reduce(rmap, x):
     return rmap.reduce(x.coords, x.conductor)
 
 
+
+
+
+
+
+
+
+
+
+
+
+
+
+
 def test_gf4_modulus_and_elements():
-    F = ResidueField(2, 2)
-    assert residue_field(2, 2) == (1, 1)
+    # Phi_3 = x^2 + x + 1 is irreducible mod 2: the one field above 2 in
+    # Q(zeta_3) is GF(4), and it is R itself
+    rmap = build_reduction(3, 2)
+    (F,) = fields_above(rmap)
+    assert F.modulus == ResidueField.of_map(rmap).modulus == (1, 1)
     assert len(F.elements()) == 4
     t = (0, 1)
-    assert mul_coeffs(t, t, 2, F.modulus) == F.add(t, F.one)
     assert F.mul(t, t) == F.add(t, F.one)
 
 
 def test_gf8_modulus_is_x3_plus_x_plus_1():
-    assert residue_field(2, 3) == (1, 1, 0)
+    # Phi_7 = (x^3 + x + 1)(x^3 + x^2 + 1) mod 2: two copies of GF(8)
+    moduli = [F.modulus for F in fields_above(build_reduction(7, 2))]
+    assert moduli == [(1, 0, 1), (1, 1, 0)]
 
 
 def test_gf9_arithmetic():
-    F = ResidueField(3, 2)
+    # a field above 3 in Q(zeta_8): Phi_8 = x^4 + 1 splits into two
+    # quadratics mod 3
+    F = fields_above(build_reduction(8, 3))[0]
+    assert F.size == 9
     elems = F.elements()
     nonzero = [x for x in elems if x != F.zero]
     for x in nonzero:
@@ -65,55 +87,43 @@ def test_gf9_arithmetic():
 
 
 def test_prime_field():
-    F = ResidueField(5, 1)
+    # 5 = 1 mod 4, so Phi_4 splits into linear factors mod 5
+    F = fields_above(build_reduction(4, 5))[0]
+    assert F.size == 5
     assert F.of(7) == (2,)
     assert F.mul((3,), (4,)) == (2,)
-    assert mul_coeffs((3,), (4,), 5, residue_field(5, 1)) == (2,)
 
 
 def test_element_of_order_has_exact_order_in_gf4_and_gf9():
-    assert ResidueField(2, 2).multiplicative_order(element_of_order(2, 2, 3)) == 3
-    assert ResidueField(3, 2).multiplicative_order(element_of_order(3, 2, 8)) == 8
-
-
-def test_element_of_order_has_exact_order_on_small_fields():
-    # every n dividing q - 1 on every GF(p^f) with q <= 1024
-    cases = 0
-    for p in (2, 3, 5, 7):
-        f = 1
-        while p**f <= 1024:
-            F = ResidueField(p, f)
-            for n in range(1, F.size):
-                if (F.size - 1) % n == 0:
-                    u = element_of_order(p, f, n)
-                    assert F.multiplicative_order(u) == n, (p, f, n)
-                    cases += 1
-            f += 1
-    assert cases == 144
+    # x, the image of zeta_e', has exact order e' in every residue field
+    # above p, not only in R: order 3 in GF(4) and 8 in both GF(9)s
+    for e, p in ((3, 2), (8, 3)):
+        rmap = build_reduction(e, p)
+        for F in fields_above(rmap):
+            assert F.multiplicative_order(F.residue(rmap.powers[1])) == e
 
 
 def test_element_of_order_in_gf3_12_has_exact_order():
-    u = element_of_order(3, 12, 140)
-    assert ResidueField(3, 12).multiplicative_order(u) == 140
+    # and order 140 in each of the four copies of GF(3^12) above 3
+    rmap = build_reduction(420, 3)
+    fields = fields_above(rmap)
+    assert [F.size for F in fields] == [3**12] * 4
+    for F in fields:
+        assert F.multiplicative_order(F.residue(rmap.powers[1])) == 140
 
 
 def test_large_fields_build_without_a_scan(fresh_fields):
-    # GF(2^23) has 8.4 M elements, GF(3^12) 531441: neither is walked
-    start = time.process_time()
+    # the residue fields GF(2^23) and GF(3^12) are neither searched for
+    # nor walked: the rings modulo Phi_47 and Phi_140 hold them
     rmap = build_reduction(94, 2)
-    took = time.process_time() - start
-    assert rmap.f == 23 and rmap.e_prime == 47
-    assert ResidueField(2, 23).multiplicative_order(rmap.u) == 47
-    assert took < 1.0, took
-    start = time.process_time()
+    assert rmap.width == 46 and rmap.e_prime == 47
+    assert ResidueField.of_map(rmap).multiplicative_order(rmap.powers[1]) == 47
     rmap = build_reduction(420, 3)
-    took = time.process_time() - start
-    assert rmap.f == 12 and rmap.e_prime == 140
-    assert took < 0.5, took
+    assert rmap.width == 48 and rmap.e_prime == 140
 
 
 def test_d46_modular_data_takes_one_elimination():
-    # D46 at 2 (23 classes, residue field GF(2^11)): with its blocks
+    # D46 at 2 (23 classes, values of width phi(23) = 22): with its blocks
     # built, the Brauer characters and the decomposition matrix take one
     # elimination; a fresh exact solve per candidate and per ordinary
     # character took over twice this bound
@@ -125,25 +135,31 @@ def test_d46_modular_data_takes_one_elimination():
 
 
 def test_field_axioms_random():
-    # on the reference arithmetic, and its product against mul_coeffs
+    # on the reference arithmetic: the ring axioms on GF(27), a field
+    # above 3 in Q(zeta_13), and on R modulo Phi_8 at 3, a product of two
+    # copies of GF(9); and the field inverse on GF(27)
     rng = random.Random(13)
-    F = ResidueField(3, 3)
-    elems = F.elements()
-    add, mul = F.add, F.mul
-    for _ in range(60):
-        a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert add(a, F.neg(a)) == F.zero
-        assert F.sub(add(a, b), b) == a
-        assert mul(a, b) == mul_coeffs(a, b, 3, F.modulus)
+    gf27 = fields_above(build_reduction(13, 3))[0]
+    for F in (gf27, ResidueField.of_map(build_reduction(8, 3))):
+        elems = F.elements()
+        add, mul = F.add, F.mul
+        for _ in range(60):
+            a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert add(a, F.neg(a)) == F.zero
+            assert F.sub(add(a, b), b) == a
+    assert gf27.size == 27
+    assert all(gf27.mul(a, gf27.inverse(a)) == gf27.one for a in gf27.elements()[1:])
 
 
 def test_reduction_gf4_example():
+    # Phi_3 = x^2 + x + 1 is irreducible mod 2, so R is GF(4) itself
     rmap = build_reduction(3, 2)
-    assert rmap.f == 2
-    assert rmap.modulus == residue_field(2, 2)
+    assert rmap.width == 2
     F = ResidueField.of_map(rmap)
+    assert F.modulus == (1, 1)
+    assert [G.modulus for G in fields_above(rmap)] == [(1, 1)]
     u = reduce(rmap, zeta(3))
     assert F.add(F.add(F.mul(u, u), u), F.one) == F.zero
     assert reduce(rmap, plus(zeta(3), zeta(3, 2))) == F.one
@@ -206,60 +222,63 @@ def test_root_image_has_exact_order():
     for e, p in ((12, 2), (30, 2), (20, 5), (21, 3), (12, 3)):
         rmap = build_reduction(e, p)
         F = ResidueField.of_map(rmap)
-        if rmap.e_prime > 1:
-            assert F.multiplicative_order(rmap.u) == rmap.e_prime
+        assert F.multiplicative_order(rmap.powers[1]) == rmap.e_prime
         image = reduce(rmap, zeta(e))
         assert F.pow(image, rmap.e_prime) == F.one
 
 
 def test_reduction_field_degrees():
-    assert build_reduction(30, 2).f == 4
-    assert build_reduction(12, 2).f == 2
-    assert build_reduction(12, 3).f == 2
-    assert build_reduction(21, 3).f == 6
-    assert build_reduction(20, 5).f == 1
-    assert build_reduction(420, 2).f == 12
-    assert build_reduction(420, 7).f == 4
+    # R has width phi(e'), and Phi_e' splits mod p into phi(e') / f
+    # irreducible factors of degree f, the order of p mod e'
+    for e, p, width, f in (
+        (30, 2, 8, 4),
+        (12, 2, 2, 2),
+        (12, 3, 2, 2),
+        (21, 3, 6, 6),
+        (20, 5, 2, 1),
+        (420, 2, 48, 12),
+        (420, 7, 16, 4),
+    ):
+        rmap = build_reduction(e, p)
+        assert rmap.width == width, (e, p)
+        assert [F.f for F in fields_above(rmap)] == [f] * (width // f), (e, p)
 
 
 def test_root_image_of_wrong_order_is_rejected(monkeypatch, fresh_fields):
-    # u = 1 passes u^e' = 1 but not u^(e'/r) != 1
-    monkeypatch.setattr(
-        finitefield, "element_of_order", lambda p, f, n: (1,) + (0,) * (f - 1)
-    )
+    # a power table forged as that of 1 passes x^e' = 1 but not
+    # x^(e'/r) != 1
+    init = ReductionMap.__init__
+
+    def forged(self, e, p):
+        init(self, e, p)
+        self.powers = [self.powers[0]] * len(self.powers)
+
+    monkeypatch.setattr(ReductionMap, "__init__", forged)
     message = "root image has the wrong order for conductor 3 at p = 2"
     with pytest.raises(InternalCheckError, match=message):
         build_reduction(3, 2)
 
 
 def test_root_image_of_larger_order_is_rejected(monkeypatch, fresh_fields):
-    # for e' = 4 at p = 3 (GF(9)), an element of order 8 passes
-    # u^(e'/2) = u^2 != 1 but not u^e' = u^4 = 1
-    u8 = element_of_order(3, 2, 8)
-    monkeypatch.setattr(finitefield, "element_of_order", lambda p, f, n: u8)
+    # for e' = 4 at p = 3, R = GF(3)[x]/(x^2 + 1) is GF(9): a power table
+    # forged as that of y = 1 + x, of order 8, passes y^(e'/2) = y^2 != 1
+    # but not y^e' = y^4 = 1
+    init = ReductionMap.__init__
+
+    def forged(self, e, p):
+        init(self, e, p)
+        F = ResidueField.of_map(self)
+        assert F.multiplicative_order((1, 1)) == 8
+        self.powers = [F.pow((1, 1), k) for k in range(len(self.powers))]
+
+    monkeypatch.setattr(ReductionMap, "__init__", forged)
     message = "root image has the wrong order for conductor 4 at p = 3"
     with pytest.raises(InternalCheckError, match=message):
         build_reduction(4, 3)
 
 
-def test_missing_element_of_order_names_the_field(monkeypatch):
-    # every encoding decodes to 1, so no candidate reaches order 8
-    residue_field(3, 2)
-    monkeypatch.setattr(finitefield, "_digits", lambda code, p, f: (1, 0))
-    message = re.escape("no element of order 8 found in GF(3^2)")
-    with pytest.raises(InternalCheckError, match=message):
-        element_of_order(3, 2, 8)
-
-
-def test_missing_irreducible_names_the_degree_and_prime(monkeypatch, fresh_fields):
-    monkeypatch.setattr(finitefield, "_is_irreducible", lambda coeffs, p, f: False)
-    message = re.escape("no irreducible polynomial of degree 3 found over GF(2)")
-    with pytest.raises(InternalCheckError, match=message):
-        residue_field(2, 3)
-
-
 def test_zeta_image_off_phi_e_is_rejected(monkeypatch, fresh_fields):
-    # u keeps its exact order, but zeta_3 is sent to u^0 = 1, which is
+    # x keeps its exact order, but zeta_3 is sent to x^0 = 1, which is
     # not a root of Phi_3 = x^2 + x + 1 mod 2: only the Phi_e gate sees it.
     init = ReductionMap.__init__
 
@@ -272,39 +291,60 @@ def test_zeta_image_off_phi_e_is_rejected(monkeypatch, fresh_fields):
         build_reduction(3, 2)
 
 
-def test_report_bytes_do_not_depend_on_the_root(monkeypatch, fresh_fields, capsys):
-    # another root of exact order e' picks another ideal above p: the
-    # catalog and the benchmark's stress jobs print the same bytes, and
-    # exit with the same codes, under the root raised to the largest
-    # k < e' prime to e'.
-    bench = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
-    jobs = [["verify", "all", "--format", "json"]] + [
-        ["verify", "all", str(bench / name), "-p", str(p), "--format", "json"]
-        for name, p in (
-            ("s4xs3.grp", 2), ("s5.grp", 2), ("s6.grp", 3), ("s6.grp", 5),
-            ("psl27.grp", 7),
-        )
+def test_blocks_in_r_are_the_blocks_in_each_residue_field():
+    # R is the product of the residue fields above p, each R modulo an
+    # irreducible factor of Phi_e' mod p: the central characters bucket
+    # into the same blocks in R as in every one of those fields, and in
+    # every field each block keeps a nonzero central character on a
+    # p-regular class with |C_G(x_K)|_p = p^d, a defect class.  F21 at 2
+    # has central-character values of norm 2, each nonzero in one of its
+    # two fields only.
+    cases = []
+
+    def check(G, p):
+        bs = block_data(G, p)
+        rows = [
+            blocks._reduced_central(bs.table, i, bs.rmap, p)
+            for i in range(len(bs.table.values))
+        ]
+        want = {frozenset(b.char_indices) for b in bs.blocks}
+        sizes = [G.order() // c.size for c in G.conjugacy_classes()]
+        fields = fields_above(bs.rmap)
+        for F in fields:
+            buckets = {}
+            for i, row in enumerate(rows):
+                buckets.setdefault(tuple(map(F.residue, row)), set()).add(i)
+            assert set(map(frozenset, buckets.values())) == want, (G, p, F.modulus)
+            for b in bs.blocks:
+                assert any(
+                    any(F.residue(b.reduced_central[k]))
+                    and vp(sizes[k], p) == b.defect
+                    for k in p_regular_classes(G, p)
+                ), (G, p, F.modulus, b.index)
+        cases.append(len(fields))
+
+    for G, p in (
+        (frobenius21(), 2),
+        (cyclic(35), 2),
+        (dihedral(35), 2),
+        (alternating(5), 2),
+        (alternating(7), 2),
+        (symmetric(6), 3),
+        (symmetric(6), 5),
+        (psl_2_7(), 7),
+        (frobenius20(), 5),
+    ):
+        check(G, p)
+    assert cases == [2, 2, 2, 2, 4, 2, 2, 2, 2]
+    f21 = block_data(frobenius21(), 2)
+    seen = [
+        [bool(any(F.residue(v))) for F in fields_above(f21.rmap)]
+        for i in range(5)
+        for v in blocks._reduced_central(f21.table, i, f21.rmap, 2)
     ]
-
-    def outputs():
-        out = []
-        for argv in jobs:
-            code = main(argv)
-            out.append((code, *capsys.readouterr()))
-        return out
-
-    expected = outputs()
-    real = finitefield.element_of_order
-    moved = []
-
-    def other_root(p, f, n):
-        w = real(p, f, n)
-        k = max(k for k in range(n) if gcd(k, n) == 1)
-        u = ResidueField(p, f).pow(w, k)
-        moved.append(u != w)
-        return u
-
-    monkeypatch.setattr(finitefield, "element_of_order", other_root)
+    assert [True, False] in seen and [False, True] in seen
     clear_caches()
-    assert outputs() == expected
-    assert any(moved)
+    for G in oracle_groups(()):
+        for p in prime_factors(G.order()):
+            check(G, p)
+    assert (len(cases), sum(cases)) == (83, 140)

@@ -204,7 +204,6 @@ CACHED_FUNCTIONS = {
     "cli.build_parser",
     "cyclotomic.cyclotomic_polynomial",
     "finitefield.build_reduction",
-    "finitefield.residue_field",
     "groupfile.parse_group_text",
     "modular.modular_data",
     "permgroup.centralizer",

@@ -175,6 +175,17 @@ def test_s4_p2_height_zero_brauer(s4):
     assert local.height_zero_brauer_degrees(b) == (1,)
 
 
+@pytest.mark.parametrize("p", [4, 2.0, "2", True], ids=repr)
+def test_non_prime_p_is_rejected_by_block_and_modular_data(s4, p):
+    # a float or a string reached the arithmetic as a TypeError; the
+    # data at 2 is built first, so 2.0 cannot meet it in a cache
+    modular_data(s4, 2)
+    for entry in (block_data, modular_data):
+        with pytest.raises(DomainError) as err:
+            entry(s4, p)
+        assert str(err.value) == f"{p!r} is not prime"
+
+
 def test_unavailable_table_raises():
     s5 = symmetric(5)
     with pytest.raises(DomainError):
