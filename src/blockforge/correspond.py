@@ -9,8 +9,9 @@ and decides the ordinary side of each with the one bipartite matcher.
 Every verifier sees the group and the prime alone (navarro also its
 job's fixed instances) and returns plain dict records with stable key
 order and no job fields; ``report`` stamps each with its group and
-prime.  Pass verdicts, wherever they assert a theorem, are backed by an explicit certificate in the record (a matching, an
-integer quotient, or an equality witness).
+prime.  Pass verdicts, wherever they assert a theorem, are backed by
+an explicit certificate in the record (a matching, an integer
+quotient, or an equality witness).
 
 Characters are named by row index on both sides; their degrees are
 ``CharacterTable.degrees`` and ``ModularData.brauer_degrees``.

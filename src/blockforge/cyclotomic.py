@@ -25,8 +25,8 @@ Phi_e: Phi_e(x) = Phi_m(x^r) when r divides m, and Phi_m(x^r) / Phi_m(x)
 when it does not.
 
 Both the reduction and that quotient are one division by a monic
-polynomial (``divide_monic``), which also reduces products and tests
-irreducibility in the residue fields (``finitefield``).
+polynomial (``divide_monic``), which also builds the reduction map's
+table of the powers of x mod Phi_e' (``finitefield``).
 """
 
 from functools import lru_cache

@@ -180,8 +180,12 @@ class ModularData:
         self.group = G
         self.prime = p
         self.brauer_degrees, self.lifts, self.decomposition = brauer_decomposition(G, p)
-        self.block_of_brauer = self._assign_blocks()
         self._verify_brauer_graph()
+        rows = self.decomposition
+        self.block_of_brauer = tuple(
+            blockset.block_of(next(i for i, row in enumerate(rows) if row[j])).index
+            for j in range(len(self.brauer_degrees))
+        )
         a = vp(G.order(), p)
         self.brauer_heights = tuple(
             vp(d, p) - (a - blockset.blocks[b].defect)
@@ -192,37 +196,28 @@ class ModularData:
                 f"negative Brauer character height on {_where(G, p)}"
             )
 
-    def _assign_blocks(self):
-        G, p = self.group, self.prime
-        assignments = []
-        for j in range(len(self.brauer_degrees)):
-            owners = {
-                self.blockset.block_of(i).index
-                for i, row in enumerate(self.decomposition)
-                if row[j]
-            }
-            if len(owners) != 1:
-                raise InternalCheckError(
-                    f"Brauer character {j} is spread over several blocks"
-                    f" on {_where(G, p)}"
-                )
-            assignments.append(owners.pop())
-        for b in self.blockset.blocks:
-            count = assignments.count(b.index)
-            if count < 1:
-                raise InternalCheckError(
-                    f"block without a Brauer character on {_where(G, p, b.index)}"
-                )
-            if count > len(b.char_indices):
-                raise InternalCheckError(
-                    "block has more Brauer characters than ordinary ones"
-                    f" on {_where(G, p, b.index)}"
-                )
-        return tuple(assignments)
-
     def _verify_brauer_graph(self):
         """Linking ordinary characters through shared Brauer
-        constituents must reproduce the block partition exactly."""
+        constituents must reproduce the block partition exactly.
+
+        Once it does, Brauer character j lies in the block of any row
+        with a nonzero entry in column j, and every block B holds
+        1 <= l(B) <= k(B) of them, with no gate of their own:
+
+        - the nonzero rows of a column are chained links, so they lie in
+          one component, which is one block;
+        - every decomposition row is nonzero: a lift's row is a unit
+          vector, and every other row rebuilds chi^0, chi restricted to
+          the p-regular classes, whose degree chi(1) is nonzero;
+        - the Brauer characters are a basis of V, the class functions on
+          the p-regular classes: they are independent, and there are
+          dim V of them (``brauer_decomposition``).  The r table rows
+          restrict onto V, and each chi^0 lies in the span V_B of its own
+          block's Brauer characters, so the chi^0 of B, none of them
+          zero, span V_B and 1 <= l(B) = dim V_B <= k(B).  A column with
+          no nonzero entry would leave the chi^0 short of V, so every
+          column has one.
+        """
         n = len(self.decomposition)
         links = []
         for j in range(len(self.brauer_degrees)):

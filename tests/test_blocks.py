@@ -488,8 +488,8 @@ def test_sum_to_one_gate_fires_on_a_dropped_idempotent(monkeypatch, a5):
 
 def test_osima_gate_fires_on_merged_central_characters(monkeypatch, a5):
     # one central character for every row merges A5's two 2-blocks into
-    # one bucket; its idempotent is 1, so p-locality, the sum to one and
-    # the dimension sum all pass, and only the Osima comparison sees it
+    # one bucket; its idempotent is 1, so p-locality and the sum to one
+    # both pass, and only the Osima comparison sees it
     monkeypatch.setattr(blocks, "_reduced_central", lambda table, i, rmap, p: ())
     message = re.escape(
         f"Osima's criterion disagrees with the central characters on {a5!r} at p = 2"
@@ -531,6 +531,36 @@ def test_induction_miss_names_both_groups_and_prime(monkeypatch, a5):
     )
     with pytest.raises(InternalCheckError, match=message):
         induced_block(b, a5)
+
+
+def test_correspondent_gate_fires_when_no_local_block_induces_up(monkeypatch, a5):
+    # block induction forged to match nothing: no block of N_G(D) then
+    # induces to B, so B has no Brauer correspondent
+    B = block_data(a5, 2).blocks[0]
+    monkeypatch.setattr(blocks, "induced_block", lambda b, G: None)
+    message = re.escape(
+        f"Brauer correspondent not unique: 0 candidates on {a5!r} at p = 2, block 0"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        brauer_correspondent(B)
+
+
+def test_covering_gate_fires_when_the_action_fixes_every_row(monkeypatch, sl23, q8):
+    # The 3-block of SL(2,3) holding its degree-3 character covers the
+    # blocks of Q8's three nontrivial linear characters, which SL(2,3)
+    # permutes in one orbit.  An action forged to fix every row of
+    # Irr(Q8) leaves each of them in an orbit of its own.
+    B = block_data(sl23, 3).block_of(character_table(sl23).degrees.index(3))
+    assert len(covered_blocks(B, q8)) == 3
+    every_row = tuple(range(len(character_table(q8).values)))
+    fixed = tuple((g, every_row) for g in sl23.generators)
+    monkeypatch.setattr(blocks, "character_action", lambda G, N: fixed)
+    message = re.escape(
+        f"covered blocks do not form a single orbit on {sl23!r} at p = 3,"
+        f" block {B.index}"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        covered_blocks(B, q8)
 
 
 def test_block_layer_builds_no_cyclotomic_value(monkeypatch, s4, a5, sl23):

@@ -115,6 +115,16 @@ def test_first_row_is_trivial(s4, a5):
         assert table.values[0] == trivial(G).values
 
 
+def test_table_gate_rejects_a_table_that_is_not_square(s4):
+    # S4's table without its last row is still orthonormal, but the
+    # column relation follows from row orthonormality only when the
+    # table is square
+    table = character_table(s4)
+    message = re.escape(f"row count differs from class count on {s4!r}")
+    with pytest.raises(InternalCheckError, match=message):
+        _verify_orthogonality(_with_rows(table, table.values[:-1]))
+
+
 def test_table_gate_rejects_a_first_row_that_is_not_trivial(s4):
     # The trivial and the sign character swapped: the rows stay
     # orthonormal, so only the first-row check fires.
@@ -841,6 +851,30 @@ def _diagonalizable_matrix(rng, r, q):
         for row in m:
             row[j] = (row[j] - f * row[i]) % q
     return m
+
+
+def test_lift_gate_rejects_a_central_character_vanishing_on_the_identity(
+    monkeypatch, s4
+):
+    # omega(1) = 1 for every central character; eigenvectors forged to
+    # vanish at the identity class leave no degree to scale them by
+    real = chartab._central_characters
+    monkeypatch.setattr(
+        chartab, "_central_characters", lambda G, q: [[0, *w[1:]] for w in real(G, q)]
+    )
+    message = re.escape(f"central character vanishes on the identity of {s4!r}")
+    with pytest.raises(InternalCheckError, match=message):
+        character_table.__wrapped__(s4)
+
+
+def test_lift_gate_rejects_a_multiplicity_out_of_range(monkeypatch, s4):
+    # every degree forged to (q + 1) / 2: the identity then has the
+    # eigenvalue 1 with multiplicity (q + 1) / 2 mod q, outside the range
+    # 0 <= m < q / 2 that a residue must fall in to be read as an integer
+    monkeypatch.setattr(chartab, "_degree_from_norm", lambda G, s, q: (q + 1) // 2)
+    message = re.escape(f"lifted multiplicity out of range on {s4!r}")
+    with pytest.raises(InternalCheckError, match=message):
+        character_table.__wrapped__(s4)
 
 
 def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):

@@ -250,7 +250,7 @@ def test_glauberman_frobenius20():
     assert met[0]["verdict"] == "pass"
 
 
-def test_glauberman_correspondent_uniqueness_gates(s4):
+def test_glauberman_correspondent_uniqueness_gates(monkeypatch, s4):
     V4 = PermutationGroup(4, [(1, 0, 3, 2), (3, 2, 1, 0)])
     C3 = PermutationGroup(4, [(1, 2, 0, 3)])
     C, j = glauberman_correspondent(V4, C3, 0, 3)
@@ -260,6 +260,24 @@ def test_glauberman_correspondent_uniqueness_gates(s4):
     with pytest.raises(DomainError):
         # non-coprime action
         glauberman_correspondent(V4, PermutationGroup(4, [(1, 0, 3, 2)]), 0, 2)
+    # S3 on points 0-2 and C5 on points 3-7 commute, so C = C_L(Q) is L
+    # itself and theta = 1 restricts to itself.  Its restriction row is
+    # forged to two constituents prime to 5, then to the one constituent
+    # of degree 2, which does not divide theta(1) = 1.
+    L = PermutationGroup(8, [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 0, 3, 4, 5, 6, 7)])
+    C5 = PermutationGroup(8, [(0, 1, 2, 4, 5, 6, 7, 3)])
+    assert character_table(L).degrees == (1, 1, 2)
+    forgeries = (
+        ((1, 1, 0), "expected one constituent of multiplicity prime to 5, found 2,"),
+        ((0, 0, 1), "correspondent degree does not divide the original degree"),
+    )
+    for row, message in forgeries:
+        monkeypatch.setattr(
+            correspond, "restriction_multiplicities", lambda G, H, row=row: (row,)
+        )
+        message = re.escape(f"{message} on {L!r} at p = 5")
+        with pytest.raises(InternalCheckError, match=message):
+            glauberman_correspondent(L, C5, 0, 5)
 
 
 def test_glauberman_entry_points_reject_a_non_prime(s4):

@@ -325,6 +325,37 @@ def test_brauer_count_gate(monkeypatch, s4):
         brauer_decomposition(s4, 2)
 
 
+def test_brauer_height_gate_fires_on_a_forged_degree(monkeypatch, s4):
+    # phi_2, chi_3 restricted, lies alone in a block of defect 0.  Its
+    # degree forged from 3 to 1, as a wrong stored table could give it,
+    # has height -1 there; a lifted phi has its lift's degree, so only
+    # stored data can do it.
+    degrees, lifts, rows = brauer_decomposition(s4, 3)
+    assert degrees == (1, 1, 3, 3) and rows[3] == (0, 0, 1, 0)
+    assert block_data(s4, 3).blocks[1].char_indices == (3,)
+    forged = ((1, 1, 1, 3), lifts, rows)
+    monkeypatch.setattr(modular, "brauer_decomposition", lambda G, p: forged)
+    message = re.escape(f"negative Brauer character height on {s4!r} at p = 3")
+    with pytest.raises(InternalCheckError, match=message):
+        modular.ModularData(block_data(s4, 3))
+
+
+def test_linkage_gate_fires_on_a_forged_decomposition_number(monkeypatch, s4):
+    # The blocks are {chi_0, chi_1, chi_2}, {chi_3} and {chi_4}; a 1
+    # forged into row 3 at phi_0's column links chi_3 to the principal
+    # block.
+    degrees, lifts, rows = brauer_decomposition(s4, 3)
+    blocks = [b.char_indices for b in block_data(s4, 3).blocks]
+    assert blocks == [(0, 1, 2), (3,), (4,)] and rows[3] == (0, 0, 1, 0)
+    forged = (degrees, lifts, rows[:3] + ((1, 0, 1, 0),) + rows[4:])
+    monkeypatch.setattr(modular, "brauer_decomposition", lambda G, p: forged)
+    message = re.escape(
+        f"decomposition linkage disagrees with the block partition on {s4!r} at p = 3"
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        modular.ModularData(block_data(s4, 3))
+
+
 def test_brauer_decomposition_matches_two_solve_oracle():
     # every prime dividing the order and one that does not; groups that
     # are not p-solvable and have no stored table raise on both routes
@@ -386,27 +417,47 @@ def test_a_small_prime_only_stops_the_elimination(monkeypatch):
 
 
 def test_each_brauer_character_is_its_lift_restricted():
-    # Every p-solvable (group, prime), a prime prime to the order among
-    # them: row lifts[j] of the decomposition matrix is the unit vector
-    # e_j, and phi_j has the degree of its lift.
-    cases = 0
+    # Every (group, prime) with Brauer data, a prime prime to the order
+    # among them.  Where G is p-solvable, row lifts[j] of the
+    # decomposition matrix is the unit vector e_j, and phi_j has the
+    # degree of its lift.  Everywhere, the invariants that the package
+    # proves rather than gates hold (the ``Block`` and
+    # ``ModularData._verify_brauer_graph`` docstrings): each block has
+    # heights >= 0 with one of height 0, the dimensions sum to |G|,
+    # 1 <= l(B) <= k(B), and each Brauer column is nonzero only inside
+    # its own block.
+    cases = Counter()
     for G in oracle_groups([]):
         n = G.order()
         primes = list(prime_factors(n))
         primes.append(next(q for q in itertools.count(2) if is_prime(q) and n % q))
         degrees = character_table(G).degrees
         for p in primes:
+            try:
+                md = modular.ModularData(block_data.__wrapped__(G, p))
+            except DomainError:
+                continue  # not p-solvable, and no stored table
+            blocks = md.blockset.blocks
+            assert sum(b.dim for b in blocks) == n, (G, p)
+            for b in blocks:
+                assert min(b.heights) == 0, (G, p, b.index)
+                l = len(md.brauer_indices_of_block(b))
+                assert 1 <= l <= len(b.char_indices), (G, p, b.index)
+            for j, k in enumerate(md.block_of_brauer):
+                rows = {i for i, row in enumerate(md.decomposition) if row[j]}
+                assert rows <= set(blocks[k].char_indices), (G, p, j)
             if not is_p_solvable(G, p):
+                cases["stored"] += 1
                 continue
-            md = modular.ModularData(block_data.__wrapped__(G, p))
             count = len(md.brauer_degrees)
             assert len(md.lifts) == count, (G, p)
             for j, i in enumerate(md.lifts):
                 unit = tuple(int(t == j) for t in range(count))
                 assert md.decomposition[i] == unit, (G, p, j)
                 assert md.brauer_degrees[j] == degrees[i], (G, p, j)
-            cases += 1
-    assert cases == 69
+            cases["lifted"] += 1
+    # A5 at 2 is stored: from the catalog and as a random subgroup of S5
+    assert cases == {"lifted": 69, "stored": 2}
 
 
 def test_brauer_heights_a5(a5):
