@@ -411,7 +411,12 @@ class CharacterTable:
 
 @lru_cache(maxsize=None)
 def character_table(G):
-    """Compute the ordinary character table; deterministic, exact."""
+    """Compute the ordinary character table; deterministic, exact.
+
+    Each central character is a line in reduced echelon form, so its
+    first nonzero coordinate is 1: w[0] is 1, as omega(1) = 1 needs,
+    unless it is 0 and the character vanishes on the identity, which
+    the gate rejects.  So no line is rescaled."""
     classes = G.conjugacy_classes()
     r = len(classes)
     n = G.order()
@@ -439,12 +444,10 @@ def character_table(G):
 
     rows = []
     for w in vectors:
-        if w[0] % q == 0:
+        if w[0] != 1:
             raise InternalCheckError(
                 f"central character vanishes on the identity of {G!r}"
             )
-        scale = pow(w[0], q - 2, q)
-        w = [x * scale % q for x in w]
         s = sum(w[k] * w[inverse_class[k]] * inv_sizes[k] for k in range(r)) % q
         d = _degree_from_norm(G, s, q)
         cbar = [d * x * inv % q for x, inv in zip(w, inv_sizes)]

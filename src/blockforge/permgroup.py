@@ -5,10 +5,22 @@ enumerates the group by Dimino's algorithm, so order, membership and
 equality read the element set from the start.  Everything here is
 written for desk scale (orders up to about 10^5).
 
+Two routines carry the subgroup constructions.  ``_adjoin`` is one
+step of Dimino's algorithm, extending an element set by one element in
+place.  The constructor, ``group_from_elements``, ``normal_closure``
+and the growth of ``sylow_subgroup`` each grow one element set by it
+and build their group once, on the elements they kept; the stabilizer
+closure grows its set the same way.  ``_stabilizer`` walks the orbit of an element set
+or a tuple of elements under conjugation by G's generators and closes
+the stabilizer from Schreier generators: normalizers, centralizers and
+conjugacy of subgroups are read off it, with no scan over G.
+
 Determinism: no randomness is used anywhere in this module, and every
-derived object (conjugacy classes, Sylow subgroups, subgroup closures)
-is ordered by explicit lexicographic rules, so repeated runs produce
-identical results.
+derived object that a result reads (the order and representatives of
+the conjugacy classes, Sylow subgroups, generator lists) is fixed by
+explicit lexicographic rules, so repeated runs produce identical
+results.  The members of a class keep the order of the class walk;
+their readers count or test them, and do not depend on it.
 
 Every loop here that keeps one factor of a product fixed (coset
 enumeration, conjugation) builds that factor's map once with
@@ -36,21 +48,9 @@ class PermutationGroup:
     first equal group it was built for."""
 
     def __init__(self, degree, generators=(), name=None):
-        """Enumerate the group by Dimino's algorithm (G. Butler,
-        Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
-
-        Each generator g that the elements found so far miss extends
-        them: with H the list found before g, every coset
-        representative r is multiplied by g and by each earlier
-        generator that extended the group, and each product e not yet
-        found adds the right coset H e and becomes a representative.
-
-        The found set is always a union of right cosets of H, so a
-        representative that is not found starts a disjoint coset.  It
-        is closed under right multiplication by the generators so far,
-        since (h r) s = h (r s) lies in the coset of r s, which the loop
-        adds.  In a finite group the submonoid generated by a set is the
-        subgroup it generates, so the set is the group.
+        """Enumerate the group by Dimino's algorithm: each generator
+        that the elements found so far miss extends them by one
+        ``_adjoin`` step.
 
         Generators are taken in decreasing element order, so the early
         subgroups H are large and the later steps have few cosets; on
@@ -74,25 +74,10 @@ class PermutationGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self.name = name
-        ident = identity(degree)
-        elems = [ident]
-        found = {ident}
-        factors = []
+        elems, found, factors = _trivial(degree)
         for g in sorted(gens, key=order, reverse=True):
-            if g in found:
-                continue
-            H = elems
-            elems = list(H)
-            factors.append(right_factor(g))
-            reps = [ident]
-            for r in reps:
-                for by_s in factors:
-                    e = by_s(r)
-                    if e not in found:
-                        coset = list(map(right_factor(e), H))
-                        elems += coset
-                        found.update(coset)
-                        reps.append(e)
+            if g not in found:
+                _adjoin(elems, found, factors, g)
         if len(elems) != len(found):
             raise InternalCheckError(
                 f"cosets overlap while enumerating {name!r} of degree {degree}:"
@@ -150,7 +135,8 @@ class PermutationGroup:
         return self._class_index
 
     def class_elements(self, i):
-        """The sorted elements of class i.  Enumerates the group."""
+        """The elements of class i, in the order the class walk found
+        them.  Enumerates the group."""
         if self._class_elements is None:
             self._compute_classes()
         return self._class_elements[i]
@@ -173,44 +159,34 @@ class PermutationGroup:
         # z = g y g^-1: y's map is shared by the generators, and each
         # generator's inverse has one map for the whole pass
         gens = [(g, right_factor(inverse(g))) for g in self.generators]
-        assigned = {}
-        raw = []
+        index = {}
+        orbits = []
         # walked unsorted; each class is represented by its least member
+        # and keeps its members in walk order
         for x in self._element_set:
-            if x in assigned:
+            if x in index:
                 continue
             orbit = [x]
-            assigned[x] = len(raw)
+            index[x] = None
             for y in orbit:
                 by_y = right_factor(y)
                 for g, by_ginv in gens:
                     z = by_ginv(by_y(g))
-                    if z not in assigned:
-                        assigned[z] = len(raw)
+                    if z not in index:
+                        index[z] = None
                         orbit.append(z)
-            members = tuple(sorted(orbit))
-            raw.append((members[0], members))
-        keyed = sorted(raw, key=lambda pair: (order(pair[0]), len(pair[1]), pair[0]))
-        classes = []
-        index = {}
-        elem_lists = []
-        for new_idx, (rep, members) in enumerate(keyed):
-            classes.append(
-                ConjugacyClass(
-                    index=new_idx,
-                    representative=rep,
-                    size=len(members),
-                    element_order=order(rep),
-                )
-            )
-            elem_lists.append(members)
-            for m in members:
-                index[m] = new_idx
-        self._classes = tuple(classes)
+            orbits.append((min(orbit), tuple(orbit)))
+        orbits.sort(key=lambda pair: (order(pair[0]), len(pair[1]), pair[0]))
+        for i, (_, members) in enumerate(orbits):
+            index.update(dict.fromkeys(members, i))
+        self._classes = tuple(
+            ConjugacyClass(i, rep, len(members), order(rep))
+            for i, (rep, members) in enumerate(orbits)
+        )
         self._class_index = index
-        self._class_elements = tuple(elem_lists)
+        self._class_elements = tuple(members for _, members in orbits)
         self._inverse_classes = tuple(
-            index[inverse(c.representative)] for c in classes
+            index[inverse(c.representative)] for c in self._classes
         )
 
     def __eq__(self, other):
@@ -235,8 +211,91 @@ ConjugacyClass = namedtuple(
 )
 
 
-def trivial_group(degree):
-    return PermutationGroup(degree, ())
+def _trivial(degree):
+    """The trivial group as Dimino's state: its element list, its
+    element set and the maps of the generators adjoined so far."""
+    ident = identity(degree)
+    return [ident], {ident}, []
+
+
+def _adjoin(elems, found, factors, g):
+    """One step of Dimino's algorithm (G. Butler, Fundamental Algorithms
+    for Permutation Groups, LNCS 559, 1991): extend the group H listed in
+    elems, with element set found and generator maps factors, in place
+    to <H, g>, for g outside H.
+
+    Every coset representative r, starting from the identity, is
+    multiplied by g and by each earlier generator that extended the
+    group, and each product e not yet found adds the right coset H e and
+    becomes a representative.  The found set is always a union of right
+    cosets of H, so a representative that is not found starts a disjoint
+    coset.  It is closed under right multiplication by the generators so
+    far, since (h r) s = h (r s) lies in the coset of r s, which the loop
+    adds.  In a finite group the submonoid generated by a set is the
+    subgroup it generates, so the set is the group.
+    """
+    H = elems[:]
+    factors.append(right_factor(g))
+    reps = [identity(len(g))]
+    for r in reps:
+        for by_s in factors:
+            e = by_s(r)
+            if e not in found:
+                coset = list(map(right_factor(e), H))
+                elems += coset
+                found.update(coset)
+                reps.append(e)
+
+
+def _conjugation(g):
+    """The map x -> g^-1 x g; g is inverted once."""
+    ginv = inverse(g)
+    by_g = right_factor(g)
+    return lambda x: by_g(right_factor(x)(ginv))
+
+
+def _stabilizer(G, point, elems, factors):
+    """The orbit of point under G, and its stabilizer's element set.
+
+    point is a frozenset or a tuple of permutations, moved elementwise
+    by conjugation, point^g = {g^-1 x g}.  The seed group listed in
+    elems, with generator maps factors, lies in G and fixes point; it is
+    extended in place.  The orbit is returned as a dict from each point
+    v to a transversal element t_v, with point^t_v = v, and its inverse.
+
+    The walk is breadth first over the pairs of a point v found and a
+    generator g of G.  A new image w = v^g gets t_w = t_v g.  A known
+    one gives the Schreier generator t_v g t_w^-1, which fixes point.
+    By Schreier's lemma these generate the stabilizer S (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 4.1); each is
+    adjoined by a Dimino step only when it lies outside the group so
+    far.  The walk stops once |S| |orbit| = |G|: the whole orbit has
+    |G : S| points at most, so it has all been found, and S is all of
+    the stabilizer.  When every generator fixes point, the stabilizer
+    is G and its element set is returned without a walk.
+    """
+    ident = identity(G.degree)
+    orbit = {point: (ident, ident)}
+    moves = [(right_factor(g), _conjugation(g)) for g in G.generators]
+    if all(type(point)(map(conj, point)) == point for _, conj in moves):
+        return orbit, G.element_set()
+    found = set(elems)
+    queue = [point]
+    for v in queue:
+        t = orbit[v][0]
+        for by_g, conj in moves:
+            if len(found) * len(orbit) == G.order():
+                return orbit, found
+            w = type(v)(map(conj, v))
+            tw = by_g(t)
+            if w not in orbit:
+                orbit[w] = tw, inverse(tw)
+                queue.append(w)
+            else:
+                s = right_factor(orbit[w][1])(tw)
+                if s not in found:
+                    _adjoin(elems, found, factors, s)
+    return orbit, found
 
 
 @lru_cache(maxsize=None)
@@ -244,54 +303,43 @@ def group_from_elements(degree, elements):
     """Group generated by the given elements, with a reduced generator list.
 
     Elements are scanned in sorted order and kept only when they enlarge
-    the group built so far, which keeps generator lists short.  The scans
-    here pass frozensets, so that one element set found in two orders
-    shares a cache entry.
+    the group built so far, which keeps generator lists short; each kept
+    element extends one element set by a Dimino step, and the group is
+    built once on the kept elements.  The scans here pass frozensets, so
+    that one element set found in two orders shares a cache entry.
     """
-    current = trivial_group(degree)
+    elems, found, factors = _trivial(degree)
     kept = []
-    for x in sorted(set(elements)):
-        if not current.contains(x):
+    for x in sorted(elements):
+        if x not in found:
             kept.append(x)
-            current = PermutationGroup(degree, kept)
-    return current
+            _adjoin(elems, found, factors, x)
+    del elems, found  # the constructor enumerates the group afresh
+    return PermutationGroup(degree, kept)
 
 
 @lru_cache(maxsize=None)
 def centralizer(G, H):
-    """Elements of G commuting with everything in H.
+    """Elements of G commuting with everything in H: the stabilizer of
+    H's generator tuple under conjugation by G.
 
     H does not have to be contained in G; for an external action this
     is the fixed-point subgroup of H acting on G by conjugation.
-    Enumerates the group.
     """
     if H.degree != G.degree:
         raise DomainError("degree mismatch between group and subgroup")
-    factors = [(h, right_factor(h)) for h in H.generators]
-
-    def commutes(g):
-        by_g = right_factor(g)
-        return all(by_h(g) == by_g(h) for h, by_h in factors)
-
-    hits = frozenset(filter(commutes, G.element_set()))
-    return group_from_elements(G.degree, hits)
+    found = _stabilizer(G, H.generators, [identity(G.degree)], [])[1]
+    return group_from_elements(G.degree, frozenset(found))
 
 
 @lru_cache(maxsize=None)
 def normalizer(G, H):
-    """N_G(H) for a subgroup H <= G.  Enumerates the group."""
+    """N_G(H) for a subgroup H <= G: the stabilizer of H's element set
+    under conjugation, seeded with H."""
     _require_subgroup(G, H)
     hset = H.element_set()
-    factors = tuple(map(right_factor, H.generators))
-    hits = frozenset(g for g in G.element_set() if _conjugates_into(g, factors, hset))
-    return group_from_elements(G.degree, hits)
-
-
-def _conjugates_into(g, factors, target):
-    """Whether g x g^-1 lies in the set target for every x whose map
-    p -> p x is in factors; g is inverted once."""
-    by_ginv = right_factor(inverse(g))
-    return all(by_ginv(by_x(g)) in target for by_x in factors)
+    found = _stabilizer(G, hset, list(hset), list(map(right_factor, H.generators)))[1]
+    return group_from_elements(G.degree, frozenset(found))
 
 
 def _require_subgroup(G, H):
@@ -303,32 +351,35 @@ def _require_subgroup(G, H):
 
 @lru_cache(maxsize=None)
 def normal_closure(G, seeds):
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest normal subgroup of G containing the seed elements: the
+    seeds' conjugates g x g^-1 by G's generators, closed by Dimino steps."""
     seeds = tuple(tuple(s) for s in seeds)
     for s in seeds:
         if not G.contains(s):
             raise DomainError("seed element does not belong to the group")
+    elems, found, factors = _trivial(G.degree)
     gens = list(seeds)
-    closure = PermutationGroup(G.degree, gens)
-    queue = list(seeds)
-    conjugators = [(g, right_factor(inverse(g))) for g in G.generators]
-    for x in queue:
-        by_x = right_factor(x)
-        for g, by_ginv in conjugators:
-            y = by_ginv(by_x(g))
-            if not closure.contains(y):
+    for s in seeds:
+        if s not in found:
+            _adjoin(elems, found, factors, s)
+    conjugations = [_conjugation(inverse(g)) for g in G.generators]
+    for x in gens:
+        for conj in conjugations:
+            y = conj(x)
+            if y not in found:
                 gens.append(y)
-                closure = PermutationGroup(G.degree, gens)
-                queue.append(y)
-    return closure
+                _adjoin(elems, found, factors, y)
+    del elems, found  # the constructor enumerates the group afresh
+    return PermutationGroup(G.degree, gens)
 
 
 def is_normal_in(N, G):
-    """Whether N is a normal subgroup of G.  Enumerates N."""
+    """Whether N is a normal subgroup of G: whether each generator of G
+    conjugates N's generators into N.  Enumerates N."""
     _require_subgroup(G, N)
     nset = N.element_set()
-    factors = tuple(map(right_factor, N.generators))
-    return all(_conjugates_into(g, factors, nset) for g in G.generators)
+    conjugations = map(_conjugation, G.generators)
+    return all(conj(x) in nset for conj in conjugations for x in N.generators)
 
 
 @lru_cache(maxsize=None)
@@ -337,31 +388,34 @@ def sylow_subgroup(G, p):
 
     While |P| is below the full p-part of |G|, the normalizer N_G(P)
     contains a p-element outside P; adjoining the first such element in
-    lexicographic order keeps the construction deterministic.
-    Enumerates the normalizers.
+    lexicographic order keeps the construction deterministic.  P grows
+    as one element set, by Dimino steps, and its normalizers are read as
+    element sets; the group is built once on the elements adjoined.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     target = p_part(G.order(), p)
-    P = trivial_group(G.degree)
-    while P.order() < target:
-        N = normalizer(G, P) if P.order() > 1 else G
-        grown = False
-        for x in N.elements():
+    elems, found, factors = _trivial(G.degree)
+    kept = []
+    while len(found) < target:
+        if len(found) > 1:
+            N = sorted(_stabilizer(G, frozenset(found), elems[:], factors[:])[1])
+        else:
+            N = G.elements()
+        for x in N:
             o = order(x)
-            if o == 1 or o % p != 0:
-                continue
-            y = _p_element_part(x, o, p)
-            if not P.contains(y):
-                P = PermutationGroup(G.degree, P.generators + (y,))
-                grown = True
-                break
-        if not grown:
+            if o % p == 0:
+                y = _p_element_part(x, o, p)
+                if y not in found:
+                    break
+        else:
             raise InternalCheckError(
                 f"Sylow growth stalled below the p-part on {G!r} at p = {p}:"
-                f" order {P.order()} of {target}"
+                f" order {len(found)} of {target}"
             )
-    return P
+        kept.append(y)
+        _adjoin(elems, found, factors, y)
+    return PermutationGroup(G.degree, kept)
 
 
 def _p_element_part(x, o, p):
@@ -369,12 +423,14 @@ def _p_element_part(x, o, p):
 
 
 def are_conjugate_subgroups(G, H, K):
-    """Whether H^g = K for some g in G.  Enumerates the group."""
+    """Whether H^g = K for some g in G: whether K's element set lies in
+    the orbit of H's."""
+    if H == K:
+        return True
     if H.order() != K.order():
         return False
-    kset = K.element_set()
-    factors = tuple(map(right_factor, H.generators))
-    return any(_conjugates_into(g, factors, kset) for g in G.element_set())
+    orbit = _stabilizer(G, H.element_set(), [identity(G.degree)], [])[0]
+    return K.element_set() in orbit
 
 
 def intersection(A, B):

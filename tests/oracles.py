@@ -2,9 +2,14 @@
 
 Nothing here calls into the package's group, character-table or block
 machinery: groups are plain frozensets of image tuples closed by
-multiplication, classes come from direct conjugation orbits, and
-character degrees come from a separately written common-eigenvector
-computation modulo a prime chosen independently of the package's own.
+multiplication, classes come from direct conjugation orbits,
+normalizers, centralizers and conjugacy of subgroups from scans over
+every element of the group (``normalizer_by_scan``,
+``centralizer_by_scan``, ``conjugate_by_scan``), a subgroup's
+generator list from closures of its sorted elements
+(``generators_by_closure``), and character degrees come from a
+separately written common-eigenvector computation modulo a prime
+chosen independently of the package's own.
 
 There are twenty exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
@@ -138,7 +143,6 @@ from blockforge.permgroup import (
     PermutationGroup,
     group_from_elements,
     sylow_subgroup,
-    trivial_group,
 )
 
 
@@ -189,6 +193,48 @@ def mulclose(degree, gens):
                     new.append(y)
         frontier = new
     return frozenset(seen)
+
+
+def normalizer_by_scan(G, H):
+    """N_G(H) as an element set: every element of G conjugates H's
+    generators, and is kept when all land in H (the package's route
+    before its orbit walk)."""
+    hset = H.element_set()
+    return frozenset(
+        g for g in G.element_set() if all(oconj(g, x) in hset for x in H.generators)
+    )
+
+
+def centralizer_by_scan(G, H):
+    """The elements of G that commute with every generator of H, which
+    need not lie in G."""
+    return frozenset(
+        g
+        for g in G.element_set()
+        if all(omult(g, h) == omult(h, g) for h in H.generators)
+    )
+
+
+def conjugate_by_scan(G, H, K):
+    """Whether some element of G conjugates H's generators into K, at
+    equal orders."""
+    kset = K.element_set()
+    return H.order() == K.order() and any(
+        all(oconj(g, x) in kset for x in H.generators) for g in G.element_set()
+    )
+
+
+def generators_by_closure(degree, elements):
+    """The generator rule of ``group_from_elements`` by breadth-first
+    closure: each element, in sorted order, that the closure of those
+    kept before it misses."""
+    kept = []
+    closure = mulclose(degree, ())
+    for x in sorted(elements):
+        if x not in closure:
+            kept.append(x)
+            closure = mulclose(degree, kept)
+    return tuple(kept)
 
 
 def brute_classes(elements):
@@ -434,7 +480,7 @@ def subgroups_of_order(G, m):
     with lexicographically smallest element tuple, sorted likewise.
     """
     if m == 1:
-        return (trivial_group(G.degree),)
+        return (PermutationGroup(G.degree, ()),)
     if G.order() % m != 0:
         raise DomainError(f"{m} does not divide the group order {G.order()}")
     ps = prime_factors(m)

@@ -34,7 +34,7 @@ from blockforge.cli import main
 from blockforge.cyclotomic import ONE, Cyclotomic, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
-from blockforge.permgroup import PermutationGroup, sylow_subgroup, trivial_group
+from blockforge.permgroup import PermutationGroup, sylow_subgroup
 
 import oracles
 from oracles import (
@@ -262,7 +262,7 @@ def test_regular_character_constituents():
     for ent in catalog.entries():
         G = ent.load()
         table = character_table(G)
-        rows = restriction_multiplicities(G, trivial_group(G.degree))
+        rows = restriction_multiplicities(G, PermutationGroup(G.degree, ()))
         column = tuple(row[0] for row in rows)
         assert column == table.degrees, G
         rho = regular_character(G)

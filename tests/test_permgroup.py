@@ -4,7 +4,8 @@ from itertools import chain
 
 import pytest
 
-from blockforge import chartab, permgroup, perms
+from blockforge import build_report, chartab, clear_caches, permgroup, perms
+from blockforge.arith import p_part, prime_factors
 from blockforge.chartab import (
     _class_row,
     character_table,
@@ -14,8 +15,9 @@ from blockforge.chartab import (
     p_core,
     p_prime_core,
 )
+from blockforge.correspond import coprime_setup
 from blockforge.errors import DomainError, InternalCheckError
-from blockforge.perms import identity, mult, order
+from blockforge.perms import identity, mult, order, power, right_factor
 from blockforge.permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -26,11 +28,21 @@ from blockforge.permgroup import (
     normal_closure,
     normalizer,
     sylow_subgroup,
-    trivial_group,
 )
 
 import oracles
-from conftest import alternating, cyclic, oracle_groups, random_subgroup, symmetric
+from conftest import (
+    alternating,
+    c3_wreath_c2,
+    cyclic,
+    frobenius20,
+    frobenius21,
+    oracle_groups,
+    random_subgroup,
+    s4_times_s3,
+    sl_2_3,
+    symmetric,
+)
 from oracles import subgroups_of_order
 
 
@@ -82,7 +94,7 @@ def test_order_and_membership_match_closure_oracle():
         assert K == G and G == K, G
         assert hash(K) == hash(G), G
         if G.order() > 1:
-            assert G != trivial_group(n)
+            assert G != PermutationGroup(n, ())
 
 
 def test_contains_rejects_non_permutations_and_non_members(a4):
@@ -271,7 +283,7 @@ def test_kernel_closure_gate_names_the_group(monkeypatch):
         with pytest.raises(InternalCheckError, match=message):
             normal_subgroups(G)
     # the true kernels, with a closure that stays trivial
-    monkeypatch.setattr(chartab, "normal_closure", lambda G, seeds: trivial_group(4))
+    monkeypatch.setattr(chartab, "normal_closure", lambda G, seeds: PermutationGroup(4, ()))
     message = re.escape(f"normal closure of a kernel intersection of {G!r} has order 1")
     with pytest.raises(InternalCheckError, match=message):
         normal_subgroups(G)
@@ -308,8 +320,9 @@ def test_coset_gate_names_the_group(monkeypatch):
 
 def test_sylow_growth_gate_names_the_group_and_prime(monkeypatch):
     G = symmetric(4)
-    # a normalizer that is P itself holds no p-element outside P
-    monkeypatch.setattr(permgroup, "normalizer", lambda G, P: P)
+    # a normalizer that is P itself holds no p-element outside P; the
+    # growth reads N_G(P) as the stabilizer of P's element set
+    monkeypatch.setattr(permgroup, "_stabilizer", lambda G, P, elems, factors: ({}, P))
     message = re.escape(
         f"Sylow growth stalled below the p-part on {G!r} at p = 2: order 2 of 8"
     )
@@ -389,7 +402,7 @@ def test_hot_loops_make_no_mult_calls(monkeypatch):
 
 
 def test_trivial_group():
-    T = trivial_group(5)
+    T = PermutationGroup(5, ())
     assert T.order() == 1
     assert T.contains(identity(5))
 
@@ -402,3 +415,112 @@ def test_degree_mismatch_raises():
 def test_bad_generator_raises():
     with pytest.raises(DomainError):
         PermutationGroup(3, [(0, 0, 1)])
+
+
+def _cyclic_and_sylow_subgroups(G):
+    """The subgroup of each class representative, then each Sylow
+    subgroup."""
+    classes = G.conjugacy_classes()
+    subgroups = [PermutationGroup(G.degree, [c.representative]) for c in classes]
+    return subgroups + [sylow_subgroup(G, p) for p in prime_factors(G.order())]
+
+
+def test_subgroups_by_orbits_match_the_scans():
+    for G in oracle_groups([]):
+        subgroups = _cyclic_and_sylow_subgroups(G)
+        for H in subgroups:
+            for got, want in (
+                (centralizer(G, H), oracles.centralizer_by_scan(G, H)),
+                (normalizer(G, H), oracles.normalizer_by_scan(G, H)),
+            ):
+                assert got.element_set() == want, (G, H)
+                want = oracles.generators_by_closure(G.degree, want)
+                assert got.generators == want, (G, H)
+        # each subgroup against the others of its order, and against its
+        # conjugate by each generator of G, which is often another subgroup
+        moved = [
+            PermutationGroup(G.degree, [oracles.oconj(g, x) for x in H.generators])
+            for H in subgroups
+            for g in G.generators
+        ]
+        for H in subgroups:
+            for K in subgroups + moved:
+                if K.order() == H.order():
+                    want = oracles.conjugate_by_scan(G, H, K)
+                    assert are_conjugate_subgroups(G, H, K) == want, (G, H, K)
+
+
+def test_orbit_walk_meets_orbit_stabilizer():
+    # Schreier's lemma makes the walk's stabilizer the whole stabilizer,
+    # so |orbit| |S| = |G|; checked here rather than in the package
+    for G in oracle_groups([]):
+        for H in _cyclic_and_sylow_subgroups(G):
+            hset = H.element_set()
+            seed = list(hset), list(map(right_factor, H.generators))
+            orbit, found = permgroup._stabilizer(G, hset, *seed)
+            want = {frozenset(oracles.oconj(g, x) for x in hset) for g in G.elements()}
+            assert set(orbit) == want, (G, H)
+            assert len(orbit) * len(found) == G.order(), (G, H)
+            for v, (t, t_inverse) in orbit.items():
+                assert frozenset(oracles.oconj(oracles.oinv(t), x) for x in hset) == v
+                assert oracles.omult(t, t_inverse) == identity(G.degree)
+
+
+def test_sylow_chains_of_s7_match_the_scans():
+    # each step of the growth adjoins the p-part of the first element of
+    # N_G(P), in sorted order, whose p-part lies outside P
+    G = symmetric(7)
+    for p in (2, 3, 5, 7):
+        S = sylow_subgroup(G, p)
+        assert S.order() == p_part(G.order(), p)
+        N = G.element_set()
+        for i, y in enumerate(S.generators):
+            P = oracles.mulclose(7, S.generators[:i])
+            parts = (power(x, order(x) // p_part(order(x), p)) for x in sorted(N))
+            assert next(z for z in parts if z not in P) == y, (p, i)
+            P = PermutationGroup(7, S.generators[: i + 1])
+            N = oracles.normalizer_by_scan(G, P)
+            got = normalizer(G, P)
+            assert got.element_set() == N, (p, i)
+            assert got.generators == oracles.generators_by_closure(7, N), (p, i)
+
+
+def test_centralizers_of_outside_actions_match_the_scans():
+    # a Sylow subgroup or core acting on the p'-core from outside it, as
+    # the Glauberman correspondence reads C_L(Q)
+    cases = (
+        (c3_wreath_c2(), 2),
+        (symmetric(4), 3),
+        (sl_2_3(), 3),
+        (frobenius20(), 2),
+        (frobenius21(), 3),
+        (s4_times_s3(), 2),
+    )
+    for G, p in cases:
+        L, Q = coprime_setup(G, p)
+        assert L.order() > 1 and not Q.is_subgroup_of(L), (G, p)
+        C = centralizer(L, Q)
+        want = oracles.centralizer_by_scan(L, Q)
+        assert C.element_set() == want, (G, p)
+        want = oracles.generators_by_closure(G.degree, want)
+        assert C.generators == want, (G, p)
+
+
+def test_cold_reports_build_each_group_once(monkeypatch):
+    # every grown group extends one element set by Dimino steps and is
+    # built once on its kept generators; when each kept element rebuilt
+    # the group from scratch, these reports built 72 and 34 groups
+    init = PermutationGroup.__init__
+    for G, p, bound in ((s4_times_s3(), 2, 25), (symmetric(6), 3, 13)):
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        clear_caches()
+        monkeypatch.setattr(PermutationGroup, "__init__", counting)
+        build_report(G, p)
+        monkeypatch.setattr(PermutationGroup, "__init__", init)
+        clear_caches()
+        assert len(built) <= bound, (G, p, len(built))

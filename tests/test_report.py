@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from blockforge.report import (
     to_json,
     to_text,
 )
+
+from conftest import c2_wreath_s4, s4_times_s4, symmetric
 
 
 def test_schema_key_order(s4):
@@ -352,3 +355,23 @@ def test_kinds_constant_is_complete():
     assert KINDS == (
         "am", "dim", "glauberman", "navarro", "regular", "fong", "q35",
     )
+
+
+# sha256 of to_json(build_report(G, p)) on groups that no golden and no
+# benchmark job covers.  They were taken before normalizers,
+# centralizers and conjugacy tests became orbit walks, which left every
+# byte as it was.
+REPORT_DIGESTS = (
+    (lambda: symmetric(7), 2, "26fc10a3a49e089ca93425dcf398b1daf2d2ae52e99261b652167b9b922a2999"),
+    (s4_times_s4, 2, "9f547e926f6887698875fa39f13b2375aa063ebbf5c44b44d93396f21d81fb2a"),
+    (s4_times_s4, 3, "80a16e06ec2b0c3361ed46c8f4cdfc55bc8cef0cb6e146037f04d9396419f556"),
+    (c2_wreath_s4, 2, "2a08c0e0a9a9bcbeacb30732dabcf047892206d0aa74b1982d8d297c22131d6c"),
+)
+
+
+def test_report_bytes_are_pinned_beyond_the_goldens():
+    for build, p, digest in REPORT_DIGESTS:
+        G = build()
+        text = to_json(build_report(G, p))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (G, p)
+        clear_caches()
