@@ -62,13 +62,13 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .finitefield import build_reduction
 from .permgroup import (
-    PermutationGroup,
+    _stabilizer,
     centralizer,
     is_normal_in,
     normalizer,
     sylow_subgroup,
 )
-from .perms import right_factor
+from .perms import identity, right_factor
 
 
 def _where(G, p, index=None):
@@ -321,7 +321,7 @@ def _defect_group_from_defect_class(block):
             continue
         if vp(G.order() // classes[k].size, p) == block.defect:
             x_K = classes[k].representative
-            C = centralizer(G, PermutationGroup(G.degree, [x_K]))
+            C = centralizer(G, (x_K,))
             D = sylow_subgroup(C, p)
             if not brauer_image_is_nonzero(block, D):
                 raise InternalCheckError(
@@ -401,9 +401,12 @@ def brauer_correspondent(block):
 
 
 def covered_blocks(block, N):
-    """Blocks of the normal subgroup N covered by the given block; the
-    result is checked to be a single orbit under conjugation, walked on
-    row indices through ``character_action``."""
+    """Blocks of the normal subgroup N covered by the given block.
+
+    They are checked to be a single orbit under conjugation: the blocks
+    of the row orbit of the first covered block's first row, read off
+    one ``permgroup._stabilizer`` call on row indices with the moves of
+    ``character_action``, seeded with the trivial group."""
     bs = block.blockset
     G = bs.group
     if not is_normal_in(N, G):
@@ -417,18 +420,10 @@ def covered_blocks(block, N):
                 b = local.block_of(k)
                 if b not in covered:
                     covered.append(b)
-    action = character_action(G, N)
-    orbit = {covered[0]}
-    frontier = [covered[0]]
-    while frontier:
-        b = frontier.pop()
-        k = b.char_indices[0]
-        for _, a in action:
-            target = local.block_of(a[k])
-            if target not in orbit:
-                orbit.add(target)
-                frontier.append(target)
-    if orbit != set(covered):
+    moves = [(g, a.__getitem__) for g, a in character_action(G, N)]
+    seed = [identity(G.degree)], []
+    orbit = _stabilizer(G, covered[0].char_indices[0], moves, *seed)[0]
+    if {local.block_of(v) for v in orbit} != set(covered):
         raise InternalCheckError(
             "covered blocks do not form a single orbit"
             f" on {_where(G, bs.prime, block.index)}"

@@ -37,8 +37,9 @@ and columns.
 How G acts on Irr(N), for a normal subgroup N, lives in one cached
 table, ``character_action(G, N)``: for each generator of G, the row
 index of each conjugated row of N's table, matched on row coordinates.
-Characters of N are named by row index: inertia groups (orbit and
-stabilizer on row indices), block covering and invariance read it.
+Characters of N are named by row index: inertia groups and block
+covering (each one ``permgroup._stabilizer`` walk on row indices) and
+invariance read it.
 
 Normal structure lives in one cached lattice, ``normal_class_sets(G)``:
 every normal subgroup as a set of classes, found as the character
@@ -84,8 +85,8 @@ from .cyclotomic import (
     reduce_mod_cyclotomic,
 )
 from .errors import DomainError, InternalCheckError
-from .perms import identity, inverse, power, right_factor
-from .permgroup import PermutationGroup, is_normal_in, normal_closure
+from .perms import inverse, power, right_factor
+from .permgroup import _stabilizer, group_from_elements, is_normal_in, normal_closure
 
 
 def class_fusion(G, H):
@@ -316,54 +317,30 @@ def inertia_group(G, N, k):
     """The stabilizer T in G of theta, row k of Irr(N), under
     conjugation; contains N.
 
-    Orbit and stabilizer on row indices under ``character_action``: a
-    transversal element t with theta^t = theta_v is kept for each orbit
-    point v, and u t_w^-1, for u = t g and w = v^g, are the Schreier
-    generators of T (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 4.1).  At most one group is built; none when theta is
-    G-invariant, where T is G: at an orbit of one the Schreier
-    generators are the action's generators of G.  The gate proves T is the
-    stabilizer with direct conjugation, independent of the action table:
-    each transversal element sends theta to the values of its orbit
-    point's row, so the orbit is at least as large as found; each
-    generator of T fixes theta (N does, as theta is a class function of
-    N); and |T| |orbit| = |G|."""
+    No walk of its own: one ``permgroup._stabilizer`` call on row
+    indices, with the moves of ``character_action`` and N, which fixes
+    theta, as its seed.  T is built at most once: it is G when the
+    orbit is one point, and otherwise the group of the stabilizer's
+    elements.  The gate proves T is the stabilizer with direct
+    conjugation, independent of the action table: each transversal
+    element sends theta to the values of its orbit point's row, so the
+    orbit is at least as large as found; each generator of T fixes
+    theta; and |T| |orbit| = |G|."""
     if not is_normal_in(N, G):
         raise DomainError("inertia groups are defined over normal subgroups")
     rows = character_table(N).values
-    action = character_action(G, N)
-    steps = [(right_factor(g), a) for g, a in action]
-    transversal = {k: identity(G.degree)}
-    # p -> p t_w^-1 for each orbit point w
-    back = {k: right_factor(identity(G.degree))}
-    orbit = [k]
-    schreier = set()
-    for v in orbit:
-        t = transversal[v]
-        for by_g, a in steps:
-            w = a[v]
-            u = by_g(t)
-            if w in transversal:
-                schreier.add(back[w](u))
-            else:
-                transversal[w] = u
-                back[w] = right_factor(inverse(u))
-                orbit.append(w)
-    if len(orbit) == 1:
-        T = G
-    else:
-        T = PermutationGroup(G.degree, N.generators + tuple(sorted(schreier)))
+    moves = [(g, a.__getitem__) for g, a in character_action(G, N)]
+    seed = list(N.element_set()), list(map(right_factor, N.generators))
+    orbit, found = _stabilizer(G, k, moves, *seed)
+    T = G if len(orbit) == 1 else group_from_elements(G.degree, frozenset(found))
     theta = rows[k]
 
     def conjugated(g):
         return tuple(theta[j] for j in _conjugate_classes(N, g))
 
-    # N fixes theta, a class function of N, so only the Schreier
-    # generators are conjugated; when T is G, |T| |orbit| = |G| holds
-    # by itself and these conjugations are the whole check
     if (
-        any(conjugated(t) != rows[v] for v, t in transversal.items())
-        or any(conjugated(h) != theta for h in schreier)
+        any(conjugated(t) != rows[v] for v, (t, _) in orbit.items())
+        or any(conjugated(h) != theta for h in T.generators)
         or T.order() * len(orbit) != G.order()
     ):
         raise InternalCheckError(

@@ -145,7 +145,7 @@ def glauberman_correspondent(L, Q, k, p):
         raise DomainError("the action is not coprime")
     if not _is_invariant(Q, L, k):
         raise DomainError("character is not invariant under the action")
-    C = centralizer(L, Q)
+    C = centralizer(L, Q.generators)
     row = restriction_multiplicities(L, C)[k]
     survivors = [j for j, m in enumerate(row) if m % p]
     if len(survivors) != 1:

@@ -10,10 +10,13 @@ step of Dimino's algorithm, extending an element set by one element in
 place.  The constructor, ``group_from_elements``, ``normal_closure``
 and the growth of ``sylow_subgroup`` each grow one element set by it
 and build their group once, on the elements they kept; the stabilizer
-closure grows its set the same way.  ``_stabilizer`` walks the orbit of an element set
-or a tuple of elements under conjugation by G's generators and closes
-the stabilizer from Schreier generators: normalizers, centralizers and
-conjugacy of subgroups are read off it, with no scan over G.
+closure grows its set the same way.  ``_stabilizer`` is the package's
+one orbit-stabilizer walk: it walks the orbit of a point under the
+moves it is given and closes the stabilizer from Schreier generators.
+Under conjugation (``_by_conjugation``) normalizers, centralizers and
+conjugacy of subgroups are read off it, with no scan over G; on the
+row indices of a character table, inertia groups and covered blocks
+(``chartab.inertia_group``, ``blocks.covered_blocks``).
 
 Determinism: no randomness is used anywhere in this module, and every
 derived object that a result reads (the order and representatives of
@@ -254,39 +257,50 @@ def _conjugation(g):
     return lambda x: by_g(right_factor(x)(ginv))
 
 
-def _stabilizer(G, point, elems, factors):
+def _by_conjugation(G):
+    """G's generators, each with its action on frozensets and tuples of
+    permutations by conjugation, point^g = {g^-1 x g}."""
+    def move(g):
+        conj = _conjugation(g)
+        return lambda v: type(v)(map(conj, v))
+
+    return [(g, move(g)) for g in G.generators]
+
+
+def _stabilizer(G, point, moves, elems, factors):
     """The orbit of point under G, and its stabilizer's element set.
 
-    point is a frozenset or a tuple of permutations, moved elementwise
-    by conjugation, point^g = {g^-1 x g}.  The seed group listed in
-    elems, with generator maps factors, lies in G and fixes point; it is
-    extended in place.  The orbit is returned as a dict from each point
-    v to a transversal element t_v, with point^t_v = v, and its inverse.
+    point is any hashable point of a right action of G, given as moves:
+    pairs of a permutation g and the map v -> v^g, whose permutations
+    generate G.  The seed group listed in elems, with generator maps
+    factors, lies in G and fixes point; it is extended in place.  The
+    orbit is returned as a dict from each point v to a transversal
+    element t_v, with point^t_v = v, and its inverse.
 
     The walk is breadth first over the pairs of a point v found and a
-    generator g of G.  A new image w = v^g gets t_w = t_v g.  A known
-    one gives the Schreier generator t_v g t_w^-1, which fixes point.
-    By Schreier's lemma these generate the stabilizer S (Holt, Eick and
+    move g.  A new image w = v^g gets t_w = t_v g.  A known one gives
+    the Schreier generator t_v g t_w^-1, which fixes point.  By
+    Schreier's lemma these generate the stabilizer S (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 4.1); each is
     adjoined by a Dimino step only when it lies outside the group so
     far.  The walk stops once |S| |orbit| = |G|: the whole orbit has
     |G : S| points at most, so it has all been found, and S is all of
-    the stabilizer.  When every generator fixes point, the stabilizer
-    is G and its element set is returned without a walk.
+    the stabilizer.  When every move fixes point, the stabilizer is G
+    and its element set is returned without a walk.
     """
     ident = identity(G.degree)
     orbit = {point: (ident, ident)}
-    moves = [(right_factor(g), _conjugation(g)) for g in G.generators]
-    if all(type(point)(map(conj, point)) == point for _, conj in moves):
+    if all(move(point) == point for _, move in moves):
         return orbit, G.element_set()
+    steps = [(right_factor(g), move) for g, move in moves]
     found = set(elems)
     queue = [point]
     for v in queue:
         t = orbit[v][0]
-        for by_g, conj in moves:
+        for by_g, move in steps:
             if len(found) * len(orbit) == G.order():
                 return orbit, found
-            w = type(v)(map(conj, v))
+            w = move(v)
             tw = by_g(t)
             if w not in orbit:
                 orbit[w] = tw, inverse(tw)
@@ -319,16 +333,17 @@ def group_from_elements(degree, elements):
 
 
 @lru_cache(maxsize=None)
-def centralizer(G, H):
-    """Elements of G commuting with everything in H: the stabilizer of
-    H's generator tuple under conjugation by G.
+def centralizer(G, xs):
+    """Elements of G commuting with each permutation in the tuple xs:
+    the stabilizer of xs under conjugation by G.
 
-    H does not have to be contained in G; for an external action this
-    is the fixed-point subgroup of H acting on G by conjugation.
+    The permutations do not have to lie in G; for the generators of a
+    group H acting on G by conjugation this is the fixed-point subgroup.
     """
-    if H.degree != G.degree:
-        raise DomainError("degree mismatch between group and subgroup")
-    found = _stabilizer(G, H.generators, [identity(G.degree)], [])[1]
+    for x in xs:
+        if not is_perm(x, G.degree):
+            raise DomainError(f"not a permutation of degree {G.degree}: {x}")
+    found = _stabilizer(G, xs, _by_conjugation(G), [identity(G.degree)], [])[1]
     return group_from_elements(G.degree, frozenset(found))
 
 
@@ -338,7 +353,8 @@ def normalizer(G, H):
     under conjugation, seeded with H."""
     _require_subgroup(G, H)
     hset = H.element_set()
-    found = _stabilizer(G, hset, list(hset), list(map(right_factor, H.generators)))[1]
+    seed = list(hset), list(map(right_factor, H.generators))
+    found = _stabilizer(G, hset, _by_conjugation(G), *seed)[1]
     return group_from_elements(G.degree, frozenset(found))
 
 
@@ -397,9 +413,10 @@ def sylow_subgroup(G, p):
     target = p_part(G.order(), p)
     elems, found, factors = _trivial(G.degree)
     kept = []
+    moves = _by_conjugation(G)
     while len(found) < target:
         if len(found) > 1:
-            N = sorted(_stabilizer(G, frozenset(found), elems[:], factors[:])[1])
+            N = sorted(_stabilizer(G, frozenset(found), moves, elems[:], factors[:])[1])
         else:
             N = G.elements()
         for x in N:
@@ -429,7 +446,8 @@ def are_conjugate_subgroups(G, H, K):
         return True
     if H.order() != K.order():
         return False
-    orbit = _stabilizer(G, H.element_set(), [identity(G.degree)], [])[0]
+    seed = [identity(G.degree)], []
+    orbit = _stabilizer(G, H.element_set(), _by_conjugation(G), *seed)[0]
     return K.element_set() in orbit
 
 

@@ -11,7 +11,7 @@ generator list from closures of its sorted elements
 separately written common-eigenvector computation modulo a prime
 chosen independently of the package's own.
 
-There are twenty exceptions, and each takes objects the package built.
+There are twenty-one exceptions, and each takes objects the package built.
 ``defect_group_by_subgroup_search`` takes a block the package computed
 and finds its defect group the long way: it lists the conjugacy classes
 of subgroups of order p^d (``subgroups_of_order``, a layered closure
@@ -56,6 +56,11 @@ character kernels.  ``inertia_group_by_scan``
 conjugates a character of a normal subgroup by every element of G
 (``conjugate_character``) and builds the group of those that fix it, to
 compare with the package's orbit-stabilizer run on the generators.
+``covered_blocks_by_scan`` takes a block the package computed and finds
+the blocks of a normal subgroup it covers by pairing the restriction of
+each of its characters with every character of the subgroup, and
+checks them to be one orbit under every element of G, to compare with
+the package's walk on the row indices of the subgroup's table.
 ``cores_by_class_closures`` joins the normal closures of the classes
 whose closure is a p-group, or a p'-group, and
 ``is_p_solvable_by_quotients`` peels those cores off one at a time,
@@ -205,13 +210,11 @@ def normalizer_by_scan(G, H):
     )
 
 
-def centralizer_by_scan(G, H):
-    """The elements of G that commute with every generator of H, which
-    need not lie in G."""
+def centralizer_by_scan(G, xs):
+    """The elements of G that commute with every permutation in xs,
+    which need not lie in G."""
     return frozenset(
-        g
-        for g in G.element_set()
-        if all(omult(g, h) == omult(h, g) for h in H.generators)
+        g for g in G.element_set() if all(omult(g, x) == omult(x, g) for x in xs)
     )
 
 
@@ -972,6 +975,33 @@ def inertia_group_by_scan(G, N, theta):
     v = theta.values
     members = tuple(g for g, a in _conjugations(G, N) if tuple(v[k] for k in a) == v)
     return group_from_elements(G.degree, members)
+
+
+def covered_blocks_by_scan(B, N):
+    """The blocks of the normal subgroup N that B covers: those holding
+    a constituent of the restriction of a character of B, paired with
+    every row of Irr(N) (``restrict``, ``inner_product``), in block
+    order.  They must be the orbit of one of them under conjugation by
+    every element of G (``_conjugations``), or an AssertionError is
+    raised."""
+    G = B.blockset.group
+    local = block_data(N, B.blockset.prime)
+    irr_g = characters(G)
+    irr_n = characters(N)
+    covered = set()
+    for i in B.char_indices:
+        res = restrict(irr_g[i], N)
+        for k, theta in enumerate(irr_n):
+            if inner_product(res, theta).integer_value():
+                covered.add(local.block_of(k))
+    row_of = {theta.values: k for k, theta in enumerate(irr_n)}
+    first = min(covered, key=lambda b: b.index).char_indices[0]
+    v = irr_n[first].values
+    orbit = {
+        local.block_of(row_of[tuple(v[j] for j in a)]) for _, a in _conjugations(G, N)
+    }
+    assert orbit == covered, (G, N, B.index)
+    return tuple(sorted(covered, key=lambda b: b.index))
 
 
 def normal_subgroups_by_joins(G):

@@ -390,6 +390,22 @@ def test_covered_blocks_sl23_over_q8(sl23, q8):
     assert all(b in local.blocks for b in covered)
 
 
+def test_covered_blocks_match_the_scan_oracle():
+    # every block, normal subgroup and prime; the oracle also checks
+    # that the blocks it finds are one orbit under every element of G.
+    # 43 of the 650 coverings hold more than one block
+    cases = []
+    for G in oracle_groups([]):
+        for N in normal_subgroups(G):
+            for p in prime_factors(G.order()):
+                for B in block_data(G, p).blocks:
+                    got = covered_blocks(B, N)
+                    want = oracles.covered_blocks_by_scan(B, N)
+                    assert sorted(got, key=lambda b: b.index) == list(want), (G, N, p)
+                    cases.append(len(got) > 1)
+    assert (len(cases), sum(cases)) == (650, 43)
+
+
 def test_covered_blocks_hash_no_value_once_warm(monkeypatch, s4, a4, sl23, q8):
     # Once the character action of (G, N) is built, a covering walks
     # row indices and hashes no character value.

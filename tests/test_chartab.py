@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blockforge import catalog, chartab, cyclotomic
+from blockforge import catalog, chartab, cyclotomic, permgroup
 from blockforge.arith import is_prime, prime_factors
 from blockforge.chartab import (
     CharacterTable,
@@ -62,6 +62,7 @@ from conftest import (
     random_subgroup,
     s4_times_s3,
     s4_times_s4,
+    sl_2_3,
     symmetric,
 )
 
@@ -908,8 +909,8 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
 
 def test_inertia_group_error_names_the_groups(monkeypatch, sl23, q8):
     # a linear character of Q8 moved by SL(2,3); an action fixing every
-    # row puts it in an orbit of one, and the Schreier generators,
-    # SL(2,3)'s own generators, then move it
+    # row puts it in an orbit of one, so T is SL(2,3), whose own
+    # generators then move it
     k = _nontrivial_linear_row(q8)
     every_row = tuple(range(len(character_table(q8).values)))
     fixed = tuple((g, every_row) for g in sl23.generators)
@@ -960,6 +961,8 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
         action = chartab.character_action(G, N)
         invariant.append(0)
         for k in range(len(character_table(N).values)):
+            # the warming call left T in the cache of group_from_elements
+            permgroup.group_from_elements.cache_clear()
             built.clear()
             T = inertia_group(G, N, k)
             if all(a[k] == k for _, a in action):
@@ -970,6 +973,26 @@ def test_inertia_group_builds_one_group_per_call(monkeypatch, sl23, q8):
                 assert len(built) == 1, (G, k)
     # 5 of the 7 rows of A6 and 2 of the 5 rows of Q8 are invariant
     assert invariant == [5, 2]
+
+
+def test_inertia_group_walks_the_generators_of_the_shared_action():
+    # the character action is cached per pair of equal groups, so a group
+    # equal to H but listing other generators is handed the action built
+    # for H: the walk must move by the action's generators, not the group's
+    for H in (sl_2_3(), s4_times_s3()):
+        for G in (
+            PermutationGroup(H.degree, H.generators[::-1]),
+            permgroup.group_from_elements(H.degree, H.element_set()),
+        ):
+            for N in normal_subgroups(H):
+                chartab.character_action.cache_clear()
+                action = chartab.character_action(H, N)
+                assert chartab.character_action(G, N) is action
+                assert tuple(g for g, _ in action) != G.generators
+                for k, theta in enumerate(characters(N)):
+                    want = oracles.inertia_group_by_scan(G, N, theta)
+                    got = inertia_group(G, N, k)
+                    assert got.element_set() == want.element_set(), (G, N, k)
 
 
 def test_inertia_gate_conjugates_every_generator_of_an_invariant_theta(
