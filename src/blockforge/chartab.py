@@ -21,13 +21,18 @@ raised; for a square table row orthonormality implies the column
 relation.
 
 The construction is fully deterministic, with no random splitting
-vectors: the class matrices split GF(q)^r one at a time, cheapest class
-first (Schneider's refinement of Dixon's method).  Each is restricted to
-every common eigenspace that is not yet a line and splits it by the
-roots of the restriction's characteristic polynomial, read off a
-Hessenberg form and evaluated in GF(q) until the eigenspaces fill the
-space; each root then costs one elimination.  No class matrix is built:
-a row is built when the restriction reads it (``_class_row``).
+vectors: the class matrices split one vector, cheapest class first
+(Schneider's refinement of Dixon's method).  By the column relation at
+the identity, delta_1 = (1, 0, ..., 0) is sum_chi (chi(1)^2/|G|) omega_chi
+mod q, every coefficient nonzero, so no eigenspace is kept: each set S
+of characters not yet told apart is one vector u_S, the part of that sum
+over S.  A class matrix splits u_S along its Krylov sequence u_S, M u_S,
+M^2 u_S, ... up to the first dependence, which gives u_S's minimal
+polynomial; its roots are the distinct omega_chi(K) for chi in S, and
+each part is one polynomial in M applied to u_S.  Once there are r
+vectors, each is one central character (``_central_characters``).  No
+class matrix is built: a class's rows are built, sparse, when a split
+first uses it (``_class_row``).
 
 How Irr(G) restricts to a subgroup H lives in one cached table,
 ``restriction_multiplicities(G, H)``: covering, Clifford theory,
@@ -390,10 +395,9 @@ class CharacterTable:
 def character_table(G):
     """Compute the ordinary character table; deterministic, exact.
 
-    Each central character is a line in reduced echelon form, so its
-    first nonzero coordinate is 1: w[0] is 1, as omega(1) = 1 needs,
-    unless it is 0 and the character vanishes on the identity, which
-    the gate rejects.  So no line is rescaled."""
+    Each central character comes scaled by the inverse of its identity
+    entry: w[0] is 1, as omega(1) = 1 needs, unless that entry is 0 and
+    the vector scales to 0, which the gate rejects."""
     classes = G.conjugacy_classes()
     r = len(classes)
     n = G.order()
@@ -495,43 +499,69 @@ def _degree_from_norm(G, s, q):
 
 
 def _central_characters(G, q):
-    """The r common eigenvectors of the class matrices over GF(q), each
-    scaled to lead with 1: the central characters of G mod q (Schneider's
-    refinement of Dixon's method).
+    """The r central characters of G over GF(q),
+    omega_chi(K_k) = |C_k| chi(x_k) / chi(1) at class k, each 1 at the
+    identity class: the common eigenvectors of the class matrices M_i,
+    (M_i)_jk = a_ijk (Schneider's refinement of Dixon's method).
 
-    Starting from GF(q)^r, each non-identity class matrix in ascending
-    (class size, index) order splits every space that is not yet a line
-    into its eigenspaces, until every space is a line.  The spaces are
-    common eigenspaces of commuting matrices, so each is invariant under
-    the next matrix; as Z(F_q G) is split semisimple (``_dixon_prime``)
-    every restriction is diagonalisable over GF(q) and the lines are the
-    r central characters.  A row of a class matrix is built when
-    ``_split_space`` reads it, once: the first split reads every row of
-    its class, later ones only the pivot rows of their spaces."""
+    No eigenspace is kept.  The column relation at the identity,
+    sum_chi chi(1) chi(x_k) = |G| delta_k0, reads
+    delta_1 = sum_chi (chi(1)^2 / |G|) omega_chi for delta_1 = (1, 0, ..., 0),
+    and every coefficient is nonzero mod q, as q does not divide |G| and
+    chi(1) < q (``_dixon_prime``).  So each set S of characters not yet
+    told apart is carried as one vector u_S = sum_{chi in S} c_chi omega_chi,
+    every c_chi nonzero, starting from delta_1 for all of Irr(G).  As
+    M_i omega_chi = omega_chi(K_i) omega_chi, the Krylov space of u_S
+    under M_i is spanned by the parts u_S_lambda over the chi in S with
+    omega_chi(K_i) = lambda, which are independent, as the omega_chi
+    are: the minimal polynomial of u_S is the product of its x - lambda,
+    and each part is p_lambda(M_i) u_S up to a nonzero scalar
+    (``_krylov_split``).  Z(F_q G) is split semisimple, so every lambda
+    lies in GF(q); a minimal polynomial with fewer distinct roots there
+    than its degree means a wrong prime or a wrong class row.
+
+    Each non-identity class in ascending (class size, index) order splits
+    every vector, while there are fewer than r.  The sets are disjoint
+    and nonempty and Irr(G) has r members, so r vectors are r lines:
+    each is c_chi omega_chi, and divided by its identity entry c_chi it
+    is omega_chi.  The r central characters are distinct mod q, so some
+    class tells any two apart, and the last class leaves r vectors.  A
+    split reads every row of its class matrix, so a class's rows are
+    built when it is first used, each once, and kept as its nonzero
+    (row, class, constant) triples."""
     classes = G.conjugacy_classes()
     r = len(classes)
-    spaces = [[[int(j == k) for k in range(r)] for j in range(r)]]
+    vectors = [[int(k == 0) for k in range(r)]]
     for i in sorted(range(1, r), key=lambda i: (classes[i].size, i)):
-        if len(spaces) == r:
+        if len(vectors) == r:
             break
-        row = lru_cache(maxsize=None)(lambda j: _class_row(G, i, j, q))
-        refined = []
-        for basis in spaces:
-            parts = _split_space(row, basis, q) if len(basis) > 1 else [basis]
+        entries = [
+            (j, k, a)
+            for j in range(r)
+            for k, a in enumerate(_class_row(G, i, j, q))
+            if a
+        ]
+        split = []
+        for t, u in enumerate(vectors):
+            # as many vectors as classes: each one left is a line
+            if len(split) + len(vectors) - t == r:
+                split += vectors[t:]
+                break
+            parts = _krylov_split(entries, u, q)
             if parts is None:
                 raise InternalCheckError(
                     f"eigenspace splitting failed on {G!r} mod q = {q}: the"
                     f" eigenspaces of class {i} fall short of the space"
                     " they split"
                 )
-            refined.extend(parts)
-        spaces = refined
-    if len(spaces) != r:
+            split += parts
+        vectors = split
+    if len(vectors) != r:
         raise InternalCheckError(
             f"eigenspace splitting failed on {G!r} mod q = {q}: the class"
             " matrices leave a common eigenspace of dimension above one"
         )
-    return [basis[0] for basis in spaces]
+    return [[x * pow(v[0], q - 2, q) % q for x in v] for v in vectors]
 
 
 def _class_row(G, i, j, q):
@@ -549,153 +579,99 @@ def _class_row(G, i, j, q):
     by_zj = right_factor(classes[j].representative)
     n = Counter(map(G.class_indices().__getitem__, map(by_zj, G.class_elements(i))))
     size = classes[j].size
-    if any(size * n[k] % classes[k].size for k in n):
-        raise InternalCheckError(
-            f"class matrix row {j} of class {i} of {G!r} (split mod q = {q})"
-            " has a structure constant that is not an integer"
-        )
-    return [size * n[c.index] // c.size for c in classes]
+    row = [0] * len(classes)
+    for k, m in n.items():
+        row[k], inexact = divmod(size * m, classes[k].size)
+        if inexact:
+            raise InternalCheckError(
+                f"class matrix row {j} of class {i} of {G!r} (split mod q = {q})"
+                " has a structure constant that is not an integer"
+            )
+    return row
 
 
-def _split_space(row, basis, q):
-    """The eigenspaces of m restricted to the m-invariant space spanned by
-    basis, in ascending eigenvalue order; None when their dimensions add
-    up short of the space's.  row(j) returns row j of m.
+def _krylov_split(entries, u, q):
+    """u split by the matrix m given by its nonzero entries, as (row,
+    column, entry) triples: for each distinct root lambda of the minimal
+    polynomial of u under m, the vector p_lambda(m) u, with
+    p_lambda = minpoly / (x - lambda); None when the minimal polynomial
+    has fewer distinct roots in GF(q) than its degree.
 
-    Every basis is in reduced echelon form, so the coordinates of a vector
-    of the space are its entries at the pivot columns, and m restricted to
-    the space is read off the pivot rows of m, the only rows read (on the
-    whole space, the identity basis reads m itself).  The eigenvalues are
-    the roots of the restriction's characteristic polynomial, evaluated at
-    each element of GF(q) until the eigenspaces fill the space, or at all
-    of them when they do not; each root then costs one elimination."""
-    support = [[(k, x) for k, x in enumerate(b) if x] for b in basis]
-    pivots = [nz[0][0] for nz in support]
-    d = len(basis)
-    a = [
-        [x % q for x in m_p] if d == len(m_p) else
-        [sum(m_p[k] * x for k, x in nz) % q for nz in support]
-        for m_p in map(row, pivots)
-    ]
-    # a scalar restriction leaves the space whole, with no elimination
-    scalar = a[0][0]
-    if all(a[s][t] == (scalar if s == t else 0) for s in range(d) for t in range(d)):
-        return [basis]
-    poly = _characteristic_polynomial(a, q)
-    parts = []
-    found = 0
-    for lam in range(q):
-        if found == d:
-            break
-        value = 0
-        for c in reversed(poly):
-            value = (value * lam + c) % q
-        if value:
-            continue
-        shifted = [
-            [(x - lam) % q if s == t else x for t, x in enumerate(a_s)]
-            for s, a_s in enumerate(a)
-        ]
-        part = []
-        for coords in _echelon(_nullspace(shifted, q), q)[0]:
-            v = [0] * len(basis[0])
-            for c, nz in zip(coords, support):
-                if c:
-                    for k, x in nz:
-                        v[k] += c * x
-            part.append([x % q for x in v])
-        parts.append(part)
-        found += len(part)
-    if found != d:
+    The Krylov sequence u, m u, m^2 u, ... is fed to ``_echelon`` up to
+    its first dependence, m^d u = sum_t c_t m^t u, which gives
+    minpoly = x^d - sum_t c_t x^t.  It is evaluated at every element of
+    GF(q) at once, by Horner's rule, and each root's p_lambda(m) u is
+    summed over the Krylov vectors as synthetic division gives its
+    coefficients; when d = 1, u is its own part."""
+    feed = _echelon(q)
+    krylov = [u]
+    found = feed(u)
+    while found is None:
+        v, w = krylov[-1], [0] * len(u)
+        for j, k, a in entries:
+            w[j] += a * v[k]
+        krylov.append([x % q for x in w])
+        found = feed(krylov[-1])
+    if len(found) == 1:
+        return [u]
+    minpoly = [1, *(-c % q for c in reversed(found))]
+    values = [1] * q
+    for c in minpoly[1:]:
+        values = [(x * lam + c) % q for lam, x in enumerate(values)]
+    roots = [lam for lam, x in enumerate(values) if not x]
+    if len(roots) < len(found):
         return None
+    parts = []
+    for lam in roots:
+        # p_lambda's coefficients, leading first, by synthetic division
+        b, part = 0, [0] * len(u)
+        for c, v in zip(minpoly, reversed(krylov[:-1])):
+            b = (b * lam + c) % q
+            part = [x + b * y for x, y in zip(part, v)]
+        parts.append([x % q for x in part])
     return parts
 
 
-def _characteristic_polynomial(m, q):
-    """det(xI - m) over GF(q), coefficients low degree first.
+def _echelon(q):
+    """An incremental row reduction over GF(q): returns feed, and
+    feed(v) reduces the vector v against the vectors fed before it.
+    When v lies outside their span it extends the basis with a new
+    pivot, the first nonzero entry left, and feed returns None;
+    otherwise feed returns v's coordinates on the vectors fed before it
+    that extended the basis, in the order they were fed.
 
-    m is brought to upper Hessenberg form h by similarity transforms, and
-    the leading principal minors p_k of xI - h satisfy
-    p_k = (x - h[k-1][k-1]) p_{k-1}
-          - sum_{i=1}^{k-1} h[k-i-1][k-1] h[k-1][k-2] ... h[k-i][k-i-1] p_{k-i-1}
-    (the Hessenberg method; Cohen, A Course in Computational Algebraic
-    Number Theory, ch. 2)."""
-    r = len(m)
-    h = [row[:] for row in m]
-    for col in range(r - 2):
-        pivot = next((i for i in range(col + 1, r) if h[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != col + 1:
-            h[pivot], h[col + 1] = h[col + 1], h[pivot]
-            for row in h:
-                row[pivot], row[col + 1] = row[col + 1], row[pivot]
-        inv = pow(h[col + 1][col], q - 2, q)
-        top = h[col + 1]
-        for i in range(col + 2, r):
-            f = h[i][col] * inv % q
-            if not f:
-                continue
-            h[i] = [(x - f * y) % q for x, y in zip(h[i], top)]
-            for row in h:
-                row[col + 1] = (row[col + 1] + f * row[i]) % q
-    polys = [[1]]
-    for k in range(1, r + 1):
-        d = h[k - 1][k - 1]
-        prev = polys[k - 1]
-        p = [0] + prev
-        for t, c in enumerate(prev):
-            p[t] = (p[t] - d * c) % q
-        product = 1
-        for i in range(1, k):
-            product = product * h[k - i][k - i - 1] % q
-            f = product * h[k - i - 1][k - 1] % q
-            if f:
-                for t, c in enumerate(polys[k - i - 1]):
-                    p[t] = (p[t] - f * c) % q
-        polys.append(p)
-    return polys[r]
-
-
-def _echelon(rows, q):
-    """The reduced row echelon form of rows over GF(q): its nonzero rows
-    and their pivot columns.  Its two callers: ``_split_space`` (also
-    through ``_nullspace``), and ``modular.brauer_decomposition``."""
-    m = [[x % q for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, q)
-        top = m[rank] = [x * inv % q for x in m[rank]]
-        for i, row in enumerate(m):
-            f = row[col]
-            if i != rank and f:
-                m[i] = [(x - f * y) % q for x, y in zip(row, top)]
-        pivots.append(col)
-        rank += 1
-    return m[:rank], pivots
-
-
-def _nullspace(rows, q):
-    """A basis of the right null space of the square matrix rows over
-    GF(q), one vector per free column, with 1 there and 0 at the other
-    free columns."""
-    reduced, pivots = _echelon(rows, q)
-    r = len(rows)
+    The basis is kept in semi-echelon form: each vector is 0 at the
+    pivots of those before it and 1 at its own, is kept by its nonzero
+    entries, and keeps its coordinates on the fed vectors.  So reducing
+    v in basis order leaves its residue, and summing those coordinates
+    by the factors taken leaves its coordinates.  A vector extends the
+    basis exactly when it lies outside the span of those fed before it,
+    so the fed vectors that do are the pivot columns of the batch
+    reduced echelon form of the matrix they are the columns of.  Its
+    two callers: ``_krylov_split``, which feeds a Krylov sequence up to
+    its first dependence, and ``modular.brauer_decomposition``, which
+    feeds its columns."""
     basis = []
-    for fc in range(r):
-        if fc in pivots:
-            continue
-        v = [0] * r
-        v[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = (-row[fc]) % q
-        basis.append(v)
-    return basis
+
+    def feed(v):
+        v = [x % q for x in v]
+        found = [0] * len(basis)
+        for pivot, b, coords in basis:
+            f = v[pivot]
+            if f:
+                for k, y in b:
+                    v[k] = (v[k] - f * y) % q
+                for s, c in enumerate(coords):
+                    found[s] += f * c
+        if not any(v):
+            return [x % q for x in found]
+        pivot = next(k for k, x in enumerate(v) if x)
+        inv = pow(v[pivot], -1, q)
+        coords = [-x * inv % q for x in found] + [inv]
+        basis.append((pivot, [(k, x * inv % q) for k, x in enumerate(v) if x], coords))
+        return None
+
+    return feed
 
 
 def _verify_orthogonality(table):

@@ -4,15 +4,16 @@ modular side of block data.
 One row reduction gives the irreducible Brauer characters and the
 decomposition matrix.  Its columns are the ordinary irreducibles
 restricted to the p-regular classes, ascending by the table's row key
-tuple(v.sort_key() for v in values); the pivot columns, each outside the
-span of those before it, are the Brauer characters, and every other
-column's reduced entries are its decomposition row.  For p-solvable
-groups that finds them all, since every irreducible Brauer character is
-the restriction of an ordinary irreducible (Fong-Swan), and a reducible
-restriction is a sum of irreducible ones of smaller degree, found before
-it.  For groups that are not p-solvable a stored table, keyed by the
-group's canonical class representatives and in the same order, enters
-as the leading columns, and every restriction must fall in its span.
+tuple(v.sort_key() for v in values), fed to it one at a time: a column
+outside the span of those before it extends the basis and is a Brauer
+character, and every other column comes back as its coordinates on
+them, its decomposition row.  For p-solvable groups that finds them
+all, since every irreducible Brauer character is the restriction of an
+ordinary irreducible (Fong-Swan), and a reducible restriction is a sum
+of irreducible ones of smaller degree, found before it.  For groups
+that are not p-solvable a stored table, keyed by the group's canonical
+class representatives and in the same order, enters as the leading
+columns, and every restriction must fall in its span.
 
 As on the ordinary side, Brauer character j is no object: it is its
 degree, its lift (the ordinary row whose restriction found it, whose
@@ -24,8 +25,8 @@ representation (``CharacterTable.coords``), its integer coordinates on
 the power basis at its class's element order: lifting to a multiple of
 that order is injective and linear, so independence and decompositions
 are unchanged by it.  The stored table's coordinates are integers too.
-The row reduction is ``chartab._echelon`` mod the Mersenne prime
-P = 2^521 - 1, and its result is exact in three steps:
+The row reduction is the incremental ``chartab._echelon`` mod the
+Mersenne prime P = 2^521 - 1, and its result is exact in three steps:
 
 1. A pivot mod P is independent over Q: its minor is a nonzero integer.
 2. Each decomposition row, lifted to (-P/2, P/2), must be nonnegative
@@ -106,10 +107,11 @@ def brauer_decomposition(G, p):
     """IBr(G) at p by the one row reduction of the module docstring: the
     Brauer degrees, ascending by the row key; for each Brauer character
     the ordinary row it was found from, its lift, or None for a stored
-    one; and the decomposition matrix.  The columns are the stored
-    characters, then the restrictions; a pivot mod _PRIME is independent
-    over Q, every decomposition row is checked in integers, and the
-    elimination is complete while _PRIME exceeds the Hadamard bound."""
+    one; and the decomposition matrix.  The columns are fed to
+    ``_echelon`` in order, the stored characters, then the restrictions;
+    a pivot mod _PRIME is independent over Q, every decomposition row is
+    checked in integers, and the elimination is complete while _PRIME
+    exceeds the Hadamard bound."""
     stored = ()
     if G.order() % p == 0 and not is_p_solvable(G, p):
         stored = _fixture_brauer_characters(G, p)
@@ -127,32 +129,34 @@ def brauer_decomposition(G, p):
         key=lambda i: tuple(v.sort_key() for v in restrictions[i][0]),
     )
     columns = [*stored, *(restrictions[i] for i in order)]
-    reduced, pivots = _echelon(zip(*(coords for _, coords in columns)), _PRIME)
-    degrees, lifts = [], []
+    feed = _echelon(_PRIME)
+    degrees, lifts, basis = [], [], []
     rows = [None] * len(restrictions)
     for c, (values, coords) in enumerate(columns):
         i = order[c - len(stored)] if c >= len(stored) else None
-        if c in pivots:
+        found = feed(coords)
+        if found is None:
             if i is not None:
                 if stored:
                     raise InternalCheckError(
                         "ordinary character does not decompose over the"
                         f" Brauer characters on {_where(G, p)}"
                     )
-                rows[i] = tuple(int(t == len(degrees)) for t in range(len(pivots)))
+                rows[i] = (0,) * len(degrees) + (1,)
             degrees.append(values[0].integer_value())
             lifts.append(i)
+            basis.append(coords)
         elif i is None:
             raise InternalCheckError(
                 "stored Brauer character depends on earlier ones"
                 f" on {_where(G, p)}"
             )
         else:
-            row = tuple(r[c] - _PRIME if 2 * r[c] > _PRIME else r[c] for r in reduced)
+            row = tuple(d - _PRIME if 2 * d > _PRIME else d for d in found)
             rebuilt = [0] * len(coords)
-            for d, pivot in zip(row, pivots):
+            for d, pivot in zip(row, basis):
                 if d:
-                    rebuilt = [x + d * y for x, y in zip(rebuilt, columns[pivot][1])]
+                    rebuilt = [x + d * y for x, y in zip(rebuilt, pivot)]
             if any(d < 0 for d in row) or tuple(rebuilt) != coords:
                 raise InternalCheckError(
                     "decomposition number is not a nonnegative integer"
@@ -165,7 +169,9 @@ def brauer_decomposition(G, p):
             f"found {len(degrees)} Brauer characters,"
             f" expected {expected}, on {_where(G, p)}"
         )
-    return tuple(degrees), tuple(lifts), tuple(rows)
+    # a row is 0 on the Brauer characters found after its column
+    rows = tuple(row + (0,) * (len(degrees) - len(row)) for row in rows)
+    return tuple(degrees), tuple(lifts), rows
 
 
 class ModularData:

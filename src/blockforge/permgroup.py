@@ -93,6 +93,7 @@ class PermutationGroup:
         self._class_index = None
         self._class_elements = None
         self._inverse_classes = None
+        self._conjugations = None
 
     def order(self):
         return self._order
@@ -150,6 +151,13 @@ class PermutationGroup:
         if self._inverse_classes is None:
             self._compute_classes()
         return self._inverse_classes
+
+    def conjugations(self):
+        """For each generator g, the map x -> g^-1 x g, built once: the
+        normality test and the conjugation action read it."""
+        if self._conjugations is None:
+            self._conjugations = tuple(map(_conjugation, self.generators))
+        return self._conjugations
 
     def exponent(self):
         """The lcm of the element orders.  Enumerates the group."""
@@ -259,12 +267,12 @@ def _conjugation(g):
 
 def _by_conjugation(G):
     """G's generators, each with its action on frozensets and tuples of
-    permutations by conjugation, point^g = {g^-1 x g}."""
-    def move(g):
-        conj = _conjugation(g)
+    permutations by conjugation, point^g = {g^-1 x g}, through the maps
+    G keeps (``PermutationGroup.conjugations``)."""
+    def move(conj):
         return lambda v: type(v)(map(conj, v))
 
-    return [(g, move(g)) for g in G.generators]
+    return list(zip(G.generators, map(move, G.conjugations())))
 
 
 def _stabilizer(G, point, moves, elems, factors):
@@ -394,8 +402,7 @@ def is_normal_in(N, G):
     conjugates N's generators into N.  Enumerates N."""
     _require_subgroup(G, N)
     nset = N.element_set()
-    conjugations = map(_conjugation, G.generators)
-    return all(conj(x) in nset for conj in conjugations for x in N.generators)
+    return all(conj(x) in nset for conj in G.conjugations() for x in N.generators)
 
 
 @lru_cache(maxsize=None)

@@ -12,13 +12,13 @@ from blockforge import catalog, chartab, cyclotomic, permgroup
 from blockforge.arith import is_prime, prime_factors
 from blockforge.chartab import (
     CharacterTable,
-    _characteristic_polynomial,
     _central_characters,
     _class_row,
     _degree_from_norm,
     _dixon_prime,
+    _echelon,
+    _krylov_split,
     _primitive_root_of_unity,
-    _split_space,
     _verify_orthogonality,
     character_table,
     class_fusion,
@@ -194,8 +194,9 @@ def test_structure_constants_match_pair_counting_oracle(s3, a4):
 
 def test_table_reads_fewer_class_matrices_than_classes(monkeypatch):
     # The four groups of the benchmark's table workload: the refinement
-    # splits GF(q)^r with a few cheap classes, and builds only the rows
-    # of their class matrices that it reads, each once.
+    # splits delta_1 with a few cheap classes, and builds every row of
+    # the class matrices it uses, each once, as every Krylov product
+    # reads them all.
     built = []
     class_row = chartab._class_row
 
@@ -211,7 +212,7 @@ def test_table_reads_fewer_class_matrices_than_classes(monkeypatch):
         read = {i for i, _, _ in built}
         assert 0 < len(read) < r, G
         assert len({(i, j) for i, j, _ in built}) == len(built), G
-        assert len(built) < r * len(read), G
+        assert len(built) == r * len(read), G
         a = oracles.structure_constants(G)
         for i, j, row in built:
             assert row == list(a[i][j]), (G, i, j)
@@ -726,27 +727,10 @@ def test_table_gate_reduces_no_value_of_a_rational_table(monkeypatch):
         assert calls == [], table.group
 
 
-def _det_mod(m, q):
-    m = [row[:] for row in m]
-    det = 1
-    for col in range(len(m)):
-        pivot = next((i for i in range(col, len(m)) if m[i][col] % q), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col] % q
-        inv = pow(m[col][col], q - 2, q)
-        for i in range(col + 1, len(m)):
-            f = m[i][col] * inv % q
-            m[i] = [(x - f * y) % q for x, y in zip(m[i], m[col])]
-    return det % q
-
-
 def _random_matrix(rng, r, q):
-    # Half the entries zero, and sometimes a zero lower-left block, so the
-    # Hessenberg reduction meets columns with no pivot below the diagonal.
+    # Half the entries zero, and sometimes a zero lower-left block, so
+    # some matrices have too few eigenvalues in GF(q) or too few
+    # eigenvectors for them.
     m = [
         [rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(r)]
         for _ in range(r)
@@ -759,75 +743,171 @@ def _random_matrix(rng, r, q):
     return m
 
 
-def test_characteristic_polynomial_is_det_of_shifted_matrix():
-    rng = random.Random(11)
-    for q in (2, 13, 421):
-        for r in range(1, 10):
-            for _ in range(4):
-                m = _random_matrix(rng, r, q)
-                poly = _characteristic_polynomial(m, q)
-                assert len(poly) == r + 1 and poly[-1] == 1
-                for lam in rng.sample(range(q), min(q, 4)):
-                    shifted = [
-                        [((lam if j == k else 0) - m[j][k]) % q for k in range(r)]
-                        for j in range(r)
-                    ]
-                    value = sum(c * pow(lam, t, q) for t, c in enumerate(poly)) % q
-                    assert value == _det_mod(shifted, q)
+def _entries(m):
+    return [(j, k, x) for j, row in enumerate(m) for k, x in enumerate(row) if x]
 
 
-def _whole_space(r):
-    return [[int(j == k) for k in range(r)] for j in range(r)]
+def _rank(vectors, q):
+    # the rank of the rows, from the oracle's batch reduction
+    return len(vectors[0]) - len(oracles._nullspace_mod(vectors, q)) if vectors else 0
 
 
-def test_split_space_keeps_repeated_and_rejects_missing_eigenvalues():
+def _times(m, v, q):
+    return [sum(x * y for x, y in zip(row, v)) % q for row in m]
+
+
+def test_krylov_split_keeps_repeated_and_rejects_missing_eigenvalues():
     q = 13
-    read = []
-
-    def split(m, basis, q):
-        read.clear()
-        return _split_space(lambda j: read.append(j) or m[j], basis, q)
-
+    # (0, 1) = ((1, 3) - (1, 0)) / 3, on the eigenvectors of 5 and 2
+    parts = _krylov_split(_entries([[2, 1], [0, 5]]), [0, 1], q)
+    assert sorted(_leading_one(v, q) for v in parts) == [[1, 0], [1, 3]]
+    # a repeated eigenvalue with two eigenvectors: one part, u itself
     m = [[2, 0, 0], [0, 2, 0], [0, 0, 5]]
-    assert split(m, _whole_space(3), q) == [
-        [[1, 0, 0], [0, 1, 0]],
-        [[0, 0, 1]],
-    ]
-    assert split([[2, 1], [0, 2]], _whole_space(2), q) is None  # Jordan block
-    assert split([[0, 10], [1, 0]], _whole_space(2), 11) is None  # x^2 + 1
-    assert split([[2, 1], [0, 5]], _whole_space(2), q) == [[[1, 0]], [[1, 3]]]
-    # restricted to the span of the eigenvectors (1, 3, 0) and (0, 0, 1),
-    # for the eigenvalues 5 and 7: only the pivot rows 0 and 2 are read
-    m = [[2, 1, 0], [0, 5, 0], [0, 0, 7]]
-    assert split(m, [[1, 3, 0], [0, 0, 1]], q) == [[[1, 3, 0]], [[0, 0, 1]]]
-    assert read == [0, 2]
+    assert _krylov_split(_entries(m), [1, 1, 0], q) == [[1, 1, 0]]
+    parts = _krylov_split(_entries(m), [1, 1, 1], q)
+    assert sorted(_leading_one(v, q) for v in parts) == [[0, 0, 1], [1, 1, 0]]
+    # a Jordan block: (x - 2)^2, one distinct root for degree 2; its
+    # eigenvector alone has minimal polynomial x - 2
+    assert _krylov_split(_entries([[2, 1], [0, 2]]), [0, 1], q) is None
+    assert _krylov_split(_entries([[2, 1], [0, 2]]), [1, 0], q) == [[1, 0]]
+    # x^2 + 1 has no root mod 11
+    assert _krylov_split(_entries([[0, 10], [1, 0]]), [1, 0], 11) is None
+    # zeta_3 is not in GF(5): C3's class matrix splits x^3 - 1 into
+    # (x - 1)(x^2 + x + 1) there, and delta_1 does not split
+    G = cyclic(3)
+    entries = _entries([_class_row(G, 1, j, 5) for j in range(3)])
+    assert _krylov_split(entries, [1, 0, 0], 5) is None
 
 
-def test_split_space_agrees_with_full_scan():
+def test_krylov_split_agrees_with_full_scan():
+    # Random matrices, half of them diagonalizable, and random vectors u:
+    # the split exists exactly when u lies in the span of the
+    # eigenvectors that the oracle's null spaces find, and then its parts
+    # are eigenvectors for distinct eigenvalues that span u.  Where every
+    # eigenvalue is simple and u has a nonzero part on each, the parts
+    # are the oracle's eigenvectors, each up to a scalar.
     rng = random.Random(3)
-    split = 0
+    cases = Counter()
     for q in (7, 13, 31):
         for r in range(1, 8):
-            for _ in range(6):
+            for _ in range(8):
                 if rng.random() < 0.5:
                     m = _random_matrix(rng, r, q)
                 else:
                     m = _diagonalizable_matrix(rng, r, q)
-                parts = _split_space(m.__getitem__, _whole_space(r), q)
-                dims = [
-                    len(oracles._nullspace_mod(_shifted(m, lam, q), q))
-                    for lam in range(q)
-                ]
-                if sum(dims) < r:
-                    assert parts is None
-                    continue
-                assert [len(part) for part in parts] == [d for d in dims if d]
                 want = oracles.eigenvectors_by_full_scan(m, q)
-                if want is None:
+                if want is not None and rng.random() < 0.5:
+                    u = [0] * r
+                    for v in want:
+                        f = rng.randrange(1, q)
+                        u = [(x + f * y) % q for x, y in zip(u, v)]
+                else:
+                    u = [rng.randrange(q) for _ in range(r)]
+                    if not any(u):
+                        u[0] = 1
+                eigen = [
+                    v for lam in range(q)
+                    for v in oracles._nullspace_mod(_shifted(m, lam, q), q)
+                ]
+                spanned = _rank(eigen + [u], q) == _rank(eigen, q)
+                parts = _krylov_split(_entries(m), u, q)
+                assert (parts is not None) == spanned, (m, u, q)
+                if parts is None:
+                    cases["short"] += 1
                     continue
-                assert parts == [[_leading_one(v, q)] for v in want]
-                split += 1
-    assert split > 20
+                lams = []
+                for v in parts:
+                    mv = _times(m, v, q)
+                    k = next(k for k, x in enumerate(v) if x)
+                    lams.append(mv[k] * pow(v[k], q - 2, q) % q)
+                    assert mv == [lams[-1] * x % q for x in v], (m, u, q)
+                assert len(set(lams)) == len(parts), (m, u, q)
+                assert _rank(parts + [u], q) == _rank(parts, q) == len(parts)
+                if want is not None and len(parts) == r:
+                    assert sorted(_leading_one(v, q) for v in parts) == sorted(
+                        _leading_one(v, q) for v in want
+                    )
+                    cases["scan"] += 1
+                cases["split"] += 1
+    assert cases["scan"] > 20 and cases["short"] > 20, cases
+
+
+def test_delta_one_is_the_degree_weighted_sum_of_central_characters():
+    # The start of the split: sum_chi (chi(1)^2 / |G|) omega_chi = delta_1
+    # mod q, every coefficient nonzero.  omega_chi(K_k) =
+    # |C_k| chi(x_k) / chi(1) is read off the finished table, each value
+    # reduced by zeta_o -> z^(e/o), the root of unity of the lift, and
+    # the central characters of the split must be these.
+    for G in oracle_groups([]):
+        table = character_table(G)
+        n, e = G.order(), table.exponent
+        q = _dixon_prime(e, n)
+        z = _primitive_root_of_unity(G, e, q)
+        omegas = []
+        for d, row in zip(table.degrees, table.coords):
+            omega = []
+            for c, x in zip(table.classes, row):
+                o = c.element_order
+                value = sum(t * pow(z, e // o * i, q) for i, t in enumerate(x))
+                omega.append(c.size * value * pow(d, q - 2, q) % q)
+            omegas.append(omega)
+        assert sorted(_central_characters(G, q)) == sorted(omegas), G
+        total = [0] * len(omegas)
+        for d, omega in zip(table.degrees, omegas):
+            f = d * d * pow(n, q - 2, q) % q
+            assert f, G
+            total = [(x + f * y) % q for x, y in zip(total, omega)]
+        assert total == [int(k == 0) for k in range(len(total))], G
+
+
+def _integer_vectors(rng, count, length):
+    # random integer vectors, a third of them integer combinations of
+    # those before, so some are dependent mod any q
+    vectors = []
+    for _ in range(count):
+        if vectors and rng.random() < 0.35:
+            v = [0] * length
+            for w in rng.sample(vectors, min(3, len(vectors))):
+                f = rng.randrange(-3, 4)
+                v = [x + f * y for x, y in zip(v, w)]
+        else:
+            v = [rng.randrange(-9, 10) for _ in range(length)]
+        vectors.append(v)
+    return vectors
+
+
+def test_echelon_pivots_match_a_batch_reduction():
+    # Fed vectors extend the basis exactly at the pivot columns of the
+    # batch reduction of the matrix they are the columns of, and each
+    # dependent one comes back as coordinates that rebuild it mod q.
+    rng = random.Random(5)
+    cases = Counter()
+    for q in (7, 13, (1 << 521) - 1):
+        for _ in range(30):
+            count, length = rng.randrange(1, 9), rng.randrange(1, 9)
+            vectors = _integer_vectors(rng, count, length)
+            feed = _echelon(q)
+            extended, dependent = [], []
+            for c, v in enumerate(vectors):
+                found = feed(v)
+                if found is None:
+                    extended.append(c)
+                else:
+                    dependent.append((c, found))
+            pivots = [
+                c for c in range(count)
+                if _rank(vectors[: c + 1], q) > _rank(vectors[:c], q)
+            ]
+            assert extended == pivots, (q, vectors)
+            for c, found in dependent:
+                basis = [vectors[t] for t in extended if t < c]
+                assert len(found) == len(basis), (q, vectors, c)
+                rebuilt = [0] * length
+                for f, w in zip(found, basis):
+                    rebuilt = [x + f * y for x, y in zip(rebuilt, w)]
+                assert all((x - y) % q == 0 for x, y in zip(rebuilt, vectors[c]))
+                cases[q] += 1
+    assert min(cases.values()) > 10, cases
 
 
 def _shifted(m, lam, q):
