@@ -1,7 +1,5 @@
-"""Small exact helpers used throughout: primality, p-parts, valuations,
-prime factors and multiplicative orders."""
-
-from math import gcd
+"""Small exact helpers used throughout: primality, p-parts, valuations
+and prime factors."""
 
 
 def is_prime(n):
@@ -50,18 +48,3 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def multiplicative_order(a, n):
-    """Order of a modulo n; requires gcd(a, n) == 1."""
-    if n == 1:
-        return 1
-    if gcd(a, n) != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    a %= n
-    k, x = 1, a
-    while x != 1:
-        x = x * a % n
-        k += 1
-    return k
-

@@ -22,9 +22,9 @@ The partition is found twice and must agree.  Rows are bucketed by
 their reduced central characters (``_partition``), which also serve
 block induction and the defect classes.  By Osima's criterion, chi and
 psi share a block exactly when a chain joins them whose neighbours have
-a nonzero sum of chi(x) psi(x^-1) over p-regular x: in exact integers,
-the sum of the table gate's partial sums S_o at the element orders o
-prime to p (``osima_partition``).
+a nonzero sum of chi(x) psi(x^-1) over p-regular x: one dot product of
+the table's embedded rows mod Q over the p-regular classes, which
+decides it (``osima_partition``).
 
 Then the idempotents must be p-local and sum to one, and each defect
 group must pass the Brauer-image gate.  No square e_B^2 = e_B is taken,
@@ -51,6 +51,7 @@ and, where there is one, the block index.
 """
 
 from functools import lru_cache
+from operator import mul
 
 from .arith import p_part, vp
 from .chartab import (
@@ -111,12 +112,23 @@ def components(n, links):
 
 def osima_partition(table, p):
     """The p-blocks of the table's rows by Osima's criterion, as a set of
-    frozensets: rows s and u are linked when their partial sums S_o at
-    the element orders o prime to p add up to a nonzero number."""
-    sums = table.partial_sums.items()
+    frozensets: rows s and u are linked when
+    sum |C_k| chi_s(x_k) chi_u(x_k^-1) over the p-regular classes k is
+    nonzero.  The sum is a rational integer below the table's Q in
+    absolute value (``chartab._verify_orthogonality``), so it is nonzero
+    exactly when its residue, one dot product of the embedded rows, is."""
+    regular = p_regular_classes(table.group, p)
+    weighted = [[row[k] for k in regular] for row in table.weighted]
+    inverted = [[row[k] for k in regular] for row in table.inverted]
+    r, Q = len(weighted), table.modulus
     return components(
-        len(table.values),
-        (pair for pair, s in sums if sum(v for o, v in s.items() if o % p)),
+        r,
+        (
+            (s, u)
+            for s, a in enumerate(weighted)
+            for u in range(s + 1, r)
+            if sum(map(mul, a, inverted[u])) % Q
+        ),
     )
 
 

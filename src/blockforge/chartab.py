@@ -2,8 +2,9 @@
 class-function algebra built on them.
 
 A character is a row of its table, named by its row index, with no
-per-character object: the table keeps each row's ``values``, ``coords``,
-``sparse`` coordinates and degree (``degrees``).  Rows ascend by the key
+per-character object: the table keeps each row's ``values``, ``coords``
+and degree (``degrees``), and the row mapped into one prime field
+(``weighted`` and ``inverted``).  Rows ascend by the key
 tuple(v.sort_key() for v in row), so by degree: values[0] is the degree.
 
 The table is computed exactly: eigenvector data for the class-sum
@@ -16,9 +17,8 @@ integer root coefficients are reduced once mod Phi_o to its
 coordinates, and only an irrational value descends to its minimal
 conductor, one prime at a time with no linear solve (``cyclotomic``).
 Every finished row must take complex-conjugate values on inverse classes
-and the rows must be orthonormal, exactly, or an internal error is
-raised; for a square table row orthonormality implies the column
-relation.
+and the rows must be orthonormal, or an internal error is raised; for a
+square table row orthonormality implies the column relation.
 
 The construction is fully deterministic, with no random splitting
 vectors: the class matrices split one vector, cheapest class first
@@ -31,8 +31,9 @@ M^2 u_S, ... up to the first dependence, which gives u_S's minimal
 polynomial; its roots are the distinct omega_chi(K) for chi in S, and
 each part is one polynomial in M applied to u_S.  Once there are r
 vectors, each is one central character (``_central_characters``).  No
-class matrix is built: a class's rows are built, sparse, when a split
-first uses it (``_class_row``).
+class matrix is built: a product M v reads only the columns k of M with
+v_k nonzero, and a column is built, as one count over a class, when a
+product first reads it (``_class_column``).
 
 How Irr(G) restricts to a subgroup H lives in one cached table,
 ``restriction_multiplicities(G, H)``: covering, Clifford theory,
@@ -55,40 +56,31 @@ come from it; nothing builds a quotient group.  None of these readers
 keeps a cache of its own: p-solvability reads the cached lattice, and
 the others build their subgroups through the cached ``normal_closure``.
 
-Every layer below the table reads a character value in one
+Every layer below the table reads a character value itself in one
 representation, kept on the table as ``coords``: its integer
 coordinates on the power basis of Q(zeta_o) at its class's element
 order o, which is an integral basis of Z[zeta_o].  They are the ones
 the lift computes, and each printed value must lift back to them.  The
-table gate, the restriction table (G's row coordinates read through the
-class fusion), block data and the decomposition matrix all read them.
+conjugation gate, the action on rows, the restriction table's
+reconstruction, block data and the decomposition matrix read them.
 
-The table also keeps them sparse (``sparse``): per row and class, only
-the nonzero (index, coordinate) pairs; a rational value is one pair at
-index 0, and a zero value none.  One pairing on the sparse rows,
-``_pairing``, builds no cyclotomic value and has three readers: the
-table gate, which keeps its partial sums by element order on the table
-(``partial_sums``); the restriction table, which reads G's sparse rows
-through the class fusion; and the block partition, which reads the kept
-sums (Osima's criterion, ``blocks``).  It multiplies nonzero coordinates
-only, and reduces a sum mod Phi_o only when a coefficient at or above
-phi(o) is nonzero: below phi(o) the sum already holds power-basis
-coordinates, as 1, zeta_o, ..., zeta_o^(phi(o)-1) is a basis.  So the
-gate reduces nothing on a rational table.
+A sum of products of values is read through one embedding per table
+instead: with Q the least prime = 1 (mod e) above 2|G| max chi(1)^2 and
+z of order e mod Q, zeta_o -> z^(e/o) maps each value to one residue
+(``CharacterTable``).  A pairing is then one dot product mod Q, and it
+has three readers: the table gate, Osima's criterion (``blocks``) and
+the restriction table, which maps H's rows at G's Q.  The lift makes
+every such sum a rational integer smaller than Q in absolute value, so
+its residue decides it (``_verify_orthogonality``).
 """
 
 from collections import Counter
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
-from .arith import is_prime, multiplicative_order, p_part
-from .cyclotomic import (
-    ONE,
-    Cyclotomic,
-    cyclotomic_polynomial,
-    reduce_mod_cyclotomic,
-)
+from .arith import is_prime, p_part, prime_factors
+from .cyclotomic import ONE, Cyclotomic, reduce_mod_cyclotomic
 from .errors import DomainError, InternalCheckError
 from .perms import inverse, power, right_factor
 from .permgroup import _stabilizer, group_from_elements, is_normal_in, normal_closure
@@ -108,55 +100,54 @@ def restriction_multiplicities(G, H):
     row i and column k (table order of Irr(G) and Irr(H)); by Frobenius
     reciprocity column k also decomposes theta_k induced to G.
 
-    Read on sparse rows (``CharacterTable.sparse``): at class k of H, chi
-    restricted to H takes chi's value at the class of G that contains it
-    (``class_fusion``), which has the same element order, so its nonzero
-    coordinates are those of that class in chi's sparse row.  Each
-    distinct fused row is paired with every sparse row of H's table
-    (``_pairing``) and gated once; rows of G that agree on the fused
-    classes restrict to the same character and share it.  The
-    restriction of a character is a character, so an irrational pairing,
-    or one not divisible by |H|, means a wrong table; so does a negative
-    multiplicity.  Power-basis coordinates are unique, so
-    sum_k m_k theta_k = chi restricted to H is checked on coordinates: the
-    nonzero coordinates of the thetas with m_k != 0, times m_k, must add
-    up to the nonzero coordinates of the fused row.
+    Read through G's embedding (``CharacterTable``): H's exponent divides
+    G's, so H's rows map at G's Q by the same zeta_o -> z^(e/o), and
+    chi(x^-1) for x in class k of H is chi's inverted row at the class
+    of G that contains x (``class_fusion``).  So
+    |H| m = sum_k |C_k| theta(x_k) chi(x_k^-1) is one dot product mod Q,
+    and m its residue over |H|.  Each distinct fused row is paired with
+    every row of H and gated once; rows of G that agree on the fused
+    classes restrict to the same character and share it.  A multiplicity
+    lies in [0, chi(1)], so a residue above chi(1) means a wrong table.
+    Power-basis coordinates are unique, so sum_k m_k theta_k = chi
+    restricted to H is then checked exactly, on coordinates; as the
+    thetas are independent (H's table gate), the m_k are the
+    multiplicities.
 
     For H = G it is the identity, unpaired: the table gate has proved
-    <chi_i, chi_j> = delta_ij exactly on the same cached table."""
+    <chi_i, chi_j> = delta_ij on the same cached table."""
     if H == G:
         rows = range(len(character_table(G).values))
         return tuple(tuple(int(i == k) for k in rows) for i in rows)
     fusion = class_fusion(G, H)
-    sub = character_table(H)
-    thetas = sub.sparse
-    n = H.order()
-    fused = [tuple(x[k] for k in fusion) for x in character_table(G).sparse]
+    table, sub = character_table(G), character_table(H)
+    Q = table.modulus
+    thetas = [
+        [c.size * v % Q for c, v in zip(sub.classes, row)]
+        for row in _embed(sub.coords, sub.classes, table.exponent, Q, table.root)
+    ]
+    scale = pow(H.order(), -1, Q)
+    fused = [tuple(x[k] for k in fusion) for x in table.coords]
     found = {}
-    for a in dict.fromkeys(fused):
-        row = []
-        for b in thetas:
-            sums, irrational = _pairing(sub, a, b)
-            if irrational is not None or sum(sums.values()) % n:
-                raise InternalCheckError(
-                    f"restriction from {G!r} to {H!r} has a multiplicity"
-                    " that is not an integer"
-                )
-            row.append(sum(sums.values()) // n)
-        rebuilt = [{} for _ in a]
-        for m, b in zip(row, thetas):
+    for d, a, y in zip(table.degrees, fused, table.inverted):
+        if a in found:
+            continue
+        b = [y[k] for k in fusion]
+        row = [sum(map(mul, t, b)) * scale % Q for t in thetas]
+        if max(row) > d:
+            raise InternalCheckError(
+                f"restriction from {G!r} to {H!r} has a multiplicity above"
+                " the degree"
+            )
+        rebuilt = [[0] * len(v) for v in a]
+        for m, theta in zip(row, sub.coords):
             if m:
-                for acc, y in zip(rebuilt, b):
-                    for i, c in y:
-                        acc[i] = acc.get(i, 0) + m * c
-        nonzero = [{i: c for i, c in acc.items() if c} for acc in rebuilt]
-        if nonzero != list(map(dict, a)):
+                for acc, v in zip(rebuilt, theta):
+                    for i, c in enumerate(v):
+                        acc[i] += m * c
+        if tuple(map(tuple, rebuilt)) != a:
             raise InternalCheckError(
                 f"constituent decomposition does not reconstruct on {H!r}"
-            )
-        if any(m < 0 for m in row):
-            raise InternalCheckError(
-                f"restriction from {G!r} to {H!r} has a negative multiplicity"
             )
         found[a] = tuple(row)
     return tuple(found[a] for a in fused)
@@ -359,7 +350,14 @@ def inertia_group(G, N, k):
 class CharacterTable:
     """The full ordinary character table of a finite permutation group.
     Row i is the irreducible character chi_i, in parallel forms: its
-    printed values, their coordinates and their sparse coordinates."""
+    printed values, their coordinates and their images in GF(Q).
+
+    The images come from one embedding of Z[zeta_e], e the exponent: Q
+    is the least prime = 1 (mod e) above 2 |G| max chi(1)^2, z has order
+    e mod Q (``_root_of_unity``), and a value with coordinates c at
+    element order o maps to sum_s c_s z^(s e/o) (``_embed``).  So
+    sum_k |C_k| chi_s(x_k) chi_u(x_k^-1), mod Q, is the dot product of
+    row s of ``weighted`` with row u of ``inverted``."""
 
     def __init__(self, group, exponent, values, coords):
         self.group = group
@@ -372,23 +370,34 @@ class CharacterTable:
         # for each row, one tuple per class: the value's integer
         # power-basis coordinates at the class's element order
         self.coords = tuple(coords)
-        # the same values with their zero coordinates dropped: per row and
-        # class, the nonzero (index, coordinate) pairs, index ascending
-        self.sparse = tuple(tuple(map(_nonzeros, row)) for row in self.coords)
-        # the pairing's walk, one element order o at a time: (o, phi(o),
-        # its classes as (index, size, index of the inverse class))
-        walk = {}
-        for c, k in zip(self.classes, group.inverse_classes()):
-            walk.setdefault(c.element_order, []).append((c.index, c.size, k))
-        self.orders = tuple(
-            (o, len(cyclotomic_polynomial(o)) - 1, tuple(classes))
-            for o, classes in walk.items()
+        bound = 2 * group.order() * max(d * d for d in self.degrees)
+        self.modulus = Q = _prime_above(exponent, bound)
+        self.root = _root_of_unity(exponent, Q)
+        rows = _embed(self.coords, self.classes, exponent, Q, self.root)
+        # for each row, |C_k| chi(x_k) mod Q at class k
+        self.weighted = tuple(
+            tuple(c.size * v % Q for c, v in zip(self.classes, row)) for row in rows
         )
-        # the table gate's {o: S_o} for each pair of rows s <= u, at (s, u)
-        self.partial_sums = None
+        # for each row, chi(x_k^-1) mod Q at class k
+        inverse_class = group.inverse_classes()
+        self.inverted = tuple(tuple(row[k] for k in inverse_class) for row in rows)
 
     def __repr__(self):
         return f"CharacterTable({self.group!r}, degrees={list(self.degrees)})"
+
+
+def _embed(coords, classes, e, Q, z):
+    """The rows of coordinates, one tuple per class at the class's
+    element order o, mapped into GF(Q) by zeta_o -> z^(e/o), for z of
+    order e mod Q; each distinct (o, coordinates) is mapped once."""
+    orders = [c.element_order for c in classes]
+    powers = {o: [pow(z, e // o * s, Q) for s in range(o)] for o in set(orders)}
+    seen = {}
+    for row in coords:
+        for o, x in zip(orders, row):
+            if (o, x) not in seen:
+                seen[o, x] = sum(map(mul, x, powers[o])) % Q
+    return [[seen[o, x] for o, x in zip(orders, row)] for row in coords]
 
 
 @lru_cache(maxsize=None)
@@ -397,7 +406,19 @@ def character_table(G):
 
     Each central character comes scaled by the inverse of its identity
     entry: w[0] is 1, as omega(1) = 1 needs, unless that entry is 0 and
-    the vector scales to 0, which the gate rejects."""
+    the vector scales to 0, which the gate rejects.
+
+    The split runs mod q, the least prime = 1 (mod e) with q^2 > 4|G|.
+    GF(q) holds the e-th roots of unity and q > e does not divide |G|,
+    so the class algebra Z(F_q G) is split semisimple: its r central
+    characters are distinct mod q, and the class matrices split GF(q)^r
+    into r common eigenlines.  q^2 > 4|G| makes each degree, and each
+    lifted multiplicity, readable from its residue.
+
+    The lift at class j of order o reads chi at the powers x_j^k.  For a
+    unit g mod e, x -> x^g permutes the classes, and the powers of x_j^g
+    are those of x_j at g k; the table gate's proof rests on that, so
+    it is checked for each generator of the units."""
     classes = G.conjugacy_classes()
     r = len(classes)
     n = G.order()
@@ -405,15 +426,21 @@ def character_table(G):
     reps = [c.representative for c in classes]
     inverse_class = G.inverse_classes()
 
-    q = _dixon_prime(e, n)
+    q = _prime_above(e, isqrt(4 * n))
     vectors = _central_characters(G, q)
 
-    z = _primitive_root_of_unity(G, e, q)
+    z = _root_of_unity(e, q)
     orders = [c.element_order for c in classes]
     power_class = [
         [G.class_index(power(reps[j], k)) for k in range(orders[j])]
         for j in range(r)
     ]
+    for g in _unit_generators(e):
+        for o, powers in zip(orders, power_class):
+            if power_class[powers[g % o]] != [powers[g * k % o] for k in range(o)]:
+                raise InternalCheckError(
+                    f"power classes of {G!r} are not closed under x -> x^{g}"
+                )
     # zeta^(-tk) / o mod q, row t and column k, with zeta = z^(e/o) at order o
     kernels = {}
     for o in set(orders):
@@ -440,6 +467,11 @@ def character_table(G):
                 raise InternalCheckError(
                     f"lifted multiplicity out of range on {G!r}"
                 )
+            if sum(coeffs) != d:
+                raise InternalCheckError(
+                    f"lifted multiplicities at class {j} of {G!r} add up to"
+                    f" {sum(coeffs)}, not to the degree {d}"
+                )
             x = tuple(reduce_mod_cyclotomic(coeffs, o))
             v = lifted.get((o, x))
             if v is None:
@@ -462,29 +494,41 @@ def character_table(G):
     return table
 
 
-def _dixon_prime(e, n):
-    """The least prime q = 1 (mod e) with q^2 > 4|G|.
-
-    GF(q) holds the e-th roots of unity and q > e does not divide |G|,
-    so the class algebra Z(F_q G) is split semisimple: its r central
-    characters are distinct mod q, and the class matrices split GF(q)^r
-    into r common eigenlines.  q^2 > 4|G| makes each degree, and each
-    lifted multiplicity, readable from its residue."""
-    q = e + 1
-    while q * q <= 4 * n or not is_prime(q):
-        q += e
-    return q
+def _prime_above(e, bound):
+    """The least prime = 1 (mod e) above bound, searched from the first
+    candidate above it."""
+    p = (bound - 1) // e * e + 1 + e
+    while not is_prime(p):
+        p += e
+    return p
 
 
-def _primitive_root_of_unity(G, e, q):
-    if e == 1:
-        return 1
-    for z in range(2, q):
-        if multiplicative_order(z, q) == e:
+def _root_of_unity(e, p):
+    """An element of order e mod the prime p = 1 (mod e): the first
+    z = a^((p-1)/e), a = 2, 3, ..., with z^(e/r) != 1 for every prime r
+    dividing e.  Its order divides e and no e/r, so it is e; and the
+    search ends, as a generator of the cyclic group GF(p)* gives one."""
+    primes = prime_factors(e)
+    a = 2
+    while True:
+        z = pow(a, (p - 1) // e, p)
+        if all(pow(z, e // r, p) != 1 for r in primes):
             return z
-    raise InternalCheckError(
-        f"no primitive {e}-th root of unity mod q = {q} for {G!r}"
-    )
+        a += 1
+
+
+def _unit_generators(e):
+    """Units mod e that generate the group of units, each outside the
+    subgroup that those before it generate."""
+    found, span = [], {1}
+    for g in range(2, e):
+        if gcd(g, e) == 1 and g not in span:
+            found.append(g)
+            coset = span
+            # the cosets g^i span, up to the first that is span again
+            while not (coset := {x * g % e for x in coset}) <= span:
+                span = span | coset
+    return found
 
 
 def _degree_from_norm(G, s, q):
@@ -508,17 +552,18 @@ def _central_characters(G, q):
     sum_chi chi(1) chi(x_k) = |G| delta_k0, reads
     delta_1 = sum_chi (chi(1)^2 / |G|) omega_chi for delta_1 = (1, 0, ..., 0),
     and every coefficient is nonzero mod q, as q does not divide |G| and
-    chi(1) < q (``_dixon_prime``).  So each set S of characters not yet
-    told apart is carried as one vector u_S = sum_{chi in S} c_chi omega_chi,
-    every c_chi nonzero, starting from delta_1 for all of Irr(G).  As
-    M_i omega_chi = omega_chi(K_i) omega_chi, the Krylov space of u_S
-    under M_i is spanned by the parts u_S_lambda over the chi in S with
-    omega_chi(K_i) = lambda, which are independent, as the omega_chi
-    are: the minimal polynomial of u_S is the product of its x - lambda,
-    and each part is p_lambda(M_i) u_S up to a nonzero scalar
-    (``_krylov_split``).  Z(F_q G) is split semisimple, so every lambda
-    lies in GF(q); a minimal polynomial with fewer distinct roots there
-    than its degree means a wrong prime or a wrong class row.
+    chi(1) < q (``character_table``).  So each set S of characters not
+    yet told apart is carried as one vector
+    u_S = sum_{chi in S} c_chi omega_chi, every c_chi nonzero, starting
+    from delta_1 for all of Irr(G).  As M_i omega_chi = omega_chi(K_i)
+    omega_chi, the Krylov space of u_S under M_i is spanned by the parts
+    u_S_lambda over the chi in S with omega_chi(K_i) = lambda, which are
+    independent, as the omega_chi are: the minimal polynomial of u_S is
+    the product of its x - lambda, and each part is p_lambda(M_i) u_S up
+    to a nonzero scalar (``_krylov_split``).  Z(F_q G) is split
+    semisimple, so every lambda lies in GF(q); a minimal polynomial with
+    fewer distinct roots there than its degree means a wrong prime or a
+    wrong class column.
 
     Each non-identity class in ascending (class size, index) order splits
     every vector, while there are fewer than r.  The sets are disjoint
@@ -526,28 +571,30 @@ def _central_characters(G, q):
     each is c_chi omega_chi, and divided by its identity entry c_chi it
     is omega_chi.  The r central characters are distinct mod q, so some
     class tells any two apart, and the last class leaves r vectors.  A
-    split reads every row of its class matrix, so a class's rows are
-    built when it is first used, each once, and kept as its nonzero
-    (row, class, constant) triples."""
+    product M_i v reads column k of M_i only where v_k is nonzero, so
+    each column of a class is built when first read, once
+    (``_class_column``); delta_1's first product reads column 0 alone,
+    which needs no product of elements."""
     classes = G.conjugacy_classes()
     r = len(classes)
     vectors = [[int(k == 0) for k in range(r)]]
     for i in sorted(range(1, r), key=lambda i: (classes[i].size, i)):
         if len(vectors) == r:
             break
-        entries = [
-            (j, k, a)
-            for j in range(r)
-            for k, a in enumerate(_class_row(G, i, j, q))
-            if a
-        ]
+        columns = {}
+
+        def column(k):
+            if k not in columns:
+                columns[k] = _class_column(G, i, k)
+            return columns[k]
+
         split = []
         for t, u in enumerate(vectors):
             # as many vectors as classes: each one left is a line
             if len(split) + len(vectors) - t == r:
                 split += vectors[t:]
                 break
-            parts = _krylov_split(entries, u, q)
+            parts = _krylov_split(column, u, q)
             if parts is None:
                 raise InternalCheckError(
                     f"eigenspace splitting failed on {G!r} mod q = {q}: the"
@@ -564,52 +611,46 @@ def _central_characters(G, q):
     return [[x * pow(v[0], q - 2, q) % q for x in v] for v in vectors]
 
 
-def _class_row(G, i, j, q):
-    """Row j of the class matrix of class i: for each class k,
-    a_ijk = #{(x, y) in C_i x C_j : xy = z_k}, xy = mult(x, y) (y applied
-    first), z_k the representative of class k.
+def _class_column(G, i, k):
+    """Column k of the class matrix of class i, as {j: a_ijk} over its
+    nonzero entries: a_ijk = #{(x, y) in C_i x C_j : xy = z_k},
+    xy = mult(x, y) (y applied first), z_k the representative of class k.
 
-    Count the triples (x, y, z) in C_i x C_j x C_k with xy = z two ways.
-    Conjugation permutes each class, so each z in C_k has as many pairs
-    as z_k, a_ijk, and each y in C_j as many x as z_j,
-    n_jk = #{x in C_i : x z_j in C_k}.  So |C_k| a_ijk = |C_j| n_jk: one
-    map p -> mult(p, z_j) over C_i gives the row in |C_i| products.  Gate:
-    each division is exact; q only names the split in the message."""
-    classes = G.conjugacy_classes()
-    by_zj = right_factor(classes[j].representative)
-    n = Counter(map(G.class_indices().__getitem__, map(by_zj, G.class_elements(i))))
-    size = classes[j].size
-    row = [0] * len(classes)
-    for k, m in n.items():
-        row[k], inexact = divmod(size * m, classes[k].size)
-        if inexact:
-            raise InternalCheckError(
-                f"class matrix row {j} of class {i} of {G!r} (split mod q = {q})"
-                " has a structure constant that is not an integer"
-            )
-    return row
+    Each x in C_i leaves one y = x^-1 z_k, so a_ijk counts the w = x^-1
+    in C_i*, the class of inverses of C_i, with w z_k in C_j: one map
+    p -> mult(p, z_k) over C_i* counts the column in |C_i| products, with
+    no division.  Column 0 needs none: z_0 = 1, so it is |C_i| at i*."""
+    classes, star = G.conjugacy_classes(), G.inverse_classes()[i]
+    if k == 0:
+        return {star: classes[i].size}
+    by_zk = right_factor(classes[k].representative)
+    inverses = G.class_elements(star)
+    return Counter(map(G.class_indices().__getitem__, map(by_zk, inverses)))
 
 
-def _krylov_split(entries, u, q):
-    """u split by the matrix m given by its nonzero entries, as (row,
-    column, entry) triples: for each distinct root lambda of the minimal
-    polynomial of u under m, the vector p_lambda(m) u, with
-    p_lambda = minpoly / (x - lambda); None when the minimal polynomial
-    has fewer distinct roots in GF(q) than its degree.
+def _krylov_split(column, u, q):
+    """u split by the matrix m given by its columns, column(k) the
+    nonzero entries {row: entry} of column k: for each distinct root
+    lambda of the minimal polynomial of u under m, the vector
+    p_lambda(m) u, with p_lambda = minpoly / (x - lambda); None when the
+    minimal polynomial has fewer distinct roots in GF(q) than its degree.
 
     The Krylov sequence u, m u, m^2 u, ... is fed to ``_echelon`` up to
     its first dependence, m^d u = sum_t c_t m^t u, which gives
-    minpoly = x^d - sum_t c_t x^t.  It is evaluated at every element of
-    GF(q) at once, by Horner's rule, and each root's p_lambda(m) u is
-    summed over the Krylov vectors as synthetic division gives its
-    coefficients; when d = 1, u is its own part."""
+    minpoly = x^d - sum_t c_t x^t; each product reads the columns where
+    its vector is nonzero.  The minimal polynomial is evaluated at every
+    element of GF(q) at once, by Horner's rule, and each root's
+    p_lambda(m) u is summed over the Krylov vectors as synthetic
+    division gives its coefficients; when d = 1, u is its own part."""
     feed = _echelon(q)
     krylov = [u]
     found = feed(u)
     while found is None:
-        v, w = krylov[-1], [0] * len(u)
-        for j, k, a in entries:
-            w[j] += a * v[k]
+        w = [0] * len(u)
+        for k, x in enumerate(krylov[-1]):
+            if x:
+                for j, a in column(k).items():
+                    w[j] += a * x
         krylov.append([x % q for x in w])
         found = feed(krylov[-1])
     if len(found) == 1:
@@ -684,26 +725,33 @@ def _verify_orthogonality(table):
     is its own conjugate, so only irrational values are reduced there.
     Then X D X* = I, row orthonormality for the table X and
     D = diag(|C_k| / |G|), reads
-    sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su.
+    S_su = sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su,
+    checked for s <= u (S_us is S_su read at the inverse classes) as
+    S_su = |G| delta_su mod Q, one dot product of the table's embedded
+    rows (``CharacterTable``).  A congruence is an equality here:
 
-    That sum is ``_pairing``, in exact integer arithmetic one element
-    order at a time, on the table's ``sparse`` rows: the nonzero integer
-    coordinates on the power basis of conductor o, as a character value
-    at an element of order o lies in Z[zeta_o], the ring of integers of
-    Q(zeta_o).  The lift makes them so, reducing integer root
-    coefficients by the monic Phi_o.  The partial sum S_o over the
-    classes of order o must be rational, and the S_o must add up to
-    |G| delta_su.  They are kept on the table (``partial_sums``) for
-    Osima's criterion.  A sum with no coefficient at phi(o) or above is
-    not reduced (``_pairing``), so a rational table passes the gate with
-    no reduction at all.
+    - Closure.  The lift reads the values at class j off the Fourier
+      coefficients m_t = (1/o) sum_k chi(x_j^k) zeta_o^(-tk) of chi on
+      <x_j>, chi(x_j) = sum_t m_t zeta_o^t.  For a unit g mod e, the
+      powers of x_j^g are those of x_j at g k (checked in
+      ``character_table``), so the coefficients at the class of x_j^g
+      are those at x_j with t -> t g^-1 (mod o), and the Galois
+      automorphism sigma_g: zeta -> zeta^g of Q(zeta_e) gives
+      sigma_g(chi(x)) = chi(x^g).  x -> x^g permutes the classes, keeps
+      their sizes and commutes with inversion, so sigma_g fixes S_su,
+      and the sum over the p-regular classes (Osima's criterion), which
+      x -> x^g permutes too.  A sum fixed by every sigma_g is rational,
+      and an algebraic integer, so a rational integer.
+    - Bound.  The lifted multiplicities m_t are integers in [0, q/2)
+      that add up to chi(1) (both checked in ``character_table``), so
+      chi(x) is a sum of chi(1) roots of unity and |chi(x)| <= chi(1).
+      Then |S_su| and every p-regular sum are at most |G| chi_s(1)
+      chi_u(1), and |S_su - |G| delta_su| <= |G| max chi(1)^2 < Q.
 
-    This is no weaker than checking the identity directly: the S_o add up
-    to the full sum, so passing both tests proves it.  Nor does it reject
-    a genuine table: for k coprime to the exponent, x -> x^k permutes the
-    classes of order o and keeps their sizes, and the Galois automorphism
-    zeta -> zeta^k maps chi(x) to chi(x^k); so every automorphism of
-    Q(zeta_o) permutes the terms of S_o, and S_o is rational.
+    The embedding is a ring map Z[zeta_e] -> GF(Q) that reduces a
+    rational integer mod Q, so S_su - |G| delta_su, a rational integer
+    below Q in absolute value and 0 mod Q, is 0; likewise a p-regular
+    sum is nonzero exactly when its residue is.
 
     The column relation needs no check of its own.  X is square, so
     X D X* = I makes D X* the inverse of X; then D X* X = I, that is
@@ -721,65 +769,17 @@ def _verify_orthogonality(table):
                 raise InternalCheckError(
                     f"row {s} of {G!r} is not conjugate on inverse classes"
                 )
-    sparse = table.sparse
-    partial_sums = {}
-    for s in range(r):
+    n, Q, inverted = G.order(), table.modulus, table.inverted
+    for s, a in enumerate(table.weighted):
         for u in range(s, r):
-            sums, irrational = _pairing(table, sparse[s], sparse[u])
-            if irrational is not None:
-                raise InternalCheckError(
-                    f"row orthogonality fails for rows {s}, {u} of {G!r}: "
-                    f"the sum over the classes of element order {irrational} "
-                    "is irrational"
-                )
-            if sum(sums.values()) != (G.order() if s == u else 0):
+            if sum(map(mul, a, inverted[u])) % Q != (n if s == u else 0):
                 raise InternalCheckError(
                     f"row orthogonality fails for rows {s}, {u} of {G!r}"
                 )
-            partial_sums[s, u] = sums
     if any(v != ONE for v in table.values[0]):
         raise InternalCheckError(
             f"first table row of {G!r} is not the trivial character"
         )
-    table.partial_sums = partial_sums
-
-
-def _pairing(table, a, b):
-    """sum_k |C_k| a_k b_(k^-1) for lifted class functions a and b, given
-    as sparse rows (``CharacterTable.sparse``), by element order: the
-    terms over the classes of order o (``CharacterTable.orders``) are
-    added as integer polynomials in zeta_o, one product of nonzero
-    coordinates at a time, into 2 phi(o) - 1 coefficients.
-    Returns ({o: S_o}, None), or (None, o) for the first irrational S_o.
-
-    The sum is reduced mod Phi_o only when a coefficient at phi(o) or
-    above is nonzero.  Below phi(o) it already holds the power-basis
-    coordinates of S_o, as 1, zeta_o, ..., zeta_o^(phi(o)-1) is a basis
-    of Q(zeta_o); then S_o is rational exactly when only the coefficient
-    at 0 is nonzero.  Products of rational values stay at index 0, so a
-    rational table never reduces."""
-    partials = {}
-    for o, phi, classes in table.orders:
-        acc = [0] * (2 * phi - 1)
-        for j, size, k in classes:
-            x = a[j]
-            if x:
-                y = b[k]
-                for i, xi in x:
-                    xi *= size
-                    for t, yt in y:
-                        acc[i + t] += xi * yt
-        if any(acc[phi:]):
-            acc = reduce_mod_cyclotomic(acc, o)
-        if any(acc[1:]):
-            return None, o
-        partials[o] = acc[0]
-    return partials, None
-
-
-def _nonzeros(x):
-    """The nonzero (index, coordinate) pairs of the coordinates x."""
-    return tuple((i, c) for i, c in enumerate(x) if c)
 
 
 def _conjugate(x, o):

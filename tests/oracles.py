@@ -32,12 +32,12 @@ character, to compare with the package's one elimination.
 theta (``inner_product``), to compare with the package's route through
 ordinary lifts and the restriction table.  ``inner_product`` pairs
 class functions by adding every class into one root list at the
-exponent of G, to compare with the package's one pairing on integer
-power-basis coordinates.  ``pairing_dense`` is that pairing as the
-package once computed it, on a table's dense ``coords``: every
-coordinate multiplied, and every element order's sum reduced mod Phi_o,
-to compare with the package's pairing on sparse rows, which skips zero
-coordinates and the reductions that cannot change the sum.
+exponent of G.  ``pairing_dense`` is the exact pairing on a table's
+``coords``: every coordinate multiplied, and every element order's sum
+reduced mod Phi_o, to compare with the package's one pairing, a dot
+product of the table's rows embedded mod one big prime: the table gate's
+sums, Osima's sums over the p-regular classes and the restriction
+multiplicities.
 ``induced_central`` induces a block's reduced central character by
 walking every element of G and summing over the classes of the
 subgroup it meets, to compare with the package's route through the
@@ -79,9 +79,9 @@ Phi_140 into its four factors.
 time, from the map's power table, to compare with the package's
 accumulation in integer lists.
 ``structure_constants`` counts every class-algebra structure constant
-from products of elements, to compare with the class-matrix rows the
-package builds for its table from one class and its size ratios
-(``chartab._class_row``);
+from products of elements, to compare with the class-matrix columns
+the package builds for its table, each one count over one class
+(``chartab._class_column``);
 ``class_algebra_product_by_elements`` multiplies class-algebra elements
 over them one field element at a time, to check that the package's
 block idempotents are orthogonal idempotents, e_u e_v = delta_uv e_u,
@@ -123,7 +123,7 @@ from functools import lru_cache
 from itertools import combinations, islice, product
 from math import gcd, isqrt, lcm
 
-from blockforge.arith import multiplicative_order, p_part, prime_factors
+from blockforge.arith import p_part, prime_factors
 from blockforge.blocks import (
     block_data,
     brauer_correspondent,
@@ -1115,6 +1115,15 @@ def _split(h, f, p, rng):
 
 
 @lru_cache(maxsize=None)
+def multiplicative_order(a, n):
+    """The order of a modulo n, for a unit a, by repeated products."""
+    k, x = 1, a % n
+    while x != 1 % n:
+        x = x * a % n
+        k += 1
+    return k
+
+
 def _phi_factors(n, p):
     phi = tuple(c % p for c in cyclotomic_polynomial(n))
     return tuple(sorted(_split(phi, multiplicative_order(p, n), p, random.Random(n))))

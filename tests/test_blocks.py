@@ -514,17 +514,16 @@ def test_osima_gate_fires_on_merged_central_characters(monkeypatch, a5):
         block_data.__wrapped__(a5, 2)
 
 
-def test_osima_gate_fires_on_a_forged_partial_sum(monkeypatch, a5):
+def test_osima_gate_fires_on_a_forged_embedded_row(monkeypatch, a5):
     # rows 0 (degree 1) and 3 (degree 4) lie in different 2-blocks of A5;
-    # a nonzero sum at order 1, which is 2-regular, links them
+    # row 0's embedded value at the identity, which is 2-regular, raised
+    # by one adds chi_3(1) = 4 to their sum mod Q and links them
     table = character_table(a5)
     assert [table.degrees[i] for i in (0, 3)] == [1, 4]
-    assert sum(v for o, v in table.partial_sums[0, 3].items() if o % 2) == 0
+    assert table.inverted[3][0] == 4
     forged = copy.copy(table)
-    forged.partial_sums = dict(table.partial_sums)
-    sums = dict(forged.partial_sums[0, 3])
-    sums[1] += 1
-    forged.partial_sums[0, 3] = sums
+    row = table.weighted[0]
+    forged.weighted = ((row[0] + 1,) + row[1:],) + table.weighted[1:]
     monkeypatch.setattr(blocks, "character_table", lambda G: forged)
     message = re.escape(
         f"Osima's criterion disagrees with the central characters on {a5!r} at p = 2"

@@ -1,9 +1,11 @@
+import copy
 import json
 import random
 import re
 from collections import Counter
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -13,12 +15,13 @@ from blockforge.arith import is_prime, prime_factors
 from blockforge.chartab import (
     CharacterTable,
     _central_characters,
-    _class_row,
+    _class_column,
     _degree_from_norm,
-    _dixon_prime,
     _echelon,
     _krylov_split,
-    _primitive_root_of_unity,
+    _prime_above,
+    _root_of_unity,
+    _unit_generators,
     _verify_orthogonality,
     character_table,
     class_fusion,
@@ -30,11 +33,13 @@ from blockforge.chartab import (
     p_prime_core,
     restriction_multiplicities,
 )
+from blockforge.blocks import components, osima_partition, p_regular_classes
 from blockforge.cli import main
 from blockforge.cyclotomic import ONE, Cyclotomic, rational
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import format_group_text
-from blockforge.permgroup import PermutationGroup, sylow_subgroup
+from blockforge.permgroup import PermutationGroup, normalizer, sylow_subgroup
+from blockforge.perms import power
 
 import oracles
 from oracles import (
@@ -181,56 +186,55 @@ def test_structure_constants_s3(s3):
             assert a[0][j][k] == want
 
 
+def _column(a, i, k):
+    """Column k of class i's matrix, from the oracle's constants, as its
+    nonzero {j: a_ijk}."""
+    return {j: row[k] for j, row in enumerate(a[i]) if row[k]}
+
+
 def test_structure_constants_match_pair_counting_oracle(s3, a4):
-    # every class-matrix row, from one class and the class sizes, against
-    # a count of element products
+    # every class-matrix column, counted over one class, against a count
+    # of element products
     for G in (s3, a4, cyclic(6), psl_2_7()):
         a = oracles.structure_constants(G)
-        q = _dixon_prime(G.exponent(), G.order())
-        for i, plane in enumerate(a):
-            for j, row in enumerate(plane):
-                assert _class_row(G, i, j, q) == list(row), (G, i, j)
+        for i in range(len(a)):
+            for k in range(len(a)):
+                assert _class_column(G, i, k) == _column(a, i, k), (G, i, k)
+
+
+# Class-matrix columns counted over a class, k > 0, for each table of
+# the benchmark's table workload.  A Krylov product reads only the
+# columns where its vector is nonzero, and column 0 takes no product;
+# pinned, so that a split that reads more of the class algebra fails
+# here.
+COLUMNS_BUILT = {"S6": 20, "PSL(2,7)": 10, "S4xS3": 22, "A7": 38}
 
 
 def test_table_reads_fewer_class_matrices_than_classes(monkeypatch):
     # The four groups of the benchmark's table workload: the refinement
-    # splits delta_1 with a few cheap classes, and builds every row of
-    # the class matrices it uses, each once, as every Krylov product
-    # reads them all.
+    # splits delta_1 with a few cheap classes, and builds each column it
+    # reads once; delta_1's first product reads column 0 alone.
     built = []
-    class_row = chartab._class_row
+    class_column = chartab._class_column
 
-    def recorded(G, i, j, q):
-        built.append((i, j, class_row(G, i, j, q)))
+    def recorded(G, i, k):
+        built.append((i, k, class_column(G, i, k)))
         return built[-1][2]
 
-    monkeypatch.setattr(chartab, "_class_row", recorded)
+    monkeypatch.setattr(chartab, "_class_column", recorded)
     for G in (symmetric(6), psl_2_7(), s4_times_s3(), alternating(7)):
         r = len(G.conjugacy_classes())
         built.clear()
         character_table.__wrapped__(G)
         read = {i for i, _, _ in built}
         assert 0 < len(read) < r, G
-        assert len({(i, j) for i, j, _ in built}) == len(built), G
-        assert len(built) == r * len(read), G
+        assert len({(i, k) for i, k, _ in built}) == len(built), G
+        assert {i for i, k, _ in built if k == 0} == read, G
+        counted = sum(k > 0 for _, k, _ in built)
+        assert counted == COLUMNS_BUILT[G.name], (G, counted)
         a = oracles.structure_constants(G)
-        for i, j, row in built:
-            assert row == list(a[i][j]), (G, i, j)
-
-
-def test_class_row_gate_rejects_an_inexact_division(monkeypatch, s3):
-    # Row 2 (the 3-cycles, 2 elements) of the transpositions' class
-    # matrix: each of the 3 transpositions times a 3-cycle is a
-    # transposition, and 2 * 3 / 3 is exact.  With one transposition
-    # missing from its class, 2 * 2 / 3 is not.
-    class_elements = s3.class_elements
-    monkeypatch.setattr(s3, "class_elements", lambda i: class_elements(i)[:-1])
-    message = re.escape(
-        f"class matrix row 2 of class 1 of {s3!r} (split mod q = 7) has a"
-        " structure constant that is not an integer"
-    )
-    with pytest.raises(InternalCheckError, match=message):
-        _class_row(s3, 1, 2, 7)
+        for i, k, column in built:
+            assert column == _column(a, i, k), (G, i, k)
 
 
 def test_tables_of_groups_with_many_classes():
@@ -548,11 +552,17 @@ def test_restriction_table_reconstruction_gate(monkeypatch, s4, a4):
 
 
 def test_restriction_table_nonnegativity_gate(monkeypatch, s4, a4):
+    # the trivial row of A4 negated: against the trivial character of S4
+    # restricted it pairs to -|A4|, so the multiplicity's residue is
+    # Q - 1, above the degree 1
     table = character_table(a4)
     negated = tuple(oracles.combination([(-1, v)]) for v in table.values[0])
     rows = (negated,) + table.values[1:]
     _forge_rows(monkeypatch, table, rows)
-    message = "from PermutationGroup 'S4'.* to PermutationGroup 'A4'.* negative"
+    message = (
+        "from PermutationGroup 'S4'.* to PermutationGroup 'A4'.* multiplicity"
+        " above the degree"
+    )
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
 
@@ -591,10 +601,14 @@ def test_restriction_table_rejects_a_pairing_not_divisible_by_the_order(
     monkeypatch, s4, a4
 ):
     # Against the trivial character of S4 restricted, a forged row
-    # (1, 0, 0, 0) of Irr(A4) pairs to 1, which |A4| = 12 does not divide.
+    # (1, 0, 0, 0) of Irr(A4) pairs to 1, which |A4| = 12 does not divide:
+    # the residue of 1/12 mod Q lies above the degree 1.
     zero = rational(0)
     _forge_last_row_of_a4(monkeypatch, a4, (ONE, zero, zero, zero))
-    message = re.escape(f"restriction from {s4!r} to {a4!r}") + ".* not an integer"
+    message = (
+        re.escape(f"restriction from {s4!r} to {a4!r}")
+        + " has a multiplicity above the degree"
+    )
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
 
@@ -602,9 +616,13 @@ def test_restriction_table_rejects_a_pairing_not_divisible_by_the_order(
 def test_restriction_table_rejects_an_irrational_pairing(monkeypatch, s4, a4):
     # zeta_3 on both classes of order 3, which are inverse to each other:
     # against the trivial character of S4 restricted, the sum over them
-    # is 8 zeta_3.
+    # is 8 zeta_3, and the multiplicity (4 + 8 zeta_3) / 12 is no integer:
+    # its residue lies above the degree 1.
     _forge_last_row_of_a4(monkeypatch, a4, (ONE, ONE, zeta(3), zeta(3)))
-    message = re.escape(f"restriction from {s4!r} to {a4!r}") + ".* not an integer"
+    message = (
+        re.escape(f"restriction from {s4!r} to {a4!r}")
+        + " has a multiplicity above the degree"
+    )
     with pytest.raises(InternalCheckError, match=message):
         restriction_multiplicities.__wrapped__(s4, a4)
 
@@ -643,69 +661,76 @@ def test_table_gate_rejects_rows_that_are_not_orthonormal(s4):
         _verify_orthogonality(_with_rows(table, rows))
 
 
-def test_table_gate_rejects_irrational_partial_sum(a5):
-    # Swapping the two degree-3 rows of A5 at one class of order 5 keeps
-    # both rows real, but their sums over the classes of order 5 become
-    # irrational (12 * 2 * (1 + sqrt 5) / 2 against the trivial row).
-    table = character_table(a5)
-    k = next(k for k, c in enumerate(table.classes) if c.element_order == 5)
-    rows = list(table.values)
-    i, j = [s for s, d in enumerate(table.degrees) if d == 3]
-    a, b = list(rows[i]), list(rows[j])
-    a[k], b[k] = b[k], a[k]
-    rows[i], rows[j] = tuple(a), tuple(b)
-    message = re.escape(
-        f"row orthogonality fails for rows 0, {i} of {a5!r}: "
-        "the sum over the classes of element order 5 is irrational"
-    )
+def test_table_gate_rejects_sums_that_fail_mod_q(s4):
+    # the exact table with one embedded entry moved: row 0's weighted
+    # value at the identity raised from 1 to 2 makes S_00 = |G| + 1 mod Q
+    table = character_table(s4)
+    forged = copy.copy(table)
+    forged.weighted = ((table.weighted[0][0] + 1,) + table.weighted[0][1:],)
+    forged.weighted += table.weighted[1:]
+    message = re.escape(f"row orthogonality fails for rows 0, 0 of {s4!r}")
     with pytest.raises(InternalCheckError, match=message):
-        _verify_orthogonality(_with_rows(table, rows))
+        _verify_orthogonality(forged)
 
 
-def _sparse(row):
-    return tuple(tuple((i, c) for i, c in enumerate(x) if c) for x in row)
+def _exact_sum(sums):
+    assert sums[0] is not None
+    return sum(sums[0].values())
 
 
 def test_pairing_matches_the_dense_oracle():
-    # Every pair of rows of every table, and zeta_o alone at one class of
-    # order o >= 3 against every row, whose sums are irrational: the
-    # sparse pairing, with its skipped reductions, against the dense one.
-    irrational = 0
+    # Every pair of rows of every table, against the exact pairing on
+    # coordinates: the embedded gate sum is |G| delta_su mod Q, and at
+    # every prime p the dot product over the p-regular classes is the
+    # exact p-regular sum mod Q, so Osima's links are the oracle's.
     for G in oracle_groups([cyclic(35)]):
         table = character_table(G)
-        assert table.sparse == tuple(map(_sparse, table.coords)), G
-        rows = list(zip(table.sparse, table.coords))
-        for c in table.classes:
-            if c.element_order >= 3:
-                dense = [(0,) * len(x) for x in table.coords[0]]
-                dense[c.index] = (0, 1) + (0,) * (len(dense[c.index]) - 2)
-                rows.append((_sparse(dense), tuple(dense)))
-        for a, x in rows:
-            for b, y in zip(table.sparse, table.coords):
-                want = oracles.pairing_dense(table, x, y)
-                assert chartab._pairing(table, a, b) == want, G
-                irrational += want[0] is None
-    assert irrational > 0
+        Q, n, r = table.modulus, G.order(), len(table.values)
+        exact = {}
+        for s, (a, x) in enumerate(zip(table.weighted, table.coords)):
+            for u, (b, y) in enumerate(zip(table.inverted, table.coords)):
+                exact[s, u] = oracles.pairing_dense(table, x, y)
+                assert _exact_sum(exact[s, u]) == (n if s == u else 0), G
+                assert sum(map(mul, a, b)) % Q == _exact_sum(exact[s, u]) % Q, G
+        for p in prime_factors(n):
+            regular = p_regular_classes(G, p)
+            links = set()
+            for s in range(r):
+                for u in range(r):
+                    partials = exact[s, u][0]
+                    total = sum(v for o, v in partials.items() if o % p)
+                    assert abs(total) < Q, G
+                    embedded = sum(
+                        table.weighted[s][k] * table.inverted[u][k]
+                        for k in regular
+                    )
+                    assert embedded % Q == total % Q, (G, p)
+                    if total and s != u:
+                        links.add((s, u))
+            assert osima_partition(table, p) == components(r, links), (G, p)
 
 
 def test_restriction_pairings_match_the_dense_oracle():
-    # Every fused row of G against every row of N's table, for each
-    # normal subgroup N of each catalog group; each sum is |N| times the
-    # restriction table's multiplicity.
-    for ent in catalog.entries():
-        G = ent.load()
+    # Every fused row of G against every row of H's table: H a normal
+    # subgroup of a catalog group, or the normalizer of a Sylow
+    # p-subgroup of an oracle group at each prime.  The exact pairing is
+    # |H| times the restriction table's multiplicity.
+    names = {ent.load().name for ent in catalog.entries()}
+    for G in oracle_groups([]):
         big = character_table(G)
-        for N in normal_subgroups(G):
-            fusion = class_fusion(G, N)
-            sub = character_table(N)
-            rows = restriction_multiplicities(G, N)
-            for a, x, row in zip(big.sparse, big.coords, rows):
-                a = tuple(a[k] for k in fusion)
+        primes = prime_factors(G.order())
+        subgroups = [normalizer(G, sylow_subgroup(G, p)) for p in primes]
+        if G.name in names:
+            subgroups += normal_subgroups(G)
+        for H in subgroups:
+            fusion = class_fusion(G, H)
+            sub = character_table(H)
+            rows = restriction_multiplicities(G, H)
+            for x, row in zip(big.coords, rows):
                 x = tuple(x[k] for k in fusion)
-                for b, y, m in zip(sub.sparse, sub.coords, row):
-                    want = oracles.pairing_dense(sub, x, y)
-                    assert chartab._pairing(sub, a, b) == want, (G, N)
-                    assert sum(want[0].values()) == m * N.order(), (G, N)
+                for y, m in zip(sub.coords, row):
+                    exact = _exact_sum(oracles.pairing_dense(sub, x, y))
+                    assert exact == m * H.order(), (G, H)
 
 
 def test_table_gate_reduces_no_value_of_a_rational_table(monkeypatch):
@@ -743,8 +768,10 @@ def _random_matrix(rng, r, q):
     return m
 
 
-def _entries(m):
-    return [(j, k, x) for j, row in enumerate(m) for k, x in enumerate(row) if x]
+def _columns(m):
+    """The matrix m as ``_krylov_split`` reads it: column k as its
+    nonzero {row: entry}."""
+    return lambda k: {j: row[k] for j, row in enumerate(m) if row[k]}
 
 
 def _rank(vectors, q):
@@ -759,24 +786,23 @@ def _times(m, v, q):
 def test_krylov_split_keeps_repeated_and_rejects_missing_eigenvalues():
     q = 13
     # (0, 1) = ((1, 3) - (1, 0)) / 3, on the eigenvectors of 5 and 2
-    parts = _krylov_split(_entries([[2, 1], [0, 5]]), [0, 1], q)
+    parts = _krylov_split(_columns([[2, 1], [0, 5]]), [0, 1], q)
     assert sorted(_leading_one(v, q) for v in parts) == [[1, 0], [1, 3]]
     # a repeated eigenvalue with two eigenvectors: one part, u itself
     m = [[2, 0, 0], [0, 2, 0], [0, 0, 5]]
-    assert _krylov_split(_entries(m), [1, 1, 0], q) == [[1, 1, 0]]
-    parts = _krylov_split(_entries(m), [1, 1, 1], q)
+    assert _krylov_split(_columns(m), [1, 1, 0], q) == [[1, 1, 0]]
+    parts = _krylov_split(_columns(m), [1, 1, 1], q)
     assert sorted(_leading_one(v, q) for v in parts) == [[0, 0, 1], [1, 1, 0]]
     # a Jordan block: (x - 2)^2, one distinct root for degree 2; its
     # eigenvector alone has minimal polynomial x - 2
-    assert _krylov_split(_entries([[2, 1], [0, 2]]), [0, 1], q) is None
-    assert _krylov_split(_entries([[2, 1], [0, 2]]), [1, 0], q) == [[1, 0]]
+    assert _krylov_split(_columns([[2, 1], [0, 2]]), [0, 1], q) is None
+    assert _krylov_split(_columns([[2, 1], [0, 2]]), [1, 0], q) == [[1, 0]]
     # x^2 + 1 has no root mod 11
-    assert _krylov_split(_entries([[0, 10], [1, 0]]), [1, 0], 11) is None
+    assert _krylov_split(_columns([[0, 10], [1, 0]]), [1, 0], 11) is None
     # zeta_3 is not in GF(5): C3's class matrix splits x^3 - 1 into
     # (x - 1)(x^2 + x + 1) there, and delta_1 does not split
     G = cyclic(3)
-    entries = _entries([_class_row(G, 1, j, 5) for j in range(3)])
-    assert _krylov_split(entries, [1, 0, 0], 5) is None
+    assert _krylov_split(lambda k: _class_column(G, 1, k), [1, 0, 0], 5) is None
 
 
 def test_krylov_split_agrees_with_full_scan():
@@ -810,7 +836,7 @@ def test_krylov_split_agrees_with_full_scan():
                     for v in oracles._nullspace_mod(_shifted(m, lam, q), q)
                 ]
                 spanned = _rank(eigen + [u], q) == _rank(eigen, q)
-                parts = _krylov_split(_entries(m), u, q)
+                parts = _krylov_split(_columns(m), u, q)
                 assert (parts is not None) == spanned, (m, u, q)
                 if parts is None:
                     cases["short"] += 1
@@ -841,8 +867,8 @@ def test_delta_one_is_the_degree_weighted_sum_of_central_characters():
     for G in oracle_groups([]):
         table = character_table(G)
         n, e = G.order(), table.exponent
-        q = _dixon_prime(e, n)
-        z = _primitive_root_of_unity(G, e, q)
+        q = _prime_above(e, isqrt(4 * n))
+        z = _root_of_unity(e, q)
         omegas = []
         for d, row in zip(table.degrees, table.coords):
             omega = []
@@ -958,10 +984,82 @@ def test_lift_gate_rejects_a_multiplicity_out_of_range(monkeypatch, s4):
         character_table.__wrapped__(s4)
 
 
-def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
-    message = re.escape(f"no primitive 5-th root of unity mod q = 13 for {s4!r}")
+def test_lift_gate_rejects_multiplicities_that_miss_the_degree(monkeypatch, s4):
+    # every degree forged to d + q: the class function is the same mod q,
+    # so every multiplicity is the same residue in range, but at the
+    # identity the one multiplicity d adds up to d, not to d + q
+    real = chartab._degree_from_norm
+    monkeypatch.setattr(
+        chartab, "_degree_from_norm", lambda G, s, q: real(G, s, q) + q
+    )
+    q = _prime_above(s4.exponent(), isqrt(4 * s4.order()))
+    message = (
+        re.escape(f"lifted multiplicities at class 0 of {s4!r} add up to ")
+        + r"(\d+), not to the degree (\d+)$"
+    )
+    with pytest.raises(InternalCheckError, match=message) as caught:
+        character_table.__wrapped__(s4)
+    d, forged = map(int, re.search(message, str(caught.value)).groups())
+    assert forged == d + q
+
+
+def test_lift_gate_rejects_power_classes_not_closed_under_units(monkeypatch):
+    # C5 with x^2 forged to x^3: the square of the class of x is then
+    # the class of x^3, whose cube is x^4, where (x^2)^3 = x^6 = x
+    G = cyclic(5)
+    real = chartab.power
+    monkeypatch.setattr(chartab, "power", lambda x, k: real(x, 3 if k == 2 else k))
+    message = re.escape(f"power classes of {G!r} are not closed under x -> x^2")
     with pytest.raises(InternalCheckError, match=message):
-        _primitive_root_of_unity(s4, 5, 13)
+        character_table.__wrapped__(G)
+
+
+def test_unit_generators_generate_the_units():
+    # each generator lies outside the span of those before it, and they
+    # span every unit mod e
+    for e in [1, 2, 3, 4, 8, 12, 15, 16, 24, 55, 94, 105, 420, 840]:
+        units = {g for g in range(e) if gcd(g, e) == 1} if e > 1 else {0}
+        span = {1 % e}
+        for g in _unit_generators(e):
+            assert g in units and g not in span, (e, g)
+            while True:
+                grown = span | {x * g % e for x in span}
+                if grown == span:
+                    break
+                span = grown
+        assert span == units, e
+
+
+def test_root_of_unity_has_the_order_asked(s4):
+    # the one helper serves the split's q and the embedding's Q
+    for e in [1, 2, 6, 12, 55, 420]:
+        for p in (_prime_above(e, e + 1), _prime_above(e, 10 ** 6)):
+            assert (p - 1) % e == 0 and is_prime(p), (e, p)
+            z = _root_of_unity(e, p)
+            assert oracles.multiplicative_order(z, p) == e, (e, p)
+    assert _prime_above(4, 8) == 13 and _prime_above(4, 12) == 13
+    assert _prime_above(1, 2) == 3
+
+
+def test_lift_rows_are_closed_under_the_galois_group():
+    # sigma_g: zeta_o -> zeta_o^g applied to each row's coordinates at
+    # class j is the row's coordinates at the class of x_j^g, for every
+    # generator g of the units mod the exponent: the closure the table
+    # gate's proof rests on, read off the finished table
+    for G in oracle_groups([cyclic(35)]):
+        table = character_table(G)
+        for g in _unit_generators(table.exponent):
+            for c in table.classes:
+                o = c.element_order
+                k = G.class_index(power(c.representative, g % o))
+                for row in table.coords:
+                    moved = [0] * o
+                    for t, a in enumerate(row[c.index]):
+                        moved[t * g % o] += a
+                    assert oracles.power_basis_coords(o, moved) == row[k], (G, g)
+
+
+def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
     # 24 / 12 = 2 mod 13, and 2 is not d^2 mod 13 for any d <= sqrt 24
     message = re.escape(
         f"no admissible degree for an eigenvector of {s4!r} mod q = 13"
@@ -976,9 +1074,8 @@ def test_splitting_errors_name_the_group_and_prime(monkeypatch, s4):
     )
     with pytest.raises(InternalCheckError, match=message):
         _central_characters(G, 5)
-    monkeypatch.setattr(
-        chartab, "_class_row", lambda G, i, j, q: [int(j == k) for k in range(3)]
-    )
+    # every class matrix forged to the identity, column k one 1 at row k
+    monkeypatch.setattr(chartab, "_class_column", lambda G, i, k: {k: 1})
     message = re.escape(
         f"eigenspace splitting failed on {G!r} mod q = 7: the class matrices"
         " leave a common eigenspace of dimension above one"

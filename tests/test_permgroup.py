@@ -7,7 +7,7 @@ import pytest
 from blockforge import build_report, chartab, clear_caches, permgroup, perms
 from blockforge.arith import p_part, prime_factors
 from blockforge.chartab import (
-    _class_row,
+    _class_column,
     character_table,
     is_p_solvable,
     normal_class_sets,
@@ -357,7 +357,7 @@ def test_degrees_one_and_two_keep_their_results():
     S1 = PermutationGroup(1, ())
     assert S1.elements() == ((0,),)
     assert S1.conjugacy_classes() == (permgroup.ConjugacyClass(0, (0,), 1, 1),)
-    assert _class_row(S1, 0, 0, 3) == [1]
+    assert _class_column(S1, 0, 0) == {0: 1}
     table = character_table.__wrapped__(S1)
     assert [list(map(str, row)) for row in table.values] == [["1"]]
     assert table.coords == (((1,),),)
@@ -367,9 +367,9 @@ def test_degrees_one_and_two_keep_their_results():
         permgroup.ConjugacyClass(0, (0, 1), 1, 1),
         permgroup.ConjugacyClass(1, (1, 0), 1, 2),
     )
-    assert [[_class_row(C2, i, j, 3) for j in range(2)] for i in range(2)] == [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
+    assert [[_class_column(C2, i, k) for k in range(2)] for i in range(2)] == [
+        [{0: 1}, {1: 1}],
+        [{1: 1}, {0: 1}],
     ]
     table = character_table.__wrapped__(C2)
     assert [list(map(str, row)) for row in table.values] == [["1", "1"], ["1", "-1"]]
@@ -403,8 +403,8 @@ def test_hot_loops_make_no_mult_calls(monkeypatch):
     assert len(G.elements()) == 720
     classes = G.conjugacy_classes()
     for i, c in enumerate(classes):
-        plane = [_class_row(G, i, j, 61) for j in range(len(classes))]
-        assert [sum(col) for col in zip(*plane)] == [c.size] * len(classes)
+        columns = [_class_column(G, i, k) for k in range(len(classes))]
+        assert [sum(col.values()) for col in columns] == [c.size] * len(classes)
     assert normalizer.__wrapped__(G, P) == P
     assert calls == []
 
