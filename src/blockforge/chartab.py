@@ -16,9 +16,9 @@ class's element order o rather than the group exponent: each value's
 integer root coefficients are reduced once mod Phi_o to its
 coordinates, and only an irrational value descends to its minimal
 conductor, one prime at a time with no linear solve (``cyclotomic``).
-Every finished row must take complex-conjugate values on inverse classes
-and the rows must be orthonormal, or an internal error is raised; for a
-square table row orthonormality implies the column relation.
+The rows must be orthonormal, or an internal error is raised; for a
+square table that implies the column relation.  Each distinct column
+is lifted once, and the lift gives conjugate values on inverse classes.
 
 The construction is fully deterministic, with no random splitting
 vectors: the class matrices split one vector, cheapest class first
@@ -61,8 +61,8 @@ representation, kept on the table as ``coords``: its integer
 coordinates on the power basis of Q(zeta_o) at its class's element
 order o, which is an integral basis of Z[zeta_o].  They are the ones
 the lift computes, and each printed value must lift back to them.  The
-conjugation gate, the action on rows, the restriction table's
-reconstruction, block data and the decomposition matrix read them.
+action on rows, the restriction table's reconstruction, block data and
+the decomposition matrix read them.
 
 A sum of products of values is read through one embedding per table
 instead: with Q the least prime = 1 (mod e) above 2|G| max chi(1)^2 and
@@ -77,12 +77,12 @@ its residue decides it (``_verify_orthogonality``).
 from collections import Counter
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from .arith import is_prime, p_part, prime_factors
 from .cyclotomic import ONE, Cyclotomic, reduce_mod_cyclotomic
 from .errors import DomainError, InternalCheckError
-from .perms import inverse, power, right_factor
+from .perms import identity, inverse, right_factor
 from .permgroup import _stabilizer, group_from_elements, is_normal_in, normal_closure
 
 
@@ -418,12 +418,15 @@ def character_table(G):
     The lift at class j of order o reads chi at the powers x_j^k.  For a
     unit g mod e, x -> x^g permutes the classes, and the powers of x_j^g
     are those of x_j at g k; the table gate's proof rests on that, so
-    it is checked for each generator of the units."""
+    it is checked for each generator of the units.
+
+    That column, of length o, determines the Fourier sum, its gates, the
+    reduction mod Phi_o and the value: its entry at k = 0 is chi(1) < q,
+    the degree the sum gate reads.  So each distinct column is lifted once."""
     classes = G.conjugacy_classes()
     r = len(classes)
     n = G.order()
     e = G.exponent()
-    reps = [c.representative for c in classes]
     inverse_class = G.inverse_classes()
 
     q = _prime_above(e, isqrt(4 * n))
@@ -431,10 +434,7 @@ def character_table(G):
 
     z = _root_of_unity(e, q)
     orders = [c.element_order for c in classes]
-    power_class = [
-        [G.class_index(power(reps[j], k)) for k in range(orders[j])]
-        for j in range(r)
-    ]
+    power_class = [_power_classes(G, c) for c in classes]
     for g in _unit_generators(e):
         for o, powers in zip(orders, power_class):
             if power_class[powers[g % o]] != [powers[g * k % o] for k in range(o)]:
@@ -447,9 +447,11 @@ def character_table(G):
         zpow = [pow(z, e // o * i, q) * pow(o, q - 2, q) % q for i in range(o)]
         kernels[o] = [[zpow[-t * k % o] for k in range(o)] for t in range(o)]
     inv_sizes = [pow(c.size, q - 2, q) for c in classes]
-    # each distinct (o, coordinates) is built, and gated, once per table
-    lifted = {}
-
+    # chi at x_j^k mod q, k < o; the identity's is the bare entry chi(1)
+    readers = [itemgetter(*powers) for powers in power_class]
+    # each distinct column is lifted, and gated, once per table, and each
+    # distinct (o, coordinates) is built once
+    by_column, lifted = {}, {}
     rows = []
     for w in vectors:
         if w[0] != 1:
@@ -459,32 +461,33 @@ def character_table(G):
         s = sum(w[k] * w[inverse_class[k]] * inv_sizes[k] for k in range(r)) % q
         d = _degree_from_norm(G, s, q)
         cbar = [d * x * inv % q for x, inv in zip(w, inv_sizes)]
-        values, coords = [], []
-        for j, (o, powers) in enumerate(zip(orders, power_class)):
-            column = [cbar[k] for k in powers]
-            coeffs = [sum(map(mul, column, row)) % q for row in kernels[o]]
-            if 2 * max(coeffs) >= q:
-                raise InternalCheckError(
-                    f"lifted multiplicity out of range on {G!r}"
-                )
-            if sum(coeffs) != d:
-                raise InternalCheckError(
-                    f"lifted multiplicities at class {j} of {G!r} add up to"
-                    f" {sum(coeffs)}, not to the degree {d}"
-                )
-            x = tuple(reduce_mod_cyclotomic(coeffs, o))
-            v = lifted.get((o, x))
-            if v is None:
-                v = lifted[o, x] = Cyclotomic(o, x)
-                # the printed value must be the one the table gate checks
-                if v.conductor != 1 and v.lift_coords(o) != x:
+        row = []
+        for j, (read, powers) in enumerate(zip(readers, power_class)):
+            key = read(cbar)
+            if key not in by_column:
+                o, column = len(powers), [cbar[k] for k in powers]
+                coeffs = [sum(map(mul, column, t)) % q for t in kernels[o]]
+                if 2 * max(coeffs) >= q:
                     raise InternalCheckError(
-                        f"value at class {j} of {G!r} (split mod q = {q}) does"
-                        " not lift back to its coordinates"
+                        f"lifted multiplicity out of range on {G!r}"
                     )
-            values.append(v)
-            coords.append(x)
-        rows.append((tuple(values), tuple(coords)))
+                if sum(coeffs) != d:
+                    raise InternalCheckError(
+                        f"lifted multiplicities at class {j} of {G!r} add up to"
+                        f" {sum(coeffs)}, not to the degree {d}"
+                    )
+                x = tuple(reduce_mod_cyclotomic(coeffs, o))
+                if (o, x) not in lifted:
+                    lifted[o, x] = v = Cyclotomic(o, x)
+                    # the printed value must be the one the table gate checks
+                    if v.conductor != 1 and v.lift_coords(o) != x:
+                        raise InternalCheckError(
+                            f"value at class {j} of {G!r} (split mod q = {q})"
+                            " does not lift back to its coordinates"
+                        )
+                by_column[key] = lifted[o, x], x
+            row.append(by_column[key])
+        rows.append(tuple(zip(*row)))
 
     # values[0] is the degree, and 1 sorts first: rows ascend by degree
     rows.sort(key=lambda row: tuple(v.sort_key() for v in row[0]))
@@ -492,6 +495,15 @@ def character_table(G):
     table = CharacterTable(G, e, values, coords)
     _verify_orthogonality(table)
     return table
+
+
+def _power_classes(G, c):
+    """The class of x^k for k < o, x the representative of the class c
+    and o its element order; each power is one product with x."""
+    by_x, powers = right_factor(c.representative), [identity(G.degree)]
+    for _ in range(1, c.element_order):
+        powers.append(by_x(powers[-1]))
+    return [G.class_index(y) for y in powers]
 
 
 def _prime_above(e, bound):
@@ -718,12 +730,7 @@ def _echelon(q):
 def _verify_orthogonality(table):
     """Check that the rows are the irreducible characters of the group.
 
-    First, every row must take complex-conjugate values on inverse
-    classes, chi(x^-1) = conj(chi(x)).  Both sides are compared on their
-    integer power-basis coordinates at the element order, which are
-    unique, so the comparison is exact (``_conjugate``); a rational value
-    is its own conjugate, so only irrational values are reduced there.
-    Then X D X* = I, row orthonormality for the table X and
+    X D X* = I, row orthonormality for the table X and
     D = diag(|C_k| / |G|), reads
     S_su = sum_k |C_k| chi_s(x_k) chi_u(x_k^-1) = |G| delta_su,
     checked for s <= u (S_us is S_su read at the inverse classes) as
@@ -753,6 +760,13 @@ def _verify_orthogonality(table):
     below Q in absolute value and 0 mod Q, is 0; likewise a p-regular
     sum is nonzero exactly when its residue is.
 
+    Nor does conjugation, chi(x^-1) = conj(chi(x)), which the lift gives
+    exactly.  The power-class closure is checked for generators of the
+    units mod e, so it holds for every product of them, g = -1 (mod e)
+    among them: the column at the class of x_j^-1 is the column at x_j
+    read at -k.  Its lifted multiplicities are m_-t, so its coordinates
+    are those of sum_t m_t zeta_o^(-t) = conj(chi(x_j)).
+
     The column relation needs no check of its own.  X is square, so
     X D X* = I makes D X* the inverse of X; then D X* X = I, that is
     X* X = D^-1: sum_i conj(chi_i(x_j)) chi_i(x_k) = delta_jk |G| / |C_j|.
@@ -761,14 +775,6 @@ def _verify_orthogonality(table):
     r = len(table.values)
     if r != len(table.classes):
         raise InternalCheckError(f"row count differs from class count on {G!r}")
-    coords = table.coords
-    inverse_class = G.inverse_classes()
-    for s, row in enumerate(coords):
-        for c, x, k in zip(table.classes, row, inverse_class):
-            if _conjugate(x, c.element_order) != row[k]:
-                raise InternalCheckError(
-                    f"row {s} of {G!r} is not conjugate on inverse classes"
-                )
     n, Q, inverted = G.order(), table.modulus, table.inverted
     for s, a in enumerate(table.weighted):
         for u in range(s, r):
@@ -781,15 +787,3 @@ def _verify_orthogonality(table):
             f"first table row of {G!r} is not the trivial character"
         )
 
-
-def _conjugate(x, o):
-    """The complex conjugate of the value with integer power-basis
-    coordinates x at conductor o, in the same coordinates: zeta_o^t goes
-    to zeta_o^(-t), and the result is reduced mod Phi_o.  A rational value
-    is its own conjugate and is returned as it is, with no reduction."""
-    if not any(x[1:]):
-        return x
-    poly = [0] * o
-    for t, c in enumerate(x):
-        poly[-t % o] += c
-    return tuple(reduce_mod_cyclotomic(poly, o))

@@ -28,9 +28,9 @@ Groups*, ch. 3), and each way the package reads R is exact:
   search requires |C_G(x_K)|_p = p^d.  So a defect class for P' gives
   one for P, the class of x^k, with the same centralizer.
 
-A value is read in the character table's one representation
-(``CharacterTable.coords``): integer coordinates on the power basis of a
-conductor o dividing e, an integral basis of Z[zeta_o].
+A value is read as integer coordinates on the power basis of a conductor
+o dividing e, an integral basis of Z[zeta_o] (``CharacterTable.coords``);
+each map reduces each distinct value once (``ReductionMap.reduce``).
 """
 
 from functools import lru_cache
@@ -41,7 +41,7 @@ from .errors import DomainError, InternalCheckError
 
 
 class ReductionMap:
-    """Reduction of algebraic integers in Q(zeta_e) into R.
+    """Reduction of algebraic integers in Q(zeta_e) into R, memoized.
 
     zeta_e goes to x^alpha, alpha the inverse of the p-part q of e mod
     e', so zeta_e^q goes to x and roots of unity of p-power order to 1.
@@ -63,6 +63,7 @@ class ReductionMap:
             _, remainder = divide_monic((0, *powers[-1]), modulus)
             powers.append(tuple(c % p for c in remainder))
         self.alpha = pow(p ** vp(e, p), -1, n)
+        self._images = {}
 
     def reduce(self, coords, o):
         """Image of the algebraic integer with integer coordinates coords
@@ -72,12 +73,17 @@ class ReductionMap:
         zeta_o^j maps to x^(alpha j e/o); the coordinates weight those
         powers' coefficient tuples in one integer list, reduced modulo p
         once.  The map is linear, so a factor folded into the integer
-        coordinates comes out of the reduction as its residue mod p."""
-        if self.e % o:
-            raise DomainError("value lies outside the source field")
-        if len(coords) != len(cyclotomic_polynomial(o)) - 1:
-            raise DomainError("coordinate count does not match the conductor")
-        return self._weigh(coords, self.alpha * (self.e // o))
+        coordinates comes out of the reduction as its residue mod p.
+        Each distinct (o, coordinates) is checked and weighed once per
+        map, and its image kept in ``_images``; one that raises is not."""
+        key = o, tuple(coords)
+        if key not in self._images:
+            if self.e % o:
+                raise DomainError("value lies outside the source field")
+            if len(coords) != len(cyclotomic_polynomial(o)) - 1:
+                raise DomainError("coordinate count does not match the conductor")
+            self._images[key] = self._weigh(coords, self.alpha * (self.e // o))
+        return self._images[key]
 
     def _weigh(self, coords, step):
         """The sum of c_j x^(j step) over the coordinates c_j, in R."""

@@ -58,6 +58,7 @@ from conftest import (
     c3_wreath_c2,
     c3_wreath_c3,
     cyclic,
+    dihedral,
     elementary_abelian,
     frobenius20,
     frobenius21,
@@ -627,15 +628,14 @@ def test_restriction_table_rejects_an_irrational_pairing(monkeypatch, s4, a4):
         restriction_multiplicities.__wrapped__(s4, a4)
 
 
-def test_table_gate_rejects_row_not_conjugate_on_inverse_classes():
-    G = cyclic(3)
-    table = character_table(G)
-    # zeta_3 on both classes of order 3, which are inverse to each other
-    bad = (ONE, zeta(3), zeta(3))
-    forged = _with_rows(table, (table.values[0], bad) + table.values[2:])
-    message = re.escape(f"row 1 of {G!r}") + " is not conjugate on inverse classes"
-    with pytest.raises(InternalCheckError, match=message):
-        _verify_orthogonality(forged)
+def test_lifted_rows_are_conjugate_on_inverse_classes():
+    # No gate compares chi(x^-1) with conj(chi(x)): the lift gives it, at
+    # g = -1 of the checked power-class closure (_verify_orthogonality).
+    for G in oracle_groups([cyclic(35), cyclic(55)]):
+        inverse_class = G.inverse_classes()
+        for row in character_table(G).values:
+            for k, v in enumerate(row):
+                assert row[inverse_class[k]] == oracles.complex_conjugate(v), (G, k)
 
 
 def test_equal_groups_share_cached_results():
@@ -734,10 +734,10 @@ def test_restriction_pairings_match_the_dense_oracle():
 
 
 def test_table_gate_reduces_no_value_of_a_rational_table(monkeypatch):
-    # A rational table's coordinates all sit at index 0, so no pairing
-    # sum reaches phi(o) and every value is its own conjugate: the gate
-    # calls reduce_mod_cyclotomic 945 times on S4 x S3 and 517 times on
-    # S6 when it reduces every sum and every conjugate.
+    # The gate reads its sums through the embedding, and conjugation
+    # through the lift: it calls reduce_mod_cyclotomic 945 times on
+    # S4 x S3 and 517 times on S6 when it reduces every sum and every
+    # conjugate.
     calls = []
     reduce = chartab.reduce_mod_cyclotomic
 
@@ -750,6 +750,29 @@ def test_table_gate_reduces_no_value_of_a_rational_table(monkeypatch):
     for table in tables:
         _verify_orthogonality(table)
         assert calls == [], table.group
+
+
+def test_table_lifts_each_distinct_column_once(monkeypatch):
+    # reduce_mod_cyclotomic calls of one table build: a lift per (row,
+    # class) pair made C55 3,025, D94 625, S4xS3 225, A7 81 and S6 121
+    calls = []
+    reduce = chartab.reduce_mod_cyclotomic
+
+    def counted(poly, e):
+        calls.append(e)
+        return reduce(poly, e)
+
+    monkeypatch.setattr(chartab, "reduce_mod_cyclotomic", counted)
+    for G, most in (
+        (cyclic(55), 72),
+        (dihedral(47), 29),
+        (s4_times_s3(), 64),
+        (alternating(7), 55),
+        (symmetric(6), 47),
+    ):
+        calls.clear()
+        character_table.__wrapped__(G)
+        assert len(calls) <= most, (G, len(calls))
 
 
 def _random_matrix(rng, r, q):
@@ -1007,8 +1030,13 @@ def test_lift_gate_rejects_power_classes_not_closed_under_units(monkeypatch):
     # C5 with x^2 forged to x^3: the square of the class of x is then
     # the class of x^3, whose cube is x^4, where (x^2)^3 = x^6 = x
     G = cyclic(5)
-    real = chartab.power
-    monkeypatch.setattr(chartab, "power", lambda x, k: real(x, 3 if k == 2 else k))
+    real = chartab._power_classes
+
+    def forged(G, c):
+        found = real(G, c)
+        return found[:2] + found[3:4] + found[3:] if c.element_order == 5 else found
+
+    monkeypatch.setattr(chartab, "_power_classes", forged)
     message = re.escape(f"power classes of {G!r} are not closed under x -> x^2")
     with pytest.raises(InternalCheckError, match=message):
         character_table.__wrapped__(G)

@@ -21,6 +21,7 @@ from conftest import (
     oracle_groups,
     psl_2_7,
     random_value,
+    s4_times_s3,
     symmetric,
 )
 from oracles import ResidueField, fields_above, plus, times, zeta
@@ -205,6 +206,64 @@ def test_reduce_reads_coordinates_at_any_dividing_conductor():
             for m in range(o, e + 1, o):
                 if e % m == 0:
                     assert rmap.reduce(x.lift_coords(m), m) == want, (e, p, o, m)
+
+
+def test_reduce_memo_keeps_every_image_and_gate(fresh_fields):
+    # A hit returns what a fresh map weighs, and the gates still fire on
+    # new inputs after hits; an input that raises is not kept.
+    rng = random.Random(11)
+    rmap, fresh = build_reduction(84, 7), ReductionMap(84, 7)
+    orders = (1, 3, 4, 12, 21, 84)
+    values = [random_value(rng, o, 3, 4) for o in orders for _ in range(4)]
+    for _ in range(2):
+        for x in values:
+            want = fresh._weigh(x.coords, fresh.alpha * (84 // x.conductor))
+            assert reduce(rmap, x) == want, x
+            assert rmap.reduce(list(x.coords), x.conductor) == want, x
+    kept = len(rmap._images)
+    assert kept == len({(x.conductor, x.coords) for x in values})
+    with pytest.raises(DomainError, match="outside the source field"):
+        reduce(rmap, zeta(5))
+    with pytest.raises(DomainError, match="coordinate count"):
+        rmap.reduce((0, 1, 0), 3)
+    with pytest.raises(DomainError, match="non-integral"):
+        rmap.reduce((Fraction(1, 2), 1), 3)
+    assert len(rmap._images) == kept
+
+
+def test_clear_caches_drops_the_reduce_memo(fresh_fields):
+    rmap = build_reduction(12, 2)
+    image = reduce(rmap, zeta(12))
+    assert rmap._images
+    clear_caches()
+    again = build_reduction(12, 2)
+    assert again is not rmap and not again._images
+    assert reduce(again, zeta(12)) == image
+
+
+def test_block_data_weighs_each_distinct_value_once(monkeypatch, fresh_fields):
+    # _weigh calls under a cold block_data(G, 2), build_reduction's own
+    # included; weighing every reduce call made S4xS3 256, A7 100,
+    # S6 144, C55 6,051 and D94 1,226.
+    calls = []
+    weigh = ReductionMap._weigh
+
+    def counted(self, coords, step):
+        calls.append(step)
+        return weigh(self, coords, step)
+
+    monkeypatch.setattr(ReductionMap, "_weigh", counted)
+    for G, most in (
+        (s4_times_s3(), 55),
+        (alternating(7), 59),
+        (symmetric(6), 42),
+        (cyclic(55), 73),
+        (dihedral(47), 31),
+    ):
+        clear_caches()
+        calls.clear()
+        block_data(G, 2)
+        assert len(calls) <= most, (G, len(calls))
 
 
 def test_reduction_is_ring_homomorphism_on_many_samples():
