@@ -6,12 +6,14 @@ induction, and the exploratory decomposition-number compatibility
 search of Question 3.5, which enumerates the Brauer-side matchings only
 and decides the ordinary side of each with the one bipartite matcher.
 
-Every verifier sees the group and the prime alone (navarro also its
-job's fixed instances) and returns plain dict records with stable key
-order and no job fields; ``report`` stamps each with its group and
-prime.  Pass verdicts, wherever they assert a theorem, are backed by
-an explicit certificate in the record (a matching, an integer
-quotient, or an equality witness).
+Navarro's exhaustive verdict reads the subgroup-class search of
+``permgroup.sylow_numbers_by_class``.  Every verifier sees the group
+and the prime alone (navarro also its job's fixed instances) and
+returns plain dict records with stable key order and no job fields;
+``report`` stamps each with its group and prime.  Pass verdicts,
+wherever they assert a theorem, are backed by an explicit certificate
+in the record (a matching, an integer quotient, or an equality
+witness).
 
 Characters are named by row index on both sides; their degrees are
 ``CharacterTable.degrees`` and ``ModularData.brauer_degrees``.
@@ -35,7 +37,6 @@ from .chartab import (
 from .errors import DomainError, InternalCheckError
 from .matching import divisibility_matching, maximum_matching
 from .modular import modular_data
-from .perms import right_factor
 from .permgroup import (
     PermutationGroup,
     are_conjugate_subgroups,
@@ -43,6 +44,7 @@ from .permgroup import (
     intersection,
     is_normal_in,
     normalizer,
+    sylow_numbers_by_class,
     sylow_subgroup,
 )
 
@@ -304,135 +306,6 @@ def verify_sylow_normalizer_divisibility(G, p, U, P):
             else "hypothesis not met"
         ),
     }
-
-
-def _right_regular(G):
-    """G's right regular representation on indices into G.elements():
-    right[b][a] is the index of elements[a] * elements[b], and inv[a]
-    that of elements[a]^-1.  Each generator's column takes |G| products;
-    a breadth-first walk composes the other columns, each a permutation
-    of range(|G|).  The walk steps from b to c, the index of h
-    elements[b] for a generator h, which is right[b] read at h's index;
-    then right[c] is right[b] composed with h's column, one map per
-    generator built once.  The table holds |G|^2 indices."""
-    elements = G.elements()
-    position = {x: i for i, x in enumerate(elements)}
-    steps = []
-    for h in G.generators:
-        column = map(position.__getitem__, map(right_factor(h), elements))
-        steps.append((position[h], right_factor(tuple(column))))
-    right = [None] * len(elements)
-    right[0] = tuple(range(len(elements)))
-    walk = [0]
-    for b in walk:
-        for h, by_column in steps:
-            c = right[b][h]
-            if right[c] is None:
-                right[c] = by_column(right[b])
-                walk.append(c)
-    return position, right, [column.index(0) for column in right]
-
-
-def _conjugates(right, inv, bits, conjugations, mask, members):
-    """The orbit of the subgroup U with this mask and these members under
-    the (t, map x -> t x t^-1) pairs in conjugations, as {mask of
-    g U g^-1: (its members, g)}, and the Schreier generators g'^-1 t g,
-    one per step t from g U g^-1 onto a g' U g'^-1 already found; when
-    the t generate G, these generate N_G(U)."""
-    orbit = {mask: (members, 0)}
-    walk = [(members, 0)]
-    normalizing = set()
-    for inside, g in walk:
-        for t, by_t in conjugations:
-            image = list(map(by_t.__getitem__, inside))
-            J = sum(map(bits.__getitem__, image))
-            tg = right[g][t]
-            if J in orbit:
-                normalizing.add(right[tg][inv[orbit[J][1]]])
-            else:
-                orbit[J] = (image, tg)
-                walk.append((image, tg))
-    return orbit, normalizing
-
-
-def sylow_numbers_by_class(G, p):
-    """n_p(G), and the tuple of (|U|, n_p(U)) for one U in each
-    conjugacy class of subgroups generated by p-elements, in the order
-    found.
-
-    These U decide every subgroup: n_p is a conjugacy invariant, and
-    n_p(U) = n_p(O^{p'}(U)), as O^{p'}(U) holds every p-subgroup of U.
-    Elements are indices into G.elements(), products are lookups in
-    `_right_regular`'s table, and a subgroup is a (mask, members,
-    generators) triple.  Breadth-first from the trivial subgroup, each
-    class representative U is joined with p-elements s outside U, by
-    Dimino's right cosets from U's members (as in
-    `PermutationGroup.__init__`, a coset U c is column c read at them).
-    Three rules cut the joins and lose no class: (a) only s with s^p in
-    U, since a p-generated K is reached by adding g^(p^(a-1)), ..., g
-    for each generator g of order p^a; (b) one s per N_G(U)-orbit, as
-    <U, s^n> = <U, s>^n; (c) no element of U s after s.  A join whose
-    mask is no conjugate seen so far is a new class, with its orbit.
-
-    A Sylow subgroup Q of U lies in a Sylow S of G, and then Q = U ∩ S,
-    so n_p(U) counts the distinct U ∩ S of order |U|_p over the
-    conjugates S of one Sylow mask.  Their number n_p(G) must be
-    |G : N_G(P)|, an InternalCheckError otherwise."""
-    position, right, inv = _right_regular(G)
-    n = len(right)
-    bits = [1 << x for x in range(n)]
-    gens = [position[t] for t in G.generators]
-    conjugations = [(t, [right[inv[t]][right[x][t]] for x in range(n)]) for t in gens]
-    sylow = sylow_subgroup(G, p)
-    inside = [position[x] for x in sylow.elements()]
-    P = sum(map(bits.__getitem__, inside))
-    sylows, _ = _conjugates(right, inv, bits, conjugations, P, inside)
-    index_big = _normalizer_index(G, sylow)
-    if len(sylows) != index_big:
-        raise InternalCheckError(
-            f"{len(sylows)} conjugates of a Sylow {p}-subgroup, but"
-            f" |G : N_G(P)| = {index_big}, on {_where(G, p)}"
-        )
-    # the p-elements are the members of the Sylow subgroups
-    p_elements = sorted({x for members, _ in sylows.values() for x in members} - {0})
-    powers = list(range(n))
-    for _ in range(p - 1):
-        powers = [right[x][y] for x, y in enumerate(powers)]
-    seen = {1}
-    classes = [((1, [0], ()), gens)]
-    for (mask, members, U_gens), normalizing in classes:
-        done = set()
-        for s in p_elements:
-            if mask >> s & 1 or not mask >> powers[s] & 1 or s in done:
-                continue
-            orbit = [s]
-            for x in orbit:
-                # U is in N_G(U), so these U x hold s U: s u = u (u^-1 s u)
-                done.update(map(right[x].__getitem__, members))
-                for t in normalizing:
-                    y = right[inv[t]][right[x][t]]
-                    if y not in done:
-                        done.add(y)
-                        orbit.append(y)
-            J, joined, reps, J_gens = mask, list(members), [0], U_gens + (s,)
-            for r in reps:
-                for t in J_gens:
-                    c = right[t][r]
-                    if not J >> c & 1:
-                        coset = list(map(right[c].__getitem__, members))
-                        joined += coset
-                        J |= sum(map(bits.__getitem__, coset))
-                        reps.append(c)
-            if J not in seen:
-                conjugates, normalizing_J = _conjugates(right, inv, bits, conjugations, J, joined)
-                seen.update(conjugates)
-                classes.append(((J, joined, J_gens), sorted(normalizing_J)))
-    pairs = []
-    for (mask, members, _), _ in classes:
-        q = p_part(len(members), p)
-        meets = {mask & S for S in sylows}
-        pairs.append((len(members), sum(I.bit_count() == q for I in meets)))
-    return index_big, tuple(pairs)
 
 
 def navarro_instances(G, p, fixed):

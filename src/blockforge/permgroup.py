@@ -16,7 +16,9 @@ moves it is given and closes the stabilizer from Schreier generators.
 Under conjugation (``_by_conjugation``) normalizers, centralizers and
 conjugacy of subgroups are read off it, with no scan over G; on the
 row indices of a character table, inertia groups and covered blocks
-(``chartab.inertia_group``, ``blocks.covered_blocks``).
+(``chartab.inertia_group``, ``blocks.covered_blocks``); on sorted
+tuples of element indices, the conjugates and normalizers of the
+subgroup-class search behind navarro (``sylow_numbers_by_class``).
 
 Determinism: no randomness is used anywhere in this module, and every
 derived object that a result reads (the order and representatives of
@@ -37,6 +39,7 @@ module does not import.
 from collections import namedtuple
 from functools import lru_cache
 from math import lcm
+from operator import getitem
 
 from .arith import is_prime, p_part
 from .errors import DomainError, InternalCheckError
@@ -154,7 +157,8 @@ class PermutationGroup:
 
     def conjugations(self):
         """For each generator g, the map x -> g^-1 x g, built once: the
-        normality test and the conjugation action read it."""
+        normality test, the normal closure and the conjugation action
+        read it."""
         if self._conjugations is None:
             self._conjugations = tuple(map(_conjugation, self.generators))
         return self._conjugations
@@ -280,10 +284,12 @@ def _stabilizer(G, point, moves, elems, factors):
 
     point is any hashable point of a right action of G, given as moves:
     pairs of a permutation g and the map v -> v^g, whose permutations
-    generate G.  The seed group listed in elems, with generator maps
-    factors, lies in G and fixes point; it is extended in place.  The
-    orbit is returned as a dict from each point v to a transversal
-    element t_v, with point^t_v = v, and its inverse.
+    generate G.  Right means v^mult(a, b) = (v^a)^b, which the
+    transversal below relies on: conjugation x -> g^-1 x g is one, and
+    x -> g x g^-1 is not.  The seed group listed in elems, with
+    generator maps factors, lies in G and fixes point; it is extended in
+    place.  The orbit is returned as a dict from each point v to a
+    transversal element t_v, with point^t_v = v, and its inverse.
 
     The walk is breadth first over the pairs of a point v found and a
     move g.  A new image w = v^g gets t_w = t_v g.  A known one gives
@@ -376,7 +382,7 @@ def _require_subgroup(G, H):
 @lru_cache(maxsize=None)
 def normal_closure(G, seeds):
     """Smallest normal subgroup of G containing the seed elements: the
-    seeds' conjugates g x g^-1 by G's generators, closed by Dimino steps."""
+    seeds' conjugates g^-1 x g by G's generators, closed by Dimino steps."""
     seeds = tuple(tuple(s) for s in seeds)
     for s in seeds:
         if not G.contains(s):
@@ -386,9 +392,8 @@ def normal_closure(G, seeds):
     for s in seeds:
         if s not in found:
             _adjoin(elems, found, factors, s)
-    conjugations = [_conjugation(inverse(g)) for g in G.generators]
     for x in gens:
-        for conj in conjugations:
+        for conj in G.conjugations():
             y = conj(x)
             if y not in found:
                 gens.append(y)
@@ -464,3 +469,122 @@ def intersection(A, B):
     if A.degree != B.degree:
         raise DomainError("degree mismatch")
     return group_from_elements(A.degree, A.element_set() & B.element_set())
+
+
+def _right_regular(G):
+    """G's right regular representation on indices into G.elements():
+    right[b][a] is the index of elements[a] * elements[b], and inv[a]
+    that of elements[a]^-1.  Each generator's column takes |G| products;
+    a breadth-first walk composes the other columns, each a permutation
+    of range(|G|).  The walk steps from b to c, the index of h
+    elements[b] for a generator h, which is right[b] read at h's index;
+    then right[c] is right[b] composed with h's column, one map per
+    generator built once.  The table holds |G|^2 indices."""
+    elements = G.elements()
+    position = {x: i for i, x in enumerate(elements)}
+    steps = []
+    for h in G.generators:
+        column = map(position.__getitem__, map(right_factor(h), elements))
+        steps.append((position[h], right_factor(tuple(column))))
+    right = [None] * len(elements)
+    right[0] = tuple(range(len(elements)))
+    walk = [0]
+    for b in walk:
+        for h, by_column in steps:
+            c = right[b][h]
+            if right[c] is None:
+                right[c] = by_column(right[b])
+                walk.append(c)
+    return position, right, [column.index(0) for column in right]
+
+
+def sylow_numbers_by_class(G, p):
+    """n_p(G), and the tuple of (|U|, n_p(U)) for one U in each
+    conjugacy class of subgroups generated by p-elements, in the order
+    found.
+
+    These U decide every subgroup: n_p is a conjugacy invariant, and
+    n_p(U) = n_p(O^{p'}(U)), as O^{p'}(U) holds every p-subgroup of U.
+    Elements are indices into G.elements(), products are lookups in
+    `_right_regular`'s table, and a subgroup is the sorted tuple of its
+    indices, which takes less memory than a set.  One ``_stabilizer``
+    walk, seeded with U, under x -> t^-1 x t for G's generators t, gives
+    U's conjugates and N_G(U).  Breadth-first from the trivial subgroup,
+    each class representative U is joined with p-elements s outside U,
+    by Dimino's right cosets of U (as in `PermutationGroup.__init__`, a
+    coset U c is column c read at U).  Three rules cut the joins and
+    lose no class: (a) only s with s^p in U, since a p-generated K is
+    reached by adding g^(p^(a-1)), ..., g for each generator g of order
+    p^a; (b) one s per N_G(U)-orbit, as <U, s^n> = <U, s>^n; (c) no
+    element of U s after s.  A join that is no conjugate seen so far is
+    a new class.
+
+    A Sylow subgroup Q of U lies in a Sylow S of G, and then Q = U ∩ S,
+    so n_p(U) counts the distinct U ∩ S of order |U|_p over the
+    conjugates S of one Sylow subgroup.  Their number n_p(G) must be
+    |G : N_G(P)|, an InternalCheckError otherwise."""
+    position, right, inv = _right_regular(G)
+    elements, index = G.elements(), position.__getitem__
+
+    def move(t):
+        by_t = [right[t][right[x][inv[t]]] for x in range(len(right))]
+        return elements[t], lambda U: tuple(sorted(map(by_t.__getitem__, U)))
+
+    moves = [move(t) for t in map(index, G.generators)]
+
+    def walk(U, U_gens):
+        """U's conjugates and N_G(U)'s elements, for U = <U_gens>."""
+        seed = [elements[x] for x in U], [right_factor(elements[t]) for t in U_gens]
+        return _stabilizer(G, U, moves, *seed)
+
+    sylow = sylow_subgroup(G, p)
+    P = tuple(sorted(map(index, sylow.elements())))
+    sylows = walk(P, tuple(map(index, sylow.generators)))[0]
+    index_big = G.order() // normalizer(G, sylow).order()
+    if len(sylows) != index_big:
+        raise InternalCheckError(
+            f"{len(sylows)} conjugates of a Sylow {p}-subgroup, but"
+            f" |G : N_G(P)| = {index_big}, on {G!r} at p = {p}"
+        )
+    # the p-elements are the members of the Sylow subgroups
+    p_elements = sorted(set().union(*sylows) - {0})
+    powers = list(range(len(right)))
+    for _ in range(p - 1):
+        powers = [right[x][y] for x, y in enumerate(powers)]
+    seen = set()
+    classes = []
+
+    def found(U, U_gens):
+        conjugates, N = walk(U, U_gens)
+        seen.update(conjugates)
+        classes.append((frozenset(U), U_gens, list(map(index, N))))
+
+    found((0,), ())
+    for U, U_gens, N in classes:
+        # s^t = t^-1 s t is right[t][right[s][inv[t]]], for t in N
+        rows, at_inverses = list(map(right.__getitem__, N)), right_factor([inv[t] for t in N])
+        done = set()
+        for s in p_elements:
+            if s in U or powers[s] not in U or s in done:
+                continue
+            for x in set(map(getitem, rows, at_inverses(right[s]))):
+                # U is in N_G(U), so these U x hold s U: s u = u (u^-1 s u);
+                # done is a union of them, so x in done has its U x there
+                if x not in done:
+                    done.update(map(right[x].__getitem__, U))
+            J, reps, J_gens = set(U), [0], U_gens + (s,)
+            for r in reps:
+                for t in J_gens:
+                    c = right[t][r]
+                    if c not in J:
+                        J.update(map(right[c].__getitem__, U))
+                        reps.append(c)
+            J = tuple(sorted(J))
+            if J not in seen:
+                found(J, J_gens)
+    pairs = []
+    for U, *_ in classes:
+        q = p_part(len(U), p)
+        meets = set(map(U.intersection, sylows))
+        pairs.append((len(U), sum(len(I) == q for I in meets)))
+    return index_big, tuple(pairs)

@@ -9,14 +9,13 @@ from types import SimpleNamespace
 import pytest
 
 import blockforge
-from blockforge import catalog, correspond, matching
+from blockforge import catalog, correspond, matching, permgroup
 from blockforge.arith import prime_factors, vp
 from blockforge.blocks import block_data
 from blockforge.chartab import character_table, is_p_solvable, p_prime_core
 from blockforge.correspond import (
     _brauer_degrees_over,
     _matchings,
-    _right_regular,
     block_section,
     coprime_setup,
     find_good_character,
@@ -27,15 +26,13 @@ from blockforge.correspond import (
     navarro_instances,
     question35_instances,
     regular_covering_instances,
-    sylow_numbers_by_class,
     verify_glauberman_lifts,
     verify_sylow_normalizer_divisibility,
 )
 from blockforge.errors import DomainError, InternalCheckError
 from blockforge.groupfile import parse_group_file
 from blockforge.modular import modular_data
-from blockforge.permgroup import PermutationGroup, sylow_subgroup
-from blockforge.perms import mult
+from blockforge.permgroup import PermutationGroup, sylow_numbers_by_class, sylow_subgroup
 from blockforge.report import build_report, collect_verdicts
 
 import oracles
@@ -44,13 +41,10 @@ from conftest import (
     c2_wreath_s4,
     c3_wreath_c2,
     c3_wreath_c3,
-    cyclic,
     elementary_abelian,
     frobenius20,
     oracle_groups,
     s4_times_s4,
-    sl_2_3,
-    symmetric,
 )
 
 
@@ -479,36 +473,12 @@ def test_navarro_violations_on_forged_sylow_number(monkeypatch):
 
 
 def test_navarro_sylow_number_gate(s4, monkeypatch):
-    # n_p(G) is counted twice: as the orbit of one Sylow mask and as
-    # |G : N_G(P)|; a forged normalizer index fires the gate
-    monkeypatch.setattr(correspond, "_normalizer_index", lambda G, H: 4)
+    # n_p(G) is counted twice: as the orbit of one Sylow subgroup and as
+    # |G : N_G(P)|; a forged normalizer of order 6, index 4, fires the gate
+    s3 = PermutationGroup(4, [(1, 0, 2, 3), (1, 2, 0, 3)])
+    monkeypatch.setattr(permgroup, "normalizer", lambda G, H: s3)
     with pytest.raises(InternalCheckError, match="S4.* at p = 2"):
         navarro_instances(s4, 2, [])
-
-
-def test_right_regular_matches_permutation_products():
-    identity_and_repeat = PermutationGroup(
-        4, [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3)]
-    )
-    groups = [
-        PermutationGroup(1, []),
-        cyclic(6),
-        symmetric(4),
-        sl_2_3(),
-        _s4xs3(),
-        identity_and_repeat,
-    ]
-    for G in groups:
-        elements = G.elements()
-        position, right, inv = _right_regular(G)
-        assert position == {x: i for i, x in enumerate(elements)}
-        n = len(elements)
-        assert len(right) == len(inv) == n, G
-        for b in range(n):
-            assert len(right[b]) == n
-            for a in range(n):
-                assert right[b][a] == position[mult(elements[a], elements[b])]
-        assert all(right[inv[a]][a] == 0 for a in range(n)), G
 
 
 def test_regular_covering_s4_p2(s4):

@@ -497,6 +497,31 @@ def test_orbit_walk_meets_orbit_stabilizer():
                     assert oracles.omult(t, t_inverse) == identity(G.degree)
 
 
+def test_right_regular_matches_permutation_products():
+    identity_and_repeat = PermutationGroup(
+        4, [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0), (1, 0, 2, 3)]
+    )
+    groups = [
+        PermutationGroup(1, []),
+        cyclic(6),
+        symmetric(4),
+        sl_2_3(),
+        s4_times_s3(),
+        identity_and_repeat,
+    ]
+    for G in groups:
+        elements = G.elements()
+        position, right, inv = permgroup._right_regular(G)
+        assert position == {x: i for i, x in enumerate(elements)}
+        n = len(elements)
+        assert len(right) == len(inv) == n, G
+        for b in range(n):
+            assert len(right[b]) == n
+            for a in range(n):
+                assert right[b][a] == position[mult(elements[a], elements[b])]
+        assert all(right[inv[a]][a] == 0 for a in range(n)), G
+
+
 def test_sylow_chains_of_s7_match_the_scans():
     # each step of the growth adjoins the p-part of the first element of
     # N_G(P), in sorted order, whose p-part lies outside P
